@@ -276,22 +276,6 @@ func (r *Reader) Floats() []float64 {
 	return out
 }
 
-// FloatsInto decodes a uint32-prefixed float64 slice into backing,
-// returning the capacity-clamped subslice and the grown backing — the
-// packed-clone idiom machine snapshots use, one allocation for a whole
-// telemetry ring instead of one per entry. Returns nil when empty.
-func (r *Reader) FloatsInto(backing []float64) ([]float64, []float64) {
-	n := r.Count(8)
-	if n == 0 || r.err != nil {
-		return nil, backing
-	}
-	start := len(backing)
-	for i := 0; i < n; i++ {
-		backing = append(backing, r.F64())
-	}
-	return backing[start : start+n : start+n], backing
-}
-
 // Ints reads a uint32-prefixed int slice, nil when empty.
 func (r *Reader) Ints() []int {
 	n := r.Count(8)

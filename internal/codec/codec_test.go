@@ -133,32 +133,6 @@ func TestTrailingBytesRejected(t *testing.T) {
 	}
 }
 
-func TestFloatsIntoPacks(t *testing.T) {
-	w := NewWriter(nil)
-	w.Floats([]float64{1, 2})
-	w.Floats(nil)
-	w.Floats([]float64{3})
-	r := NewReader(w.Bytes())
-	backing := make([]float64, 0, 3)
-	a, backing := r.FloatsInto(backing)
-	b, backing := r.FloatsInto(backing)
-	c, backing := r.FloatsInto(backing)
-	if err := r.Expect(); err != nil {
-		t.Fatalf("Expect: %v", err)
-	}
-	if len(a) != 2 || a[0] != 1 || a[1] != 2 || b != nil || len(c) != 1 || c[0] != 3 {
-		t.Fatalf("FloatsInto = %v %v %v", a, b, c)
-	}
-	if len(backing) != 3 {
-		t.Fatalf("backing len = %d", len(backing))
-	}
-	// Capacity clamping: growing one subslice must not bleed into the next.
-	a = append(a, 99)
-	if c[0] != 3 {
-		t.Fatalf("append through subslice corrupted neighbour: %v", c)
-	}
-}
-
 func TestWriterBufferReuse(t *testing.T) {
 	w := NewWriter(make([]byte, 0, 64))
 	w.U64(1)

@@ -41,8 +41,10 @@ var binaryMagic = [4]byte{'H', 'R', 'C', 'B'}
 // BinaryVersion is the binary layout version. DecodeCheckpointBinary
 // rejects other versions; bump it on any incompatible layout change
 // (and document the change in DESIGN.md §16). It is independent of
-// CheckpointVersion, which versions the logical state schema.
-const BinaryVersion = 1
+// CheckpointVersion, which versions the logical state schema. Version 1
+// carried a 600-entry ring of full telemetry records per machine; version
+// 2 carries the last record plus the (time, tail) poll window.
+const BinaryVersion = 2
 
 // IsBinaryCheckpoint reports whether data begins with the binary
 // checkpoint magic — the auto-detection used by every resume path.
@@ -209,7 +211,7 @@ func DecodeCheckpointBinary(data []byte) (*Checkpoint, error) {
 }
 
 // appendMachine encodes one machine snapshot: hardware config, clock,
-// tasks, accumulators, then the telemetry ring.
+// tasks, accumulators, the last epoch's telemetry, then the poll window.
 func appendMachine(w *codec.Writer, s *machine.Snapshot) {
 	appendHW(w, &s.HW)
 	w.Duration(s.Epoch)
@@ -246,9 +248,11 @@ func appendMachine(w *codec.Writer, s *machine.Snapshot) {
 	w.F64(s.BELostCPUSec)
 	w.F64(s.LastService)
 
-	w.U32(uint32(len(s.Recent)))
-	for i := range s.Recent {
-		appendTelemetry(w, &s.Recent[i])
+	appendTelemetry(w, &s.Last)
+	w.U32(uint32(len(s.Window)))
+	for _, p := range s.Window {
+		w.Duration(p.Time)
+		w.Duration(p.TailLatency)
 	}
 }
 
@@ -293,16 +297,11 @@ func readMachine(r *codec.Reader, s *machine.Snapshot) {
 	s.BELostCPUSec = r.F64()
 	s.LastService = r.F64()
 
-	// A telemetry entry is ~45 fixed fields (≥360 bytes); 64 is a safe
-	// floor for the count guard. Inner float slices pack into one backing
-	// array sized from the hardware config (2 per-socket series plus one
-	// per-core series per entry), mirroring the snapshot-side packing.
-	if n := r.Count(64); n > 0 && r.Err() == nil {
-		s.Recent = make([]machine.Telemetry, n)
-		cores := s.HW.Sockets * s.HW.CoresPerSocket * s.HW.ThreadsPerCore
-		backing := make([]float64, 0, n*(2*s.HW.Sockets+cores))
-		for i := range s.Recent {
-			backing = readTelemetry(r, &s.Recent[i], backing)
+	readTelemetry(r, &s.Last)
+	if n := r.Count(16); n > 0 {
+		s.Window = make([]machine.TailSample, n)
+		for i := range s.Window {
+			s.Window[i] = machine.TailSample{Time: r.Duration(), TailLatency: r.Duration()}
 		}
 	}
 }
@@ -386,9 +385,8 @@ func appendTelemetry(w *codec.Writer, t *machine.Telemetry) {
 	w.F64(t.EMU)
 }
 
-// readTelemetry decodes one entry, packing its float series into backing
-// and returning the grown backing.
-func readTelemetry(r *codec.Reader, t *machine.Telemetry, backing []float64) []float64 {
+// readTelemetry decodes one epoch's counters.
+func readTelemetry(r *codec.Reader, t *machine.Telemetry) {
 	t.Time = r.Duration()
 	t.Lat.Mean = r.Duration()
 	t.Lat.P50 = r.Duration()
@@ -415,18 +413,17 @@ func readTelemetry(r *codec.Reader, t *machine.Telemetry, backing []float64) []f
 	t.BEFreqGHz = r.F64()
 	t.BEGoodCPUSec = r.F64()
 	t.BELostCPUSec = r.F64()
-	t.SocketPowerW, backing = r.FloatsInto(backing)
+	t.SocketPowerW = r.Floats()
 	t.PowerFracTDP = r.F64()
 	t.MaxSocketPower = r.F64()
 	t.CPUUtil = r.F64()
 	t.DRAMTotalGBs = r.F64()
 	t.DRAMDemandGBs = r.F64()
 	t.DRAMUtil = r.F64()
-	t.DRAMSocketUtil, backing = r.FloatsInto(backing)
-	t.PerCoreDRAMGBs, backing = r.FloatsInto(backing)
+	t.DRAMSocketUtil = r.Floats()
+	t.PerCoreDRAMGBs = r.Floats()
 	t.LinkUtil = r.F64()
 	t.EMU = r.F64()
-	return backing
 }
 
 func appendController(w *codec.Writer, st *core.ControllerState) {

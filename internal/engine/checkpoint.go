@@ -19,8 +19,10 @@ import (
 
 // CheckpointVersion is the current checkpoint format version. Restore
 // rejects other versions; bump it on any incompatible change to the
-// layout (and document the change in DESIGN.md §11).
-const CheckpointVersion = 1
+// layout (and document the change in DESIGN.md §11). Version 2 replaced
+// each machine's "recent" ring of full telemetry records with "last" (one
+// record) and "window" (the poll history as time/tail pairs).
+const CheckpointVersion = 2
 
 // Checkpoint is the engine's complete serializable state: machines,
 // controllers, scheduler, scenario cursor position, the epoch index that

@@ -112,8 +112,8 @@ type EpochStat struct {
 }
 
 // EpochResult is everything one Step produced. Tel aliases the engine's
-// scratch and each machine's telemetry ring: consume it before the next
-// Step, copy to retain.
+// scratch and each machine's in-place telemetry record: consume it before
+// the next Step, copy to retain.
 type EpochResult struct {
 	Epoch uint64        // completed epochs, 1-based after the first Step
 	At    time.Duration // simulated time at the start of the epoch

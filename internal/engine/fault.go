@@ -191,7 +191,7 @@ func (e *Engine) crashNode(i int, now, until time.Duration) {
 	}
 	if n.ctl != nil {
 		// Cold controller: zero latches, with the stale-telemetry clock
-		// starting at the crash so the empty post-restart telemetry ring
+		// starting at the crash so the empty post-restart poll window
 		// does not read as an instant emergency.
 		n.ctl.Restore(core.ControllerState{LastTelemetry: now})
 	}

@@ -57,13 +57,13 @@ func TestTelemetryRingWraps(t *testing.T) {
 	m := New(hw.DefaultConfig())
 	m.SetLC(lcs["websearch"])
 	m.SetLoad(0.3)
-	for i := 0; i < 700; i++ { // past recentMax=600
+	for i := 0; i < 700; i++ { // past windowDepth=600
 		m.Step()
 	}
-	if got := len(m.Recent(1000)); got != 600 {
-		t.Fatalf("ring holds %d epochs, want 600", got)
+	rec := m.Snapshot().Window
+	if len(rec) != windowDepth {
+		t.Fatalf("ring holds %d epochs, want %d", len(rec), windowDepth)
 	}
-	rec := m.Recent(3)
 	for i := 1; i < len(rec); i++ {
 		if rec[i].Time <= rec[i-1].Time {
 			t.Fatalf("ring order broken: %v then %v", rec[i-1].Time, rec[i].Time)
@@ -77,12 +77,12 @@ func TestTelemetryRingWraps(t *testing.T) {
 		t.Fatalf("windowed tail after wrap = %v, %v", tail, ok)
 	}
 	m.ResetStats()
-	if len(m.Recent(10)) != 0 {
+	if len(m.Snapshot().Window) != 0 {
 		t.Fatal("reset did not clear wrapped ring")
 	}
 	// Refill after reset reuses the ring slots.
 	m.Step()
-	if len(m.Recent(10)) != 1 {
+	if len(m.Snapshot().Window) != 1 {
 		t.Fatal("ring refill after reset broken")
 	}
 }

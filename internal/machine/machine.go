@@ -72,15 +72,15 @@ type Machine struct {
 	beLostCPUSec float64
 
 	lastService float64 // previous epoch mean LC service time (seconds)
-	tel         Telemetry
-	// recent is a ring of recent epochs for controller polling: entries
-	// occupy logical order oldest-first starting at head. Slots (and the
-	// slices inside them) are reused once the ring is full, which is what
-	// makes steady-state stepping allocation-free.
-	recent    []Telemetry
-	recentN   int // valid entries
-	head      int // physical index of the oldest entry
-	recentMax int
+	// tel is the last resolved epoch. Step refills it in place, reusing
+	// its three slices, which is what makes steady-state stepping
+	// allocation-free.
+	tel Telemetry
+	// window is the controller's poll history: one TailSample per epoch,
+	// appended until it holds windowDepth entries and from then on
+	// overwritten oldest-first at head.
+	window []TailSample
+	head   int // physical index of the oldest sample once the ring is full
 
 	scratch stepScratch
 }
@@ -153,11 +153,10 @@ func New(cfg hw.Config, opts ...Option) *Machine {
 		panic(fmt.Sprintf("machine: invalid config: %v", err))
 	}
 	m := &Machine{
-		cfg:       cfg,
-		engine:    lat.Analytic{},
-		clock:     sim.NewClock(0),
-		epoch:     time.Second,
-		recentMax: 600,
+		cfg:    cfg,
+		engine: lat.Analytic{},
+		clock:  sim.NewClock(0),
+		epoch:  time.Second,
 	}
 	tc := cfg.TotalCores()
 	m.scratch = stepScratch{
@@ -475,7 +474,7 @@ func (m *Machine) BEEnabled() bool {
 // ResetStats clears telemetry history and queue state between experiment
 // points.
 func (m *Machine) ResetStats() {
-	m.recentN, m.head = 0, 0
+	m.window, m.head = m.window[:0], 0
 	m.engine.Reset()
 	if m.lc != nil {
 		m.lastService = m.lc.WL.Spec.BaseService().Seconds()

@@ -426,11 +426,11 @@ func TestRunForAndClock(t *testing.T) {
 	if m.Clock().Now() != 5*time.Second {
 		t.Fatalf("clock = %v", m.Clock().Now())
 	}
-	if len(m.Recent(100)) != 5 {
-		t.Fatalf("recent epochs = %d", len(m.Recent(100)))
+	if n := len(m.Snapshot().Window); n != 5 {
+		t.Fatalf("recent epochs = %d", n)
 	}
 	m.ResetStats()
-	if len(m.Recent(100)) != 0 {
+	if len(m.Snapshot().Window) != 0 {
 		t.Fatal("reset did not clear history")
 	}
 }

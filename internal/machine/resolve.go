@@ -50,23 +50,21 @@ const netOverloadCap = 1.0 // seconds
 const rampFreqWindow = 0.4
 
 // Step resolves one epoch and returns its telemetry. The slices inside the
-// returned Telemetry are owned by the machine's history ring and remain
-// valid for the ring's depth (600 epochs); copy them to retain longer.
+// returned Telemetry are the machine's own and are refilled by the next
+// Step; copy them to retain longer.
 func (m *Machine) Step() Telemetry {
 	cfg := m.cfg
 	tc := cfg.TotalCores()
 	dt := m.epoch
 	sc := &m.scratch
 
-	// Claim the ring slot this epoch will occupy, reusing its slices.
-	slot := m.claimSlot()
-	*slot = Telemetry{
+	tel := &m.tel
+	*tel = Telemetry{
 		Time:           m.clock.Now() + dt,
-		SocketPowerW:   zeroFloats(slot.SocketPowerW, cfg.Sockets),
-		PerCoreDRAMGBs: zeroFloats(slot.PerCoreDRAMGBs, tc),
-		DRAMSocketUtil: zeroFloats(slot.DRAMSocketUtil, cfg.Sockets),
+		SocketPowerW:   zeroFloats(tel.SocketPowerW, cfg.Sockets),
+		PerCoreDRAMGBs: zeroFloats(tel.PerCoreDRAMGBs, tc),
+		DRAMSocketUtil: zeroFloats(tel.DRAMSocketUtil, cfg.Sockets),
 	}
-	tel := slot
 
 	// --- 1. LC offered load and concurrency estimate -------------------
 	var lambda float64
@@ -595,24 +593,8 @@ func (m *Machine) Step() Telemetry {
 	}
 
 	m.clock.Advance(dt)
-	m.tel = *tel
+	m.pushSample(TailSample{Time: tel.Time, TailLatency: tel.TailLatency})
 	return *tel
-}
-
-// claimSlot returns the ring slot the next epoch should fill, advancing the
-// ring. Slot slices are reused in place once the ring has filled.
-func (m *Machine) claimSlot() *Telemetry {
-	if m.recentN < m.recentMax {
-		if m.recentN == len(m.recent) {
-			m.recent = append(m.recent, Telemetry{})
-		}
-		slot := &m.recent[m.recentN]
-		m.recentN++
-		return slot
-	}
-	slot := &m.recent[m.head]
-	m.head = (m.head + 1) % m.recentMax
-	return slot
 }
 
 // zeroFloats returns buf resized to n (growing only when capacity is

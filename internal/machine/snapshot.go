@@ -14,8 +14,10 @@ import (
 // was never interrupted. Workloads travel by name — calibrated LC/BE
 // objects are environment, not state, and the restoring side resolves
 // them against its own catalogue (the same convention scenario events
-// use). The telemetry ring travels oldest-first so the controller's
-// windowed TailLatency polls see exactly the history they would have.
+// use). Of the telemetry, Last carries the newest epoch in full (the
+// controller's per-socket and per-core monitors read it on the next epoch)
+// and Window the poll history oldest-first, so the controller's windowed
+// TailLatency polls see exactly the history they would have.
 //
 // Snapshots assume the default analytic latency engine, which is
 // stateless; a machine built with machine.WithEngine(lat.NewDES(...))
@@ -35,7 +37,8 @@ type Snapshot struct {
 	BELostCPUSec float64 `json:"be_lost_cpu_s,omitempty"`
 	LastService  float64 `json:"last_service_s,omitempty"`
 
-	Recent []Telemetry `json:"recent,omitempty"`
+	Last   Telemetry    `json:"last"`
+	Window []TailSample `json:"window,omitempty"`
 }
 
 // LCSnapshot is the serialized latency-critical task.
@@ -62,8 +65,8 @@ type BESnapshot struct {
 }
 
 // Snapshot captures the machine's state. Every slice is deep-copied, so
-// the snapshot stays valid while the machine continues to step (the ring
-// reuses its slots in place).
+// the snapshot stays valid while the machine continues to step (Step
+// refills the telemetry and the poll ring in place).
 func (m *Machine) Snapshot() Snapshot {
 	s := Snapshot{
 		HW:           m.cfg,
@@ -99,49 +102,21 @@ func (m *Machine) Snapshot() Snapshot {
 			CPUSec:     be.CPUSec,
 		})
 	}
-	s.Recent = make([]Telemetry, m.recentN)
-	backing := make([]float64, 0, m.recentFloats())
-	for j := 0; j < m.recentN; j++ {
-		s.Recent[j], backing = cloneTelemetryPacked(m.telAt(j), backing)
+	s.Last = cloneTelemetry(&m.tel)
+	if n := len(m.window); n > 0 {
+		s.Window = make([]TailSample, 0, n)
+		s.Window = append(append(s.Window, m.window[m.head:]...), m.window[:m.head]...)
 	}
 	return s
 }
 
-// recentFloats sums the inner float-slice lengths across the telemetry
-// ring, sizing the packed clone's single backing array.
-func (m *Machine) recentFloats() int {
-	total := 0
-	for j := 0; j < m.recentN; j++ {
-		t := m.telAt(j)
-		total += len(t.SocketPowerW) + len(t.DRAMSocketUtil) + len(t.PerCoreDRAMGBs)
-	}
-	return total
-}
-
-// cloneTelemetryPacked deep-copies one ring entry, carving the inner
-// float slices out of a shared backing array instead of allocating three
-// slices per entry — a 600-entry ring would otherwise cost ~1800
-// allocations per snapshot (and again per restore). backing must have
-// been sized by recentFloats (or equivalent) so the appends never grow.
-func cloneTelemetryPacked(t *Telemetry, backing []float64) (Telemetry, []float64) {
+// cloneTelemetry deep-copies one epoch's counters.
+func cloneTelemetry(t *Telemetry) Telemetry {
 	out := *t
-	out.SocketPowerW, backing = packFloats(t.SocketPowerW, backing)
-	out.DRAMSocketUtil, backing = packFloats(t.DRAMSocketUtil, backing)
-	out.PerCoreDRAMGBs, backing = packFloats(t.PerCoreDRAMGBs, backing)
-	return out, backing
-}
-
-// packFloats appends src to backing and returns the capacity-clamped
-// subslice holding the copy (nil for an empty src, matching the old
-// per-entry clone's JSON shape). The three-index slice keeps a later
-// in-place resize of one entry from bleeding into its neighbours.
-func packFloats(src, backing []float64) ([]float64, []float64) {
-	if len(src) == 0 {
-		return nil, backing
-	}
-	n := len(backing)
-	backing = append(backing, src...)
-	return backing[n : n+len(src) : n+len(src)], backing
+	out.SocketPowerW = append([]float64(nil), t.SocketPowerW...)
+	out.DRAMSocketUtil = append([]float64(nil), t.DRAMSocketUtil...)
+	out.PerCoreDRAMGBs = append([]float64(nil), t.PerCoreDRAMGBs...)
+	return out
 }
 
 // RestoreMachine rebuilds a machine from a snapshot. lcByName and
@@ -200,27 +175,13 @@ func RestoreMachine(s Snapshot, lcByName func(string) *workload.LC, beByName fun
 	m.beLostCPUSec = s.BELostCPUSec
 	m.lastService = s.LastService
 
-	// Rebuild the telemetry ring oldest-first with head 0: logically
-	// identical to the source ring for every telAt/TailLatency read, and
-	// claimSlot keeps the same reuse behaviour once it wraps.
-	if n := len(s.Recent); n > 0 {
-		if n > m.recentMax {
-			s.Recent = s.Recent[n-m.recentMax:]
-			n = m.recentMax
-		}
-		total := 0
-		for j := range s.Recent {
-			t := &s.Recent[j]
-			total += len(t.SocketPowerW) + len(t.DRAMSocketUtil) + len(t.PerCoreDRAMGBs)
-		}
-		m.recent = make([]Telemetry, n)
-		backing := make([]float64, 0, total)
-		for j := range s.Recent {
-			m.recent[j], backing = cloneTelemetryPacked(&s.Recent[j], backing)
-		}
-		m.recentN = n
-		m.head = 0
-		m.tel = m.recent[n-1]
+	// The poll ring restarts oldest-first with head 0: logically identical
+	// to the source ring for every TailLatency read.
+	m.tel = cloneTelemetry(&s.Last)
+	w := s.Window
+	if len(w) > windowDepth {
+		w = w[len(w)-windowDepth:]
 	}
+	m.window = append([]TailSample(nil), w...)
 	return m, nil
 }

@@ -64,29 +64,38 @@ type Telemetry struct {
 // Last returns the telemetry of the most recent epoch.
 func (m *Machine) Last() Telemetry { return m.tel }
 
-// Recent returns up to n most recent epoch telemetries, oldest first. The
-// returned slice is freshly allocated but its inner slices alias the
-// history ring.
-func (m *Machine) Recent(n int) []Telemetry {
-	if n > m.recentN {
-		n = m.recentN
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]Telemetry, n)
-	for j := 0; j < n; j++ {
-		out[j] = *m.telAt(m.recentN - n + j)
-	}
-	return out
+// windowDepth is how many epochs of poll history the machine keeps.
+const windowDepth = 600
+
+// TailSample is one epoch of the controller's poll history: the only two
+// counters TailLatency reads back from past epochs.
+type TailSample struct {
+	Time        time.Duration `json:"t_ns"`    // simulated time at the end of the epoch
+	TailLatency time.Duration `json:"tail_ns"` // at the workload's SLO quantile
 }
 
-// telAt returns epoch j of the history ring, j=0 oldest.
-func (m *Machine) telAt(j int) *Telemetry {
-	if m.recentN < m.recentMax {
-		return &m.recent[j]
+// pushSample records the epoch Step just resolved, overwriting the oldest
+// sample once the ring is full.
+func (m *Machine) pushSample(s TailSample) {
+	if n := len(m.window); n < windowDepth {
+		if n == cap(m.window) {
+			// Double, but never past the depth: append's own growth would
+			// leave a full ring holding 40% more capacity than it can use.
+			grown := make([]TailSample, n, min(2*n+8, windowDepth))
+			copy(grown, m.window)
+			m.window = grown
+		}
+		m.window = append(m.window, s)
+		return
 	}
-	return &m.recent[(m.head+j)%m.recentMax]
+	m.window[m.head] = s
+	m.head = (m.head + 1) % windowDepth
+}
+
+// sampleAt returns epoch j of the poll history, j=0 oldest. head is zero
+// until the ring has filled.
+func (m *Machine) sampleAt(j int) TailSample {
+	return m.window[(m.head+j)%len(m.window)]
 }
 
 // TailLatency returns the LC tail latency averaged over the epochs within
@@ -95,24 +104,25 @@ func (m *Machine) telAt(j int) *Telemetry {
 // sufficient queries to calculate statistically meaningful tail
 // latencies"). The boolean is false if no epoch has completed yet.
 func (m *Machine) TailLatency(window time.Duration) (time.Duration, bool) {
-	if m.recentN == 0 {
+	n := len(m.window)
+	if n == 0 {
 		return 0, false
 	}
 	cutoff := m.clock.Now() - window
 	var sum float64
-	var n int
-	for j := m.recentN - 1; j >= 0; j-- {
-		t := m.telAt(j)
-		if t.Time <= cutoff {
+	var used int
+	for j := n - 1; j >= 0; j-- {
+		s := m.sampleAt(j)
+		if s.Time <= cutoff {
 			break
 		}
-		sum += t.TailLatency.Seconds()
-		n++
+		sum += s.TailLatency.Seconds()
+		used++
 	}
-	if n == 0 {
-		return m.telAt(m.recentN - 1).TailLatency, true
+	if used == 0 {
+		return m.sampleAt(n - 1).TailLatency, true
 	}
-	return time.Duration(sum / float64(n) * float64(time.Second)), true
+	return time.Duration(sum / float64(used) * float64(time.Second)), true
 }
 
 // Load returns the LC offered load fraction (the controller's load poll).

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"bytes"
+	"os"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -10,7 +12,8 @@ import (
 )
 
 // fullCkpt builds a checkpoint with every optional section populated —
-// a real engine snapshot (telemetry ring, controller, scenario cursor),
+// a real engine snapshot (telemetry, poll window, controller, scenario
+// cursor),
 // a scenario spec — so the binary envelope tests cover the whole payload
 // surface, not just the scalar header. The migration spec's flash crowd
 // and BE arrive/depart events give the state some texture.
@@ -137,5 +140,48 @@ func TestBinaryCheckpointFileRotationAndFallback(t *testing.T) {
 	prev, err := ReadCheckpointFile(path + ".1")
 	if err != nil || prev.MaxEpochs != 1 {
 		t.Fatalf("rotated read = %+v (%v), want gen 1", prev, err)
+	}
+}
+
+// TestCommittedSeedsDecodeOrRefuseByVersion reads the fuzz corpus as
+// files written by earlier builds: the version-2 seed must still decode,
+// validate and restore (a layout change without a version bump breaks
+// it), and the version-1 legacy seed must be refused naming both versions.
+func TestCommittedSeedsDecodeOrRefuseByVersion(t *testing.T) {
+	seed := func(name string) []byte {
+		t.Helper()
+		raw, err := os.ReadFile("testdata/fuzz/FuzzDecodeCheckpointFile/" + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lit := strings.TrimSuffix(strings.TrimPrefix(string(raw), "go test fuzz v1\n[]byte("), ")\n")
+		data, err := strconv.Unquote(lit)
+		if err != nil {
+			t.Fatalf("%s: not a one-[]byte corpus file: %v", name, err)
+		}
+		return []byte(data)
+	}
+
+	cp, err := DecodeCheckpointFile(seed("binary-valid-v2"))
+	if err != nil {
+		t.Fatalf("version-2 seed no longer decodes: %v", err)
+	}
+	srv := New(Config{Lab: testLab})
+	defer srv.Close()
+	inst, err := srv.CreateInstance(InstanceSpec{Restore: cp})
+	if err != nil {
+		t.Fatalf("version-2 seed no longer restores: %v", err)
+	}
+	if st := inst.Status(); st.Epoch != 3 || st.State != StateDone {
+		t.Fatalf("restored seed at epoch %d in state %s, want the 3-epoch finished run it was taken from", st.Epoch, st.State)
+	}
+
+	old, err := DecodeCheckpointFile(seed("legacy-bare"))
+	if err != nil {
+		t.Fatalf("legacy seed: %v", err)
+	}
+	err = validateCheckpoint(old)
+	if err == nil || !strings.Contains(err.Error(), "version 1") || !strings.Contains(err.Error(), "version 2") {
+		t.Fatalf("version-1 checkpoint: err = %v, want a refusal naming versions 1 and 2", err)
 	}
 }

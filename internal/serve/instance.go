@@ -102,13 +102,21 @@ type InstanceSpec struct {
 
 	// EpochHook, when set, runs in the driver worker after every
 	// resolved epoch — the embedding daemon uses it to mirror actuations
-	// into kernel-format files. An instance with a hook always ticks
-	// every epoch (the cadence policy never stretches it). Not part of
-	// the JSON API.
+	// into kernel-format files. The slices inside tel are the machine's
+	// own, refilled by the next epoch: copy what must outlive the call. An
+	// instance with a hook always ticks every epoch (the cadence policy
+	// never stretches it). Not part of the JSON API.
 	EpochHook func(m *machine.Machine, tel machine.Telemetry) `json:"-"`
 	// Trace, when set, receives every controller decision synchronously
 	// (in addition to the SSE hub). Not part of the JSON API.
 	Trace func(core.Event) `json:"-"`
+
+	// nextAt, batch and stretch, set together (batch > 0) by in-process
+	// shard migration only, continue a paced origin's tick schedule instead
+	// of starting a fresh one: when the next slice is due, how many epochs
+	// it steps, and the stretch factor the slice after it grows from.
+	nextAt         time.Time
+	batch, stretch int
 }
 
 // EpochUpdate is the per-epoch telemetry summary published on the event
@@ -281,9 +289,9 @@ type Instance struct {
 	stopped bool // stepMu-guarded; terminal
 
 	// stepMu-guarded driver state.
-	doneRunning        bool
-	scenarioSpec       *ScenarioSpec // JSON form of the active scenario, for checkpoints
-	panicNext          bool          // armed by the driver-panic fault
+	doneRunning  bool
+	scenarioSpec *ScenarioSpec // JSON form of the active scenario, for checkpoints
+	panicNext    bool          // armed by the driver-panic fault
 	// lastCP is the supervisor's restart checkpoint in binary-envelope
 	// form: flat bytes instead of a retained object graph, so parked
 	// instances anchor one buffer each in the heap, and the buffer is
@@ -490,14 +498,19 @@ func newInstance(id string, spec InstanceSpec, lab *experiment.Lab, speed float6
 		i.publishLifecycle("restored", restoredFrom)
 	}
 	// Schedule the first slice: paced instances tick after one interval
-	// (the old per-goroutine ticker's first-fire semantics), free-runners
-	// are due immediately. A restored-as-done instance parks without ever
-	// entering the heap.
+	// (the old per-goroutine ticker's first-fire semantics) unless they
+	// inherit a migrating origin's schedule, free-runners are due
+	// immediately. A restored-as-done instance parks without ever entering
+	// the heap.
 	if !i.doneRunning {
-		if i.interval > 0 {
+		switch {
+		case i.interval > 0 && spec.batch > 0:
+			i.nextAt, i.batch, i.stretch = spec.nextAt, spec.batch, spec.stretch
+			pool.schedule(i.entry, i.nextAt)
+		case i.interval > 0:
 			i.nextAt = time.Now().Add(i.interval)
 			pool.schedule(i.entry, i.nextAt)
-		} else {
+		default:
 			pool.schedule(i.entry, time.Now())
 		}
 	}

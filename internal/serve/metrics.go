@@ -22,79 +22,120 @@ func fmtFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// metricFamily writes one HELP/TYPE header followed by a series per
-// status.
-func metricFamily(w io.Writer, name, typ, help string, sts []Status, value func(Status) float64) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-	for _, s := range sts {
-		fmt.Fprintf(w, "%s{instance=\"%s\"} %s\n", name, escapeLabel.Replace(s.ID), fmtFloat(value(s)))
+// The per-instance families are the bulk of a scrape (~27 lines per
+// instance), so WriteMetrics appends them into one buffer with strconv
+// instead of formatting line by line: no per-series allocation (escapeLabel
+// returns its argument when nothing needs escaping), one Write.
+
+// appendHeader appends one family's HELP and TYPE lines.
+func appendHeader(b []byte, name, typ, help string) []byte {
+	b = append(append(append(append(b, "# HELP "...), name...), ' '), help...)
+	b = append(append(append(append(b, "\n# TYPE "...), name...), ' '), typ...)
+	return append(b, '\n')
+}
+
+// appendSeries appends name{instance="id" and any further label pairs,
+// leaving the label set open for appendFloat or appendInt to close.
+func appendSeries(b []byte, name, id string, labels ...string) []byte {
+	b = append(append(append(b, name...), `{instance="`...), escapeLabel.Replace(id)...)
+	for i := 0; i+1 < len(labels); i += 2 {
+		b = append(append(append(append(b, `",`...), labels[i]...), `="`...), escapeLabel.Replace(labels[i+1])...)
 	}
+	return append(b, `"} `...)
+}
+
+func appendFloat(b []byte, v float64) []byte {
+	return append(strconv.AppendFloat(b, v, 'g', -1, 64), '\n')
+}
+
+func appendInt(b []byte, v int64) []byte {
+	return append(strconv.AppendInt(b, v, 10), '\n')
+}
+
+// metricFamily appends one HELP/TYPE header followed by a series per
+// status.
+func metricFamily(b []byte, name, typ, help string, sts []Status, value func(*Status) float64) []byte {
+	b = appendHeader(b, name, typ, help)
+	for i := range sts {
+		b = appendFloat(appendSeries(b, name, sts[i].ID), value(&sts[i]))
+	}
+	return b
+}
+
+// sloFamily appends one per-instance error-budget series family, skipping
+// instances without the SLO engine.
+func sloFamily(b []byte, name, typ, help string, sts []Status, value func(*slo.Status) float64) []byte {
+	b = appendHeader(b, name, typ, help)
+	for i := range sts {
+		if st := sts[i].SLO; st != nil {
+			b = appendFloat(appendSeries(b, name, sts[i].ID), value(st))
+		}
+	}
+	return b
+}
+
+func boolFloat(v bool) float64 {
+	if v {
+		return 1
+	}
+	return 0
 }
 
 // WriteMetrics renders the full exposition for the given instance
 // snapshots.
 func WriteMetrics(w io.Writer, sts []Status) {
-	fmt.Fprint(w, "# HELP heracles_instances Number of live instances.\n# TYPE heracles_instances gauge\n")
-	fmt.Fprintf(w, "heracles_instances %d\n", len(sts))
+	b := make([]byte, 0, 4096+1600*len(sts))
+	b = appendHeader(b, "heracles_instances", "gauge", "Number of live instances.")
+	b = appendInt(append(b, "heracles_instances "...), int64(len(sts)))
 
-	metricFamily(w, "heracles_instance_up", "gauge",
+	b = metricFamily(b, "heracles_instance_up", "gauge",
 		"1 while the instance simulation is advancing, 0 once done.", sts,
-		func(s Status) float64 {
-			if s.State == StateRunning {
-				return 1
-			}
-			return 0
-		})
-	metricFamily(w, "heracles_instance_epochs_total", "counter",
+		func(s *Status) float64 { return boolFloat(s.State == StateRunning) })
+	b = metricFamily(b, "heracles_instance_epochs_total", "counter",
 		"Simulated epochs resolved.", sts,
-		func(s Status) float64 { return float64(s.Epoch) })
-	metricFamily(w, "heracles_instance_load", "gauge",
+		func(s *Status) float64 { return float64(s.Epoch) })
+	b = metricFamily(b, "heracles_instance_load", "gauge",
 		"Offered LC load as a fraction of peak QPS.", sts,
-		func(s Status) float64 { return s.Last.Load })
-	metricFamily(w, "heracles_instance_slo_seconds", "gauge",
+		func(s *Status) float64 { return s.Last.Load })
+	b = metricFamily(b, "heracles_instance_slo_seconds", "gauge",
 		"Controller-visible latency target.", sts,
-		func(s Status) float64 { return s.Last.SLOMs / 1e3 })
-	metricFamily(w, "heracles_instance_tail_latency_seconds", "gauge",
+		func(s *Status) float64 { return s.Last.SLOMs / 1e3 })
+	b = metricFamily(b, "heracles_instance_tail_latency_seconds", "gauge",
 		"LC tail latency at the workload SLO quantile, last epoch.", sts,
-		func(s Status) float64 { return s.Last.TailMs / 1e3 })
-	metricFamily(w, "heracles_instance_p95_latency_seconds", "gauge",
+		func(s *Status) float64 { return s.Last.TailMs / 1e3 })
+	b = metricFamily(b, "heracles_instance_p95_latency_seconds", "gauge",
 		"LC 95th-percentile latency, last epoch.", sts,
-		func(s Status) float64 { return s.Last.P95Ms / 1e3 })
-	metricFamily(w, "heracles_instance_slo_slack", "gauge",
+		func(s *Status) float64 { return s.Last.P95Ms / 1e3 })
+	b = metricFamily(b, "heracles_instance_slo_slack", "gauge",
 		"(SLO - tail latency) / SLO, last epoch; negative means violating.", sts,
-		func(s Status) float64 { return s.Last.Slack })
-	metricFamily(w, "heracles_instance_emu", "gauge",
+		func(s *Status) float64 { return s.Last.Slack })
+	b = metricFamily(b, "heracles_instance_emu", "gauge",
 		"Effective machine utilisation (LC + BE throughput, each normalised to running alone).", sts,
-		func(s Status) float64 { return s.Last.EMU })
-	metricFamily(w, "heracles_instance_be_enabled", "gauge",
+		func(s *Status) float64 { return s.Last.EMU })
+	b = metricFamily(b, "heracles_instance_be_enabled", "gauge",
 		"1 while best-effort execution is enabled.", sts,
-		func(s Status) float64 {
-			if s.Last.BEEnabled {
-				return 1
-			}
-			return 0
-		})
-	metricFamily(w, "heracles_instance_be_cores", "gauge",
+		func(s *Status) float64 { return boolFloat(s.Last.BEEnabled) })
+	b = metricFamily(b, "heracles_instance_be_cores", "gauge",
 		"Cores granted to best-effort tasks.", sts,
-		func(s Status) float64 { return float64(s.Last.BECores) })
-	metricFamily(w, "heracles_instance_be_ways", "gauge",
+		func(s *Status) float64 { return float64(s.Last.BECores) })
+	b = metricFamily(b, "heracles_instance_be_ways", "gauge",
 		"LLC ways granted to best-effort tasks.", sts,
-		func(s Status) float64 { return float64(s.Last.BEWays) })
-	metricFamily(w, "heracles_instance_dram_util", "gauge",
+		func(s *Status) float64 { return float64(s.Last.BEWays) })
+	b = metricFamily(b, "heracles_instance_dram_util", "gauge",
 		"Achieved DRAM bandwidth over peak, all sockets.", sts,
-		func(s Status) float64 { return s.Last.DRAMUtil })
-	metricFamily(w, "heracles_instance_power_frac_tdp", "gauge",
+		func(s *Status) float64 { return s.Last.DRAMUtil })
+	b = metricFamily(b, "heracles_instance_power_frac_tdp", "gauge",
 		"Total package power over total TDP.", sts,
-		func(s Status) float64 { return s.Last.PowerFracTDP })
-	metricFamily(w, "heracles_instance_link_util", "gauge",
+		func(s *Status) float64 { return s.Last.PowerFracTDP })
+	b = metricFamily(b, "heracles_instance_link_util", "gauge",
 		"NIC egress utilisation.", sts,
-		func(s Status) float64 { return s.Last.LinkUtil })
-	metricFamily(w, "heracles_events_dropped_total", "counter",
+		func(s *Status) float64 { return s.Last.LinkUtil })
+	b = metricFamily(b, "heracles_events_dropped_total", "counter",
 		"Event-stream messages lost to full subscriber buffers.", sts,
-		func(s Status) float64 { return float64(s.DroppedEvents) })
-	metricFamily(w, "heracles_instance_health", "gauge",
+		func(s *Status) float64 { return float64(s.DroppedEvents) })
+	b = metricFamily(b, "heracles_instance_health", "gauge",
 		"Supervisor health: 0 healthy, 1 degraded (recent crash), 2 quarantined.", sts,
-		func(s Status) float64 {
+		func(s *Status) float64 {
 			switch s.Health {
 			case HealthDegraded:
 				return 1
@@ -104,52 +145,46 @@ func WriteMetrics(w io.Writer, sts []Status) {
 				return 0
 			}
 		})
-	metricFamily(w, "heracles_instance_restarts_total", "counter",
+	b = metricFamily(b, "heracles_instance_restarts_total", "counter",
 		"Automatic restarts from the last checkpoint after a driver crash.", sts,
-		func(s Status) float64 { return float64(s.Restarts) })
-	metricFamily(w, "heracles_faults_injected_total", "counter",
+		func(s *Status) float64 { return float64(s.Restarts) })
+	b = metricFamily(b, "heracles_faults_injected_total", "counter",
 		"Faults applied to the instance, injected via the API or a scenario schedule.", sts,
-		func(s Status) float64 { return float64(s.FaultsInjected) })
+		func(s *Status) float64 { return float64(s.FaultsInjected) })
 
-	fmt.Fprint(w, "# HELP heracles_controller_actions_total Controller decisions by loop and action.\n# TYPE heracles_controller_actions_total counter\n")
-	for _, s := range sts {
-		for _, a := range s.Actions {
-			fmt.Fprintf(w, "heracles_controller_actions_total{instance=\"%s\",loop=\"%s\",action=\"%s\"} %d\n",
-				escapeLabel.Replace(s.ID), escapeLabel.Replace(a.Loop), escapeLabel.Replace(a.Action), a.Count)
+	b = appendHeader(b, "heracles_controller_actions_total", "counter", "Controller decisions by loop and action.")
+	for i := range sts {
+		for _, a := range sts[i].Actions {
+			b = appendInt(appendSeries(b, "heracles_controller_actions_total", sts[i].ID, "loop", a.Loop, "action", a.Action), a.Count)
 		}
 	}
 
 	// Error-budget families (DESIGN.md §15). Headers always print so the
 	// exposition shape is stable; series render per instance with the SLO
 	// engine attached.
-	sloFamily(w, "heracles_slo_objective", "gauge",
+	b = sloFamily(b, "heracles_slo_objective", "gauge",
 		"Availability objective the error budget is computed against.", sts,
 		func(st *slo.Status) float64 { return st.Objective })
-	sloFamily(w, "heracles_slo_violations_total", "counter",
+	b = sloFamily(b, "heracles_slo_violations_total", "counter",
 		"Simulated epochs that violated the latency SLO.", sts,
 		func(st *slo.Status) float64 { return float64(st.Violations) })
-	sloFamily(w, "heracles_slo_budget_spent", "gauge",
+	b = sloFamily(b, "heracles_slo_budget_spent", "gauge",
 		"Fraction of the 30-day error budget consumed (1 = exhausted).", sts,
 		func(st *slo.Status) float64 { return st.BudgetSpent })
-	fmt.Fprint(w, "# HELP heracles_slo_burn_rate Error-budget burn rate per rolling sim-time window (1 = spending exactly the budget).\n# TYPE heracles_slo_burn_rate gauge\n")
-	for _, s := range sts {
-		if s.SLO == nil {
-			continue
-		}
-		for wi, name := range slo.WindowNames {
-			fmt.Fprintf(w, "heracles_slo_burn_rate{instance=\"%s\",window=\"%s\"} %s\n",
-				escapeLabel.Replace(s.ID), name, fmtFloat(s.SLO.Burn[wi]))
+	b = appendHeader(b, "heracles_slo_burn_rate", "gauge", "Error-budget burn rate per rolling sim-time window (1 = spending exactly the budget).")
+	for i := range sts {
+		if st := sts[i].SLO; st != nil {
+			for wi, name := range slo.WindowNames {
+				b = appendFloat(appendSeries(b, "heracles_slo_burn_rate", sts[i].ID, "window", name), st.Burn[wi])
+			}
 		}
 	}
-	fmt.Fprint(w, "# HELP heracles_slo_alert_firing 1 while the multiwindow burn-rate alert fires (fast-burn page, slow-burn ticket).\n# TYPE heracles_slo_alert_firing gauge\n")
-	for _, s := range sts {
-		if s.SLO == nil {
-			continue
+	b = appendHeader(b, "heracles_slo_alert_firing", "gauge", "1 while the multiwindow burn-rate alert fires (fast-burn page, slow-burn ticket).")
+	for i := range sts {
+		if st := sts[i].SLO; st != nil {
+			b = appendFloat(appendSeries(b, "heracles_slo_alert_firing", sts[i].ID, "alert", slo.AlertPage), boolFloat(st.Page))
+			b = appendFloat(appendSeries(b, "heracles_slo_alert_firing", sts[i].ID, "alert", slo.AlertTicket), boolFloat(st.Ticket))
 		}
-		fmt.Fprintf(w, "heracles_slo_alert_firing{instance=\"%s\",alert=\"%s\"} %s\n",
-			escapeLabel.Replace(s.ID), slo.AlertPage, boolVal(s.SLO.Page))
-		fmt.Fprintf(w, "heracles_slo_alert_firing{instance=\"%s\",alert=\"%s\"} %s\n",
-			escapeLabel.Replace(s.ID), slo.AlertTicket, boolVal(s.SLO.Ticket))
 	}
 
 	// Fleet-level aggregates over all live instances.
@@ -157,7 +192,8 @@ func WriteMetrics(w io.Writer, sts []Status) {
 	minSlack := 0.0
 	maxBudget := 0.0
 	pagesFiring := 0
-	for j, s := range sts {
+	for j := range sts {
+		s := &sts[j]
 		emuSum += s.Last.EMU
 		if j == 0 || s.Last.Slack < minSlack {
 			minSlack = s.Last.Slack
@@ -175,33 +211,17 @@ func WriteMetrics(w io.Writer, sts []Status) {
 	if len(sts) > 0 {
 		emuMean = emuSum / float64(len(sts))
 	}
-	fmt.Fprint(w, "# HELP heracles_fleet_emu_mean Mean EMU across live instances.\n# TYPE heracles_fleet_emu_mean gauge\n")
-	fmt.Fprintf(w, "heracles_fleet_emu_mean %s\n", fmtFloat(emuMean))
-	fmt.Fprint(w, "# HELP heracles_fleet_slo_slack_min Worst SLO slack across live instances.\n# TYPE heracles_fleet_slo_slack_min gauge\n")
-	fmt.Fprintf(w, "heracles_fleet_slo_slack_min %s\n", fmtFloat(minSlack))
-	fmt.Fprint(w, "# HELP heracles_fleet_slo_budget_spent_max Worst error-budget spend across live instances.\n# TYPE heracles_fleet_slo_budget_spent_max gauge\n")
-	fmt.Fprintf(w, "heracles_fleet_slo_budget_spent_max %s\n", fmtFloat(maxBudget))
-	fmt.Fprint(w, "# HELP heracles_fleet_slo_pages_firing Instances whose fast-burn page currently fires.\n# TYPE heracles_fleet_slo_pages_firing gauge\n")
-	fmt.Fprintf(w, "heracles_fleet_slo_pages_firing %d\n", pagesFiring)
-}
-
-// sloFamily writes one per-instance error-budget series family, skipping
-// instances without the SLO engine.
-func sloFamily(w io.Writer, name, typ, help string, sts []Status, value func(*slo.Status) float64) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-	for _, s := range sts {
-		if s.SLO == nil {
-			continue
-		}
-		fmt.Fprintf(w, "%s{instance=\"%s\"} %s\n", name, escapeLabel.Replace(s.ID), fmtFloat(value(s.SLO)))
-	}
-}
-
-func boolVal(b bool) string {
-	if b {
-		return "1"
-	}
-	return "0"
+	b = appendHeader(b, "heracles_fleet_emu_mean", "gauge", "Mean EMU across live instances.")
+	b = appendFloat(append(b, "heracles_fleet_emu_mean "...), emuMean)
+	b = appendHeader(b, "heracles_fleet_slo_slack_min", "gauge", "Worst SLO slack across live instances.")
+	b = appendFloat(append(b, "heracles_fleet_slo_slack_min "...), minSlack)
+	b = appendHeader(b, "heracles_fleet_slo_budget_spent_max", "gauge", "Worst error-budget spend across live instances.")
+	b = appendFloat(append(b, "heracles_fleet_slo_budget_spent_max "...), maxBudget)
+	b = appendHeader(b, "heracles_fleet_slo_pages_firing", "gauge", "Instances whose fast-burn page currently fires.")
+	b = appendInt(append(b, "heracles_fleet_slo_pages_firing "...), int64(pagesFiring))
+	// The signature carries no error: every caller renders into memory and
+	// the HTTP handler's own write reports a gone client.
+	_, _ = w.Write(b)
 }
 
 // schedScalar writes one unlabelled scheduler series.

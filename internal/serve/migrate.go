@@ -74,8 +74,10 @@ func (s *Server) detach(id string) (*Instance, int, error) {
 // MigrateToShard moves the instance onto another shard of this server:
 // snapshot, restore into a fresh instance on the target shard's pool,
 // stop the origin. In-process migration carries the instance's epoch
-// hook and trace along, so an embedded daemon's mirroring survives the
-// move. On any failure the origin instance is reinstated untouched.
+// hook, trace and pacing clock along, so an embedded daemon's mirroring
+// survives the move and a paced instance keeps ticking on the origin's
+// schedule however often it moves. On any failure the origin instance is
+// reinstated untouched.
 func (s *Server) MigrateToShard(id string, target int) (*MigrateResult, error) {
 	if target < 0 || target >= s.reg.ShardCount() {
 		return nil, fmt.Errorf("no shard %d (server has %d)", target, s.reg.ShardCount())
@@ -85,7 +87,15 @@ func (s *Server) MigrateToShard(id string, target int) (*MigrateResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	cp, err := inst.Checkpoint()
+	// One mailbox command reads the state and the origin's place in its
+	// tick schedule, so the copy resumes both from the same epoch boundary.
+	spec := InstanceSpec{EpochHook: inst.epochHook, Trace: inst.trace}
+	var cp *InstanceCheckpoint
+	err = inst.Do(func() error {
+		cp = inst.buildCheckpoint()
+		spec.nextAt, spec.batch, spec.stretch = inst.nextAt, inst.batch, inst.stretch
+		return nil
+	})
 	if err != nil {
 		s.reg.readd(inst, from)
 		return nil, err
@@ -99,12 +109,11 @@ func (s *Server) MigrateToShard(id string, target int) (*MigrateResult, error) {
 		s.reg.readd(inst, from)
 		return nil, fmt.Errorf("encode checkpoint: %w", err)
 	}
-	restored, err := DecodeCheckpointFile(wire)
+	spec.Restore, err = DecodeCheckpointFile(wire)
 	if err != nil {
 		s.reg.readd(inst, from)
 		return nil, fmt.Errorf("decode checkpoint: %w", err)
 	}
-	spec := InstanceSpec{Restore: restored, EpochHook: inst.epochHook, Trace: inst.trace}
 	fresh, err := s.createInstance(spec, target, "from "+id)
 	if err != nil {
 		s.reg.readd(inst, from)

@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
+	"time"
+
+	"heracles/internal/machine"
 )
 
 // migrationSpec is a state-rich run: a flash crowd on top of flat load,
@@ -187,6 +191,94 @@ func TestMigrateCrossDaemonBitIdentical(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("cross-daemon migration diverged from the unmigrated run:\n got  %d bytes %s\n want %d bytes %s",
 			len(got), trimJSON(got), len(want), trimJSON(want))
+	}
+}
+
+// TestMigrateKeepsPacingClock bounces a paced instance between two
+// shards four times per tick interval. The restored copy must inherit the
+// origin's schedule: restarting the clock at now+interval on every move
+// (what newInstance does for a fresh instance) means the instance never
+// steps at all.
+func TestMigrateKeepsPacingClock(t *testing.T) {
+	const speed = 20 // one epoch per 50ms of wall time
+	interval := time.Second / speed
+
+	s := New(Config{Lab: testLab, Shards: 2})
+	t.Cleanup(s.Close)
+	// The hook travels with in-process migrations, so the count spans
+	// every copy; it also keeps the cadence at one epoch per slice.
+	var epochs atomic.Int64
+	inst, err := s.CreateInstance(InstanceSpec{
+		Load:      0.3,
+		Speed:     speed,
+		EpochHook: func(*machine.Machine, machine.Telemetry) { epochs.Add(1) },
+	})
+	if err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	id, shard := inst.ID(), inst.Status().Shard
+	for start := time.Now(); time.Since(start) < 20*interval; time.Sleep(interval / 4) {
+		shard = 1 - shard
+		res, err := s.MigrateToShard(id, shard)
+		if err != nil {
+			t.Fatalf("migrate %s to shard %d: %v", id, shard, err)
+		}
+		id = res.To
+	}
+	if got := epochs.Load(); got < 19 {
+		t.Fatalf("instance migrated every %v advanced %d epochs in 20 intervals of %v, want >= 19",
+			interval/4, got, interval)
+	}
+}
+
+// TestMigrateHandsOverCadence pins the hand-over itself, without a clock:
+// a shard migration carries the origin's due time, batch and stretch; a
+// restore through the create API starts a fresh schedule.
+func TestMigrateHandsOverCadence(t *testing.T) {
+	s := New(Config{Lab: testLab, Shards: 2})
+	t.Cleanup(s.Close)
+	inst, err := s.CreateInstance(InstanceSpec{Load: 0.3, Speed: 1})
+	if err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	type cadence struct {
+		nextAt         time.Time
+		batch, stretch int
+	}
+	want := cadence{nextAt: time.Now().Add(time.Hour), batch: 4, stretch: 8}
+	inst.stepMu.Lock()
+	inst.nextAt, inst.batch, inst.stretch = want.nextAt, want.batch, want.stretch
+	inst.stepMu.Unlock()
+	readCadence := func(in *Instance) cadence {
+		in.stepMu.Lock()
+		defer in.stepMu.Unlock()
+		return cadence{nextAt: in.nextAt, batch: in.batch, stretch: in.stretch}
+	}
+
+	cp, err := inst.Checkpoint()
+	if err != nil {
+		t.Fatalf("checkpoint: %v", err)
+	}
+	before := time.Now()
+	viaAPI, err := s.CreateInstance(InstanceSpec{Restore: cp})
+	if err != nil {
+		t.Fatalf("restore through create: %v", err)
+	}
+	got := readCadence(viaAPI)
+	if got.stretch != 1 || got.batch != 1 || got.nextAt.Before(before.Add(time.Second)) || got.nextAt.After(time.Now().Add(time.Second)) {
+		t.Fatalf("API restore cadence = %+v, want a first tick one interval out at stretch 1", got)
+	}
+
+	res, err := s.MigrateToShard(inst.ID(), 1-inst.Status().Shard)
+	if err != nil {
+		t.Fatalf("migrate: %v", err)
+	}
+	moved, ok := s.Registry().Get(res.To)
+	if !ok {
+		t.Fatalf("restored instance %s not in registry", res.To)
+	}
+	if got := readCadence(moved); !got.nextAt.Equal(want.nextAt) || got.stretch != want.stretch || got.batch != want.batch {
+		t.Fatalf("migrated cadence = %+v, want %+v", got, want)
 	}
 }
 
