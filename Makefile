@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-race chaos churn fuzz-smoke bench bench-smoke bench-baseline bench-check fmt-check docs-check slo ci
+.PHONY: all build vet test test-race chaos churn fuzz-smoke bench bench-smoke bench-baseline bench-check bench-e2e fmt-check docs-check slo ci
 
 all: build
 
@@ -83,5 +83,12 @@ bench-baseline:
 # machine that produced the baseline; allocs are held tight everywhere.
 bench-check:
 	$(GO) run ./cmd/benchbaseline -quick -check BENCH_baseline.json -tol 1.5
+
+# End-to-end benchmark (BENCHMARK.json): the four heraclesbench workloads
+# driven from outside the binaries, ~25 s each; the last stdout line of
+# every workload is its result object. Everything it writes stays under
+# .bench_build/.
+bench-e2e:
+	bash cmd/heraclesbench/bench.sh --workload all --seed 1
 
 ci: build vet fmt-check docs-check test test-race chaos churn fuzz-smoke bench-smoke bench-check

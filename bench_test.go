@@ -310,23 +310,40 @@ func BenchmarkAblationEngines(b *testing.B) {
 
 // --- Component micro-benchmarks -----------------------------------------
 
-// BenchmarkMachineStep measures one steady-state control epoch. The
-// telemetry ring (600 epochs) is filled before timing starts, so the
-// benchmark reports the true steady state: 0 allocs/op.
+// BenchmarkMachineStep measures one control epoch. The telemetry ring
+// (600 epochs) is filled before timing starts, so both variants report
+// the true steady state: 0 allocs/op.
+//
+// steady repeats one epoch: every pure stage is handed the arguments it
+// solved an epoch ago and returns the stored solution (DESIGN.md §5).
+// changing nudges the load every epoch on an uneven core split (the two
+// sockets differ), so every stage misses and runs its solver: the miss
+// path, storing the new keys included.
 func BenchmarkMachineStep(b *testing.B) {
-	l := lab()
-	m := machine.New(l.Cfg)
-	m.SetLC(l.LC("websearch"))
-	m.AddBE(l.BE("brain"), workload.PlaceDedicated)
-	m.SetLoad(0.5)
-	m.Partition(12)
-	for i := 0; i < 620; i++ {
-		m.Step()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Step()
+	for _, changing := range []bool{false, true} {
+		name, beCores := "steady", 12
+		if changing {
+			name, beCores = "changing", 11
+		}
+		b.Run(name, func(b *testing.B) {
+			l := lab()
+			m := machine.New(l.Cfg)
+			m.SetLC(l.LC("websearch"))
+			m.AddBE(l.BE("brain"), workload.PlaceDedicated)
+			m.SetLoad(0.5)
+			m.Partition(beCores)
+			for i := 0; i < 620; i++ {
+				m.Step()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if changing {
+					m.SetLoad(0.45 + 0.1*float64(i%997)/997)
+				}
+				m.Step()
+			}
+		})
 	}
 }
 

@@ -87,21 +87,8 @@ func main() {
 		quick bool
 		fn    func(b *testing.B)
 	}{
-		{"MachineStep", true, func(b *testing.B) {
-			m := machine.New(lab.Cfg)
-			m.SetLC(lab.LC("websearch"))
-			m.AddBE(lab.BE("brain"), workload.PlaceDedicated)
-			m.SetLoad(0.5)
-			m.Partition(12)
-			for i := 0; i < 620; i++ {
-				m.Step()
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.Step()
-			}
-		}},
+		{"MachineStep", true, machineStep(lab, false)},
+		{"MachineStep/changing", true, machineStep(lab, true)},
 		{"SchedTick", true, func(b *testing.B) {
 			// The scheduler's hot path: one dispatch-loop tick over a
 			// 64-node fleet with ~500 live jobs (the jobs never complete,
@@ -367,6 +354,35 @@ func main() {
 		return
 	}
 	writeBaseline(*out, base)
+}
+
+// machineStep times one warmed control epoch. The steady form repeats
+// the same epoch, for which the pure stages return their stored solutions;
+// the changing form nudges the load every epoch on an uneven core split,
+// so every stage runs its solver (the miss path, storing the new keys included).
+func machineStep(lab *experiment.Lab, changing bool) func(b *testing.B) {
+	return func(b *testing.B) {
+		m := machine.New(lab.Cfg)
+		m.SetLC(lab.LC("websearch"))
+		m.AddBE(lab.BE("brain"), workload.PlaceDedicated)
+		m.SetLoad(0.5)
+		beCores := 12
+		if changing {
+			beCores = 11
+		}
+		m.Partition(beCores)
+		for i := 0; i < 620; i++ {
+			m.Step()
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if changing {
+				m.SetLoad(0.45 + 0.1*float64(i%997)/997)
+			}
+			m.Step()
+		}
+	}
 }
 
 // benchEngineConfig is the 8-node Heracles fleet the engine benchmarks

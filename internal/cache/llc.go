@@ -61,6 +61,37 @@ type Demand struct {
 	LoadScale float64
 }
 
+// SameDemands reports whether a and b are the same argument to
+// ResolveScratch: equal length and, demand by demand, every field and
+// every Component identical by value — floats bit for bit (so NaN
+// matches itself and +0 differs from -0), Components by content, never
+// by slice pointer, because callers edit workload specs in place. The
+// solver reads nothing else besides its own fields, so equal demands
+// on one Solver resolve to identical shares.
+func SameDemands(a, b []Demand) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		x, y := &a[i], &b[i]
+		if !sameBits(x.AccessRate, y.AccessRate) || x.WayMask != y.WayMask ||
+			!sameBits(x.LoadScale, y.LoadScale) || len(x.Components) != len(y.Components) {
+			return false
+		}
+		for j := range x.Components {
+			c, d := &x.Components[j], &y.Components[j]
+			if c.Name != d.Name || !sameBits(c.AccessFrac, d.AccessFrac) ||
+				!sameBits(c.FootprintMB, d.FootprintMB) || !sameBits(c.HitMax, d.HitMax) ||
+				!sameBits(c.Theta, d.Theta) || c.ScalesWithLoad != d.ScalesWithLoad || c.Scan != d.Scan {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
 // Share is the solver's result for one demand.
 type Share struct {
 	OccupancyMB float64 // cache space held at the fixed point

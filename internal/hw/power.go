@@ -36,6 +36,15 @@ type CoreLoad struct {
 	CapGHz   float64 // per-core DVFS cap; 0 or negative means uncapped
 }
 
+// SameLoad reports whether a and b are identical bit for bit (so NaN
+// matches itself and +0 differs from -0). ResolveFrequenciesInto reads
+// nothing besides the Config and its loads, so core for core identical
+// loads on one Config resolve to identical results.
+func SameLoad(a, b CoreLoad) bool {
+	return math.Float64bits(a.Activity) == math.Float64bits(b.Activity) &&
+		math.Float64bits(a.CapGHz) == math.Float64bits(b.CapGHz)
+}
+
 // SocketFreq is the result of resolving a socket's frequencies.
 type SocketFreq struct {
 	FreqGHz    []float64 // per entry in the CoreLoad slice, 0 for idle cores

@@ -58,7 +58,10 @@ func (e EpochStats) Quantile(q float64) time.Duration {
 	}
 }
 
-// Engine evaluates one epoch of the LC workload's queue.
+// Engine evaluates one epoch of the LC workload's queue. A caller may
+// skip Epoch and reuse an earlier result for identical arguments only for
+// a stateless engine (Analytic); an engine that keeps queue state or
+// draws random numbers (DES) must be called every epoch.
 type Engine interface {
 	// Epoch advances the queue by dt with arrival rate lambda (QPS) and
 	// the given number of serving cores, returning latency statistics.

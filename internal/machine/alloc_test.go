@@ -25,6 +25,24 @@ func TestStepSteadyStateAllocFree(t *testing.T) {
 	if avg := testing.AllocsPerRun(200, func() { m.Step() }); avg != 0 {
 		t.Fatalf("steady-state Step allocates %.1f objects per epoch, want 0", avg)
 	}
+
+	// Alternating between two allocations every epoch makes every reused
+	// stage miss and store a new key each time; the records reuse the
+	// buffers the first few misses grew. The uneven split makes the two
+	// sockets differ, so every record is in play.
+	flip := 0
+	churn := func() {
+		flip ^= 1
+		m.Partition(7 + 4*flip)
+		m.PartitionWays(2 + 6*flip)
+		m.Step()
+	}
+	for i := 0; i < 20; i++ {
+		churn()
+	}
+	if avg := testing.AllocsPerRun(200, churn); avg != 0 {
+		t.Fatalf("Step under reuse churn allocates %.1f objects per epoch, want 0", avg)
+	}
 }
 
 // TestStepAllocFreeAfterActuation verifies the controller's actuators

@@ -83,19 +83,17 @@ type Machine struct {
 	head   int // physical index of the oldest sample once the ring is full
 
 	scratch stepScratch
+	reuse   stageReuse
 }
 
 // stepScratch holds every buffer Step needs so that steady-state stepping
 // performs no heap allocations. Buffers sized by topology are allocated in
 // New; buffers sized by task count grow on demand in ensureScratch.
 type stepScratch struct {
-	act       []float64     // per-core power activity
-	caps      []float64     // per-core DVFS caps
+	loads     []hw.CoreLoad // per-core power activity and DVFS cap
 	coreFreq  []float64     // resolved per-core frequency
 	lcCoreSet []bool        // cores owned by the LC task
 	isBE      []bool        // reused by Partition/PinLC/BECoreCount
-	loads     []hw.CoreLoad // one socket's frequency-resolution input
-	freqs     []float64     // one socket's frequency-resolution output
 	taken     []int         // per-socket core-picking cursor
 	beCores   []int         // Partition's interleaved BE core list
 	dedicated []*BETask     // Partition's dedicated-task list
@@ -111,7 +109,6 @@ type stepScratch struct {
 
 	demands   []cache.Demand // one socket's cache demands
 	demandIdx []int          // task index per demand
-	refDemand [1]cache.Demand
 	cacheSc   cache.Scratch
 
 	netClasses  [2]netlink.Class
@@ -160,13 +157,10 @@ func New(cfg hw.Config, opts ...Option) *Machine {
 	}
 	tc := cfg.TotalCores()
 	m.scratch = stepScratch{
-		act:          make([]float64, tc),
-		caps:         make([]float64, tc),
+		loads:        make([]hw.CoreLoad, tc),
 		coreFreq:     make([]float64, tc),
 		lcCoreSet:    make([]bool, tc),
 		isBE:         make([]bool, tc),
-		loads:        make([]hw.CoreLoad, cfg.CoresPerSocket),
-		freqs:        make([]float64, cfg.CoresPerSocket),
 		taken:        make([]int, cfg.Sockets),
 		dramInfl:     make([]float64, cfg.Sockets),
 		missBySocket: make([][]float64, cfg.Sockets),
@@ -175,6 +169,7 @@ func New(cfg hw.Config, opts ...Option) *Machine {
 	for _, o := range opts {
 		o(m)
 	}
+	m.reuse = newStageReuse(cfg, m.scratch.coreFreq, m.engine)
 	return m
 }
 

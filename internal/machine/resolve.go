@@ -95,8 +95,10 @@ func (m *Machine) Step() Telemetry {
 	}
 
 	// --- 2. Per-core activity and DVFS caps -----------------------------
-	act := zeroFloats(sc.act, tc)
-	caps := zeroFloats(sc.caps, tc)
+	loads := sc.loads
+	for c := range loads {
+		loads[c] = hw.CoreLoad{}
+	}
 	lcCoreSet := sc.lcCoreSet
 	for c := range lcCoreSet {
 		lcCoreSet[c] = false
@@ -105,12 +107,12 @@ func (m *Machine) Step() Telemetry {
 		a := m.lc.WL.Spec.Activity * maxf(lcUtil, minLCActivity)
 		if m.lc.OSShared {
 			for c := 0; c < tc; c++ {
-				act[c] += a
+				loads[c].Activity += a
 				lcCoreSet[c] = true
 			}
 		} else {
 			for _, c := range m.lc.Cores {
-				act[c] += a
+				loads[c].Activity += a
 				lcCoreSet[c] = true
 			}
 		}
@@ -122,40 +124,33 @@ func (m *Machine) Step() Telemetry {
 		switch be.Placement {
 		case workload.PlaceDedicated:
 			for _, c := range be.Cores {
-				act[c] += be.WL.Spec.Activity
+				loads[c].Activity += be.WL.Spec.Activity
 				if be.FreqCapGHz > 0 {
-					caps[c] = be.FreqCapGHz
+					loads[c].CapGHz = be.FreqCapGHz
 				}
 			}
 		case workload.PlaceHTSibling:
 			if m.lc != nil {
 				for _, c := range m.lc.Cores {
-					act[c] += htSiblingActivity * be.WL.Spec.Activity
+					loads[c].Activity += htSiblingActivity * be.WL.Spec.Activity
 				}
 			}
 		case workload.PlaceOSShared:
 			for c := 0; c < tc; c++ {
-				act[c] += be.WL.Spec.Activity * (1 - lcUtil)
+				loads[c].Activity += be.WL.Spec.Activity * (1 - lcUtil)
 			}
 		}
 	}
 
 	// --- 3. Frequency/power resolution per socket -----------------------
-	coreFreq := zeroFloats(sc.coreFreq, tc)
+	coreFreq := sc.coreFreq // resolveFrequencies keeps each socket's segment current
 	var totalPower float64
 	for s := 0; s < cfg.Sockets; s++ {
-		loads := sc.loads
-		for i := 0; i < cfg.CoresPerSocket; i++ {
-			c := s*cfg.CoresPerSocket + i
-			loads[i] = hw.CoreLoad{Activity: act[c], CapGHz: caps[c]}
-		}
-		res := cfg.ResolveFrequenciesInto(sc.freqs, loads)
-		for i := 0; i < cfg.CoresPerSocket; i++ {
-			coreFreq[s*cfg.CoresPerSocket+i] = res.FreqGHz[i]
-		}
-		tel.SocketPowerW[s] = res.PowerWatts
-		totalPower += res.PowerWatts
-		if f := res.PowerWatts / cfg.TDPWatts; f > tel.MaxSocketPower {
+		lo := s * cfg.CoresPerSocket
+		power := m.resolveFrequencies(s, loads[lo:lo+cfg.CoresPerSocket])
+		tel.SocketPowerW[s] = power
+		totalPower += power
+		if f := power / cfg.TDPWatts; f > tel.MaxSocketPower {
 			tel.MaxSocketPower = f
 		}
 	}
@@ -264,29 +259,19 @@ func (m *Machine) Step() Telemetry {
 		if len(demands) == 0 {
 			continue
 		}
-		shares := solver.ResolveScratch(&sc.cacheSc, demands)
+		// Reference solve: the LC task alone with the whole cache, same
+		// load. The ratio of actual to reference miss ratio isolates the
+		// interference-induced part of the memory stall.
+		lcFirst := idx[0] == 0
+		shares, ref := m.resolveCache(s, solver, demands, lcFirst)
 		for i, sh := range shares {
 			missRate[idx[i]] += sh.MissRate
 			accRate[idx[i]] += demands[i].AccessRate
 			missBySocket[s][idx[i]] = sh.MissRate
 		}
-
-		// Reference solve: the LC task alone with the whole cache, same
-		// load. The ratio of actual to reference miss ratio isolates the
-		// interference-induced part of the memory stall.
-		if m.lc != nil && lambda > 0 {
-			share := socketShare(cfg, m.lc.Cores, m.lc.OSShared, s, k)
-			if share > 0 {
-				sc.refDemand[0] = cache.Demand{
-					AccessRate: lambda * m.lc.WL.Spec.AccessesPerReq * share,
-					Components: m.lc.WL.Spec.CacheComponents,
-					WayMask:    cache.FullMask(cfg.LLCWays),
-					LoadScale:  loadScale,
-				}
-				ref := solver.ResolveScratch(&sc.cacheSc, sc.refDemand[:])
-				lcRefMiss += ref[0].MissRate
-				lcRefAcc += lambda * m.lc.WL.Spec.AccessesPerReq * share
-			}
+		if lcFirst {
+			lcRefMiss += ref.MissRate
+			lcRefAcc += demands[0].AccessRate
 		}
 	}
 
@@ -478,7 +463,7 @@ func (m *Machine) Step() Telemetry {
 			TailAdd:  time.Duration((ramp + osAdd) * float64(time.Second)),
 			TailProb: 0.2,
 		}
-		es = m.engine.Epoch(params, lambda, k, dt)
+		es = m.epochLatency(params, lambda, k, dt)
 		m.lastService = cpu + memT
 		tel.TailLatency = es.Quantile(spec.SLOQuantile)
 	}

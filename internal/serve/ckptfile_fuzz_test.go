@@ -57,7 +57,7 @@ func FuzzDecodeCheckpointFile(f *testing.F) {
 		f.Fatalf("encode binary: %v", err)
 	}
 	f.Add(validBin)
-	f.Add(validBin[:4])              // bare magic
+	f.Add(validBin[:4])               // bare magic
 	f.Add(validBin[:len(validBin)/2]) // truncated mid-payload
 	binFlipped := append([]byte(nil), validBin...)
 	binFlipped[len(binFlipped)/2] ^= 0x40
