@@ -22,10 +22,12 @@ import (
 	"heracles/internal/baseline"
 	"heracles/internal/cache"
 	"heracles/internal/core"
+	"heracles/internal/engine"
 	"heracles/internal/experiment"
 	"heracles/internal/hw"
 	"heracles/internal/lat"
 	"heracles/internal/machine"
+	"heracles/internal/sim"
 	"heracles/internal/workload"
 )
 
@@ -344,6 +346,34 @@ func BenchmarkMachineStep(b *testing.B) {
 				m.Step()
 			}
 		})
+	}
+}
+
+// BenchmarkRootMean measures one epoch of the cluster root's fan-out
+// estimate at the cluster/fleet default size: 200 samples of the slowest
+// of 8 leaves, the leaves being websearch machines spread over 30-65%
+// load. It is the part of an engine epoch that does not scale with the
+// machine model: 0 allocs/op on the sampler's own scratch.
+func BenchmarkRootMean(b *testing.B) {
+	l := lab()
+	stats := make([]lat.EpochStats, 8)
+	for i := range stats {
+		m := machine.New(l.Cfg)
+		m.SetLC(l.LC("websearch"))
+		m.SetLoad(0.3 + 0.05*float64(i))
+		for k := 0; k < 8; k++ {
+			stats[i] = m.Step().Lat
+		}
+	}
+	var (
+		root engine.RootSampler
+		rng  sim.RNG
+	)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rng.Reseed(1, uint64(i))
+		root.Mean(stats, 200, &rng)
 	}
 }
 

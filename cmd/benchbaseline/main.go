@@ -6,11 +6,12 @@
 // Usage:
 //
 //	benchbaseline [-out BENCH_baseline.json] [-quick]
-//	benchbaseline -check BENCH_baseline.json [-quick] [-tol 0.5] [-alloc-tol 0.25]
+//	benchbaseline -check BENCH_<pr>.json [-quick] [-tol 0.5] [-alloc-tol 0.25]
 //
 // -quick restricts the run to the microbenchmarks and a reduced sweep,
 // which is what the CI smoke uses. -check compares a fresh run against a
-// committed baseline instead of writing: ns/op may regress by at most
+// committed record (CI and make bench-check pass the newest per-PR
+// BENCH_<pr>.json) instead of writing: ns/op may regress by at most
 // -tol (fractional; CI passes a wide band because its hardware differs
 // from the reference machine), allocs/op by at most -alloc-tol plus a
 // small absolute slack (allocation counts are near-deterministic, so the
@@ -34,6 +35,7 @@ import (
 	"heracles/internal/engine"
 	"heracles/internal/experiment"
 	"heracles/internal/fault"
+	"heracles/internal/lat"
 	"heracles/internal/machine"
 	"heracles/internal/scenario"
 	"heracles/internal/sched"
@@ -130,9 +132,9 @@ func main() {
 			// Heracles engine with root fan-out sampling — scenario load
 			// evaluation, eight machine steps and controller polls, the
 			// node-order reduction and the root's 100-sample draw. The
-			// warmup runs past 600 epochs so the telemetry rings are full
-			// and the measurement sees true steady state — ring growth
-			// allocates until then.
+			// warmup runs past 600 epochs so every node's poll-window ring
+			// of 16-byte tail samples has reached its depth: it grows by
+			// doubling until epoch 505 and is the last buffer that does.
 			eng := engine.New(benchEngineConfig(lab))
 			defer eng.Close()
 			eng.InstallScenario(benchScenario())
@@ -145,9 +147,35 @@ func main() {
 				eng.Step()
 			}
 		}},
+		{"RootMean", true, func(b *testing.B) {
+			// One epoch of the root's fan-out estimate at the cluster/fleet
+			// default size — 200 samples of the slowest of 8 leaves, the
+			// leaves being websearch machines spread over 30-65% load: the
+			// part of an engine epoch that does not scale with the machine
+			// model.
+			stats := make([]lat.EpochStats, 8)
+			for i := range stats {
+				m := machine.New(lab.Cfg)
+				m.SetLC(lab.LC("websearch"))
+				m.SetLoad(0.3 + 0.05*float64(i))
+				for k := 0; k < 8; k++ {
+					stats[i] = m.Step().Lat
+				}
+			}
+			var (
+				root engine.RootSampler
+				rng  sim.RNG
+			)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rng.Reseed(1, uint64(i))
+				root.Mean(stats, 200, &rng)
+			}
+		}},
 		{"SnapshotRestore/json", true, func(b *testing.B) {
 			// Checkpoint round trip of a warmed 8-node engine whose
-			// telemetry rings are full (600 epochs/node), through the JSON
+			// poll-window rings are full (600 samples/node), through the JSON
 			// wire format: Snapshot's deep copy, Encode, Decode, Restore's
 			// rebuild — the cost the interchange path pays per cycle.
 			eng := engine.New(benchEngineConfig(lab))
@@ -267,7 +295,7 @@ func main() {
 			// pool, stop the origin — the per-move cost a federated
 			// rebalance or drain pays per instance. The instance has run
 			// its full 120-epoch scenario first, so the checkpoint carries
-			// warmed telemetry rings.
+			// 120 poll-window samples and the last epoch's telemetry.
 			s := serve.New(serve.Config{Lab: lab, Shards: 2})
 			defer s.Close()
 			inst, err := s.CreateInstance(serve.InstanceSpec{

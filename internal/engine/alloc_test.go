@@ -8,30 +8,47 @@ import (
 )
 
 // TestStepDoesNotAllocate pins the engine's zero-allocation stepping
-// property: once the telemetry rings are full (600 epochs) every
-// steady-state Step — scenario evaluation, scheduler tick, machine and
-// controller fan-out, root sampling — runs entirely on the engine's
-// scratch state. The warmup must outlast the ring fill; entries get
-// fresh inner slices until then. Mirrors the machine-level pin in
+// property: every steady-state Step — scenario evaluation, scheduler
+// tick, machine and controller fan-out, root sampling — runs entirely on
+// the engine's scratch state. The warmup outlasts the one per-node buffer
+// that still grows with the epoch count: the poll-window ring of 16-byte
+// tail samples, which doubles up to its 600-epoch depth (last growth in
+// epoch 505). Mirrors the machine-level pin in
 // internal/machine/alloc_test.go, one layer up.
+//
+// The restored case steps an engine rebuilt from a checkpoint: the root
+// sampler's per-leaf scratch is not in the checkpoint, so Restore hands
+// back an engine without it and the first Step after it builds it again
+// (AllocsPerRun's own warm-up call is that Step).
 func TestStepDoesNotAllocate(t *testing.T) {
 	if testing.Short() {
-		t.Skip("620-epoch warmup")
+		t.Skip("650-epoch warmup")
 	}
 	configs := []struct {
-		name string
-		cfg  engine.Config
+		name    string
+		cfg     engine.Config
+		restore bool
 	}{
-		{"plain", clusterConfig(1, nil)},
-		{"with-sched", clusterConfig(1, testJobs(8))},
+		{"plain", clusterConfig(1, nil), false},
+		{"with-sched", clusterConfig(1, testJobs(8)), false},
+		{"restored", clusterConfig(1, nil), true},
 	}
 	for _, tc := range configs {
 		t.Run(tc.name, func(t *testing.T) {
+			sc := testScenario(100 * time.Hour)
 			eng := engine.New(tc.cfg)
-			defer eng.Close()
-			eng.InstallScenario(testScenario(100 * time.Hour))
+			defer func() { eng.Close() }()
+			eng.InstallScenario(sc)
 			for i := 0; i < 650; i++ {
 				eng.Step()
+			}
+			if tc.restore {
+				restored, err := engine.Restore(tc.cfg, eng.Snapshot(), &sc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				eng.Close()
+				eng = restored
 			}
 			if avg := testing.AllocsPerRun(200, func() {
 				eng.Step()

@@ -58,7 +58,10 @@ type Config struct {
 	// RootSamples, when positive, enables the cluster root: an SLO is
 	// calibrated at construction (root mean fan-out latency at 95% load)
 	// and every epoch samples the root's fan-out latency with that many
-	// draws from the (Seed, epoch) RNG stream.
+	// draws from the (Seed, epoch) RNG stream. Each draw is the slowest of
+	// the leaves that answer: a dark leaf (inside a crash outage) is left
+	// out of the maximum — it adds 0, not a timeout — while the leaf-level
+	// reduction books the same node as an SLO violation.
 	RootSamples int
 	Seed        uint64
 
@@ -215,13 +218,15 @@ type Engine struct {
 	// and progress closures are bound once so a Step allocates nothing,
 	// with the per-epoch inputs passed through fields instead of fresh
 	// closure environments. rootRNG is reseeded from (Seed, epoch) each
-	// epoch — identical stream to the DeriveRNG it replaced.
+	// epoch — identical stream to the DeriveRNG it replaced. root holds the
+	// fan-out sampler's per-leaf scratch, refilled from leafTail each epoch.
 	stepFn     func(int)
 	progressFn func(*sched.Job) float64
 	stepT      time.Duration
 	stepLoad   float64
 	stepManual bool
 	rootRNG    sim.RNG
+	root       RootSampler
 }
 
 type schedTask struct {
@@ -632,7 +637,7 @@ func (e *Engine) Step() EpochResult {
 		// not depend on execution order. The generator value lives on the
 		// engine and is reseeded in place — same stream, no allocation.
 		e.rootRNG.Reseed(e.cfg.Seed, e.epochIdx)
-		mean := rootMean(e.leafTail, e.cfg.RootSamples, &e.rootRNG)
+		mean := e.root.Mean(e.leafTail, e.cfg.RootSamples, &e.rootRNG)
 		stat.RootMean = mean
 		stat.RootFrac = mean.Seconds() / e.slo.Seconds()
 		e.adjustTargets(t, mean)
@@ -812,44 +817,6 @@ func (e *Engine) applySchedAction(a sched.Action) {
 	}
 }
 
-// rootMean estimates the mean fan-out latency: each request's latency is
-// the maximum over per-node samples drawn from the nodes' latency
-// distributions (approximated as lognormal matching each node's measured
-// p50/p99).
-func rootMean(leafStats []lat.EpochStats, samples int, rng *sim.RNG) time.Duration {
-	var sum float64
-	for s := 0; s < samples; s++ {
-		var worst float64
-		for _, ls := range leafStats {
-			v := sampleLeaf(ls, rng)
-			if v > worst {
-				worst = v
-			}
-		}
-		sum += worst
-	}
-	return time.Duration(sum / float64(samples) * float64(time.Second))
-}
-
-// sampleLeaf draws one response-time sample from a node's epoch stats.
-func sampleLeaf(ls lat.EpochStats, rng *sim.RNG) float64 {
-	p50 := ls.P50.Seconds()
-	p99 := ls.P99.Seconds()
-	if p50 <= 0 {
-		return 0
-	}
-	if p99 < p50 {
-		p99 = p50
-	}
-	// Lognormal with median p50 and 99th percentile p99:
-	// sigma = ln(p99/p50)/z99.
-	sigma := 0.0
-	if p99 > p50 {
-		sigma = math.Log(p99/p50) / 2.326
-	}
-	return p50 * math.Exp(rng.Norm(0, sigma))
-}
-
 // rootLatencyAt computes the baseline root mean latency at the given load.
 func rootLatencyAt(cfg Config, load float64, rng *sim.RNG) time.Duration {
 	stats := make([]lat.EpochStats, cfg.Nodes)
@@ -863,5 +830,6 @@ func rootLatencyAt(cfg Config, load float64, rng *sim.RNG) time.Duration {
 	for i := range stats {
 		stats[i] = tel.Lat
 	}
-	return rootMean(stats, cfg.RootSamples, rng)
+	var root RootSampler
+	return root.Mean(stats, cfg.RootSamples, rng)
 }
