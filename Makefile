@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-race chaos churn fuzz-smoke bench bench-smoke bench-baseline bench-check bench-e2e fmt-check docs-check slo ci
+.PHONY: all build vet test test-race chaos churn fuzz-smoke bench bench-smoke bench-baseline bench-check bench-e2e fmt-check docs-check loc slo ci
 
 all: build
 
@@ -26,6 +26,14 @@ test:
 # registered control-plane route.
 docs-check:
 	$(GO) run ./cmd/docscheck
+
+# Size ledger: non-test and test Go lines per package (wc -l, comments
+# and blanks included). A PR that claims a deletion quotes it.
+loc:
+	@git ls-files '*.go' | xargs wc -l | awk '$$2 != "total" { d = $$2; if (!sub("/[^/]*$$", "", d)) d = "."; \
+		if ($$2 ~ /_test\.go$$/) t[d] += $$1; else n[d] += $$1; seen[d] = 1 } \
+		END { for (d in seen) { printf "%-28s %8d %8d\n", d, n[d], t[d]; N += n[d]; T += t[d] } \
+		printf "%-28s %8d %8d\n", "total", N, T }' | sort | (printf '%-28s %8s %8s\n' package non-test test; cat)
 
 # Race-detector pass over the short suite: the parallel sweeps, the
 # cluster/fleet fan-outs and the worker pools all run under -race.

@@ -34,6 +34,7 @@ import (
 
 	"heracles/internal/engine"
 	"heracles/internal/experiment"
+	"heracles/internal/expo"
 	"heracles/internal/fault"
 	"heracles/internal/lat"
 	"heracles/internal/machine"
@@ -272,7 +273,7 @@ func main() {
 			// The latency histogram's record path: bucket selection by
 			// bit-length plus two atomic adds — the cost every mailbox
 			// command, epoch slice and checkpoint pays to be observable.
-			var h serve.Histogram
+			var h expo.Histogram
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

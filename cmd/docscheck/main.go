@@ -229,8 +229,8 @@ func checkDesignAnchors(root string) []string {
 }
 
 // checkMetricDocs requires docs/API.md to name every Prometheus metric
-// family the exposition can emit (serve.MetricNames, which a test keeps
-// in lockstep with the renderers).
+// family the expositions can emit (serve.MetricNames and
+// fed.MetricNames, each read off a rendering of the empty state).
 func checkMetricDocs(root string) []string {
 	apiPath := filepath.Join(root, "docs", "API.md")
 	data, err := os.ReadFile(apiPath)

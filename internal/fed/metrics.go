@@ -1,11 +1,9 @@
 package fed
 
 import (
-	"fmt"
-	"io"
 	"strconv"
-	"strings"
 
+	"heracles/internal/expo"
 	"heracles/internal/serve"
 )
 
@@ -19,94 +17,71 @@ type MemberSnapshot struct {
 }
 
 // Snapshot is the federation-wide view one poll of the members yields;
-// WriteFedMetrics renders it and /healthz summarises it.
+// renderMetrics renders it and /healthz summarises it.
 type Snapshot struct {
 	Members    []MemberSnapshot
 	Migrations int64 // router-driven migrations
 	Proxied    int64 // requests forwarded to members
 }
 
-// escapeLabel escapes a Prometheus label value.
-var escapeLabel = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+// renderMetrics renders the federation exposition: member liveness and
+// occupancy, per-member-per-shard depth, the router's migration and proxy
+// counters, and the proxy-latency histogram. It is a pure function of its
+// arguments so tests pin it without a live fleet.
+func renderMetrics(snap Snapshot, proxy *expo.Histogram) *expo.Writer {
+	e := expo.NewWriter(4096 + 512*len(snap.Members))
+	e.ScalarInt("heracles_fed_members", "gauge",
+		"Member daemons in the federation.", int64(len(snap.Members)))
 
-func scalar(w io.Writer, name, typ, help, value string) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %s\n", name, help, name, typ, name, value)
-}
-
-// WriteFedMetrics renders the federation exposition: member liveness and
-// occupancy, per-member-per-shard depth, and the router's migration and
-// proxy counters. It is a pure function of the snapshot so tests pin it
-// without a live fleet.
-func WriteFedMetrics(w io.Writer, snap Snapshot) {
-	scalar(w, "heracles_fed_members", "gauge",
-		"Member daemons in the federation.", strconv.Itoa(len(snap.Members)))
-
-	fmt.Fprint(w, "# HELP heracles_fed_member_up 1 while the member daemon answers its shard endpoint.\n# TYPE heracles_fed_member_up gauge\n")
+	e.Family("heracles_fed_member_up", "gauge", "1 while the member daemon answers its shard endpoint.")
 	for _, m := range snap.Members {
-		up := 0
+		var up int64
 		if m.Up {
 			up = 1
 		}
-		fmt.Fprintf(w, "heracles_fed_member_up{member=\"%s\"} %d\n", escapeLabel.Replace(m.Member), up)
+		e.Int("heracles_fed_member_up", up, "member", m.Member)
 	}
 
-	fmt.Fprint(w, "# HELP heracles_fed_member_instances Live instances on the member.\n# TYPE heracles_fed_member_instances gauge\n")
+	e.Family("heracles_fed_member_instances", "gauge", "Live instances on the member.")
 	total := 0
 	for _, m := range snap.Members {
 		total += m.Instances
-		fmt.Fprintf(w, "heracles_fed_member_instances{member=\"%s\"} %d\n", escapeLabel.Replace(m.Member), m.Instances)
+		e.Int("heracles_fed_member_instances", int64(m.Instances), "member", m.Member)
 	}
+	e.ScalarInt("heracles_fed_instances", "gauge",
+		"Live instances across every member.", int64(total))
 
-	scalar(w, "heracles_fed_instances", "gauge",
-		"Live instances across every member.", strconv.Itoa(total))
-
-	fmt.Fprint(w, "# HELP heracles_fed_shard_instances Live instances per member shard.\n# TYPE heracles_fed_shard_instances gauge\n")
+	e.Family("heracles_fed_shard_instances", "gauge", "Live instances per member shard.")
 	for _, m := range snap.Members {
 		for _, sh := range m.Shards {
-			fmt.Fprintf(w, "heracles_fed_shard_instances{member=\"%s\",shard=\"%d\"} %d\n",
-				escapeLabel.Replace(m.Member), sh.Shard, sh.Instances)
+			e.Int("heracles_fed_shard_instances", int64(sh.Instances), "member", m.Member, "shard", strconv.Itoa(sh.Shard))
 		}
 	}
 
-	fmt.Fprint(w, "# HELP heracles_fed_shard_queue_depth Epoch-heap depth per member shard.\n# TYPE heracles_fed_shard_queue_depth gauge\n")
+	e.Family("heracles_fed_shard_queue_depth", "gauge", "Epoch-heap depth per member shard.")
 	for _, m := range snap.Members {
 		for _, sh := range m.Shards {
-			fmt.Fprintf(w, "heracles_fed_shard_queue_depth{member=\"%s\",shard=\"%d\"} %d\n",
-				escapeLabel.Replace(m.Member), sh.Shard, sh.EpochSched.QueueDepth)
+			e.Int("heracles_fed_shard_queue_depth", int64(sh.EpochSched.QueueDepth), "member", m.Member, "shard", strconv.Itoa(sh.Shard))
 		}
 	}
 
-	scalar(w, "heracles_fed_migrations_total", "counter",
-		"Cross-member migrations driven by this router.", strconv.FormatInt(snap.Migrations, 10))
-	scalar(w, "heracles_fed_proxied_requests_total", "counter",
-		"Requests this router forwarded to member daemons.", strconv.FormatInt(snap.Proxied, 10))
+	e.ScalarInt("heracles_fed_migrations_total", "counter",
+		"Cross-member migrations driven by this router.", snap.Migrations)
+	e.ScalarInt("heracles_fed_proxied_requests_total", "counter",
+		"Requests this router forwarded to member daemons.", snap.Proxied)
+	e.Histogram("heracles_fed_proxy_duration_seconds",
+		"Wall time of one request this router issued to a member daemon.", proxy)
+	return e
 }
 
 // proxyHist times every member request the router issues — proxied API
 // calls, fan-out polls and migrations alike. Process-wide operational
-// telemetry, reusing serve's hand-rolled histogram.
-var proxyHist serve.Histogram
-
-// WriteProxyMetrics renders the router's own proxy-latency histogram.
-func WriteProxyMetrics(w io.Writer) {
-	proxyHist.Write(w, "heracles_fed_proxy_duration_seconds",
-		"Wall time of one request this router issued to a member daemon.")
-}
+// telemetry.
+var proxyHist expo.Histogram
 
 // MetricNames lists every metric family the federation exposition can
-// emit (the /metrics handler sorts families by name before writing). The
-// docs check uses it to keep docs/API.md complete, and a test keeps it
-// in lockstep with WriteFedMetrics and WriteProxyMetrics.
+// emit, read off a rendering of the empty federation. The docs check
+// uses it to keep docs/API.md complete.
 func MetricNames() []string {
-	return []string{
-		"heracles_fed_members",
-		"heracles_fed_member_up",
-		"heracles_fed_member_instances",
-		"heracles_fed_instances",
-		"heracles_fed_shard_instances",
-		"heracles_fed_shard_queue_depth",
-		"heracles_fed_migrations_total",
-		"heracles_fed_proxied_requests_total",
-		"heracles_fed_proxy_duration_seconds",
-	}
+	return renderMetrics(Snapshot{}, new(expo.Histogram)).Names()
 }

@@ -830,12 +830,5 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (rt *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	snap := rt.snapshot()
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	// Families emit in sorted name order, matching the member daemons'
-	// own expositions.
-	var buf bytes.Buffer
-	WriteFedMetrics(&buf, snap)
-	WriteProxyMetrics(&buf)
-	io.WriteString(w, serve.SortFamilies(buf.String()))
+	renderMetrics(rt.snapshot(), &proxyHist).Respond(w)
 }

@@ -486,40 +486,3 @@ func TestFederationJoinLeaveRebalance(t *testing.T) {
 		t.Fatalf("survivors host %d instances, want %d", total, n)
 	}
 }
-
-// TestFedMetricNamesMatchRenderer keeps MetricNames — the registry the
-// docs check reads — in lockstep with what WriteFedMetrics and
-// WriteProxyMetrics emit.
-func TestFedMetricNamesMatchRenderer(t *testing.T) {
-	var b strings.Builder
-	WriteFedMetrics(&b, Snapshot{
-		Members: []MemberSnapshot{{
-			Member: "http://a", Up: true, Instances: 2,
-			Shards: []serve.ShardStatus{{Shard: 0, Instances: 2}},
-		}},
-		Migrations: 1,
-		Proxied:    9,
-	})
-	WriteProxyMetrics(&b)
-	rendered := map[string]bool{}
-	for _, line := range strings.Split(b.String(), "\n") {
-		if f := strings.Fields(line); len(f) == 4 && f[1] == "TYPE" {
-			rendered[f[2]] = true
-		}
-	}
-	declared := map[string]bool{}
-	for _, name := range MetricNames() {
-		if declared[name] {
-			t.Errorf("MetricNames lists %q twice", name)
-		}
-		declared[name] = true
-		if !rendered[name] {
-			t.Errorf("MetricNames lists %q but WriteFedMetrics never emits it", name)
-		}
-	}
-	for name := range rendered {
-		if !declared[name] {
-			t.Errorf("WriteFedMetrics emits %q but MetricNames does not list it", name)
-		}
-	}
-}

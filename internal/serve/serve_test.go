@@ -10,7 +10,6 @@ import (
 
 	"heracles/internal/experiment"
 	"heracles/internal/machine"
-	"heracles/internal/slo"
 )
 
 // testLab is shared by every test in the package so workload calibration
@@ -500,34 +499,17 @@ func TestDoAfterStopReturnsErrStopped(t *testing.T) {
 	}
 }
 
-// TestMetricNamesMatchRenderers keeps MetricNames — the registry the
-// docs check reads — in lockstep with what WriteMetrics,
-// WriteSchedMetrics, WriteEpochSchedMetrics, WriteShardMetrics and
-// WriteProcessMetrics actually emit.
+// TestMetricNamesMatchRenderers checks that MetricNames — read off a
+// rendering of the empty pool, and what the docs check holds docs/API.md
+// to — is the family set a populated scrape emits: a family that printed
+// its header only when it had series would be missing from it.
 func TestMetricNamesMatchRenderers(t *testing.T) {
-	var b strings.Builder
-	WriteMetrics(&b, []Status{{
-		ID: "i1", State: StateRunning, Epoch: 3,
-		Health: HealthDegraded, Restarts: 1, FaultsInjected: 2,
-		Actions: []ActionCount{{Loop: "top", Action: "ENABLE_BE", Count: 1}},
-		SLO:     &slo.Status{Objective: 0.99, Epochs: 3, Page: true},
-	}})
-	WriteSchedMetrics(&b, SchedulerStatus{Policy: "slack-greedy", TickPanics: 1})
-	WriteEpochSchedMetrics(&b, EpochSchedStatus{Drivers: 2, QueueDepth: 1, Slices: 3, Epochs: 9})
-	WriteShardMetrics(&b, []ShardStatus{{Shard: 0, Instances: 1}}, 2)
-	WriteProcessMetrics(&b)
-
 	rendered := map[string]bool{}
-	for _, line := range strings.Split(b.String(), "\n") {
-		if f := strings.Fields(line); len(f) == 4 && f[1] == "TYPE" {
-			rendered[f[2]] = true
-		}
+	for _, name := range goldenScrape().Names() {
+		rendered[name] = true
 	}
 	declared := map[string]bool{}
 	for _, name := range MetricNames() {
-		if declared[name] {
-			t.Errorf("MetricNames lists %q twice", name)
-		}
 		declared[name] = true
 		if !rendered[name] {
 			t.Errorf("MetricNames lists %q but the renderers never emit it", name)
@@ -537,6 +519,9 @@ func TestMetricNamesMatchRenderers(t *testing.T) {
 		if !declared[name] {
 			t.Errorf("renderers emit %q but MetricNames does not list it", name)
 		}
+	}
+	if len(declared) < 50 {
+		t.Errorf("MetricNames lists only %d families", len(declared))
 	}
 }
 

@@ -1,11 +1,9 @@
 package serve
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -405,16 +403,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	// Render into a buffer and emit families in sorted name order, so the
-	// exposition is deterministic regardless of renderer sequence.
-	var buf bytes.Buffer
-	WriteMetrics(&buf, s.reg.Statuses())
-	WriteSchedMetrics(&buf, s.SchedStatus())
-	WriteEpochSchedMetrics(&buf, s.reg.SchedStatus())
-	WriteShardMetrics(&buf, s.reg.ShardStatuses(), s.reg.Migrations())
-	WriteProcessMetrics(&buf)
-	io.WriteString(w, SortFamilies(buf.String()))
+	renderMetrics(s.reg.Statuses(), s.SchedStatus(), s.reg.SchedStatus(),
+		s.reg.ShardStatuses(), s.reg.Migrations()).Respond(w)
 }
 
 // ShardStatuses snapshots every shard with its fleet-scheduler
