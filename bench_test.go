@@ -438,9 +438,11 @@ func BenchmarkFrequencyResolution(b *testing.B) {
 			loads[i].CapGHz = 1.8
 		}
 	}
+	freqs := make([]float64, len(loads))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cfg.ResolveFrequencies(loads)
+		cfg.ResolveFrequenciesInto(freqs, loads)
 	}
 }
 

@@ -36,6 +36,7 @@ import (
 	"heracles/internal/experiment"
 	"heracles/internal/expo"
 	"heracles/internal/fault"
+	"heracles/internal/hw"
 	"heracles/internal/lat"
 	"heracles/internal/machine"
 	"heracles/internal/scenario"
@@ -92,6 +93,37 @@ func main() {
 	}{
 		{"MachineStep", true, machineStep(lab, false)},
 		{"MachineStep/changing", true, machineStep(lab, true)},
+		{"FrequencyResolution", true, func(b *testing.B) {
+			// One socket's frequency/power bisection on the input the root
+			// BenchmarkFrequencyResolution and the harness rung
+			// hw.resolve_freq_us use: 18 busy cores, every third capped at
+			// 1.8 GHz, power-limited so the search runs.
+			cfg := hw.DefaultConfig()
+			cores := make([]hw.CoreLoad, cfg.CoresPerSocket)
+			for i := range cores {
+				cores[i] = hw.CoreLoad{Activity: 0.9}
+				if i%3 == 0 {
+					cores[i].CapGHz = 1.8
+				}
+			}
+			freqs := make([]float64, len(cores))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cfg.ResolveFrequenciesInto(freqs, cores)
+			}
+		}},
+		{"LabSetup", true, func(b *testing.B) {
+			// What every process pays before its first experiment epoch: a
+			// fresh lab calibrating websearch (42 probes) and profiling its
+			// DRAM model (180 cells).
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				l := experiment.DefaultLab()
+				l.LC("websearch")
+				l.DRAMModel("websearch")
+			}
+		}},
 		{"SchedTick", true, func(b *testing.B) {
 			// The scheduler's hot path: one dispatch-loop tick over a
 			// 64-node fleet with ~500 live jobs (the jobs never complete,

@@ -75,12 +75,22 @@ func bracketI(xs []int, x int) (int, int, float64) {
 // for the named LC workload on the lab's hardware, sweeping a coarse grid
 // of load, cores and ways. This is the §4.2 offline step: it must be
 // regenerated only when the workload structure changes significantly, and
-// the paper shows Heracles tolerates a somewhat outdated model. The grid
-// cells are independent single-machine probes, so they run in parallel.
+// the paper shows Heracles tolerates a somewhat outdated model. The
+// (load, cores) rows of the grid are independent and run in parallel.
 func (l *Lab) DRAMModel(lcName string) *DRAMTable {
 	return l.dramModels.get(lcName, func() *DRAMTable { return l.profileDRAM(lcName) })
 }
 
+// profileDRAM measures every grid cell with the LC workload alone. A row
+// shares one machine, re-installing and re-pinning the workload for each
+// way count, which equals a fresh machine per cell (see Machine.SetLC).
+// A cell takes a single Step because LC DRAM demand is feed-forward
+// within Step: it follows from the arrival rate, the core split, the way
+// mask and the base-service estimate of outstanding requests through the
+// cache and DRAM stages, and none of those reads what an earlier epoch
+// left behind (the service-time feedback enters only later, at core
+// activity and latency). More epochs repeat the first one's value bit
+// for bit; TestDRAMProfileIsFeedForward holds every cell to that.
 func (l *Lab) profileDRAM(lcName string) *DRAMTable {
 	wl := l.LC(lcName)
 	total := l.Cfg.TotalCores()
@@ -99,20 +109,18 @@ func (l *Lab) profileDRAM(lcName string) *DRAMTable {
 			t.GBs[i][j] = make([]float64, nw)
 		}
 	}
-	parallel.ForEach(l.workers(), len(t.Loads)*nc*nw, func(cell int) {
-		i, j, k := cell/(nc*nw), cell/nw%nc, cell%nw
+	parallel.ForEach(l.workers(), len(t.Loads)*nc, func(row int) {
+		i, j := row/nc, row%nc
 		m := l.newMachine(nil)
-		m.SetLC(wl)
-		m.PinLC(t.Cores[j])
-		if w := t.Ways[k]; w < ways {
-			m.LC().Ways = w
+		for k, w := range t.Ways {
+			m.SetLC(wl)
+			m.PinLC(t.Cores[j])
+			if w < ways {
+				m.LC().Ways = w
+			}
+			m.SetLoad(t.Loads[i])
+			t.GBs[i][j][k] = m.Step().LCDRAMGBs
 		}
-		m.SetLoad(t.Loads[i])
-		var bw float64
-		for s := 0; s < 5; s++ {
-			bw = m.Step().LCDRAMGBs
-		}
-		t.GBs[i][j][k] = bw
 	})
 	return t
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"heracles/internal/machine"
 	"heracles/internal/parallel"
 )
 
@@ -33,8 +34,9 @@ func (l *Lab) Figure3(lcName string, coreFracs, wayFracs []float64) Fig3Surface 
 		MaxLoad:   make([][]float64, len(coreFracs)),
 	}
 
-	meets := func(n, w int, load float64) bool {
-		m := l.newMachine(nil)
+	// meets probes one load on the cell's machine; re-installing the
+	// workload equals a fresh machine per probe (see Machine.SetLC).
+	meets := func(m *machine.Machine, n, w int, load float64) bool {
 		m.SetLC(wl)
 		m.PinLC(n)
 		lc := m.LC()
@@ -52,8 +54,8 @@ func (l *Lab) Figure3(lcName string, coreFracs, wayFracs []float64) Fig3Surface 
 	for i := range coreFracs {
 		surface.MaxLoad[i] = make([]float64, len(wayFracs))
 	}
-	// Every (cores, ways) cell is an independent bisection over its own
-	// machines; sweep the whole plane in parallel.
+	// Every (cores, ways) cell is an independent bisection on its own
+	// machine; sweep the whole plane in parallel.
 	nw := len(wayFracs)
 	parallel.ForEach(l.workers(), len(coreFracs)*nw, func(cell int) {
 		i, j := cell/nw, cell%nw
@@ -65,14 +67,15 @@ func (l *Lab) Figure3(lcName string, coreFracs, wayFracs []float64) Fig3Surface 
 		if w < 1 {
 			w = 1
 		}
-		if !meets(n, w, 0.02) {
+		m := l.newMachine(nil)
+		if !meets(m, n, w, 0.02) {
 			surface.MaxLoad[i][j] = 0
 			return
 		}
 		lo, hi := 0.02, 1.0
 		for it := 0; it < 12; it++ {
 			mid := (lo + hi) / 2
-			if meets(n, w, mid) {
+			if meets(m, n, w, mid) {
 				lo = mid
 			} else {
 				hi = mid

@@ -127,6 +127,10 @@ func (l *Lab) MinCoresForSLO(lcName string, load float64) int {
 	// antagonist occupying those cores will consume the turbo headroom.
 	target := wl.SLO.Seconds() * 0.90
 	filler := l.BE("filler")
+	// Unlike the LC-only probes of calibration and Figure 3, each probe
+	// here builds its own machine: it installs a BE filler, and RemoveBEs
+	// is not a reset the way re-installing the LC task is (see
+	// Machine.SetLC).
 	meets := func(n int) bool {
 		m := l.newMachine(nil)
 		m.SetLC(wl)

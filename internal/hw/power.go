@@ -142,7 +142,12 @@ func (c Config) ResolveFrequenciesInto(freqs []float64, cores []CoreLoad) Socket
 			// below the modelled minimum. Clamp to the floor.
 			free = lo
 		} else {
-			for i := 0; i < 40; i++ {
+			// Everything below reads lo only through Floor(lo*10), the
+			// 100 MHz step it falls in. Each halving keeps the later lo
+			// values inside [lo, hi] and x -> Floor(x*10) is monotone, so
+			// once both ends share a step the remaining halvings (40 in
+			// all) cannot change a bit of the result: stop there.
+			for i := 0; i < 40 && math.Floor(lo*10) != math.Floor(hi*10); i++ {
 				mid := (lo + hi) / 2
 				if power(mid) > c.TDPWatts {
 					hi = mid

@@ -21,13 +21,16 @@ import (
 //     load, which the power subcontroller defends (Algorithm 3).
 //
 // Calibration uses the deterministic analytic engine regardless of the
-// engine the caller will use for experiments.
+// engine the caller will use for experiments. All 42 probes (one
+// unloaded, 40 bisection steps, one at the peak found) run on a single
+// machine: each re-installs the workload, which on this LC-only machine
+// equals building a fresh one (see SetLC).
 func CalibrateLC(cfg hw.Config, spec LCSpecSource) *workload.LC {
 	s := spec.LCSpec()
 	wl := &workload.LC{Spec: s}
 
+	m := New(cfg)
 	probe := func(qps float64, wl *workload.LC) (time.Duration, Telemetry) {
-		m := New(cfg)
 		m.SetLC(wl)
 		if wl.PeakQPS > 0 {
 			m.SetLoad(qps / wl.PeakQPS)

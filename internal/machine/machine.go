@@ -182,7 +182,20 @@ func (m *Machine) Clock() *sim.Clock { return m.clock }
 // Epoch returns the resolution epoch.
 func (m *Machine) Epoch() time.Duration { return m.epoch }
 
-// SetLC installs the latency-critical task with all cores and ways.
+// SetLC installs the latency-critical task with all cores and ways, at
+// load 0, replacing any earlier one.
+//
+// On a machine with the analytic engine that has never held a BE task or
+// had a knob (degradation, BE ceiling) turned, re-installing equals
+// starting over on a fresh machine: the task and the service-time
+// feedback, both replaced here, are all that an LC-only Step reads from
+// earlier epochs — the clock and the poll window only stamp and record
+// the result, and stage reuse returns what a solve would. Every epoch
+// that follows matches the fresh machine's in all of Telemetry but Time.
+// CalibrateLC and the profiling grids run their probes on one machine on
+// this ground. Once BE tasks have been installed nothing of the sort is
+// promised: RemoveBEs detaches them but is not a reset (the CPU-time
+// totals of tasks retired one by one stay, and Step reports them).
 func (m *Machine) SetLC(wl *workload.LC) *LCTask {
 	m.lc = &LCTask{WL: wl, Cores: coreRange(0, m.cfg.TotalCores())}
 	m.lastService = wl.Spec.BaseService().Seconds()
@@ -487,10 +500,14 @@ func coreRange(lo, hi int) []int {
 	return out
 }
 
-func coresOnSocket(cfg hw.Config, cores []int, socket int) int {
+// coresOnSocket counts the cores that lie on the socket, which owns core
+// ids [socket*coresPerSocket, (socket+1)*coresPerSocket).
+func coresOnSocket(coresPerSocket int, cores []int, socket int) int {
+	lo := socket * coresPerSocket
+	hi := lo + coresPerSocket
 	n := 0
 	for _, c := range cores {
-		if c/cfg.CoresPerSocket == socket {
+		if lo <= c && c < hi {
 			n++
 		}
 	}

@@ -145,7 +145,7 @@ func TestPartitionBalancesSockets(t *testing.T) {
 	if len(be.Cores) != 10 {
 		t.Fatalf("BE core count = %d", len(be.Cores))
 	}
-	s0, s1 := coresOnSocket(m.Config(), be.Cores, 0), coresOnSocket(m.Config(), be.Cores, 1)
+	s0, s1 := coresOnSocket(m.Config().CoresPerSocket, be.Cores, 0), coresOnSocket(m.Config().CoresPerSocket, be.Cores, 1)
 	if s0 != 5 || s1 != 5 {
 		t.Fatalf("BE cores per socket = %d/%d, want balanced", s0, s1)
 	}
@@ -169,8 +169,8 @@ func TestPinLCInterleavesSockets(t *testing.T) {
 	m := New(hw.DefaultConfig())
 	m.SetLC(lcs["websearch"])
 	m.PinLC(6)
-	s0 := coresOnSocket(m.Config(), m.LC().Cores, 0)
-	s1 := coresOnSocket(m.Config(), m.LC().Cores, 1)
+	s0 := coresOnSocket(m.Config().CoresPerSocket, m.LC().Cores, 0)
+	s1 := coresOnSocket(m.Config().CoresPerSocket, m.LC().Cores, 1)
 	if s0 != 3 || s1 != 3 {
 		t.Fatalf("pinned LC cores per socket = %d/%d", s0, s1)
 	}

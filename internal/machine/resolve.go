@@ -215,7 +215,7 @@ func (m *Machine) Step() Telemetry {
 		idx := sc.demandIdx[:0]
 
 		if m.lc != nil && lambda > 0 {
-			share := socketShare(cfg, m.lc.Cores, m.lc.OSShared, s, k)
+			share := socketShare(cfg.CoresPerSocket, cfg.Sockets, m.lc.Cores, m.lc.OSShared, s, k)
 			if share > 0 {
 				demands = append(demands, cache.Demand{
 					AccessRate: lambda * m.lc.WL.Spec.AccessesPerReq * share,
@@ -233,10 +233,10 @@ func (m *Machine) Step() Telemetry {
 			var n float64
 			switch be.Placement {
 			case workload.PlaceDedicated:
-				n = float64(coresOnSocket(cfg, be.Cores, s))
+				n = float64(coresOnSocket(cfg.CoresPerSocket, be.Cores, s))
 			case workload.PlaceHTSibling:
 				if m.lc != nil {
-					n = float64(coresOnSocket(cfg, m.lc.Cores, s)) * htCoreEfficiency
+					n = float64(coresOnSocket(cfg.CoresPerSocket, m.lc.Cores, s)) * htCoreEfficiency
 				}
 			case workload.PlaceOSShared:
 				n = float64(cfg.CoresPerSocket) * (1 - lcUtil)
@@ -306,7 +306,7 @@ func (m *Machine) Step() Telemetry {
 		// No LC misses this epoch; it still observes the busiest socket
 		// it has cores on.
 		for s := 0; s < cfg.Sockets; s++ {
-			if coresOnSocket(cfg, m.lc.Cores, s) > 0 && dramInfl[s] > lcDramInfl {
+			if coresOnSocket(cfg.CoresPerSocket, m.lc.Cores, s) > 0 && dramInfl[s] > lcDramInfl {
 				lcDramInfl = dramInfl[s]
 			}
 		}
@@ -611,14 +611,14 @@ func (m *Machine) RunFor(d time.Duration) Telemetry {
 
 // socketShare returns the fraction of the LC task's work executing on
 // socket s.
-func socketShare(cfg hw.Config, cores []int, osShared bool, s, k int) float64 {
+func socketShare(coresPerSocket, sockets int, cores []int, osShared bool, s, k int) float64 {
 	if osShared {
-		return 1 / float64(cfg.Sockets)
+		return 1 / float64(sockets)
 	}
 	if k <= 0 {
 		return 0
 	}
-	return float64(coresOnSocket(cfg, cores, s)) / float64(k)
+	return float64(coresOnSocket(coresPerSocket, cores, s)) / float64(k)
 }
 
 func maxf(a, b float64) float64 {
