@@ -56,12 +56,17 @@ chaos:
 churn:
 	$(GO) test -race -run 'RegistryChurnNoLeaks|EpochScheduler|HundredThousand' ./internal/serve/
 
-# Short fuzz pass over the checkpoint envelope decoder: truncated,
+# Short fuzz pass over the two boundaries that accept a checkpoint's
+# bytes from outside the process. The envelope decoder: truncated,
 # bit-flipped and CRC-mismatched inputs must error — never panic — and
-# the rotated-generation fallback must always recover. The committed
-# seed corpus under internal/serve/testdata/fuzz rides along.
+# the rotated-generation fallback must always recover; the committed
+# seed corpus under internal/serve/testdata/fuzz rides along. The create
+# route: any body answers 201 or 4xx and leaves the pool empty. The
+# minimise cap keeps a newly interesting 40 KB input from eating the
+# whole ten seconds.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCheckpointFile$$' -fuzztime 10s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCheckpointFile$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzCreateInstanceBody$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/serve/
 
 # Error-budget acceptance: the burn-rate admission gate must beat the
 # instantaneous controller on monthly budget spent at equal-or-better
@@ -93,7 +98,7 @@ bench-baseline:
 # the original BENCH_baseline.json (MachineStep 21.5 us, EngineStep
 # 210 us) losing every gain since would still pass.
 bench-check:
-	$(GO) run ./cmd/benchbaseline -quick -check BENCH_18.json -tol 1.5
+	$(GO) run ./cmd/benchbaseline -quick -check BENCH_19.json -tol 1.5
 
 # End-to-end benchmark (BENCHMARK.json): the four heraclesbench workloads
 # driven from outside the binaries, ~25 s each; the last stdout line of

@@ -312,9 +312,10 @@ func BenchmarkAblationEngines(b *testing.B) {
 
 // --- Component micro-benchmarks -----------------------------------------
 
-// BenchmarkMachineStep measures one control epoch. The telemetry ring
-// (600 epochs) is filled before timing starts, so both variants report
-// the true steady state: 0 allocs/op.
+// BenchmarkMachineStep measures one control epoch. The poll ring (600
+// epochs: no controller declares for this machine) is filled before
+// timing starts, so both variants report the true steady state: 0
+// allocs/op.
 //
 // steady repeats one epoch: every pure stage is handed the arguments it
 // solved an epoch ago and returns the stored solution (DESIGN.md §5).

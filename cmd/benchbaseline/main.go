@@ -164,10 +164,10 @@ func main() {
 			// The unified epoch loop's hot path: one Step of an 8-node
 			// Heracles engine with root fan-out sampling — scenario load
 			// evaluation, eight machine steps and controller polls, the
-			// node-order reduction and the root's 100-sample draw. The
-			// warmup runs past 600 epochs so every node's poll-window ring
-			// of 16-byte tail samples has reached its depth: it grows by
-			// doubling until epoch 505 and is the last buffer that does.
+			// node-order reduction and the root's 100-sample draw. Every
+			// node's poll ring reaches the depth its controller declared
+			// (15 samples) in epoch 9; the long warmup settles the
+			// controllers.
 			eng := engine.New(benchEngineConfig(lab))
 			defer eng.Close()
 			eng.InstallScenario(benchScenario())
@@ -207,8 +207,8 @@ func main() {
 			}
 		}},
 		{"SnapshotRestore/json", true, func(b *testing.B) {
-			// Checkpoint round trip of a warmed 8-node engine whose
-			// poll-window rings are full (600 samples/node), through the JSON
+			// Checkpoint round trip of a warmed 8-node engine whose poll
+			// rings are full (15 samples/node), through the JSON
 			// wire format: Snapshot's deep copy, Encode, Decode, Restore's
 			// rebuild — the cost the interchange path pays per cycle.
 			eng := engine.New(benchEngineConfig(lab))
@@ -328,7 +328,7 @@ func main() {
 			// pool, stop the origin — the per-move cost a federated
 			// rebalance or drain pays per instance. The instance has run
 			// its full 120-epoch scenario first, so the checkpoint carries
-			// 120 poll-window samples and the last epoch's telemetry.
+			// a full poll ring (15 samples) and the last epoch's telemetry.
 			s := serve.New(serve.Config{Lab: lab, Shards: 2})
 			defer s.Close()
 			inst, err := s.CreateInstance(serve.InstanceSpec{

@@ -51,6 +51,15 @@ type Env interface {
 	SetBETxCeil(gbs float64)
 }
 
+// TailHistoryKeeper is implemented by an Env that stores the history
+// TailLatency averages over (the simulated machine does; a real host's
+// latency monitor and test fakes need not). New tells it the longest
+// window this controller will ever ask for, so it can keep exactly that
+// much and nothing older.
+type TailHistoryKeeper interface {
+	KeepTailHistory(window time.Duration)
+}
+
 // DRAMModel is the offline model of the LC workload's DRAM bandwidth as a
 // function of load and allocation (§4.2: current hardware cannot attribute
 // bandwidth per core, so Heracles carries this one piece of offline
@@ -219,13 +228,19 @@ type Controller struct {
 
 // New returns a controller bound to env. model may be nil, in which case
 // the controller treats LC bandwidth as total minus the BE counters (what
-// §4.2 says becomes possible once per-core DRAM accounting exists).
+// §4.2 says becomes possible once per-core DRAM accounting exists). An env
+// that keeps its own tail-latency history (TailHistoryKeeper) is told here
+// how far back this controller's polls reach.
 func New(env Env, model DRAMModel, cfg Config) *Controller {
 	if cfg.StaleGrace <= 0 {
 		cfg.StaleGrace = 2 * cfg.PollInterval
 	}
 	if cfg.StaleEmergency <= 0 {
 		cfg.StaleEmergency = 4 * cfg.PollInterval
+	}
+	if k, ok := env.(TailHistoryKeeper); ok {
+		// The two TailLatency polls: topLevel's and coreMemory's.
+		k.KeepTailHistory(max(cfg.PollInterval, 2*cfg.CorePollInterval))
 	}
 	c := &Controller{cfg: cfg, env: env, model: model, enabled: false}
 	return c

@@ -10,11 +10,12 @@ import (
 // TestStepDoesNotAllocate pins the engine's zero-allocation stepping
 // property: every steady-state Step — scenario evaluation, scheduler
 // tick, machine and controller fan-out, root sampling — runs entirely on
-// the engine's scratch state. The warmup outlasts the one per-node buffer
-// that still grows with the epoch count: the poll-window ring of 16-byte
-// tail samples, which doubles up to its 600-epoch depth (last growth in
-// epoch 505). Mirrors the machine-level pin in
-// internal/machine/alloc_test.go, one layer up.
+// the engine's scratch state. The one per-node buffer that grows with the
+// epoch count is the poll ring of 16-byte tail samples, and it stops at
+// the depth the node's controller declared — 15 samples, reached in epoch
+// 9 — not at the 600 (epoch 505) an undeclared machine doubles up to; the
+// long warmup is for the scheduler and the scenario. Mirrors the
+// machine-level pin in internal/machine/alloc_test.go, one layer up.
 //
 // The restored case steps an engine rebuilt from a checkpoint: the root
 // sampler's per-leaf scratch is not in the checkpoint, so Restore hands

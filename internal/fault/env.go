@@ -49,6 +49,14 @@ func (e *Env) TailLatency(window time.Duration) (time.Duration, bool) {
 	return e.Env.TailLatency(window)
 }
 
+// KeepTailHistory forwards the controller's declaration to the wrapped
+// environment, which embedding the interface would otherwise hide.
+func (e *Env) KeepTailHistory(window time.Duration) {
+	if k, ok := e.Env.(core.TailHistoryKeeper); ok {
+		k.KeepTailHistory(window)
+	}
+}
+
 // drop records a swallowed actuation while the failure window is open.
 func (e *Env) drop() bool {
 	if e.actFail {

@@ -135,6 +135,19 @@ func TestFedMetricsHandlerMatchesReference(t *testing.T) {
 		doReq(t, "POST", fts.URL+"/api/v1/instances",
 			serve.InstanceSpec{Load: 0.3, Speed: serve.SpeedMax, MaxEpochs: 2}, http.StatusCreated)
 	}
+	// The body is compared with a second rendering taken a moment later:
+	// let the two-epoch runs finish first, or a shard's queue depth can
+	// move between the two.
+	await(t, "instances to park", func() bool {
+		for _, m := range members {
+			for _, st := range m.srv.Registry().Statuses() {
+				if st.State != serve.StateDone {
+					return false
+				}
+			}
+		}
+		return true
+	})
 	members[1].ts.Close()
 
 	resp, err := http.Get(fts.URL + "/metrics")

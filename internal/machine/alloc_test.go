@@ -2,15 +2,17 @@ package machine
 
 import (
 	"testing"
-	"time"
 
 	"heracles/internal/hw"
 	"heracles/internal/workload"
 )
 
 // TestStepSteadyStateAllocFree pins the property the artefact pipeline's
-// throughput depends on: once the telemetry ring has filled, Machine.Step
-// performs zero heap allocations per epoch.
+// throughput depends on: once the poll ring has filled, Machine.Step
+// performs zero heap allocations per epoch. The ring is the one buffer
+// that grows with the epoch count, by doubling up to its depth; nobody
+// declares for these machines, so that is 600 epochs (last growth in
+// epoch 505) — under a controller it ends at the declared 15.
 func TestStepSteadyStateAllocFree(t *testing.T) {
 	lcs, bes := calibrated(t)
 	m := New(hw.DefaultConfig())
@@ -68,39 +70,47 @@ func TestStepAllocFreeAfterActuation(t *testing.T) {
 	}
 }
 
-// TestTelemetryRingWraps exercises the ring past its capacity and checks
-// the windowed controller poll still sees the newest epochs.
+// TestTelemetryRingWraps exercises the ring past its capacity — the depth
+// its reader declared, or 600 epochs when nobody has — and checks the
+// windowed controller poll still sees the newest epochs.
 func TestTelemetryRingWraps(t *testing.T) {
 	lcs, _ := calibrated(t)
-	m := New(hw.DefaultConfig())
-	m.SetLC(lcs["websearch"])
-	m.SetLoad(0.3)
-	for i := 0; i < 700; i++ { // past windowDepth=600
-		m.Step()
-	}
-	rec := m.Snapshot().Window
-	if len(rec) != windowDepth {
-		t.Fatalf("ring holds %d epochs, want %d", len(rec), windowDepth)
-	}
-	for i := 1; i < len(rec); i++ {
-		if rec[i].Time <= rec[i-1].Time {
-			t.Fatalf("ring order broken: %v then %v", rec[i-1].Time, rec[i].Time)
-		}
-	}
-	if rec[len(rec)-1].Time != m.Clock().Now() {
-		t.Fatalf("newest ring entry at %v, clock at %v", rec[len(rec)-1].Time, m.Clock().Now())
-	}
-	tail, ok := m.TailLatency(15 * time.Second)
-	if !ok || tail <= 0 {
-		t.Fatalf("windowed tail after wrap = %v, %v", tail, ok)
-	}
-	m.ResetStats()
-	if len(m.Snapshot().Window) != 0 {
-		t.Fatal("reset did not clear wrapped ring")
-	}
-	// Refill after reset reuses the ring slots.
-	m.Step()
-	if len(m.Snapshot().Window) != 1 {
-		t.Fatal("ring refill after reset broken")
+	for _, tc := range ringCases {
+		t.Run(tc.name, func(t *testing.T) {
+			m := New(hw.DefaultConfig(), WithEpoch(tc.epoch))
+			m.SetLC(lcs["websearch"])
+			m.SetLoad(0.3)
+			if tc.declared > 0 {
+				m.KeepTailHistory(tc.declared)
+			}
+			for i := 0; i < tc.depth+100; i++ {
+				m.Step()
+			}
+			rec := m.Snapshot().Window
+			if len(rec) != tc.depth {
+				t.Fatalf("ring holds %d epochs, want %d", len(rec), tc.depth)
+			}
+			for i := 1; i < len(rec); i++ {
+				if rec[i].Time <= rec[i-1].Time {
+					t.Fatalf("ring order broken: %v then %v", rec[i-1].Time, rec[i].Time)
+				}
+			}
+			if rec[len(rec)-1].Time != m.Clock().Now() {
+				t.Fatalf("newest ring entry at %v, clock at %v", rec[len(rec)-1].Time, m.Clock().Now())
+			}
+			tail, ok := m.TailLatency(tc.declared)
+			if !ok || tail <= 0 {
+				t.Fatalf("windowed tail after wrap = %v, %v", tail, ok)
+			}
+			m.ResetStats()
+			if len(m.Snapshot().Window) != 0 {
+				t.Fatal("reset did not clear wrapped ring")
+			}
+			// Refill after reset reuses the ring slots.
+			m.Step()
+			if len(m.Snapshot().Window) != 1 {
+				t.Fatal("ring refill after reset broken")
+			}
+		})
 	}
 }

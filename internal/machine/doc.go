@@ -10,9 +10,10 @@
 // same control logic that drives filesystem actuators on real hardware
 // drives the simulation. Steady-state stepping is allocation-free:
 // per-machine scratch buffers, a telemetry record refilled in place and
-// a fixed 16-byte-per-epoch poll ring keep the hot path at zero
-// allocs/op, which is what lets the cluster, fleet and control-plane
-// layers run hundreds of machines concurrently.
+// a 16-byte-per-epoch poll ring as deep as the controller's longest poll
+// (KeepTailHistory) keep the hot path at zero allocs/op, which is what
+// lets the cluster, fleet and control-plane layers run hundreds of
+// machines concurrently.
 //
 // A Machine is single-threaded by contract — exactly one goroutine may
 // call Step and the mutating actuators. Fan-out layers give each machine

@@ -77,10 +77,12 @@ type Machine struct {
 	// allocation-free.
 	tel Telemetry
 	// window is the controller's poll history: one TailSample per epoch,
-	// appended until it holds windowDepth entries and from then on
-	// overwritten oldest-first at head.
+	// appended until it holds depth entries and from then on overwritten
+	// oldest-first at head. depth is what the reader declared it can ask
+	// for (KeepTailHistory), windowDepth until it has.
 	window []TailSample
 	head   int // physical index of the oldest sample once the ring is full
+	depth  int
 
 	scratch stepScratch
 	reuse   stageReuse
@@ -154,6 +156,7 @@ func New(cfg hw.Config, opts ...Option) *Machine {
 		engine: lat.Analytic{},
 		clock:  sim.NewClock(0),
 		epoch:  time.Second,
+		depth:  windowDepth,
 	}
 	tc := cfg.TotalCores()
 	m.scratch = stepScratch{

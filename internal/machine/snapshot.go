@@ -16,8 +16,10 @@ import (
 // them against its own catalogue (the same convention scenario events
 // use). Of the telemetry, Last carries the newest epoch in full (the
 // controller's per-socket and per-core monitors read it on the next epoch)
-// and Window the poll history oldest-first, so the controller's windowed
-// TailLatency polls see exactly the history they would have.
+// and Window the poll ring oldest-first: as many epochs as the machine's
+// reader declared it can ask for (KeepTailHistory — 15 under the default
+// controller on 1 s epochs), so the controller's windowed TailLatency polls
+// see exactly the history they would have.
 //
 // Snapshots assume the default analytic latency engine, which is
 // stateless; a machine built with machine.WithEngine(lat.NewDES(...))
@@ -176,12 +178,31 @@ func RestoreMachine(s Snapshot, lcByName func(string) *workload.LC, beByName fun
 	m.lastService = s.LastService
 
 	// The poll ring restarts oldest-first with head 0: logically identical
-	// to the source ring for every TailLatency read.
+	// to the source ring for every TailLatency read. It holds everything
+	// the snapshot carries — which may be more than the reader about to be
+	// bound will ask for (a checkpoint written when every machine kept
+	// 600 samples); that reader's KeepTailHistory trims it to the newest.
 	m.tel = cloneTelemetry(&s.Last)
-	w := s.Window
-	if len(w) > windowDepth {
-		w = w[len(w)-windowDepth:]
+	if err := checkWindow(s.Window, s.Now); err != nil {
+		return nil, err
 	}
-	m.window = append([]TailSample(nil), w...)
+	m.window = append([]TailSample(nil), s.Window...)
+	m.depth = max(windowDepth, len(m.window))
 	return m, nil
+}
+
+// checkWindow refuses a poll history TailLatency would misread: its
+// backwards scan stops at the first sample at or before the cutoff, so
+// the samples must run strictly forward in time and end no later than
+// the snapshot's clock.
+func checkWindow(w []TailSample, now time.Duration) error {
+	for i := 1; i < len(w); i++ {
+		if w[i].Time <= w[i-1].Time {
+			return fmt.Errorf("machine: snapshot window[%d] at %v is not after window[%d] at %v", i, w[i].Time, i-1, w[i-1].Time)
+		}
+	}
+	if n := len(w); n > 0 && w[n-1].Time > now {
+		return fmt.Errorf("machine: snapshot window[%d] at %v lies after the snapshot's clock (%v)", n-1, w[n-1].Time, now)
+	}
+	return nil
 }

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"fmt"
 	"math"
 	"time"
 
@@ -64,7 +65,8 @@ type Telemetry struct {
 // Last returns the telemetry of the most recent epoch.
 func (m *Machine) Last() Telemetry { return m.tel }
 
-// windowDepth is how many epochs of poll history the machine keeps.
+// windowDepth is how many epochs of poll history a machine keeps until its
+// reader has said how much it needs (KeepTailHistory).
 const windowDepth = 600
 
 // TailSample is one epoch of the controller's poll history: the only two
@@ -74,14 +76,37 @@ type TailSample struct {
 	TailLatency time.Duration `json:"tail_ns"` // at the workload's SLO quantile
 }
 
+// KeepTailHistory declares the longest window the machine's reader will
+// ever pass to TailLatency, and sizes the poll ring to it: one sample per
+// epoch the window can reach, never fewer than one. The controller
+// declares its longest poll when it is bound to the machine (core.New), so
+// the ring — and with it every snapshot and checkpoint — holds the history
+// that can be read and nothing older. Samples already recorded beyond the
+// new depth are dropped, oldest first; a machine has one reader, and a
+// later declaration replaces an earlier one.
+func (m *Machine) KeepTailHistory(window time.Duration) {
+	depth := max(int((window+m.epoch-1)/m.epoch), 1)
+	if n := len(m.window); n > depth || m.head != 0 {
+		// Re-lay the ring oldest-first from slot 0, the shape pushSample
+		// appends to while it holds fewer than depth samples.
+		keep := min(n, depth)
+		w := make([]TailSample, keep)
+		for j := range w {
+			w[j] = m.sampleAt(n - keep + j)
+		}
+		m.window, m.head = w, 0
+	}
+	m.depth = depth
+}
+
 // pushSample records the epoch Step just resolved, overwriting the oldest
 // sample once the ring is full.
 func (m *Machine) pushSample(s TailSample) {
-	if n := len(m.window); n < windowDepth {
+	if n := len(m.window); n < m.depth {
 		if n == cap(m.window) {
 			// Double, but never past the depth: append's own growth would
 			// leave a full ring holding 40% more capacity than it can use.
-			grown := make([]TailSample, n, min(2*n+8, windowDepth))
+			grown := make([]TailSample, n, min(2*n+8, m.depth))
 			copy(grown, m.window)
 			m.window = grown
 		}
@@ -89,7 +114,7 @@ func (m *Machine) pushSample(s TailSample) {
 		return
 	}
 	m.window[m.head] = s
-	m.head = (m.head + 1) % windowDepth
+	m.head = (m.head + 1) % m.depth
 }
 
 // sampleAt returns epoch j of the poll history, j=0 oldest. head is zero
@@ -103,7 +128,15 @@ func (m *Machine) sampleAt(j int) TailSample {
 // "polls the tail latency and load of the LC workload every 15 seconds...
 // sufficient queries to calculate statistically meaningful tail
 // latencies"). The boolean is false if no epoch has completed yet.
+//
+// The ring holds only as many epochs as KeepTailHistory declared (600 on a
+// machine nobody declared for). A longer window cannot be answered from
+// it, and averaging what is left would be a wrong number that looks right:
+// asking for one is a bug in the reader and panics.
 func (m *Machine) TailLatency(window time.Duration) (time.Duration, bool) {
+	if kept := time.Duration(m.depth) * m.epoch; window > kept {
+		panic(fmt.Sprintf("machine: TailLatency over %v, but the poll ring keeps %v (KeepTailHistory declares the longest window)", window, kept))
+	}
 	n := len(m.window)
 	if n == 0 {
 		return 0, false

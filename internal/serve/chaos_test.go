@@ -303,16 +303,27 @@ func TestFaultAndHealthRoutes(t *testing.T) {
 	}
 	id := created.ID
 
-	hb := doReq(t, client, "GET", ts.URL+"/api/v1/instances/"+id+"/health", nil, 200)
-	if !strings.Contains(string(hb), `"state": "healthy"`) {
-		t.Fatalf("health body = %s, want healthy state", hb)
+	// Responses are compact JSON: decode them, never match their spacing.
+	health := func() (h HealthStatus) {
+		t.Helper()
+		hb := doReq(t, client, "GET", ts.URL+"/api/v1/instances/"+id+"/health", nil, 200)
+		if err := json.Unmarshal(hb, &h); err != nil {
+			t.Fatalf("health body %s: %v", hb, err)
+		}
+		return h
+	}
+	if h := health(); h.State != "healthy" {
+		t.Fatalf("health = %+v, want healthy state", h)
 	}
 	doReq(t, client, "GET", ts.URL+"/api/v1/instances/nosuch/health", nil, 404)
 
 	fb := doReq(t, client, "POST", ts.URL+"/api/v1/instances/"+id+"/faults",
 		jsonBody(t, FaultRequest{Kind: "telemetry-blackout", DurationS: 1}), 202)
-	if !strings.Contains(string(fb), `"kind": "telemetry-blackout"`) {
-		t.Fatalf("fault response = %s", fb)
+	var injected struct {
+		Kind string `json:"kind"`
+	}
+	if err := json.Unmarshal(fb, &injected); err != nil || injected.Kind != "telemetry-blackout" {
+		t.Fatalf("fault response = %s (%v)", fb, err)
 	}
 	doReq(t, client, "POST", ts.URL+"/api/v1/instances/"+id+"/faults",
 		jsonBody(t, FaultRequest{Kind: "meteor-strike"}), 400)
@@ -327,9 +338,8 @@ func TestFaultAndHealthRoutes(t *testing.T) {
 	awaitInstance(t, live, "fault counted in health", func() bool {
 		return live.Health().FaultsInjected >= 1
 	})
-	hb = doReq(t, client, "GET", ts.URL+"/api/v1/instances/"+id+"/health", nil, 200)
-	if !strings.Contains(string(hb), `"faults_injected": 1`) {
-		t.Fatalf("health body = %s, want faults_injected 1", hb)
+	if h := health(); h.FaultsInjected != 1 {
+		t.Fatalf("health = %+v, want faults_injected 1", h)
 	}
 
 	// Oversized mutating bodies are rejected with 413 before decoding.

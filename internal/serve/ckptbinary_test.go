@@ -2,6 +2,8 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
+	"net/http/httptest"
 	"os"
 	"strconv"
 	"strings"
@@ -9,6 +11,7 @@ import (
 
 	"heracles/internal/engine"
 	"heracles/internal/experiment"
+	"heracles/internal/machine"
 )
 
 // fullCkpt builds a checkpoint with every optional section populated —
@@ -143,26 +146,37 @@ func TestBinaryCheckpointFileRotationAndFallback(t *testing.T) {
 	}
 }
 
+// corpusSeed returns the bytes of one committed FuzzDecodeCheckpointFile
+// corpus file.
+func corpusSeed(t testing.TB, name string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile("testdata/fuzz/FuzzDecodeCheckpointFile/" + name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lit := strings.TrimSuffix(strings.TrimPrefix(string(raw), "go test fuzz v1\n[]byte("), ")\n")
+	data, err := strconv.Unquote(lit)
+	if err != nil {
+		t.Fatalf("%s: not a one-[]byte corpus file: %v", name, err)
+	}
+	return []byte(data)
+}
+
+// withWindow returns a copy of cp whose machine carries the poll window w.
+func withWindow(cp *InstanceCheckpoint, w []machine.TailSample) *InstanceCheckpoint {
+	out, eng := *cp, *cp.Engine
+	eng.Machines = append([]machine.Snapshot(nil), eng.Machines...)
+	eng.Machines[0].Window = w
+	out.Engine = &eng
+	return &out
+}
+
 // TestCommittedSeedsDecodeOrRefuseByVersion reads the fuzz corpus as
-// files written by earlier builds: the version-2 seed must still decode,
+// files written by earlier builds: the version-2 seeds must still decode,
 // validate and restore (a layout change without a version bump breaks
 // it), and the version-1 legacy seed must be refused naming both versions.
 func TestCommittedSeedsDecodeOrRefuseByVersion(t *testing.T) {
-	seed := func(name string) []byte {
-		t.Helper()
-		raw, err := os.ReadFile("testdata/fuzz/FuzzDecodeCheckpointFile/" + name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lit := strings.TrimSuffix(strings.TrimPrefix(string(raw), "go test fuzz v1\n[]byte("), ")\n")
-		data, err := strconv.Unquote(lit)
-		if err != nil {
-			t.Fatalf("%s: not a one-[]byte corpus file: %v", name, err)
-		}
-		return []byte(data)
-	}
-
-	cp, err := DecodeCheckpointFile(seed("binary-valid-v2"))
+	cp, err := DecodeCheckpointFile(corpusSeed(t, "binary-valid-v2"))
 	if err != nil {
 		t.Fatalf("version-2 seed no longer decodes: %v", err)
 	}
@@ -176,7 +190,40 @@ func TestCommittedSeedsDecodeOrRefuseByVersion(t *testing.T) {
 		t.Fatalf("restored seed at epoch %d in state %s, want the 3-epoch finished run it was taken from", st.Epoch, st.State)
 	}
 
-	old, err := DecodeCheckpointFile(seed("legacy-bare"))
+	// A 700-epoch websearch+brain instance checkpointed by the last build
+	// whose machines kept 600 poll samples regardless of their reader. It
+	// is still a checkpoint of that state: the instance resumes at epoch
+	// 700 holding the 15 newest samples, and its next 300 epochs end where
+	// they end when the older 585 were never in the file.
+	long, err := DecodeCheckpointFile(corpusSeed(t, "binary-valid-v2-long"))
+	if err != nil {
+		t.Fatalf("600-sample seed no longer decodes: %v", err)
+	}
+	window := long.Engine.Machines[0].Window
+	if long.Engine.Epoch != 700 || len(window) != 600 {
+		t.Fatalf("600-sample seed decodes to epoch %d with %d samples", long.Engine.Epoch, len(window))
+	}
+	finish := func(cp *InstanceCheckpoint) []byte {
+		t.Helper()
+		inst, err := srv.CreateInstance(InstanceSpec{Restore: cp, Speed: SpeedMax, MaxEpochs: 1000})
+		if err != nil {
+			t.Fatalf("600-sample seed no longer restores: %v", err)
+		}
+		return finalEngineJSON(t, inst)
+	}
+	got := finish(long)
+	if want := finish(withWindow(long, window[len(window)-15:])); !bytes.Equal(got, want) {
+		t.Fatalf("the run restored from 600 samples ends differently from the one restored from the newest 15:\n%s\nvs\n%s", trimJSON(got), trimJSON(want))
+	}
+	var final engine.Checkpoint
+	if err := json.Unmarshal(got, &final); err != nil {
+		t.Fatal(err)
+	}
+	if final.Epoch != 1000 || len(final.Machines[0].Window) != 15 {
+		t.Fatalf("restored run ended at epoch %d holding %d samples, want 1000 and 15", final.Epoch, len(final.Machines[0].Window))
+	}
+
+	old, err := DecodeCheckpointFile(corpusSeed(t, "legacy-bare"))
 	if err != nil {
 		t.Fatalf("legacy seed: %v", err)
 	}
@@ -184,4 +231,38 @@ func TestCommittedSeedsDecodeOrRefuseByVersion(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "version 1") || !strings.Contains(err.Error(), "version 2") {
 		t.Fatalf("version-1 checkpoint: err = %v, want a refusal naming versions 1 and 2", err)
 	}
+}
+
+// TestInstanceCheckpointSizeBudget makes state bloat fail a test the way
+// a missing codec field does. A long-running websearch+brain instance
+// checkpoints its machine, its controller, its error-budget trackers and
+// the 15 poll samples its controller can read; history nothing reads back
+// (the ring once held 600 samples whatever the reader: 9.6 KB of an
+// 11.4 KB file) does not fit under these ceilings.
+func TestInstanceCheckpointSizeBudget(t *testing.T) {
+	s := testServer(t)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	inst, err := s.CreateInstance(InstanceSpec{BEs: []BEAttachment{{Workload: "brain"}}, Load: 0.6, Speed: SpeedMax, MaxEpochs: 700})
+	if err != nil {
+		t.Fatal(err)
+	}
+	awaitInstance(t, inst, "run complete", func() bool { return inst.Status().State == StateDone })
+
+	cp, err := inst.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	file, err := EncodeCheckpointFileBinary(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if limit := 2560; len(file) > limit {
+		t.Errorf("HRCF checkpoint file of a 700-epoch instance is %d bytes, budget %d", len(file), limit)
+	}
+	doc := doReq(t, ts.Client(), "POST", ts.URL+"/api/v1/instances/"+inst.ID()+"/checkpoint", nil, 200)
+	if limit := 8 << 10; len(doc) > limit {
+		t.Errorf("REST checkpoint document of a 700-epoch instance is %d bytes, budget %d", len(doc), limit)
+	}
+	t.Logf("HRCF file %d bytes, REST document %d bytes", len(file), len(doc))
 }
