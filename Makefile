@@ -98,7 +98,7 @@ bench-baseline:
 # the original BENCH_baseline.json (MachineStep 21.5 us, EngineStep
 # 210 us) losing every gain since would still pass.
 bench-check:
-	$(GO) run ./cmd/benchbaseline -quick -check BENCH_19.json -tol 1.5
+	$(GO) run ./cmd/benchbaseline -quick -check BENCH_20.json -tol 1.5
 
 # End-to-end benchmark (BENCHMARK.json): the four heraclesbench workloads
 # driven from outside the binaries, ~25 s each; the last stdout line of

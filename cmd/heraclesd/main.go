@@ -334,6 +334,12 @@ func restoreCheckpoints(srv *serve.Server, dir string, speed float64, maxEpochs 
 		if src != path {
 			log.Printf("heraclesd: %s failed verification, falling back to previous generation %s", path, src)
 		}
+		if speed < 0 {
+			// Fast-forwarding a paced daemon's snapshot: the free-running
+			// override means no tick schedule, which create would refuse
+			// beside one.
+			cp.NextDueUnixNano, cp.Batch, cp.Stretch = 0, 0, 0
+		}
 		inst, err := srv.CreateInstance(serve.InstanceSpec{Restore: cp, Speed: speed, MaxEpochs: maxEpochs})
 		if err != nil {
 			fail(err)

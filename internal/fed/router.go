@@ -15,6 +15,7 @@ import (
 	"io"
 	"net/http"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -236,6 +237,11 @@ func (rt *Router) memberDo(method, url string, body io.Reader, contentType strin
 	if contentType != "" {
 		req.Header.Set("Content-Type", contentType)
 	}
+	return rt.memberSend(req)
+}
+
+// memberSend sends one built member request and counts it.
+func (rt *Router) memberSend(req *http.Request) (*http.Response, error) {
 	rt.proxied.Add(1)
 	start := time.Now()
 	resp, err := rt.client.Do(req)
@@ -243,13 +249,23 @@ func (rt *Router) memberDo(method, url string, body io.Reader, contentType strin
 	return resp, err
 }
 
-// relay copies a member response through to the client verbatim,
-// flushing per chunk so SSE streams pass through live.
+// relay copies a member response through to the client verbatim. A reply
+// of known length keeps its Content-Length and goes out in one copy; only
+// one of unknown length (an SSE stream) is flushed per chunk, so it passes
+// through live.
 func relay(w http.ResponseWriter, resp *http.Response) {
 	for _, k := range []string{"Content-Type", "Cache-Control"} {
 		if v := resp.Header.Get(k); v != "" {
 			w.Header().Set(k, v)
 		}
+	}
+	if resp.ContentLength >= 0 {
+		w.Header().Set("Content-Length", strconv.FormatInt(resp.ContentLength, 10))
+		w.WriteHeader(resp.StatusCode)
+		// A failed copy means one end hung up mid-reply; the status line
+		// is out, so there is nobody left to tell.
+		_, _ = io.Copy(w, resp.Body)
+		return
 	}
 	w.WriteHeader(resp.StatusCode)
 	flusher, _ := w.(http.Flusher)
@@ -411,7 +427,22 @@ func (rt *Router) handleInstanceProxy(w http.ResponseWriter, r *http.Request) {
 	if r.URL.RawQuery != "" {
 		url += "?" + r.URL.RawQuery
 	}
-	resp, err := rt.memberDo(r.Method, url, r.Body, r.Header.Get("Content-Type"))
+	// The inbound length travels with the body: left to itself net/http
+	// cannot size an opaque reader and re-sends every upload chunked.
+	body := r.Body
+	if r.ContentLength == 0 {
+		body = http.NoBody
+	}
+	req, err := http.NewRequest(r.Method, url, body)
+	if err != nil {
+		apiError(w, http.StatusBadGateway, "member %s: %v", p.member, err)
+		return
+	}
+	req.ContentLength = r.ContentLength
+	if ct := r.Header.Get("Content-Type"); ct != "" {
+		req.Header.Set("Content-Type", ct)
+	}
+	resp, err := rt.memberSend(req)
 	if err != nil {
 		apiError(w, http.StatusBadGateway, "member %s: %v", p.member, err)
 		return
@@ -455,7 +486,7 @@ func (rt *Router) migrate(fid, target string) (*serve.MigrateResult, error) {
 func (rt *Router) handleInstanceMigrate(w http.ResponseWriter, r *http.Request) {
 	fid := r.PathValue("id")
 	var req FedMigrateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
 		apiError(w, http.StatusBadRequest, "decoding body: %v", err)
 		return
 	}

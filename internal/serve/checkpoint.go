@@ -23,6 +23,13 @@ import (
 // jobs stay with the origin server's scheduler — which evicts and
 // requeues them when the origin instance crashes or disappears — so
 // keeping the tasks alive would silently double-run the same work.
+//
+// NextDueUnixNano, Batch and Stretch are the origin's place in its tick
+// schedule (DESIGN.md §14), set together for a paced, still-running
+// instance and absent otherwise. They are the only wall-clock-derived
+// bytes in a checkpoint — Engine stays wall-clock-free, which is what the
+// bit-identity pins compare — and every restore path continues the
+// schedule from them instead of re-arming one interval out.
 type InstanceCheckpoint struct {
 	Version   int           `json:"version"`
 	Name      string        `json:"name,omitempty"`
@@ -36,7 +43,31 @@ type InstanceCheckpoint struct {
 	// marking tasks owned by the fleet job scheduler.
 	FleetTasks []int `json:"fleet_tasks,omitempty"`
 
+	// NextDueUnixNano is the wall-clock instant the origin's next slice is
+	// due, Batch the epochs that slice steps and Stretch the cadence
+	// factor the slice after it grows from (both 1..stretchMax).
+	NextDueUnixNano int64 `json:"next_due_unix_ns,omitempty"`
+	Batch           int   `json:"batch,omitempty"`
+	Stretch         int   `json:"stretch,omitempty"`
+
 	Engine *engine.Checkpoint `json:"engine"`
+}
+
+// paced reports whether the checkpoint carries a tick schedule.
+func (cp *InstanceCheckpoint) paced() bool {
+	return cp.NextDueUnixNano != 0 || cp.Batch != 0 || cp.Stretch != 0
+}
+
+// resumeAt places a restored instance's first slice at the origin's due
+// instant, clamped into [now, now + batch×interval]: a checkpoint held
+// past its due time ticks now, and one from a daemon whose clock runs
+// ahead (or taken at a slower speed than it restores at) waits no longer
+// than the slice it carries spans. The result is an offset from now, so it
+// keeps now's monotonic reading and a later wall-clock step cannot park
+// the instance.
+func resumeAt(now time.Time, dueUnixNano int64, batch int, interval time.Duration) time.Time {
+	wait := time.Unix(0, dueUnixNano).Sub(now)
+	return now.Add(min(max(wait, 0), time.Duration(batch)*interval))
 }
 
 // Checkpoint snapshots the instance between epochs — the mailbox
@@ -77,6 +108,11 @@ func (i *Instance) buildCheckpoint() *InstanceCheckpoint {
 			cp.FleetTasks = append(cp.FleetTasks, idx)
 		}
 	}
+	// A paced instance with a slice in the heap hands its schedule over
+	// (nextAt is still zero while newInstance seeds the restart checkpoint).
+	if i.interval > 0 && !i.doneRunning && !i.nextAt.IsZero() {
+		cp.NextDueUnixNano, cp.Batch, cp.Stretch = i.nextAt.UnixNano(), i.batch, i.stretch
+	}
 	return cp
 }
 
@@ -96,7 +132,8 @@ func (i *Instance) refreshRestartCheckpoint() {
 // structurally unusable before any simulation state is built: version
 // mismatches, missing engine state, unknown workload names (which would
 // otherwise panic inside the calibration catalogue), or a scenario
-// recorded in the engine without its JSON spec alongside.
+// recorded in the engine without its JSON spec alongside, or a tick
+// schedule no origin could have written.
 func validateCheckpoint(cp *InstanceCheckpoint) error {
 	if cp.Version != engine.CheckpointVersion {
 		return fmt.Errorf("checkpoint version %d, this server reads version %d", cp.Version, engine.CheckpointVersion)
@@ -136,6 +173,17 @@ func validateCheckpoint(cp *InstanceCheckpoint) error {
 	}
 	if cp.Engine.Scenario != nil && cp.Scenario == nil {
 		return fmt.Errorf("checkpoint has an active scenario (%q) but no scenario spec to rebuild it", cp.Engine.Scenario.Name)
+	}
+	if cp.paced() {
+		if cp.NextDueUnixNano <= 0 {
+			return fmt.Errorf("checkpoint next_due_unix_ns %d is not a positive instant beside batch %d, stretch %d", cp.NextDueUnixNano, cp.Batch, cp.Stretch)
+		}
+		if cp.Batch < 1 || cp.Batch > stretchMax {
+			return fmt.Errorf("checkpoint batch %d outside 1..%d", cp.Batch, stretchMax)
+		}
+		if cp.Stretch < 1 || cp.Stretch > stretchMax {
+			return fmt.Errorf("checkpoint stretch %d outside 1..%d", cp.Stretch, stretchMax)
+		}
 	}
 	return nil
 }

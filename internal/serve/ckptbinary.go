@@ -23,6 +23,7 @@ import (
 //
 //	i64 checkpoint version, string name, string lc, bool compact,
 //	f64 speed, i64 max epochs,
+//	i64 next due (unix ns), i64 batch, i64 stretch   (envelope version 2 on),
 //	presence byte + uint32-prefixed ScenarioSpec JSON,
 //	uint32-prefixed fleet task indexes,
 //	presence byte + uint32-prefixed engine binary checkpoint (HRCB).
@@ -35,8 +36,10 @@ import (
 // (JSON always opens with '{' or whitespace).
 var binaryFileMagic = [4]byte{'H', 'R', 'C', 'F'}
 
-// BinaryCheckpointFileVersion is the binary envelope format version.
-const BinaryCheckpointFileVersion = 1
+// BinaryCheckpointFileVersion is the binary envelope format version this
+// build writes. Version 2 added the tick schedule; version 1 files still
+// read, as checkpoints without one.
+const BinaryCheckpointFileVersion = 2
 
 // binaryFileHeaderLen: magic + u16 version + u32 CRC.
 const binaryFileHeaderLen = 4 + 2 + 4
@@ -80,6 +83,9 @@ func AppendCheckpointFileBinary(buf []byte, cp *InstanceCheckpoint) ([]byte, err
 	w.Bool(cp.Compact)
 	w.F64(cp.Speed)
 	w.Int(cp.MaxEpochs)
+	w.I64(cp.NextDueUnixNano)
+	w.Int(cp.Batch)
+	w.Int(cp.Stretch)
 	w.Bool(cp.Scenario != nil)
 	if cp.Scenario != nil {
 		w.Bytes32(scJSON)
@@ -104,8 +110,9 @@ func decodeCheckpointFileBinary(data []byte) (*InstanceCheckpoint, error) {
 		return nil, fmt.Errorf("checkpoint file truncated: %d bytes, envelope header is %d", len(data), binaryFileHeaderLen)
 	}
 	r := codec.NewReader(data[4:])
-	if v := r.U16(); v != BinaryCheckpointFileVersion {
-		return nil, fmt.Errorf("checkpoint file envelope version %d, this build reads version %d", v, BinaryCheckpointFileVersion)
+	version := r.U16()
+	if version < 1 || version > BinaryCheckpointFileVersion {
+		return nil, fmt.Errorf("checkpoint file envelope version %d, this build reads versions 1 to %d", version, BinaryCheckpointFileVersion)
 	}
 	sum := r.U32()
 	if got := crc32.Checksum(data[binaryFileHeaderLen:], crcTable); got != sum {
@@ -119,6 +126,9 @@ func decodeCheckpointFileBinary(data []byte) (*InstanceCheckpoint, error) {
 		Compact:   r.Bool(),
 		Speed:     r.F64(),
 		MaxEpochs: r.Int(),
+	}
+	if version >= 2 {
+		cp.NextDueUnixNano, cp.Batch, cp.Stretch = r.I64(), r.Int(), r.Int()
 	}
 	if r.Bool() {
 		spec := &ScenarioSpec{}

@@ -38,13 +38,38 @@ func fullCkpt(t *testing.T) *InstanceCheckpoint {
 	return cp
 }
 
+// pacedCkpt checkpoints the migration run mid-flight and paced, so the
+// checkpoint carries a tick schedule beside the engine state.
+func pacedCkpt(t *testing.T) *InstanceCheckpoint {
+	t.Helper()
+	srv := testServer(t)
+	inst, err := srv.CreateInstance(migrationSpec(migrationPace))
+	if err != nil {
+		t.Fatal(err)
+	}
+	awaitInstance(t, inst, "mid-run epoch reached", func() bool { return inst.Status().Epoch >= 30 })
+	cp, err := inst.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cp.NextDueUnixNano <= 0 || cp.Batch < 1 || cp.Stretch < 1 {
+		t.Fatalf("paced checkpoint carries due %d batch %d stretch %d", cp.NextDueUnixNano, cp.Batch, cp.Stretch)
+	}
+	return cp
+}
+
 // TestBinaryCheckpointFileRoundTrip pins the binary envelope against the
 // JSON one: both must decode back to the same checkpoint value (compared
 // through the JSON payload encoding), and DecodeCheckpointFile must
-// auto-detect each format from its bytes.
+// auto-detect each format from its bytes. A finished free-running instance
+// fills every section of the engine state; a paced one mid-run adds the
+// tick schedule.
 func TestBinaryCheckpointFileRoundTrip(t *testing.T) {
-	cp := fullCkpt(t)
+	t.Run("finished", func(t *testing.T) { checkEnvelopesAgree(t, fullCkpt(t)) })
+	t.Run("paced", func(t *testing.T) { checkEnvelopesAgree(t, pacedCkpt(t)) })
+}
 
+func checkEnvelopesAgree(t *testing.T, cp *InstanceCheckpoint) {
 	bin, err := EncodeCheckpointFileBinary(cp)
 	if err != nil {
 		t.Fatalf("encode binary: %v", err)
@@ -84,6 +109,10 @@ func TestBinaryCheckpointFileRoundTrip(t *testing.T) {
 	}
 	if fromBin.Engine == nil || fromBin.Engine.Epoch != cp.Engine.Epoch {
 		t.Fatalf("binary decode engine epoch = %+v, want %d", fromBin.Engine, cp.Engine.Epoch)
+	}
+	if fromBin.NextDueUnixNano != cp.NextDueUnixNano || fromBin.Batch != cp.Batch || fromBin.Stretch != cp.Stretch {
+		t.Fatalf("binary decode tick schedule = due %d batch %d stretch %d, want due %d batch %d stretch %d",
+			fromBin.NextDueUnixNano, fromBin.Batch, fromBin.Stretch, cp.NextDueUnixNano, cp.Batch, cp.Stretch)
 	}
 }
 
@@ -171,10 +200,18 @@ func withWindow(cp *InstanceCheckpoint, w []machine.TailSample) *InstanceCheckpo
 	return &out
 }
 
+// withSchedule returns a copy of cp that hands a tick schedule over.
+func withSchedule(cp *InstanceCheckpoint, batch int) *InstanceCheckpoint {
+	out := *cp
+	out.NextDueUnixNano, out.Batch, out.Stretch = 1_790_000_000_000_000_000, batch, 8
+	return &out
+}
+
 // TestCommittedSeedsDecodeOrRefuseByVersion reads the fuzz corpus as
 // files written by earlier builds: the version-2 seeds must still decode,
 // validate and restore (a layout change without a version bump breaks
-// it), and the version-1 legacy seed must be refused naming both versions.
+// it) whichever envelope version wraps them, and the version-1 legacy
+// seed must be refused naming both versions.
 func TestCommittedSeedsDecodeOrRefuseByVersion(t *testing.T) {
 	cp, err := DecodeCheckpointFile(corpusSeed(t, "binary-valid-v2"))
 	if err != nil {
@@ -221,6 +258,22 @@ func TestCommittedSeedsDecodeOrRefuseByVersion(t *testing.T) {
 	}
 	if final.Epoch != 1000 || len(final.Machines[0].Window) != 15 {
 		t.Fatalf("restored run ended at epoch %d holding %d samples, want 1000 and 15", final.Epoch, len(final.Machines[0].Window))
+	}
+
+	// The first envelope-version-2 file: the same shape of instance, paced,
+	// with a tick schedule no later build may misplace.
+	paced, err := DecodeCheckpointFile(corpusSeed(t, "binary-valid-hrcf2-paced"))
+	if err != nil {
+		t.Fatalf("envelope version 2 seed no longer decodes: %v", err)
+	}
+	if paced.NextDueUnixNano != 1_790_000_000_123_456_789 || paced.Batch != 4 || paced.Stretch != 8 || paced.Speed != 50 {
+		t.Fatalf("envelope version 2 seed decodes to due %d batch %d stretch %d speed %v", paced.NextDueUnixNano, paced.Batch, paced.Stretch, paced.Speed)
+	}
+	if inst, err = srv.CreateInstance(InstanceSpec{Restore: paced}); err != nil {
+		t.Fatalf("envelope version 2 seed no longer restores: %v", err)
+	}
+	if st := inst.Status(); st.Epoch < 40 || st.State != StateRunning {
+		t.Fatalf("restored paced seed at epoch %d in state %s, want the running 40-epoch instance it was taken from", st.Epoch, st.State)
 	}
 
 	old, err := DecodeCheckpointFile(corpusSeed(t, "legacy-bare"))

@@ -57,6 +57,14 @@ func FuzzDecodeCheckpointFile(f *testing.F) {
 		f.Fatalf("encode binary: %v", err)
 	}
 	f.Add(validBin)
+	// Envelope version 2 with its tick schedule filled in.
+	paced := withSchedule(cp, 4)
+	paced.Speed, paced.MaxEpochs = 50, 0
+	pacedBin, err := EncodeCheckpointFileBinary(paced)
+	if err != nil {
+		f.Fatalf("encode binary: %v", err)
+	}
+	f.Add(pacedBin)
 	f.Add(validBin[:4])               // bare magic
 	f.Add(validBin[:len(validBin)/2]) // truncated mid-payload
 	binFlipped := append([]byte(nil), validBin...)

@@ -23,7 +23,8 @@ func FuzzCreateInstanceBody(f *testing.F) {
 
 	// Seeds: a plain spec, a restore document from a live instance, one in
 	// the 600-sample shape older builds wrote, one whose window runs
-	// backwards, and one cut short.
+	// backwards, one that hands a tick schedule over, one whose schedule no
+	// origin could have written, and one cut short.
 	inst, err := srv.CreateInstance(InstanceSpec{BEs: []BEAttachment{{Workload: "brain"}}, Load: 0.5, Speed: SpeedMax, MaxEpochs: 40})
 	if err != nil {
 		f.Fatalf("create: %v", err)
@@ -55,7 +56,17 @@ func FuzzCreateInstanceBody(f *testing.F) {
 	w[3], w[4] = w[4], w[3]
 	disordered := withWindow(cp, w)
 
+	pacedDoc := func(batch int) []byte {
+		doc, err := json.Marshal(InstanceSpec{Restore: withSchedule(cp, batch), Speed: 50, MaxEpochs: int(cp.Engine.Epoch) + 20})
+		if err != nil {
+			f.Fatalf("marshal restore document: %v", err)
+		}
+		return doc
+	}
+
 	f.Add([]byte(`{"lc":"memkeyval","bes":[{"workload":"streetview"}],"load":0.5,"speed":-1,"max_epochs":20}`))
+	f.Add(pacedDoc(4))
+	f.Add(pacedDoc(99))
 	f.Add(valid)
 	f.Add(restoreDoc(long))
 	f.Add(restoreDoc(disordered))

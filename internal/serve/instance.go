@@ -97,7 +97,10 @@ type InstanceSpec struct {
 	// snapshot, which is how instances pause/resume and migrate between
 	// registries. LC, BEs, Load, SLOScale and Scenario must be unset —
 	// that state comes from the checkpoint; Name, Speed and MaxEpochs
-	// may override the checkpointed values.
+	// may override the checkpointed values. A checkpoint of a paced,
+	// running instance also carries its place in the tick schedule, which
+	// the restored instance continues (at the overriding Speed, if any);
+	// such a checkpoint cannot be restored free-running.
 	Restore *InstanceCheckpoint `json:"restore,omitempty"`
 
 	// EpochHook, when set, runs in the driver worker after every
@@ -110,13 +113,6 @@ type InstanceSpec struct {
 	// Trace, when set, receives every controller decision synchronously
 	// (in addition to the SSE hub). Not part of the JSON API.
 	Trace func(core.Event) `json:"-"`
-
-	// nextAt, batch and stretch, set together (batch > 0) by in-process
-	// shard migration only, continue a paced origin's tick schedule instead
-	// of starting a fresh one: when the next slice is due, how many epochs
-	// it steps, and the stretch factor the slice after it grows from.
-	nextAt         time.Time
-	batch, stretch int
 }
 
 // EpochUpdate is the per-epoch telemetry summary published on the event
@@ -497,22 +493,24 @@ func newInstance(id string, spec InstanceSpec, lab *experiment.Lab, speed float6
 	if restoredFrom != "" {
 		i.publishLifecycle("restored", restoredFrom)
 	}
-	// Schedule the first slice: paced instances tick after one interval
-	// (the old per-goroutine ticker's first-fire semantics) unless they
-	// inherit a migrating origin's schedule, free-runners are due
-	// immediately. A restored-as-done instance parks without ever entering
-	// the heap.
+	// Schedule the first slice. A paced instance restored from a checkpoint
+	// that carries a tick schedule — shard migration, REST restore, peer
+	// migration and fed rebalance all arrive here — continues it: the
+	// origin's batch and stretch, due when the origin's slice was (resumeAt
+	// clamps a stale or skewed instant). Any other paced instance ticks
+	// after one interval (the old per-goroutine ticker's first-fire
+	// semantics); free-runners are due immediately. A restored-as-done
+	// instance parks without ever entering the heap.
 	if !i.doneRunning {
-		switch {
-		case i.interval > 0 && spec.batch > 0:
-			i.nextAt, i.batch, i.stretch = spec.nextAt, spec.batch, spec.stretch
-			pool.schedule(i.entry, i.nextAt)
+		i.nextAt = time.Now()
+		switch cp := spec.Restore; {
+		case i.interval > 0 && cp != nil && cp.paced():
+			i.batch, i.stretch = cp.Batch, cp.Stretch
+			i.nextAt = resumeAt(i.nextAt, cp.NextDueUnixNano, cp.Batch, i.interval)
 		case i.interval > 0:
-			i.nextAt = time.Now().Add(i.interval)
-			pool.schedule(i.entry, i.nextAt)
-		default:
-			pool.schedule(i.entry, time.Now())
+			i.nextAt = i.nextAt.Add(i.interval)
 		}
+		pool.schedule(i.entry, i.nextAt)
 	}
 	return i, nil
 }

@@ -74,10 +74,11 @@ func (s *Server) detach(id string) (*Instance, int, error) {
 // MigrateToShard moves the instance onto another shard of this server:
 // snapshot, restore into a fresh instance on the target shard's pool,
 // stop the origin. In-process migration carries the instance's epoch
-// hook, trace and pacing clock along, so an embedded daemon's mirroring
-// survives the move and a paced instance keeps ticking on the origin's
-// schedule however often it moves. On any failure the origin instance is
-// reinstated untouched.
+// hook and trace along, so an embedded daemon's mirroring survives the
+// move. It sets no schedule of its own: the checkpoint it encodes carries
+// the origin's place in the tick schedule like every other restore, so a
+// paced instance keeps ticking on time however often it moves. On any
+// failure the origin instance is reinstated untouched.
 func (s *Server) MigrateToShard(id string, target int) (*MigrateResult, error) {
 	if target < 0 || target >= s.reg.ShardCount() {
 		return nil, fmt.Errorf("no shard %d (server has %d)", target, s.reg.ShardCount())
@@ -87,15 +88,8 @@ func (s *Server) MigrateToShard(id string, target int) (*MigrateResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	// One mailbox command reads the state and the origin's place in its
-	// tick schedule, so the copy resumes both from the same epoch boundary.
 	spec := InstanceSpec{EpochHook: inst.epochHook, Trace: inst.trace}
-	var cp *InstanceCheckpoint
-	err = inst.Do(func() error {
-		cp = inst.buildCheckpoint()
-		spec.nextAt, spec.batch, spec.stretch = inst.nextAt, inst.batch, inst.stretch
-		return nil
-	})
+	cp, err := inst.Checkpoint()
 	if err != nil {
 		s.reg.readd(inst, from)
 		return nil, err

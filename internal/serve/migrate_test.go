@@ -231,9 +231,23 @@ func TestMigrateKeepsPacingClock(t *testing.T) {
 	}
 }
 
+// cadence is an instance's place in its tick schedule.
+type cadence struct {
+	nextAt         time.Time
+	batch, stretch int
+}
+
+func readCadence(in *Instance) cadence {
+	in.stepMu.Lock()
+	defer in.stepMu.Unlock()
+	return cadence{nextAt: in.nextAt, batch: in.batch, stretch: in.stretch}
+}
+
 // TestMigrateHandsOverCadence pins the hand-over itself, without a clock:
-// a shard migration carries the origin's due time, batch and stretch; a
-// restore through the create API starts a fresh schedule.
+// the checkpoint carries the origin's due time, batch and stretch, and a
+// restore through the create API continues them exactly as a shard
+// migration does. A document without the fields, and an HRCF version 1
+// file from a build that never wrote them, start a fresh schedule.
 func TestMigrateHandsOverCadence(t *testing.T) {
 	s := New(Config{Lab: testLab, Shards: 2})
 	t.Cleanup(s.Close)
@@ -241,33 +255,66 @@ func TestMigrateHandsOverCadence(t *testing.T) {
 	if err != nil {
 		t.Fatalf("create: %v", err)
 	}
-	type cadence struct {
-		nextAt         time.Time
-		batch, stretch int
-	}
-	want := cadence{nextAt: time.Now().Add(time.Hour), batch: 4, stretch: 8}
+	// Three of the slice's four intervals out: inside the clamp, so the
+	// instant must survive to the nanosecond.
+	want := cadence{nextAt: time.Now().Add(3 * time.Second), batch: 4, stretch: 8}
 	inst.stepMu.Lock()
 	inst.nextAt, inst.batch, inst.stretch = want.nextAt, want.batch, want.stretch
 	inst.stepMu.Unlock()
-	readCadence := func(in *Instance) cadence {
-		in.stepMu.Lock()
-		defer in.stepMu.Unlock()
-		return cadence{nextAt: in.nextAt, batch: in.batch, stretch: in.stretch}
+	continues := func(how string, in *Instance) {
+		t.Helper()
+		got := readCadence(in)
+		if got.nextAt.UnixNano() != want.nextAt.UnixNano() || got.batch != want.batch || got.stretch != want.stretch {
+			t.Fatalf("%s: cadence = %+v, want the origin's %+v", how, got, want)
+		}
+		if got.nextAt == got.nextAt.Round(0) {
+			t.Fatalf("%s: restored due time %v has no monotonic reading", how, got.nextAt)
+		}
+	}
+	fresh := func(how string, spec InstanceSpec) {
+		t.Helper()
+		before := time.Now()
+		in, err := s.CreateInstance(spec)
+		if err != nil {
+			t.Fatalf("%s: %v", how, err)
+		}
+		got := readCadence(in)
+		if got.stretch != 1 || got.batch != 1 || got.nextAt.Before(before.Add(time.Second)) || got.nextAt.After(time.Now().Add(time.Second)) {
+			t.Fatalf("%s: cadence = %+v, want a first tick one interval out at stretch 1", how, got)
+		}
 	}
 
 	cp, err := inst.Checkpoint()
 	if err != nil {
 		t.Fatalf("checkpoint: %v", err)
 	}
-	before := time.Now()
+	if cp.NextDueUnixNano != want.nextAt.UnixNano() || cp.Batch != want.batch || cp.Stretch != want.stretch {
+		t.Fatalf("checkpoint carries due %d batch %d stretch %d, want %+v", cp.NextDueUnixNano, cp.Batch, cp.Stretch, want)
+	}
 	viaAPI, err := s.CreateInstance(InstanceSpec{Restore: cp})
 	if err != nil {
 		t.Fatalf("restore through create: %v", err)
 	}
-	got := readCadence(viaAPI)
-	if got.stretch != 1 || got.batch != 1 || got.nextAt.Before(before.Add(time.Second)) || got.nextAt.After(time.Now().Add(time.Second)) {
-		t.Fatalf("API restore cadence = %+v, want a first tick one interval out at stretch 1", got)
+	continues("restore through create", viaAPI)
+
+	// A speed sent beside the restore resolves the interval the clamp uses:
+	// at 50x the carried slice spans 80 ms, not four seconds.
+	fast, err := s.CreateInstance(InstanceSpec{Restore: cp, Speed: 50})
+	if err != nil {
+		t.Fatalf("restore at speed 50: %v", err)
 	}
+	if got := readCadence(fast); got.batch != want.batch || got.stretch != want.stretch || time.Until(got.nextAt) > 80*time.Millisecond {
+		t.Fatalf("restore at speed 50: cadence = %+v, want the origin's batch and stretch due within 80ms", got)
+	}
+
+	bare := *cp
+	bare.NextDueUnixNano, bare.Batch, bare.Stretch = 0, 0, 0
+	fresh("document without pacing", InstanceSpec{Restore: &bare})
+	v1, err := DecodeCheckpointFile(corpusSeed(t, "binary-valid-v2-long"))
+	if err != nil {
+		t.Fatalf("HRCF version 1 seed: %v", err)
+	}
+	fresh("HRCF version 1 file", InstanceSpec{Restore: v1, Speed: 1, MaxEpochs: 1000})
 
 	res, err := s.MigrateToShard(inst.ID(), 1-inst.Status().Shard)
 	if err != nil {
@@ -277,9 +324,7 @@ func TestMigrateHandsOverCadence(t *testing.T) {
 	if !ok {
 		t.Fatalf("restored instance %s not in registry", res.To)
 	}
-	if got := readCadence(moved); !got.nextAt.Equal(want.nextAt) || got.stretch != want.stretch || got.batch != want.batch {
-		t.Fatalf("migrated cadence = %+v, want %+v", got, want)
-	}
+	continues("shard migration", moved)
 }
 
 // trimJSON keeps failure output readable: engine checkpoints run to

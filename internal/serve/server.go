@@ -153,14 +153,6 @@ func (s *Server) createInstance(spec InstanceSpec, shardIdx int, detail string) 
 	if err := validateSpec(spec); err != nil {
 		return nil, err
 	}
-	id, ok := s.reg.Reserve(s.cfg.MaxInstances)
-	if !ok {
-		return nil, errTooMany
-	}
-	if shardIdx < 0 {
-		shardIdx = s.reg.PlaceShard(id)
-	}
-	sh := s.reg.shards[shardIdx]
 	speed := spec.Speed
 	compact := spec.Compact
 	if spec.Restore != nil {
@@ -174,6 +166,17 @@ func (s *Server) createInstance(spec InstanceSpec, shardIdx int, detail string) 
 	if speed == 0 {
 		speed = s.cfg.DefaultSpeed
 	}
+	if speed < 0 && spec.Restore != nil && spec.Restore.paced() {
+		return nil, fmt.Errorf("restore: checkpoint carries a tick schedule (next_due_unix_ns) but speed %v free-runs: restore it paced, or drop next_due_unix_ns, batch and stretch", speed)
+	}
+	id, ok := s.reg.Reserve(s.cfg.MaxInstances)
+	if !ok {
+		return nil, errTooMany
+	}
+	if shardIdx < 0 {
+		shardIdx = s.reg.PlaceShard(id)
+	}
+	sh := s.reg.shards[shardIdx]
 	driver := s.scheds[shardIdx]
 	sup := supervisorConfig{
 		backoff:   s.cfg.RestartBackoff,
