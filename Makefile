@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-race chaos churn fuzz-smoke bench bench-smoke bench-baseline bench-check bench-e2e fmt-check docs-check loc slo ci
+.PHONY: all build vet test test-race chaos churn fuzz-smoke fidelity bench bench-smoke bench-baseline bench-check bench-e2e fmt-check docs-check loc slo ci
 
 all: build
 
@@ -68,6 +68,13 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCheckpointFile$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzCreateInstanceBody$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/serve/
 
+# Paper-fidelity scorecard: every checkable statement of the paper
+# (docs/FIDELITY.md) holds inside its tolerance, and the committed table
+# is the one the code produces. After an intended move:
+# go test -run TestFidelity -update .
+fidelity:
+	$(GO) test -run '^TestFidelity$$' -count=1 -v .
+
 # Error-budget acceptance: the burn-rate admission gate must beat the
 # instantaneous controller on monthly budget spent at equal-or-better
 # goodput under the flash-crowd scenario, and the alert ladders must stay
@@ -98,7 +105,7 @@ bench-baseline:
 # the original BENCH_baseline.json (MachineStep 21.5 us, EngineStep
 # 210 us) losing every gain since would still pass.
 bench-check:
-	$(GO) run ./cmd/benchbaseline -quick -check BENCH_20.json -tol 1.5
+	$(GO) run ./cmd/benchbaseline -quick -check BENCH_22.json -tol 1.5
 
 # End-to-end benchmark (BENCHMARK.json): the four heraclesbench workloads
 # driven from outside the binaries, ~25 s each; the last stdout line of
@@ -107,4 +114,4 @@ bench-check:
 bench-e2e:
 	bash cmd/heraclesbench/bench.sh --workload all --seed 1
 
-ci: build vet fmt-check docs-check test test-race chaos churn fuzz-smoke bench-smoke bench-check
+ci: build vet fmt-check docs-check test test-race chaos churn fuzz-smoke fidelity bench-smoke bench-check

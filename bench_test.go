@@ -14,6 +14,7 @@ package heracles_test
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -27,7 +28,6 @@ import (
 	"heracles/internal/hw"
 	"heracles/internal/lat"
 	"heracles/internal/machine"
-	"heracles/internal/sim"
 	"heracles/internal/workload"
 )
 
@@ -351,30 +351,35 @@ func BenchmarkMachineStep(b *testing.B) {
 }
 
 // BenchmarkRootMean measures one epoch of the cluster root's fan-out
-// estimate at the cluster/fleet default size: 200 samples of the slowest
-// of 8 leaves, the leaves being websearch machines spread over 30-65%
-// load. It is the part of an engine epoch that does not scale with the
-// machine model: 0 allocs/op on the sampler's own scratch.
+// latency, E[slowest of 8 leaves], by quadrature: "spread" leaves are
+// websearch machines over 30-65% load (eight distinct lognormals, the
+// Heracles arm of a cluster run), "identical" eight copies of one (the
+// baseline arm, evaluated once and raised to the eighth power). It is the
+// part of an engine epoch that does not scale with the machine model:
+// 0 allocs/op on the sampler's own scratch.
 func BenchmarkRootMean(b *testing.B) {
 	l := lab()
-	stats := make([]lat.EpochStats, 8)
-	for i := range stats {
+	spread := make([]lat.EpochStats, 8)
+	for i := range spread {
 		m := machine.New(l.Cfg)
 		m.SetLC(l.LC("websearch"))
 		m.SetLoad(0.3 + 0.05*float64(i))
 		for k := 0; k < 8; k++ {
-			stats[i] = m.Step().Lat
+			spread[i] = m.Step().Lat
 		}
 	}
-	var (
-		root engine.RootSampler
-		rng  sim.RNG
-	)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rng.Reseed(1, uint64(i))
-		root.Mean(stats, 200, &rng)
+	identical := slices.Repeat(spread[4:5], 8)
+	for _, bench := range []struct {
+		name  string
+		stats []lat.EpochStats
+	}{{"spread", spread}, {"identical", identical}} {
+		b.Run(bench.name, func(b *testing.B) {
+			var root engine.RootSampler
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				root.Mean(bench.stats)
+			}
+		})
 	}
 }
 

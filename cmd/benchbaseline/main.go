@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -162,9 +163,9 @@ func main() {
 		}},
 		{"EngineStep", true, func(b *testing.B) {
 			// The unified epoch loop's hot path: one Step of an 8-node
-			// Heracles engine with root fan-out sampling — scenario load
+			// Heracles engine with a fan-out root — scenario load
 			// evaluation, eight machine steps and controller polls, the
-			// node-order reduction and the root's 100-sample draw. Every
+			// node-order reduction and the root's fan-out integral. Every
 			// node's poll ring reaches the depth its controller declared
 			// (15 samples) in epoch 9; the long warmup settles the
 			// controllers.
@@ -180,32 +181,15 @@ func main() {
 				eng.Step()
 			}
 		}},
-		{"RootMean", true, func(b *testing.B) {
-			// One epoch of the root's fan-out estimate at the cluster/fleet
-			// default size — 200 samples of the slowest of 8 leaves, the
-			// leaves being websearch machines spread over 30-65% load: the
-			// part of an engine epoch that does not scale with the machine
-			// model.
-			stats := make([]lat.EpochStats, 8)
-			for i := range stats {
-				m := machine.New(lab.Cfg)
-				m.SetLC(lab.LC("websearch"))
-				m.SetLoad(0.3 + 0.05*float64(i))
-				for k := 0; k < 8; k++ {
-					stats[i] = m.Step().Lat
-				}
-			}
-			var (
-				root engine.RootSampler
-				rng  sim.RNG
-			)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rng.Reseed(1, uint64(i))
-				root.Mean(stats, 200, &rng)
-			}
-		}},
+		// One epoch of the root's fan-out latency at the cluster/fleet
+		// default size — the mean of the slowest of 8 leaves, by quadrature:
+		// the part of an engine epoch that does not scale with the machine
+		// model. The leaves are websearch machines spread over 30-65% load
+		// (eight distinct lognormals, the Heracles arm of a cluster run) or
+		// eight copies of one (the baseline arm: evaluated once and raised
+		// to its count).
+		{"RootMean", true, rootMean(lab, false)},
+		{"RootMean/identical", true, rootMean(lab, true)},
 		{"SnapshotRestore/json", true, func(b *testing.B) {
 			// Checkpoint round trip of a warmed 8-node engine whose poll
 			// rings are full (15 samples/node), through the JSON
@@ -446,8 +430,33 @@ func machineStep(lab *experiment.Lab, changing bool) func(b *testing.B) {
 	}
 }
 
+// rootMean returns the RootMean body over eight websearch leaves spread
+// over 30-65% load, or over eight copies of the middle one.
+func rootMean(lab *experiment.Lab, identical bool) func(b *testing.B) {
+	return func(b *testing.B) {
+		stats := make([]lat.EpochStats, 8)
+		for i := range stats {
+			m := machine.New(lab.Cfg)
+			m.SetLC(lab.LC("websearch"))
+			m.SetLoad(0.3 + 0.05*float64(i))
+			for k := 0; k < 8; k++ {
+				stats[i] = m.Step().Lat
+			}
+		}
+		if identical {
+			stats = slices.Repeat(stats[4:5], 8)
+		}
+		var root engine.RootSampler
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			root.Mean(stats)
+		}
+	}
+}
+
 // benchEngineConfig is the 8-node Heracles fleet the engine benchmarks
-// run on: brain/streetview split, root sampling, sequential stepping
+// run on: brain/streetview split, a root, sequential stepping
 // (the per-epoch cost, not the fan-out, is what the entry tracks).
 func benchEngineConfig(lab *experiment.Lab) engine.Config {
 	brain := lab.BE("brain")
@@ -460,7 +469,7 @@ func benchEngineConfig(lab *experiment.Lab) engine.Config {
 		Model:       lab.DRAMModel("websearch"),
 		LookupBE:    lab.BE,
 		SLOScale:    0.8,
-		RootSamples: 100,
+		RootSamples: 1, // the on-switch; nothing is sampled
 		Seed:        1,
 		Workers:     1,
 		InitialBEs: func(i int) []engine.BEAttach {

@@ -42,7 +42,7 @@ func main() {
 	leaves := flag.Int("leaves", 20, "number of leaf servers")
 	hours := flag.Float64("hours", 12, "trace duration in hours")
 	step := flag.Duration("step", time.Second, "trace step")
-	seed := flag.Uint64("seed", 42, "random seed (drives the trace and root fan-out sampling)")
+	seed := flag.Uint64("seed", 42, "random seed (drives the trace's noise and spikes)")
 	workers := flag.Int("workers", 0, "concurrent leaves per epoch (0 = GOMAXPROCS, 1 = sequential)")
 	ckptPath := flag.String("checkpoint", "", "write a simulation checkpoint of the Heracles run to this file")
 	ckptAt := flag.Duration("checkpoint-at", 6*time.Hour, "simulated time at which -checkpoint snapshots")

@@ -10,7 +10,7 @@
 // (slack-greedy, bin-pack, spread, random; comma-separate to compare
 // several), and the output gains the scheduler's goodput-vs-wasted BE
 // CPU accounting. Arms are paired: the same -seed reproduces the same
-// job stream and per-cluster streams for every policy, so
+// job stream and per-cluster scheduler streams for every policy, so
 // `fleet -policy slack-greedy` vs `fleet -policy random` is an
 // apples-to-apples placement-quality comparison.
 //
@@ -38,7 +38,7 @@ func main() {
 	stdN := flag.Int("std", 2, "clusters of the reference dual-socket generation")
 	compactN := flag.Int("compact", 1, "clusters of the compact single-socket generation")
 	leaves := flag.Int("leaves", 8, "leaf servers per cluster")
-	seed := flag.Uint64("seed", 42, "random seed (derives per-cluster streams)")
+	seed := flag.Uint64("seed", 42, "random seed (diurnal noise, the synthetic job stream, per-cluster scheduler streams)")
 	workers := flag.Int("workers", 0, "concurrent cluster runs (0 = GOMAXPROCS, 1 = sequential)")
 	policy := flag.String("policy", "", "BE job scheduler placement policy (comma-separate to compare; empty = scripted BE, no scheduler)")
 	jobsN := flag.Int("jobs", 32, "synthetic BE jobs per cluster when -policy is set")

@@ -50,8 +50,7 @@ func main() {
 		Seed: 42,
 		Clusters: []heracles.FleetClusterSpec{{
 			Name: "std", HW: heracles.DefaultHardware(), Leaves: 4,
-			RootSamples: 40, Warmup: 2 * time.Minute,
-			Scenario: sc, Jobs: jobs,
+			Warmup: 2 * time.Minute, Scenario: sc, Jobs: jobs,
 		}},
 	}
 

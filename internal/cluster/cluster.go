@@ -31,10 +31,11 @@ type Config struct {
 	// by their workload names without an entry here.
 	Catalog map[string]*workload.BE
 
-	// RootSamples is the number of per-epoch request samples used to
-	// estimate the root's fan-out latency.
+	// RootSamples is ignored — a cluster always has a root, and its fan-out
+	// latency is an integral, not a sample mean — and stays only because
+	// the frozen cmd/heraclesbench sets it (ROADMAP item 8).
 	RootSamples int
-	Seed        uint64
+	Seed        uint64 // seeds the job scheduler when Sched.Seed is zero
 	// Model is the shared offline DRAM model (all leaves share one model
 	// even though each leaf has a different shard, §5.3).
 	Model core.DRAMModel
@@ -60,9 +61,8 @@ type Config struct {
 	// Workers bounds how many leaves step concurrently within an epoch:
 	// 0 selects parallel.DefaultWorkers, 1 forces the sequential
 	// reference run. Leaves are independent machines and the root's
-	// fan-out sampling draws from an RNG stream derived from
-	// (Seed, epoch) rather than shared generator state, so every worker
-	// count produces identical results.
+	// fan-out latency is a function of their statistics alone, so every
+	// worker count produces identical results.
 	Workers int
 
 	// Sched, when non-nil, attaches a fleet-wide best-effort job
@@ -170,7 +170,7 @@ func (cfg Config) engineConfig() engine.Config {
 		Heracles:       cfg.Heracles,
 		Model:          cfg.Model,
 		LookupBE:       cfg.lookupBE,
-		RootSamples:    cfg.RootSamples,
+		RootSamples:    1, // the root is on
 		Seed:           cfg.Seed,
 		DynamicTargets: cfg.Heracles && cfg.DynamicLeafTargets,
 		AdjustPeriod:   cfg.AdjustPeriod,
@@ -201,9 +201,6 @@ func (cfg Config) engineConfig() engine.Config {
 func (cfg Config) withDefaults() Config {
 	if cfg.Leaves <= 0 {
 		cfg.Leaves = 20
-	}
-	if cfg.RootSamples <= 0 {
-		cfg.RootSamples = 200
 	}
 	if cfg.LeafTargetFrac == 0 {
 		cfg.LeafTargetFrac = 0.8

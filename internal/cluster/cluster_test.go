@@ -21,14 +21,13 @@ func baseConfig(t *testing.T) Config {
 	setupOnce.Do(func() {
 		hwc := hw.DefaultConfig()
 		testCfg = Config{
-			Leaves:      4,
-			HW:          hwc,
-			LC:          machine.CalibrateLC(hwc, machine.SpecOf(workload.Websearch())),
-			Brain:       machine.CalibrateBE(hwc, workload.Brain()),
-			SView:       machine.CalibrateBE(hwc, workload.Streetview()),
-			RootSamples: 50,
-			Seed:        1,
-			Warmup:      2 * time.Minute,
+			Leaves: 4,
+			HW:     hwc,
+			LC:     machine.CalibrateLC(hwc, machine.SpecOf(workload.Websearch())),
+			Brain:  machine.CalibrateBE(hwc, workload.Brain()),
+			SView:  machine.CalibrateBE(hwc, workload.Streetview()),
+			Seed:   1,
+			Warmup: 2 * time.Minute,
 		}
 	})
 	return testCfg

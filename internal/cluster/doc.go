@@ -7,7 +7,7 @@
 //
 // The package is a thin batch driver over internal/engine, which owns
 // the canonical epoch loop (scenario events, scheduler ticks, leaf and
-// controller stepping, root fan-out sampling — see DESIGN.md §11):
+// controller stepping, root fan-out latency — see DESIGN.md §11):
 // RunScenario installs the scenario and steps the engine to the horizon,
 // collecting per-epoch statistics. The optional DynamicLeafTargets mode
 // enables the engine's centralized root controller, converting

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"heracles/internal/core"
@@ -13,7 +14,6 @@ import (
 	"heracles/internal/parallel"
 	"heracles/internal/scenario"
 	"heracles/internal/sched"
-	"heracles/internal/sim"
 	"heracles/internal/slo"
 	"heracles/internal/workload"
 )
@@ -25,7 +25,7 @@ type BEAttach struct {
 }
 
 // Config describes an engine: the node fleet, the workloads, and which
-// optional subsystems (root fan-out sampling, dynamic leaf targets, the
+// optional subsystems (root fan-out latency, dynamic leaf targets, the
 // job scheduler) participate in the loop.
 type Config struct {
 	// Nodes is the number of simulated machines (default 1). The cluster
@@ -57,13 +57,15 @@ type Config struct {
 
 	// RootSamples, when positive, enables the cluster root: an SLO is
 	// calibrated at construction (root mean fan-out latency at 95% load)
-	// and every epoch samples the root's fan-out latency with that many
-	// draws from the (Seed, epoch) RNG stream. Each draw is the slowest of
-	// the leaves that answer: a dark leaf (inside a crash outage) is left
-	// out of the maximum — it adds 0, not a timeout — while the leaf-level
-	// reduction books the same node as an SLO violation.
+	// and every epoch computes the mean latency of a root that waits for
+	// the slowest of the leaves that answer (RootSampler.Mean). A dark leaf
+	// (inside a crash outage) is left out of the maximum — it adds 0, not
+	// a timeout — while the leaf-level reduction books the same node as an
+	// SLO violation. The value is not a count, nothing is sampled: this is
+	// `Root bool` under the name the frozen cmd/heraclesbench sets (ROADMAP
+	// item 8).
 	RootSamples int
-	Seed        uint64
+	Seed        uint64 // seeds the job scheduler when Sched.Seed is zero
 
 	// DynamicTargets enables the centralized root controller that
 	// converts root-level slack into per-node SLO-scale adjustments every
@@ -98,7 +100,7 @@ type Config struct {
 
 // EpochStat is the engine's per-epoch statistic — the cluster layer
 // collects these as its result rows. Root fields are zero when the
-// engine runs without root sampling (RootSamples == 0).
+// engine runs without a root (RootSamples == 0).
 type EpochStat struct {
 	At         time.Duration
 	Load       float64
@@ -177,7 +179,7 @@ type Engine struct {
 	cfg   Config
 	nodes []*node
 	epoch time.Duration
-	slo   time.Duration // root SLO; zero without root sampling
+	slo   time.Duration // root SLO; zero without a root
 
 	epochIdx uint64
 	t        time.Duration
@@ -217,15 +219,13 @@ type Engine struct {
 	// Steady-state Step scratch (DESIGN.md §16 economics): the fan-out
 	// and progress closures are bound once so a Step allocates nothing,
 	// with the per-epoch inputs passed through fields instead of fresh
-	// closure environments. rootRNG is reseeded from (Seed, epoch) each
-	// epoch — identical stream to the DeriveRNG it replaced. root holds the
-	// fan-out sampler's per-leaf scratch, refilled from leafTail each epoch.
+	// closure environments. root holds the fan-out integral's per-leaf
+	// scratch, refilled from leafTail each epoch.
 	stepFn     func(int)
 	progressFn func(*sched.Job) float64
 	stepT      time.Duration
 	stepLoad   float64
 	stepManual bool
-	rootRNG    sim.RNG
 	root       RootSampler
 }
 
@@ -304,10 +304,9 @@ func newEngine(cfg *Config, construct bool) *Engine {
 
 		// Root SLO: mean fan-out latency at 95% load with a small margin
 		// for noise above the nominal crest (the paper sets the target as
-		// µ/30s at 90% load). The calibration draws from its own derived
-		// RNG stream, disjoint from every epoch's sampling stream.
+		// µ/30s at 90% load).
 		if cfg.RootSamples > 0 {
-			e.slo = rootLatencyAt(*cfg, 0.95, sim.DeriveRNG(cfg.Seed, ^uint64(0)))
+			e.slo = rootLatencyAt(*cfg, 0.95)
 		}
 	}
 	// One persistent pool for the engine's lifetime: the epoch loop fans
@@ -400,7 +399,7 @@ func (e *Engine) Machine(i int) *machine.Machine { return e.nodes[i].m }
 // Controller returns node i's controller, or nil on baseline engines.
 func (e *Engine) Controller(i int) *core.Controller { return e.nodes[i].ctl }
 
-// SLO returns the calibrated root-level SLO (zero without root sampling).
+// SLO returns the calibrated root-level SLO (zero without a root).
 func (e *Engine) SLO() time.Duration { return e.slo }
 
 // Epoch returns the number of completed epochs.
@@ -632,12 +631,7 @@ func (e *Engine) Step() EpochResult {
 		stat.Load = load
 	}
 	if e.cfg.RootSamples > 0 {
-		// The root's fan-out sampling gets a fresh stream derived from
-		// (seed, epoch): no shared mutable RNG state, so the samples do
-		// not depend on execution order. The generator value lives on the
-		// engine and is reseeded in place — same stream, no allocation.
-		e.rootRNG.Reseed(e.cfg.Seed, e.epochIdx)
-		mean := e.root.Mean(e.leafTail, e.cfg.RootSamples, &e.rootRNG)
+		mean := e.root.Mean(e.leafTail)
 		stat.RootMean = mean
 		stat.RootFrac = mean.Seconds() / e.slo.Seconds()
 		e.adjustTargets(t, mean)
@@ -818,8 +812,7 @@ func (e *Engine) applySchedAction(a sched.Action) {
 }
 
 // rootLatencyAt computes the baseline root mean latency at the given load.
-func rootLatencyAt(cfg Config, load float64, rng *sim.RNG) time.Duration {
-	stats := make([]lat.EpochStats, cfg.Nodes)
+func rootLatencyAt(cfg Config, load float64) time.Duration {
 	m := machine.New(cfg.HW)
 	m.SetLC(cfg.LC)
 	m.SetLoad(load)
@@ -827,9 +820,5 @@ func rootLatencyAt(cfg Config, load float64, rng *sim.RNG) time.Duration {
 	for i := 0; i < 8; i++ {
 		tel = m.Step()
 	}
-	for i := range stats {
-		stats[i] = tel.Lat
-	}
-	var root RootSampler
-	return root.Mean(stats, cfg.RootSamples, rng)
+	return new(RootSampler).Mean(slices.Repeat([]lat.EpochStats{tel.Lat}, cfg.Nodes))
 }

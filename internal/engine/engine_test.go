@@ -34,7 +34,7 @@ func clusterConfig(workers int, jobs []sched.JobSpec) engine.Config {
 		Model:          testLab.DRAMModel("websearch"),
 		LookupBE:       testLab.BE,
 		SLOScale:       0.8,
-		RootSamples:    50,
+		RootSamples:    1,
 		Seed:           7,
 		DynamicTargets: true,
 		Workers:        workers,

@@ -1,106 +1,133 @@
 package engine
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"time"
 
 	"heracles/internal/lat"
-	"heracles/internal/sim"
 )
 
-// z99 is the standard normal's 99th-percentile quantile: a lognormal with
-// median p50 and 99th percentile p99 has sigma = ln(p99/p50)/z99.
-const z99 = 2.326
+const (
+	// z99 is the standard normal's 99th-percentile quantile: a lognormal with
+	// median p50 and 99th percentile p99 has sigma = ln(p99/p50)/z99.
+	z99          = 2.326
+	rootTail     = 7.0 // tails are cut where the normal tail Q(7) = 1.3e-12 is left
+	rootMaxNodes = 200 // grid size bound, whatever the leaves are
+)
 
-// rootKeyMargin is how far below the largest log-space key a leaf may sit
-// and still be evaluated exactly. It has to exceed twice the gap between
-// a key and the log of the value the key stands for:
-//
-//   - lnP50 is math.Log of a Duration in seconds, |ln p50| < 23.1 (1 ns to
-//     2^63 ns), correct to an ulp: 3.6e-15;
-//   - the draw x = sigma*z has |z| <= 12.01 (Box-Muller over a 2^-52 grid:
-//     sqrt(-2 ln 2^-104)) and sigma <= ln(2^63)/z99 = 18.8, so |x| < 226,
-//     |lnP50 + x| < 256 and the sum rounds by at most half an ulp: 1.4e-14;
-//   - p50*math.Exp(x) stays normal (1e-108 .. 1e109: no overflow, no
-//     subnormals) and carries a relative error under 1.5 ulp, 3.4e-16 of
-//     its logarithm.
-//
-// A leaf can therefore hold the largest exact value only if its key is
-// within 2*(3.6e-15 + 1.4e-14 + 3.4e-16) < 4e-14 of the largest key. The
-// margin is 25 000 times that, and still so narrow that in practice a
-// second leaf falls inside it only when leaves tie (identical sigma-0
-// leaves, or sigma-0 medians a nanosecond apart); that costs one more Exp.
-const rootKeyMargin = 1e-9
-
-// rootLeaf is one live leaf's lognormal parameters for the current epoch
-// and its draw for the current sample.
-type rootLeaf struct {
-	p50   float64 // median latency, seconds
-	lnP50 float64
-	sigma float64
-	x     float64 // this sample's N(0, sigma) draw
-	key   float64 // lnP50 + x: the log of this sample's latency
+// rootGroup is the leaves of the current epoch that share one lognormal.
+type rootGroup struct {
+	mu, sigma float64 // mean and deviation (> 0) of ln latency in seconds
+	scale     float64 // 1/(sigma sqrt 2): erfc's argument per unit of ln latency
+	n         int     // leaves with exactly these parameters
 }
 
-// RootSampler estimates the mean latency of a fan-out root that waits for
-// the slowest of its leaves. The zero value is ready; it keeps per-leaf
-// scratch between calls so that a warmed sampler allocates nothing. The
-// scratch is derived from each call's arguments and is not simulation
-// state: it is never checkpointed.
+// RootSampler computes the mean latency of a fan-out root that waits for
+// the slowest of its leaves. The zero value is ready; its scratch is
+// rebuilt from each call's arguments (a warmed one allocates nothing) and
+// is not simulation state: it is never checkpointed.
 type RootSampler struct {
-	leaves []rootLeaf
+	groups []rootGroup
 }
 
-// Mean estimates the mean fan-out latency: each request's latency is
-// the maximum over per-node samples drawn from the nodes' latency
-// distributions (approximated as lognormal matching each node's measured
-// p50/p99). A node with no median (P50 <= 0: a dark leaf, which reports
-// empty stats) draws nothing and contributes 0 to every maximum, i.e. the
-// root waits only for the leaves that answer.
+// Mean returns E[max X_i] over the leaves that answer (P50 > 0: a dark
+// leaf reports empty stats), X_i lognormal through its p50 and p99; a leaf
+// with p99 <= p50 is the constant p50, a floor under the maximum. It is a
+// pure function of the multiset of (P50, P99) pairs — no random numbers,
+// no dependence on leaf order — and saturates beyond the Duration range.
 //
-// Every sample draws rng.Norm(0, sigma) once per live leaf in leaf order
-// and the result is the mean over samples of max(p50*exp(x)). The maximum
-// is located in log space — ln p50 + x, one add per leaf — and
-// p50*math.Exp(x) is evaluated only for the leaves within rootKeyMargin
-// of the largest key, which is all the leaves that can hold the largest
-// value; the result and the generator's state afterwards are bit for bit
-// those of evaluating every leaf.
-func (r *RootSampler) Mean(leafStats []lat.EpochStats, samples int, rng *sim.RNG) time.Duration {
-	leaves := r.leaves[:0]
+// It integrates (1 - prod Phi((u-mu_i)/sigma_i)) e^u over u = ln latency on
+// a uniform grid of at most rootMaxNodes steps, tails cut at 7 sigma
+// (DESIGN.md §5, "Root latency by quadrature"). Error: the cuts cost under
+// (2N+1) 1.3e-12 of the result and the grid under 1e-6 of it
+// (TestRootMeanWithinStatedBound), unless the N leaves kept span more than
+// rootMaxNodes steps of h = min sigma / max(2, 1.5 sqrt(ln N)); the step is
+// then stretched and the bound is the integrand's variation, 2h of the result.
+func (r *RootSampler) Mean(leafStats []lat.EpochStats) time.Duration {
+	groups := r.groups[:0]
+	floor, lo := 0.0, math.Inf(-1)
 	for _, ls := range leafStats {
-		p50 := ls.P50.Seconds()
-		p99 := ls.P99.Seconds()
+		p50, p99 := ls.P50.Seconds(), ls.P99.Seconds()
 		if p50 <= 0 {
 			continue
 		}
-		sigma := 0.0
-		if p99 > p50 {
-			sigma = math.Log(p99/p50) / z99
+		sigma := math.Log(p99/p50) / z99
+		if !(sigma > 0) { // p99 <= p50, or no p99 at all (NaN, -Inf)
+			floor = max(floor, p50)
+			continue
 		}
-		leaves = append(leaves, rootLeaf{p50: p50, lnP50: math.Log(p50), sigma: sigma})
+		g := rootGroup{mu: math.Log(p50), sigma: sigma, scale: 1 / (sigma * math.Sqrt2), n: 1}
+		groups = append(groups, g)
+		lo = max(lo, g.mu-rootTail*sigma)
 	}
-	r.leaves = leaves
+	// Below lo = max(ln floor, max(mu - 7 sigma)) the floor holds the maximum
+	// or no leaf has answered yet: the integrand is e^u, e^lo in all.
+	mean := math.Exp(lo) // 0 when nothing answered
+	floored := floor > 0 && math.Log(floor) >= lo
+	if floored {
+		mean, lo = floor, math.Log(floor)
+	}
 
-	var sum float64
-	for s := 0; s < samples; s++ {
-		best := math.Inf(-1)
-		for i := range leaves {
-			l := &leaves[i]
-			l.x = rng.Norm(0, l.sigma)
-			l.key = l.lnP50 + l.x
-			if l.key > best {
-				best = l.key
-			}
+	// Keep the leaves that reach lo (the others have under Q(7) of their own
+	// mean above it), identical ones merged; hi is the furthest reach.
+	slices.SortFunc(groups, func(a, b rootGroup) int {
+		return cmp.Or(cmp.Compare(a.mu, b.mu), cmp.Compare(a.sigma, b.sigma))
+	})
+	kept := groups[:0]
+	hi, minSigma, n := lo, math.Inf(1), 0.0
+	for _, g := range groups {
+		reach := g.mu + g.sigma*(g.sigma+rootTail)
+		if reach <= lo {
+			continue
 		}
-		var worst float64
-		for i := range leaves {
-			if l := &leaves[i]; l.key >= best-rootKeyMargin {
-				if v := l.p50 * math.Exp(l.x); v > worst {
-					worst = v
-				}
-			}
+		if k := len(kept) - 1; k >= 0 && kept[k].mu == g.mu && kept[k].sigma == g.sigma {
+			kept[k].n++
+		} else {
+			kept = append(kept, g)
 		}
-		sum += worst
+		hi, minSigma, n = max(hi, reach), min(minSigma, g.sigma), n+1
 	}
-	return time.Duration(sum / float64(samples) * float64(time.Second))
+	r.groups = kept
+
+	if n > 0 {
+		h := minSigma / max(2, 1.5*math.Sqrt(math.Log(n)))
+		nodes := min(math.Ceil((hi-lo)/h), rootMaxNodes)
+		h = max(h, (hi-lo)/nodes)
+		var sum float64
+		if floored { // the integrand is cut off at lo: three-point Gauss-Legendre panels
+			for j := 0.0; j < nodes; j++ {
+				mid, d := lo+(j+0.5)*h, h/2*0.7745966692414834 // sqrt(3/5)
+				sum += 5*r.excess(mid-d) + 8*r.excess(mid) + 5*r.excess(mid+d)
+			}
+			mean += sum * h / 18
+		} else { // trapezoid on lo+jh; its nodes below lo sum to e^lo/(e^h-1)
+			for j := 0.0; j <= nodes; j++ {
+				sum += r.excess(lo + j*h)
+			}
+			mean = (mean/math.Expm1(h) + sum) * h
+		}
+	}
+	if ns := mean*float64(time.Second) + 0.5; ns < math.MaxInt64 {
+		return time.Duration(ns)
+	}
+	return math.MaxInt64
+}
+
+// excess is the integrand (1-G(u)) e^u. 1-G is built from the groups'
+// upper tails q as c <- c + q(1-c), every term non-negative, so it keeps
+// its relative precision where 1 - prod Phi would cancel.
+func (r *RootSampler) excess(u float64) float64 {
+	c := 0.0
+	for _, g := range r.groups {
+		q := 0.5 * math.Erfc((u-g.mu)*g.scale)
+		if g.n > 1 {
+			q = -math.Expm1(float64(g.n) * math.Log1p(-q)) // 1 - (1-q)^n
+		}
+		if c += q * (1 - c); c == 1 {
+			break // every further term is multiplied by 1-c = 0
+		}
+	}
+	return c * math.Exp(u)
 }

@@ -6,8 +6,8 @@
 // datacenter scale.
 //
 // Cluster instances are independent simulations: they fan out over a
-// worker pool with per-instance RNG streams derived from (Seed,
-// instance), so fleet results are bit-identical for any worker count.
+// worker pool, each with a seed derived from (Seed, instance) for its job
+// scheduler, so fleet results are bit-identical for any worker count.
 // The aggregate reduces to §5.2/§5.3 quantities (mean/min EMU, worst
 // windowed latency, violation counts) and prices the outcome with
 // internal/tco.

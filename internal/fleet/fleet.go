@@ -32,7 +32,6 @@ type ClusterSpec struct {
 
 	// Per-cluster knobs, forwarded to cluster.Config.
 	LeafTargetFrac     float64
-	RootSamples        int
 	Warmup             time.Duration
 	DynamicLeafTargets bool
 
@@ -205,7 +204,6 @@ func runInstance(cfg Config, inst instance, lab *experiment.Lab, pairSeed uint64
 		Brain:              lab.BE("brain"),
 		SView:              lab.BE("streetview"),
 		Catalog:            catalogFor(lab, spec.Scenario),
-		RootSamples:        spec.RootSamples,
 		LeafTargetFrac:     spec.LeafTargetFrac,
 		Warmup:             spec.Warmup,
 		DynamicLeafTargets: spec.DynamicLeafTargets,

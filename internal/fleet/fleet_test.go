@@ -6,9 +6,13 @@ import (
 	"testing"
 	"time"
 
+	"heracles/internal/cluster"
+	"heracles/internal/fault"
 	"heracles/internal/hw"
 	"heracles/internal/scenario"
+	"heracles/internal/sched"
 	"heracles/internal/tco"
+	"heracles/internal/trace"
 )
 
 // testFleet mirrors the cmd/fleet shape at test scale: two hardware
@@ -37,7 +41,7 @@ func testFleet() Config {
 		Clusters: []ClusterSpec{
 			{
 				Name: "std", HW: hw.DefaultConfig(), Leaves: 3,
-				RootSamples: 40, Warmup: 90 * time.Second, Scenario: std,
+				Warmup: 90 * time.Second, Scenario: std,
 			},
 			{
 				// The compact generation runs structurally closer to its
@@ -46,7 +50,7 @@ func testFleet() Config {
 				// §5.3 centralized controller harvest slack dynamically.
 				Name: "compact", HW: hw.CompactConfig(), Leaves: 2,
 				LeafTargetFrac: 0.65, DynamicLeafTargets: true,
-				RootSamples: 40, Warmup: 90 * time.Second, Scenario: compact,
+				Warmup: 90 * time.Second, Scenario: compact,
 			},
 		},
 	}
@@ -96,13 +100,65 @@ func TestFleetHeraclesLiftsUtilisation(t *testing.T) {
 	}
 }
 
+// TestFleetSeedMatters: the root's fan-out latency is an integral, not a
+// sample mean, so a fleet in which nothing draws random numbers is the
+// same fleet under any seed — and every input that does draw still moves
+// the result, one assertion per consumer, so that a seed that stops
+// arriving somewhere fails here.
 func TestFleetSeedMatters(t *testing.T) {
 	cfg := testFleet()
-	a := Run(cfg)
+	ref := Run(cfg)
 	cfg.Seed++
-	b := Run(cfg)
-	if reflect.DeepEqual(a.Clusters, b.Clusters) {
-		t.Fatal("fleet results ignore the seed")
+	if got := Run(cfg); !reflect.DeepEqual(ref, got) {
+		t.Fatalf("a fleet with no seeded input changed with the seed:\n%+v\nvs\n%+v", ref, got)
+	}
+
+	// Config.Seed reaches the scheduler of every instance: the random
+	// policy places differently, the slack-driven one does not draw.
+	policies := []string{"random", "slack-greedy"}
+	base, reseeded := policyFleet(42), policyFleet(42)
+	reseeded.Seed++
+	a, b := RunPolicies(base, policies), RunPolicies(reseeded, policies)
+	if reflect.DeepEqual(a.Outcomes[0], b.Outcomes[0]) {
+		t.Fatal("the random policy ignores Config.Seed")
+	}
+	if !reflect.DeepEqual(a.Outcomes[1], b.Outcomes[1]) {
+		t.Fatal("slack-greedy placement changed with Config.Seed")
+	}
+
+	// The seeded inputs a caller composes into a spec.
+	std := func(mutate func(*ClusterSpec)) cluster.Summary {
+		c := testFleet()
+		c.Clusters = c.Clusters[:1]
+		mutate(&c.Clusters[0])
+		return Run(c).Clusters[0].Heracles
+	}
+	dur := testFleet().Clusters[0].Scenario.Duration
+	for _, input := range []struct {
+		name string
+		with func(seed uint64) func(*ClusterSpec)
+	}{
+		{"diurnal noise", func(seed uint64) func(*ClusterSpec) {
+			return func(s *ClusterSpec) {
+				s.Scenario.Load = scenario.Diurnal(trace.DiurnalConfig{
+					Duration: dur, Step: time.Second, MinLoad: 0.2, MaxLoad: 0.6, Seed: seed})
+			}
+		}},
+		{"synthetic jobs", func(seed uint64) func(*ClusterSpec) {
+			return func(s *ClusterSpec) {
+				s.Jobs = sched.SyntheticJobs(8, dur, seed, []string{"brain", "streetview"})
+			}
+		}},
+		{"fault schedule", func(seed uint64) func(*ClusterSpec) {
+			return func(s *ClusterSpec) {
+				s.Faults = fault.Generate(fault.GenConfig{
+					Seed: seed, Nodes: s.Leaves, Horizon: dur, Crashes: 2, Slowdowns: 2}).Faults
+			}
+		}},
+	} {
+		if reflect.DeepEqual(std(input.with(1)), std(input.with(2))) {
+			t.Fatalf("%s: two seeds, one result", input.name)
+		}
 	}
 }
 
@@ -117,9 +173,14 @@ func TestFleetReplicasAndDefaults(t *testing.T) {
 	if res.Clusters[0].Name != "std/0" || res.Clusters[1].Name != "std/1" {
 		t.Fatalf("replica names = %q, %q", res.Clusters[0].Name, res.Clusters[1].Name)
 	}
-	// Replicas draw distinct seeds: their sampled root latencies differ.
-	if reflect.DeepEqual(res.Clusters[0].Baseline, res.Clusters[1].Baseline) {
-		t.Fatal("replicas share an RNG stream")
+	// Replicas draw distinct seeds, and this spec has nothing that draws:
+	// they are the same run twice (DESIGN.md §7).
+	r0, r1 := res.Clusters[0], res.Clusters[1]
+	if !reflect.DeepEqual(r0.Baseline, r1.Baseline) || !reflect.DeepEqual(r0.Heracles, r1.Heracles) {
+		t.Fatalf("replicas of a spec with no seeded input differ:\n%+v\nvs\n%+v", r0, r1)
+	}
+	if r0.Baseline.SLO <= 0 || r0.Heracles.MeanRootFrac <= 0 {
+		t.Fatalf("replica ran without a root: %+v", r0)
 	}
 }
 

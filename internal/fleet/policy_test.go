@@ -39,8 +39,7 @@ func policyFleet(seed uint64) Config {
 		Seed: seed,
 		Clusters: []ClusterSpec{{
 			Name: "std", HW: hw.DefaultConfig(), Leaves: 4,
-			RootSamples: 40, Warmup: 2 * time.Minute,
-			Scenario: sc, Jobs: jobs,
+			Warmup: 2 * time.Minute, Scenario: sc, Jobs: jobs,
 		}},
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"hash/fnv"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -189,6 +190,25 @@ func TestStepReuseMatchesColdSolve(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestSnapshotRefusesStatefulEngine: a DES machine's queue and random
+// stream are state the snapshot has no field for, so Snapshot panics,
+// naming the engine, rather than hand out a checkpoint that would restore
+// onto an empty queue. The analytic default snapshots as ever.
+func TestSnapshotRefusesStatefulEngine(t *testing.T) {
+	lcs, _ := calibrated(t)
+	m := New(hw.DefaultConfig(), WithEngine(lat.NewDES(7)))
+	m.SetLC(lcs["websearch"])
+	m.SetLoad(0.5)
+	m.Step()
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "*lat.DES") || !strings.Contains(msg, "Snapshot") {
+			t.Fatalf("Snapshot of a DES machine: recovered %q, want a panic naming *lat.DES", msg)
+		}
+	}()
+	m.Snapshot()
 }
 
 // TestDESEngineRunsEveryEpoch pins that only the stateless analytic

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"heracles/internal/hw"
+	"heracles/internal/lat"
 	"heracles/internal/sim"
 	"heracles/internal/workload"
 )
@@ -19,11 +20,8 @@ import (
 // and Window the poll ring oldest-first: as many epochs as the machine's
 // reader declared it can ask for (KeepTailHistory — 15 under the default
 // controller on 1 s epochs), so the controller's windowed TailLatency polls
-// see exactly the history they would have.
-//
-// Snapshots assume the default analytic latency engine, which is
-// stateless; a machine built with machine.WithEngine(lat.NewDES(...))
-// carries queue state the snapshot does not capture.
+// see exactly the history they would have. The latency engine is not in
+// it: only the stateless lat.Analytic can be snapshotted (see Snapshot).
 type Snapshot struct {
 	HW    hw.Config     `json:"hw"`
 	Epoch time.Duration `json:"epoch_ns"`
@@ -69,7 +67,16 @@ type BESnapshot struct {
 // Snapshot captures the machine's state. Every slice is deep-copied, so
 // the snapshot stays valid while the machine continues to step (Step
 // refills the telemetry and the poll ring in place).
+//
+// It panics on a machine built WithEngine(anything but lat.Analytic): a
+// stateful engine (lat.DES) carries a queue the snapshot has no field for,
+// and a restore that silently started from an empty one would not continue
+// the run. No command or API route selects such an engine, so reaching
+// this is a composition error, like an unknown workload name.
 func (m *Machine) Snapshot() Snapshot {
+	if _, stateless := m.engine.(lat.Analytic); !stateless {
+		panic(fmt.Sprintf("machine: Snapshot of a machine with latency engine %T: its queue state cannot be checkpointed, only the stateless lat.Analytic can", m.engine))
+	}
 	s := Snapshot{
 		HW:           m.cfg,
 		Epoch:        m.epoch,
