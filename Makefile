@@ -56,17 +56,19 @@ chaos:
 churn:
 	$(GO) test -race -run 'RegistryChurnNoLeaks|EpochScheduler|HundredThousand' ./internal/serve/
 
-# Short fuzz pass over the two boundaries that accept a checkpoint's
-# bytes from outside the process. The envelope decoder: truncated,
-# bit-flipped and CRC-mismatched inputs must error — never panic — and
-# the rotated-generation fallback must always recover; the committed
-# seed corpus under internal/serve/testdata/fuzz rides along. The create
-# route: any body answers 201 or 4xx and leaves the pool empty. The
-# minimise cap keeps a newly interesting 40 KB input from eating the
-# whole ten seconds.
+# Short fuzz pass over the boundaries that accept a checkpoint's bytes
+# from outside the process. The envelope decoder: truncated, bit-flipped
+# and CRC-mismatched inputs must error — never panic — and the
+# rotated-generation fallback must always recover; the committed seed
+# corpus under internal/serve/testdata/fuzz rides along. The create
+# route: any body answers 201 or 4xx and leaves the pool empty. The HRCB
+# decoder under the envelope's CRC (the codec.Coder walk): an error or a
+# checkpoint that re-encodes to a fixed point. The minimise cap keeps a
+# newly interesting 40 KB input from eating the whole ten seconds.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCheckpointFile$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzCreateInstanceBody$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCheckpointBinary$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/engine/
 
 # Paper-fidelity scorecard: every checkable statement of the paper
 # (docs/FIDELITY.md) holds inside its tolerance, and the committed table
@@ -105,7 +107,7 @@ bench-baseline:
 # the original BENCH_baseline.json (MachineStep 21.5 us, EngineStep
 # 210 us) losing every gain since would still pass.
 bench-check:
-	$(GO) run ./cmd/benchbaseline -quick -check BENCH_22.json -tol 1.5
+	$(GO) run ./cmd/benchbaseline -quick -check BENCH_23.json -tol 1.5
 
 # End-to-end benchmark (BENCHMARK.json): the four heraclesbench workloads
 # driven from outside the binaries, ~25 s each; the last stdout line of

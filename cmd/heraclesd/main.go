@@ -25,10 +25,11 @@
 //
 // -checkpoint-dir enables crash recovery: every -checkpoint-every
 // (default 30s) the daemon snapshots each live instance's full
-// simulation state into <dir>/<id>.json (atomically, write-then-rename,
-// wrapped in a checksummed envelope; the previous generation rotates to
-// <id>.json.1). On startup the daemon restores every checkpoint found
-// in the directory — each resumes bit-identically from its snapshot
+// simulation state into <dir>/<id>.ckpt (atomically, write-then-rename,
+// wrapped in a checksummed binary envelope; the previous generation
+// rotates to <id>.ckpt.1). On startup the daemon restores every
+// checkpoint found in the directory — an older daemon's <id>.json files
+// included — each resumes bit-identically from its snapshot
 // epoch — and skips the flag-bootstrapped instance when it restored at
 // least one. A file that fails its checksum (crash mid-write, disk
 // corruption) is refused and the rotated previous generation restores
@@ -84,13 +85,8 @@ func main() {
 	maxInstances := flag.Int("max-instances", 0, "instance pool cap; creates beyond it fail with 503 (0 = default 64)")
 	ckptDir := flag.String("checkpoint-dir", "", "periodically snapshot every instance into this directory and crash-resume from it on startup")
 	ckptEvery := flag.Duration("checkpoint-every", 30*time.Second, "wall-clock cadence of -checkpoint-dir snapshots")
-	ckptFormat := flag.String("checkpoint-format", "binary", "encoding for -checkpoint-dir snapshots: binary (.ckpt files) or json (.json files); resume auto-detects both")
 	pprofAddr := flag.String("pprof-addr", "", "separate listen address for pprof profiles and Go runtime metrics (empty = off)")
 	flag.Parse()
-
-	if *ckptFormat != "binary" && *ckptFormat != "json" {
-		log.Fatalf("heraclesd: -checkpoint-format %q, want binary or json", *ckptFormat)
-	}
 
 	if *pprofAddr != "" {
 		dbg, err := debughttp.Start(*pprofAddr)
@@ -227,7 +223,7 @@ func main() {
 
 	var ckptStop func()
 	if *ckptDir != "" {
-		ckptStop = startCheckpointer(srv, *ckptDir, *ckptEvery, *ckptFormat)
+		ckptStop = startCheckpointer(srv, *ckptDir, *ckptEvery)
 	}
 
 	interrupt := make(chan os.Signal, 1)
@@ -308,10 +304,9 @@ func main() {
 // data-loss window in which a second crash finds an empty directory.
 // Unreadable or unrestorable files are set aside as *.failed (preserved
 // for inspection, out of the restore glob) with a log line — recovery
-// should salvage what it can, not refuse to start. Both snapshot
-// encodings resume — *.json and binary *.ckpt — and the reader detects
-// each file's format from its bytes, so a directory written across
-// -checkpoint-format changes restores in full.
+// should salvage what it can, not refuse to start. The *.json files an
+// older daemon wrote resume beside the *.ckpt files this one writes: the
+// reader detects each file's envelope from its bytes.
 func restoreCheckpoints(srv *serve.Server, dir string, speed float64, maxEpochs int) int {
 	paths, err := checkpointGlob(dir)
 	if err != nil {
@@ -352,8 +347,9 @@ func restoreCheckpoints(srv *serve.Server, dir string, speed float64, maxEpochs 
 	return restored
 }
 
-// checkpointGlob lists every checkpoint file under dir, across both
-// encodings: JSON snapshots as *.json, binary ones as *.ckpt.
+// checkpointGlob lists every checkpoint file under dir: the binary
+// *.ckpt files this build writes and the JSON-enveloped *.json files of
+// older ones.
 func checkpointGlob(dir string) ([]string, error) {
 	paths, err := filepath.Glob(filepath.Join(dir, "*.json"))
 	if err != nil {
@@ -367,18 +363,14 @@ func checkpointGlob(dir string) ([]string, error) {
 }
 
 // startCheckpointer snapshots every live instance into dir on a ticker,
-// in the format named by -checkpoint-format ("binary" writes *.ckpt via
-// the binary envelope, "json" writes *.json). The returned stop function
-// takes one final snapshot pass (while the instance drivers still run)
-// and then joins the goroutine; call it before draining the server.
-func startCheckpointer(srv *serve.Server, dir string, every time.Duration, format string) func() {
+// as <id>.ckpt in the binary envelope. The returned stop function takes
+// one final snapshot pass (while the instance drivers still run) and
+// then joins the goroutine; call it before draining the server.
+func startCheckpointer(srv *serve.Server, dir string, every time.Duration) func() {
 	if every <= 0 {
 		every = 30 * time.Second
 	}
-	ext, write := ".ckpt", serve.WriteCheckpointFileBinary
-	if format == "json" {
-		ext, write = ".json", serve.WriteCheckpointFile
-	}
+	const ext = ".ckpt"
 	stopc := make(chan struct{})
 	donec := make(chan struct{})
 	pass := func() {
@@ -389,7 +381,7 @@ func startCheckpointer(srv *serve.Server, dir string, every time.Duration, forma
 				continue // instance stopped mid-pass
 			}
 			path := filepath.Join(dir, inst.ID()+ext)
-			if err := write(path, cp); err != nil {
+			if err := serve.WriteCheckpointFileBinary(path, cp); err != nil {
 				log.Printf("heraclesd: checkpoint %s: %v", inst.ID(), err)
 				continue
 			}
@@ -397,8 +389,8 @@ func startCheckpointer(srv *serve.Server, dir string, every time.Duration, forma
 		}
 		// Drop files for instances that no longer exist so a restart does
 		// not resurrect deleted machines; their rotated previous
-		// generations go with them. Both encodings are swept, so stale
-		// snapshots from before a -checkpoint-format change go too.
+		// generations go with them. The sweep covers *.json too, so an
+		// older daemon's files go once their replacements are written.
 		if paths, err := checkpointGlob(dir); err == nil {
 			for _, p := range paths {
 				if !live[filepath.Base(p)] {

@@ -10,7 +10,9 @@
 // amortise allocation); Reader consumes a byte slice with a sticky
 // error and hard bounds checks, so truncated, oversized or otherwise
 // malformed input always surfaces as an error, never a panic or an
-// attempt to allocate unbounded memory.
+// attempt to allocate unbounded memory. Coder puts either behind one
+// set of pointer-taking methods, so a layout is listed once and run in
+// both directions.
 package codec
 
 import (
@@ -33,9 +35,6 @@ func NewWriter(buf []byte) *Writer { return &Writer{buf: buf} }
 
 // Bytes returns the encoded buffer.
 func (w *Writer) Bytes() []byte { return w.buf }
-
-// Len returns the number of bytes written so far.
-func (w *Writer) Len() int { return len(w.buf) }
 
 // U8 writes one byte.
 func (w *Writer) U8(v uint8) { w.buf = append(w.buf, v) }
@@ -63,9 +62,6 @@ func (w *Writer) I64(v int64) { w.U64(uint64(v)) }
 
 // Int writes an int as an int64.
 func (w *Writer) Int(v int) { w.I64(int64(v)) }
-
-// Duration writes a time.Duration as its int64 nanosecond count.
-func (w *Writer) Duration(d time.Duration) { w.I64(int64(d)) }
 
 // F64 writes a float64 as its IEEE-754 bit pattern.
 func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
@@ -142,9 +138,6 @@ func (r *Reader) Err() error { return r.err }
 // Remaining returns the number of unread bytes.
 func (r *Reader) Remaining() int { return len(r.data) - r.off }
 
-// Offset returns the number of bytes consumed so far.
-func (r *Reader) Offset() int { return r.off }
-
 // failf latches the first error with the current offset for context.
 func (r *Reader) failf(format string, args ...any) {
 	if r.err == nil {
@@ -219,9 +212,6 @@ func (r *Reader) I64() int64 { return int64(r.U64()) }
 
 // Int reads an int64 into an int.
 func (r *Reader) Int() int { return int(r.I64()) }
-
-// Duration reads an int64 nanosecond count.
-func (r *Reader) Duration() time.Duration { return time.Duration(r.I64()) }
 
 // F64 reads an IEEE-754 float64.
 func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
@@ -300,4 +290,149 @@ func (r *Reader) Expect() error {
 		return fmt.Errorf("codec: %d trailing bytes after decode", rem)
 	}
 	return nil
+}
+
+// Coder is a Writer or a Reader behind one set of methods: a walk hands
+// it a pointer to each field in order, and it appends the field when
+// built over a Writer and fills it when built over a Reader, so encoder
+// and decoder cannot disagree about order, width or presence. Every
+// check the Reader makes (bounds, strict bools, the Count guard) applies
+// unchanged; after a decode the caller asks the Reader for Err or Expect.
+//
+// Slice and Ptr return what the caller needs to loop or branch on
+// instead of taking a per-element function: a func value would make the
+// Coder escape to the heap and cost an allocation per encode.
+type Coder struct {
+	w *Writer
+	r *Reader
+}
+
+// Encoder returns a Coder that appends every field it is shown to w.
+func Encoder(w *Writer) Coder { return Coder{w: w} }
+
+// Decoder returns a Coder that fills every field it is shown from r.
+func Decoder(r *Reader) Coder { return Coder{r: r} }
+
+// Decoding reports the direction: true when fields are being filled.
+func (c *Coder) Decoding() bool { return c.r != nil }
+
+// Bool carries a bool as one strict byte.
+func (c *Coder) Bool(v *bool) {
+	if c.r != nil {
+		*v = c.r.Bool()
+	} else {
+		c.w.Bool(*v)
+	}
+}
+
+// U64 carries a uint64.
+func (c *Coder) U64(v *uint64) {
+	if c.r != nil {
+		*v = c.r.U64()
+	} else {
+		c.w.U64(*v)
+	}
+}
+
+// I64 carries an int64.
+func (c *Coder) I64(v *int64) {
+	if c.r != nil {
+		*v = c.r.I64()
+	} else {
+		c.w.I64(*v)
+	}
+}
+
+// Int carries an int as an int64.
+func (c *Coder) Int(v *int) {
+	if c.r != nil {
+		*v = c.r.Int()
+	} else {
+		c.w.Int(*v)
+	}
+}
+
+// Duration carries a time.Duration as its int64 nanosecond count.
+func (c *Coder) Duration(v *time.Duration) { c.I64((*int64)(v)) }
+
+// F64 carries a float64 as its IEEE-754 bit pattern.
+func (c *Coder) F64(v *float64) {
+	if c.r != nil {
+		*v = c.r.F64()
+	} else {
+		c.w.F64(*v)
+	}
+}
+
+// String carries a uint32-prefixed string.
+func (c *Coder) String(v *string) {
+	if c.r != nil {
+		*v = c.r.String()
+	} else {
+		c.w.String(*v)
+	}
+}
+
+// Bytes carries a uint32-prefixed byte slice; decoding copies it out of
+// the input (nil when empty), so the value may outlive the buffer.
+func (c *Coder) Bytes(v *[]byte) {
+	if c.r != nil {
+		*v = append([]byte(nil), c.r.Bytes32()...)
+	} else {
+		c.w.Bytes32(*v)
+	}
+}
+
+// Floats carries a uint32-prefixed float64 slice, nil when empty.
+func (c *Coder) Floats(v *[]float64) {
+	if c.r != nil {
+		*v = c.r.Floats()
+	} else {
+		c.w.Floats(*v)
+	}
+}
+
+// Ints carries a uint32-prefixed int slice, nil when empty.
+func (c *Coder) Ints(v *[]int) {
+	if c.r != nil {
+		*v = c.r.Ints()
+	} else {
+		c.w.Ints(*v)
+	}
+}
+
+// Enum carries an int-kinded enumeration as an int64.
+func Enum[T ~int](c *Coder, v *T) {
+	n := int(*v)
+	c.Int(&n)
+	*v = T(n)
+}
+
+// Slice carries the uint32 count of *s and returns the slice for the
+// caller to walk element by element. Decoding validates the count with
+// Reader.Count — elemSize is the fewest bytes one element can occupy —
+// before allocating *s, which stays nil when the count is zero or the
+// stream has already failed.
+func Slice[T any](c *Coder, s *[]T, elemSize int) []T {
+	if c.r == nil {
+		c.w.U32(uint32(len(*s)))
+	} else if n := c.r.Count(elemSize); n > 0 {
+		*s = make([]T, n)
+	} else {
+		*s = nil
+	}
+	return *s
+}
+
+// Ptr carries the presence byte of an optional section and reports
+// whether the caller should walk it; decoding allocates *p first.
+func Ptr[T any](c *Coder, p **T) bool {
+	if c.r == nil {
+		c.w.Bool(*p != nil)
+	} else if c.r.Bool() {
+		*p = new(T)
+	} else {
+		*p = nil
+	}
+	return *p != nil
 }

@@ -218,11 +218,9 @@ type Controller struct {
 	nextTop, nextCore, nextPower, nextNet time.Duration
 
 	// Decision trace. The mutex makes subscription safe for concurrent
-	// consumers: the control plane attaches handlers and snapshots the
-	// event log from HTTP goroutines while Step runs in the instance's
-	// driver goroutine.
+	// consumers: the control plane attaches handlers from HTTP goroutines
+	// while Step runs in the instance's driver goroutine.
 	traceMu sync.Mutex
-	events  []Event
 	traces  []func(Event)
 }
 
@@ -257,16 +255,6 @@ func (c *Controller) OnEvent(fn func(Event)) {
 	c.traceMu.Unlock()
 }
 
-// Events returns a snapshot copy of the recorded decision trace. It is
-// safe to call while another goroutine drives Step.
-func (c *Controller) Events() []Event {
-	c.traceMu.Lock()
-	defer c.traceMu.Unlock()
-	out := make([]Event, len(c.events))
-	copy(out, c.events)
-	return out
-}
-
 // Slack returns the most recent latency slack (SLO - latency)/SLO.
 func (c *Controller) Slack() float64 { return c.slack }
 
@@ -282,9 +270,6 @@ func (c *Controller) TelemetryState() StaleState { return c.staleState }
 func (c *Controller) emit(at time.Duration, loop, action, detail string) {
 	e := Event{At: at, Loop: loop, Action: action, Detail: detail}
 	c.traceMu.Lock()
-	if len(c.events) < 4096 {
-		c.events = append(c.events, e)
-	}
 	// Snapshot the handler list head under the lock; handlers are only
 	// ever appended, so iterating the snapshot outside the lock is safe
 	// and keeps handler code free to call back into the controller.

@@ -83,6 +83,8 @@ func newTestController(f *fakeEnv) *Controller {
 func TestTopLevelEnablesBEAtLowLoad(t *testing.T) {
 	f := newFakeEnv()
 	c := newTestController(f)
+	var events []Event
+	c.OnEvent(func(e Event) { events = append(events, e) })
 	c.Step(0)
 	if !f.beEnabled {
 		t.Fatal("BE not enabled at low load with ample slack")
@@ -100,9 +102,9 @@ func TestTopLevelEnablesBEAtLowLoad(t *testing.T) {
 	}
 	// The enable event records the paper's initial allocation.
 	var enable *Event
-	for i := range c.Events() {
-		if c.Events()[i].Action == "enable-be" {
-			enable = &c.Events()[i]
+	for i := range events {
+		if events[i].Action == "enable-be" {
+			enable = &events[i]
 			break
 		}
 	}
@@ -382,7 +384,7 @@ func TestEventsRecorded(t *testing.T) {
 	var seen []Event
 	c.OnEvent(func(e Event) { seen = append(seen, e) })
 	c.Step(0)
-	if len(seen) == 0 || len(c.Events()) == 0 {
+	if len(seen) == 0 {
 		t.Fatal("no events recorded")
 	}
 	if seen[0].Loop != "top" || seen[0].Action != "enable-be" {

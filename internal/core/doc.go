@@ -13,8 +13,8 @@
 // The controller is written against the Env interface so it can drive
 // either the simulated machine (internal/machine) or filesystem
 // actuators (internal/actuate) on real hardware. Every decision is
-// emitted as an Event; subscription is safe for concurrent consumers
-// (multiple OnEvent handlers, snapshotting Events while Step runs),
+// emitted as an Event to every OnEvent handler; subscription is safe
+// while Step runs, and nothing is retained once the handlers return,
 // which is what lets the control plane stream decisions to SSE clients
 // and count actuations for /metrics while the instance's driver
 // goroutine advances the loop.

@@ -1,8 +1,9 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"heracles/internal/codec"
@@ -12,27 +13,29 @@ import (
 	"heracles/internal/machine"
 	"heracles/internal/sched"
 	"heracles/internal/slo"
-	"heracles/internal/workload"
 )
 
 // The binary checkpoint codec (DESIGN.md §16): a versioned, length-
-// prefixed little-endian encoding of Checkpoint, hand-rolled over
-// internal/codec. It exists for the hot paths — periodic heraclesd
-// snapshots, in-process shard migration, supervisor restart — where the
-// reflection-driven JSON codec dominates the cost of a snapshot; JSON
-// remains the wire/interchange format (REST bodies, cross-daemon
-// migration, operator tooling). Both codecs decode to the same
-// Checkpoint value, so a restored engine continues bit-identically
-// regardless of which format carried the state.
+// prefixed little-endian encoding of Checkpoint over internal/codec, and
+// the only format heraclesd stores. JSON (checkpoint.go's struct tags) is
+// the REST view of the same value; a restored engine continues
+// bit-identically whichever carried the state.
 //
-// Layout: a 4-byte magic ("HRCB"), a uint16 format version, then the
-// checkpoint fields in fixed order with uint32 length prefixes on every
-// string and slice. Optional sections (scenario, sched, faults, budget)
-// carry a presence byte. Maps encode in sorted key order, so the same
-// state always produces the same bytes. Integrity (CRC-32C) is the
-// enclosing envelope's job — see internal/serve's checkpoint files —
-// keeping codec, checksum and storage concerns separate, exactly like
-// the JSON path.
+// Layout: a 4-byte magic ("HRCB"), a uint16 format version, then what
+// walkCheckpoint visits, in the order it visits it. The walk* functions
+// are the layout: each shows a codec.Coder its type's fields once, and
+// AppendBinary and DecodeCheckpointBinary run the same list in opposite
+// directions. A field added to a struct of the graph is added to that
+// struct's walk, in one place, with a BinaryVersion bump; until then
+// TestCodecsCarryEveryCheckpointField fails twice — the new field comes
+// back zero, and testdata/checkpoint_full.hrcb no longer matches.
+//
+// Strings and slices carry a uint32 length, optional sections a presence
+// byte. codec.Slice's last argument is the fewest bytes one element can
+// occupy: the count guard divides the remaining input by it before
+// anything is allocated. A failed read latches in the Reader and every
+// later field reads as zero, so no walk checks for errors. Integrity
+// (CRC-32C) is the enclosing envelope's job (internal/serve).
 
 // binaryMagic distinguishes binary checkpoints from JSON ones (JSON
 // always starts with '{' or whitespace); readers auto-detect by prefix.
@@ -59,66 +62,10 @@ func (cp *Checkpoint) EncodeBinary() []byte { return cp.AppendBinary(nil) }
 // from a previous encode to amortise allocation) and returning the
 // extended buffer.
 func (cp *Checkpoint) AppendBinary(buf []byte) []byte {
-	w := codec.NewWriter(buf)
-	w.U8(binaryMagic[0])
-	w.U8(binaryMagic[1])
-	w.U8(binaryMagic[2])
-	w.U8(binaryMagic[3])
+	w := codec.NewWriter(append(buf, binaryMagic[:]...))
 	w.U16(BinaryVersion)
-
-	w.Int(cp.Version)
-	w.U64(cp.Epoch)
-	w.Duration(cp.Now)
-	w.Duration(cp.SLO)
-	w.F64(cp.LeafScale)
-	w.Duration(cp.LastAdjust)
-	w.F64(cp.RootEWMA)
-
-	w.Bool(cp.Scenario != nil)
-	if cp.Scenario != nil {
-		w.String(cp.Scenario.Name)
-		w.Duration(cp.Scenario.T0)
-		w.Int(cp.Scenario.Delivered)
-		w.F64(cp.Scenario.LoadScale)
-	}
-
-	w.U32(uint32(len(cp.Machines)))
-	for i := range cp.Machines {
-		appendMachine(w, &cp.Machines[i])
-	}
-
-	w.U32(uint32(len(cp.Controllers)))
-	for _, st := range cp.Controllers {
-		w.Bool(st != nil)
-		if st != nil {
-			appendController(w, st)
-		}
-	}
-
-	w.Bool(cp.Sched != nil)
-	if cp.Sched != nil {
-		appendSched(w, cp.Sched)
-	}
-	w.U32(uint32(len(cp.SchedBindings)))
-	for _, b := range cp.SchedBindings {
-		w.Int(b.Job)
-		w.Int(b.Node)
-		w.Int(b.Task)
-	}
-
-	w.Bool(cp.Faults != nil)
-	if cp.Faults != nil {
-		appendFaults(w, cp.Faults)
-	}
-
-	w.Bool(cp.Budget != nil)
-	if cp.Budget != nil {
-		w.U32(uint32(len(cp.Budget.Nodes)))
-		for i := range cp.Budget.Nodes {
-			appendTracker(w, &cp.Budget.Nodes[i])
-		}
-		appendTracker(w, &cp.Budget.Cluster)
-	}
+	c := codec.Encoder(w)
+	walkCheckpoint(&c, cp)
 	return w.Bytes()
 }
 
@@ -133,574 +80,303 @@ func DecodeCheckpointBinary(data []byte) (*Checkpoint, error) {
 	if v := r.U16(); v != BinaryVersion {
 		return nil, fmt.Errorf("engine: binary checkpoint layout version %d, this build reads version %d", v, BinaryVersion)
 	}
-
 	cp := &Checkpoint{}
-	cp.Version = r.Int()
-	cp.Epoch = r.U64()
-	cp.Now = r.Duration()
-	cp.SLO = r.Duration()
-	cp.LeafScale = r.F64()
-	cp.LastAdjust = r.Duration()
-	cp.RootEWMA = r.F64()
-
-	if r.Bool() {
-		cp.Scenario = &ScenarioState{
-			Name:      r.String(),
-			T0:        r.Duration(),
-			Delivered: r.Int(),
-			LoadScale: r.F64(),
-		}
-	}
-
-	// A machine snapshot is at least ~150 bytes; 32 is a safe floor for
-	// the count guard.
-	if n := r.Count(32); n > 0 {
-		cp.Machines = make([]machine.Snapshot, n)
-		for i := range cp.Machines {
-			readMachine(r, &cp.Machines[i])
-			if r.Err() != nil {
-				return nil, fmt.Errorf("engine: decoding binary checkpoint machine %d: %w", i, r.Err())
-			}
-		}
-	}
-
-	if n := r.Count(1); n > 0 {
-		cp.Controllers = make([]*core.ControllerState, n)
-		for i := range cp.Controllers {
-			if r.Bool() {
-				st := readController(r)
-				cp.Controllers[i] = &st
-			}
-		}
-	}
-
-	if r.Bool() {
-		st := readSched(r)
-		if r.Err() != nil {
-			return nil, fmt.Errorf("engine: decoding binary checkpoint scheduler: %w", r.Err())
-		}
-		cp.Sched = &st
-	}
-	if n := r.Count(24); n > 0 {
-		cp.SchedBindings = make([]SchedBinding, n)
-		for i := range cp.SchedBindings {
-			cp.SchedBindings[i] = SchedBinding{Job: r.Int(), Node: r.Int(), Task: r.Int()}
-		}
-	}
-
-	if r.Bool() {
-		cp.Faults = readFaults(r)
-	}
-
-	if r.Bool() {
-		bs := &SLOState{}
-		if n := r.Count(8); n > 0 {
-			bs.Nodes = make([]slo.TrackerState, n)
-			for i := range bs.Nodes {
-				bs.Nodes[i] = readTracker(r)
-			}
-		}
-		bs.Cluster = readTracker(r)
-		cp.Budget = bs
-	}
-
+	c := codec.Decoder(r)
+	walkCheckpoint(&c, cp)
 	if err := r.Expect(); err != nil {
 		return nil, fmt.Errorf("engine: decoding binary checkpoint: %w", err)
 	}
 	return cp, nil
 }
 
-// appendMachine encodes one machine snapshot: hardware config, clock,
+func walkCheckpoint(c *codec.Coder, cp *Checkpoint) {
+	c.Int(&cp.Version)
+	c.U64(&cp.Epoch)
+	c.Duration(&cp.Now)
+	c.Duration(&cp.SLO)
+	c.F64(&cp.LeafScale)
+	c.Duration(&cp.LastAdjust)
+	c.F64(&cp.RootEWMA)
+
+	if codec.Ptr(c, &cp.Scenario) {
+		sc := cp.Scenario
+		c.String(&sc.Name)
+		c.Duration(&sc.T0)
+		c.Int(&sc.Delivered)
+		c.F64(&sc.LoadScale)
+	}
+
+	for i := range codec.Slice(c, &cp.Machines, 32) {
+		walkMachine(c, &cp.Machines[i])
+	}
+	for i := range codec.Slice(c, &cp.Controllers, 1) {
+		if codec.Ptr(c, &cp.Controllers[i]) {
+			walkController(c, cp.Controllers[i])
+		}
+	}
+
+	if codec.Ptr(c, &cp.Sched) {
+		walkSched(c, cp.Sched)
+	}
+	for i := range codec.Slice(c, &cp.SchedBindings, 24) {
+		b := &cp.SchedBindings[i]
+		c.Int(&b.Job)
+		c.Int(&b.Node)
+		c.Int(&b.Task)
+	}
+
+	if codec.Ptr(c, &cp.Faults) {
+		walkFaults(c, cp.Faults)
+	}
+
+	if codec.Ptr(c, &cp.Budget) {
+		for i := range codec.Slice(c, &cp.Budget.Nodes, 8) {
+			walkTracker(c, &cp.Budget.Nodes[i])
+		}
+		walkTracker(c, &cp.Budget.Cluster)
+	}
+}
+
+// walkMachine covers one machine snapshot: hardware config, clock,
 // tasks, accumulators, the last epoch's telemetry, then the poll window.
-func appendMachine(w *codec.Writer, s *machine.Snapshot) {
-	appendHW(w, &s.HW)
-	w.Duration(s.Epoch)
-	w.Duration(s.Now)
+func walkMachine(c *codec.Coder, s *machine.Snapshot) {
+	walkHW(c, &s.HW)
+	c.Duration(&s.Epoch)
+	c.Duration(&s.Now)
 
-	w.Bool(s.LC != nil)
-	if s.LC != nil {
-		w.String(s.LC.Workload)
-		w.F64(s.LC.Load)
-		w.Ints(s.LC.Cores)
-		w.Int(s.LC.Ways)
-		w.Bool(s.LC.OSShared)
+	if codec.Ptr(c, &s.LC) {
+		c.String(&s.LC.Workload)
+		c.F64(&s.LC.Load)
+		c.Ints(&s.LC.Cores)
+		c.Int(&s.LC.Ways)
+		c.Bool(&s.LC.OSShared)
 	}
 
-	w.U32(uint32(len(s.BEs)))
-	for i := range s.BEs {
+	for i := range codec.Slice(c, &s.BEs, 32) {
 		be := &s.BEs[i]
-		w.String(be.Workload)
-		w.Int(int(be.Placement))
-		w.Bool(be.Enabled)
-		w.Ints(be.Cores)
-		w.Int(be.Ways)
-		w.F64(be.FreqCapGHz)
-		w.F64(be.LastRate)
-		w.F64(be.LastNorm)
-		w.F64(be.LastHit)
-		w.F64(be.CPUSec)
+		c.String(&be.Workload)
+		codec.Enum(c, &be.Placement)
+		c.Bool(&be.Enabled)
+		c.Ints(&be.Cores)
+		c.Int(&be.Ways)
+		c.F64(&be.FreqCapGHz)
+		c.F64(&be.LastRate)
+		c.F64(&be.LastNorm)
+		c.F64(&be.LastHit)
+		c.F64(&be.CPUSec)
 	}
 
-	w.F64(s.BENetCeilGBs)
-	w.F64(s.SLOScale)
-	w.F64(s.Degrade)
-	w.F64(s.BEGoodCPUSec)
-	w.F64(s.BELostCPUSec)
-	w.F64(s.LastService)
+	c.F64(&s.BENetCeilGBs)
+	c.F64(&s.SLOScale)
+	c.F64(&s.Degrade)
+	c.F64(&s.BEGoodCPUSec)
+	c.F64(&s.BELostCPUSec)
+	c.F64(&s.LastService)
 
-	appendTelemetry(w, &s.Last)
-	w.U32(uint32(len(s.Window)))
-	for _, p := range s.Window {
-		w.Duration(p.Time)
-		w.Duration(p.TailLatency)
-	}
-}
-
-// readMachine decodes one machine snapshot.
-func readMachine(r *codec.Reader, s *machine.Snapshot) {
-	readHW(r, &s.HW)
-	s.Epoch = r.Duration()
-	s.Now = r.Duration()
-
-	if r.Bool() {
-		s.LC = &machine.LCSnapshot{
-			Workload: r.String(),
-			Load:     r.F64(),
-			Cores:    r.Ints(),
-			Ways:     r.Int(),
-			OSShared: r.Bool(),
-		}
-	}
-
-	if n := r.Count(32); n > 0 {
-		s.BEs = make([]machine.BESnapshot, n)
-		for i := range s.BEs {
-			s.BEs[i] = machine.BESnapshot{
-				Workload:   r.String(),
-				Placement:  workload.PlacementKind(r.Int()),
-				Enabled:    r.Bool(),
-				Cores:      r.Ints(),
-				Ways:       r.Int(),
-				FreqCapGHz: r.F64(),
-				LastRate:   r.F64(),
-				LastNorm:   r.F64(),
-				LastHit:    r.F64(),
-				CPUSec:     r.F64(),
-			}
-		}
-	}
-
-	s.BENetCeilGBs = r.F64()
-	s.SLOScale = r.F64()
-	s.Degrade = r.F64()
-	s.BEGoodCPUSec = r.F64()
-	s.BELostCPUSec = r.F64()
-	s.LastService = r.F64()
-
-	readTelemetry(r, &s.Last)
-	if n := r.Count(16); n > 0 {
-		s.Window = make([]machine.TailSample, n)
-		for i := range s.Window {
-			s.Window[i] = machine.TailSample{Time: r.Duration(), TailLatency: r.Duration()}
-		}
+	walkTelemetry(c, &s.Last)
+	for i := range codec.Slice(c, &s.Window, 16) {
+		c.Duration(&s.Window[i].Time)
+		c.Duration(&s.Window[i].TailLatency)
 	}
 }
 
-// appendHW encodes the hardware config field-by-field (it is a flat
-// struct of ints and floats).
-func appendHW(w *codec.Writer, c *hw.Config) {
-	w.Int(c.Sockets)
-	w.Int(c.CoresPerSocket)
-	w.Int(c.ThreadsPerCore)
-	w.F64(c.NominalGHz)
-	w.F64(c.MinGHz)
-	w.F64(c.MaxTurboGHz)
-	w.F64(c.TurboBinGHz)
-	w.F64(c.LLCMB)
-	w.Int(c.LLCWays)
-	w.F64(c.DRAMGBs)
-	w.F64(c.TDPWatts)
-	w.F64(c.IdleWatts)
-	w.F64(c.CoreDynWatts)
-	w.F64(c.FreqExponent)
-	w.F64(c.LinkGbps)
+func walkHW(c *codec.Coder, h *hw.Config) {
+	c.Int(&h.Sockets)
+	c.Int(&h.CoresPerSocket)
+	c.Int(&h.ThreadsPerCore)
+	c.F64(&h.NominalGHz)
+	c.F64(&h.MinGHz)
+	c.F64(&h.MaxTurboGHz)
+	c.F64(&h.TurboBinGHz)
+	c.F64(&h.LLCMB)
+	c.Int(&h.LLCWays)
+	c.F64(&h.DRAMGBs)
+	c.F64(&h.TDPWatts)
+	c.F64(&h.IdleWatts)
+	c.F64(&h.CoreDynWatts)
+	c.F64(&h.FreqExponent)
+	c.F64(&h.LinkGbps)
 }
 
-func readHW(r *codec.Reader, c *hw.Config) {
-	c.Sockets = r.Int()
-	c.CoresPerSocket = r.Int()
-	c.ThreadsPerCore = r.Int()
-	c.NominalGHz = r.F64()
-	c.MinGHz = r.F64()
-	c.MaxTurboGHz = r.F64()
-	c.TurboBinGHz = r.F64()
-	c.LLCMB = r.F64()
-	c.LLCWays = r.Int()
-	c.DRAMGBs = r.F64()
-	c.TDPWatts = r.F64()
-	c.IdleWatts = r.F64()
-	c.CoreDynWatts = r.F64()
-	c.FreqExponent = r.F64()
-	c.LinkGbps = r.F64()
+// walkTelemetry covers one epoch's counters in declaration order.
+func walkTelemetry(c *codec.Coder, t *machine.Telemetry) {
+	c.Duration(&t.Time)
+	c.Duration(&t.Lat.Mean)
+	c.Duration(&t.Lat.P50)
+	c.Duration(&t.Lat.P95)
+	c.Duration(&t.Lat.P99)
+	c.F64(&t.Lat.OfferedQPS)
+	c.F64(&t.Lat.ServedQPS)
+	c.F64(&t.Lat.Utilisation)
+	c.Duration(&t.TailLatency)
+	c.F64(&t.LCLoad)
+	c.F64(&t.LCServed)
+	c.Int(&t.LCCores)
+	c.Int(&t.LCWays)
+	c.F64(&t.LCFreqGHz)
+	c.F64(&t.LCDRAMGBs)
+	c.F64(&t.LCTxGBs)
+	c.Bool(&t.BEEnabled)
+	c.Int(&t.BECores)
+	c.Int(&t.BEWays)
+	c.F64(&t.BEFreqCap)
+	c.F64(&t.BEDRAMGBs)
+	c.F64(&t.BETxGBs)
+	c.F64(&t.BERateNorm)
+	c.F64(&t.BEFreqGHz)
+	c.F64(&t.BEGoodCPUSec)
+	c.F64(&t.BELostCPUSec)
+	c.Floats(&t.SocketPowerW)
+	c.F64(&t.PowerFracTDP)
+	c.F64(&t.MaxSocketPower)
+	c.F64(&t.CPUUtil)
+	c.F64(&t.DRAMTotalGBs)
+	c.F64(&t.DRAMDemandGBs)
+	c.F64(&t.DRAMUtil)
+	c.Floats(&t.DRAMSocketUtil)
+	c.Floats(&t.PerCoreDRAMGBs)
+	c.F64(&t.LinkUtil)
+	c.F64(&t.EMU)
 }
 
-// appendTelemetry encodes one epoch's counters in declaration order.
-func appendTelemetry(w *codec.Writer, t *machine.Telemetry) {
-	w.Duration(t.Time)
-	w.Duration(t.Lat.Mean)
-	w.Duration(t.Lat.P50)
-	w.Duration(t.Lat.P95)
-	w.Duration(t.Lat.P99)
-	w.F64(t.Lat.OfferedQPS)
-	w.F64(t.Lat.ServedQPS)
-	w.F64(t.Lat.Utilisation)
-	w.Duration(t.TailLatency)
-	w.F64(t.LCLoad)
-	w.F64(t.LCServed)
-	w.Int(t.LCCores)
-	w.Int(t.LCWays)
-	w.F64(t.LCFreqGHz)
-	w.F64(t.LCDRAMGBs)
-	w.F64(t.LCTxGBs)
-	w.Bool(t.BEEnabled)
-	w.Int(t.BECores)
-	w.Int(t.BEWays)
-	w.F64(t.BEFreqCap)
-	w.F64(t.BEDRAMGBs)
-	w.F64(t.BETxGBs)
-	w.F64(t.BERateNorm)
-	w.F64(t.BEFreqGHz)
-	w.F64(t.BEGoodCPUSec)
-	w.F64(t.BELostCPUSec)
-	w.Floats(t.SocketPowerW)
-	w.F64(t.PowerFracTDP)
-	w.F64(t.MaxSocketPower)
-	w.F64(t.CPUUtil)
-	w.F64(t.DRAMTotalGBs)
-	w.F64(t.DRAMDemandGBs)
-	w.F64(t.DRAMUtil)
-	w.Floats(t.DRAMSocketUtil)
-	w.Floats(t.PerCoreDRAMGBs)
-	w.F64(t.LinkUtil)
-	w.F64(t.EMU)
+func walkController(c *codec.Coder, st *core.ControllerState) {
+	c.Bool(&st.Enabled)
+	c.Bool(&st.GrowAllowed)
+	c.Duration(&st.CooldownTill)
+	c.F64(&st.Slack)
+	c.Duration(&st.Latency)
+	c.Duration(&st.LastTelemetry)
+	codec.Enum(c, &st.StaleState)
+	codec.Enum(c, &st.State)
+	c.F64(&st.LastBW)
+	c.F64(&st.BWDerivative)
+	c.Int(&st.PendingWays)
+	c.Bool(&st.PendingCheck)
+	c.F64(&st.RateBefore)
+	c.Duration(&st.LastGrow)
+	c.Duration(&st.NextTop)
+	c.Duration(&st.NextCore)
+	c.Duration(&st.NextPower)
+	c.Duration(&st.NextNet)
 }
 
-// readTelemetry decodes one epoch's counters.
-func readTelemetry(r *codec.Reader, t *machine.Telemetry) {
-	t.Time = r.Duration()
-	t.Lat.Mean = r.Duration()
-	t.Lat.P50 = r.Duration()
-	t.Lat.P95 = r.Duration()
-	t.Lat.P99 = r.Duration()
-	t.Lat.OfferedQPS = r.F64()
-	t.Lat.ServedQPS = r.F64()
-	t.Lat.Utilisation = r.F64()
-	t.TailLatency = r.Duration()
-	t.LCLoad = r.F64()
-	t.LCServed = r.F64()
-	t.LCCores = r.Int()
-	t.LCWays = r.Int()
-	t.LCFreqGHz = r.F64()
-	t.LCDRAMGBs = r.F64()
-	t.LCTxGBs = r.F64()
-	t.BEEnabled = r.Bool()
-	t.BECores = r.Int()
-	t.BEWays = r.Int()
-	t.BEFreqCap = r.F64()
-	t.BEDRAMGBs = r.F64()
-	t.BETxGBs = r.F64()
-	t.BERateNorm = r.F64()
-	t.BEFreqGHz = r.F64()
-	t.BEGoodCPUSec = r.F64()
-	t.BELostCPUSec = r.F64()
-	t.SocketPowerW = r.Floats()
-	t.PowerFracTDP = r.F64()
-	t.MaxSocketPower = r.F64()
-	t.CPUUtil = r.F64()
-	t.DRAMTotalGBs = r.F64()
-	t.DRAMDemandGBs = r.F64()
-	t.DRAMUtil = r.F64()
-	t.DRAMSocketUtil = r.Floats()
-	t.PerCoreDRAMGBs = r.Floats()
-	t.LinkUtil = r.F64()
-	t.EMU = r.F64()
-}
+func walkSched(c *codec.Coder, st *sched.State) {
+	c.String(&st.Policy)
+	c.Duration(&st.Backoff)
+	c.Duration(&st.EvictGrace)
+	c.U64(&st.RNGSeed)
+	c.U64(&st.Tick)
 
-func appendController(w *codec.Writer, st *core.ControllerState) {
-	w.Bool(st.Enabled)
-	w.Bool(st.GrowAllowed)
-	w.Duration(st.CooldownTill)
-	w.F64(st.Slack)
-	w.Duration(st.Latency)
-	w.Duration(st.LastTelemetry)
-	w.Int(int(st.StaleState))
-	w.Int(int(st.State))
-	w.F64(st.LastBW)
-	w.F64(st.BWDerivative)
-	w.Int(st.PendingWays)
-	w.Bool(st.PendingCheck)
-	w.F64(st.RateBefore)
-	w.Duration(st.LastGrow)
-	w.Duration(st.NextTop)
-	w.Duration(st.NextCore)
-	w.Duration(st.NextPower)
-	w.Duration(st.NextNet)
-}
-
-func readController(r *codec.Reader) core.ControllerState {
-	return core.ControllerState{
-		Enabled:       r.Bool(),
-		GrowAllowed:   r.Bool(),
-		CooldownTill:  r.Duration(),
-		Slack:         r.F64(),
-		Latency:       r.Duration(),
-		LastTelemetry: r.Duration(),
-		StaleState:    core.StaleState(r.Int()),
-		State:         core.GrowState(r.Int()),
-		LastBW:        r.F64(),
-		BWDerivative:  r.F64(),
-		PendingWays:   r.Int(),
-		PendingCheck:  r.Bool(),
-		RateBefore:    r.F64(),
-		LastGrow:      r.Duration(),
-		NextTop:       r.Duration(),
-		NextCore:      r.Duration(),
-		NextPower:     r.Duration(),
-		NextNet:       r.Duration(),
-	}
-}
-
-// appendSched encodes the scheduler state. DisabledSince writes in
-// ascending node order so identical states produce identical bytes.
-func appendSched(w *codec.Writer, st *sched.State) {
-	w.String(st.Policy)
-	w.Duration(st.Backoff)
-	w.Duration(st.EvictGrace)
-	w.U64(st.RNGSeed)
-	w.U64(st.Tick)
-
-	w.U32(uint32(len(st.Jobs)))
-	for i := range st.Jobs {
+	for i := range codec.Slice(c, &st.Jobs, 64) {
 		j := &st.Jobs[i]
-		w.Int(j.ID)
-		w.String(j.Spec.Name)
-		w.String(j.Spec.Workload)
-		w.Int(j.Spec.Demand)
-		w.Duration(j.Spec.Work)
-		w.Int(j.Spec.Priority)
-		w.Int(j.Spec.Retries)
-		w.Duration(j.Spec.Submit)
-		w.Int(int(j.State))
-		w.Int(j.Node)
-		w.Int(j.Attempts)
-		w.Duration(j.SubmittedAt)
-		w.Duration(j.ReadyAt)
-		w.Duration(j.StartedAt)
-		w.Duration(j.FinishedAt)
-		w.F64(j.CPUSec)
-		w.F64(j.WastedCPUSec)
+		c.Int(&j.ID)
+		c.String(&j.Spec.Name)
+		c.String(&j.Spec.Workload)
+		c.Int(&j.Spec.Demand)
+		c.Duration(&j.Spec.Work)
+		c.Int(&j.Spec.Priority)
+		c.Int(&j.Spec.Retries)
+		c.Duration(&j.Spec.Submit)
+		codec.Enum(c, &j.State)
+		c.Int(&j.Node)
+		c.Int(&j.Attempts)
+		c.Duration(&j.SubmittedAt)
+		c.Duration(&j.ReadyAt)
+		c.Duration(&j.StartedAt)
+		c.Duration(&j.FinishedAt)
+		c.F64(&j.CPUSec)
+		c.F64(&j.WastedCPUSec)
 	}
 
-	nodes := make([]int, 0, len(st.DisabledSince))
-	for n := range st.DisabledSince {
-		nodes = append(nodes, n)
-	}
-	sort.Ints(nodes)
-	w.U32(uint32(len(nodes)))
-	for _, n := range nodes {
-		w.Int(n)
-		w.Duration(st.DisabledSince[n])
-	}
+	walkDisabledSince(c, &st.DisabledSince)
 
 	a := &st.Accounting
-	w.Int(a.Submitted)
-	w.Int(a.Dispatches)
-	w.Int(a.Completed)
-	w.Int(a.Evictions)
-	w.Int(a.Failed)
-	w.Int(a.Cancelled)
-	w.Int(a.Aborted)
-	w.F64(a.GoodCPUSec)
-	w.F64(a.WastedCPUSec)
-	w.Duration(a.QueueDelaySum)
-	w.Int(a.QueueDepth)
-	w.Int(a.Running)
-	w.Int(a.MaxQueueDepth)
+	c.Int(&a.Submitted)
+	c.Int(&a.Dispatches)
+	c.Int(&a.Completed)
+	c.Int(&a.Evictions)
+	c.Int(&a.Failed)
+	c.Int(&a.Cancelled)
+	c.Int(&a.Aborted)
+	c.F64(&a.GoodCPUSec)
+	c.F64(&a.WastedCPUSec)
+	c.Duration(&a.QueueDelaySum)
+	c.Int(&a.QueueDepth)
+	c.Int(&a.Running)
+	c.Int(&a.MaxQueueDepth)
 
-	w.U32(uint32(len(st.Log)))
-	for i := range st.Log {
+	for i := range codec.Slice(c, &st.Log, 36) {
 		d := &st.Log[i]
-		w.Duration(d.At)
-		w.Int(int(d.Kind))
-		w.Int(d.Job)
-		w.Int(d.Node)
-		w.String(d.Detail)
+		c.Duration(&d.At)
+		codec.Enum(c, &d.Kind)
+		c.Int(&d.Job)
+		c.Int(&d.Node)
+		c.String(&d.Detail)
 	}
 }
 
-func readSched(r *codec.Reader) sched.State {
-	st := sched.State{
-		Policy:     r.String(),
-		Backoff:    r.Duration(),
-		EvictGrace: r.Duration(),
-		RNGSeed:    r.U64(),
-		Tick:       r.U64(),
+// walkDisabledSince carries the graph's one map as (node, since) pairs
+// in ascending node order, so the same state always produces the same
+// bytes; an empty map decodes to nil.
+func walkDisabledSince(c *codec.Coder, m *map[int]time.Duration) {
+	type pair struct {
+		node  int
+		since time.Duration
 	}
-
-	if n := r.Count(64); n > 0 {
-		st.Jobs = make([]sched.Job, n)
-		for i := range st.Jobs {
-			j := &st.Jobs[i]
-			j.ID = r.Int()
-			j.Spec.Name = r.String()
-			j.Spec.Workload = r.String()
-			j.Spec.Demand = r.Int()
-			j.Spec.Work = r.Duration()
-			j.Spec.Priority = r.Int()
-			j.Spec.Retries = r.Int()
-			j.Spec.Submit = r.Duration()
-			j.State = sched.JobState(r.Int())
-			j.Node = r.Int()
-			j.Attempts = r.Int()
-			j.SubmittedAt = r.Duration()
-			j.ReadyAt = r.Duration()
-			j.StartedAt = r.Duration()
-			j.FinishedAt = r.Duration()
-			j.CPUSec = r.F64()
-			j.WastedCPUSec = r.F64()
+	var pairs []pair
+	if !c.Decoding() {
+		pairs = make([]pair, 0, len(*m))
+		for node, since := range *m {
+			pairs = append(pairs, pair{node, since})
+		}
+		slices.SortFunc(pairs, func(a, b pair) int { return cmp.Compare(a.node, b.node) })
+	}
+	for i := range codec.Slice(c, &pairs, 16) {
+		c.Int(&pairs[i].node)
+		c.Duration(&pairs[i].since)
+	}
+	if c.Decoding() && len(pairs) > 0 {
+		*m = make(map[int]time.Duration, len(pairs))
+		for _, p := range pairs {
+			(*m)[p.node] = p.since
 		}
 	}
-
-	if n := r.Count(16); n > 0 {
-		st.DisabledSince = make(map[int]time.Duration, n)
-		for i := 0; i < n; i++ {
-			node := r.Int()
-			st.DisabledSince[node] = r.Duration()
-		}
-	}
-
-	a := &st.Accounting
-	a.Submitted = r.Int()
-	a.Dispatches = r.Int()
-	a.Completed = r.Int()
-	a.Evictions = r.Int()
-	a.Failed = r.Int()
-	a.Cancelled = r.Int()
-	a.Aborted = r.Int()
-	a.GoodCPUSec = r.F64()
-	a.WastedCPUSec = r.F64()
-	a.QueueDelaySum = r.Duration()
-	a.QueueDepth = r.Int()
-	a.Running = r.Int()
-	a.MaxQueueDepth = r.Int()
-
-	if n := r.Count(36); n > 0 {
-		st.Log = make([]sched.Decision, n)
-		for i := range st.Log {
-			d := &st.Log[i]
-			d.At = r.Duration()
-			d.Kind = sched.ActionKind(r.Int())
-			d.Job = r.Int()
-			d.Node = r.Int()
-			d.Detail = r.String()
-		}
-	}
-	return st
 }
 
-func appendFaults(w *codec.Writer, fs *FaultState) {
-	w.U32(uint32(len(fs.Schedule)))
-	for i := range fs.Schedule {
-		appendFault(w, &fs.Schedule[i])
+func walkFaults(c *codec.Coder, fs *FaultState) {
+	for i := range codec.Slice(c, &fs.Schedule, 44) {
+		walkFault(c, &fs.Schedule[i])
 	}
-	w.Int(fs.Next)
-	w.Int(fs.Applied)
-	w.U32(uint32(len(fs.Pending)))
-	for i := range fs.Pending {
-		appendFault(w, &fs.Pending[i])
+	c.Int(&fs.Next)
+	c.Int(&fs.Applied)
+	for i := range codec.Slice(c, &fs.Pending, 44) {
+		walkFault(c, &fs.Pending[i])
 	}
-	w.U32(uint32(len(fs.Nodes)))
-	for _, n := range fs.Nodes {
-		w.Duration(n.DownUntil)
-		w.Duration(n.BlackoutUntil)
-		w.Duration(n.ActFailUntil)
-		w.Duration(n.SlowUntil)
+	for i := range codec.Slice(c, &fs.Nodes, 32) {
+		n := &fs.Nodes[i]
+		c.Duration(&n.DownUntil)
+		c.Duration(&n.BlackoutUntil)
+		c.Duration(&n.ActFailUntil)
+		c.Duration(&n.SlowUntil)
 	}
 }
 
-func readFaults(r *codec.Reader) *FaultState {
-	fs := &FaultState{}
-	if n := r.Count(44); n > 0 {
-		fs.Schedule = make([]fault.Fault, n)
-		for i := range fs.Schedule {
-			fs.Schedule[i] = readFault(r)
-		}
-	}
-	fs.Next = r.Int()
-	fs.Applied = r.Int()
-	if n := r.Count(44); n > 0 {
-		fs.Pending = make([]fault.Fault, n)
-		for i := range fs.Pending {
-			fs.Pending[i] = readFault(r)
-		}
-	}
-	if n := r.Count(32); n > 0 {
-		fs.Nodes = make([]NodeFaultState, n)
-		for i := range fs.Nodes {
-			fs.Nodes[i] = NodeFaultState{
-				DownUntil:     r.Duration(),
-				BlackoutUntil: r.Duration(),
-				ActFailUntil:  r.Duration(),
-				SlowUntil:     r.Duration(),
-			}
-		}
-	}
-	return fs
+func walkFault(c *codec.Coder, f *fault.Fault) {
+	c.Duration(&f.At)
+	codec.Enum(c, &f.Kind)
+	c.Int(&f.Node)
+	c.Duration(&f.Duration)
+	c.F64(&f.Factor)
+	c.String(&f.Workload)
 }
 
-func appendFault(w *codec.Writer, f *fault.Fault) {
-	w.Duration(f.At)
-	w.Int(int(f.Kind))
-	w.Int(f.Node)
-	w.Duration(f.Duration)
-	w.F64(f.Factor)
-	w.String(f.Workload)
-}
-
-func readFault(r *codec.Reader) fault.Fault {
-	return fault.Fault{
-		At:       r.Duration(),
-		Kind:     fault.Kind(r.Int()),
-		Node:     r.Int(),
-		Duration: r.Duration(),
-		Factor:   r.F64(),
-		Workload: r.String(),
-	}
-}
-
-func appendTracker(w *codec.Writer, st *slo.TrackerState) {
-	w.Int(st.Epochs)
-	w.I64(st.Violations)
-	for _, c := range st.Counts {
-		w.I64(c)
-	}
-	w.Bytes32(st.Ring)
-	w.Bool(st.Page)
-	w.Bool(st.Ticket)
-}
-
-func readTracker(r *codec.Reader) slo.TrackerState {
-	st := slo.TrackerState{
-		Epochs:     r.Int(),
-		Violations: r.I64(),
-	}
+func walkTracker(c *codec.Coder, st *slo.TrackerState) {
+	c.Int(&st.Epochs)
+	c.I64(&st.Violations)
 	for i := range st.Counts {
-		st.Counts[i] = r.I64()
+		c.I64(&st.Counts[i])
 	}
-	if b := r.Bytes32(); len(b) > 0 {
-		st.Ring = append([]byte(nil), b...)
-	}
-	st.Page = r.Bool()
-	st.Ticket = r.Bool()
-	return st
+	c.Bytes(&st.Ring)
+	c.Bool(&st.Page)
+	c.Bool(&st.Ticket)
 }

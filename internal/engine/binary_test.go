@@ -2,6 +2,8 @@ package engine_test
 
 import (
 	"bytes"
+	"encoding/binary"
+	"os"
 	"testing"
 	"time"
 
@@ -150,4 +152,49 @@ func TestBinaryEncodeBufferReuse(t *testing.T) {
 	if !bytes.Equal(buf, want) {
 		t.Fatal("reused-buffer encode produced different bytes")
 	}
+}
+
+// FuzzDecodeCheckpointBinary hammers the HRCB decoder directly, below the
+// envelope whose CRC shields it in FuzzDecodeCheckpointFile: any input
+// comes back as an error or a checkpoint, never a panic, and a checkpoint
+// it accepts is a fixed point of the codec — its encoding decodes, and
+// decodes to a value that encodes to the same bytes (compared as bytes,
+// so a NaN the fuzzer plants in a float field still equals itself).
+func FuzzDecodeCheckpointBinary(f *testing.F) {
+	golden, err := os.ReadFile("testdata/checkpoint_full.hrcb")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
+	for _, cut := range []int{0, 3, 5, 61, 63, len(golden) / 2, len(golden) - 1} {
+		f.Add(golden[:cut])
+	}
+	// The scenario's presence byte follows magic, version and the seven
+	// fixed fields; its string's length gives the machine count's offset.
+	const presence = 4 + 2 + 7*8
+	badPresence := bytes.Clone(golden)
+	badPresence[presence] = 2
+	f.Add(badPresence)
+	bomb := bytes.Clone(golden)
+	count := presence + 1 + 4 + int(binary.LittleEndian.Uint32(golden[presence+1:])) + 3*8
+	binary.LittleEndian.PutUint32(bomb[count:], 0x7fffffff)
+	f.Add(bomb)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cp, err := engine.DecodeCheckpointBinary(data)
+		if err != nil {
+			if cp != nil {
+				t.Fatalf("decode returned both a checkpoint and error %v", err)
+			}
+			return
+		}
+		first := cp.EncodeBinary()
+		again, err := engine.DecodeCheckpointBinary(first)
+		if err != nil {
+			t.Fatalf("an accepted checkpoint re-encodes to bytes the decoder refuses: %v", err)
+		}
+		if second := again.EncodeBinary(); !bytes.Equal(first, second) {
+			t.Fatalf("accepted checkpoint is not a fixed point: %d bytes, then %d", len(first), len(second))
+		}
+	})
 }

@@ -2,7 +2,9 @@ package engine_test
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -10,6 +12,8 @@ import (
 
 	"heracles/internal/engine"
 )
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/checkpoint_full.hrcb with the bytes the walk produces (only beside a BinaryVersion bump)")
 
 // fillDistinct sets every exported field reachable from v to a non-zero
 // value no other field shares (booleans aside), growing slices and maps
@@ -106,7 +110,10 @@ func firstDiff(sent, got reflect.Value, path string) string {
 // Checkpoint graph populated, the binary walk and the tag-driven JSON
 // view must each return the value they were given. A field added to any
 // struct of the graph and forgotten in binary.go (or hidden from JSON)
-// comes back zero and fails here.
+// comes back zero and fails here. The walk must also reproduce
+// testdata/checkpoint_full.hrcb byte for byte and decode that file to the
+// filled value: a field inserted, reordered or re-typed changes the bytes
+// even where the round trip still closes.
 func TestCodecsCarryEveryCheckpointField(t *testing.T) {
 	var cp engine.Checkpoint
 	var n int64
@@ -115,7 +122,28 @@ func TestCodecsCarryEveryCheckpointField(t *testing.T) {
 		t.Fatalf("filler did not reach the telemetry fields: %+v", cp.Machines[0])
 	}
 
-	fromBinary, err := engine.DecodeCheckpointBinary(cp.EncodeBinary())
+	// The golden was written at PR 23's parent commit by the append*
+	// functions the walk replaced: the layout is pinned by bytes no
+	// current code produced.
+	const golden = "testdata/checkpoint_full.hrcb"
+	if *updateGolden {
+		if err := os.WriteFile(golden, cp.EncodeBinary(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := cp.EncodeBinary(); !bytes.Equal(got, want) {
+		i := 0
+		for i < len(got) && i < len(want) && got[i] == want[i] {
+			i++
+		}
+		t.Fatalf("the walk wrote %d bytes, %s holds %d; first difference at offset %d", len(got), golden, len(want), i)
+	}
+
+	fromBinary, err := engine.DecodeCheckpointBinary(want)
 	if err != nil {
 		t.Fatalf("binary decode: %v", err)
 	}

@@ -9,14 +9,14 @@ import (
 	"heracles/internal/engine"
 )
 
-// The binary checkpoint file format (DESIGN.md §16): the envelope the
-// hot checkpoint paths use instead of the JSON one in ckptfile.go. Same
-// guarantees — a version, a CRC32-C over the payload, refuse-don't-trust
-// on any mismatch — but the payload is the binary InstanceCheckpoint
-// encoding, which is several times faster and orders of magnitude
-// lighter on allocation than reflection-driven JSON. Readers auto-detect
-// the format by magic, so a checkpoint directory can mix generations
-// freely and JSON stays fully supported as the interchange form.
+// The binary checkpoint file format (DESIGN.md §16): the envelope every
+// stored checkpoint travels in — heraclesd's files, the supervisor's
+// restart checkpoint, shard migration. A version, a CRC32-C over the
+// payload, refuse-don't-trust on any mismatch; the payload is the binary
+// InstanceCheckpoint encoding, several times faster and orders of
+// magnitude lighter on allocation than reflection-driven JSON. Readers
+// detect the envelope by magic, so the JSON-enveloped files of older
+// daemons (ckptfile.go) still read beside these.
 //
 // Layout: 4-byte magic "HRCF", uint16 envelope version, uint32 CRC32-C
 // over everything after the header, then the payload:
@@ -68,12 +68,8 @@ func AppendCheckpointFileBinary(buf []byte, cp *InstanceCheckpoint) ([]byte, err
 		}
 	}
 
-	w := codec.NewWriter(buf)
-	start := w.Len()
-	w.U8(binaryFileMagic[0])
-	w.U8(binaryFileMagic[1])
-	w.U8(binaryFileMagic[2])
-	w.U8(binaryFileMagic[3])
+	start := len(buf)
+	w := codec.NewWriter(append(buf, binaryFileMagic[:]...))
 	w.U16(BinaryCheckpointFileVersion)
 	crcOff := w.Reserve32()
 

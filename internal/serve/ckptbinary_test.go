@@ -152,29 +152,6 @@ func TestBinaryCheckpointFileRejectsCorruption(t *testing.T) {
 	}
 }
 
-// TestBinaryCheckpointFileRotationAndFallback runs the write/rotate/
-// fallback protocol through the binary writer: same guarantees as the
-// JSON path, on .ckpt files.
-func TestBinaryCheckpointFileRotationAndFallback(t *testing.T) {
-	dir := t.TempDir()
-	path := dir + "/i1.ckpt"
-
-	if err := WriteCheckpointFileBinary(path, testCkpt(1)); err != nil {
-		t.Fatalf("write 1: %v", err)
-	}
-	if err := WriteCheckpointFileBinary(path, testCkpt(2)); err != nil {
-		t.Fatalf("write 2: %v", err)
-	}
-	cp, src, err := ReadCheckpointFallback(path)
-	if err != nil || src != path || cp.MaxEpochs != 2 {
-		t.Fatalf("fallback read = %+v from %q (%v), want gen 2 from primary", cp, src, err)
-	}
-	prev, err := ReadCheckpointFile(path + ".1")
-	if err != nil || prev.MaxEpochs != 1 {
-		t.Fatalf("rotated read = %+v (%v), want gen 1", prev, err)
-	}
-}
-
 // corpusSeed returns the bytes of one committed FuzzDecodeCheckpointFile
 // corpus file.
 func corpusSeed(t testing.TB, name string) []byte {
@@ -210,8 +187,9 @@ func withSchedule(cp *InstanceCheckpoint, batch int) *InstanceCheckpoint {
 // TestCommittedSeedsDecodeOrRefuseByVersion reads the fuzz corpus as
 // files written by earlier builds: the version-2 seeds must still decode,
 // validate and restore (a layout change without a version bump breaks
-// it) whichever envelope version wraps them, and the version-1 legacy
-// seed must be refused naming both versions.
+// it) whichever envelope version wraps them, and the bare JSON seed —
+// no envelope, so no checksum — must be refused by the decoder, before
+// anything looks at its version.
 func TestCommittedSeedsDecodeOrRefuseByVersion(t *testing.T) {
 	cp, err := DecodeCheckpointFile(corpusSeed(t, "binary-valid-v2"))
 	if err != nil {
@@ -276,13 +254,8 @@ func TestCommittedSeedsDecodeOrRefuseByVersion(t *testing.T) {
 		t.Fatalf("restored paced seed at epoch %d in state %s, want the running 40-epoch instance it was taken from", st.Epoch, st.State)
 	}
 
-	old, err := DecodeCheckpointFile(corpusSeed(t, "legacy-bare"))
-	if err != nil {
-		t.Fatalf("legacy seed: %v", err)
-	}
-	err = validateCheckpoint(old)
-	if err == nil || !strings.Contains(err.Error(), "version 1") || !strings.Contains(err.Error(), "version 2") {
-		t.Fatalf("version-1 checkpoint: err = %v, want a refusal naming versions 1 and 2", err)
+	if old, err := DecodeCheckpointFile(corpusSeed(t, "legacy-bare")); err == nil || old != nil || !strings.Contains(err.Error(), "no envelope") {
+		t.Fatalf("bare JSON seed: checkpoint %v, err = %v, want a refusal naming the missing envelope", old, err)
 	}
 }
 

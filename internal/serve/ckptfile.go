@@ -15,6 +15,11 @@ import (
 // restore — a corrupt file is refused with a clear error and the caller
 // falls back to the previous good generation, which the writer rotates
 // to "<path>.1" before each replacement.
+//
+// The binary envelope (ckptbinary.go) is the only one written to disk.
+// The JSON envelope in this file is read — directories an older daemon
+// wrote still resume — and encoded in memory by EncodeCheckpointFile,
+// for callers that want the checksummed document as text.
 
 // CheckpointFileVersion is the envelope format version.
 const CheckpointFileVersion = 1
@@ -41,7 +46,7 @@ func payloadChecksum(payload []byte) (string, error) {
 	return fmt.Sprintf("crc32c:%08x", crc32.Checksum(compact.Bytes(), crcTable)), nil
 }
 
-// EncodeCheckpointFile serializes a checkpoint into its enveloped file
+// EncodeCheckpointFile serializes a checkpoint into its JSON-enveloped
 // form.
 func EncodeCheckpointFile(cp *InstanceCheckpoint) ([]byte, error) {
 	payload, err := json.Marshal(cp)
@@ -63,9 +68,9 @@ func EncodeCheckpointFile(cp *InstanceCheckpoint) ([]byte, error) {
 // the checksum before the payload is trusted. The format is auto-
 // detected: files opening with the binary magic decode through the
 // binary envelope (ckptbinary.go), everything else through the JSON one.
-// Legacy files written before the envelope existed — a bare
-// InstanceCheckpoint object, which decodes with a nil Payload — are
-// accepted as-is, so old checkpoint directories stay restorable.
+// A JSON object without a payload — a bare InstanceCheckpoint, as written
+// before the envelope existed — carries no checksum to verify and is
+// refused.
 func DecodeCheckpointFile(data []byte) (*InstanceCheckpoint, error) {
 	if IsBinaryCheckpointFile(data) {
 		return decodeCheckpointFileBinary(data)
@@ -74,55 +79,36 @@ func DecodeCheckpointFile(data []byte) (*InstanceCheckpoint, error) {
 	if err := json.Unmarshal(data, &env); err != nil {
 		return nil, fmt.Errorf("checkpoint file corrupt or truncated: %v", err)
 	}
-	payload := []byte(env.Payload)
 	if env.Payload == nil {
-		// Legacy bare checkpoint: no envelope, no checksum to verify.
-		payload = data
-	} else {
-		if env.Version != CheckpointFileVersion {
-			return nil, fmt.Errorf("checkpoint file envelope version %d, this build reads version %d", env.Version, CheckpointFileVersion)
-		}
-		got, sumErr := payloadChecksum(payload)
-		if sumErr != nil {
-			return nil, fmt.Errorf("checkpoint file corrupt: %v", sumErr)
-		}
-		if got != env.Checksum {
-			return nil, fmt.Errorf("checkpoint file checksum mismatch: header %s, payload %s — file is corrupt", env.Checksum, got)
-		}
+		return nil, fmt.Errorf("checkpoint file has no envelope (no payload, no checksum): refused")
+	}
+	if env.Version != CheckpointFileVersion {
+		return nil, fmt.Errorf("checkpoint file envelope version %d, this build reads version %d", env.Version, CheckpointFileVersion)
+	}
+	got, sumErr := payloadChecksum(env.Payload)
+	if sumErr != nil {
+		return nil, fmt.Errorf("checkpoint file corrupt: %v", sumErr)
+	}
+	if got != env.Checksum {
+		return nil, fmt.Errorf("checkpoint file checksum mismatch: header %s, payload %s — file is corrupt", env.Checksum, got)
 	}
 	var cp InstanceCheckpoint
-	if err := json.Unmarshal(payload, &cp); err != nil {
+	if err := json.Unmarshal(env.Payload, &cp); err != nil {
 		return nil, fmt.Errorf("checkpoint payload corrupt: %v", err)
 	}
 	return &cp, nil
 }
 
-// WriteCheckpointFile atomically replaces path with a JSON-enveloped
-// snapshot; WriteCheckpointFileBinary is the binary-envelope twin.
-func WriteCheckpointFile(path string, cp *InstanceCheckpoint) error {
-	data, err := EncodeCheckpointFile(cp)
-	if err != nil {
-		return err
-	}
-	return writeCheckpointBytes(path, data)
-}
-
 // WriteCheckpointFileBinary atomically replaces path with a binary-
-// enveloped snapshot. Readers auto-detect the format, so the two writers
-// are interchangeable per file.
+// enveloped snapshot: a temp file first (rename is atomic, a crash
+// mid-write never clobbers the live file), with the previous generation
+// rotated to "<path>.1" so one corrupted write still leaves a valid
+// snapshot to fall back to.
 func WriteCheckpointFileBinary(path string, cp *InstanceCheckpoint) error {
 	data, err := EncodeCheckpointFileBinary(cp)
 	if err != nil {
 		return err
 	}
-	return writeCheckpointBytes(path, data)
-}
-
-// writeCheckpointBytes lands the encoded snapshot atomically: a temp
-// file first (rename is atomic, a crash mid-write never clobbers the
-// live file), with the previous generation rotated to "<path>.1" so one
-// corrupted write still leaves a valid snapshot to fall back to.
-func writeCheckpointBytes(path string, data []byte) error {
 	tmp := path + ".tmp"
 	if err := os.WriteFile(tmp, data, 0o644); err != nil {
 		return err

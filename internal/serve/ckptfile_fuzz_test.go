@@ -43,7 +43,7 @@ func FuzzDecodeCheckpointFile(f *testing.F) {
 	f.Add(flipped)
 	// Intact payload under a stale checksum header.
 	f.Add(bytes.Replace(valid, []byte(`"crc32c:`), []byte(`"crc32c:0`), 1))
-	// Legacy bare checkpoint, pre-envelope.
+	// A bare checkpoint object, pre-envelope: refused, it has no checksum.
 	f.Add([]byte(`{"version":1,"lc":"websearch","engine":null}`))
 	f.Add([]byte(`{"envelope_version":1,"checksum":"crc32c:00000000","payload":{}}`))
 	f.Add([]byte(`{`))

@@ -67,30 +67,29 @@ func TestCheckpointFileRejectsTruncation(t *testing.T) {
 	}
 }
 
-// Legacy bare-checkpoint files (written before the envelope existed)
-// must stay restorable.
-func TestCheckpointFileAcceptsLegacy(t *testing.T) {
+// A bare InstanceCheckpoint object (the file form from before the
+// envelope existed) carries no checksum: any JSON object without a
+// payload used to be trusted as one. It is refused, whatever it holds.
+func TestCheckpointFileRefusesBareJSON(t *testing.T) {
 	raw, err := json.Marshal(testCkpt(9))
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}
-	got, err := DecodeCheckpointFile(raw)
-	if err != nil {
-		t.Fatalf("decode legacy: %v", err)
-	}
-	if got.MaxEpochs != 9 {
-		t.Fatalf("legacy decode MaxEpochs = %d, want 9", got.MaxEpochs)
+	for _, data := range [][]byte{raw, []byte(`{}`), []byte(`{"envelope_version":1,"checksum":"crc32c:00000000"}`)} {
+		if got, err := DecodeCheckpointFile(data); err == nil || got != nil || !strings.Contains(err.Error(), "no envelope") {
+			t.Fatalf("decode of %s = %+v, %v; want a refusal naming the missing envelope", data, got, err)
+		}
 	}
 }
 
 func TestCheckpointFileRotationAndFallback(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "i1.json")
+	path := filepath.Join(dir, "i1.ckpt")
 
-	if err := WriteCheckpointFile(path, testCkpt(1)); err != nil {
+	if err := WriteCheckpointFileBinary(path, testCkpt(1)); err != nil {
 		t.Fatalf("write 1: %v", err)
 	}
-	if err := WriteCheckpointFile(path, testCkpt(2)); err != nil {
+	if err := WriteCheckpointFileBinary(path, testCkpt(2)); err != nil {
 		t.Fatalf("write 2: %v", err)
 	}
 
@@ -124,7 +123,7 @@ func TestCheckpointFileRotationAndFallback(t *testing.T) {
 	}
 
 	// Missing primary with no rotated file: plain not-exist error.
-	missing := filepath.Join(dir, "nope.json")
+	missing := filepath.Join(dir, "nope.ckpt")
 	if _, _, err := ReadCheckpointFallback(missing); !os.IsNotExist(err) {
 		t.Fatalf("fallback on missing file = %v, want not-exist", err)
 	}
