@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"heracles"
-	"heracles/internal/baseline"
 	"heracles/internal/cache"
 	"heracles/internal/core"
 	"heracles/internal/engine"
@@ -252,60 +251,6 @@ func BenchmarkAblationNoDRAMModel(b *testing.B) {
 		if i == 0 {
 			fmt.Printf("Ablation: no offline DRAM model -> violations=%d meanEMU=%.1f%%\n",
 				len(s.Violations()), 100*s.MeanEMU())
-		}
-	}
-}
-
-// BenchmarkAblationStaticPartitioning measures the static-allocation
-// alternative the paper rejects (§3.3): conservative splits strand
-// capacity, aggressive splits violate SLOs.
-func BenchmarkAblationStaticPartitioning(b *testing.B) {
-	l := lab()
-	lc := l.LC("websearch")
-	be := l.BE("brain")
-	factory := func() *machine.Machine { return machine.New(l.Cfg) }
-	loads := []float64{0.2, 0.5, 0.8}
-	for i := 0; i < b.N; i++ {
-		cons := baseline.RunStatic(factory, lc, be, baseline.ConservativeStatic(36, 20), loads, 3*time.Minute)
-		aggr := baseline.RunStatic(factory, lc, be, baseline.AggressiveStatic(36, 20), loads, 3*time.Minute)
-		if i == 0 {
-			fmt.Println("Ablation: static partitioning (load, tail%%SLO, EMU)")
-			for j := range cons {
-				fmt.Printf("load %3.0f%%: conservative %5.1f%% / EMU %5.1f%%   aggressive %6.1f%% / EMU %5.1f%%\n",
-					100*cons[j].Load, 100*cons[j].TailFrac, 100*cons[j].EMU,
-					100*aggr[j].TailFrac, 100*aggr[j].EMU)
-			}
-			fmt.Println()
-		}
-	}
-}
-
-// BenchmarkAblationEngines cross-checks the analytic and DES latency
-// engines on the same colocation scenario.
-func BenchmarkAblationEngines(b *testing.B) {
-	l := lab()
-	for i := 0; i < b.N; i++ {
-		for _, eng := range []struct {
-			name string
-			e    lat.Engine
-		}{{"analytic", lat.Analytic{}}, {"des", lat.NewDES(1)}} {
-			m := machine.New(l.Cfg, machine.WithEngine(eng.e))
-			m.SetLC(l.LC("websearch"))
-			m.AddBE(l.BE("brain"), workload.PlaceDedicated)
-			m.SetLoad(0.4)
-			ctl := core.New(m, nil, core.DefaultConfig())
-			var tel machine.Telemetry
-			for s := 0; s < 480; s++ {
-				tel = m.Step()
-				ctl.Step(m.Clock().Now())
-			}
-			if i == 0 {
-				fmt.Printf("Ablation engines: %-8s tail=%5.1f%%SLO EMU=%5.1f%%\n",
-					eng.name, 100*tel.TailLatency.Seconds()/l.LC("websearch").SLO.Seconds(), 100*tel.EMU)
-			}
-		}
-		if i == 0 {
-			fmt.Println()
 		}
 	}
 }

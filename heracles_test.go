@@ -55,18 +55,3 @@ func TestPublicAPITCO(t *testing.T) {
 		t.Fatalf("75%%->90%% gain = %v", cs[0].HeraclesGain)
 	}
 }
-
-func TestPublicAPIDESEngine(t *testing.T) {
-	hwCfg := heracles.DefaultHardware()
-	lc := heracles.CalibrateLC(hwCfg, heracles.SpecOf(heracles.MLCluster()))
-	m := heracles.NewMachine(hwCfg, heracles.WithEngine(heracles.NewDES(1)))
-	m.SetLC(lc)
-	m.SetLoad(0.5)
-	var tel heracles.Telemetry
-	for i := 0; i < 10; i++ {
-		tel = m.Step()
-	}
-	if tel.TailLatency <= 0 || tel.TailLatency > lc.SLO {
-		t.Fatalf("DES tail = %v (SLO %v)", tel.TailLatency, lc.SLO)
-	}
-}

@@ -3,6 +3,7 @@ package actuate
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -24,7 +25,7 @@ func TestCPUSetRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Equal(want) {
+	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("got %v", got.Sorted())
 	}
 }

@@ -43,13 +43,6 @@ func New(seed uint64, members ...string) *Table {
 	return t
 }
 
-// Seed returns the table's seed.
-func (t *Table) Seed() uint64 { return t.seed }
-
-// Members returns the membership in insertion order. The caller must
-// not mutate the returned slice.
-func (t *Table) Members() []string { return t.members }
-
 // Len returns the member count.
 func (t *Table) Len() int { return len(t.members) }
 

@@ -33,9 +33,12 @@ func baseConfig(t *testing.T) Config {
 	return testCfg
 }
 
-func shortTrace() trace.Trace {
-	return trace.Constant(0.4, 8*time.Minute, time.Second)
+// flatTrace holds one load for d: two points, since a trace steps.
+func flatTrace(load float64, d time.Duration) trace.Trace {
+	return trace.Trace{{Load: load}, {At: d, Load: load}}
 }
+
+func shortTrace() trace.Trace { return flatTrace(0.4, 8*time.Minute) }
 
 func TestBaselineClusterMeetsSLO(t *testing.T) {
 	cfg := baseConfig(t)
@@ -67,7 +70,7 @@ func TestHeraclesClusterRaisesEMUWithoutViolations(t *testing.T) {
 func TestClusterEpochAccounting(t *testing.T) {
 	cfg := baseConfig(t)
 	cfg.Heracles = false
-	tr := trace.Constant(0.3, 3*time.Minute, time.Second)
+	tr := flatTrace(0.3, 3*time.Minute)
 	res := Run(cfg, tr)
 	if len(res.Epochs) != 180 {
 		t.Fatalf("epochs = %d", len(res.Epochs))
@@ -89,7 +92,7 @@ func TestRootLatencyGrowsWithFanout(t *testing.T) {
 	cfg := baseConfig(t)
 	small, big := cfg, cfg
 	small.Leaves, big.Leaves = 2, 8
-	tr := trace.Constant(0.5, time.Minute, time.Second)
+	tr := flatTrace(0.5, time.Minute)
 	a := Run(small, tr)
 	b := Run(big, tr)
 	la := a.Epochs[len(a.Epochs)-1].RootMean
@@ -103,14 +106,14 @@ func TestSummaryWarmupSkipped(t *testing.T) {
 	cfg := baseConfig(t)
 	cfg.Heracles = false
 	cfg.Warmup = 2 * time.Minute
-	tr := trace.Constant(0.4, 4*time.Minute, time.Second)
+	tr := flatTrace(0.4, 4*time.Minute)
 	res := Run(cfg, tr)
 	s := res.Summarize()
 	if s.MeanEMU == 0 {
 		t.Fatal("summary empty after warmup skip")
 	}
 	// A run shorter than the warmup yields an empty summary.
-	short := Run(cfg, trace.Constant(0.4, time.Minute, time.Second))
+	short := Run(cfg, flatTrace(0.4, time.Minute))
 	if got := short.Summarize(); got.MeanEMU != 0 {
 		t.Fatalf("short run summary = %+v", got)
 	}

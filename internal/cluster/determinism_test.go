@@ -7,7 +7,6 @@ import (
 
 	"heracles/internal/scenario"
 	"heracles/internal/sched"
-	"heracles/internal/trace"
 )
 
 // Worker-count invariance of the epoch loop is pinned at the engine
@@ -23,7 +22,7 @@ func TestRootMeanIgnoresSeed(t *testing.T) {
 	cfg := baseConfig(t)
 	cfg.Heracles = true
 	cfg.DynamicLeafTargets = true // the root mean feeds back into the leaves
-	tr := trace.Constant(0.5, 4*time.Minute, time.Second)
+	tr := flatTrace(0.5, 4*time.Minute)
 	cfg.Workers = 1
 	ref := Run(cfg, tr)
 	if last := ref.Epochs[len(ref.Epochs)-1]; last.RootMean <= 0 {

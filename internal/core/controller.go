@@ -68,14 +68,6 @@ type DRAMModel interface {
 	LCDemandGBs(load float64, lcCores, lcWays int) float64
 }
 
-// DRAMModelFunc adapts a function to the DRAMModel interface.
-type DRAMModelFunc func(load float64, lcCores, lcWays int) float64
-
-// LCDemandGBs implements DRAMModel.
-func (f DRAMModelFunc) LCDemandGBs(load float64, lcCores, lcWays int) float64 {
-	return f(load, lcCores, lcWays)
-}
-
 // Config carries the controller's tunables; the defaults are the constants
 // of Algorithms 1-4.
 type Config struct {
@@ -254,12 +246,6 @@ func (c *Controller) OnEvent(fn func(Event)) {
 	c.traces = append(c.traces, fn)
 	c.traceMu.Unlock()
 }
-
-// Slack returns the most recent latency slack (SLO - latency)/SLO.
-func (c *Controller) Slack() float64 { return c.slack }
-
-// State returns the core & memory subcontroller phase.
-func (c *Controller) State() GrowState { return c.state }
 
 // BEEnabled reports whether the controller currently allows BE execution.
 func (c *Controller) BEEnabled() bool { return c.enabled }

@@ -97,8 +97,8 @@ func TestTopLevelEnablesBEAtLowLoad(t *testing.T) {
 	if f.beWays != 2 && f.beWays != 3 {
 		t.Fatalf("initial BE ways = %d, want 2 (or 3 after first growth)", f.beWays)
 	}
-	if c.State() != GrowLLC {
-		t.Fatalf("initial state = %v, want GROW_LLC", c.State())
+	if c.state != GrowLLC {
+		t.Fatalf("initial state = %v, want GROW_LLC", c.state)
 	}
 	// The enable event records the paper's initial allocation.
 	var enable *Event
@@ -224,8 +224,8 @@ func TestCoreLoopGrowsCoresWithSlack(t *testing.T) {
 	// The unchanged bandwidth makes the pending check roll back (the
 	// derivative is not negative) and switch to GROW_CORES.
 	c.Step(2 * time.Second)
-	if c.State() != GrowCores {
-		t.Fatalf("state = %v, want GROW_CORES", c.State())
+	if c.state != GrowCores {
+		t.Fatalf("state = %v, want GROW_CORES", c.state)
 	}
 	f.beDRAM = 5
 	f.dramTotal = 20
@@ -249,8 +249,8 @@ func TestCoreLoopCacheRollbackOnBWIncrease(t *testing.T) {
 	if f.beWays != 2 {
 		t.Fatalf("ways after rollback = %d, want 2", f.beWays)
 	}
-	if c.State() != GrowCores {
-		t.Fatalf("state after rollback = %v", c.State())
+	if c.state != GrowCores {
+		t.Fatalf("state after rollback = %v", c.state)
 	}
 }
 
@@ -265,8 +265,8 @@ func TestCoreLoopCacheKeptWhenBWFallsAndBEBenefits(t *testing.T) {
 	if f.beWays < 3 {
 		t.Fatalf("beneficial cache growth rolled back: ways=%d", f.beWays)
 	}
-	if c.State() != GrowLLC {
-		t.Fatalf("state = %v, want GROW_LLC to continue", c.State())
+	if c.state != GrowLLC {
+		t.Fatalf("state = %v, want GROW_LLC to continue", c.state)
 	}
 }
 

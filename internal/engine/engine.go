@@ -408,9 +408,6 @@ func (e *Engine) Epoch() uint64 { return e.epochIdx }
 // Now returns the simulated time at the start of the next epoch.
 func (e *Engine) Now() time.Duration { return e.t }
 
-// ScenarioActive reports whether a scenario currently drives the load.
-func (e *Engine) ScenarioActive() bool { return e.run != nil }
-
 // ScenarioName returns the active scenario's name ("" when none).
 func (e *Engine) ScenarioName() string {
 	if e.run == nil {

@@ -63,10 +63,6 @@ func (e *Engine) InjectFault(f fault.Fault) error {
 	return nil
 }
 
-// FaultsApplied returns the number of faults applied over the engine's
-// lifetime (restored engines continue the count).
-func (e *Engine) FaultsApplied() int { return e.faultCount }
-
 // NodeDown reports whether node i is inside a crash outage window.
 func (e *Engine) NodeDown(i int) bool {
 	return e.nf != nil && e.nf[i].downUntil > e.t

@@ -108,8 +108,8 @@ func TestFaultWindowsAndStaleLatch(t *testing.T) {
 	}
 
 	step(360 * time.Second)
-	if got := e.FaultsApplied(); got != len(cfg.Faults) {
-		t.Fatalf("FaultsApplied = %d, want %d", got, len(cfg.Faults))
+	if got := e.Snapshot().Faults.Applied; got != len(cfg.Faults) {
+		t.Fatalf("faults applied = %d, want %d", got, len(cfg.Faults))
 	}
 }
 
@@ -155,8 +155,8 @@ func TestFaultCheckpointRestore(t *testing.T) {
 			t.Fatalf("epoch %d diverged after restore:\n%+v\nvs uninterrupted\n%+v", cut+i, got[i], want[cut+i])
 		}
 	}
-	if r.FaultsApplied() != ref.FaultsApplied() {
-		t.Fatalf("restored run applied %d faults, uninterrupted %d", r.FaultsApplied(), ref.FaultsApplied())
+	if got, want := r.Snapshot().Faults.Applied, ref.Snapshot().Faults.Applied; got != want {
+		t.Fatalf("restored run applied %d faults, uninterrupted %d", got, want)
 	}
 }
 

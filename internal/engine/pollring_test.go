@@ -168,6 +168,14 @@ func TestPollRingMatchesFullHistoryUnderController(t *testing.T) {
 						t.Fatalf("%s: ring holds %d samples, declared depth is %d", phase, got, v.depth)
 					}
 				}
+				// Rebinding a side wraps its machine anew, so the window the
+				// test has open is kept here.
+				blackout := false
+				setBlackout := func(on bool) {
+					blackout = on
+					ring.fenv.SetBlackout(on)
+					full.fenv.SetBlackout(on)
+				}
 				// restore replaces the ring side with one rebuilt from its
 				// own checkpoint, carried by the given codec; widen edits
 				// the machine snapshot first.
@@ -204,7 +212,6 @@ func TestPollRingMatchesFullHistoryUnderController(t *testing.T) {
 					if want := len(snap.Window); len(m.Snapshot().Window) != want {
 						t.Fatalf("restored machine holds %d samples before its reader declares, checkpoint carried %d", len(m.Snapshot().Window), want)
 					}
-					blackout := ring.fenv.BlackoutActive()
 					ring.m = m
 					ring.bind(model, v.cfg)
 					ring.ctl.Restore(*got.Controllers[0])
@@ -221,13 +228,11 @@ func TestPollRingMatchesFullHistoryUnderController(t *testing.T) {
 
 				run("filling and wrapping", 700)
 
-				ring.fenv.SetBlackout(true)
-				full.fenv.SetBlackout(true)
+				setBlackout(true)
 				run("blackout", 130)
 				restore("binary", nil) // mid-blackout
 				run("blackout, restored", 130)
-				ring.fenv.SetBlackout(false)
-				full.fenv.SetBlackout(false)
+				setBlackout(false)
 				run("after blackout", 100)
 
 				restore("binary", nil)

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"heracles/internal/core"
-	"heracles/internal/lat"
 	"heracles/internal/machine"
 	"heracles/internal/parallel"
 	"heracles/internal/workload"
@@ -17,10 +16,6 @@ type RunOpts struct {
 	Duration time.Duration // total simulated time per load point (default 12 min)
 	Warmup   time.Duration // excluded from statistics (default 2 min)
 	Window   time.Duration // SLO reporting window (default 60 s, like the paper)
-	// Engine overrides the per-point latency engine; nil = analytic. A
-	// non-nil engine is a single shared instance whose state carries
-	// across load points, so setting it forces the sweep sequential.
-	Engine lat.Engine
 	// UseDRAMModel attaches the offline DRAM bandwidth model (§4.2); when
 	// false the controller estimates LC bandwidth by counter subtraction.
 	UseDRAMModel bool
@@ -48,9 +43,6 @@ func (o RunOpts) withDefaults() RunOpts {
 
 // sweepWorkers resolves the worker count for one sweep under this lab.
 func (l *Lab) sweepWorkers(opts RunOpts) int {
-	if opts.Engine != nil {
-		return 1 // shared engine state must be touched in load order
-	}
 	if opts.Workers != 0 {
 		return opts.Workers
 	}
@@ -91,7 +83,7 @@ func (l *Lab) Baseline(lcName string, loads []float64, opts RunOpts) Series {
 	opts = opts.withDefaults()
 	wl := l.LC(lcName)
 	points := parallel.Map(l.sweepWorkers(opts), len(loads), func(i int) Point {
-		m := l.newMachine(opts.Engine)
+		m := machine.New(l.Cfg)
 		m.SetLC(wl)
 		m.SetLoad(loads[i])
 		return runPoint(m, nil, wl, loads[i], opts)
@@ -123,7 +115,7 @@ func (l *Lab) ColocateWithModel(lcName, beName string, loads []float64, opts Run
 	}
 
 	points := parallel.Map(l.sweepWorkers(opts), len(loads), func(i int) Point {
-		m := l.newMachine(opts.Engine)
+		m := machine.New(l.Cfg)
 		m.SetLC(wl)
 		m.AddBE(be, workload.PlaceDedicated)
 		m.SetLoad(loads[i])

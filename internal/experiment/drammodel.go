@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"heracles/internal/core"
+	"heracles/internal/machine"
 	"heracles/internal/parallel"
 )
 
@@ -111,7 +112,7 @@ func (l *Lab) profileDRAM(lcName string) *DRAMTable {
 	}
 	parallel.ForEach(l.workers(), len(t.Loads)*nc, func(row int) {
 		i, j := row/nc, row%nc
-		m := l.newMachine(nil)
+		m := machine.New(l.Cfg)
 		for k, w := range t.Ways {
 			m.SetLC(wl)
 			m.PinLC(t.Cores[j])

@@ -22,16 +22,6 @@ func sharedLab(t *testing.T) *Lab {
 	return testLab
 }
 
-func TestDefaultLoads(t *testing.T) {
-	loads := DefaultLoads()
-	if len(loads) != 19 {
-		t.Fatalf("want 19 load points, got %d", len(loads))
-	}
-	if loads[0] != 0.05 || loads[18] < 0.949 || loads[18] > 0.951 {
-		t.Fatalf("range = [%v, %v]", loads[0], loads[18])
-	}
-}
-
 func TestLabCachesCalibration(t *testing.T) {
 	lab := sharedLab(t)
 	a := lab.LC("websearch")
@@ -227,6 +217,16 @@ func TestGridInts(t *testing.T) {
 	}
 }
 
+// scaledModel is a DRAM model off by a constant factor.
+type scaledModel struct {
+	core.DRAMModel
+	k float64
+}
+
+func (m scaledModel) LCDemandGBs(load float64, cores, ways int) float64 {
+	return m.DRAMModel.LCDemandGBs(load, cores, ways) * m.k
+}
+
 func TestOutdatedDRAMModelTolerated(t *testing.T) {
 	// §5.2: "the websearch binary and shard changed between generating the
 	// offline profiling model ... and performing this experiment.
@@ -236,9 +236,7 @@ func TestOutdatedDRAMModelTolerated(t *testing.T) {
 	lab := sharedLab(t)
 	base := lab.DRAMModel("websearch")
 	for _, scale := range []float64{0.75, 1.25} {
-		stale := core.DRAMModelFunc(func(load float64, cores, ways int) float64 {
-			return base.LCDemandGBs(load, cores, ways) * scale
-		})
+		stale := scaledModel{base, scale}
 		opts := RunOpts{Duration: 8 * time.Minute, Warmup: 2 * time.Minute}
 		cfg := core.DefaultConfig()
 		opts.Controller = &cfg

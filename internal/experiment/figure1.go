@@ -4,18 +4,10 @@ import (
 	"fmt"
 	"strings"
 
+	"heracles/internal/machine"
 	"heracles/internal/parallel"
 	"heracles/internal/workload"
 )
-
-// DefaultLoads are the 19 load points of Figure 1 (5%..95%).
-func DefaultLoads() []float64 {
-	loads := make([]float64, 19)
-	for i := range loads {
-		loads[i] = 0.05 * float64(i+1)
-	}
-	return loads
-}
 
 // Fig1Row is one antagonist row of a Figure 1 table: tail latency as a
 // fraction of the SLO at each load point.
@@ -67,7 +59,7 @@ func (l *Lab) Figure1(lcName string, loads []float64) Fig1Table {
 	cells := parallel.Map(workers, nRows*nLoads, func(cell int) float64 {
 		name := Fig1RowNames[cell/nLoads]
 		i := cell % nLoads
-		m := l.newMachine(nil)
+		m := machine.New(l.Cfg)
 		m.SetLC(wl)
 		m.SetLoad(loads[i])
 

@@ -67,7 +67,7 @@ func (l *Lab) Figure3(lcName string, coreFracs, wayFracs []float64) Fig3Surface 
 		if w < 1 {
 			w = 1
 		}
-		m := l.newMachine(nil)
+		m := machine.New(l.Cfg)
 		if !meets(m, n, w, 0.02) {
 			surface.MaxLoad[i][j] = 0
 			return

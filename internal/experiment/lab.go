@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"heracles/internal/hw"
-	"heracles/internal/lat"
 	"heracles/internal/machine"
 	"heracles/internal/parallel"
 	"heracles/internal/workload"
@@ -104,15 +103,6 @@ func (l *Lab) BE(name string) *workload.BE {
 	})
 }
 
-// newMachine builds a machine with the lab's hardware and an optional
-// engine override.
-func (l *Lab) newMachine(engine lat.Engine) *machine.Machine {
-	if engine == nil {
-		return machine.New(l.Cfg)
-	}
-	return machine.New(l.Cfg, machine.WithEngine(engine))
-}
-
 // MinCoresForSLO returns the smallest number of cores on which the LC
 // workload meets its SLO at the given load, running alone with the full
 // LLC — the §3.2 characterisation setup ("pinning the LC workload to
@@ -128,11 +118,11 @@ func (l *Lab) MinCoresForSLO(lcName string, load float64) int {
 	target := wl.SLO.Seconds() * 0.90
 	filler := l.BE("filler")
 	// Unlike the LC-only probes of calibration and Figure 3, each probe
-	// here builds its own machine: it installs a BE filler, and RemoveBEs
-	// is not a reset the way re-installing the LC task is (see
+	// here builds its own machine: it installs a BE filler, and removing
+	// that is not a reset the way re-installing the LC task is (see
 	// Machine.SetLC).
 	meets := func(n int) bool {
-		m := l.newMachine(nil)
+		m := machine.New(l.Cfg)
 		m.SetLC(wl)
 		m.AddBE(filler, workload.PlaceDedicated)
 		m.SetLoad(load)

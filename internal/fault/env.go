@@ -20,7 +20,6 @@ type Env struct {
 	core.Env
 	blackout bool
 	actFail  bool
-	dropped  int
 }
 
 // Wrap builds a fault-injectable view of inner with no faults active.
@@ -29,17 +28,8 @@ func Wrap(inner core.Env) *Env { return &Env{Env: inner} }
 // SetBlackout toggles the telemetry blackout window.
 func (e *Env) SetBlackout(on bool) { e.blackout = on }
 
-// BlackoutActive reports whether a blackout is in effect.
-func (e *Env) BlackoutActive() bool { return e.blackout }
-
 // SetActuationFail toggles the actuation-failure window.
 func (e *Env) SetActuationFail(on bool) { e.actFail = on }
-
-// ActuationFailActive reports whether actuation is being dropped.
-func (e *Env) ActuationFailActive() bool { return e.actFail }
-
-// DroppedActuations counts the isolation actions swallowed so far.
-func (e *Env) DroppedActuations() int { return e.dropped }
 
 // TailLatency returns no data during a blackout.
 func (e *Env) TailLatency(window time.Duration) (time.Duration, bool) {
@@ -57,67 +47,51 @@ func (e *Env) KeepTailHistory(window time.Duration) {
 	}
 }
 
-// drop records a swallowed actuation while the failure window is open.
-func (e *Env) drop() bool {
-	if e.actFail {
-		e.dropped++
-		return true
-	}
-	return false
-}
-
 // EnableBE is dropped during an actuation failure.
 func (e *Env) EnableBE() {
-	if e.drop() {
-		return
+	if !e.actFail {
+		e.Env.EnableBE()
 	}
-	e.Env.EnableBE()
 }
 
 // DisableBE is dropped during an actuation failure.
 func (e *Env) DisableBE() {
-	if e.drop() {
-		return
+	if !e.actFail {
+		e.Env.DisableBE()
 	}
-	e.Env.DisableBE()
 }
 
 // SetBECores is dropped during an actuation failure.
 func (e *Env) SetBECores(n int) {
-	if e.drop() {
-		return
+	if !e.actFail {
+		e.Env.SetBECores(n)
 	}
-	e.Env.SetBECores(n)
 }
 
 // SetBEWays is dropped during an actuation failure.
 func (e *Env) SetBEWays(n int) {
-	if e.drop() {
-		return
+	if !e.actFail {
+		e.Env.SetBEWays(n)
 	}
-	e.Env.SetBEWays(n)
 }
 
 // LowerBEFreq is dropped during an actuation failure.
 func (e *Env) LowerBEFreq() {
-	if e.drop() {
-		return
+	if !e.actFail {
+		e.Env.LowerBEFreq()
 	}
-	e.Env.LowerBEFreq()
 }
 
 // RaiseBEFreq is dropped during an actuation failure.
 func (e *Env) RaiseBEFreq() {
-	if e.drop() {
-		return
+	if !e.actFail {
+		e.Env.RaiseBEFreq()
 	}
-	e.Env.RaiseBEFreq()
 }
 
 // SetBETxCeil is dropped during an actuation failure.
 func (e *Env) SetBETxCeil(gbs float64) {
-	if e.drop() {
-		return
+	if !e.actFail {
+		e.Env.SetBETxCeil(gbs)
 	}
-	e.Env.SetBETxCeil(gbs)
 }

@@ -3,7 +3,9 @@ package fed
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -165,5 +167,69 @@ func TestMigrateBodyIsCapped(t *testing.T) {
 	msg, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
 	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "too large") {
 		t.Fatalf("2 MiB migrate body answered %d: %s", resp.StatusCode, msg)
+	}
+}
+
+// TestProxyCancelsMemberRequestWithClient: a client that drops a proxied
+// stream takes the member request down with it. The member here never
+// writes, so nothing but the inbound request's context can end its
+// handler.
+func TestProxyCancelsMemberRequestWithClient(t *testing.T) {
+	srv := serve.New(serve.Config{Lab: testLab})
+	t.Cleanup(srv.Close)
+	h := srv.Handler()
+	started, ended, release := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	member := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if path.Base(r.URL.Path) != "stream" {
+			h.ServeHTTP(w, r)
+			return
+		}
+		w.(http.Flusher).Flush()
+		close(started)
+		select {
+		case <-r.Context().Done():
+			close(ended)
+		case <-release: // a failed test still has to shut its servers down
+		}
+	}))
+	t.Cleanup(member.Close)
+	rt, err := NewRouter(Config{Members: []string{member.URL}})
+	if err != nil {
+		t.Fatalf("router: %v", err)
+	}
+	fts := httptest.NewServer(rt.Handler())
+	t.Cleanup(fts.Close)
+	t.Cleanup(func() { close(release) }) // runs first: both servers wait for their handlers
+	var info InstanceInfo
+	if err := json.Unmarshal(doReq(t, "POST", fts.URL+"/api/v1/instances", serve.InstanceSpec{Speed: 0.01, Load: 0.3}, 201), &info); err != nil {
+		t.Fatal(err)
+	}
+
+	// The router sends its status line with the first chunk, so the
+	// client's Do does not return before the cancel: it runs beside the
+	// test and reports how it ended.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, "GET", fts.URL+"/api/v1/instances/"+info.ID+"/stream", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clientDone := make(chan error, 1)
+	go func() {
+		resp, err := http.DefaultClient.Do(req)
+		if err == nil {
+			resp.Body.Close()
+		}
+		clientDone <- err
+	}()
+	<-started
+	cancel()
+	if err := <-clientDone; !errors.Is(err, context.Canceled) {
+		t.Fatalf("client request ended with %v, want its own cancellation", err)
+	}
+	select {
+	case <-ended:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the member's handler is still running 10 s after the client dropped the proxied stream")
 	}
 }

@@ -433,7 +433,7 @@ func (rt *Router) handleInstanceProxy(w http.ResponseWriter, r *http.Request) {
 	if r.ContentLength == 0 {
 		body = http.NoBody
 	}
-	req, err := http.NewRequest(r.Method, url, body)
+	req, err := http.NewRequestWithContext(r.Context(), r.Method, url, body)
 	if err != nil {
 		apiError(w, http.StatusBadGateway, "member %s: %v", p.member, err)
 		return

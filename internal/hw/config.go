@@ -116,9 +116,6 @@ func (c Config) Validate() error {
 // TotalCores returns the number of physical cores in the server.
 func (c Config) TotalCores() int { return c.Sockets * c.CoresPerSocket }
 
-// TotalThreads returns the number of logical CPUs in the server.
-func (c Config) TotalThreads() int { return c.TotalCores() * c.ThreadsPerCore }
-
 // TotalDRAMGBs returns the aggregate peak DRAM bandwidth across sockets.
 func (c Config) TotalDRAMGBs() float64 { return float64(c.Sockets) * c.DRAMGBs }
 
@@ -130,43 +127,3 @@ func (c Config) LinkGBs() float64 { return c.LinkGbps / 8 }
 
 // WayMB returns the capacity of a single LLC way in MB.
 func (c Config) WayMB() float64 { return c.LLCMB / float64(c.LLCWays) }
-
-// CPUID identifies a logical CPU. Logical CPUs are numbered the Linux way:
-// CPU id = core + socket*CoresPerSocket + thread*TotalCores, so the first
-// TotalCores ids are thread 0 of every core and the sibling hyperthread of
-// CPU i is i + TotalCores.
-type CPUID int
-
-// Socket returns the socket that hosts logical CPU id.
-func (c Config) Socket(id CPUID) int {
-	return (int(id) % c.TotalCores()) / c.CoresPerSocket
-}
-
-// Core returns the physical core index (machine-wide) of logical CPU id.
-func (c Config) Core(id CPUID) int { return int(id) % c.TotalCores() }
-
-// Thread returns the hyperthread index of logical CPU id within its core.
-func (c Config) Thread(id CPUID) int { return int(id) / c.TotalCores() }
-
-// Sibling returns the other hyperthread on the same physical core, assuming
-// two threads per core. With one thread per core it returns id itself.
-func (c Config) Sibling(id CPUID) CPUID {
-	if c.ThreadsPerCore < 2 {
-		return id
-	}
-	tc := c.TotalCores()
-	if int(id) < tc {
-		return id + CPUID(tc)
-	}
-	return id - CPUID(tc)
-}
-
-// ThreadsOfCore returns the logical CPU ids belonging to physical core
-// (machine-wide index).
-func (c Config) ThreadsOfCore(core int) []CPUID {
-	ids := make([]CPUID, c.ThreadsPerCore)
-	for t := 0; t < c.ThreadsPerCore; t++ {
-		ids[t] = CPUID(core + t*c.TotalCores())
-	}
-	return ids
-}

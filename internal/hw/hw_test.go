@@ -44,9 +44,6 @@ func TestTotals(t *testing.T) {
 	if c.TotalCores() != 36 {
 		t.Fatalf("cores = %d", c.TotalCores())
 	}
-	if c.TotalThreads() != 72 {
-		t.Fatalf("threads = %d", c.TotalThreads())
-	}
 	if c.TotalDRAMGBs() != 120 {
 		t.Fatalf("dram = %v", c.TotalDRAMGBs())
 	}
@@ -58,37 +55,6 @@ func TestTotals(t *testing.T) {
 	}
 	if math.Abs(c.WayMB()-2.25) > 1e-12 {
 		t.Fatalf("wayMB = %v", c.WayMB())
-	}
-}
-
-func TestTopologyMapping(t *testing.T) {
-	c := DefaultConfig()
-	// CPU 0: socket 0, core 0, thread 0. Its sibling is CPU 36.
-	if c.Socket(0) != 0 || c.Core(0) != 0 || c.Thread(0) != 0 {
-		t.Fatal("cpu 0 mapping wrong")
-	}
-	if c.Sibling(0) != 36 || c.Sibling(36) != 0 {
-		t.Fatalf("sibling(0)=%d sibling(36)=%d", c.Sibling(0), c.Sibling(36))
-	}
-	// CPU 20: socket 1, core 20, thread 0.
-	if c.Socket(20) != 1 || c.Thread(20) != 0 {
-		t.Fatalf("cpu 20: socket=%d thread=%d", c.Socket(20), c.Thread(20))
-	}
-	// CPU 40 = thread 1 of core 4.
-	if c.Core(40) != 4 || c.Thread(40) != 1 {
-		t.Fatalf("cpu 40: core=%d thread=%d", c.Core(40), c.Thread(40))
-	}
-	th := c.ThreadsOfCore(5)
-	if len(th) != 2 || th[0] != 5 || th[1] != 41 {
-		t.Fatalf("threads of core 5 = %v", th)
-	}
-}
-
-func TestSiblingSingleThread(t *testing.T) {
-	c := DefaultConfig()
-	c.ThreadsPerCore = 1
-	if c.Sibling(3) != 3 {
-		t.Fatal("single-thread sibling should be itself")
 	}
 }
 

@@ -22,15 +22,6 @@ func NewCPUSet(cpus ...int) CPUSet {
 // Add inserts a CPU into the set.
 func (s CPUSet) Add(cpu int) { s[cpu] = struct{}{} }
 
-// Remove deletes a CPU from the set.
-func (s CPUSet) Remove(cpu int) { delete(s, cpu) }
-
-// Contains reports membership.
-func (s CPUSet) Contains(cpu int) bool {
-	_, ok := s[cpu]
-	return ok
-}
-
 // Len returns the set size.
 func (s CPUSet) Len() int { return len(s) }
 
@@ -42,33 +33,6 @@ func (s CPUSet) Sorted() []int {
 	}
 	sort.Ints(out)
 	return out
-}
-
-// Equal reports whether two sets hold the same CPUs.
-func (s CPUSet) Equal(o CPUSet) bool {
-	if len(s) != len(o) {
-		return false
-	}
-	for c := range s {
-		if !o.Contains(c) {
-			return false
-		}
-	}
-	return true
-}
-
-// Intersects reports whether the sets share any CPU.
-func (s CPUSet) Intersects(o CPUSet) bool {
-	small, big := s, o
-	if len(big) < len(small) {
-		small, big = big, small
-	}
-	for c := range small {
-		if big.Contains(c) {
-			return true
-		}
-	}
-	return false
 }
 
 // String formats the set as a kernel cpulist ("0-3,8,10-11"), the format

@@ -2,6 +2,7 @@ package isolation
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -30,7 +31,7 @@ func TestParseCPUSet(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := NewCPUSet(0, 1, 2, 8, 10, 11)
-	if !s.Equal(want) {
+	if !reflect.DeepEqual(s, want) {
 		t.Fatalf("parsed %v", s.Sorted())
 	}
 	if empty, err := ParseCPUSet("  "); err != nil || empty.Len() != 0 {
@@ -53,7 +54,7 @@ func TestCPUSetRoundTripProperty(t *testing.T) {
 			s.Add(int(id))
 		}
 		parsed, err := ParseCPUSet(s.String())
-		return err == nil && parsed.Equal(s)
+		return err == nil && reflect.DeepEqual(parsed, s)
 	}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -61,15 +62,8 @@ func TestCPUSetRoundTripProperty(t *testing.T) {
 
 func TestCPUSetOps(t *testing.T) {
 	s := RangeCPUSet(0, 3)
-	if s.Len() != 4 || !s.Contains(2) {
-		t.Fatal("range set wrong")
-	}
-	s.Remove(2)
-	if s.Contains(2) {
-		t.Fatal("remove failed")
-	}
-	if !s.Intersects(NewCPUSet(3)) || s.Intersects(NewCPUSet(9)) {
-		t.Fatal("intersects wrong")
+	if s.Len() != 4 || s.String() != "0-3" {
+		t.Fatalf("range set = %q", s)
 	}
 }
 
@@ -80,9 +74,6 @@ func TestNewWayMask(t *testing.T) {
 	}
 	if m != 0x3c {
 		t.Fatalf("mask = %x", uint64(m))
-	}
-	if m.Ways() != 4 || m.Low() != 2 {
-		t.Fatalf("ways=%d low=%d", m.Ways(), m.Low())
 	}
 	if !m.Contiguous() {
 		t.Fatal("contiguous mask reported non-contiguous")
@@ -106,18 +97,6 @@ func TestWayMaskContiguity(t *testing.T) {
 	}
 	if !WayMask(0b1).Contiguous() || !WayMask(0xff00).Contiguous() {
 		t.Fatal("contiguous masks rejected")
-	}
-}
-
-func TestWayMaskOverlaps(t *testing.T) {
-	a, _ := NewWayMask(0, 4)
-	b, _ := NewWayMask(4, 4)
-	c, _ := NewWayMask(2, 4)
-	if a.Overlaps(b) {
-		t.Fatal("disjoint masks overlap")
-	}
-	if !a.Overlaps(c) {
-		t.Fatal("overlapping masks reported disjoint")
 	}
 }
 
@@ -208,7 +187,7 @@ func TestWayMaskRoundTripProperty(t *testing.T) {
 			return false
 		}
 		back, err := ParseWayMask(m.String())
-		return err == nil && back == m && back.Contiguous() && back.Ways() == c && back.Low() == l
+		return err == nil && back == m && back.Contiguous()
 	}, nil); err != nil {
 		t.Fatal(err)
 	}

@@ -25,17 +25,6 @@ func NewWayMask(lo, n int) (WayMask, error) {
 	return WayMask(m), nil
 }
 
-// Ways returns the number of ways in the mask.
-func (m WayMask) Ways() int { return bits.OnesCount64(uint64(m)) }
-
-// Low returns the index of the lowest set way, or -1 for an empty mask.
-func (m WayMask) Low() int {
-	if m == 0 {
-		return -1
-	}
-	return bits.TrailingZeros64(uint64(m))
-}
-
 // Contiguous reports whether the set bits form one contiguous run, the
 // validity requirement of Intel CAT.
 func (m WayMask) Contiguous() bool {
@@ -45,9 +34,6 @@ func (m WayMask) Contiguous() bool {
 	v := uint64(m) >> uint(bits.TrailingZeros64(uint64(m)))
 	return v&(v+1) == 0
 }
-
-// Overlaps reports whether two masks share any way.
-func (m WayMask) Overlaps(o WayMask) bool { return m&o != 0 }
 
 // String formats the mask as lowercase hex without leading zeros, the
 // format resctrl schemata files use (e.g. "fffff", "3", "ff000").

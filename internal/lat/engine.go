@@ -7,10 +7,9 @@ import (
 
 	"heracles/internal/queue"
 	"heracles/internal/sim"
-	"heracles/internal/stats"
 )
 
-// ServiceParams captures everything the latency engines need about one
+// ServiceParams captures everything the latency engine needs about one
 // control epoch. All contention effects have already been folded in by the
 // machine model.
 type ServiceParams struct {
@@ -58,26 +57,17 @@ func (e EpochStats) Quantile(q float64) time.Duration {
 	}
 }
 
-// Engine evaluates one epoch of the LC workload's queue. A caller may
-// skip Epoch and reuse an earlier result for identical arguments only for
-// a stateless engine (Analytic); an engine that keeps queue state or
-// draws random numbers (DES) must be called every epoch.
-type Engine interface {
-	// Epoch advances the queue by dt with arrival rate lambda (QPS) and
-	// the given number of serving cores, returning latency statistics.
-	Epoch(p ServiceParams, lambda float64, servers int, dt time.Duration) EpochStats
-	// Reset clears queue state between experiment points.
-	Reset()
-}
-
-// Analytic is the closed-form engine. The zero value is ready to use.
+// Analytic is the closed-form engine, the one a machine runs. It keeps
+// no state: Epoch is a pure function of its arguments, which is what lets
+// the machine reuse the last epoch's result when they repeat.
 type Analytic struct{}
 
 // OverloadCap bounds reported latency during overload so tables remain
 // finite; it corresponds to the paper's ">300%" entries.
 const OverloadCap = 100.0
 
-// Epoch implements Engine.
+// Epoch returns the latency statistics of one epoch of length dt with
+// arrival rate lambda (QPS) and the given number of serving cores.
 func (Analytic) Epoch(p ServiceParams, lambda float64, servers int, dt time.Duration) EpochStats {
 	s := p.Mean.Seconds()
 	if servers < 1 {
@@ -143,12 +133,10 @@ func (Analytic) Epoch(p ServiceParams, lambda float64, servers int, dt time.Dura
 	}
 }
 
-// Reset implements Engine; the analytic engine is stateless.
-func (Analytic) Reset() {}
-
-// DES is the discrete-event engine. It maintains queue state across epochs
-// so backlogs persist through transient overload, exactly like a real
-// server.
+// DES is the discrete-event engine: the independent reference Analytic's
+// M/G/k approximation is checked against (docs/FIDELITY.md, row 9). No
+// machine can run it. It maintains queue state across epochs so backlogs
+// persist through transient overload, exactly like a real server.
 type DES struct {
 	rng *sim.RNG
 	// srv is a min-heap of the times at which each server becomes free.
@@ -173,7 +161,7 @@ func (h serverHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
 func (h *serverHeap) Push(x any)        { *h = append(*h, x.(float64)) }
 func (h *serverHeap) Pop() any          { old := *h; n := len(old); v := old[n-1]; *h = old[:n-1]; return v }
 
-// Epoch implements Engine.
+// Epoch advances the queue by dt; arguments and result as Analytic.Epoch.
 func (d *DES) Epoch(p ServiceParams, lambda float64, servers int, dt time.Duration) EpochStats {
 	if servers < 1 {
 		servers = 1
@@ -238,9 +226,9 @@ func (d *DES) Epoch(p ServiceParams, lambda float64, servers int, dt time.Durati
 		return es
 	}
 	es.Mean = time.Duration(meanOf(lats) * float64(time.Second))
-	es.P50 = time.Duration(stats.Quantile(lats, 0.50) * float64(time.Second))
-	es.P95 = time.Duration(stats.Quantile(lats, 0.95) * float64(time.Second))
-	es.P99 = time.Duration(stats.Quantile(lats, 0.99) * float64(time.Second))
+	es.P50 = time.Duration(quantile(lats, 0.50) * float64(time.Second))
+	es.P95 = time.Duration(quantile(lats, 0.95) * float64(time.Second))
+	es.P99 = time.Duration(quantile(lats, 0.99) * float64(time.Second))
 	return es
 }
 
@@ -250,10 +238,4 @@ func meanOf(v []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(v))
-}
-
-// Reset implements Engine.
-func (d *DES) Reset() {
-	d.srv = d.srv[:0]
-	d.now = 0
 }

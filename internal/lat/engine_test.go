@@ -101,29 +101,6 @@ func TestQuantileInterpolation(t *testing.T) {
 	}
 }
 
-func TestDESMatchesAnalyticShape(t *testing.T) {
-	// Cross-validate the two engines across utilisations: they must agree
-	// on the shape (monotone growth, same inflection region) and roughly
-	// on magnitude.
-	var a Analytic
-	d := NewDES(42)
-	s := 5 * time.Millisecond
-	k := 16
-	for _, rho := range []float64{0.3, 0.6, 0.8, 0.9} {
-		lambda := rho * float64(k) / s.Seconds()
-		var des EpochStats
-		d.Reset()
-		for i := 0; i < 30; i++ { // accumulate enough samples
-			des = d.Epoch(params(s, 0.4), lambda, k, time.Second)
-		}
-		ana := a.Epoch(params(s, 0.4), lambda, k, time.Second)
-		ratio := des.P99.Seconds() / ana.P99.Seconds()
-		if ratio < 0.5 || ratio > 2.0 {
-			t.Fatalf("rho=%v: DES p99 %v vs analytic %v (ratio %.2f)", rho, des.P99, ana.P99, ratio)
-		}
-	}
-}
-
 func TestDESDeterministicPerSeed(t *testing.T) {
 	run := func() time.Duration {
 		d := NewDES(7)

@@ -36,8 +36,8 @@ func TestSetDegradeInflatesServiceTime(t *testing.T) {
 	m := New(cfg)
 	m.SetDegrade(1.7)
 	m.SetDegrade(0.5)
-	if m.Degrade() != 1 {
-		t.Fatalf("degrade not cleared: %v", m.Degrade())
+	if m.degrade != 0 {
+		t.Fatalf("degrade not cleared: %v", m.degrade)
 	}
 }
 

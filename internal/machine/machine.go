@@ -6,7 +6,6 @@ import (
 
 	"heracles/internal/cache"
 	"heracles/internal/hw"
-	"heracles/internal/lat"
 	"heracles/internal/netlink"
 	"heracles/internal/sim"
 	"heracles/internal/workload"
@@ -51,10 +50,9 @@ type BETask struct {
 
 // Machine is the simulated server.
 type Machine struct {
-	cfg    hw.Config
-	engine lat.Engine
-	clock  *sim.Clock
-	epoch  time.Duration
+	cfg   hw.Config
+	clock *sim.Clock
+	epoch time.Duration
 
 	lc  *LCTask
 	bes []*BETask
@@ -66,8 +64,7 @@ type Machine struct {
 	// Cumulative BE CPU-time disposition (busy core-seconds of retired
 	// tasks): beGoodCPUSec accrues on CompleteBE, beLostCPUSec on RemoveBE
 	// (a task that departs or is evicted before completing loses its
-	// work). RemoveBEs is a wholesale experiment reset and accounts
-	// nothing.
+	// work).
 	beGoodCPUSec float64
 	beLostCPUSec float64
 
@@ -140,9 +137,6 @@ func (m *Machine) ensureScratch(nTasks int) {
 // Option configures a Machine.
 type Option func(*Machine)
 
-// WithEngine selects the latency engine (default: lat.Analytic).
-func WithEngine(e lat.Engine) Option { return func(m *Machine) { m.engine = e } }
-
 // WithEpoch sets the resolution epoch (default: 1s).
 func WithEpoch(d time.Duration) Option { return func(m *Machine) { m.epoch = d } }
 
@@ -152,11 +146,10 @@ func New(cfg hw.Config, opts ...Option) *Machine {
 		panic(fmt.Sprintf("machine: invalid config: %v", err))
 	}
 	m := &Machine{
-		cfg:    cfg,
-		engine: lat.Analytic{},
-		clock:  sim.NewClock(0),
-		epoch:  time.Second,
-		depth:  windowDepth,
+		cfg:   cfg,
+		clock: sim.NewClock(0),
+		epoch: time.Second,
+		depth: windowDepth,
 	}
 	tc := cfg.TotalCores()
 	m.scratch = stepScratch{
@@ -172,12 +165,9 @@ func New(cfg hw.Config, opts ...Option) *Machine {
 	for _, o := range opts {
 		o(m)
 	}
-	m.reuse = newStageReuse(cfg, m.scratch.coreFreq, m.engine)
+	m.reuse = newStageReuse(cfg, m.scratch.coreFreq)
 	return m
 }
-
-// Config returns the hardware configuration.
-func (m *Machine) Config() hw.Config { return m.cfg }
 
 // Clock returns the machine's simulated clock.
 func (m *Machine) Clock() *sim.Clock { return m.clock }
@@ -197,8 +187,8 @@ func (m *Machine) Epoch() time.Duration { return m.epoch }
 // that follows matches the fresh machine's in all of Telemetry but Time.
 // CalibrateLC and the profiling grids run their probes on one machine on
 // this ground. Once BE tasks have been installed nothing of the sort is
-// promised: RemoveBEs detaches them but is not a reset (the CPU-time
-// totals of tasks retired one by one stay, and Step reports them).
+// promised: removing them is not a reset (the CPU-time totals of retired
+// tasks stay, and Step reports them).
 func (m *Machine) SetLC(wl *workload.LC) *LCTask {
 	m.lc = &LCTask{WL: wl, Cores: coreRange(0, m.cfg.TotalCores())}
 	m.lastService = wl.Spec.BaseService().Seconds()
@@ -250,16 +240,6 @@ func (m *Machine) detachBE(be *BETask) bool {
 		}
 	}
 	return false
-}
-
-// RemoveBEs detaches all BE tasks and restores all cores and ways to LC.
-func (m *Machine) RemoveBEs() {
-	m.bes = nil
-	if m.lc != nil {
-		m.lc.Cores = coreRange(0, m.cfg.TotalCores())
-		m.lc.Ways = 0
-	}
-	m.beNetCeilGBs = 0
 }
 
 // SetLoad sets the LC offered load as a fraction of peak QPS.
@@ -422,14 +402,6 @@ func (m *Machine) SetDegrade(f float64) {
 	m.degrade = f
 }
 
-// Degrade returns the current LC degradation factor (1 when none).
-func (m *Machine) Degrade() float64 {
-	if m.degrade == 0 {
-		return 1
-	}
-	return m.degrade
-}
-
 // SetBENetCeil sets the HTB ceiling for aggregate BE egress traffic.
 func (m *Machine) SetBENetCeil(gbs float64) {
 	if gbs < 0 {
@@ -486,7 +458,6 @@ func (m *Machine) BEEnabled() bool {
 // points.
 func (m *Machine) ResetStats() {
 	m.window, m.head = m.window[:0], 0
-	m.engine.Reset()
 	if m.lc != nil {
 		m.lastService = m.lc.WL.Spec.BaseService().Seconds()
 	}

@@ -145,7 +145,7 @@ func TestPartitionBalancesSockets(t *testing.T) {
 	if len(be.Cores) != 10 {
 		t.Fatalf("BE core count = %d", len(be.Cores))
 	}
-	s0, s1 := coresOnSocket(m.Config().CoresPerSocket, be.Cores, 0), coresOnSocket(m.Config().CoresPerSocket, be.Cores, 1)
+	s0, s1 := coresOnSocket(m.cfg.CoresPerSocket, be.Cores, 0), coresOnSocket(m.cfg.CoresPerSocket, be.Cores, 1)
 	if s0 != 5 || s1 != 5 {
 		t.Fatalf("BE cores per socket = %d/%d, want balanced", s0, s1)
 	}
@@ -159,7 +159,7 @@ func TestPartitionBalancesSockets(t *testing.T) {
 			t.Fatalf("core %d owned by both LC and BE", c)
 		}
 	}
-	if len(m.LC().Cores)+len(be.Cores) != m.Config().TotalCores() {
+	if len(m.LC().Cores)+len(be.Cores) != m.cfg.TotalCores() {
 		t.Fatal("cores lost in partition")
 	}
 }
@@ -169,8 +169,8 @@ func TestPinLCInterleavesSockets(t *testing.T) {
 	m := New(hw.DefaultConfig())
 	m.SetLC(lcs["websearch"])
 	m.PinLC(6)
-	s0 := coresOnSocket(m.Config().CoresPerSocket, m.LC().Cores, 0)
-	s1 := coresOnSocket(m.Config().CoresPerSocket, m.LC().Cores, 1)
+	s0 := coresOnSocket(m.cfg.CoresPerSocket, m.LC().Cores, 0)
+	s1 := coresOnSocket(m.cfg.CoresPerSocket, m.LC().Cores, 1)
 	if s0 != 3 || s1 != 3 {
 		t.Fatalf("pinned LC cores per socket = %d/%d", s0, s1)
 	}
@@ -191,7 +191,7 @@ func TestPartitionWays(t *testing.T) {
 	}
 	// Never allow BE to take every way.
 	m.PartitionWays(99)
-	if m.BEs()[0].Ways >= m.Config().LLCWays {
+	if m.BEs()[0].Ways >= m.cfg.LLCWays {
 		t.Fatalf("BE took all ways: %d", m.BEs()[0].Ways)
 	}
 }
@@ -276,7 +276,7 @@ func TestFreqCapActuators(t *testing.T) {
 		t.Fatal("initial cap should be 0 (uncapped)")
 	}
 	m.LowerBEFreq()
-	want := m.Config().MaxTurboGHz - 0.1
+	want := m.cfg.MaxTurboGHz - 0.1
 	if got := m.BEFreqCap(); got < want-1e-9 || got > want+1e-9 {
 		t.Fatalf("cap after first lower = %v, want %v", got, want)
 	}
@@ -288,7 +288,7 @@ func TestFreqCapActuators(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		m.LowerBEFreq()
 	}
-	if m.BEFreqCap() < m.Config().MinGHz {
+	if m.BEFreqCap() < m.cfg.MinGHz {
 		t.Fatalf("cap below MinGHz: %v", m.BEFreqCap())
 	}
 }
@@ -422,7 +422,9 @@ func TestRunForAndClock(t *testing.T) {
 	m := New(hw.DefaultConfig())
 	m.SetLC(lcs["websearch"])
 	m.SetLoad(0.2)
-	m.RunFor(5 * time.Second)
+	for range 5 {
+		m.Step()
+	}
 	if m.Clock().Now() != 5*time.Second {
 		t.Fatalf("clock = %v", m.Clock().Now())
 	}

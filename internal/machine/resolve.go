@@ -595,20 +595,6 @@ func zeroFloats(buf []float64, n int) []float64 {
 	return buf
 }
 
-// RunFor advances the machine by d, stepping epoch by epoch, and returns
-// the telemetry of the final epoch.
-func (m *Machine) RunFor(d time.Duration) Telemetry {
-	steps := int(d / m.epoch)
-	if steps < 1 {
-		steps = 1
-	}
-	var t Telemetry
-	for i := 0; i < steps; i++ {
-		t = m.Step()
-	}
-	return t
-}
-
 // socketShare returns the fraction of the LC task's work executing on
 // socket s.
 func socketShare(coresPerSocket, sockets int, cores []int, osShared bool, s, k int) float64 {

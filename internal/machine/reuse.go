@@ -27,10 +27,8 @@ import (
 // held its largest key.
 type stageReuse struct {
 	sockets []socketReuse
-	// lat holds the analytic engine's last epoch; latPure is false for an
-	// engine that keeps state (lat.DES), which must run every epoch.
-	lat     latEntry
-	latPure bool
+	// lat holds the latency engine's last epoch.
+	lat latEntry
 
 	// Solver calls made and avoided per stage, read by tests.
 	freqSolves, freqReused   uint64
@@ -76,9 +74,8 @@ type latEntry struct {
 	es      lat.EpochStats
 }
 
-func newStageReuse(cfg hw.Config, coreFreq []float64, engine lat.Engine) stageReuse {
-	_, pure := engine.(lat.Analytic)
-	r := stageReuse{sockets: make([]socketReuse, cfg.Sockets), latPure: pure}
+func newStageReuse(cfg hw.Config, coreFreq []float64) stageReuse {
+	r := stageReuse{sockets: make([]socketReuse, cfg.Sockets)}
 	for s := range r.sockets {
 		r.sockets[s].freqs = coreFreq[s*cfg.CoresPerSocket : (s+1)*cfg.CoresPerSocket]
 	}
@@ -220,13 +217,10 @@ func (m *Machine) resolveCache(s int, solver cache.Solver, demands []cache.Deman
 	return own.shares, ref
 }
 
-// epochLatency is engine.Epoch, reusing the last epoch's result when the
-// engine is the stateless analytic one and the arguments repeat.
+// epochLatency is lat.Analytic's Epoch — a pure function of its
+// arguments — reusing the last epoch's result when they repeat.
 func (m *Machine) epochLatency(p lat.ServiceParams, lambda float64, servers int, dt time.Duration) lat.EpochStats {
 	r := &m.reuse
-	if !r.latPure {
-		return m.engine.Epoch(p, lambda, servers, dt)
-	}
 	e := &r.lat
 	if e.dt == dt && e.servers == servers &&
 		math.Float64bits(e.lambda) == math.Float64bits(lambda) &&
@@ -238,6 +232,6 @@ func (m *Machine) epochLatency(p lat.ServiceParams, lambda float64, servers int,
 	}
 	r.latSolves++
 	*e = latEntry{p: p, lambda: lambda, servers: servers, dt: dt,
-		es: m.engine.Epoch(p, lambda, servers, dt)}
+		es: lat.Analytic{}.Epoch(p, lambda, servers, dt)}
 	return e.es
 }

@@ -3,15 +3,12 @@ package machine
 import (
 	"bytes"
 	"encoding/json"
-	"hash/fnv"
-	"strings"
 	"testing"
 	"unsafe"
 
 	"heracles/internal/cache"
 	"heracles/internal/core"
 	"heracles/internal/hw"
-	"heracles/internal/lat"
 	"heracles/internal/sim"
 	"heracles/internal/workload"
 )
@@ -189,64 +186,6 @@ func TestStepReuseMatchesColdSolve(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestSnapshotRefusesStatefulEngine: a DES machine's queue and random
-// stream are state the snapshot has no field for, so Snapshot panics,
-// naming the engine, rather than hand out a checkpoint that would restore
-// onto an empty queue. The analytic default snapshots as ever.
-func TestSnapshotRefusesStatefulEngine(t *testing.T) {
-	lcs, _ := calibrated(t)
-	m := New(hw.DefaultConfig(), WithEngine(lat.NewDES(7)))
-	m.SetLC(lcs["websearch"])
-	m.SetLoad(0.5)
-	m.Step()
-	defer func() {
-		msg, _ := recover().(string)
-		if !strings.Contains(msg, "*lat.DES") || !strings.Contains(msg, "Snapshot") {
-			t.Fatalf("Snapshot of a DES machine: recovered %q, want a panic naming *lat.DES", msg)
-		}
-	}()
-	m.Snapshot()
-}
-
-// TestDESEngineRunsEveryEpoch pins that only the stateless analytic
-// engine is ever skipped: a DES machine at constant inputs still advances
-// its queue and random stream every epoch. The digest was recorded before
-// stage reuse existed.
-func TestDESEngineRunsEveryEpoch(t *testing.T) {
-	lcs, bes := calibrated(t)
-	m := New(hw.DefaultConfig(), WithEngine(lat.NewDES(7)))
-	m.SetLC(lcs["websearch"])
-	m.AddBE(bes["brain"], workload.PlaceDedicated)
-	m.SetLoad(0.5)
-	m.Partition(12)
-
-	h := fnv.New64a()
-	var prev lat.EpochStats
-	same := 0
-	for i := 0; i < 200; i++ {
-		tel := m.Step()
-		if tel.Lat == prev {
-			same++
-		}
-		prev = tel.Lat
-		b, err := json.Marshal(tel)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h.Write(b)
-	}
-	if same > 0 {
-		t.Errorf("%d of 200 consecutive DES epochs repeat the previous epoch's latencies; the engine was skipped", same)
-	}
-	const want = 0x4f3dc1105403a303
-	if got := h.Sum64(); got != want {
-		t.Errorf("telemetry digest over 200 DES epochs = %#x, want %#x", got, uint64(want))
-	}
-	if _, _, latency := m.ReuseCounts(); latency != (StageCalls{}) {
-		t.Errorf("latency reuse used with a stateful engine: %+v", latency)
 	}
 }
 

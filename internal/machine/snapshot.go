@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"heracles/internal/hw"
-	"heracles/internal/lat"
 	"heracles/internal/sim"
 	"heracles/internal/workload"
 )
@@ -20,8 +19,8 @@ import (
 // and Window the poll ring oldest-first: as many epochs as the machine's
 // reader declared it can ask for (KeepTailHistory — 15 under the default
 // controller on 1 s epochs), so the controller's windowed TailLatency polls
-// see exactly the history they would have. The latency engine is not in
-// it: only the stateless lat.Analytic can be snapshotted (see Snapshot).
+// see exactly the history they would have. The latency engine
+// (lat.Analytic) keeps no state, so there is none of it to carry.
 type Snapshot struct {
 	HW    hw.Config     `json:"hw"`
 	Epoch time.Duration `json:"epoch_ns"`
@@ -67,16 +66,7 @@ type BESnapshot struct {
 // Snapshot captures the machine's state. Every slice is deep-copied, so
 // the snapshot stays valid while the machine continues to step (Step
 // refills the telemetry and the poll ring in place).
-//
-// It panics on a machine built WithEngine(anything but lat.Analytic): a
-// stateful engine (lat.DES) carries a queue the snapshot has no field for,
-// and a restore that silently started from an empty one would not continue
-// the run. No command or API route selects such an engine, so reaching
-// this is a composition error, like an unknown workload name.
 func (m *Machine) Snapshot() Snapshot {
-	if _, stateless := m.engine.(lat.Analytic); !stateless {
-		panic(fmt.Sprintf("machine: Snapshot of a machine with latency engine %T: its queue state cannot be checkpointed, only the stateless lat.Analytic can", m.engine))
-	}
 	s := Snapshot{
 		HW:           m.cfg,
 		Epoch:        m.epoch,

@@ -116,16 +116,6 @@ func (s sumShape) At(t time.Duration) float64 {
 	return v
 }
 
-// Scale multiplies a shape by a constant factor.
-func Scale(s Shape, k float64) Shape { return scaleShape{s, k} }
-
-type scaleShape struct {
-	s Shape
-	k float64
-}
-
-func (s scaleShape) At(t time.Duration) float64 { return s.s.At(t) * s.k }
-
 // Clamp bounds a shape to [lo, hi].
 func Clamp(s Shape, lo, hi float64) Shape { return clampShape{s, lo, hi} }
 
@@ -262,21 +252,6 @@ func (s Scenario) LoadAt(t time.Duration) float64 {
 	return v
 }
 
-// Trace samples the scenario's load shape at the given cadence, for
-// callers that want a plain trace (plotting, replay elsewhere).
-func (s Scenario) Trace(step time.Duration) trace.Trace {
-	if step <= 0 {
-		step = time.Second
-	}
-	n := int(s.Duration/step) + 1
-	tr := make(trace.Trace, 0, n)
-	for i := 0; i < n; i++ {
-		t := time.Duration(i) * step
-		tr = append(tr, trace.Point{At: t, Load: s.LoadAt(t)})
-	}
-	return tr
-}
-
 // Validate reports the first structural problem with the scenario. A
 // zero Duration is vacuous but well-defined (no epochs run), preserving
 // the behaviour of replaying an empty trace.
@@ -336,9 +311,6 @@ func (c *Cursor) Due(now time.Duration) []Event {
 	}
 	return c.events[start:c.next]
 }
-
-// Remaining returns the number of events not yet delivered.
-func (c *Cursor) Remaining() int { return len(c.events) - c.next }
 
 // Delivered returns the number of events already handed out by Due — the
 // cursor position a checkpoint records.

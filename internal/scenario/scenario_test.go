@@ -86,9 +86,6 @@ func TestCombinators(t *testing.T) {
 	if got := base.At(90 * time.Second); got != 0.9 {
 		t.Fatalf("sum = %v", got)
 	}
-	if got := Scale(Flat(0.5), 0.5).At(0); got != 0.25 {
-		t.Fatalf("scale = %v", got)
-	}
 	if got := Clamp(Flat(1.7), 0, 1).At(0); got != 1 {
 		t.Fatalf("clamp high = %v", got)
 	}
@@ -98,22 +95,18 @@ func TestCombinators(t *testing.T) {
 }
 
 func TestReplayAndTraceRoundTrip(t *testing.T) {
-	tr := trace.Constant(0.35, 2*time.Minute, time.Second)
-	sc := FromTrace("flat", tr)
+	tr := trace.Trace{{Load: 0.35}, {At: time.Minute, Load: 0.5}, {At: 2 * time.Minute, Load: 0.2}}
+	sc := FromTrace("steps", tr)
 	if sc.Duration != tr.Duration() {
 		t.Fatalf("duration %v != %v", sc.Duration, tr.Duration())
 	}
-	if got := sc.LoadAt(time.Minute); got != 0.35 {
-		t.Fatalf("replay = %v", got)
-	}
-	out := sc.Trace(time.Second)
-	if len(out) != len(tr) {
-		t.Fatalf("resampled %d points, want %d", len(out), len(tr))
-	}
-	for i := range out {
-		if out[i] != tr[i] {
-			t.Fatalf("point %d: %+v != %+v", i, out[i], tr[i])
+	for _, p := range tr {
+		if got := sc.LoadAt(p.At); got != p.Load {
+			t.Fatalf("replay at %v = %v, want %v", p.At, got, p.Load)
 		}
+	}
+	if got := sc.LoadAt(90 * time.Second); got != 0.5 {
+		t.Fatalf("replay between points = %v, want the earlier point's 0.5", got)
 	}
 }
 
@@ -191,8 +184,8 @@ func TestCursorOrderAndDelivery(t *testing.T) {
 	if len(due) != 2 || due[0].Kind != EventLoadScale || due[1].Kind != EventLeafDegrade {
 		t.Fatalf("tail delivery: %v", due)
 	}
-	if cur.Remaining() != 0 {
-		t.Fatalf("remaining = %d", cur.Remaining())
+	if cur.Delivered() != len(sc.Events) {
+		t.Fatalf("delivered = %d of %d", cur.Delivered(), len(sc.Events))
 	}
 	// The cursor sorts a copy: the scenario's own order is untouched.
 	if sc.Events[0].Kind != EventLoadScale {

@@ -166,10 +166,6 @@ type Scheduler struct {
 	log     []Decision
 	logHead int
 
-	// onDecision, when set, observes every placement-log entry as it is
-	// recorded (the live layer forwards them to SSE subscribers).
-	onDecision func(Decision)
-
 	// Tick scratch, reused across ticks so a steady-state tick allocates
 	// nothing: the sorted node copy, the per-tick id index, the policy
 	// views, the dispatchable queue, the per-job eligibility filter, and
@@ -279,10 +275,6 @@ func (s *Scheduler) Decisions() []Decision {
 func (s *Scheduler) Report() Report {
 	return Report{Policy: s.policy.Name(), Accounting: s.acct, Decisions: s.Decisions()}
 }
-
-// OnDecision installs a placement-log observer, invoked synchronously
-// from Tick/Cancel/Abort.
-func (s *Scheduler) OnDecision(fn func(Decision)) { s.onDecision = fn }
 
 // Cancel marks a job cancelled. If it was running, the caller must stop
 // its task and pass the accrued CPU time, which is counted as wasted.
@@ -576,15 +568,12 @@ func (s *Scheduler) eligibleFor(j *Job, views []NodeView) []NodeView {
 }
 
 // record appends to the bounded placement log (overwriting the oldest
-// entry once full) and notifies the observer.
+// entry once full).
 func (s *Scheduler) record(d Decision) {
 	if len(s.log) < decisionCap {
 		s.log = append(s.log, d)
 	} else {
 		s.log[s.logHead] = d
 		s.logHead = (s.logHead + 1) % decisionCap
-	}
-	if s.onDecision != nil {
-		s.onDecision(d)
 	}
 }

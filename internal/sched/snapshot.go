@@ -46,9 +46,7 @@ func (s *Scheduler) Snapshot() State {
 	return st
 }
 
-// RestoreScheduler rebuilds a scheduler from a snapshot. The decision
-// observer (OnDecision) is not part of the state; reattach it after
-// restoring.
+// RestoreScheduler rebuilds a scheduler from a snapshot.
 func RestoreScheduler(st State) (*Scheduler, error) {
 	policy, err := PolicyByName(st.Policy)
 	if err != nil {

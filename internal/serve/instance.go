@@ -396,27 +396,9 @@ func newInstance(id string, spec InstanceSpec, lab *experiment.Lab, speed float6
 	i.entry = pool.newEntry(i)
 
 	if cp := spec.Restore; cp != nil {
-		var sc *scenario.Scenario
-		if cp.Scenario != nil {
-			built, err := cp.Scenario.Build()
-			if err != nil {
-				return nil, fmt.Errorf("restore scenario: %w", err)
-			}
-			i.warmScenarioWorkloads(built)
-			sc = &built
-			spec2 := *cp.Scenario
-			i.scenarioSpec = &spec2
+		if err := i.adopt(cp); err != nil {
+			return nil, err
 		}
-		rs := time.Now()
-		eng, err := engine.Restore(engineConfig(lab, lcName), cp.Engine, sc)
-		if err != nil {
-			return nil, fmt.Errorf("restore: %w", err)
-		}
-		restoreHist.Observe(time.Since(rs))
-		// Tasks the origin fleet scheduler owned do not survive a restore:
-		// their jobs stay with (and were requeued by) that scheduler.
-		pruneFleetTasks(eng, cp)
-		i.eng = eng
 	} else {
 		cfg := engineConfig(lab, lcName)
 		cfg.Load = spec.Load
@@ -432,14 +414,7 @@ func newInstance(id string, spec InstanceSpec, lab *experiment.Lab, speed float6
 			}
 			cfg.InitialBEs = func(int) []engine.BEAttach { return atts }
 		}
-		i.eng = engine.New(cfg)
-	}
-	i.m = i.eng.Machine(0)
-	i.ctl = i.eng.Controller(0)
-
-	i.ctl.OnEvent(i.onControllerEvent)
-	if spec.Trace != nil {
-		i.ctl.OnEvent(spec.Trace)
+		i.bind(engine.New(cfg))
 	}
 
 	if speed > 0 {
@@ -454,35 +429,21 @@ func newInstance(id string, spec InstanceSpec, lab *experiment.Lab, speed float6
 		Name:      name,
 		LC:        lcName,
 		Compact:   compact,
-		State:     StateRunning,
 		Speed:     speed,
-		Epoch:     i.eng.Epoch(),
 		MaxEpochs: maxEpochs,
-		Scenario:  i.eng.ScenarioName(),
-		Last:      EpochUpdate{Instance: id, SLOMs: 1e3 * i.m.SLO().Seconds(), Load: i.m.Load()},
 	}
-	i.status.BEs = beNames(i.m)
-	if i.eng.SLOEnabled() {
-		st := i.eng.SLONodeStatus(0)
-		i.status.SLO = &st
-	}
-	if spec.Restore != nil {
-		// Seed Last from the checkpointed telemetry so status is
-		// meaningful before the first post-restore epoch resolves.
-		i.status.Last = i.epochUpdate(i.m.Last(), i.eng.Epoch())
-		if i.maxEpochs > 0 && i.eng.Epoch() >= i.maxEpochs {
-			i.doneRunning = true
-			i.status.State = StateDone
+	i.mirrorEngineLocked()
+	if spec.Restore == nil {
+		// No epoch has resolved yet: there is no telemetry to show.
+		i.status.Last = EpochUpdate{Instance: id, SLOMs: 1e3 * i.m.SLO().Seconds(), Load: i.m.Load()}
+		if spec.Scenario != nil {
+			sc, err := spec.Scenario.Build()
+			if err != nil {
+				return nil, fmt.Errorf("scenario: %w", err)
+			}
+			i.warmScenarioWorkloads(sc)
+			i.installScenario(sc, spec.Scenario)
 		}
-	}
-
-	if spec.Restore == nil && spec.Scenario != nil {
-		sc, err := spec.Scenario.Build()
-		if err != nil {
-			return nil, fmt.Errorf("scenario: %w", err)
-		}
-		i.warmScenarioWorkloads(sc)
-		i.installScenario(sc, spec.Scenario)
 	}
 
 	// Seed the supervisor's restart checkpoint before the first slice:
@@ -513,6 +474,77 @@ func newInstance(id string, spec InstanceSpec, lab *experiment.Lab, speed float6
 		pool.schedule(i.entry, i.nextAt)
 	}
 	return i, nil
+}
+
+// adopt makes the engine checkpointed in cp this instance's, closing the
+// one it had: the one restore path, taken by a created, migrated or
+// crash-restarted instance alike. It builds cp's scenario (warming the
+// workloads its events name), restores the engine, drops the tasks the
+// origin's fleet scheduler owned — their jobs stayed with, and were
+// requeued by, that scheduler — and binds the result. Runs during
+// construction or in the restart slice under stepMu; the caller follows
+// with mirrorEngineLocked.
+func (i *Instance) adopt(cp *InstanceCheckpoint) error {
+	var (
+		sc   *scenario.Scenario
+		spec *ScenarioSpec
+	)
+	if cp.Scenario != nil {
+		built, err := cp.Scenario.Build()
+		if err != nil {
+			return fmt.Errorf("restore scenario: %w", err)
+		}
+		i.warmScenarioWorkloads(built)
+		sc = &built
+		own := *cp.Scenario
+		spec = &own
+	}
+	rs := time.Now()
+	eng, err := engine.Restore(engineConfig(i.lab, i.lcName), cp.Engine, sc)
+	if err != nil {
+		return fmt.Errorf("restore: %w", err)
+	}
+	restoreHist.Observe(time.Since(rs))
+	pruneFleetTasks(eng, cp)
+	if i.eng != nil {
+		i.eng.Close()
+	}
+	i.scenarioSpec = spec
+	i.bind(eng)
+	return nil
+}
+
+// bind installs eng as the instance's engine, subscribes the instance and
+// the spec's trace hook to its controller, and notes whether the engine
+// is already at the instance's last epoch.
+func (i *Instance) bind(eng *engine.Engine) {
+	i.eng = eng
+	i.m = eng.Machine(0)
+	i.ctl = eng.Controller(0)
+	i.ctl.OnEvent(i.onControllerEvent)
+	if i.trace != nil {
+		i.ctl.OnEvent(i.trace)
+	}
+	i.doneRunning = i.maxEpochs > 0 && eng.Epoch() >= i.maxEpochs
+}
+
+// mirrorEngineLocked copies into Status what it shows of a newly bound
+// engine; Last comes from the engine's telemetry, so status is meaningful
+// before the first epoch after a restore resolves. i.mu is held, or the
+// instance is not published yet.
+func (i *Instance) mirrorEngineLocked() {
+	i.status.State = StateRunning
+	if i.doneRunning {
+		i.status.State = StateDone
+	}
+	i.status.Epoch = i.eng.Epoch()
+	i.status.Scenario = i.eng.ScenarioName()
+	i.status.Last = i.epochUpdate(i.m.Last(), i.eng.Epoch())
+	i.status.BEs = beNames(i.m)
+	if i.eng.SLOEnabled() {
+		st := i.eng.SLONodeStatus(0)
+		i.status.SLO = &st
+	}
 }
 
 // beNames lists the machine's BE task workload names.

@@ -241,16 +241,6 @@ func (r *Registry) Migrations() int64 { return r.migrations.Load() }
 // noteMigration counts a completed migration.
 func (r *Registry) noteMigration() { r.migrations.Add(1) }
 
-// queueDepth sums every shard's epoch-heap depth; tests use it to
-// assert the pools drained back to baseline.
-func (r *Registry) queueDepth() int {
-	n := 0
-	for _, sh := range r.shards {
-		n += sh.sched.depth()
-	}
-	return n
-}
-
 // shardAt resolves a shard index.
 func (r *Registry) shardAt(idx int) (*shard, bool) {
 	if idx < 0 || idx >= len(r.shards) {

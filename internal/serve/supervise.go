@@ -8,7 +8,6 @@ import (
 	"heracles/internal/engine"
 	"heracles/internal/fault"
 	"heracles/internal/machine"
-	"heracles/internal/scenario"
 	"heracles/internal/sim"
 )
 
@@ -321,61 +320,22 @@ func (i *Instance) rebuildFromCheckpoint() error {
 	if cp.Engine == nil {
 		return errors.New("no checkpoint to restart from")
 	}
-	var sc *scenario.Scenario
-	if cp.Scenario != nil {
-		built, err := cp.Scenario.Build()
-		if err != nil {
-			return fmt.Errorf("rebuild scenario: %w", err)
-		}
-		i.warmScenarioWorkloads(built)
-		sc = &built
-	}
-	rs := time.Now()
-	eng, err := engine.Restore(engineConfig(i.lab, i.lcName), cp.Engine, sc)
-	if err != nil {
-		return fmt.Errorf("restore: %w", err)
-	}
-	restoreHist.Observe(time.Since(rs))
 	// The fleet scheduler's jobs died with the crash (finishCrash evicted
-	// them); resurrect the machine without their tasks or the restarted
-	// engine would silently double-run requeued work.
-	pruneFleetTasks(eng, cp)
-
-	old := i.eng
-	i.eng = eng
-	i.m = eng.Machine(0)
-	i.ctl = eng.Controller(0)
-	old.Close()
-
-	i.ctl.OnEvent(i.onControllerEvent)
-	if i.trace != nil {
-		i.ctl.OnEvent(i.trace)
+	// them), so adopt's pruning keeps the restarted engine from silently
+	// double-running requeued work.
+	if err := i.adopt(cp); err != nil {
+		return err
 	}
-	if cp.Scenario != nil {
-		spec := *cp.Scenario
-		i.scenarioSpec = &spec
-	} else {
-		i.scenarioSpec = nil
-	}
-	i.doneRunning = i.maxEpochs > 0 && eng.Epoch() >= i.maxEpochs
 	i.epochsSinceRestart = 0
 	i.panicNext = false
 
-	up := i.epochUpdate(i.m.Last(), eng.Epoch())
 	i.mu.Lock()
 	i.crashed = false
 	i.restarts++
-	i.status.State = StateRunning
-	if i.doneRunning {
-		i.status.State = StateDone
-	}
-	i.status.Epoch = eng.Epoch()
-	i.status.Scenario = eng.ScenarioName()
-	i.status.Last = up
-	i.status.BEs = beNames(i.m)
+	i.mirrorEngineLocked()
 	i.notifyLocked()
 	i.mu.Unlock()
-	i.publishLifecycle("restored", fmt.Sprintf("restarted from checkpoint at epoch %d after crash", eng.Epoch()))
+	i.publishLifecycle("restored", fmt.Sprintf("restarted from checkpoint at epoch %d after crash", i.eng.Epoch()))
 	return nil
 }
 

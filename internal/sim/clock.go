@@ -27,16 +27,3 @@ func (c *Clock) Advance(d time.Duration) {
 	}
 	c.now += d
 }
-
-// AdvanceTo moves the clock to the absolute simulated time t. It panics if t
-// is in the past.
-func (c *Clock) AdvanceTo(t time.Duration) {
-	if t < c.now {
-		panic(fmt.Sprintf("sim: AdvanceTo %v before current time %v", t, c.now))
-	}
-	c.now = t
-}
-
-// Seconds reports the current time in seconds as a float64, which is the
-// unit most of the resource models work in.
-func (c *Clock) Seconds() float64 { return c.now.Seconds() }

@@ -1,6 +1,6 @@
 // Package sim provides the deterministic simulation kernel used by the
-// Heracles reproduction: a virtual clock, a seedable splitmix/xoshiro
-// pseudo-random number generator, and a binary-heap event queue.
+// Heracles reproduction: a virtual clock and a seedable splitmix/xoshiro
+// pseudo-random number generator.
 //
 // Everything in this repository that depends on time or randomness goes
 // through this package so that experiments are reproducible bit-for-bit

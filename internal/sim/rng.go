@@ -86,12 +86,6 @@ func (r *RNG) LogNormal(mean, sigma float64) float64 {
 	return math.Exp(r.Norm(mu, sigma))
 }
 
-// Split derives an independent generator from the current one. The derived
-// stream is deterministic given the parent's state.
-func (r *RNG) Split() *RNG {
-	return NewRNG(r.Uint64())
-}
-
 // deriveState mixes (seed, index) into a generator state. Two rounds of
 // the splitmix64 finaliser decorrelate nearby pairs before they become a
 // state.

@@ -235,12 +235,6 @@ func (t *Tracker) Page() bool { return t.page }
 // Ticket reports whether the slow-burn ticket alert is firing.
 func (t *Tracker) Ticket() bool { return t.ticket }
 
-// Epochs returns the number of epochs pushed.
-func (t *Tracker) Epochs() int { return t.n }
-
-// Violations returns the total violations ever pushed.
-func (t *Tracker) Violations() int64 { return t.total }
-
 // BudgetSpent returns the fraction of a 30-day error budget consumed by
 // the violations pushed so far.
 func (t *Tracker) BudgetSpent() float64 {

@@ -73,8 +73,8 @@ func TestWindowRollOffExact(t *testing.T) {
 			}
 		}
 	}
-	if tr.Violations() != 1 {
-		t.Fatalf("total violations = %d, want 1", tr.Violations())
+	if tr.total != 1 {
+		t.Fatalf("total violations = %d, want 1", tr.total)
 	}
 }
 

@@ -124,13 +124,3 @@ func Diurnal(cfg DiurnalConfig) Trace {
 	}
 	return tr
 }
-
-// Constant returns a flat trace at the given load.
-func Constant(load float64, duration, step time.Duration) Trace {
-	n := int(duration/step) + 1
-	tr := make(Trace, 0, n)
-	for i := 0; i < n; i++ {
-		tr = append(tr, Point{At: time.Duration(i) * step, Load: load})
-	}
-	return tr
-}

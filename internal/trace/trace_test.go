@@ -90,15 +90,3 @@ func TestTraceAtEmpty(t *testing.T) {
 		t.Fatal("empty trace behaviour")
 	}
 }
-
-func TestConstantTrace(t *testing.T) {
-	tr := Constant(0.4, time.Minute, time.Second)
-	if len(tr) != 61 {
-		t.Fatalf("points = %d", len(tr))
-	}
-	for _, p := range tr {
-		if p.Load != 0.4 {
-			t.Fatal("constant trace varies")
-		}
-	}
-}
