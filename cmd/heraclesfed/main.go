@@ -17,6 +17,7 @@ import (
 	"net/http"
 	"os"
 	"strings"
+	"time"
 
 	"heracles/internal/debughttp"
 	"heracles/internal/fed"
@@ -55,5 +56,14 @@ func main() {
 		log.Fatalf("heraclesfed: %v", err)
 	}
 	log.Printf("heraclesfed: routing %d members on %s", len(urls), *addr)
-	log.Fatal(http.ListenAndServe(*addr, router.Handler()))
+	// heraclesd's timeouts, for the same reason: no WriteTimeout, because
+	// proxied SSE streams are long-lived responses one would sever.
+	srv := &http.Server{
+		Addr:              *addr,
+		Handler:           router.Handler(),
+		ReadHeaderTimeout: 5 * time.Second,
+		ReadTimeout:       time.Minute,
+		IdleTimeout:       2 * time.Minute,
+	}
+	log.Fatal(srv.ListenAndServe())
 }

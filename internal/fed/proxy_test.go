@@ -153,20 +153,31 @@ func TestProxyStreamsEventByEvent(t *testing.T) {
 	expect("the closing comment", ": stream closed")
 }
 
-// TestMigrateBodyIsCapped: the router's migrate route reads at most 1 MiB,
-// like every other mutating route.
+// TestMigrateBodyIsCapped: the router's migrate, join and leave routes
+// read at most 1 MiB, like every other mutating route, and answer a
+// larger body 400.
 func TestMigrateBodyIsCapped(t *testing.T) {
 	f := newRecordingFleet(t)
-	big := append([]byte(`{"member":"`), bytes.Repeat([]byte("x"), 2<<20)...)
-	big = append(big, `"}`...)
-	resp, err := http.Post(f.url+"/api/v1/instances/"+f.fid+"/migrate", "application/json", bytes.NewReader(big))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	msg, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
-	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "too large") {
-		t.Fatalf("2 MiB migrate body answered %d: %s", resp.StatusCode, msg)
+	for _, tc := range []struct{ method, path, field string }{
+		{"POST", "/api/v1/instances/" + f.fid + "/migrate", "member"},
+		{"POST", "/api/v1/members", "url"},
+		{"DELETE", "/api/v1/members", "url"},
+	} {
+		big := append([]byte(`{"`+tc.field+`":"`), bytes.Repeat([]byte("x"), 2<<20)...)
+		big = append(big, `"}`...)
+		req, err := http.NewRequest(tc.method, f.url+tc.path, bytes.NewReader(big))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "too large") {
+			t.Errorf("2 MiB %s %s body answered %d: %s", tc.method, tc.path, resp.StatusCode, msg)
+		}
 	}
 }
 
@@ -231,5 +242,88 @@ func TestProxyCancelsMemberRequestWithClient(t *testing.T) {
 	case <-ended:
 	case <-time.After(10 * time.Second):
 		t.Fatal("the member's handler is still running 10 s after the client dropped the proxied stream")
+	}
+}
+
+// shortenMemberTimeout lowers the bound on the router's own requests for
+// one test. Call it before starting any server: cleanups run last in,
+// first out, so the bound comes back after every server has shut down.
+func shortenMemberTimeout(t *testing.T, d time.Duration) {
+	old := memberTimeout
+	memberTimeout = d
+	t.Cleanup(func() { memberTimeout = old })
+}
+
+// TestProxiedStreamOutlivesMemberTimeout: the bound on the requests the
+// router makes on its own behalf does not reach the ones it makes for a
+// client. An instance ticking 20 epochs a second keeps streaming through
+// the router for four times the bound.
+func TestProxiedStreamOutlivesMemberTimeout(t *testing.T) {
+	const bound = 250 * time.Millisecond
+	shortenMemberTimeout(t, bound)
+	_, _, fts := newFleet(t, 1, 4)
+	var info InstanceInfo
+	if err := json.Unmarshal(doReq(t, "POST", fts.URL+"/api/v1/instances", serve.InstanceSpec{Speed: 20, Load: 0.3}, 201), &info); err != nil {
+		t.Fatal(err)
+	}
+	// The client's own timeout only keeps a broken test from hanging.
+	resp, err := (&http.Client{Timeout: 30 * time.Second}).Get(fts.URL + "/api/v1/instances/" + info.ID + "/stream")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	start := time.Now()
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		if strings.HasPrefix(sc.Text(), "event: epoch") && time.Since(start) > 4*bound {
+			return
+		}
+	}
+	t.Fatalf("the proxied stream ended after %v (%v); the router's own %v bound cut it",
+		time.Since(start).Round(time.Millisecond), sc.Err(), bound)
+}
+
+// TestSilentMemberIsCutAtMemberTimeout: a member that takes a poll and
+// never answers holds /healthz for one bound, after which the router
+// reports that member down and the rest up.
+func TestSilentMemberIsCutAtMemberTimeout(t *testing.T) {
+	const bound = 250 * time.Millisecond
+	shortenMemberTimeout(t, bound)
+	members, _, _ := newFleet(t, 1, 4)
+	release := make(chan struct{})
+	silent := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-r.Context().Done():
+		case <-release: // a failed test still has to shut its servers down
+		}
+	}))
+	t.Cleanup(silent.Close)
+	t.Cleanup(func() { close(release) })
+	rt, err := NewRouter(Config{Members: []string{members[0].ts.URL, silent.URL}})
+	if err != nil {
+		t.Fatalf("router: %v", err)
+	}
+	fts := httptest.NewServer(rt.Handler())
+	t.Cleanup(fts.Close)
+
+	start := time.Now()
+	resp, err := (&http.Client{Timeout: 30 * time.Second}).Get(fts.URL + "/healthz")
+	if err != nil {
+		t.Fatalf("/healthz with a silent member: %v", err)
+	}
+	defer resp.Body.Close()
+	took := time.Since(start)
+	var hz struct {
+		Status    string `json:"status"`
+		MembersUp int    `json:"members_up"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&hz); err != nil {
+		t.Fatal(err)
+	}
+	if hz.Status != "degraded" || hz.MembersUp != 1 {
+		t.Fatalf("healthz = %+v, want degraded with 1 member up", hz)
+	}
+	if took < bound || took > 10*time.Second {
+		t.Fatalf("healthz answered after %v, want the %v bound", took, bound)
 	}
 }

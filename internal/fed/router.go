@@ -10,10 +10,12 @@ package fed
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -35,10 +37,14 @@ type Config struct {
 	Members []string
 	// Seed fixes hash placement; 0 selects DefaultSeed.
 	Seed uint64
-	// Client performs member requests; nil selects a 120s-timeout client
-	// (restore bodies shipped during migration can be large).
-	Client *http.Client
 }
+
+// memberTimeout bounds every member request the router makes on its own
+// behalf — fan-out polls, and migrations alone or in a rebalance — as a
+// context deadline; restore bodies shipped during migration can be
+// large. A request made for a client carries only the client's context,
+// so a proxied SSE stream lasts as long as its client stays.
+var memberTimeout = 120 * time.Second
 
 // placement records where a federated instance currently lives.
 type placement struct {
@@ -69,8 +75,7 @@ type FedMigrateRequest struct {
 
 // Router proxies a federated control plane over member daemons.
 type Router struct {
-	client *http.Client
-	mux    *http.ServeMux
+	mux *http.ServeMux
 
 	mu      sync.Mutex
 	seed    uint64
@@ -105,13 +110,8 @@ func NewRouter(cfg Config) (*Router, error) {
 		}
 		members = append(members, m)
 	}
-	sort.Strings(members)
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{Timeout: 120 * time.Second}
-	}
+	slices.Sort(members)
 	rt := &Router{
-		client:  client,
 		seed:    seed,
 		table:   chash.New(seed, members...),
 		members: members,
@@ -169,8 +169,8 @@ var routeTable = []Route{
 	{"ANY", "/api/v1/instances/{id}/{rest...}", "proxy any other instance sub-resource (load, slo, faults, stream, ...) to the hosting member", (*Router).handleInstanceProxy},
 	{"POST", "/api/v1/jobs", "submit a best-effort job to a member scheduler round-robin", (*Router).handleJobSubmit},
 	{"GET", "/api/v1/jobs", "list federated jobs across all members", (*Router).handleJobsList},
-	{"GET", "/api/v1/jobs/{id}", "inspect one federated job", (*Router).handleJobGet},
-	{"DELETE", "/api/v1/jobs/{id}", "cancel a federated job", (*Router).handleJobCancel},
+	{"GET", "/api/v1/jobs/{id}", "inspect one federated job", (*Router).handleJob},
+	{"DELETE", "/api/v1/jobs/{id}", "cancel a federated job", (*Router).handleJob},
 	{"GET", "/api/v1/sched", "merged fleet-scheduler accounting across members", (*Router).handleSched},
 }
 
@@ -228,25 +228,107 @@ func (rt *Router) forget(fid string) {
 	}
 }
 
-// memberDo performs one member request and counts it.
-func (rt *Router) memberDo(method, url string, body io.Reader, contentType string) (*http.Response, error) {
-	req, err := http.NewRequest(method, url, body)
+// send issues one built member request and counts it.
+func (rt *Router) send(req *http.Request) (*http.Response, error) {
+	rt.proxied.Add(1)
+	start := time.Now()
+	resp, err := http.DefaultClient.Do(req)
+	proxyHist.Observe(time.Since(start))
+	return resp, err
+}
+
+// request sends one member request under ctx; body, when non-nil, is its
+// JSON payload.
+func (rt *Router) request(ctx context.Context, method, url string, body []byte) (*http.Response, error) {
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, url, rd)
 	if err != nil {
 		return nil, err
 	}
-	if contentType != "" {
-		req.Header.Set("Content-Type", contentType)
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
 	}
-	return rt.memberSend(req)
+	return rt.send(req)
 }
 
-// memberSend sends one built member request and counts it.
-func (rt *Router) memberSend(req *http.Request) (*http.Response, error) {
-	rt.proxied.Add(1)
-	start := time.Now()
-	resp, err := rt.client.Do(req)
-	proxyHist.Observe(time.Since(start))
-	return resp, err
+// memberCall makes one member request for a client, under the inbound
+// request's context. A reply with any status but want is relayed
+// verbatim; want's body is decoded, passed to reply — which rewrites the
+// member's ids into the router's — and written back with that status.
+func memberCall[T any](rt *Router, w http.ResponseWriter, r *http.Request, member, method, path string, body []byte, want int, reply func(*T) any) {
+	resp, err := rt.request(r.Context(), method, member+path, body)
+	if err != nil {
+		apiError(w, http.StatusBadGateway, "member %s: %v", member, err)
+		return
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != want {
+		relay(w, resp)
+		return
+	}
+	var v T
+	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
+		apiError(w, http.StatusBadGateway, "member %s: decoding reply: %v", member, err)
+		return
+	}
+	writeJSON(w, want, reply(&v))
+}
+
+// polled is one member's answer to a fan-out poll: its decoded 200
+// reply, or ok false (and a zero body) if it failed, answered another
+// status or sent a body that does not decode.
+type polled[T any] struct {
+	member string
+	body   T
+	ok     bool
+}
+
+// fanOut polls path on every member concurrently, under the router's own
+// deadline, and returns the answers in member order.
+func fanOut[T any](rt *Router, path string) []polled[T] {
+	members := rt.Members()
+	ctx, cancel := context.WithTimeout(context.Background(), memberTimeout)
+	defer cancel()
+	out := make([]polled[T], len(members))
+	var wg sync.WaitGroup
+	for i, m := range members {
+		out[i].member = m
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := rt.request(ctx, "GET", m+path, nil)
+			if err != nil {
+				return
+			}
+			defer resp.Body.Close()
+			var v T
+			if resp.StatusCode == http.StatusOK && json.NewDecoder(resp.Body).Decode(&v) == nil {
+				out[i].body, out[i].ok = v, true
+			}
+		}()
+	}
+	wg.Wait()
+	return out
+}
+
+// decode reads a JSON request body capped at 1 MiB, answering 400
+// itself on failure.
+func decode(w http.ResponseWriter, r *http.Request, v any) bool {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(v); err != nil {
+		apiError(w, http.StatusBadRequest, "decoding body: %v", err)
+		return false
+	}
+	return true
+}
+
+// instanceInfo reports a member's instance status under its federated id.
+func instanceInfo(fid, member string, st serve.Status) InstanceInfo {
+	info := InstanceInfo{Status: st, Member: member, MemberID: st.ID}
+	info.ID = fid
+	return info
 }
 
 // relay copies a member response through to the client verbatim. A reply
@@ -299,67 +381,24 @@ func (rt *Router) handleInstanceCreate(w http.ResponseWriter, r *http.Request) {
 	fid := fmt.Sprintf("f%d", rt.seq)
 	member := rt.table.Place(fid)
 	rt.mu.Unlock()
-
-	resp, err := rt.memberDo("POST", member+"/api/v1/instances", bytes.NewReader(body), "application/json")
-	if err != nil {
-		apiError(w, http.StatusBadGateway, "member %s: %v", member, err)
-		return
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		relay(w, resp)
-		return
-	}
-	var st serve.Status
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		apiError(w, http.StatusBadGateway, "member %s: decoding create response: %v", member, err)
-		return
-	}
-	rt.repoint(fid, placement{member: member, localID: st.ID})
-	info := InstanceInfo{Status: st, Member: member, MemberID: st.ID}
-	info.ID = fid
-	writeJSON(w, http.StatusCreated, info)
+	memberCall(rt, w, r, member, "POST", "/api/v1/instances", body, http.StatusCreated, func(st *serve.Status) any {
+		rt.repoint(fid, placement{member: member, localID: st.ID})
+		return instanceInfo(fid, member, *st)
+	})
 }
 
 func (rt *Router) handleInstancesList(w http.ResponseWriter, _ *http.Request) {
-	type memberList struct {
-		member string
-		sts    []serve.Status
-		err    error
-	}
-	members := rt.Members()
-	results := make([]memberList, len(members))
-	var wg sync.WaitGroup
-	for i, m := range members {
-		wg.Add(1)
-		go func(i int, m string) {
-			defer wg.Done()
-			resp, err := rt.memberDo("GET", m+"/api/v1/instances", nil, "")
-			if err != nil {
-				results[i] = memberList{member: m, err: err}
-				return
-			}
-			defer resp.Body.Close()
-			var body struct {
-				Instances []serve.Status `json:"instances"`
-			}
-			err = json.NewDecoder(resp.Body).Decode(&body)
-			results[i] = memberList{member: m, sts: body.Instances, err: err}
-		}(i, m)
-	}
-	wg.Wait()
-
+	lists := fanOut[struct {
+		Instances []serve.Status `json:"instances"`
+	}](rt, "/api/v1/instances")
 	rt.mu.Lock()
 	out := make([]InstanceInfo, 0, len(rt.insts))
-	for _, res := range results {
-		for _, st := range res.sts {
-			fid, ok := rt.rev[res.member][st.ID]
-			if !ok {
-				continue // created out-of-band, not federated
+	for _, l := range lists {
+		for _, st := range l.body.Instances {
+			// An id the router did not map was created out-of-band.
+			if fid, ok := rt.rev[l.member][st.ID]; ok {
+				out = append(out, instanceInfo(fid, l.member, st))
 			}
-			info := InstanceInfo{Status: st, Member: res.member, MemberID: st.ID}
-			info.ID = fid
-			out = append(out, info)
 		}
 	}
 	rt.mu.Unlock()
@@ -374,24 +413,9 @@ func (rt *Router) handleInstanceGet(w http.ResponseWriter, r *http.Request) {
 		apiError(w, http.StatusNotFound, "no instance %q", fid)
 		return
 	}
-	resp, err := rt.memberDo("GET", p.member+"/api/v1/instances/"+p.localID, nil, "")
-	if err != nil {
-		apiError(w, http.StatusBadGateway, "member %s: %v", p.member, err)
-		return
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		relay(w, resp)
-		return
-	}
-	var st serve.Status
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		apiError(w, http.StatusBadGateway, "member %s: %v", p.member, err)
-		return
-	}
-	info := InstanceInfo{Status: st, Member: p.member, MemberID: st.ID}
-	info.ID = fid
-	writeJSON(w, http.StatusOK, info)
+	memberCall(rt, w, r, p.member, "GET", "/api/v1/instances/"+p.localID, nil, http.StatusOK, func(st *serve.Status) any {
+		return instanceInfo(fid, p.member, *st)
+	})
 }
 
 func (rt *Router) handleInstanceDelete(w http.ResponseWriter, r *http.Request) {
@@ -401,7 +425,7 @@ func (rt *Router) handleInstanceDelete(w http.ResponseWriter, r *http.Request) {
 		apiError(w, http.StatusNotFound, "no instance %q", fid)
 		return
 	}
-	resp, err := rt.memberDo("DELETE", p.member+"/api/v1/instances/"+p.localID, nil, "")
+	resp, err := rt.request(r.Context(), "DELETE", p.member+"/api/v1/instances/"+p.localID, nil)
 	if err != nil {
 		apiError(w, http.StatusBadGateway, "member %s: %v", p.member, err)
 		return
@@ -442,7 +466,7 @@ func (rt *Router) handleInstanceProxy(w http.ResponseWriter, r *http.Request) {
 	if ct := r.Header.Get("Content-Type"); ct != "" {
 		req.Header.Set("Content-Type", ct)
 	}
-	resp, err := rt.memberSend(req)
+	resp, err := rt.send(req)
 	if err != nil {
 		apiError(w, http.StatusBadGateway, "member %s: %v", p.member, err)
 		return
@@ -465,7 +489,9 @@ func (rt *Router) migrate(fid, target string) (*serve.MigrateResult, error) {
 		return nil, fmt.Errorf("instance %q is already on %s", fid, target)
 	}
 	body, _ := json.Marshal(serve.MigrateRequest{Peer: target})
-	resp, err := rt.memberDo("POST", p.member+"/api/v1/instances/"+p.localID+"/migrate", bytes.NewReader(body), "application/json")
+	ctx, cancel := context.WithTimeout(context.Background(), memberTimeout)
+	defer cancel()
+	resp, err := rt.request(ctx, "POST", p.member+"/api/v1/instances/"+p.localID+"/migrate", body)
 	if err != nil {
 		return nil, fmt.Errorf("member %s: %w", p.member, err)
 	}
@@ -484,21 +510,19 @@ func (rt *Router) migrate(fid, target string) (*serve.MigrateResult, error) {
 }
 
 func (rt *Router) handleInstanceMigrate(w http.ResponseWriter, r *http.Request) {
-	fid := r.PathValue("id")
 	var req FedMigrateRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-		apiError(w, http.StatusBadRequest, "decoding body: %v", err)
+	if !decode(w, r, &req) {
 		return
 	}
 	target := strings.TrimSuffix(strings.TrimSpace(req.Member), "/")
 	rt.mu.Lock()
-	known := slicesContains(rt.members, target)
+	known := slices.Contains(rt.members, target)
 	rt.mu.Unlock()
 	if !known {
 		apiError(w, http.StatusBadRequest, "no member %q", target)
 		return
 	}
-	res, err := rt.migrate(fid, target)
+	res, err := rt.migrate(r.PathValue("id"), target)
 	if err != nil {
 		apiError(w, http.StatusBadGateway, "%v", err)
 		return
@@ -506,11 +530,12 @@ func (rt *Router) handleInstanceMigrate(w http.ResponseWriter, r *http.Request) 
 	writeJSON(w, http.StatusOK, res)
 }
 
-// rebalanceOnto migrates every federated instance whose placement
-// disagrees with the given table onto its hash home. Returns the number
-// moved and the first error (the sweep keeps going on per-instance
-// failures so one stuck instance cannot wedge a whole rebalance).
-func (rt *Router) rebalanceOnto(table *chash.Table) (int, error) {
+// rebalance migrates every federated instance whose placement disagrees
+// with table onto its hash home and answers with the number moved and
+// the first error, added to out; a sweep with an error answers
+// failCode. The sweep keeps going on per-instance failures so one stuck
+// instance cannot wedge a whole rebalance.
+func (rt *Router) rebalance(w http.ResponseWriter, table *chash.Table, out map[string]any, failCode int) {
 	rt.mu.Lock()
 	type move struct{ fid, want string }
 	var moves []move
@@ -532,26 +557,23 @@ func (rt *Router) rebalanceOnto(table *chash.Table) (int, error) {
 		}
 		moved++
 	}
-	return moved, firstErr
+	out["moved"] = moved
+	code := http.StatusOK
+	if firstErr != nil {
+		out["error"] = firstErr.Error()
+		code = failCode
+	}
+	writeJSON(w, code, out)
 }
 
 func (rt *Router) handleRebalance(w http.ResponseWriter, _ *http.Request) {
 	rt.mu.Lock()
 	table := rt.table
 	rt.mu.Unlock()
-	moved, err := rt.rebalanceOnto(table)
-	out := map[string]any{"moved": moved}
-	if err != nil {
-		out["error"] = err.Error()
-	}
-	writeJSON(w, http.StatusOK, out)
+	rt.rebalance(w, table, map[string]any{}, http.StatusOK)
 }
 
 // --- Membership --------------------------------------------------------
-
-type memberRequest struct {
-	URL string `json:"url"`
-}
 
 func (rt *Router) handleMembersList(w http.ResponseWriter, _ *http.Request) {
 	rt.mu.Lock()
@@ -572,50 +594,54 @@ func (rt *Router) handleMembersList(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"seed": seed, "members": out})
 }
 
+// memberURL decodes a join or leave body into the member base URL it
+// names.
+func memberURL(w http.ResponseWriter, r *http.Request) (string, bool) {
+	var req struct {
+		URL string `json:"url"`
+	}
+	if !decode(w, r, &req) {
+		return "", false
+	}
+	return strings.TrimSuffix(strings.TrimSpace(req.URL), "/"), true
+}
+
 // handleMemberJoin adds a member to the hash population and rebalances
 // the minimal set of instances — exactly those whose hash home moved to
 // the joiner — onto it.
 func (rt *Router) handleMemberJoin(w http.ResponseWriter, r *http.Request) {
-	var req memberRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		apiError(w, http.StatusBadRequest, "decoding body: %v", err)
+	url, ok := memberURL(w, r)
+	if !ok {
 		return
 	}
-	url := strings.TrimSuffix(strings.TrimSpace(req.URL), "/")
 	if url == "" {
 		apiError(w, http.StatusBadRequest, "url must be set")
 		return
 	}
 	rt.mu.Lock()
-	if slicesContains(rt.members, url) {
+	if slices.Contains(rt.members, url) {
 		rt.mu.Unlock()
 		apiError(w, http.StatusConflict, "member %q already joined", url)
 		return
 	}
 	rt.table = rt.table.Add(url)
 	rt.members = append(rt.members, url)
-	sort.Strings(rt.members)
+	slices.Sort(rt.members)
 	table := rt.table
 	rt.mu.Unlock()
-	moved, err := rt.rebalanceOnto(table)
-	out := map[string]any{"member": url, "moved": moved}
-	if err != nil {
-		out["error"] = err.Error()
-	}
-	writeJSON(w, http.StatusOK, out)
+	rt.rebalance(w, table, map[string]any{"member": url}, http.StatusOK)
 }
 
 // handleMemberLeave migrates the member's instances onto their new hash
 // homes, then drops it from the population.
 func (rt *Router) handleMemberLeave(w http.ResponseWriter, r *http.Request) {
-	var req memberRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		apiError(w, http.StatusBadRequest, "decoding body: %v", err)
+	url, ok := memberURL(w, r)
+	if !ok {
 		return
 	}
-	url := strings.TrimSuffix(strings.TrimSpace(req.URL), "/")
 	rt.mu.Lock()
-	if !slicesContains(rt.members, url) {
+	i := slices.Index(rt.members, url)
+	if i < 0 {
 		rt.mu.Unlock()
 		apiError(w, http.StatusNotFound, "no member %q", url)
 		return
@@ -626,31 +652,10 @@ func (rt *Router) handleMemberLeave(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rt.table = rt.table.Remove(url)
-	for i, m := range rt.members {
-		if m == url {
-			rt.members = append(rt.members[:i], rt.members[i+1:]...)
-			break
-		}
-	}
+	rt.members = slices.Delete(rt.members, i, i+1)
 	table := rt.table
 	rt.mu.Unlock()
-	moved, err := rt.rebalanceOnto(table)
-	out := map[string]any{"member": url, "moved": moved}
-	if err != nil {
-		out["error"] = err.Error()
-		writeJSON(w, http.StatusBadGateway, out)
-		return
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-func slicesContains(list []string, v string) bool {
-	for _, m := range list {
-		if m == v {
-			return true
-		}
-	}
-	return false
+	rt.rebalance(w, table, map[string]any{"member": url}, http.StatusBadGateway)
 }
 
 // --- Jobs --------------------------------------------------------------
@@ -666,32 +671,19 @@ func (rt *Router) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	gid := rt.jobSeq
 	member := rt.members[(gid-1)%len(rt.members)]
 	rt.mu.Unlock()
-
-	resp, err := rt.memberDo("POST", member+"/api/v1/jobs", bytes.NewReader(body), "application/json")
-	if err != nil {
-		apiError(w, http.StatusBadGateway, "member %s: %v", member, err)
-		return
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated && resp.StatusCode != http.StatusOK {
-		relay(w, resp)
-		return
-	}
-	var st serve.JobStatus
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		apiError(w, http.StatusBadGateway, "member %s: decoding job: %v", member, err)
-		return
-	}
-	rt.mu.Lock()
-	rt.jobs[gid] = jobRef{member: member, localID: st.ID}
-	rt.mu.Unlock()
-	st.ID = gid
-	writeJSON(w, resp.StatusCode, st)
+	memberCall(rt, w, r, member, "POST", "/api/v1/jobs", body, http.StatusCreated, func(st *serve.JobStatus) any {
+		rt.mu.Lock()
+		rt.jobs[gid] = jobRef{member: member, localID: st.ID}
+		rt.mu.Unlock()
+		st.ID = gid
+		return st
+	})
 }
 
-// jobDo proxies one job request by federated id, rewriting ids in both
+// handleJob inspects (GET) or cancels (DELETE) one job by federated id,
+// with the same method on the owning member, rewriting ids in both
 // directions.
-func (rt *Router) jobDo(w http.ResponseWriter, r *http.Request, method string) {
+func (rt *Router) handleJob(w http.ResponseWriter, r *http.Request) {
 	var gid int
 	if _, err := fmt.Sscanf(r.PathValue("id"), "%d", &gid); err != nil {
 		apiError(w, http.StatusBadRequest, "bad job id %q", r.PathValue("id"))
@@ -704,87 +696,40 @@ func (rt *Router) jobDo(w http.ResponseWriter, r *http.Request, method string) {
 		apiError(w, http.StatusNotFound, "no job %d", gid)
 		return
 	}
-	resp, err := rt.memberDo(method, fmt.Sprintf("%s/api/v1/jobs/%d", ref.member, ref.localID), nil, "")
-	if err != nil {
-		apiError(w, http.StatusBadGateway, "member %s: %v", ref.member, err)
-		return
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		relay(w, resp)
-		return
-	}
-	var st serve.JobStatus
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		apiError(w, http.StatusBadGateway, "member %s: %v", ref.member, err)
-		return
-	}
-	st.ID = gid
-	writeJSON(w, http.StatusOK, st)
-}
-
-func (rt *Router) handleJobGet(w http.ResponseWriter, r *http.Request) {
-	rt.jobDo(w, r, "GET")
-}
-
-func (rt *Router) handleJobCancel(w http.ResponseWriter, r *http.Request) {
-	rt.jobDo(w, r, "DELETE")
+	memberCall(rt, w, r, ref.member, r.Method, fmt.Sprintf("/api/v1/jobs/%d", ref.localID), nil, http.StatusOK, func(st *serve.JobStatus) any {
+		st.ID = gid
+		return st
+	})
 }
 
 func (rt *Router) handleJobsList(w http.ResponseWriter, _ *http.Request) {
+	got := make(map[jobRef]serve.JobStatus)
+	for _, l := range fanOut[struct {
+		Jobs []serve.JobStatus `json:"jobs"`
+	}](rt, "/api/v1/jobs") {
+		for _, st := range l.body.Jobs {
+			got[jobRef{l.member, st.ID}] = st
+		}
+	}
 	rt.mu.Lock()
-	refs := make(map[int]jobRef, len(rt.jobs))
+	out := make([]serve.JobStatus, 0, len(rt.jobs))
 	for gid, ref := range rt.jobs {
-		refs[gid] = ref
+		if st, ok := got[ref]; ok {
+			st.ID = gid
+			out = append(out, st)
+		}
 	}
 	rt.mu.Unlock()
-	// One list per member, then rewrite ids through the reverse mapping.
-	byMember := make(map[string]map[int]serve.JobStatus)
-	for _, m := range rt.Members() {
-		resp, err := rt.memberDo("GET", m+"/api/v1/jobs", nil, "")
-		if err != nil {
-			continue
-		}
-		var body struct {
-			Jobs []serve.JobStatus `json:"jobs"`
-		}
-		err = json.NewDecoder(resp.Body).Decode(&body)
-		resp.Body.Close()
-		if err != nil {
-			continue
-		}
-		byMember[m] = make(map[int]serve.JobStatus, len(body.Jobs))
-		for _, st := range body.Jobs {
-			byMember[m][st.ID] = st
-		}
-	}
-	out := make([]serve.JobStatus, 0, len(refs))
-	for gid, ref := range refs {
-		st, ok := byMember[ref.member][ref.localID]
-		if !ok {
-			continue
-		}
-		st.ID = gid
-		out = append(out, st)
-	}
 	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
 	writeJSON(w, http.StatusOK, map[string]any{"jobs": out})
 }
 
 func (rt *Router) handleSched(w http.ResponseWriter, _ *http.Request) {
 	var parts []serve.SchedulerStatus
-	for _, m := range rt.Members() {
-		resp, err := rt.memberDo("GET", m+"/api/v1/scheduler", nil, "")
-		if err != nil {
-			continue
+	for _, p := range fanOut[serve.SchedulerStatus](rt, "/api/v1/scheduler") {
+		if p.ok {
+			parts = append(parts, p.body)
 		}
-		var st serve.SchedulerStatus
-		err = json.NewDecoder(resp.Body).Decode(&st)
-		resp.Body.Close()
-		if err != nil {
-			continue
-		}
-		parts = append(parts, st)
 	}
 	if len(parts) == 0 {
 		apiError(w, http.StatusBadGateway, "no member reachable")
@@ -797,38 +742,20 @@ func (rt *Router) handleSched(w http.ResponseWriter, _ *http.Request) {
 
 // --- Aggregated health and metrics -------------------------------------
 
-// snapshot polls every member's shard endpoint concurrently and builds
-// the federation-wide view /healthz and /metrics render.
+// snapshot polls every member's shard endpoint and builds the
+// federation-wide view /healthz and /metrics render.
 func (rt *Router) snapshot() Snapshot {
-	members := rt.Members()
-	snaps := make([]MemberSnapshot, len(members))
-	var wg sync.WaitGroup
-	for i, m := range members {
-		wg.Add(1)
-		go func(i int, m string) {
-			defer wg.Done()
-			snaps[i] = MemberSnapshot{Member: m}
-			resp, err := rt.memberDo("GET", m+"/api/v1/shards", nil, "")
-			if err != nil {
-				return
-			}
-			defer resp.Body.Close()
-			var body struct {
-				Shards     []serve.ShardStatus `json:"shards"`
-				Migrations int64               `json:"migrations"`
-			}
-			if resp.StatusCode != http.StatusOK || json.NewDecoder(resp.Body).Decode(&body) != nil {
-				return
-			}
-			snaps[i].Up = true
-			snaps[i].Shards = body.Shards
-			snaps[i].Migrations = body.Migrations
-			for _, sh := range body.Shards {
-				snaps[i].Instances += sh.Instances
-			}
-		}(i, m)
+	polls := fanOut[struct {
+		Shards     []serve.ShardStatus `json:"shards"`
+		Migrations int64               `json:"migrations"`
+	}](rt, "/api/v1/shards")
+	snaps := make([]MemberSnapshot, len(polls))
+	for i, p := range polls {
+		snaps[i] = MemberSnapshot{Member: p.member, Up: p.ok, Shards: p.body.Shards, Migrations: p.body.Migrations}
+		for _, sh := range p.body.Shards {
+			snaps[i].Instances += sh.Instances
+		}
 	}
-	wg.Wait()
 	return Snapshot{
 		Members:    snaps,
 		Migrations: rt.migrations.Load(),

@@ -486,3 +486,29 @@ func TestFederationJoinLeaveRebalance(t *testing.T) {
 		t.Fatalf("survivors host %d instances, want %d", total, n)
 	}
 }
+
+// TestSchedSkipsFailingMember: a member whose scheduler route answers 503
+// is left out of the merged accounting, not counted as an empty
+// scheduler.
+func TestSchedSkipsFailingMember(t *testing.T) {
+	members, _, _ := newFleet(t, 1, 4)
+	failing := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		apiError(w, http.StatusServiceUnavailable, "scheduler unavailable")
+	}))
+	t.Cleanup(failing.Close)
+	rt, err := NewRouter(Config{Members: []string{members[0].ts.URL, failing.URL}})
+	if err != nil {
+		t.Fatalf("router: %v", err)
+	}
+	fts := httptest.NewServer(rt.Handler())
+	t.Cleanup(fts.Close)
+
+	doReq(t, "POST", members[0].ts.URL+"/api/v1/jobs", serve.JobSubmission{Workload: "brain", WorkS: 1e9}, 201)
+	var agg serve.SchedulerStatus
+	if err := json.Unmarshal(doReq(t, "GET", fts.URL+"/api/v1/sched", nil, 200), &agg); err != nil {
+		t.Fatal(err)
+	}
+	if len(agg.Shards) != 1 || agg.Submitted != 1 || agg.Policy != "slack-greedy" {
+		t.Fatalf("merged accounting = %+v, want only the healthy member's", agg)
+	}
+}

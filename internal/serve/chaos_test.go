@@ -49,12 +49,12 @@ func injectRetry(t *testing.T, inst *Instance, req FaultRequest) {
 func TestChaosSoak(t *testing.T) {
 	s := New(Config{
 		Lab:              testLab,
-		SchedInterval:    5 * time.Millisecond,
-		SchedSeed:        7,
-		RestartBackoff:   time.Millisecond,
-		MaxCrashRestarts: 1000,
-		CheckpointEpochs: 5,
-		StableEpochs:     5,
+		schedInterval:    5 * time.Millisecond,
+		schedSeed:        7,
+		restartBackoff:   time.Millisecond,
+		maxCrashRestarts: 1000,
+		checkpointEpochs: 5,
+		stableEpochs:     5,
 	})
 	t.Cleanup(s.Close)
 
@@ -73,7 +73,7 @@ func TestChaosSoak(t *testing.T) {
 	// budgets keep them alive through repeated kills.
 	retries := 1000
 	for i := 0; i < 6; i++ {
-		s.scheds[0].Submit(JobSubmission{Workload: "streetview", WorkS: 1e9, Retries: &retries})
+		s.reg.shards[0].sched.Submit(JobSubmission{Workload: "streetview", WorkS: 1e9, Retries: &retries})
 	}
 
 	// 24 faults >= the 20 the acceptance criterion demands; each block of
@@ -89,7 +89,7 @@ func TestChaosSoak(t *testing.T) {
 		case 2:
 			// Mirror the HTTP handler: evict fleet jobs through the
 			// scheduler before the simulated crash destroys their tasks.
-			s.scheds[0].killJobsOn(inst, "", "killed by injected fault")
+			s.reg.shards[0].sched.killJobsOn(inst, "", "killed by injected fault")
 			injectRetry(t, inst, FaultRequest{Kind: "leaf-crash", DurationS: 0.5})
 		case 3:
 			injectRetry(t, inst, FaultRequest{Kind: "slow-machine", DurationS: 0.5, Factor: 1.5})
@@ -123,12 +123,12 @@ func TestChaosSoak(t *testing.T) {
 	// good-CPU side of the conservation check has something to count.
 	var smallIDs []int
 	for i := 0; i < 2; i++ {
-		js := s.scheds[0].Submit(JobSubmission{Workload: "brain", WorkS: 5, Retries: &retries})
+		js := s.reg.shards[0].sched.Submit(JobSubmission{Workload: "brain", WorkS: 5, Retries: &retries})
 		smallIDs = append(smallIDs, js.ID)
 	}
-	awaitTicks(t, s.scheds[0], "small jobs completing on the recovered fleet", func(int64) bool {
+	awaitTicks(t, s.reg.shards[0].sched, "small jobs completing on the recovered fleet", func(int64) bool {
 		for _, id := range smallIDs {
-			j, ok := s.scheds[0].Job(id)
+			j, ok := s.reg.shards[0].sched.Job(id)
 			if !ok || j.State != sched.JobCompleted.String() {
 				return false
 			}
@@ -139,9 +139,9 @@ func TestChaosSoak(t *testing.T) {
 	// Goodput conservation: the scheduler's global tallies must equal the
 	// per-job sums — CPU-seconds neither vanish nor double-count across
 	// all the crash evictions and fault kills.
-	st := s.scheds[0].Status()
+	st := s.reg.shards[0].sched.Status()
 	var good, wasted float64
-	for _, j := range s.scheds[0].Jobs() {
+	for _, j := range s.reg.shards[0].sched.Jobs() {
 		if j.State == sched.JobCompleted.String() {
 			good += j.CPUSec
 		}
@@ -174,9 +174,9 @@ func TestChaosSoak(t *testing.T) {
 func TestDriverPanicRestartsFromCheckpoint(t *testing.T) {
 	s := New(Config{
 		Lab:              testLab,
-		RestartBackoff:   time.Millisecond,
-		CheckpointEpochs: 5,
-		StableEpochs:     10,
+		restartBackoff:   time.Millisecond,
+		checkpointEpochs: 5,
+		stableEpochs:     10,
 	})
 	t.Cleanup(s.Close)
 	inst, err := s.CreateInstance(InstanceSpec{Speed: SpeedMax})
@@ -186,7 +186,7 @@ func TestDriverPanicRestartsFromCheckpoint(t *testing.T) {
 	// At SpeedMax the per-epoch telemetry floods any subscriber buffer
 	// within milliseconds, so the lifecycle transitions must be drained
 	// continuously or the hub drops them.
-	sub := inst.Subscribe(4096)
+	sub := inst.hub.Subscribe(4096)
 	defer sub.Close()
 	lifecycle := make(chan string, 16)
 	go func() {
@@ -249,15 +249,15 @@ func TestDriverPanicRestartsFromCheckpoint(t *testing.T) {
 }
 
 // TestQuarantineAfterRepeatedCrashes opens the circuit breaker: with
-// MaxCrashRestarts 1 and an unreachable stability window, the second
+// maxCrashRestarts 1 and an unreachable stability window, the second
 // crash quarantines the instance; mutations fail with ErrQuarantined
 // while status and health stay readable.
 func TestQuarantineAfterRepeatedCrashes(t *testing.T) {
 	s := New(Config{
 		Lab:              testLab,
-		RestartBackoff:   time.Millisecond,
-		MaxCrashRestarts: 1,
-		StableEpochs:     1 << 30,
+		restartBackoff:   time.Millisecond,
+		maxCrashRestarts: 1,
+		stableEpochs:     1 << 30,
 	})
 	t.Cleanup(s.Close)
 	inst, err := s.CreateInstance(InstanceSpec{Speed: SpeedMax})

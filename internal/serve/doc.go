@@ -1,7 +1,7 @@
 // Package serve is the Heracles control plane: a long-lived service that
 // owns a pool of live simulated machines — each with its own Heracles
 // controller, advanced on a real-time, accelerated or free-running tick
-// by one shared epoch scheduler — and exposes them over HTTP.
+// by its shard's epoch scheduler — and exposes them over HTTP.
 //
 // The surface has three parts:
 //
@@ -18,8 +18,8 @@
 //     actuation counts across every live instance, plus the epoch
 //     scheduler's own pool health.
 //
-// Instances do not own goroutines or timers. The registry runs a single
-// event-driven epoch scheduler (DESIGN.md §13): a min-heap of next-due
+// Instances do not own goroutines or timers. Each registry shard runs
+// one event-driven epoch scheduler (DESIGN.md §13): a min-heap of next-due
 // wall-clock epochs and a bounded worker pool that pops due instances
 // and advances each one's engine.Engine — the same canonical epoch loop
 // the batch cluster and fleet runs drive (see internal/engine and

@@ -8,14 +8,15 @@ import (
 	"time"
 )
 
-// The shared epoch scheduler (DESIGN.md §13): one min-heap of due times
-// and one bounded worker pool drive every live instance, the crash
-// restarts and the fleet dispatch loop. Nothing in the control plane
-// owns a per-instance goroutine or timer any more — an idle, parked or
-// backing-off instance costs exactly one heap entry (or none), which is
-// what lets a single registry hold 100k+ live instances.
+// The epoch scheduler (DESIGN.md §13), one pool per shard: one min-heap
+// of due times and one bounded worker pool drive every instance on the
+// shard, their crash restarts and the shard's fleet dispatch loop.
+// Nothing in the control plane owns a per-instance goroutine or timer —
+// an idle, parked or backing-off instance costs exactly one heap entry
+// (or none), which is what lets a single registry hold 100k+ live
+// instances.
 
-// epochTask is one unit of work the shared epoch scheduler dispatches:
+// epochTask is one unit of work the epoch scheduler dispatches:
 // an instance's next batch of epochs, its pending crash restart, or the
 // fleet dispatcher's tick. runSlice executes the due work and returns
 // the next wall-clock due time; ok=false parks the task — a parked task
@@ -25,13 +26,13 @@ type epochTask interface {
 	runSlice() (next time.Time, ok bool)
 }
 
-// schedEntry is one task's position in the epoch heap. An entry is
+// poolEntry is one task's position in the epoch heap. An entry is
 // single-owner and lives as long as its task; it is out of the heap
 // (index -1) while dispatched to a worker or parked. home is the pool
 // whose heap the entry lives in: a shed slice may execute on a peer
 // pool's worker, but the entry's queue state (due, index, cancelled)
 // always belongs to — and is locked through — its home pool.
-type schedEntry struct {
+type poolEntry struct {
 	task  epochTask
 	home  *epochScheduler
 	due   time.Time
@@ -45,7 +46,7 @@ type schedEntry struct {
 
 // entryHeap orders entries by due time, then by scheduling sequence so
 // equal-due entries (free-runners requeueing at "now") run round-robin.
-type entryHeap []*schedEntry
+type entryHeap []*poolEntry
 
 func (h entryHeap) Len() int { return len(h) }
 func (h entryHeap) Less(a, b int) bool {
@@ -60,7 +61,7 @@ func (h entryHeap) Swap(a, b int) {
 	h[b].index = b
 }
 func (h *entryHeap) Push(x any) {
-	e := x.(*schedEntry)
+	e := x.(*poolEntry)
 	e.index = len(*h)
 	*h = append(*h, e)
 }
@@ -93,7 +94,7 @@ type epochScheduler struct {
 	seq uint64
 
 	wake  chan struct{} // kicks the dispatcher when the earliest due changes
-	work  chan *schedEntry
+	work  chan *poolEntry
 	stopc chan struct{}
 	once  sync.Once
 	wg    sync.WaitGroup
@@ -117,7 +118,7 @@ func newEpochScheduler(drivers int) *epochScheduler {
 	s := &epochScheduler{
 		drivers: drivers,
 		wake:    make(chan struct{}, 1),
-		work:    make(chan *schedEntry),
+		work:    make(chan *poolEntry),
 		stopc:   make(chan struct{}),
 	}
 	s.wg.Add(1 + drivers)
@@ -129,15 +130,15 @@ func newEpochScheduler(drivers int) *epochScheduler {
 }
 
 // newEntry binds a task to an unscheduled heap entry homed on this pool.
-func (s *epochScheduler) newEntry(task epochTask) *schedEntry {
-	return &schedEntry{task: task, home: s, index: -1}
+func (s *epochScheduler) newEntry(task epochTask) *poolEntry {
+	return &poolEntry{task: task, home: s, index: -1}
 }
 
 // schedule (re)queues e at due on its home pool: a queued entry moves, a
 // parked one is pushed, a cancelled one is ignored. Routing through the
 // home keeps the call correct from a peer worker that just ran a stolen
 // slice — the entry re-enters its own shard's heap, never the thief's.
-func (s *epochScheduler) schedule(e *schedEntry, due time.Time) {
+func (s *epochScheduler) schedule(e *poolEntry, due time.Time) {
 	h := e.home
 	h.mu.Lock()
 	if e.cancelled {
@@ -163,7 +164,7 @@ func (s *epochScheduler) schedule(e *schedEntry, due time.Time) {
 // an in-flight dispatch of it becomes a no-op. Removal is final (the
 // owner is stopping), which is what drains mid-backoff restart entries
 // when an instance is deleted during its backoff window.
-func (s *epochScheduler) remove(e *schedEntry) {
+func (s *epochScheduler) remove(e *poolEntry) {
 	h := e.home
 	h.mu.Lock()
 	e.cancelled = true
@@ -184,11 +185,11 @@ func (s *epochScheduler) dispatch() {
 	defer timer.Stop()
 	for {
 		s.mu.Lock()
-		var e *schedEntry
+		var e *poolEntry
 		wait := time.Duration(-1)
 		if len(s.h) > 0 {
 			if d := time.Until(s.h[0].due); d <= 0 {
-				e = heap.Pop(&s.h).(*schedEntry)
+				e = heap.Pop(&s.h).(*poolEntry)
 			} else {
 				wait = d
 			}
@@ -241,7 +242,7 @@ func (s *epochScheduler) dispatch() {
 // worker. The work channels are unbuffered, so a successful send means a
 // peer worker takes the slice right now — shedding never queues work
 // behind another shard, it only uses spare capacity that already exists.
-func (s *epochScheduler) shedToPeer(e *schedEntry) bool {
+func (s *epochScheduler) shedToPeer(e *poolEntry) bool {
 	for _, p := range s.peers {
 		select {
 		case p.work <- e:
@@ -319,7 +320,7 @@ func (s *epochScheduler) lag() time.Duration {
 	return 0
 }
 
-// EpochSchedStatus is the shared epoch scheduler's health snapshot,
+// EpochSchedStatus is an epoch scheduler pool's health snapshot,
 // reported by GET /healthz and the heracles_epoch_sched_* metric
 // families.
 type EpochSchedStatus struct {

@@ -33,7 +33,7 @@ func awaitInstance(t testing.TB, inst *Instance, what string, cond func() bool) 
 
 // awaitTicks blocks until cond holds for the dispatch loop's tick count,
 // waking once per fleet-scheduler tick.
-func awaitTicks(t *testing.T, d *schedDriver, what string, cond func(ticks int64) bool) {
+func awaitTicks(t *testing.T, d *jobDriver, what string, cond func(ticks int64) bool) {
 	t.Helper()
 	deadline := time.NewTimer(30 * time.Second)
 	defer deadline.Stop()
@@ -169,7 +169,7 @@ func TestCadenceStretchAndTighten(t *testing.T) {
 		return st
 	}
 	awaitInstance(t, inst, "cadence stretch > 1", func() bool { return stretchOf() > 1 })
-	sub := inst.Subscribe(64)
+	sub := inst.hub.Subscribe(64)
 	defer sub.Close()
 	awaitInstance(t, inst, "cadence back to 1 under observation", func() bool { return stretchOf() == 1 })
 }
@@ -250,7 +250,7 @@ func TestRegistryChurnNoLeaks(t *testing.T) {
 		n = 240
 	}
 	const shards = 4
-	s := New(Config{Lab: testLab, Shards: shards, MaxInstances: n + 8, RestartBackoff: time.Hour})
+	s := New(Config{Lab: testLab, Shards: shards, MaxInstances: n + 8, restartBackoff: time.Hour})
 	t.Cleanup(s.Close)
 
 	runtime.GC()
@@ -320,7 +320,7 @@ func TestRegistryChurnNoLeaks(t *testing.T) {
 	// instance entry — including both sides of every migration — must
 	// have left its heap.
 	for _, sh := range s.Registry().shards {
-		if got := sh.sched.depth(); got > 1 {
+		if got := sh.pool.depth(); got > 1 {
 			t.Fatalf("shard %d heap holds %d entries after churn, want <= 1", sh.idx, got)
 		}
 	}
@@ -359,7 +359,7 @@ func TestHundredThousandInstancesOneProcess(t *testing.T) {
 	if raceEnabled {
 		n = 4_000
 	}
-	reg := NewRegistry(0, 2, 1)
+	reg := NewRegistry(2, 1)
 	defer reg.Close()
 
 	runtime.GC()
@@ -375,7 +375,7 @@ func TestHundredThousandInstancesOneProcess(t *testing.T) {
 		if !ok {
 			t.Fatalf("reserve %d refused", k)
 		}
-		inst, err := newInstance(id, spec, testLab, 1e-6, supervisorConfig{}, reg.shards[0].sched)
+		inst, err := newInstance(id, spec, testLab, 1e-6, supervisorConfig{}, reg.shards[0].pool)
 		if err != nil {
 			t.Fatalf("instance %d: %v", k, err)
 		}
@@ -384,7 +384,7 @@ func TestHundredThousandInstancesOneProcess(t *testing.T) {
 	if got := reg.Len(); got != n {
 		t.Fatalf("registry len = %d, want %d", got, n)
 	}
-	if got := reg.shards[0].sched.depth(); got != n {
+	if got := reg.shards[0].pool.depth(); got != n {
 		t.Fatalf("scheduler heap holds %d entries, want %d", got, n)
 	}
 	if got := runtime.NumGoroutine(); got > baseGoros+4 {
@@ -407,7 +407,7 @@ func TestHundredThousandInstancesOneProcess(t *testing.T) {
 		if !ok {
 			t.Fatalf("reserve fast %d refused", k)
 		}
-		inst, err := newInstance(id, InstanceSpec{MaxEpochs: 30}, testLab, SpeedMax, supervisorConfig{}, reg.shards[0].sched)
+		inst, err := newInstance(id, InstanceSpec{MaxEpochs: 30}, testLab, SpeedMax, supervisorConfig{}, reg.shards[0].pool)
 		if err != nil {
 			t.Fatalf("fast instance %d: %v", k, err)
 		}
@@ -421,7 +421,7 @@ func TestHundredThousandInstancesOneProcess(t *testing.T) {
 	}
 
 	reg.Close()
-	if got := reg.shards[0].sched.depth(); got != 0 {
+	if got := reg.shards[0].pool.depth(); got != 0 {
 		t.Fatalf("scheduler heap holds %d entries after Close, want 0", got)
 	}
 }

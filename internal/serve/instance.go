@@ -39,7 +39,7 @@ const (
 // pacing.
 const SpeedMax = -1
 
-// Cadence policy of the shared epoch scheduler (DESIGN.md §13).
+// Cadence policy of the epoch scheduler (DESIGN.md §13).
 const (
 	// stretchMax caps how far a healthy, unobserved instance stretches
 	// its wakeup: up to stretchMax epochs run in one catch-up batch per
@@ -241,7 +241,7 @@ type Status struct {
 type actionKey struct{ loop, action string }
 
 // Instance is one live simulated machine with its Heracles controller,
-// advanced by the registry's shared epoch scheduler (DESIGN.md §13): a
+// advanced by its shard's epoch scheduler pool (DESIGN.md §13): a
 // worker pops the instance when its next epoch is due and steps an
 // engine.Engine — the same canonical epoch loop the batch cluster runs
 // drive — under stepMu, the instance's mailbox lock. All machine and
@@ -267,8 +267,8 @@ type Instance struct {
 	maxEpochs uint64
 	epochHook func(*machine.Machine, machine.Telemetry)
 
-	sched *epochScheduler // the registry's shared pool
-	entry *schedEntry     // this instance's single heap entry (step, restart)
+	pool  *epochScheduler // the hosting shard's epoch pool
+	entry *poolEntry      // this instance's single heap entry (step, restart)
 
 	donec    chan struct{} // closed once Stop completes
 	stopOnce sync.Once
@@ -346,7 +346,7 @@ func engineConfig(lab *experiment.Lab, lcName string) engine.Config {
 }
 
 // newInstance builds an instance and schedules its first slice on pool,
-// the registry's shared epoch scheduler. The caller has validated the
+// its shard's epoch scheduler pool. The caller has validated the
 // spec (workload names, placement names, numeric ranges, checkpoint
 // contents) and resolved the lab for the requested hardware generation;
 // speed is the resolved tick rate (SpeedMax for free-running), sup the
@@ -381,7 +381,7 @@ func newInstance(id string, spec InstanceSpec, lab *experiment.Lab, speed float6
 		speed:     speed,
 		maxEpochs: uint64(max(maxEpochs, 0)),
 		epochHook: spec.EpochHook,
-		sched:     pool,
+		pool:      pool,
 		donec:     make(chan struct{}),
 		actions:   make(map[actionKey]int64),
 		notec:     make(chan struct{}),
@@ -580,9 +580,6 @@ func (i *Instance) setShard(idx int) {
 	i.mu.Unlock()
 }
 
-// Subscribe attaches an event-stream consumer with the given buffer.
-func (i *Instance) Subscribe(buf int) *Subscriber { return i.hub.Subscribe(buf) }
-
 // Status returns a point-in-time snapshot.
 func (i *Instance) Status() Status {
 	i.mu.Lock()
@@ -624,7 +621,7 @@ func sortedActions(m map[actionKey]int64) []ActionCount {
 // closes the event hub and the engine. Safe to call more than once.
 func (i *Instance) Stop() {
 	i.stopOnce.Do(func() {
-		i.sched.remove(i.entry)
+		i.pool.remove(i.entry)
 		i.stepMu.Lock()
 		i.stopped = true
 		i.stepMu.Unlock()
@@ -864,7 +861,7 @@ func (i *Instance) publishLifecycle(state, detail string) {
 	i.hub.Publish(Message{Event: "lifecycle", ID: ep, Data: data})
 }
 
-// runSlice is the shared epoch scheduler's entry point (epochTask): it
+// runSlice is the epoch scheduler's entry point (epochTask): it
 // advances the instance by one catch-up batch of epochs — or performs a
 // pending crash restart — under the mailbox lock, then reports when the
 // next slice is due. Returning ok=false parks the instance (stopped,
@@ -927,7 +924,7 @@ func (i *Instance) runSlice() (time.Time, bool) {
 		}
 	})
 	if stepped > 0 {
-		i.sched.epochs.Add(int64(stepped))
+		i.pool.epochs.Add(int64(stepped))
 	}
 	if crash != nil {
 		i.stepMu.Unlock()

@@ -141,25 +141,21 @@ type taskRef struct {
 	task *machine.BETask
 }
 
-// schedDriver owns one shard's fleet scheduler: a wall-clock dispatch
-// tick over the shard's live instances, run as one task on the shard's
-// epoch scheduler rather than on its own goroutine. The sched.Scheduler
-// core is single-threaded; every access (ticks and the job API)
-// serialises on mu, and all machine mutation goes through each
+// jobDriver owns one shard's fleet scheduler: a wall-clock dispatch
+// tick over the instances the shard hosts, run as one task on the
+// shard's epoch pool rather than on its own goroutine. The
+// sched.Scheduler core is single-threaded; every access (ticks and the
+// job API) serialises on mu, and all machine mutation goes through each
 // instance's command mailbox — the scheduler never touches a Machine
 // directly, so instance determinism is preserved. The driver speaks
 // local job ids internally and translates to the global interleaved ids
 // (see JobStatus) at every wire boundary.
-type schedDriver struct {
-	srv      *Server
-	shard    *shard
+type jobDriver struct {
+	reg      *Registry
 	idx      int // shard index
-	n        int // shard count (global-id stride)
 	interval time.Duration
 	start    time.Time
-
-	pool  *epochScheduler
-	entry *schedEntry
+	entry    *poolEntry
 
 	mu            sync.Mutex
 	s             *sched.Scheduler
@@ -173,15 +169,12 @@ type schedDriver struct {
 	stopOnce sync.Once
 }
 
-func newSchedDriver(srv *Server, sh *shard, nshards int, policy sched.Policy, seed uint64, interval time.Duration) *schedDriver {
-	d := &schedDriver{
-		srv:      srv,
-		shard:    sh,
+func newJobDriver(reg *Registry, sh *shard, policy sched.Policy, seed uint64, interval time.Duration) *jobDriver {
+	d := &jobDriver{
+		reg:      reg,
 		idx:      sh.idx,
-		n:        nshards,
 		interval: interval,
 		start:    time.Now(),
-		pool:     sh.sched,
 		s: sched.New(sched.Config{
 			Policy: policy,
 			// Distinct deterministic choice streams per shard.
@@ -193,16 +186,16 @@ func newSchedDriver(srv *Server, sh *shard, nshards int, policy sched.Policy, se
 		tasks:    make(map[int]*taskRef),
 		ticknote: make(chan struct{}),
 	}
-	d.entry = d.pool.newEntry(d)
-	d.pool.schedule(d.entry, time.Now().Add(d.interval))
+	d.entry = sh.pool.newEntry(d)
+	sh.pool.schedule(d.entry, time.Now().Add(d.interval))
 	return d
 }
 
 // now is the scheduler clock: wall time since the driver started.
-func (d *schedDriver) now() time.Duration { return time.Since(d.start) }
+func (d *jobDriver) now() time.Duration { return time.Since(d.start) }
 
 // gid converts the shard-local job id to the global wire id.
-func (d *schedDriver) gid(local int) int { return (local-1)*d.n + d.idx + 1 }
+func (d *jobDriver) gid(local int) int { return (local-1)*len(d.reg.shards) + d.idx + 1 }
 
 // splitJobID inverts gid: (shard, local) for a global wire id.
 func splitJobID(gid, nshards int) (idx, local int) {
@@ -212,9 +205,9 @@ func splitJobID(gid, nshards int) (idx, local int) {
 // stop cancels the dispatch entry and joins any in-flight tick: once
 // stopped is set under mu, the tick that may still hold mu has finished
 // and no further one can start (the cancelled entry never redispatches).
-func (d *schedDriver) stop() {
+func (d *jobDriver) stop() {
 	d.stopOnce.Do(func() {
-		d.pool.remove(d.entry)
+		d.entry.home.remove(d.entry)
 		d.mu.Lock()
 		d.stopped = true
 		d.mu.Unlock()
@@ -225,7 +218,7 @@ func (d *schedDriver) stop() {
 // tick, requeued every interval. The tick itself never stretches — job
 // dispatch latency is user-visible — so this entry is the one fixed
 // heartbeat in the heap.
-func (d *schedDriver) runSlice() (time.Time, bool) {
+func (d *jobDriver) runSlice() (time.Time, bool) {
 	d.safeTick()
 	d.noteTick()
 	return time.Now().Add(d.interval), true
@@ -233,7 +226,7 @@ func (d *schedDriver) runSlice() (time.Time, bool) {
 
 // noteTick wakes tickWait waiters; tests use it to await dispatch ticks
 // without sleeping.
-func (d *schedDriver) noteTick() {
+func (d *jobDriver) noteTick() {
 	d.mu.Lock()
 	d.ticks++
 	close(d.ticknote)
@@ -243,7 +236,7 @@ func (d *schedDriver) noteTick() {
 
 // tickWait returns the completed-tick count and a channel that closes
 // when the next tick completes.
-func (d *schedDriver) tickWait() (int64, <-chan struct{}) {
+func (d *jobDriver) tickWait() (int64, <-chan struct{}) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.ticks, d.ticknote
@@ -252,7 +245,7 @@ func (d *schedDriver) tickWait() (int64, <-chan struct{}) {
 // safeTick isolates the dispatch loop from a panicking tick: the panic
 // is recorded and the next interval's tick runs anyway. tick's deferred
 // unlock releases d.mu on the way out, so the job API stays live.
-func (d *schedDriver) safeTick() {
+func (d *jobDriver) safeTick() {
 	defer func() {
 		if v := recover(); v != nil {
 			d.mu.Lock()
@@ -264,48 +257,27 @@ func (d *schedDriver) safeTick() {
 	d.tick()
 }
 
-// evictCrashed force-evicts every running job whose task lives on inst.
-// Called by the supervisor (finishCrash, no instance locks held) before
-// the restart slice rebuilds the engine: the tasks are about to vanish
-// with the discarded machine, so the jobs go back through the normal
-// evict path (charging their retry budget) with the CPU time accrued so
-// far. The crashed machine is frozen — its crash gate fails every
-// mutation — so reading the task counters directly is safe; no mailbox
-// round-trip is possible or needed.
-func (d *schedDriver) evictCrashed(inst *Instance) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	var ids []int
-	for id, ref := range d.tasks {
-		if ref.inst == inst {
-			ids = append(ids, id)
-		}
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		ref := d.tasks[id]
-		delete(d.tasks, id)
-		j, _ := d.s.Job(id)
-		acts := d.s.Kill(id, d.now(), ref.task.CPUSec, "instance driver crashed")
-		for _, a := range acts {
-			inst.publishScheduler(SchedulerUpdate{
-				Instance: inst.ID(), Job: d.gid(a.Job), Name: j.Spec.Name, Workload: j.Spec.Workload,
-				Action: a.Kind.String(), Attempt: j.Attempts, CPUSec: ref.task.CPUSec,
-				Detail: "instance crashed",
-			})
-		}
-	}
+// publish announces one decision about job j on inst's event stream.
+func (d *jobDriver) publish(inst *Instance, j sched.Job, action string, cpu float64, detail string) {
+	inst.publishScheduler(SchedulerUpdate{
+		Instance: inst.ID(), Job: d.gid(j.ID), Name: j.Spec.Name, Workload: j.Spec.Workload,
+		Action: action, Attempt: j.Attempts, CPUSec: cpu, Detail: detail,
+	})
 }
 
-// killJobsOn force-evicts running jobs on inst whose workload matches wl
-// (all of them when wl is empty), stopping their tasks through the
-// mailbox. Fault injection uses it so a leaf-crash or be-kill consumes
-// the affected jobs' retry budgets instead of leaving them running
-// against tasks the fault is about to destroy; migration uses it with
-// its own reason so a departing instance's jobs requeue on the origin
-// scheduler (checkpoints prune fleet tasks — the jobs never travel).
-// Returns the number of jobs evicted.
-func (d *schedDriver) killJobsOn(inst *Instance, wl, reason string) int {
+// killJobsOn force-evicts the running jobs whose task lives on inst —
+// those running workload wl, or all of them when wl is empty — through
+// the normal evict path (charging their retry budgets) with the CPU time
+// accrued so far, and returns how many it evicted. Fault injection uses
+// it so a leaf-crash or be-kill consumes the affected jobs' retries
+// instead of leaving them running against tasks the fault is about to
+// destroy; migration uses it so a departing instance's jobs requeue on
+// the origin scheduler (checkpoints prune fleet tasks — the jobs never
+// travel); the supervisor uses it before a crashed instance restarts,
+// since the tasks vanish with the discarded machine. A live instance's
+// tasks stop through its mailbox. A crashed or stopped one refuses the
+// mailbox, and its frozen task counters are read directly.
+func (d *jobDriver) killJobsOn(inst *Instance, wl, reason string) int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	var ids []int
@@ -319,7 +291,7 @@ func (d *schedDriver) killJobsOn(inst *Instance, wl, reason string) int {
 	for _, id := range ids {
 		ref := d.tasks[id]
 		delete(d.tasks, id)
-		cpu, err := ref.inst.stopSchedTask(ref.task, false)
+		cpu, err := inst.stopSchedTask(ref.task, false)
 		if err != nil {
 			cpu = ref.task.CPUSec
 		}
@@ -327,11 +299,7 @@ func (d *schedDriver) killJobsOn(inst *Instance, wl, reason string) int {
 		acts := d.s.Kill(id, d.now(), cpu, reason)
 		killed += len(acts)
 		for _, a := range acts {
-			inst.publishScheduler(SchedulerUpdate{
-				Instance: inst.ID(), Job: d.gid(a.Job), Name: j.Spec.Name, Workload: j.Spec.Workload,
-				Action: a.Kind.String(), Attempt: j.Attempts, CPUSec: cpu,
-				Detail: reason,
-			})
+			d.publish(inst, j, a.Kind.String(), cpu, reason)
 		}
 	}
 	return killed
@@ -348,14 +316,14 @@ func instIndex(id string) (int, bool) {
 // applies its actions. Probes and mutations run through instance
 // mailboxes; an instance that stops mid-tick simply drops out of the
 // snapshot and its jobs are evicted on the spot.
-func (d *schedDriver) tick() {
+func (d *jobDriver) tick() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.stopped {
 		return
 	}
 
-	insts := d.shard.list()
+	insts := d.reg.list(d.idx)
 	nodes := make([]sched.NodeState, 0, len(insts))
 	byID := make(map[int]*Instance, len(insts))
 	for _, in := range insts {
@@ -402,10 +370,7 @@ func (d *schedDriver) tick() {
 				continue
 			}
 			d.tasks[a.Job] = &taskRef{inst: in, task: task}
-			in.publishScheduler(SchedulerUpdate{
-				Instance: in.ID(), Job: d.gid(a.Job), Name: job.Spec.Name, Workload: a.Workload,
-				Action: a.Kind.String(), Attempt: job.Attempts,
-			})
+			d.publish(in, job, a.Kind.String(), 0, "")
 		case sched.ActionEvict, sched.ActionFail, sched.ActionComplete:
 			ref := d.tasks[a.Job]
 			delete(d.tasks, a.Job)
@@ -416,16 +381,13 @@ func (d *schedDriver) tick() {
 			if err != nil {
 				continue // instance already gone; nothing to publish
 			}
-			ref.inst.publishScheduler(SchedulerUpdate{
-				Instance: ref.inst.ID(), Job: d.gid(a.Job), Name: job.Spec.Name, Workload: a.Workload,
-				Action: a.Kind.String(), Attempt: job.Attempts, CPUSec: cpu,
-			})
+			d.publish(ref.inst, job, a.Kind.String(), cpu, "")
 		}
 	}
 }
 
 // Submit validates and enqueues a job.
-func (d *schedDriver) Submit(sub JobSubmission) JobStatus {
+func (d *jobDriver) Submit(sub JobSubmission) JobStatus {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	retries := 3
@@ -446,7 +408,7 @@ func (d *schedDriver) Submit(sub JobSubmission) JobStatus {
 }
 
 // Jobs lists every job.
-func (d *schedDriver) Jobs() []JobStatus {
+func (d *jobDriver) Jobs() []JobStatus {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	jobs := d.s.Jobs()
@@ -458,7 +420,7 @@ func (d *schedDriver) Jobs() []JobStatus {
 }
 
 // Job returns one job.
-func (d *schedDriver) Job(id int) (JobStatus, bool) {
+func (d *jobDriver) Job(id int) (JobStatus, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	j, ok := d.s.Job(id)
@@ -470,7 +432,7 @@ func (d *schedDriver) Job(id int) (JobStatus, bool) {
 
 // Cancel cancels a job, stopping its task if it is running. Returns
 // (status, found, cancelled): a terminal job is found but not cancelled.
-func (d *schedDriver) Cancel(id int) (JobStatus, bool, bool) {
+func (d *jobDriver) Cancel(id int) (JobStatus, bool, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	j, ok := d.s.Job(id)
@@ -482,10 +444,7 @@ func (d *schedDriver) Cancel(id int) (JobStatus, bool, bool) {
 	if j.State == sched.JobRunning && ref != nil {
 		if cpu, err := ref.inst.stopSchedTask(ref.task, false); err == nil {
 			accrued = cpu
-			ref.inst.publishScheduler(SchedulerUpdate{
-				Instance: ref.inst.ID(), Job: d.gid(id), Name: j.Spec.Name, Workload: j.Spec.Workload,
-				Action: "evict", Attempt: j.Attempts, CPUSec: cpu, Detail: "cancelled",
-			})
+			d.publish(ref.inst, j, "evict", cpu, "cancelled")
 		}
 		delete(d.tasks, id)
 	}
@@ -495,7 +454,7 @@ func (d *schedDriver) Cancel(id int) (JobStatus, bool, bool) {
 }
 
 // Status snapshots the scheduler for the API and /metrics.
-func (d *schedDriver) Status() SchedulerStatus {
+func (d *jobDriver) Status() SchedulerStatus {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	a := d.s.Accounting()
@@ -522,7 +481,7 @@ func (d *schedDriver) Status() SchedulerStatus {
 
 // jobStatusLocked renders a job snapshot with its global wire id; d.mu
 // is held.
-func (d *schedDriver) jobStatusLocked(j sched.Job) JobStatus {
+func (d *jobDriver) jobStatusLocked(j sched.Job) JobStatus {
 	st := JobStatus{
 		ID:       d.gid(j.ID),
 		Shard:    d.idx,
@@ -547,21 +506,11 @@ func (d *schedDriver) jobStatusLocked(j sched.Job) JobStatus {
 
 // --- Server-level fan-out over the per-shard drivers -------------------
 
-// schedFor resolves the fleet driver responsible for an instance (its
-// hosting shard's); nil if the instance left the registry.
-func (s *Server) schedFor(inst *Instance) *schedDriver {
-	idx, ok := s.reg.HomeShard(inst.ID())
-	if !ok {
-		return nil
-	}
-	return s.scheds[idx]
-}
-
 // SubmitJob enqueues a job on the next shard's scheduler round-robin —
 // deterministic in arrival order — and returns its global-id status.
 func (s *Server) SubmitJob(sub JobSubmission) JobStatus {
-	idx := int(s.jobRR.Add(1)-1) % len(s.scheds)
-	return s.scheds[idx].Submit(sub)
+	idx := int(s.jobRR.Add(1)-1) % len(s.reg.shards)
+	return s.reg.shards[idx].sched.Submit(sub)
 }
 
 // JobByID resolves a global job id across shards.
@@ -569,8 +518,8 @@ func (s *Server) JobByID(gid int) (JobStatus, bool) {
 	if gid < 1 {
 		return JobStatus{}, false
 	}
-	idx, local := splitJobID(gid, len(s.scheds))
-	return s.scheds[idx].Job(local)
+	idx, local := splitJobID(gid, len(s.reg.shards))
+	return s.reg.shards[idx].sched.Job(local)
 }
 
 // CancelJob cancels a global job id across shards.
@@ -578,15 +527,15 @@ func (s *Server) CancelJob(gid int) (JobStatus, bool, bool) {
 	if gid < 1 {
 		return JobStatus{}, false, false
 	}
-	idx, local := splitJobID(gid, len(s.scheds))
-	return s.scheds[idx].Cancel(local)
+	idx, local := splitJobID(gid, len(s.reg.shards))
+	return s.reg.shards[idx].sched.Cancel(local)
 }
 
 // Jobs lists every shard's jobs, merged in global-id order.
 func (s *Server) Jobs() []JobStatus {
 	var out []JobStatus
-	for _, d := range s.scheds {
-		out = append(out, d.Jobs()...)
+	for _, sh := range s.reg.shards {
+		out = append(out, sh.sched.Jobs()...)
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
 	return out
@@ -595,9 +544,9 @@ func (s *Server) Jobs() []JobStatus {
 // SchedStatus aggregates the per-shard fleet schedulers; on a sharded
 // server the per-shard accounting rides along in Shards.
 func (s *Server) SchedStatus() SchedulerStatus {
-	parts := make([]SchedulerStatus, len(s.scheds))
-	for i, d := range s.scheds {
-		parts[i] = d.Status()
+	parts := make([]SchedulerStatus, len(s.reg.shards))
+	for i, sh := range s.reg.shards {
+		parts[i] = sh.sched.Status()
 	}
 	if len(parts) == 1 {
 		return parts[0]

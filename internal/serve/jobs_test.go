@@ -20,7 +20,7 @@ func waitForJobState(t *testing.T, s *Server, client *http.Client, url string, w
 	defer deadline.Stop()
 	var st JobStatus
 	for {
-		_, ch := s.scheds[0].tickWait()
+		_, ch := s.reg.shards[0].sched.tickWait()
 		body := doReq(t, client, "GET", url, nil, 200)
 		if err := json.Unmarshal(body, &st); err != nil {
 			t.Fatalf("job status: %v; body %s", err, body)
@@ -41,7 +41,7 @@ func waitForJobState(t *testing.T, s *Server, client *http.Client, url string, w
 // see the scheduler decisions on the SSE stream and the goodput counters
 // in /metrics, and exercise cancel/404/validation paths.
 func TestJobLifecycleOverHTTP(t *testing.T) {
-	s := New(Config{Lab: testLab, SchedInterval: 10 * time.Millisecond, SchedSeed: 3})
+	s := New(Config{Lab: testLab, schedInterval: 10 * time.Millisecond, schedSeed: 3})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -203,7 +203,7 @@ func TestJobLifecycleOverHTTP(t *testing.T) {
 // dispatch invariant: an instance at saturating load (its controller
 // keeps BE disabled) never receives a job.
 func TestSchedulerSkipsDisabledInstances(t *testing.T) {
-	s := New(Config{Lab: testLab, SchedInterval: 5 * time.Millisecond})
+	s := New(Config{Lab: testLab, schedInterval: 5 * time.Millisecond})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -218,8 +218,8 @@ func TestSchedulerSkipsDisabledInstances(t *testing.T) {
 
 	// Give the dispatch loop plenty of ticks, then require the job is
 	// still queued with zero attempts.
-	start, _ := s.scheds[0].tickWait()
-	awaitTicks(t, s.scheds[0], "20 dispatch ticks", func(n int64) bool { return n >= start+20 })
+	start, _ := s.reg.shards[0].sched.tickWait()
+	awaitTicks(t, s.reg.shards[0].sched, "20 dispatch ticks", func(n int64) bool { return n >= start+20 })
 	body := doReq(t, client, "GET", ts.URL+"/api/v1/jobs/1", nil, 200)
 	var job JobStatus
 	if err := json.Unmarshal(body, &job); err != nil {

@@ -229,7 +229,7 @@ func writeSchedMetrics(e *expo.Writer, st SchedulerStatus) {
 		"Dispatch-loop ticks that panicked and were recovered.", int64(st.TickPanics))
 }
 
-// writeEpochSchedMetrics renders the shared epoch scheduler's exposition
+// writeEpochSchedMetrics renders the epoch scheduler pools' exposition
 // block: pool size, heap depth, dispatch and epoch counters, and the
 // overload lag signal.
 func writeEpochSchedMetrics(e *expo.Writer, st EpochSchedStatus) {

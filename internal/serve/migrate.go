@@ -43,7 +43,7 @@ type MigrateResult struct {
 }
 
 // errMigrateGone: the instance left the registry between resolution and
-// detach (a concurrent delete or migration won).
+// removal (a concurrent delete or migration won).
 var errMigrateGone = errors.New("serve: instance already removed")
 
 // peerError marks a migration failure caused by the peer daemon rather
@@ -58,126 +58,104 @@ func (e *peerError) Unwrap() error { return e.err }
 // reach tens of MiB, so the timeout is generous.
 var migrateClient = &http.Client{Timeout: 120 * time.Second}
 
-// detach removes the instance from the registry and evicts its fleet
-// jobs back onto the origin shard's scheduler (checkpoints prune
-// fleet-owned tasks, so keeping the jobs running would double-run them).
-// Returns the origin shard.
-func (s *Server) detach(id string) (*Instance, int, error) {
+// migrate is the one migration path. It removes id from the registry,
+// evicts its fleet jobs back onto the origin shard's scheduler
+// (checkpoints prune fleet-owned tasks, so keeping the jobs running would
+// double-run them), checkpoints the instance between epochs and hands the
+// checkpoint to ship, which restores it elsewhere and reports where. On
+// success the origin announces the move and stops; on any failure it is
+// reinstated untouched.
+func (s *Server) migrate(id string, ship func(*Instance, *InstanceCheckpoint) (*MigrateResult, error)) (*MigrateResult, error) {
+	start := time.Now()
 	inst, from, ok := s.reg.Remove(id)
 	if !ok {
-		return nil, 0, errMigrateGone
+		return nil, errMigrateGone
 	}
-	s.scheds[from].killJobsOn(inst, "", "instance migrating")
-	return inst, from, nil
+	s.reg.shards[from].sched.killJobsOn(inst, "", "instance migrating")
+	cp, err := inst.Checkpoint()
+	var res *MigrateResult
+	if err == nil {
+		res, err = ship(inst, cp)
+	}
+	if err != nil {
+		s.reg.readd(inst, from)
+		return nil, err
+	}
+	res.From, res.FromShard, res.Epoch = id, from, cp.Engine.Epoch
+	detail := fmt.Sprintf("to %s on shard %d", res.To, res.ToShard)
+	if res.Peer != "" {
+		detail = fmt.Sprintf("to %s on peer %s", res.To, res.Peer)
+	}
+	s.reg.shards[from].publish("migrate-out", id, detail)
+	inst.publishLifecycle("migrated", detail)
+	inst.Stop()
+	s.reg.migrations.Add(1)
+	migrateHist.Observe(time.Since(start))
+	return res, nil
 }
 
-// MigrateToShard moves the instance onto another shard of this server:
-// snapshot, restore into a fresh instance on the target shard's pool,
-// stop the origin. In-process migration carries the instance's epoch
-// hook and trace along, so an embedded daemon's mirroring survives the
-// move. It sets no schedule of its own: the checkpoint it encodes carries
-// the origin's place in the tick schedule like every other restore, so a
-// paced instance keeps ticking on time however often it moves. On any
-// failure the origin instance is reinstated untouched.
+// MigrateToShard moves the instance onto another shard of this server,
+// restoring it into a fresh instance on the target shard's pool.
+// In-process migration carries the instance's epoch hook and trace
+// along, so an embedded daemon's mirroring survives the move. It sets no
+// schedule of its own: the checkpoint carries the origin's place in the
+// tick schedule like every other restore, so a paced instance keeps
+// ticking on time however often it moves.
 func (s *Server) MigrateToShard(id string, target int) (*MigrateResult, error) {
 	if target < 0 || target >= s.reg.ShardCount() {
 		return nil, fmt.Errorf("no shard %d (server has %d)", target, s.reg.ShardCount())
 	}
-	start := time.Now()
-	inst, from, err := s.detach(id)
-	if err != nil {
-		return nil, err
-	}
-	spec := InstanceSpec{EpochHook: inst.epochHook, Trace: inst.trace}
-	cp, err := inst.Checkpoint()
-	if err != nil {
-		s.reg.readd(inst, from)
-		return nil, err
-	}
-	// Cross-shard moves travel through the binary wire format — what
-	// restores is the serialized artifact, exactly as in a cross-process
-	// migration, so the in-process fast path can never drift from the
-	// on-disk one.
-	wire, err := EncodeCheckpointFileBinary(cp)
-	if err != nil {
-		s.reg.readd(inst, from)
-		return nil, fmt.Errorf("encode checkpoint: %w", err)
-	}
-	spec.Restore, err = DecodeCheckpointFile(wire)
-	if err != nil {
-		s.reg.readd(inst, from)
-		return nil, fmt.Errorf("decode checkpoint: %w", err)
-	}
-	fresh, err := s.createInstance(spec, target, "from "+id)
-	if err != nil {
-		s.reg.readd(inst, from)
-		return nil, err
-	}
-	detail := fmt.Sprintf("to %s on shard %d", fresh.ID(), target)
-	s.reg.shards[from].publish("migrate-out", id, detail)
-	inst.publishLifecycle("migrated", detail)
-	inst.Stop()
-	s.reg.noteMigration()
-	migrateHist.Observe(time.Since(start))
-	return &MigrateResult{
-		From: id, FromShard: from,
-		To: fresh.ID(), ToShard: target,
-		Epoch: cp.Engine.Epoch,
-	}, nil
+	return s.migrate(id, func(inst *Instance, cp *InstanceCheckpoint) (*MigrateResult, error) {
+		// Cross-shard moves travel through the binary wire format — what
+		// restores is the serialized artifact, exactly as in a
+		// cross-process migration, so the in-process fast path can never
+		// drift from the on-disk one.
+		wire, err := EncodeCheckpointFileBinary(cp)
+		if err != nil {
+			return nil, fmt.Errorf("encode checkpoint: %w", err)
+		}
+		spec := InstanceSpec{EpochHook: inst.epochHook, Trace: inst.trace}
+		if spec.Restore, err = DecodeCheckpointFile(wire); err != nil {
+			return nil, fmt.Errorf("decode checkpoint: %w", err)
+		}
+		fresh, err := s.createInstance(spec, target, "from "+id)
+		if err != nil {
+			return nil, err
+		}
+		return &MigrateResult{To: fresh.ID(), ToShard: target}, nil
+	})
 }
 
-// MigrateToPeer moves the instance onto another daemon: snapshot, POST
-// the restore spec to the peer's create route, stop the origin on
-// success. Epoch hooks and traces are in-process callbacks and do not
-// cross the wire. On any failure — peer unreachable, create rejected —
-// the origin instance is reinstated untouched and the error reports the
+// MigrateToPeer moves the instance onto another daemon by POSTing the
+// restore spec to the peer's create route. Epoch hooks and traces are
+// in-process callbacks and do not cross the wire. A failure the peer
+// causes — unreachable, create rejected — is a peerError carrying the
 // peer's verdict.
 func (s *Server) MigrateToPeer(id, peer string) (*MigrateResult, error) {
-	start := time.Now()
-	inst, from, err := s.detach(id)
-	if err != nil {
-		return nil, err
-	}
-	cp, err := inst.Checkpoint()
-	if err != nil {
-		s.reg.readd(inst, from)
-		return nil, err
-	}
-	body, err := json.Marshal(InstanceSpec{Restore: cp})
-	if err != nil {
-		s.reg.readd(inst, from)
-		return nil, fmt.Errorf("encode checkpoint: %w", err)
-	}
-	url := strings.TrimSuffix(peer, "/") + "/api/v1/instances"
-	resp, err := migrateClient.Post(url, "application/json", bytes.NewReader(body))
-	if err != nil {
-		s.reg.readd(inst, from)
-		return nil, &peerError{fmt.Errorf("peer create failed: %w", err)}
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		s.reg.readd(inst, from)
-		return nil, &peerError{fmt.Errorf("peer refused the restore: %s: %s", resp.Status, strings.TrimSpace(string(msg)))}
-	}
-	var st Status
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		// The peer accepted and now runs the copy; stopping the origin is
-		// still the only safe continuation (two live copies would race
-		// their side effects), even though the new id is unknown.
-		st.ID = "unknown"
-	}
-	detail := fmt.Sprintf("to %s on peer %s", st.ID, peer)
-	s.reg.shards[from].publish("migrate-out", id, detail)
-	inst.publishLifecycle("migrated", detail)
-	inst.Stop()
-	s.reg.noteMigration()
-	migrateHist.Observe(time.Since(start))
-	return &MigrateResult{
-		From: id, FromShard: from,
-		To: st.ID, ToShard: st.Shard, Peer: peer,
-		Epoch: cp.Engine.Epoch,
-	}, nil
+	return s.migrate(id, func(_ *Instance, cp *InstanceCheckpoint) (*MigrateResult, error) {
+		body, err := json.Marshal(InstanceSpec{Restore: cp})
+		if err != nil {
+			return nil, fmt.Errorf("encode checkpoint: %w", err)
+		}
+		url := strings.TrimSuffix(peer, "/") + "/api/v1/instances"
+		resp, err := migrateClient.Post(url, "application/json", bytes.NewReader(body))
+		if err != nil {
+			return nil, &peerError{fmt.Errorf("peer create failed: %w", err)}
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusCreated {
+			msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+			return nil, &peerError{fmt.Errorf("peer refused the restore: %s: %s", resp.Status, strings.TrimSpace(string(msg)))}
+		}
+		var st Status
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			// The peer accepted and now runs the copy; stopping the origin
+			// is still the only safe continuation (two live copies would
+			// race their side effects), even though the new id is unknown.
+			st.ID = "unknown"
+		}
+		return &MigrateResult{To: st.ID, ToShard: st.Shard, Peer: peer}, nil
+	})
 }
 
 func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {

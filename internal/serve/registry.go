@@ -3,6 +3,8 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -17,21 +19,19 @@ import (
 const shardSeed = 0x48657261636c6573 // "Heracles"
 
 // shard is one isolated domain of the control plane: its own epoch
-// scheduler (heap + worker pool), its own lifecycle SSE hub and its own
-// slice of the instance map. Instances are pinned to a shard by the
-// registry's consistent-hash table at creation; migration is the only
-// way an instance's state moves between shards (as a new instance
-// restored from a checkpoint). Shard pools are wired as peers, so a hot
-// shard's due slices execute on an idle sibling's workers.
+// scheduler pool (heap + workers), its own lifecycle SSE hub and its own
+// fleet job driver. Instances are pinned to a shard by the registry's
+// consistent-hash table at creation, and the registry's index records
+// which shard hosts each; migration is the only way an instance's state
+// moves between shards (as a new instance restored from a checkpoint).
+// Shard pools are wired as peers, so a hot shard's due slices execute on
+// an idle sibling's workers.
 type shard struct {
 	idx   int
-	sched *epochScheduler
+	pool  *epochScheduler
 	hub   *Hub
-
-	mu    sync.Mutex
-	insts map[string]*Instance
-	order []string
-	seq   uint64 // lifecycle event ids on the shard hub
+	sched *jobDriver    // attached by New
+	seq   atomic.Uint64 // lifecycle event ids on the shard hub
 }
 
 // ShardEvent is one shard-lifecycle message published on the shard's
@@ -53,50 +53,7 @@ func (sh *shard) publish(event, instID, detail string) {
 	if err != nil {
 		return
 	}
-	sh.mu.Lock()
-	sh.seq++
-	id := sh.seq
-	sh.mu.Unlock()
-	sh.hub.Publish(Message{Event: event, ID: id, Data: data})
-}
-
-// add installs a built instance into the shard's map.
-func (sh *shard) add(inst *Instance) {
-	sh.mu.Lock()
-	sh.insts[inst.ID()] = inst
-	sh.order = append(sh.order, inst.ID())
-	sh.mu.Unlock()
-}
-
-// drop removes an instance from the shard's map.
-func (sh *shard) drop(id string) {
-	sh.mu.Lock()
-	delete(sh.insts, id)
-	for j, oid := range sh.order {
-		if oid == id {
-			sh.order = append(sh.order[:j], sh.order[j+1:]...)
-			break
-		}
-	}
-	sh.mu.Unlock()
-}
-
-// list snapshots the shard's instances in shard-arrival order — the
-// per-shard fleet dispatcher ticks over exactly this set.
-func (sh *shard) list() []*Instance {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	out := make([]*Instance, 0, len(sh.order))
-	for _, id := range sh.order {
-		out = append(out, sh.insts[id])
-	}
-	return out
-}
-
-func (sh *shard) size() int {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return len(sh.insts)
+	sh.hub.Publish(Message{Event: event, ID: sh.seq.Add(1), Data: data})
 }
 
 // ShardStatus is one shard's health snapshot, reported by
@@ -105,17 +62,17 @@ type ShardStatus struct {
 	Shard      int              `json:"shard"`
 	Instances  int              `json:"instances"`
 	EpochSched EpochSchedStatus `json:"epoch_scheduler"`
-	// Sched is the shard's fleet job scheduler accounting; nil when the
-	// snapshot comes from a bare registry (the server fills it in).
+	// Sched is the shard's fleet job scheduler accounting.
 	Sched *SchedulerStatus `json:"sched,omitempty"`
 }
 
-// Registry is the instance pool: it assigns ids, tracks live instances
-// in creation order, and owns the per-shard domains — epoch scheduler,
-// lifecycle hub, instance map — behind a consistent-hash instance→shard
-// table. Snapshot and shutdown work fans out over the shared parallel
-// worker primitive so a control plane with many instances snapshots and
-// stops them concurrently.
+// Registry is the instance pool: it assigns ids, and its one index —
+// live instances in creation order, each with the shard hosting it — is
+// what every lookup, listing and shard's dispatch set reads. It owns the
+// per-shard domains (epoch pool, lifecycle hub, job driver) behind a
+// consistent-hash instance→shard table. Snapshot and shutdown work fans
+// out over the shared parallel worker primitive so a control plane with
+// many instances snapshots and stops them concurrently.
 type Registry struct {
 	mu      sync.Mutex
 	seq     int
@@ -123,7 +80,6 @@ type Registry struct {
 	insts   map[string]*Instance
 	order   []string
 	homes   map[string]int // id → shard actually hosting it (migrations override the hash)
-	workers int
 
 	shards []*shard
 	table  *chash.Table
@@ -132,18 +88,16 @@ type Registry struct {
 }
 
 // NewRegistry returns an empty registry with one running epoch-scheduler
-// pool per shard. workers bounds snapshot and shutdown fan-out (0
-// selects parallel.DefaultWorkers); drivers is the total epoch worker
-// budget (0 selects GOMAXPROCS), divided across shards with a floor of
-// one driver each; nshards <= 0 selects a single shard.
-func NewRegistry(workers, drivers, nshards int) *Registry {
+// pool per shard. drivers is the total epoch worker budget (0 selects
+// GOMAXPROCS), divided across shards with a floor of one driver each;
+// nshards <= 0 selects a single shard.
+func NewRegistry(drivers, nshards int) *Registry {
 	if nshards <= 0 {
 		nshards = 1
 	}
 	r := &Registry{
-		insts:   make(map[string]*Instance),
-		homes:   make(map[string]int),
-		workers: workers,
+		insts: make(map[string]*Instance),
+		homes: make(map[string]int),
 	}
 	members := make([]string, nshards)
 	for i := 0; i < nshards; i++ {
@@ -152,10 +106,9 @@ func NewRegistry(workers, drivers, nshards int) *Registry {
 	r.table = chash.New(shardSeed, members...)
 	for i := 0; i < nshards; i++ {
 		r.shards = append(r.shards, &shard{
-			idx:   i,
-			sched: newEpochScheduler(shardDrivers(drivers, i, nshards)),
-			hub:   NewHub(),
-			insts: make(map[string]*Instance),
+			idx:  i,
+			pool: newEpochScheduler(shardDrivers(drivers, i, nshards)),
+			hub:  NewHub(),
 		})
 	}
 	// Wire every pool's peers for work-stealing. The slices are built
@@ -164,7 +117,7 @@ func NewRegistry(workers, drivers, nshards int) *Registry {
 	for i, sh := range r.shards {
 		for j, other := range r.shards {
 			if i != j {
-				sh.sched.peers = append(sh.sched.peers, other.sched)
+				sh.pool.peers = append(sh.pool.peers, other.pool)
 			}
 		}
 	}
@@ -218,19 +171,27 @@ func (r *Registry) SchedStatus() EpochSchedStatus {
 	var st EpochSchedStatus
 	for i, sh := range r.shards {
 		if i == 0 {
-			st = sh.sched.status()
+			st = sh.pool.status()
 		} else {
-			st = st.merge(sh.sched.status())
+			st = st.merge(sh.pool.status())
 		}
 	}
 	return st
 }
 
-// ShardStatuses snapshots every shard.
+// ShardStatuses snapshots every shard: occupancy, epoch pool and fleet
+// job scheduler.
 func (r *Registry) ShardStatuses() []ShardStatus {
+	counts := make([]int, len(r.shards))
+	r.mu.Lock()
+	for _, idx := range r.homes {
+		counts[idx]++
+	}
+	r.mu.Unlock()
 	out := make([]ShardStatus, len(r.shards))
 	for i, sh := range r.shards {
-		out[i] = ShardStatus{Shard: i, Instances: sh.size(), EpochSched: sh.sched.status()}
+		sched := sh.sched.Status()
+		out[i] = ShardStatus{Shard: i, Instances: counts[i], EpochSched: sh.pool.status(), Sched: &sched}
 	}
 	return out
 }
@@ -238,24 +199,12 @@ func (r *Registry) ShardStatuses() []ShardStatus {
 // Migrations returns the number of completed migrations.
 func (r *Registry) Migrations() int64 { return r.migrations.Load() }
 
-// noteMigration counts a completed migration.
-func (r *Registry) noteMigration() { r.migrations.Add(1) }
-
 // shardAt resolves a shard index.
 func (r *Registry) shardAt(idx int) (*shard, bool) {
 	if idx < 0 || idx >= len(r.shards) {
 		return nil, false
 	}
 	return r.shards[idx], true
-}
-
-// ShardHub returns the shard's lifecycle SSE hub.
-func (r *Registry) ShardHub(idx int) (*Hub, bool) {
-	sh, ok := r.shardAt(idx)
-	if !ok {
-		return nil, false
-	}
-	return sh.hub, true
 }
 
 // Reserve claims the next instance id ("i1", "i2", ...) against the pool
@@ -295,14 +244,13 @@ func (r *Registry) PutShard(inst *Instance, idx int, detail string) {
 }
 
 // readd reinstates a removed instance on its former shard after a
-// failed peer migration; no reservation is consumed and the cap may
+// failed migration; no reservation is consumed and the cap may
 // transiently overshoot by the one returning instance.
 func (r *Registry) readd(inst *Instance, idx int) {
 	r.put(inst, idx, false, "migrate-return", "")
 }
 
 func (r *Registry) put(inst *Instance, idx int, reserved bool, event, detail string) {
-	sh := r.shards[idx]
 	inst.setShard(idx)
 	r.mu.Lock()
 	if reserved {
@@ -312,8 +260,7 @@ func (r *Registry) put(inst *Instance, idx int, reserved bool, event, detail str
 	r.order = append(r.order, inst.ID())
 	r.homes[inst.ID()] = idx
 	r.mu.Unlock()
-	sh.add(inst)
-	sh.publish(event, inst.ID(), detail)
+	r.shards[idx].publish(event, inst.ID(), detail)
 }
 
 // Get returns the instance with the given id.
@@ -326,25 +273,19 @@ func (r *Registry) Get(id string) (*Instance, bool) {
 
 // Remove detaches the instance from the registry and returns it with
 // the shard that hosted it; the caller stops it (or re-adds it if a
-// peer migration falls through). Returns false if the id is unknown.
+// migration falls through). Returns false if the id is unknown.
 func (r *Registry) Remove(id string) (*Instance, int, bool) {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	inst, ok := r.insts[id]
 	if !ok {
-		r.mu.Unlock()
 		return nil, 0, false
 	}
 	idx := r.homes[id]
 	delete(r.insts, id)
 	delete(r.homes, id)
-	for j, oid := range r.order {
-		if oid == id {
-			r.order = append(r.order[:j], r.order[j+1:]...)
-			break
-		}
-	}
-	r.mu.Unlock()
-	r.shards[idx].drop(id)
+	j := slices.Index(r.order, id)
+	r.order = slices.Delete(r.order, j, j+1)
 	return inst, idx, true
 }
 
@@ -355,28 +296,29 @@ func (r *Registry) Len() int {
 	return len(r.insts)
 }
 
-// listLocked snapshots the live instances in creation order; the caller
-// holds r.mu.
-func (r *Registry) listLocked() []*Instance {
-	out := make([]*Instance, 0, len(r.order))
-	for _, id := range r.order {
-		out = append(out, r.insts[id])
-	}
-	return out
-}
-
 // List returns the live instances in creation order.
-func (r *Registry) List() []*Instance {
+func (r *Registry) List() []*Instance { return r.list(-1) }
+
+// list snapshots the live instances in creation order: all of them, or
+// with idx >= 0 only those shard idx hosts — the set its job driver
+// dispatches over.
+func (r *Registry) list(idx int) []*Instance {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.listLocked()
+	out := make([]*Instance, 0, len(r.order))
+	for _, id := range r.order {
+		if idx < 0 || r.homes[id] == idx {
+			out = append(out, r.insts[id])
+		}
+	}
+	return out
 }
 
 // Statuses snapshots every instance concurrently, in creation order.
 func (r *Registry) Statuses() []Status {
 	insts := r.List()
 	out := make([]Status, len(insts))
-	parallel.ForEach(r.workers, len(insts), func(i int) {
+	parallel.ForEach(0, len(insts), func(i int) {
 		out[i] = insts[i].Status()
 	})
 	return out
@@ -389,22 +331,16 @@ func (r *Registry) Statuses() []Status {
 // be executing on a peer's workers.
 func (r *Registry) Close() {
 	r.mu.Lock()
-	insts := r.listLocked()
-	r.insts = make(map[string]*Instance)
-	r.homes = make(map[string]int)
+	insts := slices.Collect(maps.Values(r.insts))
+	clear(r.insts)
+	clear(r.homes)
 	r.order = nil
 	r.mu.Unlock()
-	for _, sh := range r.shards {
-		sh.mu.Lock()
-		sh.insts = make(map[string]*Instance)
-		sh.order = nil
-		sh.mu.Unlock()
-	}
-	parallel.ForEach(r.workers, len(insts), func(i int) {
+	parallel.ForEach(0, len(insts), func(i int) {
 		insts[i].Stop()
 	})
 	for _, sh := range r.shards {
-		sh.sched.stop()
+		sh.pool.stop()
 	}
 	for _, sh := range r.shards {
 		sh.hub.Close()

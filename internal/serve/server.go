@@ -23,9 +23,6 @@ type Config struct {
 	// selects experiment.DefaultLab(). All instances on the reference
 	// generation share it, so each workload calibrates at most once.
 	Lab *experiment.Lab
-	// CompactLab backs instances created with "compact": true; nil builds
-	// a lab on hw.CompactConfig() on first use.
-	CompactLab *experiment.Lab
 	// DefaultSpeed is the tick rate for instances that do not set one:
 	// simulated seconds per wall-clock second. 0 selects 1 (real time);
 	// SpeedMax (-1) free-runs.
@@ -33,9 +30,6 @@ type Config struct {
 	// MaxInstances caps the pool (0 selects 64); creates beyond the cap
 	// fail with 503.
 	MaxInstances int
-	// Workers bounds status-snapshot and shutdown fan-out over the
-	// instance pool (0 selects GOMAXPROCS).
-	Workers int
 	// Drivers is the total epoch-scheduler worker budget — the number of
 	// goroutines stepping instance epochs concurrently (the daemon's
 	// -drivers knob), divided across shards with a floor of one worker
@@ -53,37 +47,23 @@ type Config struct {
 	// The scheduler dispatches jobs submitted via POST /api/v1/jobs over
 	// the live instance pool.
 	SchedPolicy string
-	// SchedInterval is the dispatch loop's wall-clock cadence (default
-	// 1s; tests shorten it).
-	SchedInterval time.Duration
-	// SchedSeed seeds the scheduler's deterministic choice streams.
-	SchedSeed uint64
 
-	// RestartBackoff is the supervisor's base restart delay after a
-	// driver crash; it doubles per consecutive crash (capped at 16x) with
-	// up to 50% deterministic jitter. 0 selects 250ms.
-	RestartBackoff time.Duration
-	// MaxCrashRestarts is the circuit breaker: an instance exceeding this
-	// many consecutive crashes is quarantined instead of restarted. 0
-	// selects 5; the counter clears after StableEpochs clean epochs.
-	MaxCrashRestarts int
-	// CheckpointEpochs is how often (in epochs) the supervisor refreshes
-	// each instance's in-memory restart checkpoint. 0 selects 30.
-	CheckpointEpochs int
-	// StableEpochs is how many crash-free epochs return a degraded
-	// instance to healthy and reset its consecutive-crash count. 0
-	// selects 120.
-	StableEpochs int
+	// Tunables only this package's tests set; zero selects the default.
+	schedInterval    time.Duration // job dispatch cadence (1s)
+	schedSeed        uint64        // job scheduler's choice streams
+	restartBackoff   time.Duration // supervisorConfig.backoff
+	maxCrashRestarts int           // supervisorConfig.maxConsec
+	checkpointEpochs int           // supervisorConfig.ckptEvery
+	stableEpochs     int           // supervisorConfig.stable
 }
 
 // Server owns the instance pool and the HTTP API over it.
 type Server struct {
-	cfg    Config
-	lab    *experiment.Lab
-	reg    *Registry
-	mux    *http.ServeMux
-	scheds []*schedDriver // one fleet driver per registry shard
-	jobRR  atomic.Uint64  // round-robin cursor for job submission
+	cfg   Config
+	lab   *experiment.Lab
+	reg   *Registry
+	mux   *http.ServeMux
+	jobRR atomic.Uint64 // round-robin cursor for job submission
 
 	compactOnce sync.Once
 	compactLab  *experiment.Lab
@@ -104,8 +84,8 @@ func New(cfg Config) *Server {
 	if cfg.SchedPolicy == "" {
 		cfg.SchedPolicy = "slack-greedy"
 	}
-	if cfg.SchedInterval <= 0 {
-		cfg.SchedInterval = time.Second
+	if cfg.schedInterval <= 0 {
+		cfg.schedInterval = time.Second
 	}
 	if cfg.Shards <= 0 {
 		cfg.Shards = 1
@@ -115,10 +95,9 @@ func New(cfg Config) *Server {
 		panic("serve: " + err.Error())
 	}
 	s := &Server{
-		cfg:        cfg,
-		lab:        cfg.Lab,
-		reg:        NewRegistry(cfg.Workers, cfg.Drivers, cfg.Shards),
-		compactLab: cfg.CompactLab,
+		cfg: cfg,
+		lab: cfg.Lab,
+		reg: NewRegistry(cfg.Drivers, cfg.Shards),
 	}
 	s.mux = http.NewServeMux()
 	for _, rt := range routeTable {
@@ -128,7 +107,7 @@ func New(cfg Config) *Server {
 		})
 	}
 	for _, sh := range s.reg.shards {
-		s.scheds = append(s.scheds, newSchedDriver(s, sh, cfg.Shards, policy, cfg.SchedSeed, cfg.SchedInterval))
+		sh.sched = newJobDriver(s.reg, sh, policy, cfg.schedSeed, cfg.schedInterval)
 	}
 	return s
 }
@@ -177,19 +156,18 @@ func (s *Server) createInstance(spec InstanceSpec, shardIdx int, detail string) 
 		shardIdx = s.reg.PlaceShard(id)
 	}
 	sh := s.reg.shards[shardIdx]
-	driver := s.scheds[shardIdx]
 	sup := supervisorConfig{
-		backoff:   s.cfg.RestartBackoff,
-		maxConsec: s.cfg.MaxCrashRestarts,
-		ckptEvery: s.cfg.CheckpointEpochs,
-		stable:    s.cfg.StableEpochs,
+		backoff:   s.cfg.restartBackoff,
+		maxConsec: s.cfg.maxCrashRestarts,
+		ckptEvery: s.cfg.checkpointEpochs,
+		stable:    s.cfg.stableEpochs,
 		// A crash kills the fleet scheduler's tasks with the machine:
 		// evict their jobs (requeuing against the retry budget) before
 		// the instance restarts from its checkpoint. The shard — and so
 		// its driver — is fixed for the instance's lifetime.
-		onCrash: func(in *Instance) { driver.evictCrashed(in) },
+		onCrash: func(in *Instance) { sh.sched.killJobsOn(in, "", "instance crashed") },
 	}
-	inst, err := newInstance(id, spec, s.labFor(compact), speed, sup, sh.sched)
+	inst, err := newInstance(id, spec, s.labFor(compact), speed, sup, sh.pool)
 	if err != nil {
 		s.reg.Unreserve()
 		return nil, err
@@ -207,8 +185,8 @@ func (s *Server) createInstance(spec InstanceSpec, shardIdx int, detail string) 
 // so they must quiesce before the pool tears down. Safe to call more
 // than once.
 func (s *Server) Close() {
-	for _, d := range s.scheds {
-		d.stop()
+	for _, sh := range s.reg.shards {
+		sh.sched.stop()
 	}
 	s.reg.Close()
 }
@@ -219,11 +197,7 @@ func (s *Server) labFor(compact bool) *experiment.Lab {
 	if !compact {
 		return s.lab
 	}
-	s.compactOnce.Do(func() {
-		if s.compactLab == nil {
-			s.compactLab = experiment.NewLab(hw.CompactConfig())
-		}
-	})
+	s.compactOnce.Do(func() { s.compactLab = experiment.NewLab(hw.CompactConfig()) })
 	return s.compactLab
 }
 
@@ -408,20 +382,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		s.reg.ShardStatuses(), s.reg.Migrations()).Respond(w)
 }
 
-// ShardStatuses snapshots every shard with its fleet-scheduler
-// accounting attached.
-func (s *Server) ShardStatuses() []ShardStatus {
-	sts := s.reg.ShardStatuses()
-	for i := range sts {
-		st := s.scheds[i].Status()
-		sts[i].Sched = &st
-	}
-	return sts
-}
-
 func (s *Server) handleShards(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
-		"shards":     s.ShardStatuses(),
+		"shards":     s.reg.ShardStatuses(),
 		"migrations": s.reg.Migrations(),
 	})
 }
@@ -657,12 +620,12 @@ func (s *Server) handleFaultInject(w http.ResponseWriter, r *http.Request) {
 	// bookkeeping first, so the affected jobs evict (charging their retry
 	// budget) instead of lingering as running against dead tasks.
 	killed := 0
-	if d := s.schedFor(inst); d != nil {
+	if idx, ok := s.reg.HomeShard(inst.ID()); ok {
 		switch req.Kind {
 		case fault.LeafCrash.String():
-			killed = d.killJobsOn(inst, "", "killed by injected fault")
+			killed = s.reg.shards[idx].sched.killJobsOn(inst, "", "killed by injected fault")
 		case fault.BEKill.String():
-			killed = d.killJobsOn(inst, req.Workload, "killed by injected fault")
+			killed = s.reg.shards[idx].sched.killJobsOn(inst, req.Workload, "killed by injected fault")
 		}
 	}
 	if !doErr(w, inst.InjectFault(req)) {
@@ -672,42 +635,8 @@ func (s *Server) handleFaultInject(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	inst, ok := s.instance(w, r)
-	if !ok {
-		return
-	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		apiError(w, http.StatusInternalServerError, "streaming unsupported by this connection")
-		return
-	}
-	sub := inst.Subscribe(256)
-	defer sub.Close()
-
-	h := w.Header()
-	h.Set("Content-Type", "text/event-stream")
-	h.Set("Cache-Control", "no-cache")
-	h.Set("X-Accel-Buffering", "no")
-	w.WriteHeader(http.StatusOK)
-	fmt.Fprintf(w, ": stream %s\n\n", inst.ID())
-	fl.Flush()
-
-	ctx := r.Context()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case msg, open := <-sub.Ch():
-			if !open {
-				// Instance stopped: a final comment lets clients
-				// distinguish shutdown from a broken connection.
-				fmt.Fprint(w, ": stream closed\n\n")
-				fl.Flush()
-				return
-			}
-			fmt.Fprintf(w, "event: %s\nid: %d\ndata: %s\n\n", msg.Event, msg.ID, msg.Data)
-			fl.Flush()
-		}
+	if inst, ok := s.instance(w, r); ok {
+		serveSSE(w, r, inst.hub, "stream "+inst.ID())
 	}
 }
 
@@ -719,11 +648,19 @@ func (s *Server) handleShardStream(w http.ResponseWriter, r *http.Request) {
 		apiError(w, http.StatusNotFound, "no shard %q", r.PathValue("shard"))
 		return
 	}
-	hub, ok := s.reg.ShardHub(idx)
+	sh, ok := s.reg.shardAt(idx)
 	if !ok {
 		apiError(w, http.StatusNotFound, "no shard %d (server has %d)", idx, s.reg.ShardCount())
 		return
 	}
+	serveSSE(w, r, sh.hub, fmt.Sprintf("shard %d stream", idx))
+}
+
+// serveSSE streams hub's messages to the client as server-sent events,
+// after a hello comment, until the client leaves or the hub closes. A
+// closed hub gets a final comment, so clients can tell shutdown from a
+// broken connection.
+func serveSSE(w http.ResponseWriter, r *http.Request, hub *Hub, hello string) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		apiError(w, http.StatusInternalServerError, "streaming unsupported by this connection")
@@ -737,13 +674,12 @@ func (s *Server) handleShardStream(w http.ResponseWriter, r *http.Request) {
 	h.Set("Cache-Control", "no-cache")
 	h.Set("X-Accel-Buffering", "no")
 	w.WriteHeader(http.StatusOK)
-	fmt.Fprintf(w, ": shard %d stream\n\n", idx)
+	fmt.Fprintf(w, ": %s\n\n", hello)
 	fl.Flush()
 
-	ctx := r.Context()
 	for {
 		select {
-		case <-ctx.Done():
+		case <-r.Context().Done():
 			return
 		case msg, open := <-sub.Ch():
 			if !open {

@@ -290,7 +290,7 @@ func (i *Instance) finishCrash(ci *crashInfo) {
 	i.mu.Lock()
 	i.pendingRestart = true
 	i.mu.Unlock()
-	i.sched.schedule(i.entry, time.Now().Add(ci.delay))
+	i.pool.schedule(i.entry, time.Now().Add(ci.delay))
 }
 
 // quarantine opens the circuit breaker: the instance stays inspectable

@@ -36,8 +36,8 @@ var keptForTests = map[string]string{
 	"heracles/internal/experiment.Fig3Surface.ConvexViolations": "FIDELITY row 7 (Fig. 3 convexity)",
 	"heracles/internal/experiment.Fig1Table.Row":                "FIDELITY row 6 (Fig. 7 network cliff)",
 
-	"heracles/internal/serve.Instance.changed":     "test synchronisation hook: wait for a status change without polling",
-	"heracles/internal/serve.schedDriver.tickWait": "test synchronisation hook: wait for the job scheduler's next tick",
+	"heracles/internal/serve.Instance.changed":   "test synchronisation hook: wait for a status change without polling",
+	"heracles/internal/serve.jobDriver.tickWait": "test synchronisation hook: wait for the job scheduler's next tick",
 }
 
 // stdMethods are the method names the standard library calls through its
