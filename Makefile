@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-race chaos churn fuzz-smoke fidelity bench bench-smoke bench-baseline bench-check bench-e2e fmt-check docs-check loc slo ci
+.PHONY: all build vet test test-race chaos churn fuzz-smoke fidelity bench bench-smoke bench-e2e fmt-check docs-check loc slo ci
 
 all: build
 
@@ -90,24 +90,11 @@ slo:
 bench:
 	$(GO) test -run='^$$' -bench=. -benchmem .
 
-# One-iteration smoke used by CI: exercises every artefact generator once.
+# One-iteration smoke used by CI: exercises every artefact generator and
+# every BenchmarkMicro table entry once. Allocation counts are held by
+# TestMicroAllocCeilings in the tier-1 suite, not here.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x -benchmem .
-
-# Emit BENCH_baseline.json (ns/op, allocs/op per figure) to track the
-# performance trajectory across PRs.
-bench-baseline:
-	$(GO) run ./cmd/benchbaseline -out BENCH_baseline.json
-
-# Compare a fresh quick run against the newest committed per-PR record;
-# fails on regressions beyond the tolerance band (see cmd/benchbaseline
-# -check). The wide ns/op band absorbs hardware differences from the
-# machine that recorded it; allocs are held tight everywhere. A PR that
-# commits a newer BENCH_<pr>.json names it here and in ci.yml: against
-# the original BENCH_baseline.json (MachineStep 21.5 us, EngineStep
-# 210 us) losing every gain since would still pass.
-bench-check:
-	$(GO) run ./cmd/benchbaseline -quick -check BENCH_23.json -tol 1.5
 
 # End-to-end benchmark (BENCHMARK.json): the four heraclesbench workloads
 # driven from outside the binaries, ~25 s each; the last stdout line of
@@ -116,4 +103,4 @@ bench-check:
 bench-e2e:
 	bash cmd/heraclesbench/bench.sh --workload all --seed 1
 
-ci: build vet fmt-check docs-check test test-race chaos churn fuzz-smoke fidelity bench-smoke bench-check
+ci: build vet fmt-check docs-check test test-race chaos churn fuzz-smoke fidelity bench-smoke

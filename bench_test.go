@@ -8,11 +8,12 @@
 // characterisation), Figure 3 (cores x LLC surface), Figure 4 (latency
 // under Heracles), Figure 5 (EMU), Figure 6 (shared-resource utilisation),
 // Figure 7 (memkeyval network bandwidth), Figure 8 (cluster diurnal run),
-// and the §5.3 TCO analysis; plus ablations and component
-// micro-benchmarks.
+// and the §5.3 TCO analysis; plus ablations and the micro-benchmark table
+// (BenchmarkMicro, DESIGN.md §5).
 package heracles_test
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 	"sync"
@@ -24,9 +25,16 @@ import (
 	"heracles/internal/core"
 	"heracles/internal/engine"
 	"heracles/internal/experiment"
+	"heracles/internal/expo"
+	"heracles/internal/fault"
 	"heracles/internal/hw"
 	"heracles/internal/lat"
 	"heracles/internal/machine"
+	"heracles/internal/scenario"
+	"heracles/internal/sched"
+	"heracles/internal/serve"
+	"heracles/internal/sim"
+	"heracles/internal/slo"
 	"heracles/internal/workload"
 )
 
@@ -35,8 +43,15 @@ var (
 	benchLab     *experiment.Lab
 )
 
+// lab is the shared lab. It does every calibration the micro-benchmark
+// table reads up front, so no timed operation pays for one.
 func lab() *experiment.Lab {
-	benchLabOnce.Do(func() { benchLab = experiment.DefaultLab() })
+	benchLabOnce.Do(func() {
+		benchLab = experiment.DefaultLab()
+		benchLab.DRAMModel("websearch")
+		benchLab.BE("brain")
+		benchLab.BE("streetview")
+	})
 	return benchLab
 }
 
@@ -255,162 +270,377 @@ func BenchmarkAblationNoDRAMModel(b *testing.B) {
 	}
 }
 
-// --- Component micro-benchmarks -----------------------------------------
+// micro is one entry of the micro-benchmark table: setup builds and warms
+// its state outside the timer and returns run, which performs n
+// operations on that state. BenchmarkMicro times every entry under its
+// name (the names the committed BENCH_*.json records use);
+// TestMicroAllocCeilings holds the allocation counts no package test pins.
+type micro struct {
+	name  string
+	setup func(tb testing.TB) (run func(n int))
+}
 
-// BenchmarkMachineStep measures one control epoch. The poll ring (600
-// epochs: no controller declares for this machine) is filled before
-// timing starts, so both variants report the true steady state: 0
-// allocs/op.
-//
-// steady repeats one epoch: every pure stage is handed the arguments it
-// solved an epoch ago and returns the stored solution (DESIGN.md §5).
-// changing nudges the load every epoch on an uneven core split (the two
-// sockets differ), so every stage misses and runs its solver: the miss
-// path, storing the new keys included.
-func BenchmarkMachineStep(b *testing.B) {
-	for _, changing := range []bool{false, true} {
-		name, beCores := "steady", 12
-		if changing {
-			name, beCores = "changing", 11
-		}
-		b.Run(name, func(b *testing.B) {
-			l := lab()
-			m := machine.New(l.Cfg)
-			m.SetLC(l.LC("websearch"))
-			m.AddBE(l.BE("brain"), workload.PlaceDedicated)
-			m.SetLoad(0.5)
-			m.Partition(beCores)
-			for i := 0; i < 620; i++ {
-				m.Step()
+var micros = []micro{
+	// One control epoch of a warmed websearch+brain machine, its poll ring
+	// (600 epochs: nothing declares a depth) full: 0 allocs/op. The plain
+	// form repeats one epoch, answered by stage reuse (DESIGN.md §5);
+	// changing nudges the load every epoch on an uneven core split, so
+	// every stage misses and runs its solver.
+	{"MachineStep", func(testing.TB) func(int) {
+		m := benchMachine(12)
+		return each(func(int) { m.Step() })
+	}},
+	{"MachineStep/changing", func(testing.TB) func(int) {
+		m := benchMachine(11)
+		return each(func(i int) {
+			m.SetLoad(0.45 + 0.1*float64(i%997)/997)
+			m.Step()
+		})
+	}},
+	{"FrequencyResolution", func(testing.TB) func(int) {
+		// One socket's frequency/power bisection on the input the harness
+		// rung hw.resolve_freq_us uses: 18 busy cores, every third capped
+		// at 1.8 GHz, power-limited so the search runs.
+		cfg := hw.DefaultConfig()
+		cores := make([]hw.CoreLoad, cfg.CoresPerSocket)
+		for i := range cores {
+			cores[i] = hw.CoreLoad{Activity: 0.9}
+			if i%3 == 0 {
+				cores[i].CapGHz = 1.8
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if changing {
-					m.SetLoad(0.45 + 0.1*float64(i%997)/997)
+		}
+		freqs := make([]float64, len(cores))
+		return each(func(int) { cfg.ResolveFrequenciesInto(freqs, cores) })
+	}},
+	{"LabSetup", func(testing.TB) func(int) {
+		// What every process pays before its first experiment epoch: a
+		// fresh lab calibrating websearch (42 probes) and profiling its
+		// DRAM model (180 cells).
+		return each(func(int) {
+			l := experiment.DefaultLab()
+			l.LC("websearch")
+			l.DRAMModel("websearch")
+		})
+	}},
+	{"SchedTick", func(testing.TB) func(int) {
+		// One dispatch-loop tick over a 64-node fleet with ~500 jobs that
+		// never complete: every tick scans every running job and re-places
+		// around churning BE enablement.
+		jobs := make([]sched.JobSpec, 512)
+		for i := range jobs {
+			jobs[i] = sched.JobSpec{
+				Name: "j", Workload: "brain",
+				Demand: 1 + i%3, Work: 1e6 * time.Second, Retries: 1 << 20,
+			}
+		}
+		s := sched.New(sched.Config{Policy: sched.SlackGreedy{}, Jobs: jobs, EvictGrace: time.Second})
+		nodes := make([]sched.NodeState, 64)
+		progress := func(j *sched.Job) float64 { return j.CPUSec + 1 }
+		tick := func(i int) {
+			for n := range nodes {
+				r := sim.DeriveRNG(uint64(i), uint64(n))
+				nodes[n] = sched.NodeState{
+					ID: n, BEAllowed: r.Float64() > 0.2,
+					Slack: r.Float64() * 0.4, MaxBECores: 24,
 				}
-				m.Step()
 			}
+			s.Tick(time.Duration(i)*time.Second, nodes, progress)
+		}
+		run := each(tick)
+		run(64) // reach steady state before timing
+		return run
+	}},
+	{"EngineStep", func(tb testing.TB) func(int) {
+		// One Step of an 8-node Heracles engine with a fan-out root: the
+		// scenario's load, eight machine steps and controller polls, the
+		// reduction and the root's integral. The warmup settles the
+		// controllers.
+		eng, _ := benchEngine(tb, 650)
+		return each(func(int) { eng.Step() })
+	}},
+	// One epoch of the root's fan-out latency over 8 leaves, by
+	// quadrature: websearch machines spread over 30-65% load (the Heracles
+	// arm of a cluster run), or eight copies of one (the baseline arm,
+	// evaluated once). 0 allocs/op on the sampler's own scratch.
+	{"RootMean", rootMean(false)},
+	{"RootMean/identical", rootMean(true)},
+	{"SnapshotRestore/json", func(tb testing.TB) func(int) {
+		// Checkpoint round trip of a warmed 8-node engine with full poll
+		// rings through the JSON wire format: Snapshot, Encode, Decode,
+		// Restore.
+		eng, sc := benchEngine(tb, 620)
+		var buf bytes.Buffer
+		return each(func(int) {
+			buf.Reset()
+			if err := eng.Snapshot().Encode(&buf); err != nil {
+				tb.Fatal(err)
+			}
+			cp, err := engine.DecodeCheckpoint(&buf)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			restoreAndClose(tb, cp, &sc)
 		})
-	}
+	}},
+	{"SnapshotRestore/binary", func(tb testing.TB) func(int) {
+		// The same round trip through the binary codec, the format the
+		// checkpointer, shard migration and supervisor restart pay for.
+		eng, sc := benchEngine(tb, 620)
+		var scratch []byte
+		return each(func(int) {
+			scratch = eng.Snapshot().AppendBinary(scratch[:0])
+			cp, err := engine.DecodeCheckpointBinary(scratch)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			restoreAndClose(tb, cp, &sc)
+		})
+	}},
+	{"FaultInjectTick", func(tb testing.TB) func(int) {
+		// Inject one leaf crash into a warmed 8-node engine, on the next
+		// node in turn, and resolve the epoch that applies it.
+		eng, _ := benchEngine(tb, 120)
+		return each(func(i int) {
+			if err := eng.InjectFault(fault.Fault{Kind: fault.LeafCrash, Node: i % 8, Duration: time.Second}); err != nil {
+				tb.Fatal(err)
+			}
+			eng.Step()
+		})
+	}},
+	{"SLOWindowUpdate", func(testing.TB) func(int) {
+		// One Push into a tracker whose bit ring is fully grown (the 3d
+		// window); every seventh epoch violates, so both branches run.
+		tr := slo.NewTracker(slo.Config{}, time.Second)
+		push := each(func(i int) { tr.Push(i%7 == 0) })
+		push(260000)
+		return push
+	}},
+	{"HistogramObserve", func(testing.TB) func(int) {
+		// The latency histogram's record path: bucket selection and two
+		// atomic adds.
+		var h expo.Histogram
+		return each(func(i int) { h.Observe(time.Duration(i) * time.Microsecond) })
+	}},
+	{"InstanceSchedule", func(testing.TB) func(int) {
+		// The epoch scheduler's per-slice overhead: 256 always-due no-op
+		// tasks contending for 4 drivers. One call runs all n slices on a
+		// fresh pool.
+		return func(n int) { serve.ScheduleBench(4, 256, n) }
+	}},
+	{"InstanceMigrate", func(tb testing.TB) func(int) {
+		// A shard migration round trip (detach, snapshot, binary wire
+		// format, restore on the other shard, stop the origin) of an
+		// instance that has run its full 120-epoch scenario.
+		s := serve.New(serve.Config{Lab: lab(), Shards: 2})
+		tb.Cleanup(s.Close)
+		inst, err := s.CreateInstance(serve.InstanceSpec{Load: 0.5, Speed: serve.SpeedMax, MaxEpochs: 120})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		for inst.Status().State != serve.StateDone {
+			time.Sleep(time.Millisecond)
+		}
+		id, target := inst.ID(), 1-inst.Status().Shard
+		migrate := each(func(int) {
+			res, err := s.MigrateToShard(id, target)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			id, target = res.To, res.FromShard
+		})
+		// Each move mints the next id with fmt.Sprintf("i%d"), and the
+		// runtime boxes integers below 256 without allocating: move past
+		// them, so every timed move pays the same.
+		migrate(300)
+		return migrate
+	}},
+	// A three-point Colocate sweep on the worker pool (workers 0) and on
+	// the sequential reference (workers 1), whose outputs
+	// TestParallelColocateMatchesSequential holds byte-identical.
+	{"ColocateSweep/sequential", colocateSweep(1)},
+	{"ColocateSweep/parallel", colocateSweep(0)},
+	{"Figure1/websearch", func(testing.TB) func(int) {
+		return each(func(int) { lab().Figure1("websearch", microLoads) })
+	}},
+	{"Figure3/websearch", func(testing.TB) func(int) {
+		fracs := []float64{0.2, 0.4, 0.6, 0.8, 1.0}
+		return each(func(int) { lab().Figure3("websearch", fracs, fracs) })
+	}},
+	{"ControllerStep", func(testing.TB) func(int) {
+		m := benchMachine(12)
+		ctl := core.New(m, lab().DRAMModel("websearch"), core.DefaultConfig())
+		return each(func(i int) { ctl.Step(time.Duration(i) * time.Second) })
+	}},
+	{"CacheSolver", func(testing.TB) func(int) {
+		s := cache.Solver{WayMB: 2.25, Ways: 20}
+		demands := []cache.Demand{
+			{AccessRate: 1e9, Components: workload.Websearch().CacheComponents, WayMask: cache.MaskOfWays(2, 18), LoadScale: 1},
+			{AccessRate: 2e9, Components: workload.Brain().CacheComponents, WayMask: cache.MaskOfWays(0, 2)},
+		}
+		var sc cache.Scratch
+		s.ResolveScratch(&sc, demands) // grow scratch to its high-water mark
+		return each(func(int) { s.ResolveScratch(&sc, demands) })
+	}},
+	{"DESEpoch", func(testing.TB) func(int) {
+		d := lat.NewDES(1)
+		p := lat.ServiceParams{Mean: 10 * time.Millisecond, Sigma: 0.5}
+		return each(func(int) { d.Epoch(p, 2000, 36, time.Second) })
+	}},
+	{"AnalyticEpoch", func(testing.TB) func(int) {
+		var e lat.Analytic
+		p := lat.ServiceParams{Mean: 10 * time.Millisecond, Sigma: 0.5}
+		return each(func(int) { e.Epoch(p, 2000, 36, time.Second) })
+	}},
 }
 
-// BenchmarkRootMean measures one epoch of the cluster root's fan-out
-// latency, E[slowest of 8 leaves], by quadrature: "spread" leaves are
-// websearch machines over 30-65% load (eight distinct lognormals, the
-// Heracles arm of a cluster run), "identical" eight copies of one (the
-// baseline arm, evaluated once and raised to the eighth power). It is the
-// part of an engine epoch that does not scale with the machine model:
-// 0 allocs/op on the sampler's own scratch.
-func BenchmarkRootMean(b *testing.B) {
-	l := lab()
-	spread := make([]lat.EpochStats, 8)
-	for i := range spread {
-		m := machine.New(l.Cfg)
-		m.SetLC(l.LC("websearch"))
-		m.SetLoad(0.3 + 0.05*float64(i))
-		for k := 0; k < 8; k++ {
-			spread[i] = m.Step().Lat
+// each is the run of an entry whose operations are one call of step,
+// numbered from 0 across every call of run.
+func each(step func(i int)) func(n int) {
+	next := 0
+	return func(n int) {
+		for range n {
+			step(next)
+			next++
 		}
 	}
-	identical := slices.Repeat(spread[4:5], 8)
-	for _, bench := range []struct {
-		name  string
-		stats []lat.EpochStats
-	}{{"spread", spread}, {"identical", identical}} {
-		b.Run(bench.name, func(b *testing.B) {
-			var root engine.RootSampler
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				root.Mean(bench.stats)
-			}
-		})
-	}
 }
 
-// BenchmarkColocateSweep measures one full 10-point Colocate sweep with
-// the worker pool (workers=0, GOMAXPROCS) against the forced-sequential
-// reference (workers=1). On a multi-core host the parallel variant is
-// expected to approach a min(points, cores)-fold speedup with byte-
-// identical Series output (asserted by TestParallelColocateMatchesSequential).
-func BenchmarkColocateSweep(b *testing.B) {
-	l := lab()
-	opts := colocOpts()
-	l.Colocate("websearch", "brain", benchLoads(), opts) // warm calibration caches
-	for _, bench := range []struct {
-		name    string
-		workers int
-	}{{"sequential", 1}, {"parallel", 0}} {
-		b.Run(bench.name, func(b *testing.B) {
-			o := opts
-			o.Workers = bench.workers
-			for i := 0; i < b.N; i++ {
-				l.Colocate("websearch", "brain", benchLoads(), o)
-			}
-		})
-	}
-}
+// microLoads is the reduced load grid of the sweep and Figure 1 entries.
+var microLoads = []float64{0.2, 0.5, 0.8}
 
-func BenchmarkControllerStep(b *testing.B) {
+// benchMachine is a websearch+brain machine at half load with beCores
+// BE cores, stepped until its poll ring is full.
+func benchMachine(beCores int) *machine.Machine {
 	l := lab()
 	m := machine.New(l.Cfg)
 	m.SetLC(l.LC("websearch"))
 	m.AddBE(l.BE("brain"), workload.PlaceDedicated)
 	m.SetLoad(0.5)
-	ctl := core.New(m, l.DRAMModel("websearch"), core.DefaultConfig())
-	m.Step()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ctl.Step(time.Duration(i) * time.Second)
+	m.Partition(beCores)
+	for range 620 {
+		m.Step()
 	}
+	return m
 }
 
-func BenchmarkCacheSolver(b *testing.B) {
-	s := cache.Solver{WayMB: 2.25, Ways: 20}
-	demands := []cache.Demand{
-		{AccessRate: 1e9, Components: workload.Websearch().CacheComponents, WayMask: cache.MaskOfWays(2, 18), LoadScale: 1},
-		{AccessRate: 2e9, Components: workload.Brain().CacheComponents, WayMask: cache.MaskOfWays(0, 2)},
-	}
-	var sc cache.Scratch
-	s.ResolveScratch(&sc, demands) // grow scratch to its high-water mark
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.ResolveScratch(&sc, demands)
-	}
-}
-
-func BenchmarkFrequencyResolution(b *testing.B) {
-	cfg := hw.DefaultConfig()
-	loads := make([]hw.CoreLoad, cfg.CoresPerSocket)
-	for i := range loads {
-		loads[i] = hw.CoreLoad{Activity: 0.9}
-		if i%3 == 0 {
-			loads[i].CapGHz = 1.8
+func rootMean(identical bool) func(testing.TB) func(int) {
+	return func(testing.TB) func(int) {
+		l := lab()
+		stats := make([]lat.EpochStats, 8)
+		for i := range stats {
+			m := machine.New(l.Cfg)
+			m.SetLC(l.LC("websearch"))
+			m.SetLoad(0.3 + 0.05*float64(i))
+			for range 8 {
+				stats[i] = m.Step().Lat
+			}
 		}
-	}
-	freqs := make([]float64, len(loads))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cfg.ResolveFrequenciesInto(freqs, loads)
-	}
-}
-
-func BenchmarkDESEpoch(b *testing.B) {
-	d := lat.NewDES(1)
-	p := lat.ServiceParams{Mean: 10 * time.Millisecond, Sigma: 0.5}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d.Epoch(p, 2000, 36, time.Second)
+		if identical {
+			stats = slices.Repeat(stats[4:5], 8)
+		}
+		var root engine.RootSampler
+		return each(func(int) { root.Mean(stats) })
 	}
 }
 
-func BenchmarkAnalyticEpoch(b *testing.B) {
-	var e lat.Analytic
-	p := lat.ServiceParams{Mean: 10 * time.Millisecond, Sigma: 0.5}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Epoch(p, 2000, 36, time.Second)
+func colocateSweep(workers int) func(testing.TB) func(int) {
+	return func(testing.TB) func(int) {
+		opts := experiment.RunOpts{Duration: 4 * time.Minute, Warmup: time.Minute, UseDRAMModel: true, Workers: workers}
+		return each(func(int) { lab().Colocate("websearch", "brain", microLoads, opts) })
+	}
+}
+
+// benchEngineConfig is the 8-node Heracles fleet the engine entries run
+// on: brain/streetview split, a root, sequential stepping (the per-epoch
+// cost, not the fan-out, is what the entries track).
+func benchEngineConfig() engine.Config {
+	l := lab()
+	brain := l.BE("brain")
+	sview := l.BE("streetview")
+	return engine.Config{
+		Nodes:       8,
+		HW:          l.Cfg,
+		LC:          l.LC("websearch"),
+		Heracles:    true,
+		Model:       l.DRAMModel("websearch"),
+		LookupBE:    l.BE,
+		SLOScale:    0.8,
+		RootSamples: 1, // the on-switch; nothing is sampled
+		Seed:        1,
+		Workers:     1,
+		InitialBEs: func(i int) []engine.BEAttach {
+			if i%2 == 0 {
+				return []engine.BEAttach{{WL: brain, Placement: workload.PlaceDedicated}}
+			}
+			return []engine.BEAttach{{WL: sview, Placement: workload.PlaceDedicated}}
+		},
+	}
+}
+
+// benchEngine builds the engine on a flat-load scenario that outlasts any
+// n, steps it warm epochs and closes it when tb ends.
+func benchEngine(tb testing.TB, warm int) (*engine.Engine, scenario.Scenario) {
+	eng := engine.New(benchEngineConfig())
+	tb.Cleanup(eng.Close)
+	sc := scenario.Scenario{Name: "bench", Duration: 1000 * time.Hour, Load: scenario.Flat(0.5)}
+	eng.InstallScenario(sc)
+	for range warm {
+		eng.Step()
+	}
+	return eng, sc
+}
+
+func restoreAndClose(tb testing.TB, cp *engine.Checkpoint, sc *scenario.Scenario) {
+	r, err := engine.Restore(benchEngineConfig(), cp, sc)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	r.Close()
+}
+
+// BenchmarkMicro runs every entry of the table as a sub-benchmark.
+func BenchmarkMicro(b *testing.B) {
+	for _, m := range micros {
+		b.Run(m.name, func(b *testing.B) {
+			run := m.setup(b)
+			b.ReportAllocs()
+			b.ResetTimer()
+			run(b.N)
+		})
+	}
+}
+
+// TestMicroAllocCeilings holds the allocation counts no package test pins
+// at their BENCH_23.json values, measured as the benchmark reports them:
+// per call, averaged over runs, truncated. One allocation more per
+// operation fails. SchedTick allocates by the tick, so it is held over the
+// 40 000 ticks after set-up; InstanceSchedule may allocate its pool's
+// start-up and nothing per slice.
+func TestMicroAllocCeilings(t *testing.T) {
+	if testing.Short() {
+		t.Skip("40 000 scheduler ticks")
+	}
+	for _, c := range []struct {
+		name string
+		ops  int     // operations per call
+		runs int     // calls averaged over
+		max  float64 // allocations per call
+	}{
+		{"SnapshotRestore/binary", 1, 100, 528},
+		{"SnapshotRestore/json", 1, 100, 742},
+		{"InstanceMigrate", 1, 100, 144},
+		{"FaultInjectTick", 1, 100, 1},
+		{"SchedTick", 1, 40000, 22},
+		{"SLOWindowUpdate", 1, 100, 0},
+		{"HistogramObserve", 1, 100, 0},
+		{"InstanceSchedule", 10000, 5, 535},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			i := slices.IndexFunc(micros, func(m micro) bool { return m.name == c.name })
+			run := micros[i].setup(t)
+			if got := testing.AllocsPerRun(c.runs, func() { run(c.ops) }); got > c.max {
+				t.Errorf("%v allocations per %d operations, want at most %v", got, c.ops, c.max)
+			}
+		})
 	}
 }

@@ -24,17 +24,17 @@
 // stream can be inspected or replayed.
 //
 // -checkpoint-dir enables crash recovery: every -checkpoint-every
-// (default 30s) the daemon snapshots each live instance's full
-// simulation state into <dir>/<id>.ckpt (atomically, write-then-rename,
-// wrapped in a checksummed binary envelope; the previous generation
-// rotates to <id>.ckpt.1). On startup the daemon restores every
-// checkpoint found in the directory — an older daemon's <id>.json files
-// included — each resumes bit-identically from its snapshot
-// epoch — and skips the flag-bootstrapped instance when it restored at
-// least one. A file that fails its checksum (crash mid-write, disk
-// corruption) is refused and the rotated previous generation restores
-// instead. Restored instances get fresh ids; the superseded files are
-// removed once their replacements are written.
+// (default 30s; it must be positive) the daemon snapshots each live
+// instance's full simulation state into <dir>/<id>.ckpt (atomically,
+// write-then-rename, wrapped in a checksummed binary envelope; the
+// previous generation rotates to <id>.ckpt.1). On startup the daemon
+// restores every checkpoint found in the directory — an older daemon's
+// <id>.json files included — each resumes bit-identically from its
+// snapshot epoch — and skips the flag-bootstrapped instance when it
+// restored at least one. A file that fails its checksum (crash
+// mid-write, disk corruption) is refused and the rotated previous
+// generation restores instead. Restored instances get fresh ids; the
+// superseded files are removed once their replacements are written.
 //
 // Usage:
 //
@@ -87,6 +87,10 @@ func main() {
 	ckptEvery := flag.Duration("checkpoint-every", 30*time.Second, "wall-clock cadence of -checkpoint-dir snapshots")
 	pprofAddr := flag.String("pprof-addr", "", "separate listen address for pprof profiles and Go runtime metrics (empty = off)")
 	flag.Parse()
+
+	if *ckptEvery <= 0 {
+		log.Fatalf("heraclesd: -checkpoint-every must be positive, got %v", *ckptEvery)
+	}
 
 	if *pprofAddr != "" {
 		dbg, err := debughttp.Start(*pprofAddr)
@@ -367,9 +371,6 @@ func checkpointGlob(dir string) ([]string, error) {
 // one final snapshot pass (while the instance drivers still run) and
 // then joins the goroutine; call it before draining the server.
 func startCheckpointer(srv *serve.Server, dir string, every time.Duration) func() {
-	if every <= 0 {
-		every = 30 * time.Second
-	}
 	const ext = ".ckpt"
 	stopc := make(chan struct{})
 	donec := make(chan struct{})

@@ -2,7 +2,6 @@ package fed
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -153,19 +152,29 @@ func TestProxyStreamsEventByEvent(t *testing.T) {
 	expect("the closing comment", ": stream closed")
 }
 
-// TestMigrateBodyIsCapped: the router's migrate, join and leave routes
+// TestRouterBodyIsCapped: the router's migrate, join and leave routes
 // read at most 1 MiB, like every other mutating route, and answer a
-// larger body 400.
-func TestMigrateBodyIsCapped(t *testing.T) {
+// larger body 400. Create reads at most the daemon's own cap and answers
+// one byte over it 413 itself, without contacting a member.
+func TestRouterBodyIsCapped(t *testing.T) {
 	f := newRecordingFleet(t)
-	for _, tc := range []struct{ method, path, field string }{
-		{"POST", "/api/v1/instances/" + f.fid + "/migrate", "member"},
-		{"POST", "/api/v1/members", "url"},
-		{"DELETE", "/api/v1/members", "url"},
+	f.mu.Lock()
+	delete(f.seen, "POST instances")
+	f.mu.Unlock()
+	for _, tc := range []struct {
+		method, path string
+		limit        int64
+		code         int
+	}{
+		{"POST", "/api/v1/instances/" + f.fid + "/migrate", 1 << 20, http.StatusBadRequest},
+		{"POST", "/api/v1/members", 1 << 20, http.StatusBadRequest},
+		{"DELETE", "/api/v1/members", 1 << 20, http.StatusBadRequest},
+		{"POST", "/api/v1/instances", serve.RestoreBodyLimit, http.StatusRequestEntityTooLarge},
 	} {
-		big := append([]byte(`{"`+tc.field+`":"`), bytes.Repeat([]byte("x"), 2<<20)...)
-		big = append(big, `"}`...)
-		req, err := http.NewRequest(tc.method, f.url+tc.path, bytes.NewReader(big))
+		// A JSON string value that runs one byte past the cap.
+		prefix := `{"url":"`
+		body := io.MultiReader(strings.NewReader(prefix), io.LimitReader(xs{}, tc.limit+1-int64(len(prefix))))
+		req, err := http.NewRequest(tc.method, f.url+tc.path, body)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,10 +184,25 @@ func TestMigrateBodyIsCapped(t *testing.T) {
 		}
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "too large") {
-			t.Errorf("2 MiB %s %s body answered %d: %s", tc.method, tc.path, resp.StatusCode, msg)
+		if resp.StatusCode != tc.code || !strings.Contains(string(msg), "too large") {
+			t.Errorf("%s %s body of %d bytes answered %d: %s", tc.method, tc.path, tc.limit+1, resp.StatusCode, msg)
 		}
 	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if got, ok := f.seen["POST instances"]; ok {
+		t.Errorf("the member saw the oversized create (Content-Length %d)", got.length)
+	}
+}
+
+// xs reads as an endless run of 'x'.
+type xs struct{}
+
+func (xs) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = 'x'
+	}
+	return len(p), nil
 }
 
 // TestProxyCancelsMemberRequestWithClient: a client that drops a proxied

@@ -12,6 +12,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -371,9 +372,13 @@ func relay(w http.ResponseWriter, resp *http.Response) {
 // --- Instance routes ---------------------------------------------------
 
 func (rt *Router) handleInstanceCreate(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 256<<20))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, serve.RestoreBodyLimit))
 	if err != nil {
-		apiError(w, http.StatusBadRequest, "reading body: %v", err)
+		code := http.StatusBadRequest
+		if errors.As(err, new(*http.MaxBytesError)) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		apiError(w, code, "reading body: %v", err)
 		return
 	}
 	rt.mu.Lock()
@@ -684,9 +689,9 @@ func (rt *Router) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 // with the same method on the owning member, rewriting ids in both
 // directions.
 func (rt *Router) handleJob(w http.ResponseWriter, r *http.Request) {
-	var gid int
-	if _, err := fmt.Sscanf(r.PathValue("id"), "%d", &gid); err != nil {
-		apiError(w, http.StatusBadRequest, "bad job id %q", r.PathValue("id"))
+	gid, err := strconv.Atoi(r.PathValue("id"))
+	if err != nil || gid < 1 {
+		apiError(w, http.StatusNotFound, "no job %q", r.PathValue("id"))
 		return
 	}
 	rt.mu.Lock()

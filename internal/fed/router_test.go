@@ -512,3 +512,16 @@ func TestSchedSkipsFailingMember(t *testing.T) {
 		t.Fatalf("merged accounting = %+v, want only the healthy member's", agg)
 	}
 }
+
+// TestMalformedJobIDIsNotFound: a job id that is not a positive integer
+// names no job, as on the daemon: "3abc" is not job 3, and "x" is a 404.
+func TestMalformedJobIDIsNotFound(t *testing.T) {
+	_, _, fts := newFleet(t, 1, 4)
+	for range 3 {
+		doReq(t, "POST", fts.URL+"/api/v1/jobs", serve.JobSubmission{Workload: "brain", WorkS: 1e9}, 201)
+	}
+	for _, id := range []string{"3abc", "0", "-1", "x"} {
+		doReq(t, "GET", fts.URL+"/api/v1/jobs/"+id, nil, 404)
+		doReq(t, "DELETE", fts.URL+"/api/v1/jobs/"+id, nil, 404)
+	}
+}

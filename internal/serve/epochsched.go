@@ -384,8 +384,9 @@ func (t *benchTask) runSlice() (time.Time, bool) {
 	return time.Time{}, false
 }
 
-// ScheduleBench exists for cmd/benchbaseline's InstanceSchedule entry:
-// it measures the pure per-slice scheduling overhead — one heap push,
+// ScheduleBench exists for cmd/heraclesbench's serve.schedule_slice_us
+// rung and the root micro-benchmark table's InstanceSchedule entry: it
+// measures the pure per-slice scheduling overhead — one heap push,
 // one dispatcher pop, one worker dispatch and one requeue — with no
 // engine work attached. It drives `tasks` no-op tasks through a fresh
 // pool of `drivers` workers until `slices` total slices have run.

@@ -309,10 +309,12 @@ func apiError(w http.ResponseWriter, code int, format string, args ...any) {
 // to stream an unbounded request into memory. Ordinary mutation bodies
 // are tiny; instance creation may carry a full restore checkpoint, so it
 // gets a larger allowance.
-const (
-	defaultBodyLimit = 1 << 20  // 1 MiB
-	restoreBodyLimit = 64 << 20 // 64 MiB: InstanceSpec.Restore checkpoints
-)
+const defaultBodyLimit = 1 << 20 // 1 MiB
+
+// RestoreBodyLimit caps an instance-create body, which may carry a full
+// InstanceSpec.Restore checkpoint: 64 MiB. The federation router holds
+// creates to the same cap.
+const RestoreBodyLimit = 64 << 20
 
 // decodeBody strictly decodes a JSON request body into v, capped at the
 // default body limit.
@@ -396,7 +398,7 @@ func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var spec InstanceSpec
-	if !decodeBodyLimit(w, r, &spec, restoreBodyLimit) {
+	if !decodeBodyLimit(w, r, &spec, RestoreBodyLimit) {
 		return
 	}
 	inst, err := s.CreateInstance(spec)

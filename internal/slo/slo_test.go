@@ -249,15 +249,3 @@ func TestLazyRingGrowth(t *testing.T) {
 		t.Fatalf("100-epoch tracker holds %d words", len(tr.ring))
 	}
 }
-
-func BenchmarkTrackerPush(b *testing.B) {
-	tr := NewTracker(Config{}, time.Second)
-	for i := 0; i < tr.capEpochs; i++ { // pre-grow: steady-state cost
-		tr.Push(i%7 == 0)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.Push(i&15 == 0)
-	}
-}
