@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-race chaos churn fuzz-smoke fidelity bench bench-smoke bench-e2e fmt-check docs-check loc slo ci
+.PHONY: all build vet test test-race chaos churn fuzz-smoke fidelity bench bench-smoke bench-e2e bench-pair fmt-check docs-check loc slo ci
 
 all: build
 
@@ -102,5 +102,15 @@ bench-smoke:
 # .bench_build/.
 bench-e2e:
 	bash cmd/heraclesbench/bench.sh --workload all --seed 1
+
+# Paired micro-benchmarks on this host: the working tree against REV, N
+# ABBA-ordered pairs of BenchmarkMicro/<BENCH> (go test's per-level -bench
+# regex below BenchmarkMicro), medians, quartiles, ratio and wins k/N.
+# make bench-pair REV=HEAD~1 BENCH='^(CacheSolver|EngineStep)$' N=10
+REV ?= HEAD
+BENCH ?= .
+N ?= 10
+bench-pair:
+	bash scripts/bench-pair.sh $(REV) '$(value BENCH)' $(N)
 
 ci: build vet fmt-check docs-check test test-race chaos churn fuzz-smoke fidelity bench-smoke

@@ -14,6 +14,12 @@
 // stay contained, and CAT way-partitioning confines each task's
 // insertions to its own ways.
 //
+// The solver iterates the water-fill map with Anderson(1) mixing until no
+// component's occupancy moves by more than 1e-9 MB in a round, damping the
+// map by half once a round fails to shrink its step, and stops after 64
+// rounds at the latest; its answers sit within 1e-8 MB of the converged
+// fixed point.
+//
 // The solver's outputs (per-task hit ratios and miss bandwidth) feed the
 // machine model's service-time inflation and DRAM demand; ResolveScratch
 // is the allocation-free variant the steady-state stepping hot path

@@ -21,33 +21,39 @@ type Component struct {
 	Scan bool
 }
 
-// HitRatio returns the component's hit ratio when granted occ MB of cache,
-// given an effective footprint of footprint MB.
-func (c Component) HitRatio(occ, footprint float64) float64 {
-	if footprint <= 0 || c.HitMax <= 0 {
+// curve is the part of a Component its hit ratio depends on.
+type curve struct {
+	hitMax, theta float64
+	scan          bool
+}
+
+// hitRatio returns the hit ratio of a component on this curve when
+// granted occ MB of cache, given an effective footprint of footprint MB.
+func (c curve) hitRatio(occ, footprint float64) float64 {
+	if footprint <= 0 || c.hitMax <= 0 {
 		return 0
 	}
 	frac := occ / footprint
 	if frac >= 1 {
-		return c.HitMax
+		return c.hitMax
 	}
 	if frac <= 0 {
 		return 0
 	}
-	if c.Scan {
+	if c.scan {
 		// LRU thrashing: almost no reuse survives until the scan nearly
 		// fits; ramp over the last 10% to keep the solver stable.
 		const knee = 0.9
 		if frac <= knee {
 			return 0
 		}
-		return c.HitMax * (frac - knee) / (1 - knee)
+		return c.hitMax * (frac - knee) / (1 - knee)
 	}
-	theta := c.Theta
+	theta := c.theta
 	if theta <= 0 {
 		theta = 1
 	}
-	return c.HitMax * math.Pow(frac, theta)
+	return c.hitMax * math.Pow(frac, theta)
 }
 
 // Demand describes one task's cache behaviour on one socket for the solver.
@@ -101,28 +107,32 @@ type Share struct {
 
 // Solver resolves shared-cache occupancy for a set of demands.
 type Solver struct {
-	WayMB      float64 // capacity of one way in MB
-	Ways       int     // number of ways
-	Iterations int     // fixed-point iterations; 0 selects the default
-	Damping    float64 // 0 selects the default of 0.5
+	WayMB float64 // capacity of one way in MB
+	Ways  int     // number of ways
 	// RecencyDiscount weighs hits against misses in occupancy pressure;
 	// 0 selects the default of 0.5 (a hit renews an existing line, a miss
 	// inserts a new one and is twice as effective at claiming space).
 	RecencyDiscount float64
 }
 
+// compState is one component with a positive access fraction, as the
+// solver carries it: the fields its rounds read and what they update.
 type compState struct {
-	demand    int // index into demands
-	comp      Component
-	rate      float64 // accesses/s to this component
-	footprint float64 // effective footprint (after load scaling)
-	mask      uint64
-	occ       float64
-	pressure  float64
+	curve
+	accessFrac float64
+	demand     int     // index into demands
+	rate       float64 // accesses/s to this component
+	footprint  float64 // effective footprint (after load scaling)
+	mask       uint64
+	occ        float64
+	pressure   float64
+	g, r       float64 // the previous round's map answer and residual
 }
 
-// region is a maximal set of ways with an identical sharer set.
+// region is a maximal set of ways with an identical sharer set; way is
+// the first of them.
 type region struct {
+	way      int
 	capacity float64
 	comps    []int // indices into comps
 }
@@ -134,10 +144,16 @@ type region struct {
 // valid until the next call with the same Scratch.
 type Scratch struct {
 	comps   []compState
+	masks   []uint64
 	regions []region
 	next    []float64
 	active  []int
 	out     []Share
+	// What the last call ran: rounds, and whether the guard damped any.
+	// Nothing in the simulator reads them; they exist so the convergence
+	// tests can check that the cap is never reached and the guard fires.
+	rounds int
+	damped bool
 }
 
 // Resolve computes the fixed point of occupancy and miss rates. It is the
@@ -151,29 +167,41 @@ func (s Solver) Resolve(demands []Demand) []Share {
 	return out
 }
 
+// The fixed point's stop rule: ResolveScratch stops once no component's
+// occupancy moves by more than tolMB MB in a round, and after maxRounds
+// rounds at the latest.
+const (
+	tolMB     = 1e-9
+	maxRounds = 64
+)
+
 // ResolveScratch computes the fixed point of occupancy and miss rates using
 // sc's buffers. The returned slice is owned by sc.
+//
+// A round maps the occupancies to g, the water-fill of the pressures they
+// imply, each capped at its footprint; g minus the occupancies is the
+// round's residual. The next round starts from the Anderson(1) blend of g
+// and the previous round's g: the weights under which the two residuals,
+// blended alike, come closest to cancelling. Should a round's largest
+// step fail to shrink below the previous round's, every later round's map
+// moves only halfway to g, which settles a map that swaps space back and
+// forth. The answer is the last round's g.
 func (s Solver) ResolveScratch(sc *Scratch, demands []Demand) []Share {
-	iters := s.Iterations
-	if iters <= 0 {
-		iters = 20
-	}
-	damp := s.Damping
-	if damp <= 0 || damp > 1 {
-		damp = 0.5
-	}
 	recency := s.RecencyDiscount
 	if recency <= 0 || recency > 1 {
 		recency = 0.5
 	}
 
-	comps := sc.comps[:0]
-	for di, d := range demands {
+	comps, masks := sc.comps[:0], sc.masks[:0]
+	for di := range demands {
+		d := &demands[di]
 		scale := d.LoadScale
 		if scale <= 0 {
 			scale = 1
 		}
-		for _, c := range d.Components {
+		n := len(comps)
+		for ci := range d.Components {
+			c := &d.Components[ci]
 			if c.AccessFrac <= 0 {
 				continue
 			}
@@ -182,32 +210,39 @@ func (s Solver) ResolveScratch(sc *Scratch, demands []Demand) []Share {
 				fp *= scale
 			}
 			comps = append(comps, compState{
-				demand:    di,
-				comp:      c,
-				rate:      d.AccessRate * c.AccessFrac,
-				footprint: fp,
-				mask:      d.WayMask,
+				curve:      curve{c.HitMax, c.Theta, c.Scan},
+				accessFrac: c.AccessFrac,
+				demand:     di,
+				rate:       d.AccessRate * c.AccessFrac,
+				footprint:  fp,
+				mask:       d.WayMask,
 			})
 		}
+		if len(comps) > n {
+			masks = append(masks, d.WayMask)
+		}
 	}
-	sc.comps = comps
+	sc.comps, sc.masks = comps, masks
 
-	// Group ways into regions by sharer set. The handful of CAT partitions
-	// in play yields very few distinct sharer sets, so a linear scan over
-	// the regions found so far beats building a map.
+	// Group ways into regions by sharer set: two ways share one when every
+	// mask in play holds both or neither. The handful of CAT partitions in
+	// play yields very few regions, so a linear scan over the regions
+	// found so far beats building a map.
+	var live uint64
+	for _, m := range masks {
+		live |= m
+	}
 	regions := sc.regions[:0]
 	for w := 0; w < s.Ways; w++ {
-		bit := uint64(1) << uint(w)
-		matched := false
-		for ri := range regions {
-			r := &regions[ri]
-			if sameSharers(comps, r.comps, bit) {
-				r.capacity += s.WayMB
-				matched = true
-				break
-			}
+		if live>>uint(w)&1 == 0 {
+			continue
 		}
-		if matched {
+		ri := 0
+		for ri < len(regions) && !sameColumn(masks, regions[ri].way, w) {
+			ri++
+		}
+		if ri < len(regions) {
+			regions[ri].capacity += s.WayMB
 			continue
 		}
 		var rcomps []int
@@ -216,14 +251,11 @@ func (s Solver) ResolveScratch(sc *Scratch, demands []Demand) []Share {
 			rcomps = regions[:n+1][n].comps[:0]
 		}
 		for i := range comps {
-			if comps[i].mask&bit != 0 {
+			if comps[i].mask>>uint(w)&1 != 0 {
 				rcomps = append(rcomps, i)
 			}
 		}
-		if len(rcomps) == 0 {
-			continue
-		}
-		regions = append(regions, region{capacity: s.WayMB, comps: rcomps})
+		regions = append(regions, region{way: w, capacity: s.WayMB, comps: rcomps})
 	}
 	sc.regions = regions
 
@@ -244,10 +276,12 @@ func (s Solver) ResolveScratch(sc *Scratch, demands []Demand) []Share {
 	const pressureFloor = 1e-9
 	sc.next = growFloats(sc.next, len(comps))
 	next := sc.next
-	for it := 0; it < iters; it++ {
+	rounds, damped, prevStep := 0, false, math.Inf(1)
+	for {
+		rounds++
 		for i := range comps {
 			c := &comps[i]
-			h := c.comp.HitRatio(c.occ, c.footprint)
+			h := c.hitRatio(c.occ, c.footprint)
 			// Recency pressure: misses insert new lines; hits renew
 			// existing ones at a discount.
 			c.pressure = c.rate*((1-h)+recency*h) + pressureFloor
@@ -258,15 +292,43 @@ func (s Solver) ResolveScratch(sc *Scratch, demands []Demand) []Share {
 		for ri := range regions {
 			sc.active = waterFill(comps, &regions[ri], next, sc.active)
 		}
+		var step, num, den float64
 		for i := range comps {
 			c := &comps[i]
-			n := next[i]
-			if n > c.footprint {
-				n = c.footprint
+			g := min(next[i], c.footprint)
+			if damped {
+				g = 0.5*c.occ + 0.5*g
 			}
-			c.occ = damp*c.occ + (1-damp)*n
+			r := g - c.occ
+			if d := math.Abs(r); d > step {
+				step = d
+			}
+			dr := r - c.r
+			num += dr * r
+			den += dr * dr
+			c.r = r
+			next[i] = g
 		}
+		if step <= tolMB || rounds == maxRounds {
+			for i := range comps {
+				comps[i].occ = next[i]
+			}
+			break
+		}
+		gamma := 0.0
+		if rounds > 1 && den > 0 {
+			gamma = num / den
+		}
+		for i := range comps {
+			c := &comps[i]
+			g := next[i]
+			c.occ = min(max(g-gamma*(g-c.g), 0), c.footprint)
+			c.g = g
+		}
+		damped = damped || step >= prevStep
+		prevStep = step
 	}
+	sc.rounds, sc.damped = rounds, damped
 
 	if cap(sc.out) < len(demands) {
 		sc.out = make([]Share, len(demands))
@@ -277,28 +339,24 @@ func (s Solver) ResolveScratch(sc *Scratch, demands []Demand) []Share {
 	}
 	for i := range comps {
 		c := &comps[i]
-		h := c.comp.HitRatio(c.occ, c.footprint)
+		h := c.hitRatio(c.occ, c.footprint)
 		sh := &out[c.demand]
 		sh.OccupancyMB += c.occ
-		sh.HitRatio += h * c.comp.AccessFrac
+		sh.HitRatio += h * c.accessFrac
 		sh.MissRate += c.rate * (1 - h)
 	}
 	return out
 }
 
-// sameSharers reports whether the way selected by bit is shared by exactly
-// the components listed in members.
-func sameSharers(comps []compState, members []int, bit uint64) bool {
-	n := 0
-	for i := range comps {
-		if comps[i].mask&bit != 0 {
-			if n >= len(members) || members[n] != i {
-				return false
-			}
-			n++
+// sameColumn reports whether every mask holds both ways a and b or
+// neither.
+func sameColumn(masks []uint64, a, b int) bool {
+	for _, m := range masks {
+		if (m>>uint(a)^m>>uint(b))&1 != 0 {
+			return false
 		}
 	}
-	return n == len(members)
+	return true
 }
 
 func growFloats(buf []float64, n int) []float64 {

@@ -165,13 +165,13 @@ func TestCalibrationPinned(t *testing.T) {
 		pins []pin
 	}{
 		{"dual-socket", hw.DefaultConfig(), []pin{
-			{50740159, 0x40a5b18cefc9cfe0, 0x4003333333333333, "websearch"},
-			{18924071, 0x40b45953610df5f8, 0x4003333333333333, "ml_cluster"},
+			{50740159, 0x40a5b18cefcbc1b0, 0x4003333333333333, "websearch"},
+			{18924071, 0x40b4595360e6da68, 0x4003333333333333, "ml_cluster"},
 			{453085, 0x41293b67b962ec6e, 0x4003333333333333, "memkeyval"},
 		}},
 		{"single-socket", hw.CompactConfig(), []pin{
-			{51237755, 0x409230d7afdad380, 0x4000cccccccccccd, "websearch"},
-			{19092051, 0x40a1f8e145f08800, 0x4000cccccccccccd, "ml_cluster"},
+			{51237755, 0x409230d7afdb6700, 0x4000cccccccccccd, "websearch"},
+			{19092051, 0x40a1f8e145f025aa, 0x4000cccccccccccd, "ml_cluster"},
 			{458320, 0x4115008330198776, 0x4000cccccccccccd, "memkeyval"},
 		}},
 	} {
