@@ -611,14 +611,14 @@ func BenchmarkMicro(b *testing.B) {
 }
 
 // TestMicroAllocCeilings holds the allocation counts no package test pins
-// at their BENCH_23.json values, measured as the benchmark reports them:
+// at their BENCH_23.json values (SchedTick at zero since the scheduler
+// stopped logging its decisions), measured as the benchmark reports them:
 // per call, averaged over runs, truncated. One allocation more per
-// operation fails. SchedTick allocates by the tick, so it is held over the
-// 40 000 ticks after set-up; InstanceSchedule may allocate its pool's
-// start-up and nothing per slice.
+// operation fails. InstanceSchedule may allocate its pool's start-up and
+// nothing per slice.
 func TestMicroAllocCeilings(t *testing.T) {
 	if testing.Short() {
-		t.Skip("40 000 scheduler ticks")
+		t.Skip("warms engines, a served pool and 300 instance migrations")
 	}
 	for _, c := range []struct {
 		name string
@@ -630,7 +630,7 @@ func TestMicroAllocCeilings(t *testing.T) {
 		{"SnapshotRestore/json", 1, 100, 742},
 		{"InstanceMigrate", 1, 100, 144},
 		{"FaultInjectTick", 1, 100, 1},
-		{"SchedTick", 1, 40000, 22},
+		{"SchedTick", 1, 100, 0},
 		{"SLOWindowUpdate", 1, 100, 0},
 		{"HistogramObserve", 1, 100, 0},
 		{"InstanceSchedule", 10000, 5, 535},

@@ -71,10 +71,9 @@ func TestResumeFromCheckpointBitIdentical(t *testing.T) {
 		t.Fatalf("resumed SLO %v, want %v", resumed.SLO, full.SLO)
 	}
 	if resumed.Sched == nil || full.Sched == nil {
-		t.Fatal("scheduler report missing")
+		t.Fatal("scheduler accounting missing")
 	}
-	if resumed.Sched.Accounting != full.Sched.Accounting {
-		t.Fatalf("scheduler accounting diverged:\n%+v\nvs\n%+v",
-			resumed.Sched.Accounting, full.Sched.Accounting)
+	if *resumed.Sched != *full.Sched {
+		t.Fatalf("scheduler accounting diverged:\n%+v\nvs\n%+v", *resumed.Sched, *full.Sched)
 	}
 }

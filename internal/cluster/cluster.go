@@ -116,9 +116,10 @@ type Result struct {
 	Warmup time.Duration // excluded from Summarize
 	Epochs []EpochStat
 
-	// Sched is the job scheduler's final report (nil without
-	// Config.Sched or on baseline runs).
-	Sched *sched.Report
+	// SchedPolicy and Sched are the job scheduler's policy name and final
+	// accounting ("" and nil without Config.Sched or on baseline runs).
+	SchedPolicy string
+	Sched       *sched.Accounting
 
 	// Budget is the error-budget engine's final accounting (nil without
 	// Config.Budget): the cluster-wide and per-leaf burn status plus
@@ -259,7 +260,7 @@ func drive(cfg Config, eng *engine.Engine, end time.Duration) Result {
 			cfg.OnCheckpoint(eng.Snapshot())
 		}
 	}
-	res.Sched = eng.SchedReport()
+	res.SchedPolicy, res.Sched = eng.SchedAccounting()
 	if eng.SLOEnabled() {
 		rep := &BudgetReport{Cluster: eng.SLOClusterStatus(), Transitions: edges}
 		for i := 0; i < eng.Nodes(); i++ {
@@ -297,12 +298,7 @@ type Summary struct {
 // RootFrac epochs are aggregated into rolling 30-epoch windows before
 // violations are counted.
 func (r Result) Summarize() Summary {
-	s := Summary{SLO: r.SLO, MinEMU: 1e9}
-	if r.Sched != nil {
-		s.SchedPolicy = r.Sched.Policy
-		acct := r.Sched.Accounting
-		s.Sched = &acct
-	}
+	s := Summary{SLO: r.SLO, MinEMU: 1e9, SchedPolicy: r.SchedPolicy, Sched: r.Sched}
 	const winN = 30
 	var win []float64
 	winSum := 0.0

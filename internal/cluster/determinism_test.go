@@ -17,7 +17,7 @@ import (
 // the leaves' latency statistics, so a run with no seeded input — scripted
 // BE tasks, a fixed trace — is the same run under any seed and any worker
 // count, root values included. The seed still reaches what draws from it:
-// under the random placement policy it moves the placement log.
+// under the random placement policy it moves the final job table.
 func TestRootMeanIgnoresSeed(t *testing.T) {
 	cfg := baseConfig(t)
 	cfg.Heracles = true
@@ -39,12 +39,13 @@ func TestRootMeanIgnoresSeed(t *testing.T) {
 
 	horizon := 6 * time.Minute
 	sc := scenario.Scenario{Name: "seeded-placement", Duration: horizon, Load: scenario.Flat(0.35)}
-	placed := func(seed uint64) *sched.Report {
+	placed := func(seed uint64) []sched.Job {
 		c := schedConfig(t, sched.Random{}, schedJobs(10, horizon))
 		c.Seed = seed
-		return RunScenario(c, sc).Sched
+		_, jobs := runWithJobs(t, c, sc)
+		return jobs
 	}
-	if reflect.DeepEqual(placed(1).Decisions, placed(2).Decisions) {
+	if reflect.DeepEqual(placed(1), placed(2)) {
 		t.Fatal("the random policy places identically under two seeds: Config.Seed no longer reaches the scheduler")
 	}
 }

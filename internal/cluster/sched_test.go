@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"heracles/internal/engine"
 	"heracles/internal/scenario"
 	"heracles/internal/sched"
 )
@@ -21,6 +22,20 @@ func schedJobs(n int, horizon time.Duration) []sched.JobSpec {
 	return sched.SyntheticJobs(n, horizon, 5, []string{"brain", "streetview"})
 }
 
+// runWithJobs runs the scenario and also returns the scheduler's final
+// job table, read from a checkpoint taken after the last epoch.
+func runWithJobs(t *testing.T, cfg Config, sc scenario.Scenario) (Result, []sched.Job) {
+	t.Helper()
+	var jobs []sched.Job
+	cfg.CheckpointAt = sc.Duration
+	cfg.OnCheckpoint = func(cp *engine.Checkpoint) { jobs = cp.Sched.Jobs }
+	res := RunScenario(cfg, sc)
+	if jobs == nil {
+		t.Fatal("no job table: the final checkpoint never fired")
+	}
+	return res, jobs
+}
+
 // TestSchedulerClusterCompletesJobs: on a calm cluster the scheduler
 // dispatches and completes jobs, banks their CPU time as goodput, and
 // colocation lifts EMU above the bare load.
@@ -31,9 +46,9 @@ func TestSchedulerClusterCompletesJobs(t *testing.T) {
 		Name: "sched-calm", Duration: horizon, Load: scenario.Flat(0.35),
 	})
 	if res.Sched == nil {
-		t.Fatal("no scheduler report")
+		t.Fatal("no scheduler accounting")
 	}
-	acct := res.Sched.Accounting
+	acct := res.Sched
 	if acct.Completed == 0 {
 		t.Fatalf("no jobs completed: %+v", acct)
 	}
@@ -60,10 +75,12 @@ func TestSchedulerClusterCompletesJobs(t *testing.T) {
 	}
 }
 
-// TestSchedulerClusterDeterministicAcrossWorkers pins the tentpole's
-// determinism contract: the per-epoch stats AND the placement log are
-// bit-identical for workers=1 and workers=4, for a policy that draws on
-// the RNG stream (random) as well as the slack-driven one.
+// TestSchedulerClusterDeterministicAcrossWorkers pins the scheduler's
+// determinism contract at the cluster level: the per-epoch stats (queue
+// and running depths included), the accounting AND the final job table
+// are bit-identical for workers=1 and workers=4, for a policy that draws
+// on the RNG stream (random) as well as the slack-driven one. The action
+// stream itself is pinned tick by tick in internal/sched.
 func TestSchedulerClusterDeterministicAcrossWorkers(t *testing.T) {
 	horizon := 10 * time.Minute
 	for _, pol := range []sched.Policy{sched.SlackGreedy{}, sched.Random{}} {
@@ -73,19 +90,22 @@ func TestSchedulerClusterDeterministicAcrossWorkers(t *testing.T) {
 		}
 		cfg := schedConfig(t, pol, schedJobs(10, horizon))
 		cfg.Workers = 1
-		seq := RunScenario(cfg, sc)
+		seq, seqJobs := runWithJobs(t, cfg, sc)
 		cfg = schedConfig(t, pol, schedJobs(10, horizon))
 		cfg.Workers = 4
-		par := RunScenario(cfg, sc)
+		par, parJobs := runWithJobs(t, cfg, sc)
 
 		if !reflect.DeepEqual(seq.Epochs, par.Epochs) {
 			t.Fatalf("%s: epoch stats diverged across worker counts", pol.Name())
 		}
 		if !reflect.DeepEqual(seq.Sched, par.Sched) {
-			t.Fatalf("%s: placement log diverged across worker counts", pol.Name())
+			t.Fatalf("%s: scheduler accounting diverged across worker counts", pol.Name())
 		}
-		if len(seq.Sched.Decisions) == 0 {
-			t.Fatalf("%s: empty placement log", pol.Name())
+		if !reflect.DeepEqual(seqJobs, parJobs) {
+			t.Fatalf("%s: final job table diverged across worker counts", pol.Name())
+		}
+		if seq.Sched.Dispatches == 0 {
+			t.Fatalf("%s: nothing was dispatched", pol.Name())
 		}
 	}
 }
@@ -113,7 +133,7 @@ func TestSchedulerEvictsUnderFlashCrowd(t *testing.T) {
 			scenario.FlashCrowd{Start: 6 * time.Minute, Rise: time.Minute, Hold: 2 * time.Minute, Fall: time.Minute, Amp: 0.55},
 		), 0, 0.92),
 	})
-	acct := res.Sched.Accounting
+	acct := res.Sched
 	if acct.Evictions == 0 {
 		t.Fatalf("flash crowd caused no evictions: %+v", acct)
 	}
@@ -145,7 +165,7 @@ func TestScriptedDepartSparesSchedulerTasks(t *testing.T) {
 			scenario.BEDepart(4*time.Minute, scenario.AllLeaves, "brain"),
 		},
 	})
-	acct := res.Sched.Accounting
+	acct := res.Sched
 	if acct.Completed != len(jobs) {
 		t.Fatalf("scripted depart froze scheduler jobs: %+v", acct)
 	}

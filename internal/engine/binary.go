@@ -41,13 +41,19 @@ import (
 // always starts with '{' or whitespace); readers auto-detect by prefix.
 var binaryMagic = [4]byte{'H', 'R', 'C', 'B'}
 
-// BinaryVersion is the binary layout version. DecodeCheckpointBinary
-// rejects other versions; bump it on any incompatible layout change
-// (and document the change in DESIGN.md §16). It is independent of
-// CheckpointVersion, which versions the logical state schema. Version 1
-// carried a 600-entry ring of full telemetry records per machine; version
-// 2 carries the last record plus the (time, tail) poll window.
-const BinaryVersion = 2
+// BinaryVersion is the binary layout version; bump it on any
+// incompatible layout change (and document the change in DESIGN.md §16).
+// It is independent of CheckpointVersion, which versions the logical
+// state schema. Version 1 carried a 600-entry ring of full telemetry
+// records per machine and is refused; version 2 carries the last record
+// plus the (time, tail) poll window, and the scheduler's placement log,
+// which DecodeCheckpointBinary still reads and discards; version 3 drops
+// the log.
+const BinaryVersion = 3
+
+// binaryVersionLog is the oldest layout still read: the last one that
+// carried the scheduler's placement log.
+const binaryVersionLog = 2
 
 // IsBinaryCheckpoint reports whether data begins with the binary
 // checkpoint magic — the auto-detection used by every resume path.
@@ -65,31 +71,35 @@ func (cp *Checkpoint) AppendBinary(buf []byte) []byte {
 	w := codec.NewWriter(append(buf, binaryMagic[:]...))
 	w.U16(BinaryVersion)
 	c := codec.Encoder(w)
-	walkCheckpoint(&c, cp)
+	walkCheckpoint(&c, cp, BinaryVersion)
 	return w.Bytes()
 }
 
-// DecodeCheckpointBinary parses a binary checkpoint. Malformed input of
-// any kind — truncation, oversized length claims, version skew, trailing
-// garbage — returns an error, never a panic.
+// DecodeCheckpointBinary parses a binary checkpoint of this layout version
+// or of version 2. Malformed input of any kind — truncation, oversized
+// length claims, version skew, trailing garbage — returns an error, never
+// a panic.
 func DecodeCheckpointBinary(data []byte) (*Checkpoint, error) {
 	if !IsBinaryCheckpoint(data) {
 		return nil, fmt.Errorf("engine: not a binary checkpoint (missing %q magic)", binaryMagic)
 	}
 	r := codec.NewReader(data[4:])
-	if v := r.U16(); v != BinaryVersion {
-		return nil, fmt.Errorf("engine: binary checkpoint layout version %d, this build reads version %d", v, BinaryVersion)
+	v := r.U16()
+	if v != BinaryVersion && v != binaryVersionLog {
+		return nil, fmt.Errorf("engine: binary checkpoint layout version %d, this build reads versions %d and %d", v, binaryVersionLog, BinaryVersion)
 	}
 	cp := &Checkpoint{}
 	c := codec.Decoder(r)
-	walkCheckpoint(&c, cp)
+	walkCheckpoint(&c, cp, v)
 	if err := r.Expect(); err != nil {
 		return nil, fmt.Errorf("engine: decoding binary checkpoint: %w", err)
 	}
 	return cp, nil
 }
 
-func walkCheckpoint(c *codec.Coder, cp *Checkpoint) {
+// walkCheckpoint walks the graph in layout version v: BinaryVersion when
+// encoding, whichever version the input names when decoding.
+func walkCheckpoint(c *codec.Coder, cp *Checkpoint, v uint16) {
 	c.Int(&cp.Version)
 	c.U64(&cp.Epoch)
 	c.Duration(&cp.Now)
@@ -116,7 +126,7 @@ func walkCheckpoint(c *codec.Coder, cp *Checkpoint) {
 	}
 
 	if codec.Ptr(c, &cp.Sched) {
-		walkSched(c, cp.Sched)
+		walkSched(c, cp.Sched, v)
 	}
 	for i := range codec.Slice(c, &cp.SchedBindings, 24) {
 		b := &cp.SchedBindings[i]
@@ -260,7 +270,7 @@ func walkController(c *codec.Coder, st *core.ControllerState) {
 	c.Duration(&st.NextNet)
 }
 
-func walkSched(c *codec.Coder, st *sched.State) {
+func walkSched(c *codec.Coder, st *sched.State, v uint16) {
 	c.String(&st.Policy)
 	c.Duration(&st.Backoff)
 	c.Duration(&st.EvictGrace)
@@ -305,13 +315,26 @@ func walkSched(c *codec.Coder, st *sched.State) {
 	c.Int(&a.Running)
 	c.Int(&a.MaxQueueDepth)
 
-	for i := range codec.Slice(c, &st.Log, 36) {
-		d := &st.Log[i]
-		c.Duration(&d.At)
-		codec.Enum(c, &d.Kind)
-		c.Int(&d.Job)
-		c.Int(&d.Node)
-		c.String(&d.Detail)
+	if v == binaryVersionLog {
+		skipPlacementLog(c)
+	}
+}
+
+// skipPlacementLog reads and drops the placement log layout 2 carried at
+// the end of the scheduler section: a counted run of (at, kind, job,
+// node, detail) entries, four int64s and a string each.
+func skipPlacementLog(c *codec.Coder) {
+	var (
+		entries []struct{}
+		n       int
+		detail  string
+	)
+	for range codec.Slice(c, &entries, 36) {
+		c.Int(&n) // at
+		c.Int(&n) // kind
+		c.Int(&n) // job
+		c.Int(&n) // node
+		c.String(&detail)
 	}
 }
 

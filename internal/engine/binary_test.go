@@ -159,9 +159,16 @@ func TestBinaryEncodeBufferReuse(t *testing.T) {
 // comes back as an error or a checkpoint, never a panic, and a checkpoint
 // it accepts is a fixed point of the codec — its encoding decodes, and
 // decodes to a value that encodes to the same bytes (compared as bytes,
-// so a NaN the fuzzer plants in a float field still equals itself).
+// so a NaN the fuzzer plants in a float field still equals itself). The
+// structural seeds cut and corrupt the layout-2 golden, so the read path
+// that drops the placement log is fuzzed too; the layout-3 golden rides
+// along whole.
 func FuzzDecodeCheckpointBinary(f *testing.F) {
-	golden, err := os.ReadFile("testdata/checkpoint_full.hrcb")
+	golden, err := os.ReadFile("testdata/checkpoint_full_v2.hrcb")
+	if err != nil {
+		f.Fatal(err)
+	}
+	current, err := os.ReadFile("testdata/checkpoint_full.hrcb")
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -179,6 +186,7 @@ func FuzzDecodeCheckpointBinary(f *testing.F) {
 	count := presence + 1 + 4 + int(binary.LittleEndian.Uint32(golden[presence+1:])) + 3*8
 	binary.LittleEndian.PutUint32(bomb[count:], 0x7fffffff)
 	f.Add(bomb)
+	f.Add(current)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cp, err := engine.DecodeCheckpointBinary(data)

@@ -416,13 +416,14 @@ func (e *Engine) ScenarioName() string {
 	return e.run.sc.Name
 }
 
-// SchedReport returns the job scheduler's report, or nil without one.
-func (e *Engine) SchedReport() *sched.Report {
+// SchedAccounting returns the job scheduler's policy name and lifetime
+// accounting, or ("", nil) without a scheduler.
+func (e *Engine) SchedAccounting() (string, *sched.Accounting) {
 	if e.schd == nil {
-		return nil
+		return "", nil
 	}
-	rep := e.schd.Report()
-	return &rep
+	acct := e.schd.Accounting()
+	return e.schd.Policy(), &acct
 }
 
 // InstallScenario starts driving the engine by the scenario from the
@@ -461,6 +462,42 @@ func (e *Engine) DisownBE(task *machine.BETask) { delete(e.schedOwned, task) }
 func (e *Engine) OwnedBE(task *machine.BETask) bool {
 	_, ok := e.schedOwned[task]
 	return ok
+}
+
+// AttachBE starts a best-effort task on node i, which must run a
+// controller, as a be-arrive event does. The task inherits the controller's current enablement, so a task
+// landing mid-emergency or mid-cooldown stays parked until the
+// controller re-enables BE execution; the machine's own state covers the
+// window before the controller's first enable, when construction-time BE
+// tasks are running. The node's dedicated cores are re-partitioned.
+func (e *Engine) AttachBE(i int, wl *workload.BE, pk workload.PlacementKind) {
+	n := e.nodes[i]
+	enabled := n.ctl.BEEnabled() || n.m.BEEnabled()
+	task := n.m.AddBE(wl, pk)
+	task.Enabled = enabled
+	n.m.Partition(n.m.BECoreCount())
+}
+
+// DetachBE removes node i's best-effort tasks running the named workload,
+// as a be-depart event does, and returns how many it removed. Tasks a
+// scheduler owns (this engine's or an external one, see OwnBE) are left
+// alone: their jobs end through the scheduler, never by workload name.
+func (e *Engine) DetachBE(i int, name string) int {
+	n := e.nodes[i]
+	// Collect first: RemoveBE splices the live task list.
+	var departing []*machine.BETask
+	for _, be := range n.m.BEs() {
+		if be.WL.Spec.Name == name && !e.OwnedBE(be) {
+			departing = append(departing, be)
+		}
+	}
+	for _, be := range departing {
+		n.m.RemoveBE(be)
+	}
+	if len(departing) > 0 {
+		n.m.Partition(n.m.BECoreCount())
+	}
+	return len(departing)
 }
 
 // NodeState builds the scheduler's view of one node from the previous
@@ -711,10 +748,10 @@ func (e *Engine) adjustTargets(t time.Duration, mean time.Duration) {
 // applyEvent applies one scenario event to the targeted nodes. BE churn
 // applies only to controller-managed nodes: the baseline configuration
 // models no colocation, so arrivals have nowhere to run. Scheduler-owned
-// tasks are off-limits to scripted departures — a scheduler (this
-// engine's or an external one) is the sole owner of its jobs' lifecycle,
-// otherwise a depart event would freeze a job's progress forever while
-// the scheduler still believes it is running.
+// tasks are off-limits to scripted departures (DetachBE) — a scheduler is
+// the sole owner of its jobs' lifecycle, otherwise a depart event would
+// freeze a job's progress forever while the scheduler still believes it
+// is running.
 func (e *Engine) applyEvent(ev scenario.Event) {
 	for i, n := range e.nodes {
 		if ev.Leaf != scenario.AllLeaves && ev.Leaf != i {
@@ -722,38 +759,12 @@ func (e *Engine) applyEvent(ev scenario.Event) {
 		}
 		switch ev.Kind {
 		case scenario.EventBEArrive:
-			if n.ctl == nil {
-				continue
+			if n.ctl != nil {
+				e.AttachBE(i, e.lookupBE(ev.Workload), workload.PlaceDedicated)
 			}
-			wl := e.lookupBE(ev.Workload)
-			// The arrival inherits the controller's current enablement so
-			// a task landing mid-emergency or mid-cooldown stays parked
-			// until the controller re-enables BE execution. The machine
-			// state covers the window before the controller's first
-			// enable, when construction-time BE tasks are running.
-			enabled := n.ctl.BEEnabled() || n.m.BEEnabled()
-			task := n.m.AddBE(wl, workload.PlaceDedicated)
-			task.Enabled = enabled
-			n.m.Partition(n.m.BECoreCount())
 		case scenario.EventBEDepart:
-			if n.ctl == nil {
-				continue
-			}
-			// Collect first: RemoveBE splices the live task list.
-			var departing []*machine.BETask
-			for _, be := range n.m.BEs() {
-				if _, owned := e.schedOwned[be]; owned {
-					continue
-				}
-				if be.WL.Spec.Name == ev.Workload {
-					departing = append(departing, be)
-				}
-			}
-			for _, be := range departing {
-				n.m.RemoveBE(be)
-			}
-			if len(departing) > 0 {
-				n.m.Partition(n.m.BECoreCount())
+			if n.ctl != nil {
+				e.DetachBE(i, ev.Workload)
 			}
 		case scenario.EventLeafDegrade:
 			n.m.SetDegrade(ev.Factor)

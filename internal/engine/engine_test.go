@@ -115,8 +115,8 @@ func TestWorkerCountInvariant(t *testing.T) {
 			t.Fatalf("epoch %d diverged between workers=1 and workers=4:\n%+v\nvs\n%+v", i, a[i], b[i])
 		}
 	}
-	if rep := seq.SchedReport(); rep == nil || rep.Accounting.Completed == 0 {
-		t.Fatalf("scheduler completed no jobs; the invariance test exercised nothing: %+v", rep)
+	if _, acct := seq.SchedAccounting(); acct == nil || acct.Completed == 0 {
+		t.Fatalf("scheduler completed no jobs; the invariance test exercised nothing: %+v", acct)
 	}
 }
 
@@ -291,7 +291,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 			t.Fatalf("k=%d: restore: %v", k, err)
 		}
 		got := runStats(res, epochs-k)
-		rep := res.SchedReport()
+		_, acct := res.SchedAccounting()
 		res.Close()
 		for i := range got {
 			if got[i] != want[k+i] {
@@ -300,9 +300,9 @@ func TestCheckpointRoundTrip(t *testing.T) {
 			}
 		}
 		// The scheduler's lifetime accounting must also survive: the
-		// resumed report equals the uninterrupted run's.
-		if refRep := ref.SchedReport(); !reflect.DeepEqual(rep.Accounting, refRep.Accounting) {
-			t.Fatalf("k=%d: scheduler accounting diverged:\n%+v\nvs\n%+v", k, rep.Accounting, refRep.Accounting)
+		// resumed run's equals the uninterrupted run's.
+		if _, refAcct := ref.SchedAccounting(); !reflect.DeepEqual(acct, refAcct) {
+			t.Fatalf("k=%d: scheduler accounting diverged:\n%+v\nvs\n%+v", k, acct, refAcct)
 		}
 	}
 }

@@ -172,7 +172,7 @@ func (e *Engine) crashNode(i int, now, until time.Duration) {
 	if until > e.nf[i].downUntil {
 		e.nf[i].downUntil = until
 	}
-	e.killSchedJobs(i, "", now, "leaf crashed")
+	e.killSchedJobs(i, "", now)
 	for _, be := range append([]*machine.BETask(nil), n.m.BEs()...) {
 		n.m.RemoveBE(be)
 		delete(e.schedOwned, be)
@@ -200,7 +200,7 @@ func (e *Engine) crashNode(i int, now, until time.Duration) {
 // bookkeeping (the live control plane's fault route does exactly that).
 func (e *Engine) killBE(i int, wl string, now time.Duration) {
 	n := e.nodes[i]
-	e.killSchedJobs(i, wl, now, "task killed by fault")
+	e.killSchedJobs(i, wl, now)
 	var dead []*machine.BETask
 	for _, be := range n.m.BEs() {
 		if e.OwnedBE(be) {
@@ -221,7 +221,7 @@ func (e *Engine) killBE(i int, wl string, now time.Duration) {
 // killSchedJobs force-evicts the engine scheduler's jobs running on node
 // i (narrowed to workload wl when non-empty), in job-id order so the
 // eviction sequence is deterministic.
-func (e *Engine) killSchedJobs(i int, wl string, now time.Duration, reason string) {
+func (e *Engine) killSchedJobs(i int, wl string, now time.Duration) {
 	if e.schd == nil {
 		return
 	}
@@ -234,7 +234,7 @@ func (e *Engine) killSchedJobs(i int, wl string, now time.Duration, reason strin
 	sort.Ints(ids)
 	for _, id := range ids {
 		st := e.schedTasks[id]
-		for _, a := range e.schd.Kill(id, now, st.task.CPUSec, reason) {
+		for _, a := range e.schd.Kill(id, now, st.task.CPUSec) {
 			e.applySchedAction(a)
 		}
 	}

@@ -266,7 +266,8 @@ func TestSLOAdmissionBeatsController(t *testing.T) {
 			}
 		}
 		a.budget = e.SLOClusterStatus().BudgetSpent
-		a.acct = e.SchedReport().Accounting
+		_, acct := e.SchedAccounting()
+		a.acct = *acct
 		return a
 	}
 

@@ -152,10 +152,11 @@ func TestProxyStreamsEventByEvent(t *testing.T) {
 	expect("the closing comment", ": stream closed")
 }
 
-// TestRouterBodyIsCapped: the router's migrate, join and leave routes
-// read at most 1 MiB, like every other mutating route, and answer a
-// larger body 400. Create reads at most the daemon's own cap and answers
-// one byte over it 413 itself, without contacting a member.
+// TestRouterBodyIsCapped: the router's migrate, join, leave and job
+// submit routes read at most 1 MiB, like every other mutating route, and
+// answer a larger body 413, as the daemon does. Create reads at most the
+// daemon's own cap. Both body-forwarding routes answer 413 themselves,
+// without contacting a member.
 func TestRouterBodyIsCapped(t *testing.T) {
 	f := newRecordingFleet(t)
 	f.mu.Lock()
@@ -166,9 +167,10 @@ func TestRouterBodyIsCapped(t *testing.T) {
 		limit        int64
 		code         int
 	}{
-		{"POST", "/api/v1/instances/" + f.fid + "/migrate", 1 << 20, http.StatusBadRequest},
-		{"POST", "/api/v1/members", 1 << 20, http.StatusBadRequest},
-		{"DELETE", "/api/v1/members", 1 << 20, http.StatusBadRequest},
+		{"POST", "/api/v1/instances/" + f.fid + "/migrate", 1 << 20, http.StatusRequestEntityTooLarge},
+		{"POST", "/api/v1/members", 1 << 20, http.StatusRequestEntityTooLarge},
+		{"DELETE", "/api/v1/members", 1 << 20, http.StatusRequestEntityTooLarge},
+		{"POST", "/api/v1/jobs", 1 << 20, http.StatusRequestEntityTooLarge},
 		{"POST", "/api/v1/instances", serve.RestoreBodyLimit, http.StatusRequestEntityTooLarge},
 	} {
 		// A JSON string value that runs one byte past the cap.
@@ -190,8 +192,10 @@ func TestRouterBodyIsCapped(t *testing.T) {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if got, ok := f.seen["POST instances"]; ok {
-		t.Errorf("the member saw the oversized create (Content-Length %d)", got.length)
+	for _, route := range []string{"POST instances", "POST jobs"} {
+		if got, ok := f.seen[route]; ok {
+			t.Errorf("the member saw the oversized %s (Content-Length %d)", route, got.length)
+		}
 	}
 }
 

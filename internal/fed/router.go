@@ -315,14 +315,24 @@ func fanOut[T any](rt *Router, path string) []polled[T] {
 	return out
 }
 
-// decode reads a JSON request body capped at 1 MiB, answering 400
-// itself on failure.
+// decode reads a JSON request body capped at 1 MiB, answering a failure
+// itself (bodyError).
 func decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(v); err != nil {
-		apiError(w, http.StatusBadRequest, "decoding body: %v", err)
+		bodyError(w, err)
 		return false
 	}
 	return true
+}
+
+// bodyError answers a request body that failed to read or decode: 413
+// when it ran past its cap, as the daemon answers, 400 otherwise.
+func bodyError(w http.ResponseWriter, err error) {
+	code := http.StatusBadRequest
+	if errors.As(err, new(*http.MaxBytesError)) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	apiError(w, code, "bad request body: %v", err)
 }
 
 // instanceInfo reports a member's instance status under its federated id.
@@ -374,11 +384,7 @@ func relay(w http.ResponseWriter, resp *http.Response) {
 func (rt *Router) handleInstanceCreate(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, serve.RestoreBodyLimit))
 	if err != nil {
-		code := http.StatusBadRequest
-		if errors.As(err, new(*http.MaxBytesError)) {
-			code = http.StatusRequestEntityTooLarge
-		}
-		apiError(w, code, "reading body: %v", err)
+		bodyError(w, err)
 		return
 	}
 	rt.mu.Lock()
@@ -668,7 +674,7 @@ func (rt *Router) handleMemberLeave(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err != nil {
-		apiError(w, http.StatusBadRequest, "reading body: %v", err)
+		bodyError(w, err)
 		return
 	}
 	rt.mu.Lock()

@@ -23,8 +23,10 @@
 // centrally, before the policy sees candidates, so no policy can dispatch
 // onto a machine whose controller has BE disabled. All tie-breaking is by
 // node/job id and any randomness draws from sim.DeriveRNG(seed, tick)
-// streams, so a run's placement log is bit-identical across repeats and
-// worker counts.
+// streams, so a run's action stream and final job table are
+// bit-identical across repeats and worker counts. The scheduler keeps no
+// log of its decisions: each one is an Action the executor applies, and
+// what it changed is in the job table and the Accounting.
 //
 // Accounting separates goodput from waste: CPU-seconds of completed jobs
 // versus CPU-seconds thrown away by evictions, plus queueing delay — the

@@ -20,7 +20,7 @@ func TestKillEvictsThroughRetryBudget(t *testing.T) {
 		t.Fatalf("first tick actions = %+v, want one dispatch", acts)
 	}
 
-	acts = s.Kill(id, 10*time.Second, 7.5, "injected fault")
+	acts = s.Kill(id, 10*time.Second, 7.5)
 	if len(acts) != 1 || acts[0].Kind != ActionEvict {
 		t.Fatalf("Kill actions = %+v, want one evict", acts)
 	}
@@ -37,10 +37,10 @@ func TestKillEvictsThroughRetryBudget(t *testing.T) {
 	}
 
 	// Killing a job that is not running does nothing.
-	if acts := s.Kill(id, 11*time.Second, 3, "again"); acts != nil {
+	if acts := s.Kill(id, 11*time.Second, 3); acts != nil {
 		t.Fatalf("Kill on a pending job returned %+v, want nil", acts)
 	}
-	if acts := s.Kill(999, 11*time.Second, 3, "bogus"); acts != nil {
+	if acts := s.Kill(999, 11*time.Second, 3); acts != nil {
 		t.Fatalf("Kill on an unknown id returned %+v, want nil", acts)
 	}
 
@@ -50,7 +50,7 @@ func TestKillEvictsThroughRetryBudget(t *testing.T) {
 	if len(acts) != 1 || acts[0].Kind != ActionDispatch {
 		t.Fatalf("redispatch actions = %+v, want one dispatch", acts)
 	}
-	acts = s.Kill(id, 3*time.Minute, 2.5, "injected fault")
+	acts = s.Kill(id, 3*time.Minute, 2.5)
 	if len(acts) != 1 || acts[0].Kind != ActionFail {
 		t.Fatalf("second kill actions = %+v, want one fail", acts)
 	}

@@ -74,20 +74,6 @@ type Action struct {
 	Workload string
 }
 
-// Decision is one entry of the placement log — the artefact the
-// determinism tests compare bit-for-bit.
-type Decision struct {
-	At     time.Duration
-	Kind   ActionKind
-	Job    int
-	Node   int
-	Detail string
-}
-
-// decisionCap bounds the in-memory placement log; long-lived servers keep
-// the accounting exact while the log keeps only the most recent window.
-const decisionCap = 16384
-
 // Accounting aggregates the scheduler's lifetime counters. GoodCPUSec vs
 // WastedCPUSec is the goodput split: CPU time banked by completed jobs
 // against CPU time thrown away by evictions and cancellations.
@@ -135,13 +121,6 @@ func (a Accounting) GoodputFrac() float64 {
 	return a.GoodCPUSec / total
 }
 
-// Report is a finished run's scheduler artefact.
-type Report struct {
-	Policy     string
-	Accounting Accounting
-	Decisions  []Decision
-}
-
 // Scheduler is the fleet-wide dispatch loop. It is deliberately
 // single-threaded: the cluster simulator ticks it between epochs and the
 // live control plane serialises access behind its driver — determinism
@@ -159,12 +138,6 @@ type Scheduler struct {
 	disabledSince map[int]time.Duration
 
 	acct Accounting
-	// log is a ring of the most recent decisionCap decisions: logHead is
-	// the physical index of the oldest entry once the ring has filled
-	// (mirroring the machine's telemetry ring), so recording stays O(1)
-	// on long-lived servers.
-	log     []Decision
-	logHead int
 
 	// Tick scratch, reused across ticks so a steady-state tick allocates
 	// nothing: the sorted node copy, the per-tick id index, the policy
@@ -262,20 +235,6 @@ func (s *Scheduler) Running() int { return s.acct.Running }
 // Accounting returns the lifetime counters.
 func (s *Scheduler) Accounting() Accounting { return s.acct }
 
-// Decisions returns a copy of the placement log (most recent decisionCap
-// entries), oldest first.
-func (s *Scheduler) Decisions() []Decision {
-	out := make([]Decision, len(s.log))
-	n := copy(out, s.log[s.logHead:])
-	copy(out[n:], s.log[:s.logHead])
-	return out
-}
-
-// Report bundles the policy name, accounting and placement log.
-func (s *Scheduler) Report() Report {
-	return Report{Policy: s.policy.Name(), Accounting: s.acct, Decisions: s.Decisions()}
-}
-
 // Cancel marks a job cancelled. If it was running, the caller must stop
 // its task and pass the accrued CPU time, which is counted as wasted.
 // Returns false if the job is unknown or already terminal.
@@ -287,7 +246,6 @@ func (s *Scheduler) Cancel(id int, now time.Duration, accrued float64) bool {
 	if j.State != JobPending && j.State != JobRunning {
 		return false
 	}
-	node := j.Node
 	if j.State == JobRunning {
 		j.WastedCPUSec += accrued
 		s.acct.WastedCPUSec += accrued
@@ -296,8 +254,6 @@ func (s *Scheduler) Cancel(id int, now time.Duration, accrued float64) bool {
 	j.Node = -1
 	j.FinishedAt = now
 	s.acct.Cancelled++
-	s.record(Decision{At: now, Kind: ActionEvict, Job: id, Node: node,
-		Detail: fmt.Sprintf("cancelled (%.0f cpu-s discarded)", accrued)})
 	return true
 }
 
@@ -308,7 +264,7 @@ func (s *Scheduler) Cancel(id int, now time.Duration, accrued float64) bool {
 // retry budget is consumed exactly like a controller-driven eviction,
 // failing the job when the budget is spent. Returns the executor actions
 // to apply, or nil if the job is not running.
-func (s *Scheduler) Kill(id int, now time.Duration, accrued float64, reason string) []Action {
+func (s *Scheduler) Kill(id int, now time.Duration, accrued float64) []Action {
 	if id < 1 || id > len(s.jobs) {
 		return nil
 	}
@@ -318,7 +274,7 @@ func (s *Scheduler) Kill(id int, now time.Duration, accrued float64, reason stri
 	}
 	j.CPUSec = accrued
 	var actions []Action
-	s.evict(j, now, reason, &actions)
+	s.evict(j, now, &actions)
 	return actions
 }
 
@@ -332,15 +288,12 @@ func (s *Scheduler) Abort(id int, now time.Duration) {
 	if j.State != JobRunning {
 		return
 	}
-	node := j.Node
 	j.State = JobPending
 	j.Node = -1
 	j.Attempts--
 	j.CPUSec = 0
 	j.ReadyAt = now + s.cfg.Backoff
 	s.acct.Aborted++
-	s.record(Decision{At: now, Kind: ActionEvict, Job: id, Node: node,
-		Detail: "dispatch aborted by executor, requeued"})
 }
 
 // Tick runs one scheduling epoch at time now against the given node
@@ -394,16 +347,10 @@ func (s *Scheduler) Tick(now time.Duration, nodes []NodeState, progress func(*Jo
 			j.State = JobCompleted
 			j.FinishedAt = now
 			actions = append(actions, Action{Kind: ActionComplete, Job: j.ID, Node: j.Node, Workload: j.Spec.Workload})
-			s.record(Decision{At: now, Kind: ActionComplete, Job: j.ID, Node: j.Node,
-				Detail: fmt.Sprintf("%.0f cpu-s in %d attempt(s)", j.CPUSec, j.Attempts)})
 			j.Node = -1
 
 		case !present || s.disabledTooLong(node.ID, now):
-			reason := "node gone"
-			if present {
-				reason = fmt.Sprintf("controller disabled BE for >%v", s.cfg.EvictGrace)
-			}
-			s.evict(j, now, reason, &actions)
+			s.evict(j, now, &actions)
 		}
 	}
 
@@ -440,8 +387,6 @@ func (s *Scheduler) Tick(now time.Duration, nodes []NodeState, progress func(*Jo
 		j.StartedAt = now
 		j.CPUSec = 0
 		actions = append(actions, Action{Kind: ActionDispatch, Job: j.ID, Node: chosen.ID, Workload: j.Spec.Workload})
-		s.record(Decision{At: now, Kind: ActionDispatch, Job: j.ID, Node: chosen.ID,
-			Detail: fmt.Sprintf("%s attempt %d, slack=%.3f, waited %v", j.Spec.Workload, j.Attempts, chosen.Slack, wait)})
 	}
 
 	// 3. Depth accounting.
@@ -473,12 +418,11 @@ func (s *Scheduler) disabledTooLong(node int, now time.Duration) bool {
 }
 
 // evict re-queues (or fails) a running job, discarding its accrued work.
-func (s *Scheduler) evict(j *Job, now time.Duration, reason string, actions *[]Action) {
+func (s *Scheduler) evict(j *Job, now time.Duration, actions *[]Action) {
 	node := j.Node
 	j.WastedCPUSec += j.CPUSec
 	s.acct.WastedCPUSec += j.CPUSec
 	s.acct.Evictions++
-	wasted := j.CPUSec
 	j.CPUSec = 0
 	j.Node = -1
 	if j.Attempts > j.Spec.Retries {
@@ -486,8 +430,6 @@ func (s *Scheduler) evict(j *Job, now time.Duration, reason string, actions *[]A
 		j.FinishedAt = now
 		s.acct.Failed++
 		*actions = append(*actions, Action{Kind: ActionFail, Job: j.ID, Node: node, Workload: j.Spec.Workload})
-		s.record(Decision{At: now, Kind: ActionFail, Job: j.ID, Node: node,
-			Detail: fmt.Sprintf("%s; retry budget %d spent, %.0f cpu-s discarded", reason, j.Spec.Retries, wasted)})
 		return
 	}
 	// Cap the exponent before shifting: the cap is 8x, so any shift
@@ -498,12 +440,9 @@ func (s *Scheduler) evict(j *Job, now time.Duration, reason string, actions *[]A
 	if shift > 3 {
 		shift = 3
 	}
-	backoff := s.cfg.Backoff << uint(shift)
 	j.State = JobPending
-	j.ReadyAt = now + backoff
+	j.ReadyAt = now + s.cfg.Backoff<<uint(shift)
 	*actions = append(*actions, Action{Kind: ActionEvict, Job: j.ID, Node: node, Workload: j.Spec.Workload})
-	s.record(Decision{At: now, Kind: ActionEvict, Job: j.ID, Node: node,
-		Detail: fmt.Sprintf("%s; %.0f cpu-s discarded, retry in %v", reason, wasted, backoff)})
 }
 
 // nodeViews joins the node snapshots with the scheduler's running-job
@@ -565,15 +504,4 @@ func (s *Scheduler) eligibleFor(j *Job, views []NodeView) []NodeView {
 	}
 	s.scrElig = out
 	return out
-}
-
-// record appends to the bounded placement log (overwriting the oldest
-// entry once full).
-func (s *Scheduler) record(d Decision) {
-	if len(s.log) < decisionCap {
-		s.log = append(s.log, d)
-	} else {
-		s.log[s.logHead] = d
-		s.logHead = (s.logHead + 1) % decisionCap
-	}
 }

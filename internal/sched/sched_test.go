@@ -8,14 +8,23 @@ import (
 	"heracles/internal/sim"
 )
 
+// synthRun is what a synthetic drive leaves behind: every tick's actions
+// (copied out of the scheduler's scratch), the final job table and the
+// accounting.
+type synthRun struct {
+	Actions [][]Action
+	Jobs    []Job
+	Acct    Accounting
+}
+
 // driveSynthetic runs a scheduler against a synthetic fleet whose
 // BE-allowed bits and slack wobble deterministically with (seed, tick),
-// with progress crediting one core-second per demand core per tick.
-// Returns the report and every dispatch action's target node paired with
-// that node's advertised BEAllowed bit.
-func driveSynthetic(t *testing.T, cfg Config, seed uint64, nodes, ticks int) Report {
+// with progress crediting one core-second per demand core per tick. It
+// fails the test if any dispatch lands on a node advertising BE disabled.
+func driveSynthetic(t *testing.T, cfg Config, seed uint64, nodes, ticks int) synthRun {
 	t.Helper()
 	s := New(cfg)
+	var run synthRun
 	for tick := 0; tick < ticks; tick++ {
 		now := time.Duration(tick) * time.Second
 		states := make([]NodeState, nodes)
@@ -33,6 +42,7 @@ func driveSynthetic(t *testing.T, cfg Config, seed uint64, nodes, ticks int) Rep
 		actions := s.Tick(now, states, func(j *Job) float64 {
 			return j.CPUSec + float64(j.Spec.Demand)
 		})
+		run.Actions = append(run.Actions, append([]Action(nil), actions...))
 		for _, a := range actions {
 			if a.Kind != ActionDispatch {
 				continue
@@ -44,16 +54,17 @@ func driveSynthetic(t *testing.T, cfg Config, seed uint64, nodes, ticks int) Rep
 			}
 		}
 	}
-	return s.Report()
+	run.Jobs, run.Acct = s.Jobs(), s.Accounting()
+	return run
 }
 
 func testJobs(n int) []JobSpec {
 	return SyntheticJobs(n, 5*time.Minute, 7, []string{"brain", "streetview"})
 }
 
-// TestTickDeterminism: same seed and inputs must reproduce the placement
-// log bit-for-bit, for every built-in policy; a different seed must move
-// the random baseline.
+// TestTickDeterminism: same seed and inputs must reproduce every tick's
+// actions and the final job table bit-for-bit, for every built-in
+// policy; a different seed must move the random baseline's actions.
 func TestTickDeterminism(t *testing.T) {
 	for _, name := range PolicyNames() {
 		pol, err := PolicyByName(name)
@@ -66,8 +77,8 @@ func TestTickDeterminism(t *testing.T) {
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("%s: identical runs diverged", name)
 		}
-		if len(a.Decisions) == 0 {
-			t.Fatalf("%s: empty placement log", name)
+		if a.Acct.Dispatches == 0 || a.Acct.Evictions == 0 {
+			t.Fatalf("%s: the fixture must both dispatch and evict: %+v", name, a.Acct)
 		}
 	}
 
@@ -75,7 +86,7 @@ func TestTickDeterminism(t *testing.T) {
 	a := driveSynthetic(t, cfg, 9, 6, 240)
 	cfg.Seed = 43
 	b := driveSynthetic(t, cfg, 9, 6, 240)
-	if reflect.DeepEqual(a.Decisions, b.Decisions) {
+	if reflect.DeepEqual(a.Actions, b.Actions) {
 		t.Fatal("random policy ignores the seed")
 	}
 }

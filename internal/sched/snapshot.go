@@ -6,12 +6,14 @@ import (
 )
 
 // State is the scheduler's complete serializable state: every job with
-// its dispatch history, the per-node disable clocks, the lifetime
-// accounting and the recent placement log. The placement policy travels
-// by name and is re-resolved on restore, so only built-in policies (see
+// its dispatch history, the per-node disable clocks and the lifetime
+// accounting. It keeps no record of past decisions: those are the
+// actions Tick returned, already applied, and what they changed is in
+// the job table and the accounting. The placement policy travels by name
+// and is re-resolved on restore, so only built-in policies (see
 // PolicyNames) round-trip; the deterministic per-tick RNG streams derive
 // from RNGSeed and Tick, both captured here, so a restored scheduler's
-// decisions are bit-identical to an uninterrupted run's.
+// actions are bit-identical to an uninterrupted run's.
 type State struct {
 	Policy     string        `json:"policy"`
 	Backoff    time.Duration `json:"backoff_ns"`
@@ -22,7 +24,6 @@ type State struct {
 	Jobs          []Job                 `json:"jobs,omitempty"`
 	DisabledSince map[int]time.Duration `json:"disabled_since,omitempty"`
 	Accounting    Accounting            `json:"accounting"`
-	Log           []Decision            `json:"log,omitempty"` // oldest first
 }
 
 // Snapshot captures the scheduler's state. Safe to call between Ticks.
@@ -34,7 +35,6 @@ func (s *Scheduler) Snapshot() State {
 		RNGSeed:    s.rngSeed,
 		Tick:       s.tick,
 		Accounting: s.acct,
-		Log:        s.Decisions(),
 	}
 	st.Jobs = s.Jobs()
 	if len(s.disabledSince) > 0 {
@@ -72,13 +72,6 @@ func RestoreScheduler(st State) (*Scheduler, error) {
 			return nil, fmt.Errorf("sched: snapshot job %d has id %d (ids must be dense, submission-ordered)", i, j.ID)
 		}
 		s.jobs = append(s.jobs, &j)
-	}
-	if n := len(st.Log); n > 0 {
-		if n > decisionCap {
-			st.Log = st.Log[n-decisionCap:]
-		}
-		s.log = append([]Decision(nil), st.Log...)
-		s.logHead = 0
 	}
 	return s, nil
 }

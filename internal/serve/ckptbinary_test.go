@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -187,7 +188,8 @@ func withSchedule(cp *InstanceCheckpoint, batch int) *InstanceCheckpoint {
 // TestCommittedSeedsDecodeOrRefuseByVersion reads the fuzz corpus as
 // files written by earlier builds: the version-2 seeds must still decode,
 // validate and restore (a layout change without a version bump breaks
-// it) whichever envelope version wraps them, and the bare JSON seed —
+// it) whichever envelope version wraps them, as must the layout-3 seed
+// beside them, and the bare JSON seed —
 // no envelope, so no checksum — must be refused by the decoder, before
 // anything looks at its version.
 func TestCommittedSeedsDecodeOrRefuseByVersion(t *testing.T) {
@@ -203,6 +205,21 @@ func TestCommittedSeedsDecodeOrRefuseByVersion(t *testing.T) {
 	}
 	if st := inst.Status(); st.Epoch != 3 || st.State != StateDone {
 		t.Fatalf("restored seed at epoch %d in state %s, want the 3-epoch finished run it was taken from", st.Epoch, st.State)
+	}
+	// The same run written under engine layout 3 (HRCB v3): the two seeds
+	// decode to one state.
+	v3, err := DecodeCheckpointFile(corpusSeed(t, "binary-valid-v3"))
+	if err != nil {
+		t.Fatalf("layout-3 seed no longer decodes: %v", err)
+	}
+	if !reflect.DeepEqual(v3.Engine, cp.Engine) {
+		t.Fatal("the layout-3 seed's engine state differs from the layout-2 seed's")
+	}
+	if inst, err = srv.CreateInstance(InstanceSpec{Restore: v3}); err != nil {
+		t.Fatalf("layout-3 seed no longer restores: %v", err)
+	}
+	if st := inst.Status(); st.Epoch != 3 || st.State != StateDone {
+		t.Fatalf("restored layout-3 seed at epoch %d in state %s, want the 3-epoch finished run", st.Epoch, st.State)
 	}
 
 	// A 700-epoch websearch+brain instance checkpointed by the last build

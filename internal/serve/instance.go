@@ -715,11 +715,10 @@ func (i *Instance) SetDegrade(factor float64) error {
 	})
 }
 
-// AttachBE adds a best-effort task mid-flight, mirroring a scenario
-// be-arrive event: the task inherits the controller's current enablement
-// and dedicated cores are re-partitioned. The workload is resolved (and,
-// on first use, calibrated) in the caller's goroutine so a cold
-// calibration never stalls the tick loop.
+// AttachBE adds a best-effort task mid-flight by the engine's be-arrive
+// rule (engine.AttachBE). The workload is resolved (and, on first use,
+// calibrated) in the caller's goroutine so a cold calibration never
+// stalls the tick loop.
 func (i *Instance) AttachBE(att BEAttachment) error {
 	pk, err := placementByName(att.Placement)
 	if err != nil {
@@ -727,21 +726,22 @@ func (i *Instance) AttachBE(att BEAttachment) error {
 	}
 	wl := i.lab.BE(att.Workload)
 	return i.Do(func() error {
-		enabled := i.ctl.BEEnabled() || i.m.BEEnabled()
-		task := i.m.AddBE(wl, pk)
-		task.Enabled = enabled
-		i.m.Partition(i.m.BECoreCount())
+		i.eng.AttachBE(0, wl, pk)
 		i.refreshBEs()
 		return nil
 	})
 }
 
-// DetachBE removes every BE task running the named workload and returns
-// how many were removed.
+// DetachBE removes every BE task running the named workload by the
+// engine's be-depart rule (engine.DetachBE: scheduler-owned tasks are
+// off-limits, jobs are cancelled through the job API) and returns how
+// many were removed.
 func (i *Instance) DetachBE(name string) (int, error) {
 	var n int
 	err := i.Do(func() error {
-		n = i.removeBEByName(name)
+		if n = i.eng.DetachBE(0, name); n > 0 {
+			i.refreshBEs()
+		}
 		return nil
 	})
 	return n, err
@@ -786,29 +786,6 @@ func (i *Instance) installScenario(sc scenario.Scenario, spec *ScenarioSpec) {
 	i.notifyLocked()
 	i.mu.Unlock()
 	i.publishLifecycle("scenario", sc.Name)
-}
-
-// removeBEByName runs under stepMu. Scheduler-owned tasks are
-// off-limits: jobs are cancelled through the job API, not detached by
-// workload name.
-func (i *Instance) removeBEByName(name string) int {
-	var departing []*machine.BETask
-	for _, be := range i.m.BEs() {
-		if i.eng.OwnedBE(be) {
-			continue
-		}
-		if be.WL.Spec.Name == name {
-			departing = append(departing, be)
-		}
-	}
-	for _, be := range departing {
-		i.m.RemoveBE(be)
-	}
-	if len(departing) > 0 {
-		i.m.Partition(i.m.BECoreCount())
-		i.refreshBEs()
-	}
-	return len(departing)
 }
 
 // refreshBEs rebuilds the status BE name list; stepMu is held.

@@ -296,7 +296,7 @@ func (d *jobDriver) killJobsOn(inst *Instance, wl, reason string) int {
 			cpu = ref.task.CPUSec
 		}
 		j, _ := d.s.Job(id)
-		acts := d.s.Kill(id, d.now(), cpu, reason)
+		acts := d.s.Kill(id, d.now(), cpu)
 		killed += len(acts)
 		for _, a := range acts {
 			d.publish(inst, j, a.Kind.String(), cpu, reason)
