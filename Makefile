@@ -56,19 +56,22 @@ chaos:
 churn:
 	$(GO) test -race -run 'RegistryChurnNoLeaks|EpochScheduler|HundredThousand' ./internal/serve/
 
-# Short fuzz pass over the boundaries that accept a checkpoint's bytes
-# from outside the process. The envelope decoder: truncated, bit-flipped
-# and CRC-mismatched inputs must error — never panic — and the
-# rotated-generation fallback must always recover; the committed seed
-# corpus under internal/serve/testdata/fuzz rides along. The create
+# Short fuzz pass over the boundaries that accept bytes from outside the
+# process. The HRCF checkpoint file decoder: truncated, bit-flipped and
+# CRC-mismatched inputs and JSON of any shape must error — never panic —
+# and the rotated-generation fallback must always recover; the committed
+# seed corpus under internal/serve/testdata/fuzz rides along. The create
 # route: any body answers 201 or 4xx and leaves the pool empty. The HRCB
 # decoder under the envelope's CRC (the codec.Coder walk): an error or a
-# checkpoint that re-encodes to a fixed point. The minimise cap keeps a
-# newly interesting 40 KB input from eating the whole ten seconds.
+# checkpoint that re-encodes to a fixed point. The scenario JSON codec:
+# an error or a scenario a one-node engine installs and steps. The
+# minimise cap keeps a newly interesting 40 KB input from eating the
+# whole ten seconds.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCheckpointFile$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzCreateInstanceBody$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCheckpointBinary$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/engine/
+	$(GO) test -run '^$$' -fuzz '^FuzzScenarioSpec$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/serve/
 
 # Paper-fidelity scorecard: every checkable statement of the paper
 # (docs/FIDELITY.md) holds inside its tolerance, and the committed table

@@ -4,8 +4,10 @@
 // other half, compared against the no-colocation baseline.
 //
 // -checkpoint snapshots the Heracles run's full simulation state to a
-// file once the simulated clock reaches -checkpoint-at; -resume restores
-// such a file and replays only the remaining epochs of the Heracles run
+// file once the simulated clock reaches -checkpoint-at (the binary engine
+// checkpoint, written atomically; an existing file is rotated to
+// <file>.1); -resume restores such a file and replays only the remaining
+// epochs of the Heracles run
 // (the baseline arm is skipped), continuing bit-identically to an
 // uninterrupted run. A resumed run must use the same flags (leaves,
 // hours, step, seed) as the run that wrote the checkpoint: the scenario
@@ -19,7 +21,7 @@
 // Usage:
 //
 //	cluster [-leaves 20] [-hours 12] [-step 1s] [-seed 42] [-workers 0]
-//	        [-checkpoint ckpt.json -checkpoint-at 6h] [-resume ckpt.json]
+//	        [-checkpoint run.hrcb -checkpoint-at 6h] [-resume run.hrcb]
 //	        [-crashes N] [-blackouts N] [-slowdowns N] [-actfails N]
 //	        [-bekills N] [-fault-seed 7]
 package main
@@ -132,7 +134,7 @@ func main() {
 			if *ckptPath != "" {
 				cfg.CheckpointAt = *ckptAt
 				cfg.OnCheckpoint = func(cp *engine.Checkpoint) {
-					if err := cp.WriteFile(*ckptPath); err != nil {
+					if err := engine.WriteFile(*ckptPath, cp.EncodeBinary()); err != nil {
 						log.Fatalf("cluster: writing checkpoint: %v", err)
 					}
 					fmt.Printf("checkpoint written to %s at t=%v\n", *ckptPath, cp.Now.Round(time.Second))

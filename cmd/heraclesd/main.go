@@ -28,13 +28,14 @@
 // instance's full simulation state into <dir>/<id>.ckpt (atomically,
 // write-then-rename, wrapped in a checksummed binary envelope; the
 // previous generation rotates to <id>.ckpt.1). On startup the daemon
-// restores every checkpoint found in the directory — an older daemon's
-// <id>.json files included — each resumes bit-identically from its
-// snapshot epoch — and skips the flag-bootstrapped instance when it
-// restored at least one. A file that fails its checksum (crash
-// mid-write, disk corruption) is refused and the rotated previous
-// generation restores instead. Restored instances get fresh ids; the
-// superseded files are removed once their replacements are written.
+// restores every checkpoint found in the directory — each resumes
+// bit-identically from its snapshot epoch — and skips the
+// flag-bootstrapped instance when it restored at least one. A file that
+// fails its checksum (crash mid-write, disk corruption) is refused and
+// the rotated previous generation restores instead; an unusable file,
+// such as the <id>.json an old daemon wrote, is kept as <file>.failed.
+// Restored instances get fresh ids; the superseded files are removed
+// once their replacements are written.
 //
 // Usage:
 //
@@ -62,6 +63,7 @@ import (
 	"heracles/internal/actuate"
 	"heracles/internal/core"
 	"heracles/internal/debughttp"
+	"heracles/internal/engine"
 	"heracles/internal/experiment"
 	"heracles/internal/hw"
 	"heracles/internal/isolation"
@@ -307,18 +309,22 @@ func main() {
 // has written their replacements — deleting them here would open a
 // data-loss window in which a second crash finds an empty directory.
 // Unreadable or unrestorable files are set aside as *.failed (preserved
-// for inspection, out of the restore glob) with a log line — recovery
-// should salvage what it can, not refuse to start. The *.json files an
-// older daemon wrote resume beside the *.ckpt files this one writes: the
-// reader detects each file's envelope from its bytes.
+// for inspection, out of the restore scan) with a log line — recovery
+// should salvage what it can, not refuse to start. The JSON-enveloped
+// *.json files of daemons before the binary envelope are no longer read:
+// each is refused the same way, so the operator sees it in the log.
 func restoreCheckpoints(srv *serve.Server, dir string, speed float64, maxEpochs int) int {
-	paths, err := checkpointGlob(dir)
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		log.Printf("heraclesd: scanning %s: %v", dir, err)
 		return 0
 	}
 	restored := 0
-	for _, path := range paths {
+	for _, e := range entries {
+		if ext := filepath.Ext(e.Name()); ext != ".ckpt" && ext != ".json" {
+			continue
+		}
+		path := filepath.Join(dir, e.Name())
 		fail := func(err error) {
 			log.Printf("heraclesd: restoring %s: %v (kept as %s.failed)", path, err, path)
 			if err := os.Rename(path, path+".failed"); err != nil {
@@ -351,21 +357,6 @@ func restoreCheckpoints(srv *serve.Server, dir string, speed float64, maxEpochs 
 	return restored
 }
 
-// checkpointGlob lists every checkpoint file under dir: the binary
-// *.ckpt files this build writes and the JSON-enveloped *.json files of
-// older ones.
-func checkpointGlob(dir string) ([]string, error) {
-	paths, err := filepath.Glob(filepath.Join(dir, "*.json"))
-	if err != nil {
-		return nil, err
-	}
-	ckpts, err := filepath.Glob(filepath.Join(dir, "*.ckpt"))
-	if err != nil {
-		return nil, err
-	}
-	return append(paths, ckpts...), nil
-}
-
 // startCheckpointer snapshots every live instance into dir on a ticker,
 // as <id>.ckpt in the binary envelope. The returned stop function takes
 // one final snapshot pass (while the instance drivers still run) and
@@ -381,8 +372,11 @@ func startCheckpointer(srv *serve.Server, dir string, every time.Duration) func(
 			if err != nil {
 				continue // instance stopped mid-pass
 			}
-			path := filepath.Join(dir, inst.ID()+ext)
-			if err := serve.WriteCheckpointFileBinary(path, cp); err != nil {
+			data, err := serve.EncodeCheckpointFileBinary(cp)
+			if err == nil {
+				err = engine.WriteFile(filepath.Join(dir, inst.ID()+ext), data)
+			}
+			if err != nil {
 				log.Printf("heraclesd: checkpoint %s: %v", inst.ID(), err)
 				continue
 			}
@@ -390,9 +384,8 @@ func startCheckpointer(srv *serve.Server, dir string, every time.Duration) func(
 		}
 		// Drop files for instances that no longer exist so a restart does
 		// not resurrect deleted machines; their rotated previous
-		// generations go with them. The sweep covers *.json too, so an
-		// older daemon's files go once their replacements are written.
-		if paths, err := checkpointGlob(dir); err == nil {
+		// generations go with them.
+		if paths, err := filepath.Glob(filepath.Join(dir, "*"+ext)); err == nil {
 			for _, p := range paths {
 				if !live[filepath.Base(p)] {
 					os.Remove(p)

@@ -5,9 +5,10 @@
 //
 // The run is a 20-minute flash-crowd scenario with the BE job scheduler
 // attached. At minute 8 the engine's full state — machines, controllers,
-// scheduler, scenario cursor — is serialized to a JSON file; the resumed
-// run replays only the remaining epochs, and the example verifies every
-// one of them matches the uninterrupted reference exactly.
+// scheduler, scenario cursor — is stored as the binary engine checkpoint
+// (the same bytes heraclesd nests in its files and shard migration ships);
+// the resumed run replays only the remaining epochs, and the example
+// verifies every one of them matches the uninterrupted reference exactly.
 package main
 
 import (
@@ -55,11 +56,11 @@ func main() {
 
 	// Interrupted run: snapshot at minute 8, persisted like a real
 	// operator would (atomic write-then-rename).
-	path := filepath.Join(os.TempDir(), "heracles-example.ckpt.json")
+	path := filepath.Join(os.TempDir(), "heracles-example.hrcb")
 	ckCfg := cfg
 	ckCfg.CheckpointAt = 8 * time.Minute
 	ckCfg.OnCheckpoint = func(cp *heracles.EngineCheckpoint) {
-		if err := cp.WriteFile(path); err != nil {
+		if err := heracles.WriteCheckpoint(path, cp.EncodeBinary()); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("checkpoint at t=%v -> %s (%d machines, epoch %d)\n",

@@ -165,9 +165,14 @@ var (
 // from one.
 type EngineCheckpoint = engine.Checkpoint
 
-// ReadCheckpoint loads a checkpoint persisted with
-// EngineCheckpoint.WriteFile.
-var ReadCheckpoint = engine.ReadFile
+var (
+	// WriteCheckpoint atomically stores bytes at a path, rotating the
+	// previous generation to <path>.1; pass EngineCheckpoint.EncodeBinary
+	// to store a checkpoint.
+	WriteCheckpoint = engine.WriteFile
+	// ReadCheckpoint loads a checkpoint stored with WriteCheckpoint.
+	ReadCheckpoint = engine.ReadFile
+)
 
 // Scenario engine: declarative load shapes and timed events.
 type (

@@ -1,6 +1,9 @@
 package cluster
 
 import (
+	"bytes"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -10,9 +13,10 @@ import (
 )
 
 // TestResumeFromCheckpointBitIdentical is the batch layer's round trip:
-// a run checkpointed mid-flight and resumed with RunScenarioFrom must
-// produce exactly the epochs the uninterrupted run produced after the
-// snapshot point — including the scheduler's goodput accounting.
+// a run checkpointed mid-flight to a file and resumed from it with
+// RunScenarioFrom must produce exactly the epochs the uninterrupted run
+// produced after the snapshot point — including the scheduler's goodput
+// accounting.
 func TestResumeFromCheckpointBitIdentical(t *testing.T) {
 	cfg := baseConfig(t)
 	cfg.Heracles = true
@@ -35,13 +39,31 @@ func TestResumeFromCheckpointBitIdentical(t *testing.T) {
 
 	full := RunScenario(cfg, sc)
 
-	var cp *engine.Checkpoint
+	// The checkpoint takes the file hop cmd/cluster's -checkpoint/-resume
+	// takes. The JSON view of the same state is not a stored format.
+	dir := t.TempDir()
+	path, jsonPath := filepath.Join(dir, "run.hrcb"), filepath.Join(dir, "run.json")
 	ckCfg := cfg
 	ckCfg.CheckpointAt = 4 * time.Minute
-	ckCfg.OnCheckpoint = func(c *engine.Checkpoint) { cp = c }
+	ckCfg.OnCheckpoint = func(c *engine.Checkpoint) {
+		if err := engine.WriteFile(path, c.EncodeBinary()); err != nil {
+			t.Fatal(err)
+		}
+		var doc bytes.Buffer
+		if err := c.Encode(&doc); err != nil {
+			t.Fatal(err)
+		}
+		if err := engine.WriteFile(jsonPath, doc.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+	}
 	interrupted := RunScenario(ckCfg, sc)
-	if cp == nil {
-		t.Fatal("OnCheckpoint never fired")
+	cp, err := engine.ReadFile(path)
+	if err != nil {
+		t.Fatalf("OnCheckpoint never fired, or its file does not read back: %v", err)
+	}
+	if _, err := engine.ReadFile(jsonPath); err == nil || !strings.Contains(err.Error(), `"HRCB"`) {
+		t.Fatalf("reading a JSON engine checkpoint file: %v, want a refusal naming the HRCB magic", err)
 	}
 	// The checkpointing run itself must be unperturbed by the snapshot.
 	if len(interrupted.Epochs) != len(full.Epochs) {

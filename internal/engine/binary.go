@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"cmp"
 	"fmt"
 	"slices"
@@ -17,9 +18,11 @@ import (
 
 // The binary checkpoint codec (DESIGN.md §16): a versioned, length-
 // prefixed little-endian encoding of Checkpoint over internal/codec, and
-// the only format heraclesd stores. JSON (checkpoint.go's struct tags) is
-// the REST view of the same value; a restored engine continues
-// bit-identically whichever carried the state.
+// the only format a checkpoint is stored in: heraclesd nests it in its
+// files, shard migration ships it, and the batch tools write it bare
+// (WriteFile, ReadFile). JSON (checkpoint.go's struct tags) is the REST
+// view of the same value; a restored engine continues bit-identically
+// whichever carried the state.
 //
 // Layout: a 4-byte magic ("HRCB"), a uint16 format version, then what
 // walkCheckpoint visits, in the order it visits it. The walk* functions
@@ -37,8 +40,8 @@ import (
 // later field reads as zero, so no walk checks for errors. Integrity
 // (CRC-32C) is the enclosing envelope's job (internal/serve).
 
-// binaryMagic distinguishes binary checkpoints from JSON ones (JSON
-// always starts with '{' or whitespace); readers auto-detect by prefix.
+// binaryMagic opens every binary checkpoint; input without it, a JSON
+// document included, is refused by name.
 var binaryMagic = [4]byte{'H', 'R', 'C', 'B'}
 
 // BinaryVersion is the binary layout version; bump it on any
@@ -55,12 +58,6 @@ const BinaryVersion = 3
 // carried the scheduler's placement log.
 const binaryVersionLog = 2
 
-// IsBinaryCheckpoint reports whether data begins with the binary
-// checkpoint magic — the auto-detection used by every resume path.
-func IsBinaryCheckpoint(data []byte) bool {
-	return len(data) >= 4 && [4]byte(data[:4]) == binaryMagic
-}
-
 // EncodeBinary serialises the checkpoint to a fresh buffer.
 func (cp *Checkpoint) EncodeBinary() []byte { return cp.AppendBinary(nil) }
 
@@ -76,11 +73,11 @@ func (cp *Checkpoint) AppendBinary(buf []byte) []byte {
 }
 
 // DecodeCheckpointBinary parses a binary checkpoint of this layout version
-// or of version 2. Malformed input of any kind — truncation, oversized
-// length claims, version skew, trailing garbage — returns an error, never
-// a panic.
+// or of version 2. Malformed input of any kind — a missing magic (JSON
+// included), truncation, oversized length claims, version skew, trailing
+// garbage — returns an error, never a panic.
 func DecodeCheckpointBinary(data []byte) (*Checkpoint, error) {
-	if !IsBinaryCheckpoint(data) {
+	if !bytes.HasPrefix(data, binaryMagic[:]) {
 		return nil, fmt.Errorf("engine: not a binary checkpoint (missing %q magic)", binaryMagic)
 	}
 	r := codec.NewReader(data[4:])

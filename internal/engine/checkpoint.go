@@ -110,7 +110,7 @@ type SchedBinding struct {
 // the stepping goroutine's context); every buffer is deep-copied, so the
 // checkpoint stays valid while the engine continues.
 //
-// Tasks owned by an external scheduler (OwnBE) are captured as plain
+// Tasks an external scheduler started (StartSchedBE) are captured as plain
 // machine state — their owning scheduler lives outside the engine, so a
 // restored engine does not re-mark them; the external scheduler re-
 // establishes ownership when it re-dispatches.
@@ -315,7 +315,7 @@ func Restore(cfg Config, cp *Checkpoint, sc *scenario.Scenario) (*Engine, error)
 			}
 			task := bes[b.Task]
 			e.schedTasks[b.Job] = schedTask{node: b.Node, task: task}
-			e.schedOwned[task] = b.Job
+			e.schedOwned[task] = true
 		}
 	}
 
@@ -353,7 +353,8 @@ func Restore(cfg Config, cp *Checkpoint, sc *scenario.Scenario) (*Engine, error)
 	return e, nil
 }
 
-// Encode writes the checkpoint as indented JSON.
+// Encode writes the checkpoint as indented JSON: the REST view, never
+// stored.
 func (cp *Checkpoint) Encode(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
@@ -369,32 +370,28 @@ func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 	return &cp, nil
 }
 
-// WriteFile atomically persists the checkpoint (write-then-rename, so a
-// crash mid-write never corrupts an existing checkpoint).
-func (cp *Checkpoint) WriteFile(path string) error {
+// WriteFile atomically replaces path with data, the one way every stored
+// checkpoint reaches the disk: data goes to a temp file first and is
+// renamed into place, so a crash mid-write never clobbers the live file,
+// and the previous generation is rotated to "<path>.1" so one bad write
+// still leaves a checkpoint to fall back to.
+func WriteFile(path string, data []byte) error {
 	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := cp.Encode(f); err != nil {
-		f.Close()
+	if err := os.WriteFile(tmp, data, 0o644); err != nil {
 		os.Remove(tmp)
 		return err
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
+	if err := os.Rename(path, path+".1"); err != nil && !os.IsNotExist(err) {
 		return err
 	}
 	return os.Rename(tmp, path)
 }
 
-// ReadFile loads a checkpoint persisted with WriteFile.
+// ReadFile loads a checkpoint stored as WriteFile(path, cp.EncodeBinary()).
 func ReadFile(path string) (*Checkpoint, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return DecodeCheckpoint(f)
+	return DecodeCheckpointBinary(data)
 }

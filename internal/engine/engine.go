@@ -191,8 +191,8 @@ type Engine struct {
 	run *runState
 
 	schd       *sched.Scheduler
-	schedTasks map[int]schedTask       // job id -> live task
-	schedOwned map[*machine.BETask]int // task -> owning job id (externOwner for live-fleet tasks)
+	schedTasks map[int]schedTask        // job id -> live task
+	schedOwned map[*machine.BETask]bool // tasks a scheduler (this engine's or the live fleet's) owns
 	nodeStates []sched.NodeState
 
 	// Fault state: the sorted schedule with its cursor, live injections
@@ -233,10 +233,6 @@ type schedTask struct {
 	node int
 	task *machine.BETask
 }
-
-// externOwner marks a task owned by a scheduler outside this engine (the
-// live control plane's fleet dispatcher); see OwnBE.
-const externOwner = -1
 
 // New builds an engine. It panics on structural misconfiguration (no LC
 // workload, unresolvable scheduler job workloads): engine composition is
@@ -324,7 +320,7 @@ func (e *Engine) attachScheduler(s *sched.Scheduler) {
 		e.schedTasks = make(map[int]schedTask)
 	}
 	if e.schedOwned == nil {
-		e.schedOwned = make(map[*machine.BETask]int)
+		e.schedOwned = make(map[*machine.BETask]bool)
 	}
 	e.nodeStates = make([]sched.NodeState, len(e.nodes))
 	e.progressFn = e.schedProgress // bound once: Tick gets no fresh closure
@@ -443,26 +439,40 @@ func (e *Engine) InstallScenario(sc scenario.Scenario) {
 	e.run = &runState{sc: sc, cursor: sc.Cursor(), t0: e.t, loadScale: 1}
 }
 
-// OwnBE marks a task as owned by a scheduler outside this engine (the
-// live control plane's fleet dispatcher): scripted depart events and
-// name-based removals leave it alone, exactly like the engine's own job
-// tasks.
-func (e *Engine) OwnBE(task *machine.BETask) {
+// StartSchedBE starts a scheduler's job on node i, the one rule for both
+// this engine's scheduler and the live control plane's fleet dispatcher:
+// a dedicated BE task, enabled at once, on re-partitioned cores. The
+// caller has checked that node i's controller allows BE execution. The
+// task is scheduler-owned until StopSchedBE: scripted depart events and
+// name-based removals leave it alone.
+func (e *Engine) StartSchedBE(i int, wl *workload.BE) *machine.BETask {
+	n := e.nodes[i]
+	task := n.m.AddBE(wl, workload.PlaceDedicated)
+	task.Enabled = true
+	n.m.Partition(n.m.BECoreCount())
 	if e.schedOwned == nil {
-		e.schedOwned = make(map[*machine.BETask]int)
+		e.schedOwned = make(map[*machine.BETask]bool)
 	}
-	e.schedOwned[task] = externOwner
+	e.schedOwned[task] = true
+	return task
 }
 
-// DisownBE releases an OwnBE marking when the external scheduler retires
-// the task.
-func (e *Engine) DisownBE(task *machine.BETask) { delete(e.schedOwned, task) }
+// StopSchedBE retires a task StartSchedBE started on node i: CompleteBE
+// banks its CPU time as goodput, RemoveBE charges it as lost work, and
+// the freed cores are re-partitioned back to the LC task.
+func (e *Engine) StopSchedBE(i int, task *machine.BETask, completed bool) {
+	n := e.nodes[i]
+	if completed {
+		n.m.CompleteBE(task)
+	} else {
+		n.m.RemoveBE(task)
+	}
+	n.m.Partition(n.m.BECoreCount())
+	delete(e.schedOwned, task)
+}
 
 // OwnedBE reports whether any scheduler owns the task's lifecycle.
-func (e *Engine) OwnedBE(task *machine.BETask) bool {
-	_, ok := e.schedOwned[task]
-	return ok
-}
+func (e *Engine) OwnedBE(task *machine.BETask) bool { return e.schedOwned[task] }
 
 // AttachBE starts a best-effort task on node i, which must run a
 // controller, as a be-arrive event does. The task inherits the controller's current enablement, so a task
@@ -480,7 +490,7 @@ func (e *Engine) AttachBE(i int, wl *workload.BE, pk workload.PlacementKind) {
 
 // DetachBE removes node i's best-effort tasks running the named workload,
 // as a be-depart event does, and returns how many it removed. Tasks a
-// scheduler owns (this engine's or an external one, see OwnBE) are left
+// scheduler owns (this engine's or an external one, see StartSchedBE) are left
 // alone: their jobs end through the scheduler, never by workload name.
 func (e *Engine) DetachBE(i int, name string) int {
 	n := e.nodes[i]
@@ -785,37 +795,26 @@ func (e *Engine) applyEvent(ev scenario.Event) {
 }
 
 // applySchedAction executes one scheduler instruction on the fleet:
-// dispatch installs the job's workload as a dedicated BE task, the stop
-// kinds retire it (CompleteBE banks goodput, RemoveBE charges the lost
-// work) and re-partition the freed cores back to the LC task.
+// dispatch starts the job's task, the stop kinds retire it (StartSchedBE,
+// StopSchedBE).
 func (e *Engine) applySchedAction(a sched.Action) {
-	n := e.nodes[a.Node]
 	switch a.Kind {
 	case sched.ActionDispatch:
 		// The scheduler filters eligibility before placement, so a
 		// dispatch onto a BE-disabled node is a scheduler bug, not a
 		// runtime condition: fail loudly (the invariant the tests pin).
-		if n.ctl == nil || !n.ctl.BEEnabled() {
+		if ctl := e.nodes[a.Node].ctl; ctl == nil || !ctl.BEEnabled() {
 			panic(fmt.Sprintf("engine: scheduler dispatched job %d to node %d whose controller has BE disabled", a.Job, a.Node))
 		}
-		task := n.m.AddBE(e.lookupBE(a.Workload), workload.PlaceDedicated)
-		task.Enabled = true
-		n.m.Partition(n.m.BECoreCount())
+		task := e.StartSchedBE(a.Node, e.lookupBE(a.Workload))
 		e.schedTasks[a.Job] = schedTask{node: a.Node, task: task}
-		e.schedOwned[task] = a.Job
 	case sched.ActionEvict, sched.ActionFail, sched.ActionComplete:
 		st, ok := e.schedTasks[a.Job]
 		if !ok {
 			return
 		}
-		if a.Kind == sched.ActionComplete {
-			n.m.CompleteBE(st.task)
-		} else {
-			n.m.RemoveBE(st.task)
-		}
-		n.m.Partition(n.m.BECoreCount())
+		e.StopSchedBE(a.Node, st.task, a.Kind == sched.ActionComplete)
 		delete(e.schedTasks, a.Job)
-		delete(e.schedOwned, st.task)
 	}
 }
 

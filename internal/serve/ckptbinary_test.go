@@ -60,53 +60,38 @@ func pacedCkpt(t *testing.T) *InstanceCheckpoint {
 }
 
 // TestBinaryCheckpointFileRoundTrip pins the binary envelope against the
-// JSON one: both must decode back to the same checkpoint value (compared
-// through the JSON payload encoding), and DecodeCheckpointFile must
-// auto-detect each format from its bytes. A finished free-running instance
-// fills every section of the engine state; a paced one mid-run adds the
-// tick schedule.
+// REST document: a checkpoint that went through the file must be the
+// value it was (compared through its JSON form, the document a
+// checkpoint route returns). A finished free-running instance fills every
+// section of the engine state; a paced one mid-run adds the tick
+// schedule.
 func TestBinaryCheckpointFileRoundTrip(t *testing.T) {
-	t.Run("finished", func(t *testing.T) { checkEnvelopesAgree(t, fullCkpt(t)) })
-	t.Run("paced", func(t *testing.T) { checkEnvelopesAgree(t, pacedCkpt(t)) })
+	t.Run("finished", func(t *testing.T) { checkFileRoundTrip(t, fullCkpt(t)) })
+	t.Run("paced", func(t *testing.T) { checkFileRoundTrip(t, pacedCkpt(t)) })
 }
 
-func checkEnvelopesAgree(t *testing.T, cp *InstanceCheckpoint) {
+func checkFileRoundTrip(t *testing.T, cp *InstanceCheckpoint) {
 	bin, err := EncodeCheckpointFileBinary(cp)
 	if err != nil {
 		t.Fatalf("encode binary: %v", err)
 	}
-	if !IsBinaryCheckpointFile(bin) {
-		t.Fatal("binary envelope not detected by its magic")
-	}
 	if again, _ := EncodeCheckpointFileBinary(cp); !bytes.Equal(bin, again) {
 		t.Fatal("binary envelope encoding is not deterministic")
 	}
-	jsn, err := EncodeCheckpointFile(cp)
-	if err != nil {
-		t.Fatalf("encode json: %v", err)
-	}
-	if IsBinaryCheckpointFile(jsn) {
-		t.Fatal("JSON envelope misdetected as binary")
-	}
-
 	fromBin, err := DecodeCheckpointFile(bin)
 	if err != nil {
 		t.Fatalf("decode binary: %v", err)
 	}
-	fromJSON, err := DecodeCheckpointFile(jsn)
-	if err != nil {
-		t.Fatalf("decode json: %v", err)
-	}
-	a, err := EncodeCheckpointFile(fromBin)
+	a, err := json.Marshal(cp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := EncodeCheckpointFile(fromJSON)
+	b, err := json.Marshal(fromBin)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a, b) {
-		t.Fatal("binary and JSON envelopes decoded to different checkpoint values")
+		t.Fatal("the binary envelope decoded to a different checkpoint value")
 	}
 	if fromBin.Engine == nil || fromBin.Engine.Epoch != cp.Engine.Epoch {
 		t.Fatalf("binary decode engine epoch = %+v, want %d", fromBin.Engine, cp.Engine.Epoch)
@@ -189,8 +174,7 @@ func withSchedule(cp *InstanceCheckpoint, batch int) *InstanceCheckpoint {
 // files written by earlier builds: the version-2 seeds must still decode,
 // validate and restore (a layout change without a version bump breaks
 // it) whichever envelope version wraps them, as must the layout-3 seed
-// beside them, and the bare JSON seed —
-// no envelope, so no checksum — must be refused by the decoder, before
+// beside them, and every JSON seed must be refused by the decoder, before
 // anything looks at its version.
 func TestCommittedSeedsDecodeOrRefuseByVersion(t *testing.T) {
 	cp, err := DecodeCheckpointFile(corpusSeed(t, "binary-valid-v2"))
@@ -271,8 +255,12 @@ func TestCommittedSeedsDecodeOrRefuseByVersion(t *testing.T) {
 		t.Fatalf("restored paced seed at epoch %d in state %s, want the running 40-epoch instance it was taken from", st.Epoch, st.State)
 	}
 
-	if old, err := DecodeCheckpointFile(corpusSeed(t, "legacy-bare")); err == nil || old != nil || !strings.Contains(err.Error(), "no envelope") {
-		t.Fatalf("bare JSON seed: checkpoint %v, err = %v, want a refusal naming the missing envelope", old, err)
+	// The JSON seeds, enveloped or bare, well-formed or not, are refused
+	// before anything looks at their contents.
+	for _, name := range []string{"legacy-bare", "crc-mismatch", "truncated", "wrong-version", "garbage"} {
+		if old, err := DecodeCheckpointFile(corpusSeed(t, name)); err == nil || old != nil || !strings.Contains(err.Error(), `"HRCF"`) {
+			t.Fatalf("JSON seed %s: checkpoint %v, err = %v, want a refusal naming the HRCF magic", name, old, err)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/json"
 	"fmt"
 	"reflect"
 	"testing"
@@ -105,14 +106,14 @@ func firstDiff(sent, got reflect.Value, path string) string {
 }
 
 // TestEnvelopesCarryEveryInstanceCheckpointField is the drift guard
-// between InstanceCheckpoint and its two envelopes, the twin of
+// between InstanceCheckpoint and its two codecs, the twin of
 // engine's TestCodecsCarryEveryCheckpointField one level up: with every
 // exported field populated — the tick schedule, FleetTasks and a
 // ScenarioSpec with nested terms, a clamp and events included, which no
-// single real run sets together — the binary envelope and the JSON one
-// must each return the value they were given. A field added to
-// InstanceCheckpoint and forgotten in ckptbinary.go (or hidden from
-// JSON) comes back zero and is named here.
+// single real run sets together — the binary envelope and the REST
+// document must each return the value they were given. A field added to
+// InstanceCheckpoint and forgotten in ckptfile.go (or hidden from JSON)
+// comes back zero and is named here.
 func TestEnvelopesCarryEveryInstanceCheckpointField(t *testing.T) {
 	var cp InstanceCheckpoint
 	var n int64
@@ -124,23 +125,25 @@ func TestEnvelopesCarryEveryInstanceCheckpointField(t *testing.T) {
 		t.Fatalf("filler did not reach the schedule, fleet tasks, scenario spec or engine state: %+v", cp)
 	}
 
-	for _, env := range []struct {
-		name   string
-		encode func(*InstanceCheckpoint) ([]byte, error)
-	}{
-		{"binary", EncodeCheckpointFileBinary},
-		{"JSON", EncodeCheckpointFile},
-	} {
-		data, err := env.encode(&cp)
-		if err != nil {
-			t.Fatalf("%s envelope encode: %v", env.name, err)
-		}
-		got, err := DecodeCheckpointFile(data)
-		if err != nil {
-			t.Fatalf("%s envelope decode: %v", env.name, err)
-		}
+	file, err := EncodeCheckpointFileBinary(&cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromFile, err := DecodeCheckpointFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := json.Marshal(&cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fromDoc InstanceCheckpoint
+	if err := json.Unmarshal(doc, &fromDoc); err != nil {
+		t.Fatal(err)
+	}
+	for name, got := range map[string]*InstanceCheckpoint{"binary envelope": fromFile, "REST document": &fromDoc} {
 		if d := firstDiff(reflect.ValueOf(&cp), reflect.ValueOf(got), "InstanceCheckpoint"); d != "" {
-			t.Errorf("%s envelope dropped or altered a field: %s", env.name, d)
+			t.Errorf("the %s dropped or altered a field: %s", name, d)
 		}
 	}
 }

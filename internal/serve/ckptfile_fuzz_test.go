@@ -10,14 +10,12 @@ import (
 
 // FuzzDecodeCheckpointFile hammers the checkpoint envelope decoder and
 // the ReadCheckpointFallback path with arbitrary bytes: truncated,
-// bit-flipped and CRC-mismatched inputs must come back as errors —
-// never a panic, and never a trusted payload that fails verification.
-// A valid rotated ".1" generation sits next to every fuzzed primary, so
-// the fallback must always recover regardless of how mangled the
-// primary is.
+// bit-flipped and CRC-mismatched inputs, and JSON of any shape, must come
+// back as errors — never a panic, and never a trusted payload that fails
+// verification. A valid rotated ".1" generation sits next to every
+// fuzzed primary, so the fallback must always recover regardless of how
+// mangled the primary is.
 func FuzzDecodeCheckpointFile(f *testing.F) {
-	// A genuine envelope from a live instance seeds the structure-aware
-	// mutations.
 	srv := New(Config{Lab: testLab})
 	defer srv.Close()
 	inst, err := srv.CreateInstance(InstanceSpec{Speed: SpeedMax, MaxEpochs: 3})
@@ -31,25 +29,27 @@ func FuzzDecodeCheckpointFile(f *testing.F) {
 	if err != nil {
 		f.Fatalf("checkpoint: %v", err)
 	}
+
+	// The JSON envelope daemons once stored, mangled the ways the binary
+	// one is below, and JSON shapes near it: each is refused by its first
+	// bytes, and mutating them probes the magic check.
 	valid, err := EncodeCheckpointFile(cp)
 	if err != nil {
 		f.Fatalf("encode: %v", err)
 	}
-
 	f.Add(valid)
-	f.Add(valid[:len(valid)/2]) // truncated mid-payload
+	f.Add(valid[:len(valid)/2])
 	flipped := append([]byte(nil), valid...)
-	flipped[len(flipped)/2] ^= 0x40 // bit flip inside the payload
+	flipped[len(flipped)/2] ^= 0x40
 	f.Add(flipped)
-	// Intact payload under a stale checksum header.
 	f.Add(bytes.Replace(valid, []byte(`"crc32c:`), []byte(`"crc32c:0`), 1))
-	// A bare checkpoint object, pre-envelope: refused, it has no checksum.
 	f.Add([]byte(`{"version":1,"lc":"websearch","engine":null}`))
 	f.Add([]byte(`{"envelope_version":1,"checksum":"crc32c:00000000","payload":{}}`))
 	f.Add([]byte(`{`))
 	f.Add([]byte(``))
 
-	// The binary envelope's failure surface: truncations, payload bit
+	// A genuine envelope from a live instance seeds the structure-aware
+	// mutations, beside its failure surface: truncations, payload bit
 	// flips (CRC mismatch), envelope version skew, oversized length
 	// claims deep in the nested engine encoding.
 	validBin, err := EncodeCheckpointFileBinary(cp)
@@ -85,8 +85,8 @@ func FuzzDecodeCheckpointFile(f *testing.F) {
 	f.Add(binBomb)
 
 	dir := f.TempDir()
-	prev := filepath.Join(dir, "ckpt.json.1")
-	if err := os.WriteFile(prev, valid, 0o644); err != nil {
+	prev := filepath.Join(dir, "i1.ckpt.1")
+	if err := os.WriteFile(prev, validBin, 0o644); err != nil {
 		f.Fatal(err)
 	}
 	primary := strings.TrimSuffix(prev, ".1")

@@ -1154,14 +1154,14 @@ func (i *Instance) schedProbe() (sched.NodeState, string, error) {
 	return ns, state, err
 }
 
-// startSchedTask installs a scheduler-dispatched BE task. It re-checks
-// the controller's enablement inside the mailbox — the live fleet's
+// startSchedTask starts a scheduler-dispatched job by the engine's rule
+// (engine.StartSchedBE: scripted depart events and name-based detaches
+// cannot pull the task out from under the scheduler). It re-checks the
+// controller's enablement inside the mailbox — the live fleet's
 // enforcement of the never-dispatch-while-disabled invariant, since the
 // controller may have flipped between the snapshot and the apply — and
 // returns an error (the driver aborts the dispatch) instead of parking
-// the job on a machine that will not run it. The task is marked
-// engine-owned so scripted depart events and name-based detaches cannot
-// pull it out from under the scheduler.
+// the job on a machine that will not run it.
 func (i *Instance) startSchedTask(wlName string) (*machine.BETask, error) {
 	wl := i.lab.BE(wlName) // calibrate outside the mailbox
 	var task *machine.BETask
@@ -1169,29 +1169,21 @@ func (i *Instance) startSchedTask(wlName string) (*machine.BETask, error) {
 		if !i.ctl.BEEnabled() {
 			return fmt.Errorf("controller has BE disabled on %s", i.id)
 		}
-		task = i.m.AddBE(wl, workload.PlaceDedicated)
-		task.Enabled = true
-		i.eng.OwnBE(task)
-		i.m.Partition(i.m.BECoreCount())
+		task = i.eng.StartSchedBE(0, wl)
 		i.refreshBEs()
 		return nil
 	})
 	return task, err
 }
 
-// stopSchedTask retires a scheduler-owned task and returns its accrued
-// CPU time: CompleteBE banks it as goodput, RemoveBE charges it as lost.
+// stopSchedTask retires a scheduler-owned task by engine.StopSchedBE and
+// returns its accrued CPU time: completed banks it as goodput, otherwise
+// it is charged as lost.
 func (i *Instance) stopSchedTask(task *machine.BETask, completed bool) (float64, error) {
 	var cpu float64
 	err := i.Do(func() error {
 		cpu = task.CPUSec
-		if completed {
-			i.m.CompleteBE(task)
-		} else {
-			i.m.RemoveBE(task)
-		}
-		i.eng.DisownBE(task)
-		i.m.Partition(i.m.BECoreCount())
+		i.eng.StopSchedBE(0, task, completed)
 		i.refreshBEs()
 		return nil
 	})

@@ -158,12 +158,20 @@ func eventKindByName(name string) (scenario.EventKind, bool) {
 	return 0, false
 }
 
+// MaxScenarioDurationS bounds a scenario's duration_s: seven simulated
+// days. A diurnal shape holds one trace point per simulated second, so
+// the horizon is memory the request's author would otherwise choose.
+const MaxScenarioDurationS = 7 * 24 * 3600
+
 // Build converts the spec into a validated scenario. BE workload names in
 // arrival/departure events are checked against the workload catalogue up
 // front, so a bad request fails at install time rather than mid-run.
 func (sp *ScenarioSpec) Build() (scenario.Scenario, error) {
-	if sp.DurationS <= 0 {
+	if !(sp.DurationS > 0) {
 		return scenario.Scenario{}, fmt.Errorf("duration_s must be positive")
+	}
+	if sp.DurationS > MaxScenarioDurationS {
+		return scenario.Scenario{}, fmt.Errorf("duration_s %v exceeds the %d s (7-day) bound", sp.DurationS, MaxScenarioDurationS)
 	}
 	if sp.Load == nil {
 		return scenario.Scenario{}, fmt.Errorf("load shape missing")

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -180,6 +181,37 @@ func TestScenarioSpecBuild(t *testing.T) {
 		if _, err := sp.Build(); err == nil {
 			t.Errorf("bad spec %d accepted", i)
 		}
+	}
+}
+
+// TestScenarioDurationIsBounded: a diurnal shape holds one trace point
+// per simulated second, so duration_s is capped at MaxScenarioDurationS.
+// The cap builds; one second over it is a 400 on both routes that take a
+// scenario, and so is a horizon no time.Duration can hold (it once
+// panicked in makeslice).
+func TestScenarioDurationIsBounded(t *testing.T) {
+	s := testServer(t)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	inst, err := s.CreateInstance(InstanceSpec{Load: 0.3, Speed: SpeedMax, MaxEpochs: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	diurnal := func(d float64) *ScenarioSpec {
+		return &ScenarioSpec{DurationS: d, Load: &ShapeSpec{Kind: "diurnal", MinLoad: 0.2, MaxLoad: 0.6}}
+	}
+	if _, err := diurnal(MaxScenarioDurationS).Build(); err != nil {
+		t.Fatalf("a scenario at the bound: %v", err)
+	}
+	for _, d := range []float64{MaxScenarioDurationS + 1, 1e12} {
+		body := doReq(t, ts.Client(), "POST", ts.URL+"/api/v1/instances/"+inst.ID()+"/scenario", jsonBody(t, diurnal(d)), 400)
+		if !strings.Contains(string(body), "duration_s") {
+			t.Fatalf("duration_s %v: 400 body %s does not name the field", d, body)
+		}
+		doReq(t, ts.Client(), "POST", ts.URL+"/api/v1/instances", jsonBody(t, InstanceSpec{Scenario: diurnal(d)}), 400)
+	}
+	if n := s.Registry().Len(); n != 1 {
+		t.Fatalf("pool holds %d instances, want only the original", n)
 	}
 }
 

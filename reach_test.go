@@ -26,12 +26,11 @@ var keptForTests = map[string]string{
 	"heracles/internal/lat.NewDES":    "the discrete-event queue lat.Analytic is checked against (FIDELITY row 9)",
 	"heracles/internal/lat.DES.Epoch": "as NewDES: no command calls it, so only the table can reach it",
 
-	"heracles/internal/hw.Config.CorePowerWatts":       "the definitional per-core power the frequency solver's memoised sum must equal bit for bit",
-	"heracles/internal/hw.Config.ResolveFrequencies":   "allocating form the scratch variant ResolveFrequenciesInto is compared against",
-	"heracles/internal/cache.Solver.Resolve":           "allocating form the scratch variant ResolveScratch is compared against",
-	"heracles/internal/mem.Resolve":                    "allocating form the scratch variant ResolveInto is compared against",
-	"heracles/internal/netlink.Resolve":                "allocating form the scratch variant ResolveInto is compared against",
-	"heracles/internal/engine.Checkpoint.EncodeBinary": "allocating form AppendBinary is compared against, and what the codec drift guards encode with",
+	"heracles/internal/hw.Config.CorePowerWatts":     "the definitional per-core power the frequency solver's memoised sum must equal bit for bit",
+	"heracles/internal/hw.Config.ResolveFrequencies": "allocating form the scratch variant ResolveFrequenciesInto is compared against",
+	"heracles/internal/cache.Solver.Resolve":         "allocating form the scratch variant ResolveScratch is compared against",
+	"heracles/internal/mem.Resolve":                  "allocating form the scratch variant ResolveInto is compared against",
+	"heracles/internal/netlink.Resolve":              "allocating form the scratch variant ResolveInto is compared against",
 
 	"heracles/internal/experiment.Fig3Surface.ConvexViolations": "FIDELITY row 7 (Fig. 3 convexity)",
 	"heracles/internal/experiment.Fig1Table.Row":                "FIDELITY row 6 (Fig. 7 network cliff)",
