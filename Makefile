@@ -52,9 +52,10 @@ chaos:
 
 # Registry churn and leak detection under -race: concurrent
 # create/crash/delete churn against the shared epoch scheduler —
-# goroutines, heap and the scheduler queue must return to baseline.
+# goroutines, heap and the scheduler queue must return to baseline —
+# and the one job scheduler dispatching across a sharded registry.
 churn:
-	$(GO) test -race -run 'RegistryChurnNoLeaks|EpochScheduler|HundredThousand' ./internal/serve/
+	$(GO) test -race -run 'RegistryChurnNoLeaks|EpochScheduler|HundredThousand|ShardedServerRunsEveryJob' ./internal/serve/
 
 # Short fuzz pass over the boundaries that accept bytes from outside the
 # process. The HRCF checkpoint file decoder: truncated, bit-flipped and
@@ -64,14 +65,16 @@ churn:
 # route: any body answers 201 or 4xx and leaves the pool empty. The HRCB
 # decoder under the envelope's CRC (the codec.Coder walk): an error or a
 # checkpoint that re-encodes to a fixed point. The scenario JSON codec:
-# an error or a scenario a one-node engine installs and steps. The
-# minimise cap keeps a newly interesting 40 KB input from eating the
-# whole ten seconds.
+# an error or a scenario a one-node engine installs and steps. The job
+# submit route: any body answers 201 or 4xx, and an accepted job
+# cancels, leaving the queue empty. The minimise cap keeps a newly
+# interesting 40 KB input from eating the whole ten seconds.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCheckpointFile$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzCreateInstanceBody$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCheckpointBinary$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/engine/
 	$(GO) test -run '^$$' -fuzz '^FuzzScenarioSpec$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzJobSubmission$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/serve/
 
 # Paper-fidelity scorecard: every checkable statement of the paper
 # (docs/FIDELITY.md) holds inside its tolerance, and the committed table

@@ -7,7 +7,10 @@
 // Prometheus /metrics endpoint (see docs/API.md). The workload flags
 // become the spec of one bootstrapped instance, so the daemon starts
 // with a machine already running; -noboot starts with an empty pool
-// instead.
+// instead. One epoch scheduler of -drivers workers steps every instance,
+// and one job scheduler dispatches over all of them; -shards only places
+// instances on consistent-hash shards, which are migration targets with
+// their own lifecycle stream.
 //
 // On SIGINT/SIGTERM the daemon drains: every instance driver stops
 // between epochs and all SSE subscribers are closed (clients see a
@@ -42,7 +45,7 @@
 //	heraclesd [-addr :8080] [-lc websearch] [-be brain] [-load 0.4]
 //	          [-minutes 10] [-speed 0] [-fsroot /tmp/heracles-fs]
 //	          [-trace] [-noboot] [-sched-policy slack-greedy]
-//	          [-drivers 0] [-max-instances 64]
+//	          [-drivers 0] [-shards 1] [-max-instances 64]
 //	          [-checkpoint-dir /var/lib/heracles] [-checkpoint-every 30s]
 //	          [-pprof-addr localhost:6060]
 package main
@@ -82,8 +85,8 @@ func main() {
 	traceFlag := flag.Bool("trace", true, "log controller decisions")
 	noboot := flag.Bool("noboot", false, "with -addr, start with an empty instance pool instead of bootstrapping one from the flags")
 	schedPolicy := flag.String("sched-policy", "slack-greedy", "fleet job scheduler placement policy (slack-greedy, bin-pack, spread, random)")
-	drivers := flag.Int("drivers", 0, "epoch-scheduler worker pool size: goroutines stepping instance epochs (0 = GOMAXPROCS)")
-	shards := flag.Int("shards", 1, "control-plane shards: independent epoch-scheduler/hub/fleet-scheduler domains with work-stealing between their pools")
+	drivers := flag.Int("drivers", 0, "epoch-scheduler worker pool size: goroutines stepping instance epochs, whatever -shards is (0 = GOMAXPROCS)")
+	shards := flag.Int("shards", 1, "instance placement shards: consistent-hash migration targets, each with its own lifecycle stream; all share one epoch scheduler and one job scheduler")
 	maxInstances := flag.Int("max-instances", 0, "instance pool cap; creates beyond it fail with 503 (0 = default 64)")
 	ckptDir := flag.String("checkpoint-dir", "", "periodically snapshot every instance into this directory and crash-resume from it on startup")
 	ckptEvery := flag.Duration("checkpoint-every", 30*time.Second, "wall-clock cadence of -checkpoint-dir snapshots")

@@ -24,9 +24,9 @@ type Snapshot struct {
 	Proxied    int64 // requests forwarded to members
 }
 
-// renderMetrics renders the federation exposition: member liveness and
-// occupancy, per-member-per-shard depth, the router's migration and proxy
-// counters, and the proxy-latency histogram. It is a pure function of its
+// renderMetrics renders the federation exposition: member liveness,
+// occupancy per member and per member shard, the router's migration and
+// proxy counters, and the proxy-latency histogram. It is a pure function of its
 // arguments so tests pin it without a live fleet.
 func renderMetrics(snap Snapshot, proxy *expo.Histogram) *expo.Writer {
 	e := expo.NewWriter(4096 + 512*len(snap.Members))
@@ -55,13 +55,6 @@ func renderMetrics(snap Snapshot, proxy *expo.Histogram) *expo.Writer {
 	for _, m := range snap.Members {
 		for _, sh := range m.Shards {
 			e.Int("heracles_fed_shard_instances", int64(sh.Instances), "member", m.Member, "shard", strconv.Itoa(sh.Shard))
-		}
-	}
-
-	e.Family("heracles_fed_shard_queue_depth", "gauge", "Epoch-heap depth per member shard.")
-	for _, m := range snap.Members {
-		for _, sh := range m.Shards {
-			e.Int("heracles_fed_shard_queue_depth", int64(sh.EpochSched.QueueDepth), "member", m.Member, "shard", strconv.Itoa(sh.Shard))
 		}
 	}
 

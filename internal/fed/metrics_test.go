@@ -48,14 +48,14 @@ func goldenSnapshot() Snapshot {
 			{
 				Member: "http://a\"b\\c\n:8080", Up: true, Instances: 12, Migrations: 3,
 				Shards: []serve.ShardStatus{
-					{Shard: 0, Instances: 7, EpochSched: serve.EpochSchedStatus{QueueDepth: 6}},
-					{Shard: 1, Instances: 5, EpochSched: serve.EpochSchedStatus{QueueDepth: 5}},
+					{Shard: 0, Instances: 7},
+					{Shard: 1, Instances: 5},
 				},
 			},
 			{Member: "http://down:8080", Up: false},
 			{
 				Member: "http://c:8080", Up: true, Instances: 1 << 20,
-				Shards: []serve.ShardStatus{{Shard: 0, Instances: 1 << 20, EpochSched: serve.EpochSchedStatus{QueueDepth: 1 << 19}}},
+				Shards: []serve.ShardStatus{{Shard: 0, Instances: 1 << 20}},
 			},
 		},
 		Migrations: 9,
@@ -104,7 +104,7 @@ func TestFedMetricNamesMatchRenderer(t *testing.T) {
 	declared := MetricNames()
 	sort.Strings(rendered)
 	sort.Strings(declared)
-	if got, want := strings.Join(declared, " "), strings.Join(rendered, " "); got != want || len(declared) < 9 {
+	if got, want := strings.Join(declared, " "), strings.Join(rendered, " "); got != want || len(declared) < 8 {
 		t.Fatalf("MetricNames = %s\nthe renderer emits %s", got, want)
 	}
 }

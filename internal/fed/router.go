@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"heracles/internal/chash"
+	"heracles/internal/sched"
 	"heracles/internal/serve"
 )
 
@@ -735,6 +736,49 @@ func (rt *Router) handleJobsList(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"jobs": out})
 }
 
+// SchedStatus is the reply of GET /api/v1/sched: the members' fleet
+// scheduler accounting merged into one, with each answering member's own
+// status beside it, in member order.
+type SchedStatus struct {
+	serve.SchedulerStatus
+	Members []serve.SchedulerStatus `json:"shards"`
+}
+
+// mergeSched folds member scheduler statuses into one fleet view:
+// counters and CPU ledgers sum, the goodput fraction is recomputed from
+// the summed ledgers by sched.Accounting's rule (0 for an empty ledger,
+// as each member reports it), and the mean queue delay is weighted by
+// dispatch count.
+func mergeSched(parts []serve.SchedulerStatus) SchedStatus {
+	out := SchedStatus{Members: parts}
+	agg := &out.SchedulerStatus
+	agg.Policy = parts[0].Policy
+	for _, p := range parts {
+		agg.QueueDepth += p.QueueDepth
+		agg.Running += p.Running
+		agg.Submitted += p.Submitted
+		agg.Dispatches += p.Dispatches
+		agg.Completed += p.Completed
+		agg.Evictions += p.Evictions
+		agg.Failed += p.Failed
+		agg.Cancelled += p.Cancelled
+		agg.Aborted += p.Aborted
+		agg.GoodCPUSec += p.GoodCPUSec
+		agg.WastedCPUSec += p.WastedCPUSec
+		agg.MaxQueueDepth += p.MaxQueueDepth
+		agg.TickPanics += p.TickPanics
+		if p.LastTickPanic != "" {
+			agg.LastTickPanic = p.LastTickPanic
+		}
+		agg.MeanQueueDelayS += p.MeanQueueDelayS * float64(p.Dispatches)
+	}
+	if agg.Dispatches > 0 {
+		agg.MeanQueueDelayS /= float64(agg.Dispatches)
+	}
+	agg.GoodputFrac = sched.Accounting{GoodCPUSec: agg.GoodCPUSec, WastedCPUSec: agg.WastedCPUSec}.GoodputFrac()
+	return out
+}
+
 func (rt *Router) handleSched(w http.ResponseWriter, _ *http.Request) {
 	var parts []serve.SchedulerStatus
 	for _, p := range fanOut[serve.SchedulerStatus](rt, "/api/v1/scheduler") {
@@ -746,9 +790,7 @@ func (rt *Router) handleSched(w http.ResponseWriter, _ *http.Request) {
 		apiError(w, http.StatusBadGateway, "no member reachable")
 		return
 	}
-	agg := serve.MergeSchedulerStatuses(parts)
-	agg.Shards = parts
-	writeJSON(w, http.StatusOK, agg)
+	writeJSON(w, http.StatusOK, mergeSched(parts))
 }
 
 // --- Aggregated health and metrics -------------------------------------

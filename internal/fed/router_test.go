@@ -504,12 +504,34 @@ func TestSchedSkipsFailingMember(t *testing.T) {
 	t.Cleanup(fts.Close)
 
 	doReq(t, "POST", members[0].ts.URL+"/api/v1/jobs", serve.JobSubmission{Workload: "brain", WorkS: 1e9}, 201)
-	var agg serve.SchedulerStatus
+	var agg SchedStatus
 	if err := json.Unmarshal(doReq(t, "GET", fts.URL+"/api/v1/sched", nil, 200), &agg); err != nil {
 		t.Fatal(err)
 	}
-	if len(agg.Shards) != 1 || agg.Submitted != 1 || agg.Policy != "slack-greedy" {
+	if len(agg.Members) != 1 || agg.Submitted != 1 || agg.Policy != "slack-greedy" {
 		t.Fatalf("merged accounting = %+v, want only the healthy member's", agg)
+	}
+}
+
+// TestSchedEmptyLedgerGoodputIsZero: with no CPU-seconds banked or lost,
+// the merged goodput fraction is 0, the sched.Accounting rule every
+// member answers with — not a perfect 1.
+func TestSchedEmptyLedgerGoodputIsZero(t *testing.T) {
+	_, _, fts := newFleet(t, 2, 4)
+	var agg SchedStatus
+	if err := json.Unmarshal(doReq(t, "GET", fts.URL+"/api/v1/sched", nil, 200), &agg); err != nil {
+		t.Fatal(err)
+	}
+	if len(agg.Members) != 2 {
+		t.Fatalf("merged %d members, want 2", len(agg.Members))
+	}
+	for i, m := range agg.Members {
+		if m.GoodputFrac != 0 {
+			t.Fatalf("member %d goodput_frac = %v, want 0", i, m.GoodputFrac)
+		}
+	}
+	if agg.GoodputFrac != 0 {
+		t.Fatalf("merged goodput_frac = %v on an empty ledger, want 0 like each member", agg.GoodputFrac)
 	}
 }
 

@@ -73,7 +73,7 @@ func TestChaosSoak(t *testing.T) {
 	// budgets keep them alive through repeated kills.
 	retries := 1000
 	for i := 0; i < 6; i++ {
-		s.reg.shards[0].sched.Submit(JobSubmission{Workload: "streetview", WorkS: 1e9, Retries: &retries})
+		s.jobs.Submit(JobSubmission{Workload: "streetview", WorkS: 1e9, Retries: &retries})
 	}
 
 	// 24 faults >= the 20 the acceptance criterion demands; each block of
@@ -89,7 +89,7 @@ func TestChaosSoak(t *testing.T) {
 		case 2:
 			// Mirror the HTTP handler: evict fleet jobs through the
 			// scheduler before the simulated crash destroys their tasks.
-			s.reg.shards[0].sched.killJobsOn(inst, "", "killed by injected fault")
+			s.jobs.killJobsOn(inst, "", "killed by injected fault")
 			injectRetry(t, inst, FaultRequest{Kind: "leaf-crash", DurationS: 0.5})
 		case 3:
 			injectRetry(t, inst, FaultRequest{Kind: "slow-machine", DurationS: 0.5, Factor: 1.5})
@@ -123,12 +123,12 @@ func TestChaosSoak(t *testing.T) {
 	// good-CPU side of the conservation check has something to count.
 	var smallIDs []int
 	for i := 0; i < 2; i++ {
-		js := s.reg.shards[0].sched.Submit(JobSubmission{Workload: "brain", WorkS: 5, Retries: &retries})
+		js := s.jobs.Submit(JobSubmission{Workload: "brain", WorkS: 5, Retries: &retries})
 		smallIDs = append(smallIDs, js.ID)
 	}
-	awaitTicks(t, s.reg.shards[0].sched, "small jobs completing on the recovered fleet", func(int64) bool {
+	awaitTicks(t, s.jobs, "small jobs completing on the recovered fleet", func(int64) bool {
 		for _, id := range smallIDs {
-			j, ok := s.reg.shards[0].sched.Job(id)
+			j, ok := s.jobs.Job(id)
 			if !ok || j.State != sched.JobCompleted.String() {
 				return false
 			}
@@ -139,9 +139,9 @@ func TestChaosSoak(t *testing.T) {
 	// Goodput conservation: the scheduler's global tallies must equal the
 	// per-job sums — CPU-seconds neither vanish nor double-count across
 	// all the crash evictions and fault kills.
-	st := s.reg.shards[0].sched.Status()
+	st := s.jobs.Status()
 	var good, wasted float64
-	for _, j := range s.reg.shards[0].sched.Jobs() {
+	for _, j := range s.jobs.Jobs() {
 		if j.State == sched.JobCompleted.String() {
 			good += j.CPUSec
 		}

@@ -8,9 +8,9 @@ import (
 	"time"
 )
 
-// The epoch scheduler (DESIGN.md §13), one pool per shard: one min-heap
-// of due times and one bounded worker pool drive every instance on the
-// shard, their crash restarts and the shard's fleet dispatch loop.
+// The epoch scheduler (DESIGN.md §13), one per registry: one min-heap of
+// due times and one bounded worker pool drive every instance, their
+// crash restarts and the fleet dispatch loop.
 // Nothing in the control plane owns a per-instance goroutine or timer —
 // an idle, parked or backing-off instance costs exactly one heap entry
 // (or none), which is what lets a single registry hold 100k+ live
@@ -28,13 +28,9 @@ type epochTask interface {
 
 // poolEntry is one task's position in the epoch heap. An entry is
 // single-owner and lives as long as its task; it is out of the heap
-// (index -1) while dispatched to a worker or parked. home is the pool
-// whose heap the entry lives in: a shed slice may execute on a peer
-// pool's worker, but the entry's queue state (due, index, cancelled)
-// always belongs to — and is locked through — its home pool.
+// (index -1) while dispatched to a worker or parked.
 type poolEntry struct {
 	task  epochTask
-	home  *epochScheduler
 	due   time.Time
 	seq   uint64 // FIFO tie-break for equal due times (free-runner round-robin)
 	index int    // heap position; -1 while dispatched or parked
@@ -78,16 +74,9 @@ func (h *entryHeap) Pop() any {
 // epochScheduler is the shared driver pool: a dispatcher goroutine pops
 // due entries off the heap and hands them to `drivers` workers, each of
 // which runs one slice and requeues the entry at the time the task asks
-// for. Each registry shard owns exactly one; sibling shards' pools are
-// wired as peers for work-stealing (see shed).
+// for. The registry owns exactly one.
 type epochScheduler struct {
 	drivers int
-
-	// peers are the sibling shards' pools, wired once by the registry
-	// before any traffic and immutable afterwards. When every local
-	// worker is busy, the dispatcher sheds a due entry to the first peer
-	// with an idle worker instead of queueing behind the hot shard.
-	peers []*epochScheduler
 
 	mu  sync.Mutex
 	h   entryHeap
@@ -101,13 +90,7 @@ type epochScheduler struct {
 
 	slices atomic.Int64 // slices dispatched to workers
 	epochs atomic.Int64 // simulated epochs advanced by workers
-	shed   atomic.Int64 // due slices handed to a peer pool's worker
-	stolen atomic.Int64 // foreign slices this pool's workers executed
 }
-
-// defaultDrivers is the worker budget a pool gets when none is
-// configured.
-func defaultDrivers() int { return runtime.GOMAXPROCS(0) }
 
 // newEpochScheduler starts a scheduler with the given worker count
 // (0 selects GOMAXPROCS).
@@ -129,49 +112,45 @@ func newEpochScheduler(drivers int) *epochScheduler {
 	return s
 }
 
-// newEntry binds a task to an unscheduled heap entry homed on this pool.
+// newEntry binds a task to an unscheduled heap entry.
 func (s *epochScheduler) newEntry(task epochTask) *poolEntry {
-	return &poolEntry{task: task, home: s, index: -1}
+	return &poolEntry{task: task, index: -1}
 }
 
-// schedule (re)queues e at due on its home pool: a queued entry moves, a
-// parked one is pushed, a cancelled one is ignored. Routing through the
-// home keeps the call correct from a peer worker that just ran a stolen
-// slice — the entry re-enters its own shard's heap, never the thief's.
+// schedule (re)queues e at due: a queued entry moves, a parked one is
+// pushed, a cancelled one is ignored.
 func (s *epochScheduler) schedule(e *poolEntry, due time.Time) {
-	h := e.home
-	h.mu.Lock()
+	s.mu.Lock()
 	if e.cancelled {
-		h.mu.Unlock()
+		s.mu.Unlock()
 		return
 	}
 	e.due = due
 	if e.index >= 0 {
-		heap.Fix(&h.h, e.index)
+		heap.Fix(&s.h, e.index)
 	} else {
-		e.seq = h.seq
-		h.seq++
-		heap.Push(&h.h, e)
+		e.seq = s.seq
+		s.seq++
+		heap.Push(&s.h, e)
 	}
-	h.mu.Unlock()
+	s.mu.Unlock()
 	select {
-	case h.wake <- struct{}{}:
+	case s.wake <- struct{}{}:
 	default:
 	}
 }
 
-// remove cancels e permanently: it leaves its home heap if queued, and
-// an in-flight dispatch of it becomes a no-op. Removal is final (the
-// owner is stopping), which is what drains mid-backoff restart entries
-// when an instance is deleted during its backoff window.
+// remove cancels e permanently: it leaves the heap if queued, and an
+// in-flight dispatch of it becomes a no-op. Removal is final (the owner
+// is stopping), which is what drains mid-backoff restart entries when an
+// instance is deleted during its backoff window.
 func (s *epochScheduler) remove(e *poolEntry) {
-	h := e.home
-	h.mu.Lock()
+	s.mu.Lock()
 	e.cancelled = true
 	if e.index >= 0 {
-		heap.Remove(&h.h, e.index)
+		heap.Remove(&s.h, e.index)
 	}
-	h.mu.Unlock()
+	s.mu.Unlock()
 }
 
 // dispatch owns the single timer armed for the earliest due entry; a
@@ -197,20 +176,10 @@ func (s *epochScheduler) dispatch() {
 		s.mu.Unlock()
 
 		if e != nil {
-			// Hand the due slice to an idle local worker if one is
-			// waiting; otherwise try to shed it to a peer pool with an
-			// idle worker (work-stealing for a hot shard); otherwise
-			// block on the local pool like before.
 			select {
 			case s.work <- e:
-			default:
-				if !s.shedToPeer(e) {
-					select {
-					case s.work <- e:
-					case <-s.stopc:
-						return
-					}
-				}
+			case <-s.stopc:
+				return
 			}
 			continue
 		}
@@ -238,25 +207,8 @@ func (s *epochScheduler) dispatch() {
 	}
 }
 
-// shedToPeer offers a due entry to the first peer pool with an idle
-// worker. The work channels are unbuffered, so a successful send means a
-// peer worker takes the slice right now — shedding never queues work
-// behind another shard, it only uses spare capacity that already exists.
-func (s *epochScheduler) shedToPeer(e *poolEntry) bool {
-	for _, p := range s.peers {
-		select {
-		case p.work <- e:
-			s.shed.Add(1)
-			return true
-		default:
-		}
-	}
-	return false
-}
-
-// worker runs dispatched slices — local or stolen from a peer's
-// dispatcher — and requeues live tasks on their home heap at the due
-// time they return.
+// worker runs dispatched slices and requeues live tasks at the due time
+// they return.
 func (s *epochScheduler) worker() {
 	defer s.wg.Done()
 	for {
@@ -264,15 +216,11 @@ func (s *epochScheduler) worker() {
 		case <-s.stopc:
 			return
 		case e := <-s.work:
-			h := e.home
-			h.mu.Lock()
+			s.mu.Lock()
 			dead := e.cancelled
-			h.mu.Unlock()
+			s.mu.Unlock()
 			if dead {
 				continue
-			}
-			if h != s {
-				s.stolen.Add(1)
 			}
 			sliceStart := time.Now()
 			next, ok := e.task.runSlice()
@@ -320,9 +268,8 @@ func (s *epochScheduler) lag() time.Duration {
 	return 0
 }
 
-// EpochSchedStatus is an epoch scheduler pool's health snapshot,
-// reported by GET /healthz and the heracles_epoch_sched_* metric
-// families.
+// EpochSchedStatus is the epoch scheduler's health snapshot, reported
+// by GET /healthz and the heracles_epoch_sched_* metric families.
 type EpochSchedStatus struct {
 	// Drivers is the worker pool size (the -drivers knob).
 	Drivers int `json:"drivers"`
@@ -332,29 +279,8 @@ type EpochSchedStatus struct {
 	// epochs those slices advanced.
 	Slices int64 `json:"slices"`
 	Epochs int64 `json:"epochs"`
-	// Shed counts due slices this pool handed to an idle peer worker
-	// because every local worker was busy; Stolen counts foreign slices
-	// this pool's workers executed for hot peers.
-	Shed   int64 `json:"shed"`
-	Stolen int64 `json:"stolen"`
 	// LagSeconds is how far the earliest due entry trails the wall clock.
 	LagSeconds float64 `json:"lag_seconds"`
-}
-
-// merge folds another pool's snapshot into s (counters sum, lag takes
-// the worst shard) — the aggregate view /healthz and /metrics report for
-// a sharded registry.
-func (st EpochSchedStatus) merge(o EpochSchedStatus) EpochSchedStatus {
-	st.Drivers += o.Drivers
-	st.QueueDepth += o.QueueDepth
-	st.Slices += o.Slices
-	st.Epochs += o.Epochs
-	st.Shed += o.Shed
-	st.Stolen += o.Stolen
-	if o.LagSeconds > st.LagSeconds {
-		st.LagSeconds = o.LagSeconds
-	}
-	return st
 }
 
 func (s *epochScheduler) status() EpochSchedStatus {
@@ -363,8 +289,6 @@ func (s *epochScheduler) status() EpochSchedStatus {
 		QueueDepth: s.depth(),
 		Slices:     s.slices.Load(),
 		Epochs:     s.epochs.Load(),
-		Shed:       s.shed.Load(),
-		Stolen:     s.stolen.Load(),
 		LagSeconds: s.lag().Seconds(),
 	}
 }

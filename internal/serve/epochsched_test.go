@@ -236,8 +236,8 @@ func TestSchedulerTelemetryMatchesSequentialDriver(t *testing.T) {
 
 // TestRegistryChurnNoLeaks churns instances through create / crash /
 // migrate / delete concurrently across a 4-shard registry and asserts
-// the process returns to baseline: goroutine count, heap, and every
-// shard's scheduler queue all drain. This is the regression test for
+// the process returns to baseline: goroutine count, heap, and the
+// scheduler queue all drain. This is the regression test for
 // the mid-backoff restart-timer leak — an instance deleted while
 // backing off must take its pending restart entry with it — and, with
 // shards, for migration leaving no orphan entry on either side's heap.
@@ -290,7 +290,7 @@ func TestRegistryChurnNoLeaks(t *testing.T) {
 					}
 				}
 				if mode == 3 {
-					from, _ := s.Registry().HomeShard(inst.ID())
+					from := inst.Status().Shard
 					res, err := s.MigrateToShard(inst.ID(), (from+1+k%(shards-1))%shards)
 					if err != nil {
 						// A concurrent worker cannot hold this id, so the only
@@ -316,13 +316,11 @@ func TestRegistryChurnNoLeaks(t *testing.T) {
 	if got := s.Registry().Len(); got != 0 {
 		t.Fatalf("registry holds %d instances after churn, want 0", got)
 	}
-	// Only each shard's fleet dispatch entry may remain queued: every
-	// instance entry — including both sides of every migration — must
-	// have left its heap.
-	for _, sh := range s.Registry().shards {
-		if got := sh.pool.depth(); got > 1 {
-			t.Fatalf("shard %d heap holds %d entries after churn, want <= 1", sh.idx, got)
-		}
+	// Only the fleet dispatch entry may remain queued: every instance
+	// entry — including both sides of every migration — must have left
+	// the heap.
+	if got := s.reg.pool.depth(); got > 1 {
+		t.Fatalf("scheduler heap holds %d entries after churn, want <= 1", got)
 	}
 	// Goroutine and heap convergence: the runtime exposes no event to
 	// wait on here, so poll the counters with a bounded deadline.
@@ -375,7 +373,7 @@ func TestHundredThousandInstancesOneProcess(t *testing.T) {
 		if !ok {
 			t.Fatalf("reserve %d refused", k)
 		}
-		inst, err := newInstance(id, spec, testLab, 1e-6, supervisorConfig{}, reg.shards[0].pool)
+		inst, err := newInstance(id, spec, testLab, 1e-6, supervisorConfig{}, reg.pool)
 		if err != nil {
 			t.Fatalf("instance %d: %v", k, err)
 		}
@@ -384,7 +382,7 @@ func TestHundredThousandInstancesOneProcess(t *testing.T) {
 	if got := reg.Len(); got != n {
 		t.Fatalf("registry len = %d, want %d", got, n)
 	}
-	if got := reg.shards[0].pool.depth(); got != n {
+	if got := reg.pool.depth(); got != n {
 		t.Fatalf("scheduler heap holds %d entries, want %d", got, n)
 	}
 	if got := runtime.NumGoroutine(); got > baseGoros+4 {
@@ -407,7 +405,7 @@ func TestHundredThousandInstancesOneProcess(t *testing.T) {
 		if !ok {
 			t.Fatalf("reserve fast %d refused", k)
 		}
-		inst, err := newInstance(id, InstanceSpec{MaxEpochs: 30}, testLab, SpeedMax, supervisorConfig{}, reg.shards[0].pool)
+		inst, err := newInstance(id, InstanceSpec{MaxEpochs: 30}, testLab, SpeedMax, supervisorConfig{}, reg.pool)
 		if err != nil {
 			t.Fatalf("fast instance %d: %v", k, err)
 		}
@@ -421,7 +419,7 @@ func TestHundredThousandInstancesOneProcess(t *testing.T) {
 	}
 
 	reg.Close()
-	if got := reg.shards[0].pool.depth(); got != 0 {
+	if got := reg.pool.depth(); got != 0 {
 		t.Fatalf("scheduler heap holds %d entries after Close, want 0", got)
 	}
 }

@@ -241,7 +241,7 @@ type Status struct {
 type actionKey struct{ loop, action string }
 
 // Instance is one live simulated machine with its Heracles controller,
-// advanced by its shard's epoch scheduler pool (DESIGN.md §13): a
+// advanced by the registry's epoch scheduler (DESIGN.md §13): a
 // worker pops the instance when its next epoch is due and steps an
 // engine.Engine — the same canonical epoch loop the batch cluster runs
 // drive — under stepMu, the instance's mailbox lock. All machine and
@@ -267,7 +267,7 @@ type Instance struct {
 	maxEpochs uint64
 	epochHook func(*machine.Machine, machine.Telemetry)
 
-	pool  *epochScheduler // the hosting shard's epoch pool
+	pool  *epochScheduler // the registry's epoch scheduler
 	entry *poolEntry      // this instance's single heap entry (step, restart)
 
 	donec    chan struct{} // closed once Stop completes
@@ -346,7 +346,7 @@ func engineConfig(lab *experiment.Lab, lcName string) engine.Config {
 }
 
 // newInstance builds an instance and schedules its first slice on pool,
-// its shard's epoch scheduler pool. The caller has validated the
+// the registry's epoch scheduler. The caller has validated the
 // spec (workload names, placement names, numeric ranges, checkpoint
 // contents) and resolved the lab for the requested hardware generation;
 // speed is the resolved tick rate (SpeedMax for free-running), sup the
@@ -573,7 +573,7 @@ func placementByName(name string) (workload.PlacementKind, error) {
 func (i *Instance) ID() string { return i.id }
 
 // setShard stamps the hosting shard into the status snapshot; the
-// registry calls it once, when the instance enters a shard's map.
+// registry calls it once, when the instance enters its index.
 func (i *Instance) setShard(idx int) {
 	i.mu.Lock()
 	i.status.Shard = idx

@@ -20,7 +20,8 @@ type JobSubmission struct {
 	Workload string `json:"workload"`
 	// Demand is the requested core count (admission weight; default 1).
 	Demand int `json:"demand,omitempty"`
-	// WorkS is the required CPU time in busy BE core-seconds.
+	// WorkS is the required CPU time in busy BE core-seconds, at least a
+	// nanosecond and at most MaxJobWorkS.
 	WorkS float64 `json:"work_s"`
 	// Priority orders dispatch (higher first).
 	Priority int `json:"priority,omitempty"`
@@ -28,14 +29,15 @@ type JobSubmission struct {
 	Retries *int `json:"retries,omitempty"`
 }
 
-// JobStatus is the wire form of one scheduler job. IDs are global
-// across the sharded control plane: each shard's fleet scheduler issues
-// local ids 1, 2, ... and the wire id interleaves them as
-// (local-1)*nshards + shard + 1, so ids stay dense, unique and stable
-// while every shard schedules independently.
+// MaxJobWorkS is the largest work_s a submission may ask for: 1e9 busy
+// core-seconds, about 32 years on one core. The scheduler holds work as
+// a time.Duration, which overflows a little past 9.2e9 s.
+const MaxJobWorkS = 1e9
+
+// JobStatus is the wire form of one scheduler job. IDs are the
+// scheduler's own: 1, 2, ... in submission order.
 type JobStatus struct {
 	ID       int     `json:"id"`
-	Shard    int     `json:"shard"`
 	Name     string  `json:"name,omitempty"`
 	Workload string  `json:"workload"`
 	State    string  `json:"state"`
@@ -49,10 +51,7 @@ type JobStatus struct {
 	WastedS  float64 `json:"wasted_cpu_s"`
 }
 
-// SchedulerStatus is the wire form of GET /api/v1/scheduler. On a
-// sharded server the top-level object is the aggregate across shards
-// (counters sum, delay is dispatch-weighted) and Shards carries the
-// per-shard accounting.
+// SchedulerStatus is the wire form of GET /api/v1/scheduler.
 type SchedulerStatus struct {
 	Policy          string  `json:"policy"`
 	QueueDepth      int     `json:"queue_depth"`
@@ -71,55 +70,6 @@ type SchedulerStatus struct {
 	MaxQueueDepth   int     `json:"max_queue_depth"`
 	TickPanics      int     `json:"tick_panics,omitempty"`
 	LastTickPanic   string  `json:"last_tick_panic,omitempty"`
-
-	// Shards holds the per-shard accounting on a sharded server; nil on
-	// per-shard entries themselves and on single-shard servers' wire
-	// output for backward compatibility.
-	Shards []SchedulerStatus `json:"shards,omitempty"`
-}
-
-// MergeSchedulerStatuses folds per-shard (or per-member) scheduler
-// accounting into one fleet view: counters and CPU ledgers sum, the
-// goodput fraction is recomputed from the summed ledgers, and the mean
-// queue delay is weighted by dispatch count. The federation router uses
-// the same fold across member daemons.
-func MergeSchedulerStatuses(parts []SchedulerStatus) SchedulerStatus {
-	var out SchedulerStatus
-	var delayWeight float64
-	for i, p := range parts {
-		if i == 0 {
-			out.Policy = p.Policy
-		}
-		out.QueueDepth += p.QueueDepth
-		out.Running += p.Running
-		out.Submitted += p.Submitted
-		out.Dispatches += p.Dispatches
-		out.Completed += p.Completed
-		out.Evictions += p.Evictions
-		out.Failed += p.Failed
-		out.Cancelled += p.Cancelled
-		out.Aborted += p.Aborted
-		out.GoodCPUSec += p.GoodCPUSec
-		out.WastedCPUSec += p.WastedCPUSec
-		out.MaxQueueDepth += p.MaxQueueDepth
-		out.TickPanics += p.TickPanics
-		if p.LastTickPanic != "" {
-			out.LastTickPanic = p.LastTickPanic
-		}
-		delayWeight += float64(p.Dispatches)
-		out.MeanQueueDelayS += p.MeanQueueDelayS * float64(p.Dispatches)
-	}
-	if delayWeight > 0 {
-		out.MeanQueueDelayS /= delayWeight
-	} else {
-		out.MeanQueueDelayS = 0
-	}
-	if total := out.GoodCPUSec + out.WastedCPUSec; total > 0 {
-		out.GoodputFrac = out.GoodCPUSec / total
-	} else {
-		out.GoodputFrac = 1
-	}
-	return out
 }
 
 // SchedulerUpdate is one scheduler decision published on the affected
@@ -141,18 +91,15 @@ type taskRef struct {
 	task *machine.BETask
 }
 
-// jobDriver owns one shard's fleet scheduler: a wall-clock dispatch
-// tick over the instances the shard hosts, run as one task on the
-// shard's epoch pool rather than on its own goroutine. The
-// sched.Scheduler core is single-threaded; every access (ticks and the
-// job API) serialises on mu, and all machine mutation goes through each
-// instance's command mailbox — the scheduler never touches a Machine
-// directly, so instance determinism is preserved. The driver speaks
-// local job ids internally and translates to the global interleaved ids
-// (see JobStatus) at every wire boundary.
+// jobDriver owns the server's fleet scheduler: a wall-clock dispatch
+// tick over every live instance, whichever shard hosts it, run as one
+// task on the registry's epoch scheduler rather than on its own
+// goroutine. The sched.Scheduler core is single-threaded; every access
+// (ticks and the job API) serialises on mu, and all machine mutation
+// goes through each instance's command mailbox — the scheduler never
+// touches a Machine directly, so instance determinism is preserved.
 type jobDriver struct {
 	reg      *Registry
-	idx      int // shard index
 	interval time.Duration
 	start    time.Time
 	entry    *poolEntry
@@ -169,16 +116,14 @@ type jobDriver struct {
 	stopOnce sync.Once
 }
 
-func newJobDriver(reg *Registry, sh *shard, policy sched.Policy, seed uint64, interval time.Duration) *jobDriver {
+func newJobDriver(reg *Registry, policy sched.Policy, seed uint64, interval time.Duration) *jobDriver {
 	d := &jobDriver{
 		reg:      reg,
-		idx:      sh.idx,
 		interval: interval,
 		start:    time.Now(),
 		s: sched.New(sched.Config{
 			Policy: policy,
-			// Distinct deterministic choice streams per shard.
-			Seed: seed + uint64(sh.idx),
+			Seed:   seed,
 			// Live time runs on the wall clock; the defaults (30s backoff,
 			// 15s grace) are sized for simulated seconds, which the served
 			// instances also tick in real time by default.
@@ -186,28 +131,20 @@ func newJobDriver(reg *Registry, sh *shard, policy sched.Policy, seed uint64, in
 		tasks:    make(map[int]*taskRef),
 		ticknote: make(chan struct{}),
 	}
-	d.entry = sh.pool.newEntry(d)
-	sh.pool.schedule(d.entry, time.Now().Add(d.interval))
+	d.entry = reg.pool.newEntry(d)
+	reg.pool.schedule(d.entry, time.Now().Add(d.interval))
 	return d
 }
 
 // now is the scheduler clock: wall time since the driver started.
 func (d *jobDriver) now() time.Duration { return time.Since(d.start) }
 
-// gid converts the shard-local job id to the global wire id.
-func (d *jobDriver) gid(local int) int { return (local-1)*len(d.reg.shards) + d.idx + 1 }
-
-// splitJobID inverts gid: (shard, local) for a global wire id.
-func splitJobID(gid, nshards int) (idx, local int) {
-	return (gid - 1) % nshards, (gid-1)/nshards + 1
-}
-
 // stop cancels the dispatch entry and joins any in-flight tick: once
 // stopped is set under mu, the tick that may still hold mu has finished
 // and no further one can start (the cancelled entry never redispatches).
 func (d *jobDriver) stop() {
 	d.stopOnce.Do(func() {
-		d.entry.home.remove(d.entry)
+		d.reg.pool.remove(d.entry)
 		d.mu.Lock()
 		d.stopped = true
 		d.mu.Unlock()
@@ -260,7 +197,7 @@ func (d *jobDriver) safeTick() {
 // publish announces one decision about job j on inst's event stream.
 func (d *jobDriver) publish(inst *Instance, j sched.Job, action string, cpu float64, detail string) {
 	inst.publishScheduler(SchedulerUpdate{
-		Instance: inst.ID(), Job: d.gid(j.ID), Name: j.Spec.Name, Workload: j.Spec.Workload,
+		Instance: inst.ID(), Job: j.ID, Name: j.Spec.Name, Workload: j.Spec.Workload,
 		Action: action, Attempt: j.Attempts, CPUSec: cpu, Detail: detail,
 	})
 }
@@ -272,11 +209,11 @@ func (d *jobDriver) publish(inst *Instance, j sched.Job, action string, cpu floa
 // it so a leaf-crash or be-kill consumes the affected jobs' retries
 // instead of leaving them running against tasks the fault is about to
 // destroy; migration uses it so a departing instance's jobs requeue on
-// the origin scheduler (checkpoints prune fleet tasks — the jobs never
-// travel); the supervisor uses it before a crashed instance restarts,
-// since the tasks vanish with the discarded machine. A live instance's
-// tasks stop through its mailbox. A crashed or stopped one refuses the
-// mailbox, and its frozen task counters are read directly.
+// this server's scheduler (checkpoints prune fleet tasks — the jobs
+// never travel); the supervisor uses it before a crashed instance
+// restarts, since the tasks vanish with the discarded machine. A live
+// instance's tasks stop through its mailbox. A crashed or stopped one
+// refuses the mailbox, and its frozen task counters are read directly.
 func (d *jobDriver) killJobsOn(inst *Instance, wl, reason string) int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -312,7 +249,7 @@ func instIndex(id string) (int, bool) {
 	return n, err == nil && n > 0
 }
 
-// tick snapshots the shard's instances, advances the scheduler and
+// tick snapshots the live instances, advances the scheduler and
 // applies its actions. Probes and mutations run through instance
 // mailboxes; an instance that stops mid-tick simply drops out of the
 // snapshot and its jobs are evicted on the spot.
@@ -323,7 +260,7 @@ func (d *jobDriver) tick() {
 		return
 	}
 
-	insts := d.reg.list(d.idx)
+	insts := d.reg.List()
 	nodes := make([]sched.NodeState, 0, len(insts))
 	byID := make(map[int]*Instance, len(insts))
 	for _, in := range insts {
@@ -479,12 +416,10 @@ func (d *jobDriver) Status() SchedulerStatus {
 	}
 }
 
-// jobStatusLocked renders a job snapshot with its global wire id; d.mu
-// is held.
+// jobStatusLocked renders a job snapshot; d.mu is held.
 func (d *jobDriver) jobStatusLocked(j sched.Job) JobStatus {
 	st := JobStatus{
-		ID:       d.gid(j.ID),
-		Shard:    d.idx,
+		ID:       j.ID,
 		Name:     j.Spec.Name,
 		Workload: j.Spec.Workload,
 		State:    j.State.String(),
@@ -504,66 +439,14 @@ func (d *jobDriver) jobStatusLocked(j sched.Job) JobStatus {
 	return st
 }
 
-// --- Server-level fan-out over the per-shard drivers -------------------
-
-// SubmitJob enqueues a job on the next shard's scheduler round-robin —
-// deterministic in arrival order — and returns its global-id status.
-func (s *Server) SubmitJob(sub JobSubmission) JobStatus {
-	idx := int(s.jobRR.Add(1)-1) % len(s.reg.shards)
-	return s.reg.shards[idx].sched.Submit(sub)
-}
-
-// JobByID resolves a global job id across shards.
-func (s *Server) JobByID(gid int) (JobStatus, bool) {
-	if gid < 1 {
-		return JobStatus{}, false
-	}
-	idx, local := splitJobID(gid, len(s.reg.shards))
-	return s.reg.shards[idx].sched.Job(local)
-}
-
-// CancelJob cancels a global job id across shards.
-func (s *Server) CancelJob(gid int) (JobStatus, bool, bool) {
-	if gid < 1 {
-		return JobStatus{}, false, false
-	}
-	idx, local := splitJobID(gid, len(s.reg.shards))
-	return s.reg.shards[idx].sched.Cancel(local)
-}
-
-// Jobs lists every shard's jobs, merged in global-id order.
-func (s *Server) Jobs() []JobStatus {
-	var out []JobStatus
-	for _, sh := range s.reg.shards {
-		out = append(out, sh.sched.Jobs()...)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
-	return out
-}
-
-// SchedStatus aggregates the per-shard fleet schedulers; on a sharded
-// server the per-shard accounting rides along in Shards.
-func (s *Server) SchedStatus() SchedulerStatus {
-	parts := make([]SchedulerStatus, len(s.reg.shards))
-	for i, sh := range s.reg.shards {
-		parts[i] = sh.sched.Status()
-	}
-	if len(parts) == 1 {
-		return parts[0]
-	}
-	agg := MergeSchedulerStatuses(parts)
-	agg.Shards = parts
-	return agg
-}
-
 // --- Handlers ----------------------------------------------------------
 
 func (s *Server) handleSchedStatus(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.SchedStatus())
+	writeJSON(w, http.StatusOK, s.jobs.Status())
 }
 
 func (s *Server) handleJobsList(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"jobs": s.Jobs()})
+	writeJSON(w, http.StatusOK, map[string]any{"jobs": s.jobs.Jobs()})
 }
 
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
@@ -575,15 +458,17 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		apiError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if sub.WorkS <= 0 {
-		apiError(w, http.StatusBadRequest, "work_s %v must be positive", sub.WorkS)
+	// Checked before the conversion can overflow; a positive value under
+	// a nanosecond would truncate to no work at all.
+	if sub.WorkS > MaxJobWorkS || time.Duration(sub.WorkS*float64(time.Second)) <= 0 {
+		apiError(w, http.StatusBadRequest, "work_s %v must be at least a nanosecond and at most %g", sub.WorkS, MaxJobWorkS)
 		return
 	}
 	if sub.Demand < 0 || sub.Priority < 0 || (sub.Retries != nil && *sub.Retries < 0) {
 		apiError(w, http.StatusBadRequest, "demand, priority and retries must not be negative")
 		return
 	}
-	writeJSON(w, http.StatusCreated, s.SubmitJob(sub))
+	writeJSON(w, http.StatusCreated, s.jobs.Submit(sub))
 }
 
 // jobID parses {id} or writes a 404.
@@ -601,7 +486,7 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	st, found := s.JobByID(id)
+	st, found := s.jobs.Job(id)
 	if !found {
 		apiError(w, http.StatusNotFound, "no job %d", id)
 		return
@@ -614,7 +499,7 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	st, found, cancelled := s.CancelJob(id)
+	st, found, cancelled := s.jobs.Cancel(id)
 	switch {
 	case !found:
 		apiError(w, http.StatusNotFound, "no job %d", id)

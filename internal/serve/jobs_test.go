@@ -3,6 +3,8 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -20,7 +22,7 @@ func waitForJobState(t *testing.T, s *Server, client *http.Client, url string, w
 	defer deadline.Stop()
 	var st JobStatus
 	for {
-		_, ch := s.reg.shards[0].sched.tickWait()
+		_, ch := s.jobs.tickWait()
 		body := doReq(t, client, "GET", url, nil, 200)
 		if err := json.Unmarshal(body, &st); err != nil {
 			t.Fatalf("job status: %v; body %s", err, body)
@@ -218,8 +220,8 @@ func TestSchedulerSkipsDisabledInstances(t *testing.T) {
 
 	// Give the dispatch loop plenty of ticks, then require the job is
 	// still queued with zero attempts.
-	start, _ := s.reg.shards[0].sched.tickWait()
-	awaitTicks(t, s.reg.shards[0].sched, "20 dispatch ticks", func(n int64) bool { return n >= start+20 })
+	start, _ := s.jobs.tickWait()
+	awaitTicks(t, s.jobs, "20 dispatch ticks", func(n int64) bool { return n >= start+20 })
 	body := doReq(t, client, "GET", ts.URL+"/api/v1/jobs/1", nil, 200)
 	var job JobStatus
 	if err := json.Unmarshal(body, &job); err != nil {
@@ -227,5 +229,43 @@ func TestSchedulerSkipsDisabledInstances(t *testing.T) {
 	}
 	if job.State != "pending" || job.Attempts != 0 {
 		t.Fatalf("job dispatched onto a BE-disabled machine: %+v", job)
+	}
+}
+
+// TestShardedServerRunsEveryJob: on a two-shard server with one instance,
+// every job runs there, whichever shard hosts it — there is one job
+// scheduler and it dispatches over every live instance.
+func TestShardedServerRunsEveryJob(t *testing.T) {
+	s := New(Config{Lab: testLab, Shards: 2, schedInterval: 10 * time.Millisecond})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	client := ts.Client()
+
+	doReq(t, client, "POST", ts.URL+"/api/v1/instances",
+		jsonBody(t, InstanceSpec{LC: "websearch", Load: 0.3, Speed: 500}), 201)
+	for k := 1; k <= 2; k++ {
+		doReq(t, client, "POST", ts.URL+"/api/v1/jobs",
+			jsonBody(t, JobSubmission{Workload: "brain", WorkS: 20}), 201)
+	}
+	for k := 1; k <= 2; k++ {
+		waitForJobState(t, s, client, fmt.Sprintf("%s/api/v1/jobs/%d", ts.URL, k),
+			fmt.Sprintf("job %d completed", k), func(j JobStatus) bool { return j.State == "completed" })
+	}
+}
+
+// TestJobWorkIsBounded: work_s is accepted up to MaxJobWorkS and refused
+// above it with a 400 — 1e10 s overflows the scheduler's Duration and
+// used to panic the handler — and so is a work_s under a nanosecond,
+// which truncates to no work at all.
+func TestJobWorkIsBounded(t *testing.T) {
+	s := testServer(t)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	client := ts.Client()
+
+	doReq(t, client, "POST", ts.URL+"/api/v1/jobs", jsonBody(t, JobSubmission{Workload: "brain", WorkS: MaxJobWorkS}), 201)
+	for _, work := range []float64{math.Nextafter(MaxJobWorkS, math.Inf(1)), 1e10, 1e-10} {
+		doReq(t, client, "POST", ts.URL+"/api/v1/jobs", jsonBody(t, JobSubmission{Workload: "brain", WorkS: work}), 400)
 	}
 }

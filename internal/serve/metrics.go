@@ -42,11 +42,11 @@ func boolFloat(v bool) float64 {
 
 // metricsBytes bounds a scrape of the pool, so a buffer of that size
 // never regrows: 18 KB of headers, aggregates, scheduler blocks and
-// histograms, ~160 bytes per shard, and per instance 28 series plus one
+// histograms, ~40 bytes per shard, and per instance 28 series plus one
 // per controller action — ~1350 bytes before the instance ids and ~90 per
 // action, with about 10% headroom for long float values.
 func metricsBytes(sts []Status, shards int) int {
-	n := 18<<10 + 192*shards
+	n := 18<<10 + 64*shards
 	for i := range sts {
 		actions := len(sts[i].Actions)
 		n += 1500 + (28+actions)*len(sts[i].ID) + 96*actions
@@ -229,7 +229,7 @@ func writeSchedMetrics(e *expo.Writer, st SchedulerStatus) {
 		"Dispatch-loop ticks that panicked and were recovered.", int64(st.TickPanics))
 }
 
-// writeEpochSchedMetrics renders the epoch scheduler pools' exposition
+// writeEpochSchedMetrics renders the epoch scheduler's exposition
 // block: pool size, heap depth, dispatch and epoch counters, and the
 // overload lag signal.
 func writeEpochSchedMetrics(e *expo.Writer, st EpochSchedStatus) {
@@ -245,39 +245,22 @@ func writeEpochSchedMetrics(e *expo.Writer, st EpochSchedStatus) {
 		"How far the earliest due entry trails the wall clock (pool overload signal).", st.LagSeconds)
 }
 
-// shardFamily writes one family with a series per shard.
-func shardFamily(e *expo.Writer, name, typ, help string, sts []ShardStatus, value func(*ShardStatus) int64) {
-	e.Family(name, typ, help)
-	for i := range sts {
-		e.Int(name, value(&sts[i]), "shard", strconv.Itoa(sts[i].Shard))
-	}
-}
-
 // writeShardMetrics renders the sharding exposition block: shard count,
-// per-shard occupancy and queue depth, the work-stealing counters, and
-// the migration total.
+// per-shard occupancy and the migration total.
 func writeShardMetrics(e *expo.Writer, sts []ShardStatus, migrations int64) {
 	e.ScalarInt("heracles_shards", "gauge",
 		"Shards in this server's control plane.", int64(len(sts)))
-	shardFamily(e, "heracles_shard_instances", "gauge",
-		"Live instances homed on the shard.", sts,
-		func(st *ShardStatus) int64 { return int64(st.Instances) })
-	shardFamily(e, "heracles_shard_queue_depth", "gauge",
-		"Entries queued in the shard's epoch heap.", sts,
-		func(st *ShardStatus) int64 { return int64(st.EpochSched.QueueDepth) })
-	shardFamily(e, "heracles_shard_sheds_total", "counter",
-		"Slices this shard's dispatcher handed to an idle peer worker.", sts,
-		func(st *ShardStatus) int64 { return st.EpochSched.Shed })
-	shardFamily(e, "heracles_shard_stolen_total", "counter",
-		"Slices this shard's workers ran on behalf of other shards.", sts,
-		func(st *ShardStatus) int64 { return st.EpochSched.Stolen })
+	e.Family("heracles_shard_instances", "gauge", "Live instances homed on the shard.")
+	for _, st := range sts {
+		e.Int("heracles_shard_instances", int64(st.Instances), "shard", strconv.Itoa(st.Shard))
+	}
 	e.ScalarInt("heracles_migrations_total", "counter",
 		"Instances migrated off this server's shards (cross-shard or to a peer).", migrations)
 }
 
 // Process-wide histograms over the control plane's hot paths. They are
-// package-level because they aggregate across every instance, shard and
-// scheduler in the process — the per-instance breakdown lives in the
+// package-level because they aggregate across every instance and server
+// in the process — the per-instance breakdown lives in the
 // /trace span ring instead.
 var (
 	epochSliceHist expo.Histogram // one epoch-scheduler slice (runSlice)

@@ -115,14 +115,14 @@ func goldenSched() SchedulerStatus {
 func goldenEpochSched() EpochSchedStatus {
 	return EpochSchedStatus{
 		Drivers: 8, QueueDepth: 1000, Slices: 1 << 40, Epochs: 9007199254740993,
-		Shed: 12, Stolen: 13, LagSeconds: 0.0125,
+		LagSeconds: 0.0125,
 	}
 }
 
 func goldenShards() []ShardStatus {
 	return []ShardStatus{
-		{Shard: 0, Instances: 501, EpochSched: EpochSchedStatus{QueueDepth: 499, Shed: 17, Stolen: 1 << 33}},
-		{Shard: 1, Instances: 0, EpochSched: EpochSchedStatus{QueueDepth: 2, Shed: 0, Stolen: 5}},
+		{Shard: 0, Instances: 501},
+		{Shard: 1, Instances: 0},
 	}
 }
 
@@ -223,8 +223,8 @@ func TestMetricsHandlerMatchesReference(t *testing.T) {
 	var old bytes.Buffer
 	WriteMetrics(&old, s.reg.Statuses())
 	for _, block := range []func(*expo.Writer){
-		func(e *expo.Writer) { writeSchedMetrics(e, s.SchedStatus()) },
-		func(e *expo.Writer) { writeEpochSchedMetrics(e, s.reg.SchedStatus()) },
+		func(e *expo.Writer) { writeSchedMetrics(e, s.jobs.Status()) },
+		func(e *expo.Writer) { writeEpochSchedMetrics(e, s.reg.pool.status()) },
 		func(e *expo.Writer) { writeShardMetrics(e, s.reg.ShardStatuses(), s.reg.Migrations()) },
 		writeProcessMetrics,
 	} {
@@ -279,7 +279,7 @@ func TestScrapeAllocatesLessThanTwiceItsBody(t *testing.T) {
 	finishedPool(t, s, pool)
 
 	sts := s.reg.Statuses()
-	rendered := renderMetrics(sts, s.SchedStatus(), s.reg.SchedStatus(), s.reg.ShardStatuses(), s.reg.Migrations()).Bytes()
+	rendered := renderMetrics(sts, s.jobs.Status(), s.reg.pool.status(), s.reg.ShardStatuses(), s.reg.Migrations()).Bytes()
 	if presized := metricsBytes(sts, s.reg.ShardCount()); cap(rendered) != presized {
 		t.Errorf("writer presized to %d bytes ends at capacity %d after a %d-byte body: it regrew",
 			presized, cap(rendered), len(rendered))

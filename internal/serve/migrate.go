@@ -13,8 +13,8 @@ import (
 
 // Migration (DESIGN.md §14): checkpoint/restore is the migration
 // primitive. POST /api/v1/instances/{id}/migrate detaches the instance
-// from the registry, evicts its fleet jobs back onto the origin
-// scheduler, snapshots it between epochs, and restores the snapshot
+// from the registry, evicts its fleet jobs back into this server's job
+// queue, snapshots it between epochs, and restores the snapshot
 // into a fresh instance — on another shard of this server, or on a peer
 // daemon over its create API. The engine is deterministic and
 // wall-clock-free, so the restored instance's telemetry is bit-identical
@@ -59,7 +59,7 @@ func (e *peerError) Unwrap() error { return e.err }
 var migrateClient = &http.Client{Timeout: 120 * time.Second}
 
 // migrate is the one migration path. It removes id from the registry,
-// evicts its fleet jobs back onto the origin shard's scheduler
+// evicts its fleet jobs back into this server's job queue
 // (checkpoints prune fleet-owned tasks, so keeping the jobs running would
 // double-run them), checkpoints the instance between epochs and hands the
 // checkpoint to ship, which restores it elsewhere and reports where. On
@@ -71,7 +71,7 @@ func (s *Server) migrate(id string, ship func(*Instance, *InstanceCheckpoint) (*
 	if !ok {
 		return nil, errMigrateGone
 	}
-	s.reg.shards[from].sched.killJobsOn(inst, "", "instance migrating")
+	s.jobs.killJobsOn(inst, "", "instance migrating")
 	cp, err := inst.Checkpoint()
 	var res *MigrateResult
 	if err == nil {
@@ -95,7 +95,7 @@ func (s *Server) migrate(id string, ship func(*Instance, *InstanceCheckpoint) (*
 }
 
 // MigrateToShard moves the instance onto another shard of this server,
-// restoring it into a fresh instance on the target shard's pool.
+// restoring it into a fresh instance placed on the target shard.
 // In-process migration carries the instance's epoch hook and trace
 // along, so an embedded daemon's mirroring survives the move. It sets no
 // schedule of its own: the checkpoint carries the origin's place in the

@@ -96,10 +96,7 @@ func TestMigrateCrossShardBitIdentical(t *testing.T) {
 		awaitInstance(t, cur, "mid-run epoch reached", func() bool {
 			return cur.Status().Epoch >= minEpoch
 		})
-		from, ok := s.Registry().HomeShard(cur.ID())
-		if !ok {
-			t.Fatalf("hop %d: instance %s has no home shard", hop, cur.ID())
-		}
+		from := cur.Status().Shard
 		target := (from + 1) % s.Registry().ShardCount()
 		res, err := s.MigrateToShard(cur.ID(), target)
 		if err != nil {
@@ -115,7 +112,10 @@ func TestMigrateCrossShardBitIdentical(t *testing.T) {
 		if got := next.Status().Shard; got != target {
 			t.Fatalf("hop %d: restored instance reports shard %d, want %d", hop, got, target)
 		}
-		if home, _ := s.Registry().HomeShard(res.To); home != target {
+		s.reg.mu.Lock()
+		home := s.reg.homes[res.To]
+		s.reg.mu.Unlock()
+		if home != target {
 			t.Fatalf("hop %d: registry homes restored instance on %d, want %d", hop, home, target)
 		}
 		if _, ok := s.Registry().Get(res.From); ok {

@@ -18,20 +18,16 @@ import (
 // which is what makes placement reproducible across restarts and tests.
 const shardSeed = 0x48657261636c6573 // "Heracles"
 
-// shard is one isolated domain of the control plane: its own epoch
-// scheduler pool (heap + workers), its own lifecycle SSE hub and its own
-// fleet job driver. Instances are pinned to a shard by the registry's
-// consistent-hash table at creation, and the registry's index records
-// which shard hosts each; migration is the only way an instance's state
-// moves between shards (as a new instance restored from a checkpoint).
-// Shard pools are wired as peers, so a hot shard's due slices execute on
-// an idle sibling's workers.
+// shard is a placement: the registry's consistent-hash table pins each
+// instance to one at creation, and the registry's index records which
+// shard hosts each (migration can make it differ from the hash). A shard
+// is a migration target and carries its own lifecycle SSE hub; the epoch
+// scheduler and the job driver are the registry's and the server's, one
+// each, whatever the shard count.
 type shard struct {
-	idx   int
-	pool  *epochScheduler
-	hub   *Hub
-	sched *jobDriver    // attached by New
-	seq   atomic.Uint64 // lifecycle event ids on the shard hub
+	idx int
+	hub *Hub
+	seq atomic.Uint64 // lifecycle event ids on the shard hub
 }
 
 // ShardEvent is one shard-lifecycle message published on the shard's
@@ -56,23 +52,20 @@ func (sh *shard) publish(event, instID, detail string) {
 	sh.hub.Publish(Message{Event: event, ID: sh.seq.Add(1), Data: data})
 }
 
-// ShardStatus is one shard's health snapshot, reported by
-// GET /api/v1/shards and the heracles_shard_* metric families.
+// ShardStatus is one shard's occupancy, reported by GET /api/v1/shards
+// and the heracles_shard_instances metric family.
 type ShardStatus struct {
-	Shard      int              `json:"shard"`
-	Instances  int              `json:"instances"`
-	EpochSched EpochSchedStatus `json:"epoch_scheduler"`
-	// Sched is the shard's fleet job scheduler accounting.
-	Sched *SchedulerStatus `json:"sched,omitempty"`
+	Shard     int `json:"shard"`
+	Instances int `json:"instances"`
 }
 
 // Registry is the instance pool: it assigns ids, and its one index —
 // live instances in creation order, each with the shard hosting it — is
-// what every lookup, listing and shard's dispatch set reads. It owns the
-// per-shard domains (epoch pool, lifecycle hub, job driver) behind a
-// consistent-hash instance→shard table. Snapshot and shutdown work fans
-// out over the shared parallel worker primitive so a control plane with
-// many instances snapshots and stops them concurrently.
+// what every lookup and listing reads. It owns the one epoch scheduler
+// that drives every instance, and the shards behind a consistent-hash
+// instance→shard table. Snapshot and shutdown work fans out over the
+// shared parallel worker primitive so a control plane with many
+// instances snapshots and stops them concurrently.
 type Registry struct {
 	mu      sync.Mutex
 	seq     int
@@ -81,16 +74,16 @@ type Registry struct {
 	order   []string
 	homes   map[string]int // id → shard actually hosting it (migrations override the hash)
 
+	pool   *epochScheduler
 	shards []*shard
 	table  *chash.Table
 
 	migrations atomic.Int64 // completed migrations out of or across this registry
 }
 
-// NewRegistry returns an empty registry with one running epoch-scheduler
-// pool per shard. drivers is the total epoch worker budget (0 selects
-// GOMAXPROCS), divided across shards with a floor of one driver each;
-// nshards <= 0 selects a single shard.
+// NewRegistry returns an empty registry with its epoch scheduler
+// running. drivers is the scheduler's worker count (0 selects
+// GOMAXPROCS); nshards <= 0 selects a single shard.
 func NewRegistry(drivers, nshards int) *Registry {
 	if nshards <= 0 {
 		nshards = 1
@@ -98,101 +91,31 @@ func NewRegistry(drivers, nshards int) *Registry {
 	r := &Registry{
 		insts: make(map[string]*Instance),
 		homes: make(map[string]int),
+		pool:  newEpochScheduler(drivers),
 	}
 	members := make([]string, nshards)
 	for i := 0; i < nshards; i++ {
 		members[i] = fmt.Sprintf("s%d", i)
+		r.shards = append(r.shards, &shard{idx: i, hub: NewHub()})
 	}
 	r.table = chash.New(shardSeed, members...)
-	for i := 0; i < nshards; i++ {
-		r.shards = append(r.shards, &shard{
-			idx:  i,
-			pool: newEpochScheduler(shardDrivers(drivers, i, nshards)),
-			hub:  NewHub(),
-		})
-	}
-	// Wire every pool's peers for work-stealing. The slices are built
-	// before any instance exists, so the peer lists are immutable by the
-	// time a dispatcher can read them.
-	for i, sh := range r.shards {
-		for j, other := range r.shards {
-			if i != j {
-				sh.pool.peers = append(sh.pool.peers, other.pool)
-			}
-		}
-	}
 	return r
-}
-
-// shardDrivers splits the total driver budget across shards: every
-// shard gets at least one worker, and the remainder lands on the lowest
-// shard indices.
-func shardDrivers(total, idx, nshards int) int {
-	if total <= 0 {
-		total = 0 // newEpochScheduler resolves 0 to GOMAXPROCS per shard
-	}
-	if total == 0 {
-		if nshards == 1 {
-			return 0
-		}
-		// A multi-shard registry must not multiply the default budget by
-		// the shard count: split GOMAXPROCS like an explicit total.
-		total = defaultDrivers()
-	}
-	per := total / nshards
-	if idx < total%nshards {
-		per++
-	}
-	if per < 1 {
-		per = 1
-	}
-	return per
 }
 
 // ShardCount returns the number of shards.
 func (r *Registry) ShardCount() int { return len(r.shards) }
 
-// HomeShard returns the shard currently hosting id.
-func (r *Registry) HomeShard(id string) (int, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	idx, ok := r.homes[id]
-	return idx, ok
-}
-
-// PlaceShard returns the consistent-hash home for an id — where a fresh
-// instance with that id lands. Migrated instances may live elsewhere;
-// HomeShard reports actual placement.
-func (r *Registry) PlaceShard(id string) int { return r.table.PlaceIndex(id) }
-
-// SchedStatus aggregates the per-shard epoch schedulers: counters sum,
-// lag reports the worst shard.
-func (r *Registry) SchedStatus() EpochSchedStatus {
-	var st EpochSchedStatus
-	for i, sh := range r.shards {
-		if i == 0 {
-			st = sh.pool.status()
-		} else {
-			st = st.merge(sh.pool.status())
-		}
-	}
-	return st
-}
-
-// ShardStatuses snapshots every shard: occupancy, epoch pool and fleet
-// job scheduler.
+// ShardStatuses snapshots every shard's occupancy.
 func (r *Registry) ShardStatuses() []ShardStatus {
-	counts := make([]int, len(r.shards))
+	out := make([]ShardStatus, len(r.shards))
+	for i := range out {
+		out[i].Shard = i
+	}
 	r.mu.Lock()
 	for _, idx := range r.homes {
-		counts[idx]++
+		out[idx].Instances++
 	}
 	r.mu.Unlock()
-	out := make([]ShardStatus, len(r.shards))
-	for i, sh := range r.shards {
-		sched := sh.sched.Status()
-		out[i] = ShardStatus{Shard: i, Instances: counts[i], EpochSched: sh.pool.status(), Sched: &sched}
-	}
 	return out
 }
 
@@ -296,20 +219,13 @@ func (r *Registry) Len() int {
 	return len(r.insts)
 }
 
-// List returns the live instances in creation order.
-func (r *Registry) List() []*Instance { return r.list(-1) }
-
-// list snapshots the live instances in creation order: all of them, or
-// with idx >= 0 only those shard idx hosts — the set its job driver
-// dispatches over.
-func (r *Registry) list(idx int) []*Instance {
+// List snapshots the live instances in creation order.
+func (r *Registry) List() []*Instance {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]*Instance, 0, len(r.order))
-	for _, id := range r.order {
-		if idx < 0 || r.homes[id] == idx {
-			out = append(out, r.insts[id])
-		}
+	out := make([]*Instance, len(r.order))
+	for i, id := range r.order {
+		out[i] = r.insts[id]
 	}
 	return out
 }
@@ -325,10 +241,8 @@ func (r *Registry) Statuses() []Status {
 }
 
 // Close stops every instance concurrently, empties the registry and
-// shuts the per-shard epoch-scheduler pools down. The pools stop last:
-// Stop needs live workers to finish any in-flight slices it must wait
-// out — and they stop together, because a stopping shard's entries may
-// be executing on a peer's workers.
+// shuts the epoch scheduler down. The scheduler stops last: Stop needs
+// live workers to finish any in-flight slices it must wait out.
 func (r *Registry) Close() {
 	r.mu.Lock()
 	insts := slices.Collect(maps.Values(r.insts))
@@ -339,9 +253,7 @@ func (r *Registry) Close() {
 	parallel.ForEach(0, len(insts), func(i int) {
 		insts[i].Stop()
 	})
-	for _, sh := range r.shards {
-		sh.pool.stop()
-	}
+	r.pool.stop()
 	for _, sh := range r.shards {
 		sh.hub.Close()
 	}

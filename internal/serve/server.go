@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"heracles/internal/experiment"
@@ -30,16 +29,15 @@ type Config struct {
 	// MaxInstances caps the pool (0 selects 64); creates beyond the cap
 	// fail with 503.
 	MaxInstances int
-	// Drivers is the total epoch-scheduler worker budget — the number of
+	// Drivers is the epoch scheduler's worker pool size — the number of
 	// goroutines stepping instance epochs concurrently (the daemon's
-	// -drivers knob), divided across shards with a floor of one worker
-	// each. 0 selects GOMAXPROCS.
+	// -drivers knob). 0 selects GOMAXPROCS.
 	Drivers int
-	// Shards splits the control plane into that many isolated domains —
-	// each with its own epoch-scheduler heap and worker pool, lifecycle
-	// SSE hub and fleet job scheduler — behind a consistent-hash
-	// instance→shard map, with work-stealing between the shard pools
-	// (the daemon's -shards knob). 0 selects 1 (unsharded).
+	// Shards places instances on that many shards behind a
+	// consistent-hash instance→shard map (the daemon's -shards knob): a
+	// shard is a migration target with its own lifecycle SSE hub. Every
+	// shard shares the one epoch scheduler and the one job scheduler.
+	// 0 selects 1 (unsharded).
 	Shards int
 
 	// SchedPolicy names the fleet scheduler's placement policy
@@ -57,13 +55,14 @@ type Config struct {
 	stableEpochs     int           // supervisorConfig.stable
 }
 
-// Server owns the instance pool and the HTTP API over it.
+// Server owns the instance pool, the one fleet job driver dispatching
+// over it, and the HTTP API over both.
 type Server struct {
-	cfg   Config
-	lab   *experiment.Lab
-	reg   *Registry
-	mux   *http.ServeMux
-	jobRR atomic.Uint64 // round-robin cursor for job submission
+	cfg  Config
+	lab  *experiment.Lab
+	reg  *Registry
+	jobs *jobDriver
+	mux  *http.ServeMux
 
 	compactOnce sync.Once
 	compactLab  *experiment.Lab
@@ -94,10 +93,12 @@ func New(cfg Config) *Server {
 	if err != nil {
 		panic("serve: " + err.Error())
 	}
+	reg := NewRegistry(cfg.Drivers, cfg.Shards)
 	s := &Server{
-		cfg: cfg,
-		lab: cfg.Lab,
-		reg: NewRegistry(cfg.Drivers, cfg.Shards),
+		cfg:  cfg,
+		lab:  cfg.Lab,
+		reg:  reg,
+		jobs: newJobDriver(reg, policy, cfg.schedSeed, cfg.schedInterval),
 	}
 	s.mux = http.NewServeMux()
 	for _, rt := range routeTable {
@@ -105,9 +106,6 @@ func New(cfg Config) *Server {
 		s.mux.HandleFunc(rt.Method+" "+rt.Pattern, func(w http.ResponseWriter, r *http.Request) {
 			rt.handler(s, w, r)
 		})
-	}
-	for _, sh := range s.reg.shards {
-		sh.sched = newJobDriver(s.reg, sh, policy, cfg.schedSeed, cfg.schedInterval)
 	}
 	return s
 }
@@ -152,10 +150,6 @@ func (s *Server) createInstance(spec InstanceSpec, shardIdx int, detail string) 
 	if !ok {
 		return nil, errTooMany
 	}
-	if shardIdx < 0 {
-		shardIdx = s.reg.PlaceShard(id)
-	}
-	sh := s.reg.shards[shardIdx]
 	sup := supervisorConfig{
 		backoff:   s.cfg.restartBackoff,
 		maxConsec: s.cfg.maxCrashRestarts,
@@ -163,16 +157,15 @@ func (s *Server) createInstance(spec InstanceSpec, shardIdx int, detail string) 
 		stable:    s.cfg.stableEpochs,
 		// A crash kills the fleet scheduler's tasks with the machine:
 		// evict their jobs (requeuing against the retry budget) before
-		// the instance restarts from its checkpoint. The shard — and so
-		// its driver — is fixed for the instance's lifetime.
-		onCrash: func(in *Instance) { sh.sched.killJobsOn(in, "", "instance crashed") },
+		// the instance restarts from its checkpoint.
+		onCrash: func(in *Instance) { s.jobs.killJobsOn(in, "", "instance crashed") },
 	}
-	inst, err := newInstance(id, spec, s.labFor(compact), speed, sup, sh.pool)
+	inst, err := newInstance(id, spec, s.labFor(compact), speed, sup, s.reg.pool)
 	if err != nil {
 		s.reg.Unreserve()
 		return nil, err
 	}
-	if detail == "" {
+	if shardIdx < 0 {
 		s.reg.Put(inst)
 	} else {
 		s.reg.PutShard(inst, shardIdx, detail)
@@ -180,14 +173,12 @@ func (s *Server) createInstance(spec InstanceSpec, shardIdx int, detail string) 
 	return inst, nil
 }
 
-// Close stops every shard's dispatch loop, then every instance. The
-// order matters: the drivers hold task references into live instances,
-// so they must quiesce before the pool tears down. Safe to call more
-// than once.
+// Close stops the job dispatch loop, then every instance. The order
+// matters: the job driver holds task references into live instances, so
+// it must quiesce before the pool tears down. Safe to call more than
+// once.
 func (s *Server) Close() {
-	for _, sh := range s.reg.shards {
-		sh.sched.stop()
-	}
+	s.jobs.stop()
 	s.reg.Close()
 }
 
@@ -274,7 +265,7 @@ var routeTable = []Route{
 	{"GET", "/api/v1/instances/{id}/slo", "error-budget status: objective, budget spent, burn rates per window, firing alerts", (*Server).handleSLO},
 	{"GET", "/api/v1/instances/{id}/trace", "recent epoch span timings from the instance's trace ring", (*Server).handleTrace},
 	{"GET", "/api/v1/instances/{id}/stream", "SSE stream of epoch telemetry, controller and scheduler events", (*Server).handleStream},
-	{"GET", "/api/v1/shards", "per-shard instance counts, epoch-scheduler and fleet-scheduler accounting", (*Server).handleShards},
+	{"GET", "/api/v1/shards", "per-shard instance counts and the migration total", (*Server).handleShards},
 	{"GET", "/api/v1/shards/{shard}/stream", "SSE stream of one shard's lifecycle events: creations, deletions, migrations", (*Server).handleShardStream},
 	{"GET", "/api/v1/scheduler", "fleet scheduler status and goodput accounting", (*Server).handleSchedStatus},
 	{"GET", "/api/v1/jobs", "list best-effort jobs", (*Server).handleJobsList},
@@ -375,12 +366,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		"instances":       s.reg.Len(),
 		"shards":          s.reg.ShardCount(),
 		"migrations":      s.reg.Migrations(),
-		"epoch_scheduler": s.reg.SchedStatus(),
+		"epoch_scheduler": s.reg.pool.status(),
 	})
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	renderMetrics(s.reg.Statuses(), s.SchedStatus(), s.reg.SchedStatus(),
+	renderMetrics(s.reg.Statuses(), s.jobs.Status(), s.reg.pool.status(),
 		s.reg.ShardStatuses(), s.reg.Migrations()).Respond(w)
 }
 
@@ -622,13 +613,11 @@ func (s *Server) handleFaultInject(w http.ResponseWriter, r *http.Request) {
 	// bookkeeping first, so the affected jobs evict (charging their retry
 	// budget) instead of lingering as running against dead tasks.
 	killed := 0
-	if idx, ok := s.reg.HomeShard(inst.ID()); ok {
-		switch req.Kind {
-		case fault.LeafCrash.String():
-			killed = s.reg.shards[idx].sched.killJobsOn(inst, "", "killed by injected fault")
-		case fault.BEKill.String():
-			killed = s.reg.shards[idx].sched.killJobsOn(inst, req.Workload, "killed by injected fault")
-		}
+	switch req.Kind {
+	case fault.LeafCrash.String():
+		killed = s.jobs.killJobsOn(inst, "", "killed by injected fault")
+	case fault.BEKill.String():
+		killed = s.jobs.killJobsOn(inst, req.Workload, "killed by injected fault")
 	}
 	if !doErr(w, inst.InjectFault(req)) {
 		return
