@@ -358,12 +358,29 @@ var micros = []micro{
 		eng, _ := benchEngine(tb, 650)
 		return each(func(int) { eng.Step() })
 	}},
+	{"EngineStep/baseline", func(tb testing.TB) func(int) {
+		// The baseline arm of a cluster run: eight LC-only leaves without
+		// controllers, on one load that moves every epoch, with a root.
+		// The leaves share their stage records, so one solve per stage
+		// answers all eight.
+		l := lab()
+		eng := engine.New(engine.Config{Nodes: 8, HW: l.Cfg, LC: l.LC("websearch"), RootSamples: 1})
+		eng.InstallScenario(scenario.Scenario{Name: "bench", Duration: 1000 * time.Hour,
+			Load: scenario.Ramp{From: 0.3, To: 0.7, End: 1000 * time.Hour}})
+		run := each(func(int) { eng.Step() })
+		run(650) // past the poll rings' last growth
+		return run
+	}},
 	// One epoch of the root's fan-out latency over 8 leaves, by
 	// quadrature: websearch machines spread over 30-65% load (the Heracles
 	// arm of a cluster run), or eight copies of one (the baseline arm,
-	// evaluated once). 0 allocs/op on the sampler's own scratch.
-	{"RootMean", rootMean(false)},
-	{"RootMean/identical", rootMean(true)},
+	// evaluated once). Each call alternates between two such leaf sets, a
+	// few points of load apart, so the sampler's memo of its last input
+	// never answers; repeat hands it the same set every call, which the
+	// memo does. 0 allocs/op on the sampler's own scratch.
+	{"RootMean", rootMean("")},
+	{"RootMean/identical", rootMean("identical")},
+	{"RootMean/repeat", rootMean("repeat")},
 	{"SnapshotRestore/json", func(tb testing.TB) func(int) {
 		// Checkpoint round trip of a warmed 8-node engine with full poll
 		// rings through the JSON wire format: Snapshot, Encode, Decode,
@@ -523,23 +540,30 @@ func benchMachine(beCores int) *machine.Machine {
 	return m
 }
 
-func rootMean(identical bool) func(testing.TB) func(int) {
+func rootMean(kind string) func(testing.TB) func(int) {
 	return func(testing.TB) func(int) {
 		l := lab()
-		stats := make([]lat.EpochStats, 8)
-		for i := range stats {
-			m := machine.New(l.Cfg)
-			m.SetLC(l.LC("websearch"))
-			m.SetLoad(0.3 + 0.05*float64(i))
-			for range 8 {
-				stats[i] = m.Step().Lat
+		var sets [2][]lat.EpochStats
+		for k := range sets {
+			stats := make([]lat.EpochStats, 8)
+			for i := range stats {
+				m := machine.New(l.Cfg)
+				m.SetLC(l.LC("websearch"))
+				m.SetLoad(0.3 + 0.05*float64(i) + 0.02*float64(k))
+				for range 8 {
+					stats[i] = m.Step().Lat
+				}
 			}
+			if kind == "identical" {
+				stats = slices.Repeat(stats[4:5], 8)
+			}
+			sets[k] = stats
 		}
-		if identical {
-			stats = slices.Repeat(stats[4:5], 8)
+		if kind == "repeat" {
+			sets[1] = sets[0]
 		}
 		var root engine.RootSampler
-		return each(func(int) { root.Mean(stats) })
+		return each(func(i int) { root.Mean(sets[i%2]) })
 	}
 }
 
@@ -551,8 +575,7 @@ func colocateSweep(workers int) func(testing.TB) func(int) {
 }
 
 // benchEngineConfig is the 8-node Heracles fleet the engine entries run
-// on: brain/streetview split, a root, sequential stepping (the per-epoch
-// cost, not the fan-out, is what the entries track).
+// on: brain/streetview split and a root.
 func benchEngineConfig() engine.Config {
 	l := lab()
 	brain := l.BE("brain")
@@ -567,7 +590,6 @@ func benchEngineConfig() engine.Config {
 		SLOScale:    0.8,
 		RootSamples: 1, // the on-switch; nothing is sampled
 		Seed:        1,
-		Workers:     1,
 		InitialBEs: func(i int) []engine.BEAttach {
 			if i%2 == 0 {
 				return []engine.BEAttach{{WL: brain, Placement: workload.PlaceDedicated}}

@@ -20,7 +20,7 @@
 //
 // Usage:
 //
-//	cluster [-leaves 20] [-hours 12] [-step 1s] [-seed 42] [-workers 0]
+//	cluster [-leaves 20] [-hours 12] [-step 1s] [-seed 42]
 //	        [-checkpoint run.hrcb -checkpoint-at 6h] [-resume run.hrcb]
 //	        [-crashes N] [-blackouts N] [-slowdowns N] [-actfails N]
 //	        [-bekills N] [-fault-seed 7]
@@ -45,7 +45,6 @@ func main() {
 	hours := flag.Float64("hours", 12, "trace duration in hours")
 	step := flag.Duration("step", time.Second, "trace step")
 	seed := flag.Uint64("seed", 42, "random seed (drives the trace's noise and spikes)")
-	workers := flag.Int("workers", 0, "concurrent leaves per epoch (0 = GOMAXPROCS, 1 = sequential)")
 	ckptPath := flag.String("checkpoint", "", "write a simulation checkpoint of the Heracles run to this file")
 	ckptAt := flag.Duration("checkpoint-at", 6*time.Hour, "simulated time at which -checkpoint snapshots")
 	resume := flag.String("resume", "", "resume the Heracles run from this checkpoint file (skips the baseline arm)")
@@ -97,7 +96,6 @@ func main() {
 			SView:    lab.BE("streetview"),
 			Seed:     *seed,
 			Model:    lab.DRAMModel("websearch"),
-			Workers:  *workers,
 			Faults:   faults,
 		}
 	}

@@ -58,11 +58,9 @@ type Config struct {
 	// AdjustPeriod is the root controller's adjustment cadence
 	// (default 30 s).
 	AdjustPeriod time.Duration
-	// Workers bounds how many leaves step concurrently within an epoch:
-	// 0 selects parallel.DefaultWorkers, 1 forces the sequential
-	// reference run. Leaves are independent machines and the root's
-	// fan-out latency is a function of their statistics alone, so every
-	// worker count produces identical results.
+	// Workers is ignored — leaves step one at a time, sharing their stage
+	// records (engine.Config.Workers) — and stays only because the frozen
+	// cmd/heraclesbench sets it (ROADMAP item 10).
 	Workers int
 
 	// Sched, when non-nil, attaches a fleet-wide best-effort job
@@ -175,7 +173,6 @@ func (cfg Config) engineConfig() engine.Config {
 		Seed:           cfg.Seed,
 		DynamicTargets: cfg.Heracles && cfg.DynamicLeafTargets,
 		AdjustPeriod:   cfg.AdjustPeriod,
-		Workers:        cfg.Workers,
 		Faults:         cfg.Faults,
 		SLO:            cfg.Budget,
 	}
@@ -225,7 +222,6 @@ func (cfg Config) withDefaults() Config {
 func RunScenario(cfg Config, sc scenario.Scenario) Result {
 	cfg = cfg.withDefaults()
 	eng := engine.New(cfg.engineConfig())
-	defer eng.Close()
 	eng.InstallScenario(sc)
 	return drive(cfg, eng, sc.Duration)
 }
@@ -241,7 +237,6 @@ func RunScenarioFrom(cfg Config, sc scenario.Scenario, cp *engine.Checkpoint) (R
 	if err != nil {
 		return Result{}, err
 	}
-	defer eng.Close()
 	return drive(cfg, eng, sc.Duration), nil
 }
 

@@ -9,31 +9,25 @@ import (
 	"heracles/internal/sched"
 )
 
-// Worker-count invariance of the epoch loop is pinned at the engine
-// level (internal/engine), which cluster runs are a thin driver over;
-// this file keeps the cluster-specific statement about the seed.
-
 // TestRootMeanIgnoresSeed: the root's fan-out latency is an integral over
 // the leaves' latency statistics, so a run with no seeded input — scripted
-// BE tasks, a fixed trace — is the same run under any seed and any worker
-// count, root values included. The seed still reaches what draws from it:
-// under the random placement policy it moves the final job table.
+// BE tasks, a fixed trace — is the same run under any seed, root values
+// included. The seed still reaches what draws from it: under the random
+// placement policy it moves the final job table.
 func TestRootMeanIgnoresSeed(t *testing.T) {
 	cfg := baseConfig(t)
 	cfg.Heracles = true
 	cfg.DynamicLeafTargets = true // the root mean feeds back into the leaves
 	tr := flatTrace(0.5, 4*time.Minute)
-	cfg.Workers = 1
 	ref := Run(cfg, tr)
 	if last := ref.Epochs[len(ref.Epochs)-1]; last.RootMean <= 0 {
 		t.Fatalf("no root latency in the last epoch: %+v", last)
 	}
-	for _, workers := range []int{1, 2, 8} {
+	for _, d := range []uint64{1, 2, 8} {
 		other := cfg
-		other.Seed += uint64(workers)
-		other.Workers = workers
+		other.Seed += d
 		if got := Run(other, tr); !reflect.DeepEqual(ref.Epochs, got.Epochs) {
-			t.Fatalf("seed %d, %d workers: epochs differ from seed %d, 1 worker", other.Seed, workers, cfg.Seed)
+			t.Fatalf("seed %d: epochs differ from seed %d", other.Seed, cfg.Seed)
 		}
 	}
 

@@ -30,9 +30,9 @@ func TestStepDoesNotAllocate(t *testing.T) {
 		cfg     engine.Config
 		restore bool
 	}{
-		{"plain", clusterConfig(1, nil), false},
-		{"with-sched", clusterConfig(1, testJobs(8)), false},
-		{"restored", clusterConfig(1, nil), true},
+		{"plain", clusterConfig(nil), false},
+		{"with-sched", clusterConfig(testJobs(8)), false},
+		{"restored", clusterConfig(nil), true},
 	}
 	for _, tc := range configs {
 		t.Run(tc.name, func(t *testing.T) {

@@ -23,13 +23,13 @@ func TestBinaryCheckpointRoundTrip(t *testing.T) {
 	const epochs = 480
 	sc := testScenario(epochs * time.Second)
 
-	ref := engine.New(clusterConfig(1, testJobs(8)))
+	ref := engine.New(clusterConfig(testJobs(8)))
 	ref.InstallScenario(sc)
 	want := runStats(ref, epochs)
 	ref.Close()
 
 	for _, k := range []int{60, 240, 419} {
-		pre := engine.New(clusterConfig(1, testJobs(8)))
+		pre := engine.New(clusterConfig(testJobs(8)))
 		pre.InstallScenario(sc)
 		runStats(pre, k)
 		cp := pre.Snapshot()
@@ -60,7 +60,7 @@ func TestBinaryCheckpointRoundTrip(t *testing.T) {
 			t.Fatalf("k=%d: binary round trip changed the checkpoint value (JSON forms differ)", k)
 		}
 
-		res, err := engine.Restore(clusterConfig(1, testJobs(8)), decoded, &sc)
+		res, err := engine.Restore(clusterConfig(testJobs(8)), decoded, &sc)
 		if err != nil {
 			t.Fatalf("k=%d: restore: %v", k, err)
 		}
@@ -78,7 +78,7 @@ func TestBinaryCheckpointRoundTrip(t *testing.T) {
 // TestBinaryCheckpointRejectsMalformed covers the decoder's failure
 // surface: every malformation must come back as an error, never a panic.
 func TestBinaryCheckpointRejectsMalformed(t *testing.T) {
-	e := engine.New(clusterConfig(1, testJobs(4)))
+	e := engine.New(clusterConfig(testJobs(4)))
 	e.InstallScenario(testScenario(200 * time.Second))
 	runStats(e, 20)
 	data := e.Snapshot().EncodeBinary()
@@ -134,7 +134,7 @@ func TestBinaryCheckpointRejectsMalformed(t *testing.T) {
 // property of AppendBinary: once the scratch buffer has grown to size,
 // re-encoding into it allocates nothing.
 func TestBinaryEncodeBufferReuse(t *testing.T) {
-	e := engine.New(clusterConfig(1, testJobs(4)))
+	e := engine.New(clusterConfig(testJobs(4)))
 	e.InstallScenario(testScenario(200 * time.Second))
 	runStats(e, 30)
 	cp := e.Snapshot()

@@ -258,6 +258,7 @@ func Restore(cfg Config, cp *Checkpoint, sc *scenario.Scenario) (*Engine, error)
 		e.nodes[i] = n
 	}
 
+	e.shareStages()
 	e.epoch = e.nodes[0].m.Epoch()
 	e.epochIdx = cp.Epoch
 	e.t = cp.Now

@@ -3,13 +3,14 @@
 // best-effort job scheduler and a declarative scenario advance together.
 //
 // One Step resolves one epoch for every node, in a fixed order: due
-// scenario events apply sequentially (so mutation order never depends on
-// worker scheduling), the job scheduler ticks against the previous
-// epoch's advertised slack, the offered load is evaluated from the
-// scenario's shape, every machine steps (concurrently when Workers > 1,
-// each writing only its own slot) and its controller runs, and the
-// epoch's statistics reduce in node order so float accumulation is
-// identical for any worker count.
+// faults and scenario events apply, the job scheduler ticks against the
+// previous epoch's advertised slack, the offered load is evaluated from
+// the scenario's shape, every machine steps and its controller runs, one
+// node after another, and the epoch's statistics reduce in node order.
+// The machines of an engine share their stage records
+// (machine.StageMemo): the leaves all serve the one offered load, and a
+// leaf handed an epoch another leaf has just solved copies the answer,
+// which a hit reproduces bit for bit.
 //
 // Both execution styles the paper contrasts are thin drivers over this
 // loop: internal/cluster replays scenarios batch-style (a for loop over

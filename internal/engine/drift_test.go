@@ -206,7 +206,7 @@ func TestLayoutTwoCheckpointsStillDecode(t *testing.T) {
 // refused with an error naming the version it carries and the ones this
 // build reads — never half-read.
 func TestVersionOneCheckpointsRefused(t *testing.T) {
-	cfg := clusterConfig(1, testJobs(4))
+	cfg := clusterConfig(testJobs(4))
 	sc := testScenario(200 * time.Second)
 	e := engine.New(cfg)
 	e.InstallScenario(sc)

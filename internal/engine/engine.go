@@ -11,7 +11,6 @@ import (
 	"heracles/internal/hw"
 	"heracles/internal/lat"
 	"heracles/internal/machine"
-	"heracles/internal/parallel"
 	"heracles/internal/scenario"
 	"heracles/internal/sched"
 	"heracles/internal/slo"
@@ -73,9 +72,10 @@ type Config struct {
 	DynamicTargets bool
 	AdjustPeriod   time.Duration
 
-	// Workers bounds how many nodes step concurrently within an epoch:
-	// 0 selects parallel.DefaultWorkers, 1 forces the sequential
-	// reference run. Results are bit-identical for any worker count.
+	// Workers is ignored: nodes step one at a time, in node order, because
+	// an engine's machines share their stage records (machine.StageMemo).
+	// It stays only because the frozen cmd/heraclesbench sets it (ROADMAP
+	// item 10).
 	Workers int
 
 	// Sched, when non-nil (and Heracles), attaches the best-effort job
@@ -96,6 +96,10 @@ type Config struct {
 	// fast-burn page fires advertises BE-disallowed to the scheduler until
 	// the alert resolves. Tracker state rides the engine checkpoint.
 	SLO *slo.Config
+
+	// privateStages keeps each machine's stage records to itself: the
+	// reference tests compare the shared records with.
+	privateStages bool
 }
 
 // EpochStat is the engine's per-epoch statistic — the cluster layer
@@ -143,9 +147,8 @@ type EpochResult struct {
 }
 
 // StepSpans is the wall-clock time one Step spent per phase, in
-// nanoseconds: scenario/fault event resolution, the scheduler tick, the
-// node stepping fan-out, and the sequential reduction (including SLO
-// tracker updates).
+// nanoseconds: scenario/fault event resolution, the scheduler tick,
+// stepping the nodes, and the reduction (including SLO tracker updates).
 type StepSpans struct {
 	EventsNs int64 `json:"events_ns"`
 	SchedNs  int64 `json:"sched_ns"`
@@ -210,22 +213,14 @@ type Engine struct {
 	sloCluster *slo.Tracker
 	sloTrans   []slo.Transition
 
-	pool     *parallel.Pool
-	leafEMU  []float64
-	leafFrac []float64
 	leafTail []lat.EpochStats
 	telBuf   []machine.Telemetry
 
-	// Steady-state Step scratch (DESIGN.md §16 economics): the fan-out
-	// and progress closures are bound once so a Step allocates nothing,
-	// with the per-epoch inputs passed through fields instead of fresh
-	// closure environments. root holds the fan-out integral's per-leaf
-	// scratch, refilled from leafTail each epoch.
-	stepFn     func(int)
+	// Steady-state Step scratch (DESIGN.md §16 economics): the progress
+	// closure is bound once so a Step allocates nothing. root holds the
+	// fan-out integral's per-leaf scratch, refilled from leafTail each
+	// epoch.
 	progressFn func(*sched.Job) float64
-	stepT      time.Duration
-	stepLoad   float64
-	stepManual bool
 	root       RootSampler
 }
 
@@ -278,8 +273,6 @@ func newEngine(cfg *Config, construct bool) *Engine {
 	e := &Engine{
 		cfg:       *cfg,
 		leafScale: cfg.SLOScale,
-		leafEMU:   make([]float64, cfg.Nodes),
-		leafFrac:  make([]float64, cfg.Nodes),
 		leafTail:  make([]lat.EpochStats, cfg.Nodes),
 		telBuf:    make([]machine.Telemetry, cfg.Nodes),
 	}
@@ -294,6 +287,7 @@ func newEngine(cfg *Config, construct bool) *Engine {
 			}
 			e.nodes[i] = buildNode(m, cfg)
 		}
+		e.shareStages()
 		e.epoch = e.nodes[0].m.Epoch()
 		e.installFaults(cfg.Faults)
 		e.initSLO()
@@ -305,12 +299,20 @@ func newEngine(cfg *Config, construct bool) *Engine {
 			e.slo = rootLatencyAt(*cfg, 0.95)
 		}
 	}
-	// One persistent pool for the engine's lifetime: the epoch loop fans
-	// out tens of thousands of times and must not spawn goroutines each
-	// time.
-	e.pool = parallel.NewPool(cfg.Workers)
-	e.stepFn = e.stepNode // bound once: Step's fan-out allocates nothing
 	return e
+}
+
+// shareStages gives the nodes' machines one stage memo, so that leaves
+// handed the same epoch solve it once (a one-node engine forms none).
+// Step steps them one at a time, in node order, as a memo requires.
+func (e *Engine) shareStages() {
+	if e.cfg.privateStages {
+		return
+	}
+	memo := machine.NewStageMemo(e.cfg.HW, len(e.nodes))
+	for _, n := range e.nodes {
+		n.m.ShareStages(memo)
+	}
 }
 
 // attachScheduler wires a (new or restored) scheduler into the loop.
@@ -382,8 +384,10 @@ func (e *Engine) SLOClusterStatus() slo.Status {
 	return e.sloCluster.Status()
 }
 
-// Close releases the engine's worker pool.
-func (e *Engine) Close() { e.pool.Close() }
+// Close does nothing: an engine holds no goroutines or other resources.
+// It stays only because the frozen cmd/heraclesbench calls it (ROADMAP
+// item 10).
+func (e *Engine) Close() {}
 
 // Nodes returns the node count.
 func (e *Engine) Nodes() int { return len(e.nodes) }
@@ -558,10 +562,9 @@ func (e *Engine) pushSLO(tr *slo.Tracker, node int, bad bool, epoch uint64) {
 	}
 }
 
-// Step resolves one epoch: scenario events and the scheduler tick apply
-// sequentially first (so mutation order never depends on worker
-// scheduling), then the offered load, then every machine and controller
-// step, then the epoch statistics reduce in node order.
+// Step resolves one epoch: faults, scenario events and the scheduler tick
+// apply first, then the offered load, then every machine and controller
+// step in node order, then the epoch statistics reduce in node order.
 func (e *Engine) Step() EpochResult {
 	t := e.t
 	res := EpochResult{Epoch: e.epochIdx + 1, At: t, Tel: e.telBuf}
@@ -611,12 +614,11 @@ func (e *Engine) Step() EpochResult {
 	res.Spans.SchedNs = now.Sub(phase).Nanoseconds()
 	phase = now
 
-	// Nodes are independent servers: step them concurrently, each writing
-	// only its own slot, then reduce sequentially in node order so float
-	// accumulation is identical for any worker count.
-	manual := math.IsNaN(load)
-	e.stepT, e.stepLoad, e.stepManual = t, load, manual
-	e.pool.ForEach(len(e.nodes), e.stepFn)
+	// Nodes step one at a time: their machines share stage records, so a
+	// leaf handed the epoch another has just solved copies the answer.
+	for i := range e.nodes {
+		e.stepNode(i, t, load)
+	}
 
 	now = time.Now()
 	res.Spans.NodesNs = now.Sub(phase).Nanoseconds()
@@ -645,15 +647,16 @@ func (e *Engine) Step() EpochResult {
 			}
 			continue
 		}
-		emu += e.leafEMU[i]
-		if e.leafFrac[i] > worst {
-			worst = e.leafFrac[i]
+		frac := e.telBuf[i].TailLatency.Seconds() / e.cfg.LC.SLO.Seconds()
+		emu += e.telBuf[i].EMU
+		if frac > worst {
+			worst = frac
 		}
-		if e.leafFrac[i] > 1 {
+		if frac > 1 {
 			viol++
 		}
 		if e.sloNodes != nil {
-			e.pushSLO(e.sloNodes[i], i, e.leafFrac[i] > 1, res.Epoch)
+			e.pushSLO(e.sloNodes[i], i, frac > 1, res.Epoch)
 		}
 	}
 	if e.sloCluster != nil {
@@ -669,7 +672,7 @@ func (e *Engine) Step() EpochResult {
 		Violations: viol,
 		Down:       down,
 	}
-	if manual {
+	if math.IsNaN(load) {
 		stat.Load = e.nodes[0].m.Load()
 	} else {
 		stat.Load = load
@@ -692,32 +695,27 @@ func (e *Engine) Step() EpochResult {
 	return res
 }
 
-// stepNode advances node i one epoch, writing only its own reduction
-// slots. It is the pool fan-out body, bound once as stepFn; the per-epoch
-// inputs arrive through stepT/stepLoad/stepManual, set before ForEach.
-func (e *Engine) stepNode(i int) {
+// stepNode advances node i one epoch starting at t, at the offered load
+// (NaN leaves the machine's own), filling its reduction slots.
+func (e *Engine) stepNode(i int, t time.Duration, load float64) {
 	n := e.nodes[i]
-	if e.nf != nil && e.nf[i].downUntil > e.stepT {
+	if e.nf != nil && e.nf[i].downUntil > t {
 		// The node is dark: its wall clock still advances, but it
 		// serves nothing and reports nothing. Requests routed to it
 		// fail upward — the reduction books it as a violation.
 		n.m.Clock().Advance(e.epoch)
 		e.telBuf[i] = machine.Telemetry{}
-		e.leafEMU[i] = 0
-		e.leafFrac[i] = 0
 		e.leafTail[i] = lat.EpochStats{}
 		return
 	}
-	if !e.stepManual {
-		n.m.SetLoad(e.stepLoad)
+	if !math.IsNaN(load) {
+		n.m.SetLoad(load)
 	}
 	tel := n.m.Step()
 	if n.ctl != nil {
 		n.ctl.Step(n.m.Clock().Now())
 	}
 	e.telBuf[i] = tel
-	e.leafEMU[i] = tel.EMU
-	e.leafFrac[i] = tel.TailLatency.Seconds() / e.cfg.LC.SLO.Seconds()
 	e.leafTail[i] = tel.Lat
 }
 

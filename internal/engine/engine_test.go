@@ -23,7 +23,7 @@ var testLab = experiment.DefaultLab()
 // clusterConfig is a small Heracles fleet with root sampling, dynamic
 // targets and a job scheduler — every optional subsystem on, so the
 // determinism and checkpoint tests cover all the state there is.
-func clusterConfig(workers int, jobs []sched.JobSpec) engine.Config {
+func clusterConfig(jobs []sched.JobSpec) engine.Config {
 	brain := testLab.BE("brain")
 	sview := testLab.BE("streetview")
 	cfg := engine.Config{
@@ -37,7 +37,6 @@ func clusterConfig(workers int, jobs []sched.JobSpec) engine.Config {
 		RootSamples:    1,
 		Seed:           7,
 		DynamicTargets: true,
-		Workers:        workers,
 	}
 	if jobs != nil {
 		cfg.Sched = &sched.Config{Policy: sched.SlackGreedy{}, Jobs: jobs, EvictGrace: 20 * time.Second}
@@ -90,34 +89,6 @@ func runStats(e *engine.Engine, n int) []engine.EpochStat {
 		out[i] = e.Step().Stat
 	}
 	return out
-}
-
-// TestWorkerCountInvariant pins the engine's claim that any worker count
-// produces bit-identical results: events and scheduler ticks apply in a
-// sequential window, nodes write only their own slots, reductions run in
-// node order, and root sampling draws from (seed, epoch) streams.
-func TestWorkerCountInvariant(t *testing.T) {
-	const epochs = 480
-	sc := testScenario(epochs * time.Second)
-
-	seq := engine.New(clusterConfig(1, testJobs(8)))
-	defer seq.Close()
-	seq.InstallScenario(sc)
-	a := runStats(seq, epochs)
-
-	par := engine.New(clusterConfig(4, testJobs(8)))
-	defer par.Close()
-	par.InstallScenario(sc)
-	b := runStats(par, epochs)
-
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("epoch %d diverged between workers=1 and workers=4:\n%+v\nvs\n%+v", i, a[i], b[i])
-		}
-	}
-	if _, acct := seq.SchedAccounting(); acct == nil || acct.Completed == 0 {
-		t.Fatalf("scheduler completed no jobs; the invariance test exercised nothing: %+v", acct)
-	}
 }
 
 // telPoint is the scalar slice of one epoch compared bit-for-bit by the
@@ -182,7 +153,6 @@ func TestBatchVsMailboxBitIdentical(t *testing.T) {
 		Model:    testLab.DRAMModel("websearch"),
 		LookupBE: testLab.BE,
 		Load:     0.35,
-		Workers:  1,
 		InitialBEs: func(int) []engine.BEAttach {
 			return []engine.BEAttach{{WL: brain, Placement: workload.PlaceDedicated}}
 		},
@@ -254,13 +224,13 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	const epochs = 480
 	sc := testScenario(epochs * time.Second)
 
-	ref := engine.New(clusterConfig(1, testJobs(8)))
+	ref := engine.New(clusterConfig(testJobs(8)))
 	defer ref.Close()
 	ref.InstallScenario(sc)
 	want := runStats(ref, epochs)
 
 	for _, k := range []int{60, 240, 419} {
-		pre := engine.New(clusterConfig(1, testJobs(8)))
+		pre := engine.New(clusterConfig(testJobs(8)))
 		pre.InstallScenario(sc)
 		prefix := runStats(pre, k)
 		for i := range prefix {
@@ -286,7 +256,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 			t.Fatalf("k=%d: checkpoint records epoch %d", k, decoded.Epoch)
 		}
 
-		res, err := engine.Restore(clusterConfig(1, testJobs(8)), decoded, &sc)
+		res, err := engine.Restore(clusterConfig(testJobs(8)), decoded, &sc)
 		if err != nil {
 			t.Fatalf("k=%d: restore: %v", k, err)
 		}
@@ -311,7 +281,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 // surface: wrong version, missing scenario, wrong scenario name.
 func TestRestoreRejectsMismatches(t *testing.T) {
 	sc := testScenario(120 * time.Second)
-	e := engine.New(clusterConfig(1, nil))
+	e := engine.New(clusterConfig(nil))
 	e.InstallScenario(sc)
 	runStats(e, 10)
 	cp := e.Snapshot()
@@ -319,15 +289,15 @@ func TestRestoreRejectsMismatches(t *testing.T) {
 
 	bad := *cp
 	bad.Version = 99
-	if _, err := engine.Restore(clusterConfig(1, nil), &bad, &sc); err == nil {
+	if _, err := engine.Restore(clusterConfig(nil), &bad, &sc); err == nil {
 		t.Fatal("version mismatch accepted")
 	}
-	if _, err := engine.Restore(clusterConfig(1, nil), cp, nil); err == nil {
+	if _, err := engine.Restore(clusterConfig(nil), cp, nil); err == nil {
 		t.Fatal("missing scenario accepted")
 	}
 	other := sc
 	other.Name = "other"
-	if _, err := engine.Restore(clusterConfig(1, nil), cp, &other); err == nil {
+	if _, err := engine.Restore(clusterConfig(nil), cp, &other); err == nil {
 		t.Fatal("scenario name mismatch accepted")
 	}
 }

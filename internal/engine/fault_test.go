@@ -21,43 +21,13 @@ func faultSchedule() []fault.Fault {
 	}
 }
 
-// TestFaultWorkerInvariance extends the engine's determinism claim to
-// fault injection: a run with a fault schedule is bit-identical for any
-// worker count, and the schedule visibly perturbs the run (down epochs).
-func TestFaultWorkerInvariance(t *testing.T) {
-	const epochs = 360
-	sc := testScenario(epochs * time.Second)
-
-	run := func(workers int) []engine.EpochStat {
-		cfg := clusterConfig(workers, testJobs(8))
-		cfg.Faults = faultSchedule()
-		e := engine.New(cfg)
-		defer e.Close()
-		e.InstallScenario(sc)
-		return runStats(e, epochs)
-	}
-	a, b := run(1), run(4)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("epoch %d diverged between workers=1 and workers=4 under faults:\n%+v\nvs\n%+v", i, a[i], b[i])
-		}
-	}
-	down := 0
-	for _, st := range a {
-		down += st.Down
-	}
-	if down == 0 {
-		t.Fatal("no down epochs recorded; the crash fault did not land")
-	}
-}
-
 // TestFaultWindowsAndStaleLatch steps one engine through the schedule and
 // checks the observable effects of each window: the crashed leaf counts
 // as down (and as an SLO violation) exactly while its outage lasts, the
 // blacked-out leaf's controller walks the stale-telemetry latch to
 // emergency and recovers, and the fault counter matches the schedule.
 func TestFaultWindowsAndStaleLatch(t *testing.T) {
-	cfg := clusterConfig(2, nil)
+	cfg := clusterConfig(nil)
 	cfg.Faults = faultSchedule()
 	e := engine.New(cfg)
 	defer e.Close()
@@ -122,7 +92,7 @@ func TestFaultCheckpointRestore(t *testing.T) {
 	sc := testScenario(epochs * time.Second)
 
 	mkCfg := func() engine.Config {
-		cfg := clusterConfig(2, testJobs(8))
+		cfg := clusterConfig(testJobs(8))
 		cfg.Faults = faultSchedule()
 		return cfg
 	}
@@ -163,7 +133,7 @@ func TestFaultCheckpointRestore(t *testing.T) {
 // TestInjectFaultValidation: live injection rejects malformed faults and
 // schedules valid ones for the next epoch.
 func TestInjectFaultValidation(t *testing.T) {
-	cfg := clusterConfig(1, nil)
+	cfg := clusterConfig(nil)
 	e := engine.New(cfg)
 	defer e.Close()
 	e.InstallScenario(testScenario(60 * time.Second))

@@ -271,7 +271,7 @@ func TestPollRingMatchesFullHistoryUnderController(t *testing.T) {
 // machines hold the 15 newest samples, not the 600.
 func TestSixHundredSampleCheckpointRestores(t *testing.T) {
 	const before, after = 700, 300
-	cfg := clusterConfig(1, testJobs(8))
+	cfg := clusterConfig(testJobs(8))
 	sc := testScenario((before + after) * time.Second)
 	eng := engine.New(cfg)
 	defer eng.Close()

@@ -30,6 +30,10 @@ type rootGroup struct {
 // is not simulation state: it is never checkpointed.
 type RootSampler struct {
 	groups []rootGroup
+	// last is the previous call's leaves and mean its result: a stepped
+	// load hands the root the same leaves for minutes at a time.
+	last []lat.EpochStats
+	mean time.Duration
 }
 
 // Mean returns E[max X_i] over the leaves that answer (P50 > 0: a dark
@@ -45,7 +49,19 @@ type RootSampler struct {
 // (TestRootMeanWithinStatedBound), unless the N leaves kept span more than
 // rootMaxNodes steps of h = min sigma / max(2, 1.5 sqrt(ln N)); the step is
 // then stretched and the bound is the integrand's variation, 2h of the result.
+//
+// A call handed the previous call's leaves returns its result without
+// integrating again.
 func (r *RootSampler) Mean(leafStats []lat.EpochStats) time.Duration {
+	if r.last == nil || !slices.Equal(r.last, leafStats) {
+		r.last = append(r.last[:0], leafStats...)
+		r.mean = r.integrate(leafStats)
+	}
+	return r.mean
+}
+
+// integrate is Mean's quadrature.
+func (r *RootSampler) integrate(leafStats []lat.EpochStats) time.Duration {
 	groups := r.groups[:0]
 	floor, lo := 0.0, math.Inf(-1)
 	for _, ls := range leafStats {

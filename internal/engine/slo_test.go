@@ -15,7 +15,7 @@ import (
 
 // sloConfig is a two-node Heracles engine with the error-budget tracker
 // attached; admission coupling is off unless a test turns it on.
-func sloConfig(workers int, admission bool) engine.Config {
+func sloConfig(admission bool) engine.Config {
 	return engine.Config{
 		Nodes:    2,
 		HW:       testLab.Cfg,
@@ -24,7 +24,6 @@ func sloConfig(workers int, admission bool) engine.Config {
 		Model:    testLab.DRAMModel("websearch"),
 		LookupBE: testLab.BE,
 		Seed:     11,
-		Workers:  workers,
 		SLO:      &slo.Config{Admission: admission},
 	}
 }
@@ -76,26 +75,15 @@ func transitionString(ts []slo.Transition) string {
 
 // TestSLOAlertSequenceGolden pins the exact alert sequence a FlashCrowd
 // scenario produces — the fire/resolve edges, their epochs and their
-// order — and requires it bit-identical between workers=1 and
-// workers=4. Any change to the burn-rate math, the violation predicate
+// order. Any change to the burn-rate math, the violation predicate
 // or the reduction order shows up here as a diff.
 func TestSLOAlertSequenceGolden(t *testing.T) {
 	const epochs = 7200 // 2 sim-hours: the page resolve needs the 1h drain
 	sc := sloCrowd(epochs * time.Second)
 
-	seq := engine.New(sloConfig(1, false))
-	defer seq.Close()
-	seq.InstallScenario(sc)
-	got := runTransitions(seq, epochs)
-
-	par := engine.New(sloConfig(4, false))
-	defer par.Close()
-	par.InstallScenario(sc)
-	got4 := runTransitions(par, epochs)
-
-	if a, b := transitionString(got), transitionString(got4); a != b {
-		t.Fatalf("alert sequence depends on worker count:\nworkers=1:\n%sworkers=4:\n%s", a, b)
-	}
+	e := engine.New(sloConfig(false))
+	e.InstallScenario(sc)
+	got := runTransitions(e, epochs)
 
 	golden := strings.TrimLeft(`
 669 n0 page fire
@@ -122,12 +110,12 @@ func TestSLOCheckpointRoundTrip(t *testing.T) {
 	const epochs, k = 3600, 800 // k is inside the page-firing window
 	sc := sloCrowd(epochs * time.Second)
 
-	ref := engine.New(sloConfig(1, false))
+	ref := engine.New(sloConfig(false))
 	defer ref.Close()
 	ref.InstallScenario(sc)
 	want := runTransitions(ref, epochs)
 
-	pre := engine.New(sloConfig(1, false))
+	pre := engine.New(sloConfig(false))
 	pre.InstallScenario(sc)
 	prefix := runTransitions(pre, k)
 	if !pre.SLOClusterStatus().Page {
@@ -144,7 +132,7 @@ func TestSLOCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := engine.Restore(sloConfig(1, false), decoded, &sc)
+	res, err := engine.Restore(sloConfig(false), decoded, &sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,11 +160,11 @@ func TestSLOCheckpointRoundTrip(t *testing.T) {
 // TestSLORestoreRejectsMismatchedConfig: a checkpoint carrying budget
 // state cannot restore into an engine without Config.SLO.
 func TestSLORestoreRejectsMismatchedConfig(t *testing.T) {
-	e := engine.New(sloConfig(1, false))
+	e := engine.New(sloConfig(false))
 	runStats(e, 10)
 	cp := e.Snapshot()
 	e.Close()
-	cfg := sloConfig(1, false)
+	cfg := sloConfig(false)
 	cfg.SLO = nil
 	if _, err := engine.Restore(cfg, cp, nil); err == nil {
 		t.Fatal("restore without Config.SLO accepted a budget-carrying checkpoint")
@@ -245,7 +233,7 @@ func TestSLOAdmissionBeatsController(t *testing.T) {
 		acct    sched.Accounting
 	}
 	run := func(admission bool) arm {
-		cfg := sloConfig(1, admission)
+		cfg := sloConfig(admission)
 		cfg.SLO = &slo.Config{Objective: 0.999, Admission: admission}
 		cfg.Sched = &sched.Config{Policy: sched.SlackGreedy{}, Jobs: sloJobs(24), EvictGrace: 20 * time.Second}
 		e := engine.New(cfg)

@@ -209,12 +209,9 @@ func runInstance(cfg Config, inst instance, lab *experiment.Lab, pairSeed uint64
 		DynamicLeafTargets: spec.DynamicLeafTargets,
 		Model:              lab.DRAMModel(lcName),
 		// Every arm of an instance shares one derived seed, so the
-		// baseline/Heracles and policy-vs-policy comparisons are paired;
-		// leaf stepping inside the run stays sequential — fleet-level
-		// fan-out is the parallelism.
-		Seed:    pairSeed,
-		Workers: 1,
-		Faults:  spec.Faults,
+		// baseline/Heracles and policy-vs-policy comparisons are paired.
+		Seed:   pairSeed,
+		Faults: spec.Faults,
 	}
 	if heracles && len(spec.Jobs) > 0 {
 		if policy == "" {

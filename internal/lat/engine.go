@@ -84,9 +84,10 @@ func (Analytic) Epoch(p ServiceParams, lambda float64, servers int, dt time.Dura
 	}
 
 	effRho := math.Min(rho, 0.99)
+	pw := queue.ErlangC(servers, effRho*k) // one probability of waiting for the mean and every quantile
 	scale := queue.MGkWaitScale(1, queue.LogNormalCS2(p.Sigma))
 	waitQ := func(q float64) float64 {
-		return queue.WaitQuantile(servers, effRho, s, q) * scale
+		return queue.WaitQuantile(pw, servers, effRho, s, q) * scale
 	}
 	serviceQ := func(q float64) float64 {
 		return queue.LogNormalQuantile(s, p.Sigma, q)
@@ -117,7 +118,7 @@ func (Analytic) Epoch(p ServiceParams, lambda float64, servers int, dt time.Dura
 		return time.Duration(v * float64(time.Second))
 	}
 
-	meanWait := queue.MeanWait(servers, effRho, s) * scale
+	meanWait := queue.MeanWait(pw, servers, effRho, s) * scale
 	mean := (s + meanWait + net) * overload
 	if p.TailProb > 0 {
 		mean += p.TailAdd.Seconds() * p.TailProb * overload

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"math"
+	"math/bits"
 	"time"
 
 	"heracles/internal/cache"
@@ -22,13 +23,20 @@ import (
 // This is a cache, not state: it is not in Snapshot, and a restored
 // machine starts cold.
 //
-// Every buffer is allocated by the first solve that needs it and reused
-// afterwards, so stepping stays allocation-free once each socket has
-// held its largest key.
+// A stage looks in the socket's own record first, then in the machine's
+// other sockets', then in its StageMemo's; a hit on another record is
+// copied into the own one.
+//
+// Every buffer is allocated by the first solve or copy that needs it and
+// reused afterwards, so stepping stays allocation-free once each socket
+// has held its largest key.
 type stageReuse struct {
 	sockets []socketReuse
 	// lat holds the latency engine's last epoch.
 	lat latEntry
+	// memo indexes the records of every machine sharing this one's (nil
+	// for a machine on its own).
+	memo *StageMemo
 
 	// Solver calls made and avoided per stage, read by tests.
 	freqSolves, freqReused   uint64
@@ -37,9 +45,7 @@ type stageReuse struct {
 }
 
 // socketReuse is the last frequency problem and the last cache problem
-// one socket solved, each with its solution. A socket looks in its own
-// record first and then in the others', so sockets with equal arguments
-// (an even BE core split) solve once between them.
+// one socket solved or copied, each with its solution.
 type socketReuse struct {
 	// Frequency key: the socket's []hw.CoreLoad, held as its distinct
 	// values and one index per core. A socket has a few kinds of core (LC,
@@ -82,6 +88,103 @@ func newStageReuse(cfg hw.Config, coreFreq []float64) stageReuse {
 	return r
 }
 
+// StageMemo lets a group of machines — one engine's, which all serve one
+// offered load — answer a stage from each other's records. It indexes the
+// records by a fingerprint of their keys, one direct-mapped table per
+// lookup: one probe and one key compare whatever the group's size. A slot
+// only points the way (its record may have moved on to another key since),
+// so a lookup compares the full key, and a collision costs a solve, never
+// a wrong answer. Members must be stepped one at a time.
+type StageMemo struct {
+	cfg              hw.Config
+	freq, cache, ref memoTable[socketReuse]
+	lat              memoTable[latEntry]
+}
+
+// NewStageMemo returns a memo for up to machines machines built from cfg,
+// or nil for fewer than two: a machine on its own forms no group.
+func NewStageMemo(cfg hw.Config, machines int) *StageMemo {
+	if machines < 2 {
+		return nil
+	}
+	// At least two slots per record keeps collisions between live keys rare.
+	k := uint(bits.Len(uint(2*machines*cfg.Sockets - 1)))
+	n := 1 << k
+	sock := make([]memoSlot[socketReuse], 3*n)
+	return &StageMemo{cfg: cfg,
+		freq:  memoTable[socketReuse]{sock[:n:n], 64 - k},
+		cache: memoTable[socketReuse]{sock[n : 2*n : 2*n], 64 - k},
+		ref:   memoTable[socketReuse]{sock[2*n:], 64 - k},
+		lat:   memoTable[latEntry]{make([]memoSlot[latEntry], n), 64 - k},
+	}
+}
+
+// ShareStages makes m a member of memo (nil leaves m on its own). Stages
+// are pure in their arguments and the hardware Config, so every member
+// must have been built from the memo's Config; any other panics.
+func (m *Machine) ShareStages(memo *StageMemo) {
+	if memo != nil && memo.cfg != m.cfg {
+		panic("machine: ShareStages across different hardware configs")
+	}
+	m.reuse.memo = memo
+}
+
+type memoSlot[T any] struct {
+	fp  uint64
+	rec *T
+}
+
+// memoTable is 2^k slots indexed by a fingerprint's top k bits.
+type memoTable[T any] struct {
+	slots []memoSlot[T]
+	shift uint // 64 - k
+}
+
+// find returns the record last stored under fp, or nil.
+func (t memoTable[T]) find(fp uint64) *T {
+	if s := t.slots[fp>>t.shift]; s.fp == fp {
+		return s.rec
+	}
+	return nil
+}
+
+func (t memoTable[T]) put(fp uint64, rec *T) { t.slots[fp>>t.shift] = memoSlot[T]{fp, rec} }
+
+// fold mixes words into a fingerprint. The multiply carries every bit of
+// a word into the top bits the tables index by, and the shift feeds them
+// back for the next word. Equal keys fold to equal fingerprints (floats
+// bit for bit, as the keys compare); a fingerprint may leave fields out,
+// which only makes unequal keys meet in a slot more often.
+func fold(h uint64, words ...uint64) uint64 {
+	for _, x := range words {
+		h = (h ^ x) * 0x9e3779b97f4a7c15
+		h ^= h >> 29
+	}
+	return h
+}
+
+func loadsPrint(loads []hw.CoreLoad) uint64 {
+	h := uint64(len(loads))
+	for _, l := range loads {
+		h = fold(h, math.Float64bits(l.Activity), math.Float64bits(l.CapGHz))
+	}
+	return h
+}
+
+func demandsPrint(demands []cache.Demand) uint64 {
+	h := uint64(len(demands))
+	for i := range demands {
+		d := &demands[i]
+		h = fold(h, math.Float64bits(d.AccessRate), d.WayMask, math.Float64bits(d.LoadScale), uint64(len(d.Components)))
+	}
+	return h
+}
+
+func latPrint(p lat.ServiceParams, lambda float64, servers int, dt time.Duration) uint64 {
+	return fold(uint64(p.Mean), math.Float64bits(p.Sigma), uint64(p.NetTime), uint64(p.TailAdd),
+		math.Float64bits(p.TailProb), math.Float64bits(lambda), uint64(servers), uint64(dt))
+}
+
 // holdsLoads reports whether the record's frequency key is loads.
 func (e *socketReuse) holdsLoads(loads []hw.CoreLoad) bool {
 	if len(e.kind) != len(loads) {
@@ -112,6 +215,23 @@ func (e *socketReuse) setLoads(loads []hw.CoreLoad) {
 	}
 }
 
+// holdsDemands reports whether the record's cache key is demands, with
+// the reference share when lcFirst.
+func (e *socketReuse) holdsDemands(demands []cache.Demand, lcFirst bool) bool {
+	return e.hasRef == lcFirst && cache.SameDemands(e.demands, demands)
+}
+
+// holdsRef reports whether the record's reference share answers alone:
+// its first demand with the way mask widened to alone[0]'s is alone[0].
+func (e *socketReuse) holdsRef(alone []cache.Demand) bool {
+	if !e.hasRef {
+		return false
+	}
+	first := [1]cache.Demand{e.demands[0]}
+	first[0].WayMask = alone[0].WayMask
+	return cache.SameDemands(first[:], alone)
+}
+
 // setDemands makes demands the record's cache key, copying the
 // Components they point to.
 func (e *socketReuse) setDemands(demands []cache.Demand) {
@@ -132,6 +252,15 @@ func (e *socketReuse) setDemands(demands []cache.Demand) {
 	}
 }
 
+// holds reports whether the entry's key is the latency stage's arguments.
+func (e *latEntry) holds(p lat.ServiceParams, lambda float64, servers int, dt time.Duration) bool {
+	return e.dt == dt && e.servers == servers &&
+		math.Float64bits(e.lambda) == math.Float64bits(lambda) &&
+		e.p.Mean == p.Mean && e.p.NetTime == p.NetTime && e.p.TailAdd == p.TailAdd &&
+		math.Float64bits(e.p.Sigma) == math.Float64bits(p.Sigma) &&
+		math.Float64bits(e.p.TailProb) == math.Float64bits(p.TailProb)
+}
+
 // resolveFrequencies is cfg.ResolveFrequenciesInto for socket s with
 // reuse: it leaves the per-core frequencies in the socket's segment of
 // scratch.coreFreq and returns the socket power.
@@ -139,20 +268,36 @@ func (m *Machine) resolveFrequencies(s int, loads []hw.CoreLoad) float64 {
 	r := &m.reuse
 	own := &r.sockets[s]
 	for j := range r.sockets {
-		o := &r.sockets[(s+j)%len(r.sockets)] // own record first
-		if !o.holdsLoads(loads) {
-			continue
+		if o := &r.sockets[(s+j)%len(r.sockets)]; o.holdsLoads(loads) { // own record first
+			return r.reuseFreq(own, o)
 		}
-		r.freqReused++
-		if o != own {
-			copy(own.freqs, o.freqs)
-			own.kind = own.kind[:0] // own.freqs no longer answers own's key
+	}
+	var fp uint64
+	if r.memo != nil {
+		fp = loadsPrint(loads)
+		if o := r.memo.freq.find(fp); o != nil && o.holdsLoads(loads) {
+			return r.reuseFreq(own, o)
 		}
-		return o.power
 	}
 	r.freqSolves++
 	own.setLoads(loads)
 	own.power = m.cfg.ResolveFrequenciesInto(own.freqs, loads).PowerWatts
+	if r.memo != nil {
+		r.memo.freq.put(fp, own)
+	}
+	return own.power
+}
+
+// reuseFreq answers own's frequency stage from record o, copying o's key
+// and solution into own when o is another record.
+func (r *stageReuse) reuseFreq(own, o *socketReuse) float64 {
+	r.freqReused++
+	if o != own {
+		own.kinds = append(own.kinds[:0], o.kinds...)
+		own.kind = append(own.kind[:0], o.kind...)
+		copy(own.freqs, o.freqs)
+		own.power = o.power
+	}
 	return own.power
 }
 
@@ -162,14 +307,18 @@ func (m *Machine) resolveFrequencies(s int, loads []hw.CoreLoad) float64 {
 // returned slice is valid until the next call.
 func (m *Machine) resolveCache(s int, solver cache.Solver, demands []cache.Demand, lcFirst bool) ([]cache.Share, cache.Share) {
 	r := &m.reuse
+	own := &r.sockets[s]
 	for j := range r.sockets {
-		e := &r.sockets[(s+j)%len(r.sockets)] // own record first
-		if e.hasRef == lcFirst && cache.SameDemands(e.demands, demands) {
-			r.cacheReused++
-			if lcFirst {
-				r.cacheReused++
-			}
-			return e.shares, e.ref
+		if e := &r.sockets[(s+j)%len(r.sockets)]; e.holdsDemands(demands, lcFirst) { // own record first
+			return r.reuseCache(own, e, lcFirst)
+		}
+	}
+	memo := r.memo
+	var fp uint64
+	if memo != nil {
+		fp = demandsPrint(demands)
+		if e := memo.cache.find(fp); e != nil && e.holdsDemands(demands, lcFirst) {
+			return r.reuseCache(own, e, lcFirst)
 		}
 	}
 
@@ -179,23 +328,25 @@ func (m *Machine) resolveCache(s int, solver cache.Solver, demands []cache.Deman
 	// the reference's arguments in its mask only.
 	var alone [1]cache.Demand
 	var ref cache.Share
+	var refFP uint64
 	refKnown := false
 	if lcFirst {
 		alone[0] = demands[0]
 		alone[0].WayMask = cache.FullMask(solver.Ways)
 		for j := range r.sockets {
-			if e := &r.sockets[j]; e.hasRef {
-				first := [1]cache.Demand{e.demands[0]}
-				first[0].WayMask = alone[0].WayMask
-				if cache.SameDemands(first[:], alone[:]) {
-					ref, refKnown = e.ref, true
-					break
-				}
+			if e := &r.sockets[j]; e.holdsRef(alone[:]) {
+				ref, refKnown = e.ref, true
+				break
+			}
+		}
+		if memo != nil {
+			refFP = demandsPrint(alone[:])
+			if e := memo.ref.find(refFP); !refKnown && e != nil && e.holdsRef(alone[:]) {
+				ref, refKnown = e.ref, true
 			}
 		}
 	}
 
-	own := &r.sockets[s]
 	own.setDemands(demands)
 	sc := &m.scratch.cacheSc
 	own.shares = append(own.shares[:0], solver.ResolveScratch(sc, demands)...)
@@ -214,24 +365,54 @@ func (m *Machine) resolveCache(s int, solver cache.Solver, demands []cache.Deman
 		r.cacheSolves++
 	}
 	own.ref, own.hasRef = ref, lcFirst
+	if memo != nil {
+		memo.cache.put(fp, own)
+		if lcFirst {
+			memo.ref.put(refFP, own)
+		}
+	}
 	return own.shares, ref
 }
 
+// reuseCache answers own's cache stage (and its reference share when
+// lcFirst) from record e, copying e into own when e is another record.
+func (r *stageReuse) reuseCache(own, e *socketReuse, lcFirst bool) ([]cache.Share, cache.Share) {
+	r.cacheReused++
+	if lcFirst {
+		r.cacheReused++
+	}
+	if e != own {
+		own.setDemands(e.demands)
+		own.shares = append(own.shares[:0], e.shares...)
+		own.ref, own.hasRef = e.ref, e.hasRef
+	}
+	return own.shares, own.ref
+}
+
 // epochLatency is lat.Analytic's Epoch — a pure function of its
-// arguments — reusing the last epoch's result when they repeat.
+// arguments — reusing the last epoch's result when they repeat, or a
+// member's of the machine's memo.
 func (m *Machine) epochLatency(p lat.ServiceParams, lambda float64, servers int, dt time.Duration) lat.EpochStats {
 	r := &m.reuse
 	e := &r.lat
-	if e.dt == dt && e.servers == servers &&
-		math.Float64bits(e.lambda) == math.Float64bits(lambda) &&
-		e.p.Mean == p.Mean && e.p.NetTime == p.NetTime && e.p.TailAdd == p.TailAdd &&
-		math.Float64bits(e.p.Sigma) == math.Float64bits(p.Sigma) &&
-		math.Float64bits(e.p.TailProb) == math.Float64bits(p.TailProb) {
+	if e.holds(p, lambda, servers, dt) {
 		r.latReused++
 		return e.es
+	}
+	var fp uint64
+	if r.memo != nil {
+		fp = latPrint(p, lambda, servers, dt)
+		if o := r.memo.lat.find(fp); o != nil && o.holds(p, lambda, servers, dt) {
+			r.latReused++
+			*e = *o
+			return e.es
+		}
 	}
 	r.latSolves++
 	*e = latEntry{p: p, lambda: lambda, servers: servers, dt: dt,
 		es: lat.Analytic{}.Epoch(p, lambda, servers, dt)}
+	if r.memo != nil {
+		r.memo.lat.put(fp, e)
+	}
 	return e.es
 }

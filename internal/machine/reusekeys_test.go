@@ -3,6 +3,7 @@ package machine
 import (
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -57,10 +58,49 @@ func eachField(p any, skip string, fn func(name string, field reflect.Value)) {
 // and lat.ServiceParams, so a field added to one of them without a
 // comparison in the stage's key fails here. It matters beyond one sweep
 // point: calibration keeps one machine's stage memory across 42 probes.
+//
+// The peer-record subtests ask the same of a record found through a stage
+// memo: before every call the machine forgets its own records and a
+// peer solves the base arguments afresh, so only the peer's record,
+// found by the key's fingerprint, can answer — equal keys must meet in
+// the memo, and a key moved by one field must not be answered there.
 func TestStageReuseKeysCoverEveryField(t *testing.T) {
+	stageReuseKeysCoverEveryField(t, false)
+	t.Run("peer-record", func(t *testing.T) { stageReuseKeysCoverEveryField(t, true) })
+}
+
+// forgetStages empties every stage record of m.
+func forgetStages(m *Machine) {
+	for s := range m.reuse.sockets {
+		e := &m.reuse.sockets[s]
+		e.kind, e.demands, e.hasRef = e.kind[:0], e.demands[:0], false
+	}
+	m.reuse.lat = latEntry{}
+}
+
+func stageReuseKeysCoverEveryField(t *testing.T, viaPeer bool) {
 	cfg := hw.DefaultConfig()
 	m := New(cfg)
 	r := &m.reuse
+	var peer *Machine
+	if viaPeer {
+		peer = New(cfg)
+		memo := NewStageMemo(cfg, 2)
+		m.ShareStages(memo)
+		peer.ShareStages(memo)
+	}
+	// ask returns a stage call on m; through a peer, the peer first solves
+	// the stage on a copy of the base arguments.
+	ask := func(onM, onPeer func(*Machine)) func() {
+		return func() {
+			if peer != nil {
+				forgetStages(m)
+				forgetStages(peer)
+				onPeer(peer)
+			}
+			onM(m)
+		}
+	}
 
 	// mustMiss runs the stage on its base arguments until the stored
 	// solution answers (no solver call), applies the mutation, and
@@ -98,7 +138,9 @@ func TestStageReuseKeysCoverEveryField(t *testing.T) {
 				loads[i] = hw.CoreLoad{Activity: 0.9, CapGHz: 1.8}
 			}
 		}
-		call := func() { m.resolveFrequencies(0, loads) }
+		base := slices.Clone(loads)
+		call := ask(func(x *Machine) { x.resolveFrequencies(0, loads) },
+			func(x *Machine) { x.resolveFrequencies(0, base) })
 		for _, core := range []int{0, 12, 17} { // an LC core, a capped BE core, an idle core
 			eachField(&loads[core], "", fieldMustMiss(t, call, &r.freqSolves))
 		}
@@ -117,7 +159,13 @@ func TestStageReuseKeysCoverEveryField(t *testing.T) {
 			{AccessRate: 2e9, WayMask: cache.MaskOfWays(0, 4),
 				Components: append([]cache.Component(nil), workload.Brain().CacheComponents...)},
 		}
-		call := func() { m.resolveCache(0, solver, demands, true) }
+		base := make([]cache.Demand, len(demands))
+		for i, d := range demands {
+			d.Components = slices.Clone(d.Components)
+			base[i] = d
+		}
+		call := ask(func(x *Machine) { x.resolveCache(0, solver, demands, true) },
+			func(x *Machine) { x.resolveCache(0, solver, base, true) })
 		for i := range demands {
 			d := &demands[i]
 			eachField(d, "Components", fieldMustMiss(t, call, &r.cacheSolves))
@@ -146,7 +194,9 @@ func TestStageReuseKeysCoverEveryField(t *testing.T) {
 		p := lat.ServiceParams{Mean: 10 * time.Millisecond, Sigma: 0.5,
 			NetTime: 20 * time.Microsecond, TailAdd: time.Millisecond, TailProb: 0.2}
 		lambda, servers, dt := 2000.0, 30, time.Second
-		call := func() { m.epochLatency(p, lambda, servers, dt) }
+		pb, lb, sb, db := p, lambda, servers, dt
+		call := ask(func(x *Machine) { x.epochLatency(p, lambda, servers, dt) },
+			func(x *Machine) { x.epochLatency(pb, lb, sb, db) })
 		eachField(&p, "", fieldMustMiss(t, call, &r.latSolves))
 		for name, arg := range map[string]any{"lambda": &lambda, "servers": &servers, "dt": &dt} {
 			fieldMustMiss(t, call, &r.latSolves)(name, reflect.ValueOf(arg).Elem())

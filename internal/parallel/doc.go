@@ -1,13 +1,9 @@
 // Package parallel provides the bounded, order-preserving fan-out/fan-in
 // primitives used by every layer that runs independent simulations
-// concurrently: load sweeps, characterisation grids, cluster leaves,
-// fleet instances, and the control plane's instance pool.
+// concurrently: load sweeps, characterisation grids and fleet instances.
 //
 // ForEach and Map run n items on up to GOMAXPROCS workers with results
-// landing at their original index; Pool is the persistent variant for
-// callers that fan out the same shape of work many times in a row (the
-// cluster simulator steps its leaves once per trace epoch, tens of
-// thousands of epochs per run). Determinism is preserved by
+// landing at their original index. Determinism is preserved by
 // construction — each item writes only its own slot and any randomness
 // is derived per item from (seed, index) rather than shared mutable RNG
 // state — so a run with one worker is byte-identical to a run with many.

@@ -3,7 +3,6 @@ package parallel
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 )
 
 // DefaultWorkers returns the pool size used when a caller passes workers <= 0:
@@ -73,89 +72,4 @@ func Map[T any](workers, n int, fn func(i int) T) []T {
 		out[i] = fn(i)
 	})
 	return out
-}
-
-// Pool is a persistent worker pool for callers that fan out the same shape
-// of work many times in a row (the cluster simulator steps its leaves once
-// per trace epoch, tens of thousands of epochs per run). Workers are
-// spawned once and parked between rounds, so a round costs one descriptor
-// allocation instead of a fresh set of goroutines. Items are claimed from
-// an atomic counter; as with ForEach, fn must confine writes to per-index
-// state, and a one-worker pool degenerates to the sequential loop.
-type Pool struct {
-	workers int
-	rounds  chan *poolRound
-	// spare recycles round descriptors between ForEach calls so a
-	// steady-state round allocates nothing. sync.Pool keeps concurrent
-	// ForEach calls on the same Pool safe.
-	spare sync.Pool
-}
-
-type poolRound struct {
-	fn   func(int)
-	size int
-	next atomic.Int64
-	wg   sync.WaitGroup
-}
-
-// NewPool starts a pool of the given size (<= 0 selects DefaultWorkers).
-// Callers must Close it to release the worker goroutines.
-func NewPool(workers int) *Pool {
-	if workers <= 0 {
-		workers = DefaultWorkers()
-	}
-	p := &Pool{workers: workers, rounds: make(chan *poolRound, workers)}
-	if workers == 1 {
-		return p // sequential pool: no goroutines to park
-	}
-	for w := 0; w < workers; w++ {
-		go func() {
-			for r := range p.rounds {
-				for {
-					i := int(r.next.Add(1)) - 1
-					if i >= r.size {
-						break
-					}
-					r.fn(i)
-				}
-				r.wg.Done()
-			}
-		}()
-	}
-	return p
-}
-
-// ForEach runs fn(i) for every i in [0, n) on the pool's workers and
-// returns when all calls have finished.
-func (p *Pool) ForEach(n int, fn func(i int)) {
-	if n <= 0 {
-		return
-	}
-	if p.workers == 1 || n == 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	r, _ := p.spare.Get().(*poolRound)
-	if r == nil {
-		r = new(poolRound)
-	}
-	r.fn = fn
-	r.size = n
-	r.next.Store(0)
-	r.wg.Add(p.workers)
-	for w := 0; w < p.workers; w++ {
-		p.rounds <- r
-	}
-	r.wg.Wait()
-	r.fn = nil // drop the closure before parking the descriptor
-	p.spare.Put(r)
-}
-
-// Close releases the pool's workers. The pool must not be used after.
-func (p *Pool) Close() {
-	if p.workers > 1 {
-		close(p.rounds)
-	}
 }

@@ -61,31 +61,3 @@ func TestDefaultWorkersPositive(t *testing.T) {
 		t.Fatalf("DefaultWorkers = %d", DefaultWorkers())
 	}
 }
-
-func TestPoolReusableAcrossRounds(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		p := NewPool(workers)
-		var total atomic.Int64
-		const rounds, n = 50, 37
-		for r := 0; r < rounds; r++ {
-			var counts [n]int32
-			p.ForEach(n, func(i int) { atomic.AddInt32(&counts[i], 1) })
-			for i, c := range counts {
-				if c != 1 {
-					t.Fatalf("workers=%d round %d: index %d ran %d times", workers, r, i, c)
-				}
-			}
-			total.Add(int64(n))
-		}
-		p.Close()
-		if total.Load() != rounds*n {
-			t.Fatalf("workers=%d: total = %d", workers, total.Load())
-		}
-	}
-}
-
-func TestPoolEmptyRound(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
-	p.ForEach(0, func(int) { t.Fatal("fn called for n=0") })
-}

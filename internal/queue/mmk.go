@@ -38,16 +38,16 @@ func ErlangC(k int, a float64) float64 {
 
 // MeanWait returns the mean waiting time (excluding service) of an M/M/k
 // queue with the given number of servers, utilisation rho = lambda*S/k and
-// mean service time s. It returns +Inf at or beyond saturation.
-func MeanWait(k int, rho, s float64) float64 {
+// mean service time s, where pw is the probability of waiting,
+// ErlangC(k, rho*k): a caller that also wants quantiles computes it once.
+// It returns +Inf at or beyond saturation.
+func MeanWait(pw float64, k int, rho, s float64) float64 {
 	if rho >= 1 {
 		return math.Inf(1)
 	}
 	if rho <= 0 {
 		return 0
 	}
-	a := rho * float64(k)
-	pw := ErlangC(k, a)
 	return pw * s / (float64(k) * (1 - rho))
 }
 
@@ -58,8 +58,9 @@ func MeanWait(k int, rho, s float64) float64 {
 //	P(W > t) = Pw * exp(-k*(1-rho)*t/s)
 //	q-quantile: t = s/(k*(1-rho)) * ln(Pw/(1-q))   when Pw > 1-q, else 0.
 //
-// It returns +Inf at or beyond saturation.
-func WaitQuantile(k int, rho, s, q float64) float64 {
+// pw is ErlangC(k, rho*k), as for MeanWait. It returns +Inf at or beyond
+// saturation.
+func WaitQuantile(pw float64, k int, rho, s, q float64) float64 {
 	if rho >= 1 {
 		return math.Inf(1)
 	}
@@ -72,8 +73,6 @@ func WaitQuantile(k int, rho, s, q float64) float64 {
 	if q >= 1 {
 		return math.Inf(1)
 	}
-	a := rho * float64(k)
-	pw := ErlangC(k, a)
 	tail := 1 - q
 	if pw <= tail {
 		return 0

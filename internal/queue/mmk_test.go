@@ -57,23 +57,23 @@ func TestMeanWaitMM1(t *testing.T) {
 	// M/M/1: Wq = rho*S/(1-rho).
 	rho, s := 0.5, 2.0
 	want := rho * s / (1 - rho)
-	if got := MeanWait(1, rho, s); math.Abs(got-want) > 1e-9 {
+	if got := MeanWait(ErlangC(1, rho), 1, rho, s); math.Abs(got-want) > 1e-9 {
 		t.Fatalf("Wq = %v, want %v", got, want)
 	}
 }
 
 func TestMeanWaitSaturation(t *testing.T) {
-	if !math.IsInf(MeanWait(4, 1.0, 1), 1) {
+	if !math.IsInf(MeanWait(1, 4, 1.0, 1), 1) {
 		t.Fatal("wait at saturation should be +Inf")
 	}
-	if got := MeanWait(4, 0, 1); got != 0 {
+	if got := MeanWait(0, 4, 0, 1); got != 0 {
 		t.Fatalf("wait at zero load = %v", got)
 	}
 }
 
 func TestWaitQuantileZeroWhenNoWaiting(t *testing.T) {
 	// With tiny load, P(wait) < 1% and the 99th percentile wait is 0.
-	if got := WaitQuantile(16, 0.05, 1, 0.99); got != 0 {
+	if got := WaitQuantile(ErlangC(16, 0.05*16), 16, 0.05, 1, 0.99); got != 0 {
 		t.Fatalf("wait q99 at 5%% load = %v, want 0", got)
 	}
 }
@@ -81,7 +81,7 @@ func TestWaitQuantileZeroWhenNoWaiting(t *testing.T) {
 func TestWaitQuantileMonotoneInRho(t *testing.T) {
 	prev := -1.0
 	for rho := 0.5; rho < 0.99; rho += 0.01 {
-		w := WaitQuantile(4, rho, 1, 0.99)
+		w := WaitQuantile(ErlangC(4, rho*4), 4, rho, 1, 0.99)
 		if w < prev {
 			t.Fatalf("wait quantile not monotone at rho=%v", rho)
 		}
@@ -92,7 +92,7 @@ func TestWaitQuantileMonotoneInRho(t *testing.T) {
 func TestWaitQuantileMonotoneInQ(t *testing.T) {
 	prev := -1.0
 	for q := 0.5; q < 0.999; q += 0.01 {
-		w := WaitQuantile(4, 0.9, 1, q)
+		w := WaitQuantile(ErlangC(4, 0.9*4), 4, 0.9, 1, q)
 		if w < prev {
 			t.Fatalf("wait quantile not monotone at q=%v", q)
 		}
@@ -101,7 +101,7 @@ func TestWaitQuantileMonotoneInQ(t *testing.T) {
 }
 
 func TestWaitQuantileSaturation(t *testing.T) {
-	if !math.IsInf(WaitQuantile(4, 1, 1, 0.99), 1) {
+	if !math.IsInf(WaitQuantile(1, 4, 1, 1, 0.99), 1) {
 		t.Fatal("q at saturation should be +Inf")
 	}
 }

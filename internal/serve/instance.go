@@ -335,7 +335,6 @@ func engineConfig(lab *experiment.Lab, lcName string) engine.Config {
 		Heracles: true,
 		Model:    lab.DRAMModel(lcName),
 		LookupBE: lab.BE,
-		Workers:  1,
 		// Every live instance carries the error-budget tracker
 		// (DESIGN.md §15), and its firing fast-burn page throttles fleet
 		// dispatch onto the instance via the AdmitHold advertisement. The
@@ -506,9 +505,6 @@ func (i *Instance) adopt(cp *InstanceCheckpoint) error {
 	}
 	restoreHist.Observe(time.Since(rs))
 	pruneFleetTasks(eng, cp)
-	if i.eng != nil {
-		i.eng.Close()
-	}
 	i.scenarioSpec = spec
 	i.bind(eng)
 	return nil
@@ -617,8 +613,8 @@ func sortedActions(m map[actionKey]int64) []ActionCount {
 }
 
 // Stop removes the instance from the epoch heap — cancelling any queued
-// step or mid-backoff restart slice — waits out an in-flight slice,
-// closes the event hub and the engine. Safe to call more than once.
+// step or mid-backoff restart slice — waits out an in-flight slice and
+// closes the event hub. Safe to call more than once.
 func (i *Instance) Stop() {
 	i.stopOnce.Do(func() {
 		i.pool.remove(i.entry)
@@ -626,7 +622,6 @@ func (i *Instance) Stop() {
 		i.stopped = true
 		i.stepMu.Unlock()
 		i.hub.Close()
-		i.eng.Close()
 		close(i.donec)
 	})
 	<-i.donec
