@@ -67,14 +67,17 @@ churn:
 # checkpoint that re-encodes to a fixed point. The scenario JSON codec:
 # an error or a scenario a one-node engine installs and steps. The job
 # submit route: any body answers 201 or 4xx, and an accepted job
-# cancels, leaving the queue empty. The minimise cap keeps a newly
-# interesting 40 KB input from eating the whole ten seconds.
+# cancels, leaving the queue empty. The mutation routes (PUT load, slo,
+# degrade; POST bes, faults): any body answers 2xx or 4xx, and the
+# instance keeps stepping. The minimise cap keeps a newly interesting
+# 40 KB input from eating the whole ten seconds.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCheckpointFile$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzCreateInstanceBody$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCheckpointBinary$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/engine/
 	$(GO) test -run '^$$' -fuzz '^FuzzScenarioSpec$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzJobSubmission$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzInstanceMutation$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/serve/
 
 # Paper-fidelity scorecard: every checkable statement of the paper
 # (docs/FIDELITY.md) holds inside its tolerance, and the committed table

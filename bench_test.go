@@ -283,12 +283,21 @@ type micro struct {
 var micros = []micro{
 	// One control epoch of a warmed websearch+brain machine, its poll ring
 	// (600 epochs: nothing declares a depth) full: 0 allocs/op. The plain
-	// form repeats one epoch, answered by stage reuse (DESIGN.md §5);
-	// changing nudges the load every epoch on an uneven core split, so
-	// every stage misses and runs its solver.
+	// form repeats one epoch, answered whole by the epoch record
+	// (DESIGN.md §5); stages alternates the BE egress ceiling between two
+	// values above brain's demand, so the record misses every epoch and
+	// every stage's record answers; changing nudges the load every epoch
+	// on an uneven core split, so every stage misses and runs its solver.
 	{"MachineStep", func(testing.TB) func(int) {
 		m := benchMachine(12)
 		return each(func(int) { m.Step() })
+	}},
+	{"MachineStep/stages", func(testing.TB) func(int) {
+		m := benchMachine(12)
+		return each(func(i int) {
+			m.SetBENetCeil(float64(5 + i%2))
+			m.Step()
+		})
 	}},
 	{"MachineStep/changing", func(testing.TB) func(int) {
 		m := benchMachine(11)

@@ -28,10 +28,11 @@ func TestStepSteadyStateAllocFree(t *testing.T) {
 		t.Fatalf("steady-state Step allocates %.1f objects per epoch, want 0", avg)
 	}
 
-	// Alternating between two allocations every epoch makes every reused
-	// stage miss and store a new key each time; the records reuse the
-	// buffers the first few misses grew. The uneven split makes the two
-	// sockets differ, so every record is in play.
+	// Alternating between two allocations every epoch makes the epoch
+	// record (which answers the plain steps above) and every reused stage
+	// miss and store a new key each time; the records reuse the buffers
+	// the first few misses grew. The uneven split makes the two sockets
+	// differ, so every record is in play.
 	flip := 0
 	churn := func() {
 		flip ^= 1

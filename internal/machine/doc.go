@@ -15,6 +15,11 @@
 // lets the cluster, fleet and control-plane layers run hundreds of
 // machines concurrently.
 //
+// An epoch whose every input repeats the last is answered whole by the
+// machine's epoch record; otherwise each pure stage reuses its last
+// solution when its own arguments repeat, also from the other machines
+// of one engine (StageMemo). Both are caches: Snapshot carries neither.
+//
 // A Machine is single-threaded by contract — exactly one goroutine may
 // call Step and the mutating actuators. Fan-out layers give each machine
 // its own goroutine (or worker-pool slot) and communicate through

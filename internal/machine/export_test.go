@@ -19,3 +19,11 @@ func (m *Machine) ReuseCounts() (freq, cache, lat StageCalls) {
 		StageCalls{r.cacheSolves, r.cacheReused},
 		StageCalls{r.latSolves, r.latReused}
 }
+
+// EpochHits is the number of epochs the machine's epoch record answered.
+func (m *Machine) EpochHits() uint64 {
+	if m.rec == nil {
+		return 0
+	}
+	return m.rec.hits
+}

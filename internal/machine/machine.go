@@ -83,6 +83,7 @@ type Machine struct {
 
 	scratch stepScratch
 	reuse   stageReuse
+	rec     *epochRecord // the last epoch; nil until the first Step
 }
 
 // stepScratch holds every buffer Step needs so that steady-state stepping
@@ -363,7 +364,7 @@ func (m *Machine) PinLC(n int) {
 	}
 	for _, be := range m.bes {
 		if be.Placement == workload.PlaceDedicated {
-			be.Cores = rest
+			be.Cores = append([]int(nil), rest...) // each its own: Partition rewrites in place
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -173,6 +174,30 @@ func TestPinLCInterleavesSockets(t *testing.T) {
 	s1 := coresOnSocket(m.cfg.CoresPerSocket, m.LC().Cores, 1)
 	if s0 != 3 || s1 != 3 {
 		t.Fatalf("pinned LC cores per socket = %d/%d", s0, s1)
+	}
+}
+
+// TestPinLCThenPartitionSplitsBECores: PinLC hands every dedicated BE
+// task the cores it leaves, and Partition rewrites each task's list in
+// place, so the tasks must not share one list — if they do, the last
+// task's cores overwrite the others'.
+func TestPinLCThenPartitionSplitsBECores(t *testing.T) {
+	lcs, bes := calibrated(t)
+	build := func() *Machine {
+		m := New(hw.DefaultConfig())
+		m.SetLC(lcs["websearch"])
+		m.AddBE(bes["brain"], workload.PlaceDedicated)
+		m.AddBE(bes["streetview"], workload.PlaceDedicated)
+		return m
+	}
+	pinned, fresh := build(), build()
+	pinned.PinLC(20)
+	pinned.Partition(8)
+	fresh.Partition(8)
+	for i, be := range pinned.BEs() {
+		if want := fresh.BEs()[i].Cores; !slices.Equal(be.Cores, want) {
+			t.Errorf("BE task %d after PinLC then Partition holds cores %v, want %v", i, be.Cores, want)
+		}
 	}
 }
 

@@ -49,10 +49,15 @@ const netOverloadCap = 1.0 // seconds
 // the power-ramp penalty reaches full strength.
 const rampFreqWindow = 0.4
 
-// Step resolves one epoch and returns its telemetry. The slices inside the
+// Step resolves one epoch and returns its telemetry; an epoch that repeats
+// the last is answered whole by the epoch record. The slices inside the
 // returned Telemetry are the machine's own and are refilled by the next
 // Step; copy them to retain longer.
 func (m *Machine) Step() Telemetry {
+	if m.rec.answers(m) {
+		return m.replayEpoch()
+	}
+	outs, lastService := m.beginEpoch(), m.lastService
 	cfg := m.cfg
 	tc := cfg.TotalCores()
 	dt := m.epoch
@@ -482,6 +487,7 @@ func (m *Machine) Step() Telemetry {
 	var busyBECores float64
 	for bi, be := range m.bes {
 		be.LastRate, be.LastNorm = 0, 0
+		out := &outs[bi]
 		if !be.Enabled {
 			continue
 		}
@@ -501,7 +507,7 @@ func (m *Machine) Step() Telemetry {
 			}
 			if len(be.Cores) > 0 {
 				busyBECores += float64(len(be.Cores))
-				be.CPUSec += float64(len(be.Cores)) * dtSec
+				out.accrue(be, float64(len(be.Cores))*dtSec)
 			}
 			tel.BERateNorm += be.LastNorm
 			continue
@@ -532,7 +538,7 @@ func (m *Machine) Step() Telemetry {
 		// Busy core-seconds accrue for any occupied cores, even when the
 		// achieved rate rounds to zero — occupancy, not usefulness, is what
 		// the eviction-waste accounting measures.
-		be.CPUSec += eqCores * dtSec
+		out.accrue(be, eqCores*dtSec)
 		if eqCores <= 0 || freqRel <= 0 {
 			continue
 		}
@@ -541,7 +547,7 @@ func (m *Machine) Step() Telemetry {
 		if accRate[ti] > 0 {
 			hit = 1 - missRate[ti]/accRate[ti]
 		}
-		be.LastHit = hit
+		be.LastHit, out.wroteHit = hit, true
 		// Cache-size effect: more misses per unit of work than when
 		// running alone slows the memory-bound fraction proportionally.
 		// Bandwidth saturation is applied separately as a throughput cap,
@@ -577,6 +583,7 @@ func (m *Machine) Step() Telemetry {
 		tel.EMU = tel.BERateNorm
 	}
 
+	m.keepEpoch(lastService)
 	m.clock.Advance(dt)
 	m.pushSample(TailSample{Time: tel.Time, TailLatency: tel.TailLatency})
 	return *tel

@@ -56,7 +56,7 @@ func stateJSON(t *testing.T, m *Machine) []byte {
 // which remembers nothing, and both step. The two must leave bit-identical
 // state. A key comparison that drops a field (or compares components by
 // slice pointer) makes the long-lived machine return a stale solution and
-// fails here.
+// fails here; that covers the epoch record's key as well as the stages'.
 func TestStepReuseMatchesColdSolve(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -185,6 +185,11 @@ func TestStepReuseMatchesColdSolve(t *testing.T) {
 					t.Errorf("%s stage: %d solved, %d reused; the sequence must exercise both", stage, c.Solved, c.Reused)
 				}
 			}
+			// And only if the epoch record answered some epochs whole.
+			if h := m.EpochHits(); h < 1000 {
+				t.Errorf("the epoch record answered %d of 6000 epochs; the idle stretches must exercise it", h)
+			}
+			t.Logf("epoch record answered %d of 6000 epochs", m.EpochHits())
 		})
 	}
 }
@@ -192,27 +197,43 @@ func TestStepReuseMatchesColdSolve(t *testing.T) {
 // TestColocateSweepReuseShare pins the property the speed-up rests on:
 // over a colocation sweep (cmd/colocate's six-point grid, four minutes a
 // point, websearch with brain under the Heracles controller) most epochs
-// hand the frequency and cache stages arguments they have just solved. A
-// change that leaks a per-epoch-varying value into a stage's arguments
-// drops the share and fails here instead of silently losing the gain.
+// repeat the one before, and the epoch record answers them whole; of the
+// rest, most hand the frequency and cache stages arguments they have just
+// solved. An epoch the record answers counts as a reuse of each stage. A
+// change that leaks a per-epoch-varying value into the epoch key or a
+// stage's arguments drops a share and fails here instead of silently
+// losing the gain. The LC-alone arm is the same grid without the BE task.
 func TestColocateSweepReuseShare(t *testing.T) {
 	lcs, bes := calibrated(t)
 	var freq, llc, latency StageCalls
-	add := func(a *StageCalls, b StageCalls) { a.Solved += b.Solved; a.Reused += b.Reused }
+	add := func(a *StageCalls, b StageCalls, hits uint64) { a.Solved += b.Solved; a.Reused += b.Reused + hits }
+	var hits [2]uint64 // epochs the epoch record answered: colocated, LC alone
 	for i := 0; i < 6; i++ {
-		m := New(hw.DefaultConfig())
-		m.SetLC(lcs["websearch"])
-		m.AddBE(bes["brain"], workload.PlaceDedicated)
-		m.SetLoad(0.05 + 0.90*float64(i)/5)
-		ctl := core.New(m, nil, core.DefaultConfig())
-		for e := 0; e < 240; e++ {
-			m.Step()
-			ctl.Step(m.Clock().Now())
+		for arm := range hits {
+			m := New(hw.DefaultConfig())
+			m.SetLC(lcs["websearch"])
+			if arm == 0 {
+				m.AddBE(bes["brain"], workload.PlaceDedicated)
+			}
+			m.SetLoad(0.05 + 0.90*float64(i)/5)
+			ctl := core.New(m, nil, core.DefaultConfig())
+			for e := 0; e < 240; e++ {
+				m.Step()
+				ctl.Step(m.Clock().Now())
+			}
+			hits[arm] += m.EpochHits()
+			if arm > 0 {
+				continue
+			}
+			f, c, l := m.ReuseCounts()
+			add(&freq, f, m.EpochHits())
+			add(&llc, c, m.EpochHits())
+			add(&latency, l, m.EpochHits())
 		}
-		f, c, l := m.ReuseCounts()
-		add(&freq, f)
-		add(&llc, c)
-		add(&latency, l)
+	}
+	t.Logf("epochs answered whole: %d/1440 colocated, %d/1440 LC alone", hits[0], hits[1])
+	if hits[0] < 1200 || hits[1] < 1400 {
+		t.Errorf("epoch record answered %d/1440 colocated and %d/1440 LC-alone epochs, want >= 1200 and >= 1400", hits[0], hits[1])
 	}
 	t.Logf("reused share: frequency %.1f%%, cache %.1f%%, latency %.1f%%",
 		100*freq.ReusedShare(), 100*llc.ReusedShare(), 100*latency.ReusedShare())
@@ -247,4 +268,24 @@ func TestReuseRecordsStaySmall(t *testing.T) {
 		t.Fatalf("reuse records hold %d bytes of heap, want at most 1536", n)
 	}
 	t.Logf("reuse records hold %d bytes of heap", n)
+}
+
+// TestEpochRecordStaysSmall bounds the heap the epoch record adds to a
+// machine that steps, on the reference server: websearch with one BE
+// task. The record holds no telemetry, and core ids are two bytes each.
+func TestEpochRecordStaysSmall(t *testing.T) {
+	lcs, bes := calibrated(t)
+	m := New(hw.DefaultConfig())
+	m.SetLC(lcs["websearch"])
+	m.AddBE(bes["brain"], workload.PlaceDedicated)
+	m.SetLoad(0.5)
+	m.Partition(12)
+	m.Step()
+	r := m.rec
+	n := unsafe.Sizeof(*r) + uintptr(cap(r.bes))*unsafe.Sizeof(beRecord{}) +
+		uintptr(cap(r.cores))*2 + uintptr(cap(r.comps))*unsafe.Sizeof(cache.Component{})
+	if n > 1024 {
+		t.Fatalf("the epoch record holds %d bytes of heap, want at most 1024", n)
+	}
+	t.Logf("the epoch record holds %d bytes of heap", n)
 }

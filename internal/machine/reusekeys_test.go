@@ -1,6 +1,8 @@
 package machine
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"reflect"
 	"slices"
@@ -14,9 +16,11 @@ import (
 )
 
 // perturb changes v, a settable struct field, to the nearest different
-// value of its kind and returns a function that puts the old value back.
-// A kind it does not know fails the test: a field of a new kind in a
-// stage argument needs a case here and a comparison in the stage's key.
+// value of its kind and returns a function that puts the old value back:
+// a slice loses its last element, and a pointer points to a copy of what
+// it pointed to. A kind it does not know fails the test: a field of a new
+// kind in a stage argument needs a case here and a comparison in the
+// stage's key.
 func perturb(t *testing.T, name string, v reflect.Value) (restore func()) {
 	t.Helper()
 	old := reflect.New(v.Type()).Elem()
@@ -32,6 +36,15 @@ func perturb(t *testing.T, name string, v reflect.Value) (restore func()) {
 		v.SetBool(!v.Bool())
 	case reflect.String:
 		v.SetString(v.String() + "'")
+	case reflect.Slice:
+		if v.Len() == 0 {
+			t.Fatalf("%s: an empty slice has no shorter value", name)
+		}
+		v.Set(v.Slice(0, v.Len()-1))
+	case reflect.Pointer:
+		c := reflect.New(v.Type().Elem())
+		c.Elem().Set(v.Elem())
+		v.Set(c)
 	default:
 		t.Fatalf("%s: no perturbation for kind %s", name, v.Kind())
 	}
@@ -40,10 +53,10 @@ func perturb(t *testing.T, name string, v reflect.Value) (restore func()) {
 
 // eachField calls fn for every field of the struct p points to, except
 // those named in skip (which the caller handles itself).
-func eachField(p any, skip string, fn func(name string, field reflect.Value)) {
+func eachField(p any, fn func(name string, field reflect.Value), skip ...string) {
 	v := reflect.ValueOf(p).Elem()
 	for i := 0; i < v.NumField(); i++ {
-		if name := v.Type().Field(i).Name; name != skip {
+		if name := v.Type().Field(i).Name; !slices.Contains(skip, name) {
 			fn(v.Type().String()+"."+name, v.Field(i))
 		}
 	}
@@ -142,7 +155,7 @@ func stageReuseKeysCoverEveryField(t *testing.T, viaPeer bool) {
 		call := ask(func(x *Machine) { x.resolveFrequencies(0, loads) },
 			func(x *Machine) { x.resolveFrequencies(0, base) })
 		for _, core := range []int{0, 12, 17} { // an LC core, a capped BE core, an idle core
-			eachField(&loads[core], "", fieldMustMiss(t, call, &r.freqSolves))
+			eachField(&loads[core], fieldMustMiss(t, call, &r.freqSolves))
 		}
 		mustMiss(t, "core count", call, &r.freqSolves, func() func() {
 			full := loads
@@ -168,20 +181,15 @@ func stageReuseKeysCoverEveryField(t *testing.T, viaPeer bool) {
 			func(x *Machine) { x.resolveCache(0, solver, base, true) })
 		for i := range demands {
 			d := &demands[i]
-			eachField(d, "Components", fieldMustMiss(t, call, &r.cacheSolves))
+			eachField(d, fieldMustMiss(t, call, &r.cacheSolves)) // Components: one fewer
 			// Components are edited where they lie, behind the same slice
 			// pointer, as callers that tune a workload spec do.
 			if len(d.Components) < 2 {
 				t.Fatalf("demand %d has %d components; the test needs at least two", i, len(d.Components))
 			}
 			for j := range d.Components {
-				eachField(&d.Components[j], "", fieldMustMiss(t, call, &r.cacheSolves))
+				eachField(&d.Components[j], fieldMustMiss(t, call, &r.cacheSolves))
 			}
-			mustMiss(t, "component count", call, &r.cacheSolves, func() func() {
-				full := d.Components
-				d.Components = full[:len(full)-1]
-				return func() { d.Components = full }
-			})
 		}
 		mustMiss(t, "demand count", call, &r.cacheSolves, func() func() {
 			full := demands
@@ -197,9 +205,137 @@ func stageReuseKeysCoverEveryField(t *testing.T, viaPeer bool) {
 		pb, lb, sb, db := p, lambda, servers, dt
 		call := ask(func(x *Machine) { x.epochLatency(p, lambda, servers, dt) },
 			func(x *Machine) { x.epochLatency(pb, lb, sb, db) })
-		eachField(&p, "", fieldMustMiss(t, call, &r.latSolves))
+		eachField(&p, fieldMustMiss(t, call, &r.latSolves))
 		for name, arg := range map[string]any{"lambda": &lambda, "servers": &servers, "dt": &dt} {
 			fieldMustMiss(t, call, &r.latSolves)(name, reflect.ValueOf(arg).Elem())
 		}
+	})
+}
+
+// TestEpochKeyCoversEveryField is the same obligation for the epoch
+// record, which answers a whole Step: between two epochs the record would
+// answer, one input of Step is moved by the smallest step of its kind —
+// every field of LCTask, of BETask but its outputs, of workload.LC and
+// LCSpec, of workload.BE and BESpec and of each cache.Component, found by
+// reflection; an element of a core list edited in place; the task
+// pointers; the machine's service-time feedback, degradation and BE
+// egress ceiling. The step must miss the record and leave the state a
+// machine restored from the same snapshot, which remembers nothing, leaves.
+func TestEpochKeyCoversEveryField(t *testing.T) {
+	lcs, bes := privateWorkloads(t)
+	cfg := hw.DefaultConfig()
+	m := New(cfg)
+	m.SetLC(lcs["websearch"])
+	m.AddBE(bes["brain"], workload.PlaceDedicated)
+	m.AddBE(bes["streetview"], workload.PlaceDedicated)
+	m.SetLoad(0.4)
+	m.Partition(10)
+	m.PartitionWays(4)
+	m.SetBEFreqCap(2.0)
+	m.SetDegrade(1.2)
+	m.SetBENetCeil(0.5)
+
+	// The cold machine resolves workloads to the warm one's, whatever
+	// their (perhaps perturbed) names.
+	restore := func() *Machine {
+		next := 0
+		cold, err := RestoreMachine(m.Snapshot(),
+			func(string) *workload.LC { return m.lc.WL },
+			func(string) *workload.BE { next++; return m.bes[next-1].WL })
+		if err != nil {
+			t.Fatalf("restore: %v", err)
+		}
+		return cold
+	}
+	// settle steps until the record answers twice running, so that the
+	// next epoch, left alone, would be answered too.
+	settle := func(what string) {
+		for e, run := 0, 0; run < 2; e++ {
+			if e == 200 {
+				t.Fatalf("before %s: the record answered no two epochs running in 200", what)
+			}
+			h := m.EpochHits()
+			m.Step()
+			if m.EpochHits() > h {
+				run++
+			} else {
+				run = 0
+			}
+		}
+	}
+	mustMiss := func(what string, mutate func() (restore func())) {
+		t.Helper()
+		settle(what)
+		undo := mutate()
+		cold := restore()
+		h := m.EpochHits()
+		m.Step()
+		cold.Step()
+		if m.EpochHits() != h {
+			t.Errorf("%s changed, yet the epoch record answered", what)
+		} else if warm, ref := stateJSON(t, m), stateJSON(t, cold); !bytes.Equal(warm, ref) {
+			t.Errorf("%s changed: the step differs from a cold machine's\nwarm: %s\ncold: %s", what, warm, ref)
+		}
+		undo()
+	}
+	field := func(name string, f reflect.Value) {
+		mustMiss(name, func() func() { return perturb(t, name, f) })
+	}
+	scalar := func(name string, p *float64) { field(name, reflect.ValueOf(p).Elem()) }
+	// element edits one entry of a list where it lies, behind the same
+	// slice pointer, as callers that move cores or tune a spec do.
+	element := func(name string, list reflect.Value) {
+		if list.Len() == 0 {
+			t.Fatalf("%s is empty; the test needs an element to edit", name)
+		}
+		for j := 0; j < list.Len(); j++ {
+			e := list.Index(j)
+			if e.Kind() == reflect.Struct {
+				eachField(e.Addr().Interface(), field)
+				continue
+			}
+			// A core id: the next core, wrapping to stay on the machine.
+			mustMiss(fmt.Sprintf("%s[%d]", name, j), func() func() {
+				old := e.Int()
+				e.SetInt((old + 1) % int64(cfg.TotalCores()))
+				return func() { e.SetInt(old) }
+			})
+		}
+	}
+
+	scalar("Machine.lastService", &m.lastService)
+	scalar("Machine.degrade", &m.degrade)
+	scalar("Machine.beNetCeilGBs", &m.beNetCeilGBs)
+
+	lc := m.lc
+	eachField(lc, field)
+	element("LCTask.Cores", reflect.ValueOf(lc.Cores))
+	eachField(lc.WL, field, "Spec")
+	eachField(&lc.WL.Spec, field)
+	element("LCSpec.CacheComponents", reflect.ValueOf(lc.WL.Spec.CacheComponents))
+	mustMiss("the LC task", func() func() {
+		c := *m.lc
+		c.Cores = slices.Clone(c.Cores)
+		m.lc = &c
+		return func() { m.lc = lc }
+	})
+
+	for i, be := range m.bes {
+		eachField(be, field, "LastRate", "LastNorm", "LastHit", "CPUSec")
+		element("BETask.Cores", reflect.ValueOf(be.Cores))
+		eachField(be.WL, field, "Spec")
+		eachField(&be.WL.Spec, field)
+		element("BESpec.CacheComponents", reflect.ValueOf(be.WL.Spec.CacheComponents))
+		mustMiss(fmt.Sprintf("BE task %d", i), func() func() {
+			c := *be
+			c.Cores = slices.Clone(c.Cores)
+			m.bes[i] = &c
+			return func() { m.bes[i] = be }
+		})
+	}
+	mustMiss("BE task count", func() func() {
+		all := m.bes
+		m.bes = all[:len(all)-1]
+		return func() { m.bes = all }
 	})
 }
