@@ -69,8 +69,12 @@ churn:
 # submit route: any body answers 201 or 4xx, and an accepted job
 # cancels, leaving the queue empty. The mutation routes (PUT load, slo,
 # degrade; POST bes, faults): any body answers 2xx or 4xx, and the
-# instance keeps stepping. The minimise cap keeps a newly interesting
-# 40 KB input from eating the whole ten seconds.
+# instance keeps stepping. The router's membership and migration routes
+# (POST/DELETE members, rebalance, migrate), over two daemons it may dial
+# and no other host: any body answers 2xx, 4xx or 502, and the member
+# list stays sorted, duplicate-free and non-empty. The minimise cap
+# keeps a newly interesting 40 KB input from eating the whole ten
+# seconds.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCheckpointFile$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzCreateInstanceBody$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/serve/
@@ -78,6 +82,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzScenarioSpec$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzJobSubmission$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzInstanceMutation$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzRouterBodies$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/fed/
 
 # Paper-fidelity scorecard: every checkable statement of the paper
 # (docs/FIDELITY.md) holds inside its tolerance, and the committed table

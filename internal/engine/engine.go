@@ -302,14 +302,15 @@ func newEngine(cfg *Config, construct bool) *Engine {
 	return e
 }
 
-// shareStages gives the nodes' machines one stage memo, so that leaves
-// handed the same epoch solve it once (a one-node engine forms none).
-// Step steps them one at a time, in node order, as a memo requires.
+// shareStages gives the nodes' machines one stage memo before any Step, so
+// that leaves handed the same epoch solve it once; a lone node's machine
+// makes its own at its first miss. Step steps them one at a time, in node
+// order, as a memo requires.
 func (e *Engine) shareStages() {
-	if e.cfg.privateStages {
+	if e.cfg.privateStages || len(e.nodes) < 2 {
 		return
 	}
-	memo := machine.NewStageMemo(e.cfg.HW, len(e.nodes))
+	memo := machine.NewStageMemo(&e.cfg.HW, len(e.nodes))
 	for _, n := range e.nodes {
 		n.m.ShareStages(memo)
 	}

@@ -85,35 +85,7 @@ type Aggregate struct {
 
 	// Sched sums the job scheduler's accounting across instances (nil
 	// when no instance ran one).
-	Sched *SchedAggregate
-}
-
-// SchedAggregate is the fleet-level reduction of the per-cluster
-// scheduler accounting: total goodput vs wasted BE CPU time, eviction
-// and completion counts, and the fleet-mean queueing delay.
-type SchedAggregate struct {
-	Submitted  int
-	Dispatches int
-	Completed  int
-	Evictions  int
-	Failed     int
-
-	GoodCPUSec   float64
-	WastedCPUSec float64
-
-	// MeanQueueDelay is the dispatch-weighted mean wait across the fleet.
-	MeanQueueDelay time.Duration
-	// MaxQueueDepth is the worst queue depth any instance observed.
-	MaxQueueDepth int
-}
-
-// GoodputFrac is completed CPU time over all consumed CPU time.
-func (s SchedAggregate) GoodputFrac() float64 {
-	total := s.GoodCPUSec + s.WastedCPUSec
-	if total <= 0 {
-		return 0
-	}
-	return s.GoodCPUSec / total
+	Sched *sched.Accounting
 }
 
 // Result is a full fleet run.
@@ -386,7 +358,6 @@ func catalogFor(lab *experiment.Lab, sc scenario.Scenario) map[string]*workload.
 // identical for any worker count).
 func aggregate(sums []cluster.Summary) Aggregate {
 	a := Aggregate{MinEMU: 1e9}
-	var queueDelay time.Duration
 	for _, s := range sums {
 		a.MeanEMU += s.MeanEMU
 		if s.MinEMU < a.MinEMU {
@@ -401,27 +372,14 @@ func aggregate(sums []cluster.Summary) Aggregate {
 			continue
 		}
 		if a.Sched == nil {
-			a.Sched = &SchedAggregate{}
+			a.Sched = &sched.Accounting{}
 		}
-		a.Sched.Submitted += s.Sched.Submitted
-		a.Sched.Dispatches += s.Sched.Dispatches
-		a.Sched.Completed += s.Sched.Completed
-		a.Sched.Evictions += s.Sched.Evictions
-		a.Sched.Failed += s.Sched.Failed
-		a.Sched.GoodCPUSec += s.Sched.GoodCPUSec
-		a.Sched.WastedCPUSec += s.Sched.WastedCPUSec
-		queueDelay += s.Sched.QueueDelaySum
-		if s.Sched.MaxQueueDepth > a.Sched.MaxQueueDepth {
-			a.Sched.MaxQueueDepth = s.Sched.MaxQueueDepth
-		}
+		a.Sched.Add(*s.Sched)
 	}
 	n := float64(len(sums))
 	if n > 0 {
 		a.MeanEMU /= n
 		a.MeanRootFrac /= n
-	}
-	if a.Sched != nil && a.Sched.Dispatches > 0 {
-		a.Sched.MeanQueueDelay = queueDelay / time.Duration(a.Sched.Dispatches)
 	}
 	return a
 }
@@ -451,12 +409,12 @@ func (r Result) String() string {
 }
 
 // schedLine renders one scheduler aggregate.
-func schedLine(s *SchedAggregate) string {
+func schedLine(s *sched.Accounting) string {
 	return fmt.Sprintf(
 		"BE scheduler: %d/%d jobs completed (%d evictions, %d failed), goodput %.0f cpu-s vs %.0f wasted (%.1f%%), mean queue delay %v\n",
 		s.Completed, s.Submitted, s.Evictions, s.Failed,
 		s.GoodCPUSec, s.WastedCPUSec, 100*s.GoodputFrac(),
-		s.MeanQueueDelay.Round(time.Second))
+		s.MeanQueueDelay().Round(time.Second))
 }
 
 // String renders the policy comparison as the table cmd/fleet -policy
@@ -470,12 +428,12 @@ func (r PoliciesResult) String() string {
 	for _, o := range r.Outcomes {
 		s := o.Heracles.Sched
 		if s == nil {
-			s = &SchedAggregate{}
+			s = &sched.Accounting{}
 		}
 		fmt.Fprintf(&b, "%-14s %7.1f%% %9.1f%% %6d %12.0f %12.0f %8.1f%% %6d/%-3d %12v\n",
 			o.Policy, 100*o.Heracles.MeanEMU, 100*o.Heracles.MaxRootFrac, o.Heracles.Violations,
 			s.GoodCPUSec, s.WastedCPUSec, 100*s.GoodputFrac(),
-			s.Completed, s.Submitted, s.MeanQueueDelay.Round(time.Second))
+			s.Completed, s.Submitted, s.MeanQueueDelay().Round(time.Second))
 	}
 	return b.String()
 }

@@ -23,9 +23,11 @@ import (
 // This is a cache, not state: it is not in Snapshot, and a restored
 // machine starts cold.
 //
-// A stage looks in the socket's own record first, then in the machine's
-// other sockets', then in its StageMemo's; a hit on another record is
-// copied into the own one.
+// A stage looks in its socket's own record first, then in the machine's
+// StageMemo, which indexes every record of its group — the machine's other
+// sockets and, in an engine, the other machines' — and nowhere else; a hit
+// on another record is copied into the own one. A machine no engine groups
+// is a group of one: it makes its memo at its first stage miss.
 //
 // Every buffer is allocated by the first solve or copy that needs it and
 // reused afterwards, so stepping stays allocation-free once each socket
@@ -34,8 +36,8 @@ type stageReuse struct {
 	sockets []socketReuse
 	// lat holds the latency engine's last epoch.
 	lat latEntry
-	// memo indexes the records of every machine sharing this one's (nil
-	// for a machine on its own).
+	// memo indexes the records of the machine's group (nil until a machine
+	// on its own first misses).
 	memo *StageMemo
 
 	// Solver calls made and avoided per stage, read by tests.
@@ -89,66 +91,50 @@ func newStageReuse(cfg hw.Config, coreFreq []float64) stageReuse {
 }
 
 // StageMemo lets a group of machines — one engine's, which all serve one
-// offered load — answer a stage from each other's records. It indexes the
-// records by a fingerprint of their keys, one direct-mapped table per
-// lookup: one probe and one key compare whatever the group's size. A slot
-// only points the way (its record may have moved on to another key since),
-// so a lookup compares the full key, and a collision costs a solve, never
-// a wrong answer. Members must be stepped one at a time.
+// offered load, or one machine's sockets — answer a stage from each other's
+// records. It indexes the records by a fingerprint of their keys, one
+// direct-mapped table per lookup: one probe and one key compare whatever
+// the group's size. Records with equal keys share a slot. A slot only
+// points the way (its record may have moved on to another key since, or
+// hold another key of the slot), so a lookup compares the full key, and a
+// collision costs a solve, never a wrong answer. Members must be stepped
+// one at a time.
 type StageMemo struct {
-	cfg              hw.Config
-	freq, cache, ref memoTable[socketReuse]
-	lat              memoTable[latEntry]
+	cfg              *hw.Config // the members'; a pointer keeps a lone memo small
+	shift            uint       // 64 - k: each table is 2^k slots, indexed by a fingerprint's top k bits (k may be 0)
+	freq, cache, ref []*socketReuse
+	lat              []*latEntry
 }
 
-// NewStageMemo returns a memo for up to machines machines built from cfg,
-// or nil for fewer than two: a machine on its own forms no group.
-func NewStageMemo(cfg hw.Config, machines int) *StageMemo {
-	if machines < 2 {
-		return nil
-	}
-	// At least two slots per record keeps collisions between live keys rare.
-	k := uint(bits.Len(uint(2*machines*cfg.Sockets - 1)))
+// NewStageMemo returns a memo for up to machines machines built from *cfg.
+func NewStageMemo(cfg *hw.Config, machines int) *StageMemo {
+	// Two slots per record keep collisions between a group's live keys
+	// rare; a lone machine's sockets meet within an epoch and need one.
+	k := uint(bits.Len(uint(min(2, machines)*machines*cfg.Sockets - 1)))
 	n := 1 << k
-	sock := make([]memoSlot[socketReuse], 3*n)
-	return &StageMemo{cfg: cfg,
-		freq:  memoTable[socketReuse]{sock[:n:n], 64 - k},
-		cache: memoTable[socketReuse]{sock[n : 2*n : 2*n], 64 - k},
-		ref:   memoTable[socketReuse]{sock[2*n:], 64 - k},
-		lat:   memoTable[latEntry]{make([]memoSlot[latEntry], n), 64 - k},
-	}
+	sock := make([]*socketReuse, 3*n)
+	return &StageMemo{cfg: cfg, shift: 64 - k,
+		freq: sock[:n:n], cache: sock[n : 2*n : 2*n], ref: sock[2*n:], lat: make([]*latEntry, n)}
 }
 
-// ShareStages makes m a member of memo (nil leaves m on its own). Stages
-// are pure in their arguments and the hardware Config, so every member
-// must have been built from the memo's Config; any other panics.
+// ShareStages makes m a member of memo. Stages are pure in their arguments
+// and the hardware Config, so every member must have been built from the
+// memo's Config; any other panics.
 func (m *Machine) ShareStages(memo *StageMemo) {
-	if memo != nil && memo.cfg != m.cfg {
+	if *memo.cfg != m.cfg {
 		panic("machine: ShareStages across different hardware configs")
 	}
 	m.reuse.memo = memo
 }
 
-type memoSlot[T any] struct {
-	fp  uint64
-	rec *T
-}
-
-// memoTable is 2^k slots indexed by a fingerprint's top k bits.
-type memoTable[T any] struct {
-	slots []memoSlot[T]
-	shift uint // 64 - k
-}
-
-// find returns the record last stored under fp, or nil.
-func (t memoTable[T]) find(fp uint64) *T {
-	if s := t.slots[fp>>t.shift]; s.fp == fp {
-		return s.rec
+// stageMemo returns m's memo, making a group of one at the first miss of a
+// machine on its own.
+func (m *Machine) stageMemo() *StageMemo {
+	if m.reuse.memo == nil {
+		m.reuse.memo = NewStageMemo(&m.cfg, 1)
 	}
-	return nil
+	return m.reuse.memo
 }
-
-func (t memoTable[T]) put(fp uint64, rec *T) { t.slots[fp>>t.shift] = memoSlot[T]{fp, rec} }
 
 // fold mixes words into a fingerprint. The multiply carries every bit of
 // a word into the top bits the tables index by, and the shift feeds them
@@ -267,37 +253,23 @@ func (e *latEntry) holds(p lat.ServiceParams, lambda float64, servers int, dt ti
 func (m *Machine) resolveFrequencies(s int, loads []hw.CoreLoad) float64 {
 	r := &m.reuse
 	own := &r.sockets[s]
-	for j := range r.sockets {
-		if o := &r.sockets[(s+j)%len(r.sockets)]; o.holdsLoads(loads) { // own record first
-			return r.reuseFreq(own, o)
+	if !own.holdsLoads(loads) {
+		memo := m.stageMemo()
+		slot := &memo.freq[loadsPrint(loads)>>memo.shift]
+		o := *slot
+		if o == nil || !o.holdsLoads(loads) {
+			r.freqSolves++
+			own.setLoads(loads)
+			own.power = m.cfg.ResolveFrequenciesInto(own.freqs, loads).PowerWatts
+			*slot = own
+			return own.power
 		}
-	}
-	var fp uint64
-	if r.memo != nil {
-		fp = loadsPrint(loads)
-		if o := r.memo.freq.find(fp); o != nil && o.holdsLoads(loads) {
-			return r.reuseFreq(own, o)
-		}
-	}
-	r.freqSolves++
-	own.setLoads(loads)
-	own.power = m.cfg.ResolveFrequenciesInto(own.freqs, loads).PowerWatts
-	if r.memo != nil {
-		r.memo.freq.put(fp, own)
-	}
-	return own.power
-}
-
-// reuseFreq answers own's frequency stage from record o, copying o's key
-// and solution into own when o is another record.
-func (r *stageReuse) reuseFreq(own, o *socketReuse) float64 {
-	r.freqReused++
-	if o != own {
 		own.kinds = append(own.kinds[:0], o.kinds...)
 		own.kind = append(own.kind[:0], o.kind...)
 		copy(own.freqs, o.freqs)
 		own.power = o.power
 	}
+	r.freqReused++
 	return own.power
 }
 
@@ -308,42 +280,46 @@ func (r *stageReuse) reuseFreq(own, o *socketReuse) float64 {
 func (m *Machine) resolveCache(s int, solver cache.Solver, demands []cache.Demand, lcFirst bool) ([]cache.Share, cache.Share) {
 	r := &m.reuse
 	own := &r.sockets[s]
-	for j := range r.sockets {
-		if e := &r.sockets[(s+j)%len(r.sockets)]; e.holdsDemands(demands, lcFirst) { // own record first
-			return r.reuseCache(own, e, lcFirst)
+	if !own.holdsDemands(demands, lcFirst) {
+		memo := m.stageMemo()
+		slot := &memo.cache[demandsPrint(demands)>>memo.shift]
+		e := *slot
+		if e == nil || !e.holdsDemands(demands, lcFirst) {
+			m.solveCache(own, memo, solver, demands, lcFirst)
+			*slot = own
+			return own.shares, own.ref
 		}
+		own.setDemands(e.demands)
+		own.shares = append(own.shares[:0], e.shares...)
+		own.ref, own.hasRef = e.ref, e.hasRef
 	}
-	memo := r.memo
-	var fp uint64
-	if memo != nil {
-		fp = demandsPrint(demands)
-		if e := memo.cache.find(fp); e != nil && e.holdsDemands(demands, lcFirst) {
-			return r.reuseCache(own, e, lcFirst)
-		}
+	r.cacheReused++
+	if lcFirst {
+		r.cacheReused++
 	}
+	return own.shares, own.ref
+}
 
+// solveCache makes demands own's cache key and solves it, and with lcFirst
+// its reference share.
+func (m *Machine) solveCache(own *socketReuse, memo *StageMemo, solver cache.Solver, demands []cache.Demand, lcFirst bool) {
+	r := &m.reuse
 	// The reference solve does not see the way masks, so it survives the
 	// controller moving cores and ways at a fixed load: before the key is
 	// replaced, look for it under any key whose first demand differs from
 	// the reference's arguments in its mask only.
 	var alone [1]cache.Demand
 	var ref cache.Share
-	var refFP uint64
+	var refSlot **socketReuse
 	refKnown := false
 	if lcFirst {
 		alone[0] = demands[0]
 		alone[0].WayMask = cache.FullMask(solver.Ways)
-		for j := range r.sockets {
-			if e := &r.sockets[j]; e.holdsRef(alone[:]) {
-				ref, refKnown = e.ref, true
-				break
-			}
-		}
-		if memo != nil {
-			refFP = demandsPrint(alone[:])
-			if e := memo.ref.find(refFP); !refKnown && e != nil && e.holdsRef(alone[:]) {
-				ref, refKnown = e.ref, true
-			}
+		refSlot = &memo.ref[demandsPrint(alone[:])>>memo.shift]
+		if own.holdsRef(alone[:]) {
+			ref, refKnown = own.ref, true
+		} else if e := *refSlot; e != nil && e.holdsRef(alone[:]) {
+			ref, refKnown = e.ref, true
 		}
 	}
 
@@ -365,28 +341,9 @@ func (m *Machine) resolveCache(s int, solver cache.Solver, demands []cache.Deman
 		r.cacheSolves++
 	}
 	own.ref, own.hasRef = ref, lcFirst
-	if memo != nil {
-		memo.cache.put(fp, own)
-		if lcFirst {
-			memo.ref.put(refFP, own)
-		}
-	}
-	return own.shares, ref
-}
-
-// reuseCache answers own's cache stage (and its reference share when
-// lcFirst) from record e, copying e into own when e is another record.
-func (r *stageReuse) reuseCache(own, e *socketReuse, lcFirst bool) ([]cache.Share, cache.Share) {
-	r.cacheReused++
 	if lcFirst {
-		r.cacheReused++
+		*refSlot = own
 	}
-	if e != own {
-		own.setDemands(e.demands)
-		own.shares = append(own.shares[:0], e.shares...)
-		own.ref, own.hasRef = e.ref, e.hasRef
-	}
-	return own.shares, own.ref
 }
 
 // epochLatency is lat.Analytic's Epoch — a pure function of its
@@ -395,24 +352,19 @@ func (r *stageReuse) reuseCache(own, e *socketReuse, lcFirst bool) ([]cache.Shar
 func (m *Machine) epochLatency(p lat.ServiceParams, lambda float64, servers int, dt time.Duration) lat.EpochStats {
 	r := &m.reuse
 	e := &r.lat
-	if e.holds(p, lambda, servers, dt) {
-		r.latReused++
-		return e.es
-	}
-	var fp uint64
-	if r.memo != nil {
-		fp = latPrint(p, lambda, servers, dt)
-		if o := r.memo.lat.find(fp); o != nil && o.holds(p, lambda, servers, dt) {
-			r.latReused++
-			*e = *o
+	if !e.holds(p, lambda, servers, dt) {
+		memo := m.stageMemo()
+		slot := &memo.lat[latPrint(p, lambda, servers, dt)>>memo.shift]
+		o := *slot
+		if o == nil || !o.holds(p, lambda, servers, dt) {
+			r.latSolves++
+			*e = latEntry{p: p, lambda: lambda, servers: servers, dt: dt,
+				es: lat.Analytic{}.Epoch(p, lambda, servers, dt)}
+			*slot = e
 			return e.es
 		}
+		*e = *o
 	}
-	r.latSolves++
-	*e = latEntry{p: p, lambda: lambda, servers: servers, dt: dt,
-		es: lat.Analytic{}.Epoch(p, lambda, servers, dt)}
-	if r.memo != nil {
-		r.memo.lat.put(fp, e)
-	}
+	r.latReused++
 	return e.es
 }

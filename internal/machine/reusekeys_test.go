@@ -98,7 +98,7 @@ func stageReuseKeysCoverEveryField(t *testing.T, viaPeer bool) {
 	var peer *Machine
 	if viaPeer {
 		peer = New(cfg)
-		memo := NewStageMemo(cfg, 2)
+		memo := NewStageMemo(&cfg, 2)
 		m.ShareStages(memo)
 		peer.ShareStages(memo)
 	}

@@ -104,6 +104,25 @@ type Accounting struct {
 	MaxQueueDepth int
 }
 
+// Add folds o into a, as a fleet sums its clusters' schedulers: counts,
+// CPU-time ledgers, queue delays and last-tick depths sum, and the
+// high-water mark keeps the larger.
+func (a *Accounting) Add(o Accounting) {
+	a.Submitted += o.Submitted
+	a.Dispatches += o.Dispatches
+	a.Completed += o.Completed
+	a.Evictions += o.Evictions
+	a.Failed += o.Failed
+	a.Cancelled += o.Cancelled
+	a.Aborted += o.Aborted
+	a.GoodCPUSec += o.GoodCPUSec
+	a.WastedCPUSec += o.WastedCPUSec
+	a.QueueDelaySum += o.QueueDelaySum
+	a.QueueDepth += o.QueueDepth
+	a.Running += o.Running
+	a.MaxQueueDepth = max(a.MaxQueueDepth, o.MaxQueueDepth)
+}
+
 // MeanQueueDelay is the average dispatchable-to-dispatched wait.
 func (a Accounting) MeanQueueDelay() time.Duration {
 	if a.Dispatches == 0 {

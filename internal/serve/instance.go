@@ -267,8 +267,9 @@ type Instance struct {
 	maxEpochs uint64
 	epochHook func(*machine.Machine, machine.Telemetry)
 
-	pool  *epochScheduler // the registry's epoch scheduler
-	entry *poolEntry      // this instance's single heap entry (step, restart)
+	pool   *epochScheduler // the registry's epoch scheduler
+	entry  *poolEntry      // this instance's single heap entry (step, restart)
+	placed uint64          // its rank in the registry's creation order; Registry.mu-guarded
 
 	donec    chan struct{} // closed once Stop completes
 	stopOnce sync.Once

@@ -3,7 +3,9 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -335,4 +337,38 @@ func trimJSON(b []byte) string {
 		return string(b)
 	}
 	return string(b[:max]) + "..."
+}
+
+// TestFailedMigrationKeepsCreationOrder moves the first of three
+// instances to a peer that refuses it. The instance is reinstated, and
+// List and Statuses, which promise creation order, must still put it
+// first, not last.
+func TestFailedMigrationKeepsCreationOrder(t *testing.T) {
+	s := New(Config{Lab: testLab})
+	t.Cleanup(s.Close)
+	refuse := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		http.Error(w, "no room", http.StatusServiceUnavailable)
+	}))
+	t.Cleanup(refuse.Close)
+	var want []string
+	for range 3 {
+		inst, err := s.CreateInstance(InstanceSpec{Load: 0.5, MaxEpochs: 5})
+		if err != nil {
+			t.Fatalf("create: %v", err)
+		}
+		want = append(want, inst.ID())
+	}
+	if _, err := s.MigrateToPeer(want[0], refuse.URL); err == nil {
+		t.Fatal("migration to a refusing peer succeeded")
+	}
+	var list, statuses []string
+	for _, inst := range s.Registry().List() {
+		list = append(list, inst.ID())
+	}
+	for _, st := range s.Registry().Statuses() {
+		statuses = append(statuses, st.ID)
+	}
+	if !slices.Equal(list, want) || !slices.Equal(statuses, want) {
+		t.Fatalf("after a failed migration List reads %v and Statuses %v, want creation order %v", list, statuses, want)
+	}
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"maps"
@@ -71,7 +72,8 @@ type Registry struct {
 	seq     int
 	pending int // reserved ids whose instances are still being built
 	insts   map[string]*Instance
-	order   []string
+	order   []string       // ascending Instance.placed
+	placed  uint64         // the last Instance.placed handed out
 	homes   map[string]int // id → shard actually hosting it (migrations override the hash)
 
 	pool   *epochScheduler
@@ -166,9 +168,9 @@ func (r *Registry) PutShard(inst *Instance, idx int, detail string) {
 	r.put(inst, idx, true, "migrate-in", detail)
 }
 
-// readd reinstates a removed instance on its former shard after a
-// failed migration; no reservation is consumed and the cap may
-// transiently overshoot by the one returning instance.
+// readd reinstates a removed instance on its former shard, at its place
+// in creation order, after a failed migration; no reservation is consumed
+// and the cap may transiently overshoot by the one returning instance.
 func (r *Registry) readd(inst *Instance, idx int) {
 	r.put(inst, idx, false, "migrate-return", "")
 }
@@ -178,9 +180,16 @@ func (r *Registry) put(inst *Instance, idx int, reserved bool, event, detail str
 	r.mu.Lock()
 	if reserved {
 		r.pending--
+		r.placed++
+		inst.placed = r.placed
+		r.order = append(r.order, inst.ID())
+	} else {
+		at, _ := slices.BinarySearchFunc(r.order, inst.placed, func(id string, placed uint64) int {
+			return cmp.Compare(r.insts[id].placed, placed)
+		})
+		r.order = slices.Insert(r.order, at, inst.ID())
 	}
 	r.insts[inst.ID()] = inst
-	r.order = append(r.order, inst.ID())
 	r.homes[inst.ID()] = idx
 	r.mu.Unlock()
 	r.shards[idx].publish(event, inst.ID(), detail)
