@@ -323,10 +323,22 @@ var micros = []micro{
 	}},
 	{"LabSetup", func(testing.TB) func(int) {
 		// What every process pays before its first experiment epoch: a
-		// fresh lab calibrating websearch (42 probes) and profiling its
-		// DRAM model (180 cells).
+		// fresh lab resolving websearch and its DRAM model, which the
+		// offline table answers on the reference hardware.
 		return each(func(int) {
 			l := experiment.DefaultLab()
+			l.LC("websearch")
+			l.DRAMModel("websearch")
+		})
+	}},
+	{"LabSetup/live", func(testing.TB) func(int) {
+		// The same on hardware the table does not hold (a 25 Gb/s NIC):
+		// websearch calibrates live (42 probes) and its DRAM model is
+		// profiled (180 cells).
+		cfg := hw.DefaultConfig()
+		cfg.LinkGbps = 25
+		return each(func(int) {
+			l := experiment.NewLab(cfg)
 			l.LC("websearch")
 			l.DRAMModel("websearch")
 		})
@@ -646,7 +658,8 @@ func BenchmarkMicro(b *testing.B) {
 // stopped logging its decisions), measured as the benchmark reports them:
 // per call, averaged over runs, truncated. One allocation more per
 // operation fails. InstanceSchedule may allocate its pool's start-up and
-// nothing per slice.
+// nothing per slice. LabSetup is a fresh lab the offline table answers:
+// the lab, its memo entries, the spec lookups and its copy of websearch.
 func TestMicroAllocCeilings(t *testing.T) {
 	if testing.Short() {
 		t.Skip("warms engines, a served pool and 300 instance migrations")
@@ -665,6 +678,7 @@ func TestMicroAllocCeilings(t *testing.T) {
 		{"SLOWindowUpdate", 1, 100, 0},
 		{"HistogramObserve", 1, 100, 0},
 		{"InstanceSchedule", 10000, 5, 535},
+		{"LabSetup", 1, 100, 20},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			i := slices.IndexFunc(micros, func(m micro) bool { return m.name == c.name })

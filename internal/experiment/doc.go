@@ -11,4 +11,10 @@
 // unrelated keys) and bounds sweep concurrency through
 // internal/parallel. CLIs, tests, the golden-figure regression harness
 // and the control plane all draw their calibrated workloads from a Lab.
+// The LC calibrations and DRAM models of the built-in workloads on the
+// built-in hardware are computed offline, as the paper does (§4.2): a
+// generated table (calibrations.go) answers them when the lab's
+// hardware and the workload's spec equal an entry's key in full, and
+// every other input calibrates live through the same code that
+// generates the table.
 package experiment

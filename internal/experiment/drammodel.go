@@ -6,12 +6,15 @@ import (
 	"heracles/internal/core"
 	"heracles/internal/machine"
 	"heracles/internal/parallel"
+	"heracles/internal/workload"
 )
 
 // DRAMTable is the offline model of LC DRAM bandwidth demand as a function
 // of load, core count and LLC ways (§4.2). It is produced by profiling the
 // LC workload alone and queried by the core & memory subcontroller as
-// LcBwModel(). Lookups use trilinear interpolation with clamping.
+// LcBwModel(). Lookups use trilinear interpolation with clamping. A
+// table is read-only once built: the labs on one built-in configuration
+// share the offline table's instance.
 type DRAMTable struct {
 	Loads []float64 // ascending
 	Cores []int     // ascending
@@ -72,17 +75,24 @@ func bracketI(xs []int, x int) (int, int, float64) {
 	return lo, i, f
 }
 
-// DRAMModel profiles (or returns the cached) offline DRAM bandwidth model
-// for the named LC workload on the lab's hardware, sweeping a coarse grid
-// of load, cores and ways. This is the §4.2 offline step: it must be
-// regenerated only when the workload structure changes significantly, and
-// the paper shows Heracles tolerates a somewhat outdated model. The
-// (load, cores) rows of the grid are independent and run in parallel.
+// DRAMModel returns the offline DRAM bandwidth model for the named LC
+// workload on the lab's hardware (§4.2): the generated table's when it
+// holds the lab's hardware and the workload's spec (calibrations.go),
+// else one profiled live over a coarse grid of load, cores and ways and
+// cached. The paper regenerates the model only when the workload
+// structure changes significantly, and shows Heracles tolerates a
+// somewhat outdated one.
 func (l *Lab) DRAMModel(lcName string) *DRAMTable {
-	return l.dramModels.get(lcName, func() *DRAMTable { return l.profileDRAM(lcName) })
+	return l.dramModels.get(lcName, func() *DRAMTable {
+		if c := offlineFor(l.Cfg, lcSpec(lcName)); c != nil {
+			return c.dram
+		}
+		return l.profileDRAM(l.LC(lcName))
+	})
 }
 
-// profileDRAM measures every grid cell with the LC workload alone. A row
+// profileDRAM measures every grid cell with the calibrated LC workload wl
+// alone; the (load, cores) rows are independent and run in parallel. A row
 // shares one machine, re-installing and re-pinning the workload for each
 // way count, which equals a fresh machine per cell (see Machine.SetLC).
 // A cell takes a single Step because LC DRAM demand is feed-forward
@@ -92,8 +102,7 @@ func (l *Lab) DRAMModel(lcName string) *DRAMTable {
 // left behind (the service-time feedback enters only later, at core
 // activity and latency). More epochs repeat the first one's value bit
 // for bit; TestDRAMProfileIsFeedForward holds every cell to that.
-func (l *Lab) profileDRAM(lcName string) *DRAMTable {
-	wl := l.LC(lcName)
+func (l *Lab) profileDRAM(wl *workload.LC) *DRAMTable {
 	total := l.Cfg.TotalCores()
 	ways := l.Cfg.LLCWays
 

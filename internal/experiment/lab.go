@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"reflect"
 	"sync"
 	"time"
 
@@ -12,9 +13,11 @@ import (
 
 // Lab caches calibrated workloads for a hardware configuration so that the
 // many experiment runners share one calibration pass. Each workload (and
-// each offline DRAM model) is calibrated at most once behind its own
+// each offline DRAM model) is resolved at most once behind its own
 // sync.Once, so concurrent sweeps never recalibrate and never serialise on
-// an unrelated workload's calibration.
+// an unrelated workload's calibration. The built-in LC workloads on the
+// built-in hardware resolve from a generated table (calibrations.go)
+// instead of calibrating; any other input calibrates live.
 type Lab struct {
 	Cfg hw.Config
 
@@ -75,16 +78,51 @@ func (l *Lab) workers() int {
 }
 
 // LC returns the calibrated latency-critical workload with the given name,
-// calibrating it on first use. It panics on unknown names (experiment
-// configuration is programmer error, not runtime input).
+// resolved on first use: from the offline table when it holds the lab's
+// hardware and the workload's spec, else by calibrating live. Each lab
+// gets its own copy. It panics on unknown names (experiment configuration
+// is programmer error, not runtime input).
 func (l *Lab) LC(name string) *workload.LC {
+	spec := lcSpec(name)
+	return l.lcs.get(name, func() *workload.LC {
+		if c := offlineFor(l.Cfg, spec); c != nil {
+			wl := c.lc
+			wl.Spec = spec
+			return &wl
+		}
+		return machine.CalibrateLC(l.Cfg, machine.SpecOf(spec))
+	})
+}
+
+func lcSpec(name string) workload.LCSpec {
 	spec, ok := workload.LCByName(name)
 	if !ok {
 		panic("experiment: unknown LC workload " + name)
 	}
-	return l.lcs.get(name, func() *workload.LC {
-		return machine.CalibrateLC(l.Cfg, machine.SpecOf(spec))
-	})
+	return spec
+}
+
+// offlineCalibration is one entry of the generated table in
+// calibrations.go: what the live path computes for one built-in LC spec
+// on one built-in hardware configuration. lc.Spec is the spec half of
+// the key.
+type offlineCalibration struct {
+	cfg  hw.Config
+	lc   workload.LC
+	dram *DRAMTable
+}
+
+// offlineFor returns the table's entry for (cfg, spec), or nil. Only the
+// full key decides: every field of cfg and of spec, and every cache
+// component, compares equal.
+func offlineFor(cfg hw.Config, spec workload.LCSpec) *offlineCalibration {
+	for i := range offlineCalibrations {
+		c := &offlineCalibrations[i]
+		if c.cfg == cfg && reflect.DeepEqual(c.lc.Spec, spec) {
+			return c
+		}
+	}
+	return nil
 }
 
 // BE returns the calibrated best-effort workload with the given name,

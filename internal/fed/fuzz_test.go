@@ -14,26 +14,17 @@ import (
 	"heracles/internal/serve"
 )
 
-// dialOnly makes http.DefaultTransport, which the router's member calls
-// and the daemons' peer migrations go through, refuse every address but
-// addrs until the test ends. A fuzzed body can join any URL as a member;
-// the router then migrates instances onto it, and no such call may leave
-// the test's own daemons.
+// dialOnly makes http.DefaultTransport refuse every address but addrs
+// until the test ends. A fuzzed body can join any URL as a member; the
+// router then migrates instances onto it, and no such call may leave the
+// test's own daemons.
 func dialOnly(tb testing.TB, addrs ...string) {
-	tr := http.DefaultTransport.(*http.Transport).Clone()
-	tr.Proxy = nil
-	tr.DialContext = func(ctx context.Context, network, addr string) (net.Conn, error) {
+	setDial(tb, func(ctx context.Context, network, addr string) (net.Conn, error) {
 		if !slices.Contains(addrs, addr) {
 			return nil, fmt.Errorf("dial %s: not a daemon of this test", addr)
 		}
 		var d net.Dialer
 		return d.DialContext(ctx, network, addr)
-	}
-	old := http.DefaultTransport
-	http.DefaultTransport = tr
-	tb.Cleanup(func() {
-		http.DefaultTransport = old
-		tr.CloseIdleConnections()
 	})
 }
 

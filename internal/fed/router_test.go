@@ -2,9 +2,11 @@ package fed
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -30,20 +32,67 @@ func newFleet(t *testing.T, n, maxInstances int) ([]member, *Router, *httptest.S
 	members := make([]member, n)
 	urls := make([]string, n)
 	for i := range members {
-		srv := serve.New(serve.Config{Lab: testLab, Shards: 2, MaxInstances: maxInstances})
-		ts := httptest.NewServer(srv.Handler())
-		t.Cleanup(ts.Close)
-		t.Cleanup(srv.Close)
-		members[i] = member{srv: srv, ts: ts}
-		urls[i] = ts.URL
+		members[i] = startMember(t, maxInstances)
+		urls[i] = members[i].ts.URL
 	}
+	rt, fts := startRouter(t, urls...)
+	return members, rt, fts
+}
+
+// startMember starts one member daemon.
+func startMember(t *testing.T, maxInstances int) member {
+	t.Helper()
+	srv := serve.New(serve.Config{Lab: testLab, Shards: 2, MaxInstances: maxInstances})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	t.Cleanup(srv.Close)
+	return member{srv: srv, ts: ts}
+}
+
+// startRouter starts a router over the member base URLs.
+func startRouter(t *testing.T, urls ...string) (*Router, *httptest.Server) {
+	t.Helper()
 	rt, err := NewRouter(Config{Members: urls})
 	if err != nil {
 		t.Fatalf("router: %v", err)
 	}
 	fts := httptest.NewServer(rt.Handler())
 	t.Cleanup(fts.Close)
-	return members, rt, fts
+	return rt, fts
+}
+
+// nameMembers makes each member reachable at the fixed base URL
+// ("http://" + name) it is keyed by until the test ends, by dialing that
+// URL's address at the member's listener; any other address dials as
+// usual. Placement hashes member URLs, and httptest's ports are random:
+// a test whose outcome depends on placement names its members.
+func nameMembers(tb testing.TB, byName map[string]member) {
+	addrs := make(map[string]string, len(byName))
+	for name, m := range byName {
+		addrs[name+":80"] = m.ts.Listener.Addr().String()
+	}
+	setDial(tb, func(ctx context.Context, network, addr string) (net.Conn, error) {
+		if a, ok := addrs[addr]; ok {
+			addr = a
+		}
+		var d net.Dialer
+		return d.DialContext(ctx, network, addr)
+	})
+}
+
+// setDial makes http.DefaultTransport, which the router's member calls
+// and the daemons' peer migrations go through, dial through dial, with no
+// proxy, until the test ends.
+func setDial(tb testing.TB, dial func(ctx context.Context, network, addr string) (net.Conn, error)) {
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.Proxy = nil
+	tr.DialContext = dial
+	old := http.DefaultTransport
+	http.DefaultTransport = tr
+	tb.Cleanup(func() {
+		http.DefaultTransport = old
+		tr.CloseIdleConnections()
+	})
 }
 
 func doReq(t *testing.T, method, url string, body any, wantCode int) []byte {
@@ -405,7 +454,12 @@ func richSpec(speed float64) serve.InstanceSpec {
 // drains the departing member entirely, and both keep every instance
 // reachable under its federated id.
 func TestFederationJoinLeaveRebalance(t *testing.T) {
-	members, rt, fts := newFleet(t, 2, 256)
+	// The members are named, so every run hashes the same population and
+	// a join moves the same instances.
+	members := []member{startMember(t, 256), startMember(t, 256)}
+	joiner := startMember(t, 256)
+	nameMembers(t, map[string]member{"member-a": members[0], "member-b": members[1], "member-c": joiner})
+	rt, fts := startRouter(t, "http://member-a", "http://member-b")
 
 	const n = 60
 	ids := make([]string, 0, n)
@@ -418,16 +472,12 @@ func TestFederationJoinLeaveRebalance(t *testing.T) {
 	}
 
 	// Join a third member.
-	joiner := serve.New(serve.Config{Lab: testLab, Shards: 2, MaxInstances: 256})
-	jts := httptest.NewServer(joiner.Handler())
-	t.Cleanup(jts.Close)
-	t.Cleanup(joiner.Close)
 	var joinRes struct {
 		Member string `json:"member"`
 		Moved  int    `json:"moved"`
 		Error  string `json:"error"`
 	}
-	if err := json.Unmarshal(doReq(t, "POST", fts.URL+"/api/v1/members", map[string]string{"url": jts.URL}, 200), &joinRes); err != nil {
+	if err := json.Unmarshal(doReq(t, "POST", fts.URL+"/api/v1/members", map[string]string{"url": "http://member-c"}, 200), &joinRes); err != nil {
 		t.Fatal(err)
 	}
 	if joinRes.Error != "" {
@@ -439,7 +489,7 @@ func TestFederationJoinLeaveRebalance(t *testing.T) {
 	if joinRes.Moved == 0 || joinRes.Moved > bound {
 		t.Fatalf("join moved %d instances, want 1..%d", joinRes.Moved, bound)
 	}
-	if got := joiner.Registry().Len(); got != joinRes.Moved {
+	if got := joiner.srv.Registry().Len(); got != joinRes.Moved {
 		t.Fatalf("joiner hosts %d instances, join reported %d moved", got, joinRes.Moved)
 	}
 	// Every instance answers under its federated id and sits on its hash
@@ -469,13 +519,13 @@ func TestFederationJoinLeaveRebalance(t *testing.T) {
 		Moved int    `json:"moved"`
 		Error string `json:"error"`
 	}
-	if err := json.Unmarshal(doReq(t, "DELETE", fts.URL+"/api/v1/members", map[string]string{"url": jts.URL}, 200), &leaveRes); err != nil {
+	if err := json.Unmarshal(doReq(t, "DELETE", fts.URL+"/api/v1/members", map[string]string{"url": "http://member-c"}, 200), &leaveRes); err != nil {
 		t.Fatal(err)
 	}
 	if leaveRes.Error != "" {
 		t.Fatalf("leave rebalance error: %s", leaveRes.Error)
 	}
-	if got := joiner.Registry().Len(); got != 0 {
+	if got := joiner.srv.Registry().Len(); got != 0 {
 		t.Fatalf("departed member still hosts %d instances", got)
 	}
 	total := 0
