@@ -72,7 +72,11 @@ churn:
 # instance keeps stepping. The router's membership and migration routes
 # (POST/DELETE members, rebalance, migrate), over two daemons it may dial
 # and no other host: any body answers 2xx, 4xx or 502, and the member
-# list stays sorted, duplicate-free and non-empty. The minimise cap
+# list stays sorted, duplicate-free and non-empty. The router's proxy
+# route: any method, sub-resource path, query and body, each under a
+# short deadline, answers below 500, 502 or the daemon's 503 crash gate,
+# carries as many bytes as its Content-Length says, and leaves the
+# instance listed. The minimise cap
 # keeps a newly interesting 40 KB input from eating the whole ten
 # seconds.
 fuzz-smoke:
@@ -83,6 +87,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzJobSubmission$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzInstanceMutation$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzRouterBodies$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/fed/
+	$(GO) test -run '^$$' -fuzz '^FuzzRouterProxy$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/fed/
 
 # Paper-fidelity scorecard: every checkable statement of the paper
 # (docs/FIDELITY.md) holds inside its tolerance, and the committed table

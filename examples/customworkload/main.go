@@ -50,7 +50,7 @@ func main() {
 		Activity: 0.8,
 	}
 
-	lc := heracles.CalibrateLC(hwCfg, heracles.SpecOf(adrank))
+	lc := heracles.CalibrateLC(hwCfg, adrank)
 	be := heracles.CalibrateBE(hwCfg, compact)
 	fmt.Printf("calibrated %s: SLO=%v peak=%.0f QPS guaranteed=%.2f GHz\n",
 		adrank.Name, lc.SLO, lc.PeakQPS, lc.GuaranteedGHz)

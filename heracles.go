@@ -91,8 +91,6 @@ var (
 	// CalibrateLC calibrates an LC spec on given hardware (SLO, peak QPS,
 	// guaranteed frequency).
 	CalibrateLC = machine.CalibrateLC
-	// SpecOf adapts an LCSpec for CalibrateLC.
-	SpecOf = machine.SpecOf
 	// CalibrateBE measures a BE spec running alone (EMU normalisation).
 	CalibrateBE = machine.CalibrateBE
 )

@@ -24,7 +24,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 
 func TestPublicAPIManualControlLoop(t *testing.T) {
 	hwCfg := heracles.DefaultHardware()
-	lc := heracles.CalibrateLC(hwCfg, heracles.SpecOf(heracles.Websearch()))
+	lc := heracles.CalibrateLC(hwCfg, heracles.Websearch())
 	be := heracles.CalibrateBE(hwCfg, heracles.Streetview())
 
 	m := heracles.NewMachine(hwCfg)

@@ -23,7 +23,7 @@ func baseConfig(t *testing.T) Config {
 		testCfg = Config{
 			Leaves: 4,
 			HW:     hwc,
-			LC:     machine.CalibrateLC(hwc, machine.SpecOf(workload.Websearch())),
+			LC:     machine.CalibrateLC(hwc, workload.Websearch()),
 			Brain:  machine.CalibrateBE(hwc, workload.Brain()),
 			SView:  machine.CalibrateBE(hwc, workload.Streetview()),
 			Seed:   1,

@@ -90,7 +90,7 @@ func (l *Lab) LC(name string) *workload.LC {
 			wl.Spec = spec
 			return &wl
 		}
-		return machine.CalibrateLC(l.Cfg, machine.SpecOf(spec))
+		return machine.CalibrateLC(l.Cfg, spec)
 	})
 }
 
@@ -130,11 +130,7 @@ func offlineFor(cfg hw.Config, spec workload.LCSpec) *offlineCalibration {
 func (l *Lab) BE(name string) *workload.BE {
 	spec, ok := workload.BEByName(name)
 	if !ok {
-		if name == "filler" {
-			spec = workload.Filler()
-		} else {
-			panic("experiment: unknown BE workload " + name)
-		}
+		panic("experiment: unknown BE workload " + name)
 	}
 	return l.bes.get(name, func() *workload.BE {
 		return machine.CalibrateBE(l.Cfg, spec)

@@ -59,7 +59,7 @@ func TestOfflineCalibrations(t *testing.T) {
 	var names []string
 	for _, bc := range builtinConfigs {
 		for _, spec := range workload.LCSpecs() {
-			wl := machine.CalibrateLC(bc.cfg, machine.SpecOf(spec))
+			wl := machine.CalibrateLC(bc.cfg, spec)
 			live = append(live, offlineCalibration{cfg: bc.cfg, lc: *wl, dram: (&Lab{Cfg: bc.cfg}).profileDRAM(wl)})
 			names = append(names, spec.Name+" on hw."+bc.name+"()")
 		}

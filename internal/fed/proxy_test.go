@@ -355,3 +355,76 @@ func TestSilentMemberIsCutAtMemberTimeout(t *testing.T) {
 		t.Fatalf("healthz answered after %v, want the %v bound", took, bound)
 	}
 }
+
+// TestProxyPassesHeaders: a proxied stream still arrives with the
+// member's Content-Type and Cache-Control, and every other end-to-end
+// header the member sets (X-Accel-Buffering here) passes through too.
+func TestProxyPassesHeaders(t *testing.T) {
+	f := newRecordingFleet(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, "GET", f.url+"/api/v1/instances/"+f.fid+"/stream", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	for k, want := range map[string]string{
+		"Content-Type":      "text/event-stream",
+		"Cache-Control":     "no-cache",
+		"X-Accel-Buffering": "no",
+	} {
+		if got := resp.Header.Get(k); got != want {
+			t.Errorf("proxied stream's %s = %q, want %q", k, got, want)
+		}
+	}
+}
+
+// TestRouterBodiesAreStrict: the router's own bodies decode as strictly
+// as the daemon's, so a join naming an unknown field is refused, not
+// joined.
+func TestRouterBodiesAreStrict(t *testing.T) {
+	f := newRecordingFleet(t)
+	doReq(t, "POST", f.url+"/api/v1/members", map[string]string{"url": "http://c:8080", "weight": "2"}, 400)
+	var list struct {
+		Members []struct {
+			URL string `json:"url"`
+		} `json:"members"`
+	}
+	if err := json.Unmarshal(doReq(t, "GET", f.url+"/api/v1/members", nil, 200), &list); err != nil {
+		t.Fatal(err)
+	}
+	if len(list.Members) != 1 {
+		t.Fatalf("members after a refused join = %+v, want the one", list.Members)
+	}
+}
+
+// TestOversizedBodyTextIsShared: the router's own 1 MiB routes and the
+// daemon's answer an oversized body with the same 413 text.
+func TestOversizedBodyTextIsShared(t *testing.T) {
+	srv := serve.New(serve.Config{Lab: testLab})
+	t.Cleanup(srv.Close)
+	rt, err := NewRouter(Config{Members: []string{"http://member-a"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	answer := func(h http.Handler, method, path string) string {
+		rec := httptest.NewRecorder()
+		body := io.MultiReader(strings.NewReader(`{"url":"`), io.LimitReader(xs{}, serve.BodyLimit))
+		h.ServeHTTP(rec, httptest.NewRequest(method, path, body))
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s %s with an oversized body answered %d: %s", method, path, rec.Code, rec.Body)
+		}
+		return rec.Body.String()
+	}
+	daemon := answer(srv.Handler(), "POST", "/api/v1/jobs")
+	for _, route := range []string{"POST /api/v1/members", "DELETE /api/v1/members", "POST /api/v1/jobs", "POST /api/v1/instances/f1/migrate"} {
+		method, path, _ := strings.Cut(route, " ")
+		if got := answer(rt.Handler(), method, path); got != daemon {
+			t.Errorf("%s answered %q, the daemon %q", route, got, daemon)
+		}
+	}
+}

@@ -12,10 +12,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httputil"
+	"net/url"
 	"slices"
 	"sort"
 	"strconv"
@@ -84,13 +85,12 @@ type Router struct {
 	table   *chash.Table
 	members []string // sorted member URLs, the hash population
 	seq     int
-	insts   map[string]placement         // fed id → placement
-	rev     map[string]map[string]string // member → local id → fed id
+	insts   map[string]placement // fed id → placement
 	jobSeq  int
 	jobs    map[int]jobRef
 
-	proxied    atomic.Int64 // requests forwarded to members
-	migrations atomic.Int64 // router-driven migrations
+	proxied    countingTransport // carries and counts every member request
+	migrations atomic.Int64      // router-driven migrations
 }
 
 // NewRouter builds a router over the configured members. Placement is a
@@ -118,20 +118,9 @@ func NewRouter(cfg Config) (*Router, error) {
 		table:   chash.New(seed, members...),
 		members: members,
 		insts:   make(map[string]placement),
-		rev:     make(map[string]map[string]string),
 		jobs:    make(map[int]jobRef),
 	}
-	rt.mux = http.NewServeMux()
-	for _, r := range routeTable {
-		handler := r.handler
-		pattern := r.Pattern
-		if r.Method != "ANY" {
-			pattern = r.Method + " " + r.Pattern
-		}
-		rt.mux.HandleFunc(pattern, func(w http.ResponseWriter, req *http.Request) {
-			handler(rt, w, req)
-		})
-	}
+	rt.mux = serve.Mount(rt, routeTable)
 	return rt, nil
 }
 
@@ -145,58 +134,33 @@ func (rt *Router) Members() []string {
 	return append([]string(nil), rt.members...)
 }
 
-// Route is one registered router route.
-type Route struct {
-	Method  string // "ANY" matches every method
-	Pattern string
-	Doc     string
-
-	handler func(*Router, http.ResponseWriter, *http.Request)
-}
-
 // routeTable is the single source of truth for the router's HTTP
 // surface; Routes exposes it for documentation enforcement.
-var routeTable = []Route{
-	{"GET", "/healthz", "aggregate liveness across member daemons", (*Router).handleHealthz},
-	{"GET", "/metrics", "aggregated heracles_fed_* exposition across members", (*Router).handleMetrics},
-	{"GET", "/api/v1/members", "list member daemons and the placement table", (*Router).handleMembersList},
-	{"POST", "/api/v1/members", "join a member daemon to the federation", (*Router).handleMemberJoin},
-	{"DELETE", "/api/v1/members", "remove a member daemon, migrating its instances away first", (*Router).handleMemberLeave},
-	{"POST", "/api/v1/rebalance", "migrate every instance whose hash home changed back onto it", (*Router).handleRebalance},
-	{"GET", "/api/v1/instances", "list federated instances across all members", (*Router).handleInstancesList},
-	{"POST", "/api/v1/instances", "create an instance, placed on a member by consistent hash", (*Router).handleInstanceCreate},
-	{"GET", "/api/v1/instances/{id}", "inspect one federated instance", (*Router).handleInstanceGet},
-	{"DELETE", "/api/v1/instances/{id}", "stop and remove a federated instance", (*Router).handleInstanceDelete},
-	{"POST", "/api/v1/instances/{id}/migrate", "migrate a federated instance onto another member daemon", (*Router).handleInstanceMigrate},
-	{"ANY", "/api/v1/instances/{id}/{rest...}", "proxy any other instance sub-resource (load, slo, faults, stream, ...) to the hosting member", (*Router).handleInstanceProxy},
-	{"POST", "/api/v1/jobs", "submit a best-effort job to a member scheduler round-robin", (*Router).handleJobSubmit},
-	{"GET", "/api/v1/jobs", "list federated jobs across all members", (*Router).handleJobsList},
-	{"GET", "/api/v1/jobs/{id}", "inspect one federated job", (*Router).handleJob},
-	{"DELETE", "/api/v1/jobs/{id}", "cancel a federated job", (*Router).handleJob},
-	{"GET", "/api/v1/sched", "merged fleet-scheduler accounting across members", (*Router).handleSched},
+var routeTable = []serve.Route[*Router]{
+	{Method: "GET", Pattern: "/healthz", Doc: "aggregate liveness across member daemons", Handle: (*Router).handleHealthz},
+	{Method: "GET", Pattern: "/metrics", Doc: "aggregated heracles_fed_* exposition across members", Handle: (*Router).handleMetrics},
+	{Method: "GET", Pattern: "/api/v1/members", Doc: "list member daemons and the placement table", Handle: (*Router).handleMembersList},
+	{Method: "POST", Pattern: "/api/v1/members", Doc: "join a member daemon to the federation", Handle: (*Router).handleMemberJoin},
+	{Method: "DELETE", Pattern: "/api/v1/members", Doc: "remove a member daemon, migrating its instances away first", Handle: (*Router).handleMemberLeave},
+	{Method: "POST", Pattern: "/api/v1/rebalance", Doc: "migrate every instance whose hash home changed back onto it", Handle: (*Router).handleRebalance},
+	{Method: "GET", Pattern: "/api/v1/instances", Doc: "list federated instances across all members", Handle: (*Router).handleInstancesList},
+	{Method: "POST", Pattern: "/api/v1/instances", Doc: "create an instance, placed on a member by consistent hash", Handle: (*Router).handleInstanceCreate},
+	{Method: "GET", Pattern: "/api/v1/instances/{id}", Doc: "inspect one federated instance", Handle: (*Router).handleInstanceGet},
+	{Method: "DELETE", Pattern: "/api/v1/instances/{id}", Doc: "stop and remove a federated instance", Handle: (*Router).handleInstanceDelete},
+	{Method: "POST", Pattern: "/api/v1/instances/{id}/migrate", Doc: "migrate a federated instance onto another member daemon", Handle: (*Router).handleInstanceMigrate},
+	{Method: "ANY", Pattern: "/api/v1/instances/{id}/{rest...}", Doc: "proxy any other instance sub-resource (load, slo, faults, stream, ...) to the hosting member", Handle: (*Router).handleInstanceProxy},
+	{Method: "POST", Pattern: "/api/v1/jobs", Doc: "submit a best-effort job to a member scheduler round-robin", Handle: (*Router).handleJobSubmit},
+	{Method: "GET", Pattern: "/api/v1/jobs", Doc: "list federated jobs across all members", Handle: (*Router).handleJobsList},
+	{Method: "GET", Pattern: "/api/v1/jobs/{id}", Doc: "inspect one federated job", Handle: (*Router).handleJob},
+	{Method: "DELETE", Pattern: "/api/v1/jobs/{id}", Doc: "cancel a federated job", Handle: (*Router).handleJob},
+	{Method: "GET", Pattern: "/api/v1/sched", Doc: "merged fleet-scheduler accounting across members", Handle: (*Router).handleSched},
 }
 
 // Routes lists "METHOD /pattern" for every registered route; the docs
 // check keeps docs/API.md complete against it.
-func Routes() []string {
-	out := make([]string, len(routeTable))
-	for i, r := range routeTable {
-		out[i] = r.Method + " " + r.Pattern
-	}
-	return out
-}
+func Routes() []string { return serve.RouteNames(routeTable) }
 
 // --- Handler plumbing --------------------------------------------------
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func apiError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
-}
 
 // lookup resolves a federated id to its placement.
 func (rt *Router) lookup(fid string) (placement, bool) {
@@ -210,31 +174,25 @@ func (rt *Router) lookup(fid string) (placement, bool) {
 func (rt *Router) repoint(fid string, p placement) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	if old, ok := rt.insts[fid]; ok {
-		delete(rt.rev[old.member], old.localID)
-	}
 	rt.insts[fid] = p
-	if rt.rev[p.member] == nil {
-		rt.rev[p.member] = make(map[string]string)
-	}
-	rt.rev[p.member][p.localID] = fid
 }
 
 // forget drops a federated id's mapping.
 func (rt *Router) forget(fid string) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	if p, ok := rt.insts[fid]; ok {
-		delete(rt.rev[p.member], p.localID)
-		delete(rt.insts, fid)
-	}
+	delete(rt.insts, fid)
 }
 
-// send issues one built member request and counts it.
-func (rt *Router) send(req *http.Request) (*http.Response, error) {
-	rt.proxied.Add(1)
+// countingTransport is the round-tripper every member request the router
+// makes goes through, proxied or its own: it counts each request and
+// times it into proxyHist.
+type countingTransport struct{ atomic.Int64 }
+
+func (c *countingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	c.Add(1)
 	start := time.Now()
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := http.DefaultTransport.RoundTrip(req)
 	proxyHist.Observe(time.Since(start))
 	return resp, err
 }
@@ -253,7 +211,7 @@ func (rt *Router) request(ctx context.Context, method, url string, body []byte) 
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	return rt.send(req)
+	return rt.proxied.RoundTrip(req)
 }
 
 // memberCall makes one member request for a client, under the inbound
@@ -263,7 +221,7 @@ func (rt *Router) request(ctx context.Context, method, url string, body []byte) 
 func memberCall[T any](rt *Router, w http.ResponseWriter, r *http.Request, member, method, path string, body []byte, want int, reply func(*T) any) {
 	resp, err := rt.request(r.Context(), method, member+path, body)
 	if err != nil {
-		apiError(w, http.StatusBadGateway, "member %s: %v", member, err)
+		serve.APIError(w, http.StatusBadGateway, "member %s: %v", member, err)
 		return
 	}
 	defer resp.Body.Close()
@@ -273,10 +231,10 @@ func memberCall[T any](rt *Router, w http.ResponseWriter, r *http.Request, membe
 	}
 	var v T
 	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
-		apiError(w, http.StatusBadGateway, "member %s: decoding reply: %v", member, err)
+		serve.APIError(w, http.StatusBadGateway, "member %s: decoding reply: %v", member, err)
 		return
 	}
-	writeJSON(w, want, reply(&v))
+	serve.WriteJSON(w, want, reply(&v))
 }
 
 // polled is one member's answer to a fan-out poll: its decoded 200
@@ -316,26 +274,6 @@ func fanOut[T any](rt *Router, path string) []polled[T] {
 	return out
 }
 
-// decode reads a JSON request body capped at 1 MiB, answering a failure
-// itself (bodyError).
-func decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(v); err != nil {
-		bodyError(w, err)
-		return false
-	}
-	return true
-}
-
-// bodyError answers a request body that failed to read or decode: 413
-// when it ran past its cap, as the daemon answers, 400 otherwise.
-func bodyError(w http.ResponseWriter, err error) {
-	code := http.StatusBadRequest
-	if errors.As(err, new(*http.MaxBytesError)) {
-		code = http.StatusRequestEntityTooLarge
-	}
-	apiError(w, code, "bad request body: %v", err)
-}
-
 // instanceInfo reports a member's instance status under its federated id.
 func instanceInfo(fid, member string, st serve.Status) InstanceInfo {
 	info := InstanceInfo{Status: st, Member: member, MemberID: st.ID}
@@ -343,41 +281,20 @@ func instanceInfo(fid, member string, st serve.Status) InstanceInfo {
 	return info
 }
 
-// relay copies a member response through to the client verbatim. A reply
-// of known length keeps its Content-Length and goes out in one copy; only
-// one of unknown length (an SSE stream) is flushed per chunk, so it passes
-// through live.
+// relay copies a member reply the router does not rewrite — an
+// unexpected status, or a delete's answer — through to the client: its
+// Content-Type, its Content-Length when known, its status and its body.
 func relay(w http.ResponseWriter, resp *http.Response) {
-	for _, k := range []string{"Content-Type", "Cache-Control"} {
-		if v := resp.Header.Get(k); v != "" {
-			w.Header().Set(k, v)
-		}
+	if ct := resp.Header.Get("Content-Type"); ct != "" {
+		w.Header().Set("Content-Type", ct)
 	}
 	if resp.ContentLength >= 0 {
 		w.Header().Set("Content-Length", strconv.FormatInt(resp.ContentLength, 10))
-		w.WriteHeader(resp.StatusCode)
-		// A failed copy means one end hung up mid-reply; the status line
-		// is out, so there is nobody left to tell.
-		_, _ = io.Copy(w, resp.Body)
-		return
 	}
 	w.WriteHeader(resp.StatusCode)
-	flusher, _ := w.(http.Flusher)
-	buf := make([]byte, 32*1024)
-	for {
-		n, err := resp.Body.Read(buf)
-		if n > 0 {
-			if _, werr := w.Write(buf[:n]); werr != nil {
-				return
-			}
-			if flusher != nil {
-				flusher.Flush()
-			}
-		}
-		if err != nil {
-			return
-		}
-	}
+	// A failed copy means one end hung up mid-reply; the status line is
+	// out, so there is nobody left to tell.
+	_, _ = io.Copy(w, resp.Body)
 }
 
 // --- Instance routes ---------------------------------------------------
@@ -385,7 +302,7 @@ func relay(w http.ResponseWriter, resp *http.Response) {
 func (rt *Router) handleInstanceCreate(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, serve.RestoreBodyLimit))
 	if err != nil {
-		bodyError(w, err)
+		serve.BodyError(w, err)
 		return
 	}
 	rt.mu.Lock()
@@ -400,29 +317,33 @@ func (rt *Router) handleInstanceCreate(w http.ResponseWriter, r *http.Request) {
 }
 
 func (rt *Router) handleInstancesList(w http.ResponseWriter, _ *http.Request) {
-	lists := fanOut[struct {
+	got := make(map[placement]serve.Status)
+	for _, l := range fanOut[struct {
 		Instances []serve.Status `json:"instances"`
-	}](rt, "/api/v1/instances")
+	}](rt, "/api/v1/instances") {
+		for _, st := range l.body.Instances {
+			got[placement{l.member, st.ID}] = st
+		}
+	}
+	// A member instance no federated id maps to was created out-of-band
+	// and stays hidden.
 	rt.mu.Lock()
 	out := make([]InstanceInfo, 0, len(rt.insts))
-	for _, l := range lists {
-		for _, st := range l.body.Instances {
-			// An id the router did not map was created out-of-band.
-			if fid, ok := rt.rev[l.member][st.ID]; ok {
-				out = append(out, instanceInfo(fid, l.member, st))
-			}
+	for fid, p := range rt.insts {
+		if st, ok := got[p]; ok {
+			out = append(out, instanceInfo(fid, p.member, st))
 		}
 	}
 	rt.mu.Unlock()
 	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
-	writeJSON(w, http.StatusOK, map[string]any{"instances": out})
+	serve.WriteJSON(w, http.StatusOK, map[string]any{"instances": out})
 }
 
 func (rt *Router) handleInstanceGet(w http.ResponseWriter, r *http.Request) {
 	fid := r.PathValue("id")
 	p, ok := rt.lookup(fid)
 	if !ok {
-		apiError(w, http.StatusNotFound, "no instance %q", fid)
+		serve.APIError(w, http.StatusNotFound, "no instance %q", fid)
 		return
 	}
 	memberCall(rt, w, r, p.member, "GET", "/api/v1/instances/"+p.localID, nil, http.StatusOK, func(st *serve.Status) any {
@@ -434,12 +355,12 @@ func (rt *Router) handleInstanceDelete(w http.ResponseWriter, r *http.Request) {
 	fid := r.PathValue("id")
 	p, ok := rt.lookup(fid)
 	if !ok {
-		apiError(w, http.StatusNotFound, "no instance %q", fid)
+		serve.APIError(w, http.StatusNotFound, "no instance %q", fid)
 		return
 	}
 	resp, err := rt.request(r.Context(), "DELETE", p.member+"/api/v1/instances/"+p.localID, nil)
 	if err != nil {
-		apiError(w, http.StatusBadGateway, "member %s: %v", p.member, err)
+		serve.APIError(w, http.StatusBadGateway, "member %s: %v", p.member, err)
 		return
 	}
 	defer resp.Body.Close()
@@ -451,40 +372,33 @@ func (rt *Router) handleInstanceDelete(w http.ResponseWriter, r *http.Request) {
 
 // handleInstanceProxy forwards any other instance sub-resource — load,
 // slo, degrade, faults, checkpoint, SSE stream — to the hosting member
-// with the member-local id spliced into the path.
+// with the member-local id spliced into the path. httputil.ReverseProxy
+// passes every end-to-end header both ways, keeps both bodies' lengths,
+// and flushes a reply of unknown length (an SSE stream) as it arrives.
 func (rt *Router) handleInstanceProxy(w http.ResponseWriter, r *http.Request) {
 	fid := r.PathValue("id")
 	p, ok := rt.lookup(fid)
 	if !ok {
-		apiError(w, http.StatusNotFound, "no instance %q", fid)
+		serve.APIError(w, http.StatusNotFound, "no instance %q", fid)
 		return
 	}
-	url := p.member + "/api/v1/instances/" + p.localID + "/" + r.PathValue("rest")
-	if r.URL.RawQuery != "" {
-		url += "?" + r.URL.RawQuery
-	}
-	// The inbound length travels with the body: left to itself net/http
-	// cannot size an opaque reader and re-sends every upload chunked.
-	body := r.Body
-	if r.ContentLength == 0 {
-		body = http.NoBody
-	}
-	req, err := http.NewRequestWithContext(r.Context(), r.Method, url, body)
+	target, err := url.Parse(p.member + "/api/v1/instances/" + p.localID + "/" + r.PathValue("rest"))
 	if err != nil {
-		apiError(w, http.StatusBadGateway, "member %s: %v", p.member, err)
+		serve.APIError(w, http.StatusBadGateway, "member %s: %v", p.member, err)
 		return
 	}
-	req.ContentLength = r.ContentLength
-	if ct := r.Header.Get("Content-Type"); ct != "" {
-		req.Header.Set("Content-Type", ct)
+	target.RawQuery = r.URL.RawQuery
+	proxy := &httputil.ReverseProxy{
+		Rewrite: func(pr *httputil.ProxyRequest) {
+			pr.Out.URL = target
+			pr.Out.Host = ""
+		},
+		Transport: &rt.proxied,
+		ErrorHandler: func(w http.ResponseWriter, _ *http.Request, err error) {
+			serve.APIError(w, http.StatusBadGateway, "member %s: %v", p.member, err)
+		},
 	}
-	resp, err := rt.send(req)
-	if err != nil {
-		apiError(w, http.StatusBadGateway, "member %s: %v", p.member, err)
-		return
-	}
-	defer resp.Body.Close()
-	relay(w, resp)
+	proxy.ServeHTTP(w, r)
 }
 
 // --- Migration and rebalancing -----------------------------------------
@@ -523,7 +437,7 @@ func (rt *Router) migrate(fid, target string) (*serve.MigrateResult, error) {
 
 func (rt *Router) handleInstanceMigrate(w http.ResponseWriter, r *http.Request) {
 	var req FedMigrateRequest
-	if !decode(w, r, &req) {
+	if !serve.DecodeBody(w, r, &req, serve.BodyLimit) {
 		return
 	}
 	target := strings.TrimSuffix(strings.TrimSpace(req.Member), "/")
@@ -531,15 +445,15 @@ func (rt *Router) handleInstanceMigrate(w http.ResponseWriter, r *http.Request) 
 	known := slices.Contains(rt.members, target)
 	rt.mu.Unlock()
 	if !known {
-		apiError(w, http.StatusBadRequest, "no member %q", target)
+		serve.APIError(w, http.StatusBadRequest, "no member %q", target)
 		return
 	}
 	res, err := rt.migrate(r.PathValue("id"), target)
 	if err != nil {
-		apiError(w, http.StatusBadGateway, "%v", err)
+		serve.APIError(w, http.StatusBadGateway, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, res)
+	serve.WriteJSON(w, http.StatusOK, res)
 }
 
 // rebalance migrates every federated instance whose placement disagrees
@@ -575,7 +489,7 @@ func (rt *Router) rebalance(w http.ResponseWriter, table *chash.Table, out map[s
 		out["error"] = firstErr.Error()
 		code = failCode
 	}
-	writeJSON(w, code, out)
+	serve.WriteJSON(w, code, out)
 }
 
 func (rt *Router) handleRebalance(w http.ResponseWriter, _ *http.Request) {
@@ -603,7 +517,7 @@ func (rt *Router) handleMembersList(w http.ResponseWriter, _ *http.Request) {
 	}
 	seed := rt.seed
 	rt.mu.Unlock()
-	writeJSON(w, http.StatusOK, map[string]any{"seed": seed, "members": out})
+	serve.WriteJSON(w, http.StatusOK, map[string]any{"seed": seed, "members": out})
 }
 
 // memberURL decodes a join or leave body into the member base URL it
@@ -612,7 +526,7 @@ func memberURL(w http.ResponseWriter, r *http.Request) (string, bool) {
 	var req struct {
 		URL string `json:"url"`
 	}
-	if !decode(w, r, &req) {
+	if !serve.DecodeBody(w, r, &req, serve.BodyLimit) {
 		return "", false
 	}
 	return strings.TrimSuffix(strings.TrimSpace(req.URL), "/"), true
@@ -627,13 +541,13 @@ func (rt *Router) handleMemberJoin(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if url == "" {
-		apiError(w, http.StatusBadRequest, "url must be set")
+		serve.APIError(w, http.StatusBadRequest, "url must be set")
 		return
 	}
 	rt.mu.Lock()
 	if slices.Contains(rt.members, url) {
 		rt.mu.Unlock()
-		apiError(w, http.StatusConflict, "member %q already joined", url)
+		serve.APIError(w, http.StatusConflict, "member %q already joined", url)
 		return
 	}
 	rt.table = rt.table.Add(url)
@@ -655,12 +569,12 @@ func (rt *Router) handleMemberLeave(w http.ResponseWriter, r *http.Request) {
 	i := slices.Index(rt.members, url)
 	if i < 0 {
 		rt.mu.Unlock()
-		apiError(w, http.StatusNotFound, "no member %q", url)
+		serve.APIError(w, http.StatusNotFound, "no member %q", url)
 		return
 	}
 	if len(rt.members) == 1 {
 		rt.mu.Unlock()
-		apiError(w, http.StatusConflict, "cannot remove the last member")
+		serve.APIError(w, http.StatusConflict, "cannot remove the last member")
 		return
 	}
 	rt.table = rt.table.Remove(url)
@@ -673,9 +587,9 @@ func (rt *Router) handleMemberLeave(w http.ResponseWriter, r *http.Request) {
 // --- Jobs --------------------------------------------------------------
 
 func (rt *Router) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, serve.BodyLimit))
 	if err != nil {
-		bodyError(w, err)
+		serve.BodyError(w, err)
 		return
 	}
 	rt.mu.Lock()
@@ -698,14 +612,14 @@ func (rt *Router) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) handleJob(w http.ResponseWriter, r *http.Request) {
 	gid, err := strconv.Atoi(r.PathValue("id"))
 	if err != nil || gid < 1 {
-		apiError(w, http.StatusNotFound, "no job %q", r.PathValue("id"))
+		serve.APIError(w, http.StatusNotFound, "no job %q", r.PathValue("id"))
 		return
 	}
 	rt.mu.Lock()
 	ref, ok := rt.jobs[gid]
 	rt.mu.Unlock()
 	if !ok {
-		apiError(w, http.StatusNotFound, "no job %d", gid)
+		serve.APIError(w, http.StatusNotFound, "no job %d", gid)
 		return
 	}
 	memberCall(rt, w, r, ref.member, r.Method, fmt.Sprintf("/api/v1/jobs/%d", ref.localID), nil, http.StatusOK, func(st *serve.JobStatus) any {
@@ -733,7 +647,7 @@ func (rt *Router) handleJobsList(w http.ResponseWriter, _ *http.Request) {
 	}
 	rt.mu.Unlock()
 	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
-	writeJSON(w, http.StatusOK, map[string]any{"jobs": out})
+	serve.WriteJSON(w, http.StatusOK, map[string]any{"jobs": out})
 }
 
 // SchedStatus is the reply of GET /api/v1/sched: the members' fleet
@@ -745,7 +659,8 @@ type SchedStatus struct {
 }
 
 // mergeSched folds member scheduler statuses into one fleet view:
-// counters and CPU ledgers sum, the goodput fraction is recomputed from
+// counters and CPU ledgers sum, the queue's high-water mark is the
+// largest member's (as sched.Accounting.Add keeps it), the goodput fraction is recomputed from
 // the summed ledgers by sched.Accounting's rule (0 for an empty ledger,
 // as each member reports it), and the mean queue delay is weighted by
 // dispatch count.
@@ -765,7 +680,7 @@ func mergeSched(parts []serve.SchedulerStatus) SchedStatus {
 		agg.Aborted += p.Aborted
 		agg.GoodCPUSec += p.GoodCPUSec
 		agg.WastedCPUSec += p.WastedCPUSec
-		agg.MaxQueueDepth += p.MaxQueueDepth
+		agg.MaxQueueDepth = max(agg.MaxQueueDepth, p.MaxQueueDepth)
 		agg.TickPanics += p.TickPanics
 		if p.LastTickPanic != "" {
 			agg.LastTickPanic = p.LastTickPanic
@@ -787,10 +702,10 @@ func (rt *Router) handleSched(w http.ResponseWriter, _ *http.Request) {
 		}
 	}
 	if len(parts) == 0 {
-		apiError(w, http.StatusBadGateway, "no member reachable")
+		serve.APIError(w, http.StatusBadGateway, "no member reachable")
 		return
 	}
-	writeJSON(w, http.StatusOK, mergeSched(parts))
+	serve.WriteJSON(w, http.StatusOK, mergeSched(parts))
 }
 
 // --- Aggregated health and metrics -------------------------------------
@@ -829,7 +744,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	if up < len(snap.Members) {
 		status = "degraded"
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	serve.WriteJSON(w, http.StatusOK, map[string]any{
 		"status":     status,
 		"members":    len(snap.Members),
 		"members_up": up,

@@ -543,7 +543,7 @@ func TestFederationJoinLeaveRebalance(t *testing.T) {
 func TestSchedSkipsFailingMember(t *testing.T) {
 	members, _, _ := newFleet(t, 1, 4)
 	failing := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		apiError(w, http.StatusServiceUnavailable, "scheduler unavailable")
+		serve.APIError(w, http.StatusServiceUnavailable, "scheduler unavailable")
 	}))
 	t.Cleanup(failing.Close)
 	rt, err := NewRouter(Config{Members: []string{members[0].ts.URL, failing.URL}})
@@ -595,5 +595,15 @@ func TestMalformedJobIDIsNotFound(t *testing.T) {
 	for _, id := range []string{"3abc", "0", "-1", "x"} {
 		doReq(t, "GET", fts.URL+"/api/v1/jobs/"+id, nil, 404)
 		doReq(t, "DELETE", fts.URL+"/api/v1/jobs/"+id, nil, 404)
+	}
+}
+
+// TestMergedQueueHighWaterIsTheMax: the merged max_queue_depth is the
+// deepest any member's queue has been, as sched.Accounting.Add keeps it,
+// not the sum of high-water marks reached at different times.
+func TestMergedQueueHighWaterIsTheMax(t *testing.T) {
+	got := mergeSched([]serve.SchedulerStatus{{MaxQueueDepth: 4}, {MaxQueueDepth: 7}}).MaxQueueDepth
+	if got != 7 {
+		t.Fatalf("merged max_queue_depth = %d, want 7", got)
 	}
 }

@@ -25,8 +25,7 @@ import (
 // unloaded, 40 bisection steps, one at the peak found) run on a single
 // machine: each re-installs the workload, which on this LC-only machine
 // equals building a fresh one (see SetLC).
-func CalibrateLC(cfg hw.Config, spec LCSpecSource) *workload.LC {
-	s := spec.LCSpec()
+func CalibrateLC(cfg hw.Config, s workload.LCSpec) *workload.LC {
 	wl := &workload.LC{Spec: s}
 
 	m := New(cfg)
@@ -75,19 +74,6 @@ func CalibrateLC(cfg hw.Config, spec LCSpecSource) *workload.LC {
 	}
 	return wl
 }
-
-// LCSpecSource lets CalibrateLC accept either a bare spec or anything that
-// can produce one.
-type LCSpecSource interface{ LCSpec() workload.LCSpec }
-
-// LCSpec implements LCSpecSource for workload.LCSpec itself via the
-// SpecOf adapter.
-type specAdapter struct{ s workload.LCSpec }
-
-func (a specAdapter) LCSpec() workload.LCSpec { return a.s }
-
-// SpecOf adapts a workload.LCSpec to the LCSpecSource interface.
-func SpecOf(s workload.LCSpec) LCSpecSource { return specAdapter{s} }
 
 // CalibrateBE measures a BE spec running alone on the machine (all cores,
 // full cache, no frequency caps, no HTB ceiling) and returns the

@@ -9,7 +9,7 @@ import (
 
 func TestSetDegradeInflatesServiceTime(t *testing.T) {
 	cfg := hw.DefaultConfig()
-	wl := CalibrateLC(cfg, SpecOf(workload.Websearch()))
+	wl := CalibrateLC(cfg, workload.Websearch())
 
 	run := func(factor float64) float64 {
 		m := New(cfg)
@@ -43,7 +43,7 @@ func TestSetDegradeInflatesServiceTime(t *testing.T) {
 
 func TestRemoveBEReturnsCoresToLC(t *testing.T) {
 	cfg := hw.DefaultConfig()
-	lc := CalibrateLC(cfg, SpecOf(workload.Websearch()))
+	lc := CalibrateLC(cfg, workload.Websearch())
 	brain := CalibrateBE(cfg, workload.Brain())
 	sview := CalibrateBE(cfg, workload.Streetview())
 

@@ -25,7 +25,7 @@ func calibrated(t *testing.T) (map[string]*workload.LC, map[string]*workload.BE)
 		calLC = map[string]*workload.LC{}
 		calBE = map[string]*workload.BE{}
 		for _, s := range workload.LCSpecs() {
-			calLC[s.Name] = CalibrateLC(cfg, SpecOf(s))
+			calLC[s.Name] = CalibrateLC(cfg, s)
 		}
 		for _, s := range workload.BESpecs() {
 			calBE[s.Name] = CalibrateBE(cfg, s)

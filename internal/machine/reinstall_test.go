@@ -99,7 +99,7 @@ func TestReinstalledLCMatchesFreshMachine(t *testing.T) {
 			t.Run(tc.name+"/"+spec.Name, func(t *testing.T) {
 				cfg := tc.cfg
 				wl, probes := calibrateOnFreshMachines(t, cfg, spec)
-				if got := CalibrateLC(cfg, SpecOf(spec)); got.SLO != wl.SLO ||
+				if got := CalibrateLC(cfg, spec); got.SLO != wl.SLO ||
 					math.Float64bits(got.PeakQPS) != math.Float64bits(wl.PeakQPS) ||
 					math.Float64bits(got.GuaranteedGHz) != math.Float64bits(wl.GuaranteedGHz) {
 					t.Fatalf("CalibrateLC = SLO %v, peak %v QPS, %v GHz; a machine per probe gives SLO %v, peak %v QPS, %v GHz",
@@ -180,7 +180,7 @@ func TestCalibrationPinned(t *testing.T) {
 			if !ok {
 				t.Fatalf("no LC workload %q", p.workload)
 			}
-			wl := CalibrateLC(tc.cfg, SpecOf(spec))
+			wl := CalibrateLC(tc.cfg, spec)
 			if wl.SLO != p.slo || math.Float64bits(wl.PeakQPS) != p.peakQPS || math.Float64bits(wl.GuaranteedGHz) != p.guarGHz {
 				t.Errorf("%s %s: SLO %d ns, PeakQPS %#x (%v), GuaranteedGHz %#x (%v); pinned %d ns, %#x, %#x",
 					tc.name, p.workload, int64(wl.SLO), math.Float64bits(wl.PeakQPS), wl.PeakQPS,

@@ -343,7 +343,7 @@ func TestFaultAndHealthRoutes(t *testing.T) {
 	}
 
 	// Oversized mutating bodies are rejected with 413 before decoding.
-	huge := strings.NewReader(`{"workload":"` + strings.Repeat("x", defaultBodyLimit+1024) + `"}`)
+	huge := strings.NewReader(`{"workload":"` + strings.Repeat("x", BodyLimit+1024) + `"}`)
 	req, err := http.NewRequest("POST", ts.URL+"/api/v1/jobs", huge)
 	if err != nil {
 		t.Fatalf("new request: %v", err)

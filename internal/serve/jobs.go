@@ -442,40 +442,40 @@ func (d *jobDriver) jobStatusLocked(j sched.Job) JobStatus {
 // --- Handlers ----------------------------------------------------------
 
 func (s *Server) handleSchedStatus(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.jobs.Status())
+	WriteJSON(w, http.StatusOK, s.jobs.Status())
 }
 
 func (s *Server) handleJobsList(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"jobs": s.jobs.Jobs()})
+	WriteJSON(w, http.StatusOK, map[string]any{"jobs": s.jobs.Jobs()})
 }
 
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	var sub JobSubmission
-	if !decodeBody(w, r, &sub) {
+	if !DecodeBody(w, r, &sub, BodyLimit) {
 		return
 	}
 	if err := checkBEName(sub.Workload); err != nil {
-		apiError(w, http.StatusBadRequest, "%v", err)
+		APIError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	// Checked before the conversion can overflow; a positive value under
 	// a nanosecond would truncate to no work at all.
 	if sub.WorkS > MaxJobWorkS || time.Duration(sub.WorkS*float64(time.Second)) <= 0 {
-		apiError(w, http.StatusBadRequest, "work_s %v must be at least a nanosecond and at most %g", sub.WorkS, MaxJobWorkS)
+		APIError(w, http.StatusBadRequest, "work_s %v must be at least a nanosecond and at most %g", sub.WorkS, MaxJobWorkS)
 		return
 	}
 	if sub.Demand < 0 || sub.Priority < 0 || (sub.Retries != nil && *sub.Retries < 0) {
-		apiError(w, http.StatusBadRequest, "demand, priority and retries must not be negative")
+		APIError(w, http.StatusBadRequest, "demand, priority and retries must not be negative")
 		return
 	}
-	writeJSON(w, http.StatusCreated, s.jobs.Submit(sub))
+	WriteJSON(w, http.StatusCreated, s.jobs.Submit(sub))
 }
 
 // jobID parses {id} or writes a 404.
 func jobID(w http.ResponseWriter, r *http.Request) (int, bool) {
 	id, err := strconv.Atoi(r.PathValue("id"))
 	if err != nil || id < 1 {
-		apiError(w, http.StatusNotFound, "no job %q", r.PathValue("id"))
+		APIError(w, http.StatusNotFound, "no job %q", r.PathValue("id"))
 		return 0, false
 	}
 	return id, true
@@ -488,10 +488,10 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 	}
 	st, found := s.jobs.Job(id)
 	if !found {
-		apiError(w, http.StatusNotFound, "no job %d", id)
+		APIError(w, http.StatusNotFound, "no job %d", id)
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	WriteJSON(w, http.StatusOK, st)
 }
 
 func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
@@ -502,10 +502,10 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	st, found, cancelled := s.jobs.Cancel(id)
 	switch {
 	case !found:
-		apiError(w, http.StatusNotFound, "no job %d", id)
+		APIError(w, http.StatusNotFound, "no job %d", id)
 	case !cancelled:
-		apiError(w, http.StatusConflict, "job %d already %s", id, st.State)
+		APIError(w, http.StatusConflict, "job %d already %s", id, st.State)
 	default:
-		writeJSON(w, http.StatusOK, st)
+		WriteJSON(w, http.StatusOK, st)
 	}
 }

@@ -164,11 +164,11 @@ func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req MigrateRequest
-	if !decodeBody(w, r, &req) {
+	if !DecodeBody(w, r, &req, BodyLimit) {
 		return
 	}
 	if (req.Shard == nil) == (req.Peer == "") {
-		apiError(w, http.StatusBadRequest, "exactly one of shard or peer must be set")
+		APIError(w, http.StatusBadRequest, "exactly one of shard or peer must be set")
 		return
 	}
 	var res *MigrateResult
@@ -181,11 +181,11 @@ func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
 	var pe *peerError
 	switch {
 	case err == nil:
-		writeJSON(w, http.StatusOK, res)
+		WriteJSON(w, http.StatusOK, res)
 	case errors.Is(err, errMigrateGone):
-		apiError(w, http.StatusNotFound, "no instance %q", inst.ID())
+		APIError(w, http.StatusNotFound, "no instance %q", inst.ID())
 	case errors.As(err, &pe):
-		apiError(w, http.StatusBadGateway, "%v", err)
+		APIError(w, http.StatusBadGateway, "%v", err)
 	default:
 		doErr(w, err)
 	}

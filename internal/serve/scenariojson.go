@@ -211,11 +211,8 @@ func (sp *ScenarioSpec) Build() (scenario.Scenario, error) {
 }
 
 // checkBEName verifies a best-effort workload name resolves in the
-// catalogue (or is the synthetic filler used by the experiments).
+// catalogue.
 func checkBEName(name string) error {
-	if name == "filler" {
-		return nil
-	}
 	if _, ok := workload.BEByName(name); !ok {
 		return fmt.Errorf("unknown BE workload %q", name)
 	}

@@ -100,13 +100,7 @@ func New(cfg Config) *Server {
 		reg:  reg,
 		jobs: newJobDriver(reg, policy, cfg.schedSeed, cfg.schedInterval),
 	}
-	s.mux = http.NewServeMux()
-	for _, rt := range routeTable {
-		rt := rt
-		s.mux.HandleFunc(rt.Method+" "+rt.Pattern, func(w http.ResponseWriter, r *http.Request) {
-			rt.handler(s, w, r)
-		})
-	}
+	s.mux = Mount(s, routeTable)
 	return s
 }
 
@@ -233,19 +227,42 @@ func validateSpec(spec InstanceSpec) error {
 	return nil
 }
 
-// Route is one registered API endpoint; the docs checker cross-references
-// this table against docs/API.md.
-type Route struct {
-	Method  string
+// Route is one endpoint of a route table whose handlers take a receiver
+// of type T: the daemon's table and the federation router's.
+type Route[T any] struct {
+	Method  string // "ANY" matches every method
 	Pattern string
 	Doc     string
+	Handle  func(T, http.ResponseWriter, *http.Request)
+}
 
-	handler func(*Server, http.ResponseWriter, *http.Request)
+// Mount builds a mux serving every route, with recv as the receiver of
+// each handler.
+func Mount[T any](recv T, routes []Route[T]) *http.ServeMux {
+	mux := http.NewServeMux()
+	for _, rt := range routes {
+		pattern := rt.Pattern
+		if rt.Method != "ANY" {
+			pattern = rt.Method + " " + pattern
+		}
+		mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) { rt.Handle(recv, w, r) })
+	}
+	return mux
+}
+
+// RouteNames lists every route as a "METHOD PATTERN" string, in table
+// order.
+func RouteNames[T any](routes []Route[T]) []string {
+	out := make([]string, len(routes))
+	for i, rt := range routes {
+		out[i] = rt.Method + " " + rt.Pattern
+	}
+	return out
 }
 
 // routeTable is the single source of truth for the HTTP surface: the mux
 // is built from it and Routes exposes it for documentation enforcement.
-var routeTable = []Route{
+var routeTable = []Route[*Server]{
 	{"GET", "/healthz", "liveness probe: status and instance count", (*Server).handleHealthz},
 	{"GET", "/metrics", "Prometheus exposition across all instances", (*Server).handleMetrics},
 	{"GET", "/api/v1/instances", "list instance statuses", (*Server).handleList},
@@ -276,59 +293,53 @@ var routeTable = []Route{
 
 // Routes lists every registered endpoint as "METHOD PATTERN" strings, in
 // registration order.
-func Routes() []string {
-	out := make([]string, len(routeTable))
-	for i, rt := range routeTable {
-		out[i] = rt.Method + " " + rt.Pattern
-	}
-	return out
-}
+func Routes() []string { return RouteNames(routeTable) }
 
 // --- Handler plumbing --------------------------------------------------
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON answers code with v as a JSON body.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-func apiError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
+// APIError answers code with the body {"error": <message>}.
+func APIError(w http.ResponseWriter, code int, format string, args ...any) {
+	WriteJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// Body limits on mutating routes: a misbehaving client must not be able
-// to stream an unbounded request into memory. Ordinary mutation bodies
-// are tiny; instance creation may carry a full restore checkpoint, so it
-// gets a larger allowance.
-const defaultBodyLimit = 1 << 20 // 1 MiB
+// Body caps on mutating routes, the federation router's included: a
+// misbehaving client must not stream an unbounded request into memory.
+// BodyLimit (1 MiB) caps every body but an instance create's, which may
+// carry a full InstanceSpec.Restore checkpoint and gets RestoreBodyLimit
+// (64 MiB).
+const (
+	BodyLimit        = 1 << 20
+	RestoreBodyLimit = 64 << 20
+)
 
-// RestoreBodyLimit caps an instance-create body, which may carry a full
-// InstanceSpec.Restore checkpoint: 64 MiB. The federation router holds
-// creates to the same cap.
-const RestoreBodyLimit = 64 << 20
-
-// decodeBody strictly decodes a JSON request body into v, capped at the
-// default body limit.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	return decodeBodyLimit(w, r, v, defaultBodyLimit)
-}
-
-// decodeBodyLimit is decodeBody with an explicit size cap; an oversized
-// body answers 413 and closes the connection.
-func decodeBodyLimit(w http.ResponseWriter, r *http.Request, v any, limit int64) bool {
-	body := http.MaxBytesReader(w, r.Body, limit)
-	dec := json.NewDecoder(body)
+// DecodeBody strictly decodes a JSON request body of at most limit bytes
+// into v; unknown fields are an error. A failure is answered (BodyError)
+// and reported false.
+func DecodeBody(w http.ResponseWriter, r *http.Request, v any, limit int64) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			apiError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", mbe.Limit)
-			return false
-		}
-		apiError(w, http.StatusBadRequest, "bad request body: %v", err)
+		BodyError(w, err)
 		return false
 	}
 	return true
+}
+
+// BodyError answers a request body that failed to read or decode: 413
+// when it ran past its cap (the connection then closes), 400 otherwise.
+func BodyError(w http.ResponseWriter, err error) {
+	if mbe := (*http.MaxBytesError)(nil); errors.As(err, &mbe) {
+		APIError(w, http.StatusRequestEntityTooLarge, "request body too large: the limit is %d bytes", mbe.Limit)
+		return
+	}
+	APIError(w, http.StatusBadRequest, "bad request body: %v", err)
 }
 
 // instance resolves {id} or writes a 404.
@@ -336,7 +347,7 @@ func (s *Server) instance(w http.ResponseWriter, r *http.Request) (*Instance, bo
 	id := r.PathValue("id")
 	inst, ok := s.reg.Get(id)
 	if !ok {
-		apiError(w, http.StatusNotFound, "no instance %q", id)
+		APIError(w, http.StatusNotFound, "no instance %q", id)
 	}
 	return inst, ok
 }
@@ -347,13 +358,13 @@ func doErr(w http.ResponseWriter, err error) bool {
 	case err == nil:
 		return true
 	case errors.Is(err, ErrStopped):
-		apiError(w, http.StatusConflict, "instance stopped")
+		APIError(w, http.StatusConflict, "instance stopped")
 	case errors.Is(err, ErrQuarantined):
-		apiError(w, http.StatusConflict, "instance quarantined after repeated crashes")
+		APIError(w, http.StatusConflict, "instance quarantined after repeated crashes")
 	case errors.Is(err, ErrCrashed):
-		apiError(w, http.StatusServiceUnavailable, "instance crashed, restart in progress")
+		APIError(w, http.StatusServiceUnavailable, "instance crashed, restart in progress")
 	default:
-		apiError(w, http.StatusBadRequest, "%v", err)
+		APIError(w, http.StatusBadRequest, "%v", err)
 	}
 	return false
 }
@@ -361,7 +372,7 @@ func doErr(w http.ResponseWriter, err error) bool {
 // --- Handlers ----------------------------------------------------------
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"status":          "ok",
 		"instances":       s.reg.Len(),
 		"shards":          s.reg.ShardCount(),
@@ -376,7 +387,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleShards(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"shards":     s.reg.ShardStatuses(),
 		"migrations": s.reg.Migrations(),
 	})
@@ -384,12 +395,12 @@ func (s *Server) handleShards(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
 	sts := s.reg.Statuses()
-	writeJSON(w, http.StatusOK, map[string]any{"instances": sts})
+	WriteJSON(w, http.StatusOK, map[string]any{"instances": sts})
 }
 
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var spec InstanceSpec
-	if !decodeBodyLimit(w, r, &spec, RestoreBodyLimit) {
+	if !DecodeBody(w, r, &spec, RestoreBodyLimit) {
 		return
 	}
 	inst, err := s.CreateInstance(spec)
@@ -398,10 +409,10 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, errTooMany) {
 			code = http.StatusServiceUnavailable
 		}
-		apiError(w, code, "%v", err)
+		APIError(w, code, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, inst.Status())
+	WriteJSON(w, http.StatusCreated, inst.Status())
 }
 
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
@@ -409,20 +420,20 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	writeJSON(w, http.StatusOK, inst.Status())
+	WriteJSON(w, http.StatusOK, inst.Status())
 }
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	inst, shardIdx, ok := s.reg.Remove(id)
 	if !ok {
-		apiError(w, http.StatusNotFound, "no instance %q", id)
+		APIError(w, http.StatusNotFound, "no instance %q", id)
 		return
 	}
 	s.reg.shards[shardIdx].publish("deleted", id, "")
 	inst.publishLifecycle("deleted", "")
 	inst.Stop()
-	writeJSON(w, http.StatusOK, map[string]string{"deleted": id})
+	WriteJSON(w, http.StatusOK, map[string]string{"deleted": id})
 }
 
 func (s *Server) handleSetLoad(w http.ResponseWriter, r *http.Request) {
@@ -433,17 +444,17 @@ func (s *Server) handleSetLoad(w http.ResponseWriter, r *http.Request) {
 	var body struct {
 		Load float64 `json:"load"`
 	}
-	if !decodeBody(w, r, &body) {
+	if !DecodeBody(w, r, &body, BodyLimit) {
 		return
 	}
 	if body.Load < 0 || body.Load > 1 {
-		apiError(w, http.StatusBadRequest, "load %v outside [0, 1]", body.Load)
+		APIError(w, http.StatusBadRequest, "load %v outside [0, 1]", body.Load)
 		return
 	}
 	if !doErr(w, inst.SetLoad(body.Load)) {
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]float64{"load": body.Load})
+	WriteJSON(w, http.StatusOK, map[string]float64{"load": body.Load})
 }
 
 func (s *Server) handleSetSLO(w http.ResponseWriter, r *http.Request) {
@@ -454,18 +465,18 @@ func (s *Server) handleSetSLO(w http.ResponseWriter, r *http.Request) {
 	var body struct {
 		Scale float64 `json:"scale"`
 	}
-	if !decodeBody(w, r, &body) {
+	if !DecodeBody(w, r, &body, BodyLimit) {
 		return
 	}
 	if body.Scale <= 0 {
-		apiError(w, http.StatusBadRequest, "scale %v must be positive", body.Scale)
+		APIError(w, http.StatusBadRequest, "scale %v must be positive", body.Scale)
 		return
 	}
 	slo, err := inst.SetSLOScale(body.Scale)
 	if !doErr(w, err) {
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]float64{
+	WriteJSON(w, http.StatusOK, map[string]float64{
 		"slo_scale": body.Scale,
 		"slo_ms":    1e3 * slo.Seconds(),
 	})
@@ -479,17 +490,17 @@ func (s *Server) handleDegrade(w http.ResponseWriter, r *http.Request) {
 	var body struct {
 		Factor float64 `json:"factor"`
 	}
-	if !decodeBody(w, r, &body) {
+	if !DecodeBody(w, r, &body, BodyLimit) {
 		return
 	}
 	if body.Factor < 0 {
-		apiError(w, http.StatusBadRequest, "factor %v must not be negative", body.Factor)
+		APIError(w, http.StatusBadRequest, "factor %v must not be negative", body.Factor)
 		return
 	}
 	if !doErr(w, inst.SetDegrade(body.Factor)) {
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]float64{"factor": body.Factor})
+	WriteJSON(w, http.StatusOK, map[string]float64{"factor": body.Factor})
 }
 
 func (s *Server) handleAttachBE(w http.ResponseWriter, r *http.Request) {
@@ -498,17 +509,17 @@ func (s *Server) handleAttachBE(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var att BEAttachment
-	if !decodeBody(w, r, &att) {
+	if !DecodeBody(w, r, &att, BodyLimit) {
 		return
 	}
 	if err := checkBEName(att.Workload); err != nil {
-		apiError(w, http.StatusBadRequest, "%v", err)
+		APIError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if !doErr(w, inst.AttachBE(att)) {
 		return
 	}
-	writeJSON(w, http.StatusCreated, inst.Status())
+	WriteJSON(w, http.StatusCreated, inst.Status())
 }
 
 func (s *Server) handleDetachBE(w http.ResponseWriter, r *http.Request) {
@@ -522,10 +533,10 @@ func (s *Server) handleDetachBE(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if n == 0 {
-		apiError(w, http.StatusNotFound, "no BE task running workload %q", name)
+		APIError(w, http.StatusNotFound, "no BE task running workload %q", name)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"removed": n, "workload": name})
+	WriteJSON(w, http.StatusOK, map[string]any{"removed": n, "workload": name})
 }
 
 func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) {
@@ -534,18 +545,18 @@ func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var spec ScenarioSpec
-	if !decodeBody(w, r, &spec) {
+	if !DecodeBody(w, r, &spec, BodyLimit) {
 		return
 	}
 	sc, err := spec.Build()
 	if err != nil {
-		apiError(w, http.StatusBadRequest, "%v", err)
+		APIError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if !doErr(w, inst.InstallScenario(sc, &spec)) {
 		return
 	}
-	writeJSON(w, http.StatusAccepted, map[string]any{
+	WriteJSON(w, http.StatusAccepted, map[string]any{
 		"scenario":   sc.Name,
 		"duration_s": sc.Duration.Seconds(),
 		"events":     len(sc.Events),
@@ -561,7 +572,7 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	if !doErr(w, err) {
 		return
 	}
-	writeJSON(w, http.StatusOK, cp)
+	WriteJSON(w, http.StatusOK, cp)
 }
 
 func (s *Server) handleSLO(w http.ResponseWriter, r *http.Request) {
@@ -574,10 +585,10 @@ func (s *Server) handleSLO(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if !enabled {
-		apiError(w, http.StatusNotFound, "instance %q runs without the error-budget engine", inst.ID())
+		APIError(w, http.StatusNotFound, "instance %q runs without the error-budget engine", inst.ID())
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	WriteJSON(w, http.StatusOK, st)
 }
 
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
@@ -585,7 +596,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"spans": inst.TraceSpans()})
+	WriteJSON(w, http.StatusOK, map[string]any{"spans": inst.TraceSpans()})
 }
 
 func (s *Server) handleInstanceHealth(w http.ResponseWriter, r *http.Request) {
@@ -593,7 +604,7 @@ func (s *Server) handleInstanceHealth(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	writeJSON(w, http.StatusOK, inst.Health())
+	WriteJSON(w, http.StatusOK, inst.Health())
 }
 
 func (s *Server) handleFaultInject(w http.ResponseWriter, r *http.Request) {
@@ -602,11 +613,11 @@ func (s *Server) handleFaultInject(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req FaultRequest
-	if !decodeBody(w, r, &req) {
+	if !DecodeBody(w, r, &req, BodyLimit) {
 		return
 	}
 	if err := req.check(); err != nil {
-		apiError(w, http.StatusBadRequest, "%v", err)
+		APIError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	// Faults that kill BE tasks must go through the fleet scheduler's
@@ -622,7 +633,7 @@ func (s *Server) handleFaultInject(w http.ResponseWriter, r *http.Request) {
 	if !doErr(w, inst.InjectFault(req)) {
 		return
 	}
-	writeJSON(w, http.StatusAccepted, map[string]any{"kind": req.Kind, "jobs_killed": killed})
+	WriteJSON(w, http.StatusAccepted, map[string]any{"kind": req.Kind, "jobs_killed": killed})
 }
 
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
@@ -636,12 +647,12 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleShardStream(w http.ResponseWriter, r *http.Request) {
 	idx, err := strconv.Atoi(r.PathValue("shard"))
 	if err != nil {
-		apiError(w, http.StatusNotFound, "no shard %q", r.PathValue("shard"))
+		APIError(w, http.StatusNotFound, "no shard %q", r.PathValue("shard"))
 		return
 	}
 	sh, ok := s.reg.shardAt(idx)
 	if !ok {
-		apiError(w, http.StatusNotFound, "no shard %d (server has %d)", idx, s.reg.ShardCount())
+		APIError(w, http.StatusNotFound, "no shard %d (server has %d)", idx, s.reg.ShardCount())
 		return
 	}
 	serveSSE(w, r, sh.hub, fmt.Sprintf("shard %d stream", idx))
@@ -654,7 +665,7 @@ func (s *Server) handleShardStream(w http.ResponseWriter, r *http.Request) {
 func serveSSE(w http.ResponseWriter, r *http.Request, hub *Hub, hello string) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
-		apiError(w, http.StatusInternalServerError, "streaming unsupported by this connection")
+		APIError(w, http.StatusInternalServerError, "streaming unsupported by this connection")
 		return
 	}
 	sub := hub.Subscribe(256)

@@ -249,8 +249,8 @@ func Antagonists() []BESpec {
 	return []BESpec{LLCSmall(), LLCMedium(), LLCBig(), StreamDRAM(), Spinloop(), CPUPower(), Iperf()}
 }
 
-// BEByName returns the BE spec with the given name among both the
-// evaluation workloads and the antagonists, or false.
+// BEByName returns the BE spec with the given name among the evaluation
+// workloads, the antagonists and the filler, or false.
 func BEByName(name string) (BESpec, bool) {
 	for _, s := range BESpecs() {
 		if s.Name == name {
@@ -261,6 +261,9 @@ func BEByName(name string) (BESpec, bool) {
 		if s.Name == name {
 			return s, true
 		}
+	}
+	if f := Filler(); f.Name == name {
+		return f, true
 	}
 	return BESpec{}, false
 }

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"reflect"
 	"testing"
 	"time"
 )
@@ -164,6 +165,20 @@ func TestBEByName(t *testing.T) {
 	}
 	if _, ok := BEByName("nope"); ok {
 		t.Fatal("phantom BE found")
+	}
+}
+
+// TestFillerResolvesByNameOnly: the characterisation filler is one more
+// name BEByName resolves, but not a production workload, so `-be all`
+// (BESpecs) leaves it out.
+func TestFillerResolvesByNameOnly(t *testing.T) {
+	if got, ok := BEByName("filler"); !ok || !reflect.DeepEqual(got, Filler()) {
+		t.Fatalf(`BEByName("filler") = %+v, %v; want Filler()`, got, ok)
+	}
+	for _, s := range BESpecs() {
+		if s.Name == "filler" {
+			t.Fatal("BESpecs lists the filler")
+		}
 	}
 }
 
