@@ -392,6 +392,18 @@ var micros = []micro{
 		run(650) // past the poll rings' last growth
 		return run
 	}},
+	{"EngineStep/moving", func(tb testing.TB) func(int) {
+		// EngineStep's engine on EngineStep/baseline's moving load: no
+		// leaf's own epoch record answers, and a leaf whose controller
+		// left it where another leaf stands is answered by that leaf's.
+		eng := engine.New(benchEngineConfig())
+		tb.Cleanup(eng.Close)
+		eng.InstallScenario(scenario.Scenario{Name: "bench", Duration: 1000 * time.Hour,
+			Load: scenario.Ramp{From: 0.3, To: 0.7, End: 1000 * time.Hour}})
+		run := each(func(int) { eng.Step() })
+		run(650)
+		return run
+	}},
 	// One epoch of the root's fan-out latency over 8 leaves, by
 	// quadrature: websearch machines spread over 30-65% load (the Heracles
 	// arm of a cluster run), or eight copies of one (the baseline arm,

@@ -92,9 +92,10 @@ func (l *Lab) DRAMModel(lcName string) *DRAMTable {
 }
 
 // profileDRAM measures every grid cell with the calibrated LC workload wl
-// alone; the (load, cores) rows are independent and run in parallel. A row
-// shares one machine, re-installing and re-pinning the workload for each
-// way count, which equals a fresh machine per cell (see Machine.SetLC).
+// alone; the (load, cores) rows are independent and run in parallel. Each
+// worker walks its rows on one machine, re-installing and re-pinning the
+// workload for every cell, which equals a fresh machine per cell (see
+// Machine.SetLC).
 // A cell takes a single Step because LC DRAM demand is feed-forward
 // within Step: it follows from the arrival rate, the core split, the way
 // mask and the base-service estimate of outstanding requests through the
@@ -119,17 +120,21 @@ func (l *Lab) profileDRAM(wl *workload.LC) *DRAMTable {
 			t.GBs[i][j] = make([]float64, nw)
 		}
 	}
-	parallel.ForEach(l.workers(), len(t.Loads)*nc, func(row int) {
-		i, j := row/nc, row%nc
+	rows := len(t.Loads) * nc
+	workers := min(max(l.workers(), 1), rows)
+	parallel.ForEach(workers, workers, func(first int) {
 		m := machine.New(l.Cfg)
-		for k, w := range t.Ways {
-			m.SetLC(wl)
-			m.PinLC(t.Cores[j])
-			if w < ways {
-				m.LC().Ways = w
+		for row := first; row < rows; row += workers {
+			i, j := row/nc, row%nc
+			for k, w := range t.Ways {
+				m.SetLC(wl)
+				m.PinLC(t.Cores[j])
+				if w < ways {
+					m.LC().Ways = w
+				}
+				m.SetLoad(t.Loads[i])
+				t.GBs[i][j][k] = m.Step().LCDRAMGBs
 			}
-			m.SetLoad(t.Loads[i])
-			t.GBs[i][j][k] = m.Step().LCDRAMGBs
 		}
 	})
 	return t

@@ -1,7 +1,9 @@
 package fleet
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -109,6 +111,58 @@ type instance struct {
 	replica int
 }
 
+// leaves is the spec's leaf count, defaulted.
+func (s ClusterSpec) leaves() int {
+	if s.Leaves <= 0 {
+		return 8
+	}
+	return s.Leaves
+}
+
+// longestFirst returns the indices of stride runs per instance (run u is
+// arm u%stride of instance u/stride; arm 0 is the baseline) in the order a
+// fan-out should start them: Heracles arms before baselines, then larger
+// clusters (leaves × cores) before smaller ones, so that no long run
+// starts last and leaves the other workers idle.
+func longestFirst(cfg Config, instances []instance, stride int) []int {
+	key := func(u int) (heracles, size int) {
+		spec := cfg.Clusters[instances[u/stride].spec]
+		return min(u%stride, 1), spec.leaves() * spec.HW.TotalCores()
+	}
+	order := make([]int, stride*len(instances))
+	for u := range order {
+		order[u] = u
+	}
+	slices.SortStableFunc(order, func(a, b int) int {
+		ha, sa := key(a)
+		hb, sb := key(b)
+		return cmp.Or(cmp.Compare(hb, ha), cmp.Compare(sb, sa))
+	})
+	return order
+}
+
+// runArms runs every instance's arms — arm 0 the baseline, arm a the
+// Heracles run under policies[a-1] — and returns their summaries indexed
+// by unit, len(policies)+1 per instance. The runs are independent, so they
+// share one flat fan-out, started longest first; each arm of an instance
+// draws the instance's derived seed, so the arms are paired.
+func runArms(cfg Config, labs map[hw.Config]*experiment.Lab, instances []instance, policies []string) []cluster.Summary {
+	stride := 1 + len(policies)
+	order := longestFirst(cfg, instances, stride)
+	summaries := make([]cluster.Summary, len(order))
+	parallel.ForEach(cfg.Workers, len(order), func(k int) {
+		u := order[k]
+		inst, arm := instances[u/stride], u%stride
+		seed := sim.DeriveRNG(cfg.Seed, uint64(u/stride)).Uint64()
+		policy := ""
+		if arm > 0 {
+			policy = policies[arm-1]
+		}
+		summaries[u] = runInstance(cfg, inst, labs[cfg.Clusters[inst.spec].HW], seed, arm > 0, policy)
+	})
+	return summaries
+}
+
 // expand validates the specs (scenarios, scheduler policy names) and
 // returns the shared per-generation labs plus the (spec, replica)
 // instances.
@@ -133,12 +187,8 @@ func expand(cfg Config) (map[hw.Config]*experiment.Lab, []instance) {
 		if err := spec.Scenario.Validate(); err != nil {
 			panic(fmt.Sprintf("fleet: spec %q: %v", spec.Name, err))
 		}
-		leaves := spec.Leaves
-		if leaves <= 0 {
-			leaves = 8
-		}
 		for _, f := range spec.Faults {
-			if err := f.Validate(leaves); err != nil {
+			if err := f.Validate(spec.leaves()); err != nil {
 				panic(fmt.Sprintf("fleet: spec %q: %v", spec.Name, err))
 			}
 		}
@@ -164,12 +214,8 @@ func runInstance(cfg Config, inst instance, lab *experiment.Lab, pairSeed uint64
 	if lcName == "" {
 		lcName = "websearch"
 	}
-	leaves := spec.Leaves
-	if leaves <= 0 {
-		leaves = 8
-	}
 	ccfg := cluster.Config{
-		Leaves:             leaves,
+		Leaves:             spec.leaves(),
 		Heracles:           heracles,
 		HW:                 spec.HW,
 		LC:                 lab.LC(lcName),
@@ -227,15 +273,9 @@ func Run(cfg Config) Result {
 	}
 	labs, instances := expand(cfg)
 
-	// Every instance runs twice (baseline, Heracles); all 2N runs are
-	// independent, so they share one flat fan-out. Unit 2i is instance
-	// i's baseline, unit 2i+1 its Heracles run.
-	summaries := parallel.Map(cfg.Workers, 2*len(instances), func(u int) cluster.Summary {
-		inst := instances[u/2]
-		lab := labs[cfg.Clusters[inst.spec].HW]
-		seed := sim.DeriveRNG(cfg.Seed, uint64(u/2)).Uint64()
-		return runInstance(cfg, inst, lab, seed, u%2 == 1, "")
-	})
+	// Every instance runs twice: unit 2i is instance i's baseline, unit
+	// 2i+1 its Heracles run under the spec's own policy.
+	summaries := runArms(cfg, labs, instances, []string{""})
 
 	res := Result{TCO: cfg.TCO}
 	base := make([]cluster.Summary, len(instances))
@@ -301,16 +341,7 @@ func RunPolicies(cfg Config, policies []string) PoliciesResult {
 	labs, instances := expand(cfg)
 
 	stride := 1 + len(policies)
-	summaries := parallel.Map(cfg.Workers, stride*len(instances), func(u int) cluster.Summary {
-		inst := instances[u/stride]
-		lab := labs[cfg.Clusters[inst.spec].HW]
-		seed := sim.DeriveRNG(cfg.Seed, uint64(u/stride)).Uint64()
-		arm := u % stride
-		if arm == 0 {
-			return runInstance(cfg, inst, lab, seed, false, "")
-		}
-		return runInstance(cfg, inst, lab, seed, true, policies[arm-1])
-	})
+	summaries := runArms(cfg, labs, instances, policies)
 
 	pick := func(arm int) []cluster.Summary {
 		out := make([]cluster.Summary, len(instances))

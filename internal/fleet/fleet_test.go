@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -66,6 +67,26 @@ func TestFleetDeterministicAcrossWorkerCounts(t *testing.T) {
 	par := Run(cfg)
 	if !reflect.DeepEqual(seq, par) {
 		t.Fatalf("fleet run diverged across worker counts:\nseq: %+v\npar: %+v", seq, par)
+	}
+}
+
+// TestFanOutStartsLongestFirst pins the dispatch order of the fleet's
+// fan-out: every Heracles arm before any baseline, and within each the
+// larger cluster (leaves × cores) first, index order among equals.
+func TestFanOutStartsLongestFirst(t *testing.T) {
+	cfg := testFleet() // std: 3 leaves × 36 cores; compact: 2 leaves × 16 cores
+	cfg.Clusters[1].Count = 2
+	_, instances := expand(cfg) // std, compact/0, compact/1
+	for _, c := range []struct {
+		stride int
+		want   []int
+	}{
+		{2, []int{1, 3, 5, 0, 2, 4}},
+		{3, []int{1, 2, 4, 5, 7, 8, 0, 3, 6}}, // two policy arms
+	} {
+		if got := longestFirst(cfg, instances, c.stride); !slices.Equal(got, c.want) {
+			t.Errorf("stride %d: order %v, want %v", c.stride, got, c.want)
+		}
 	}
 }
 

@@ -15,11 +15,12 @@
 // lets the cluster, fleet and control-plane layers run hundreds of
 // machines concurrently.
 //
-// An epoch whose every input repeats the last is answered whole by the
-// machine's epoch record; otherwise each pure stage looks for its
-// arguments in its socket's own record, then in the machine's StageMemo,
-// which indexes its group's records: one engine's machines, or a lone
-// machine's sockets. Both are caches: Snapshot carries neither.
+// An epoch whose every input repeats the machine's last, or the last of
+// another machine of its group, is answered whole by that machine's epoch
+// record; otherwise each pure stage looks for its arguments in its
+// socket's own record, then in the machine's StageMemo, which indexes its
+// group's records: one engine's machines, or a lone machine's sockets.
+// Both are caches: Snapshot carries neither.
 //
 // A Machine is single-threaded by contract — exactly one goroutine may
 // call Step and the mutating actuators. Fan-out layers give each machine

@@ -3,37 +3,42 @@ package machine
 import (
 	"math"
 	"slices"
+	"time"
 
 	"heracles/internal/cache"
 	"heracles/internal/workload"
 )
 
-// epochRecord is the whole of the last epoch Step resolved: everything
-// Step reads that can change between epochs (the key) and what it wrote
+// epochRecord is the whole of an epoch Step resolved: everything Step
+// reads that can change between epochs (the key) and what it wrote
 // outside m.tel. Step answers a repeated epoch here before any stage
 // runs, and m.tel is already its telemetry: every Step rewrites m.tel in
 // full, and only RestoreMachine, on a fresh machine, writes it otherwise.
-// The key compares floats bit for bit and owns copies of the core lists
-// and components, which callers edit in place. It is a cache, not state.
+// The key is values only, no task or workload identity, so one machine's
+// record answers another machine of its group whose epoch is the same
+// (answerFrom). It compares floats bit for bit and owns copies of the
+// core lists and components, which callers edit in place. It is a
+// cache, not state.
 type epochRecord struct {
 	valid   bool
-	lc      *LCTask
+	hasLC   bool
 	lcT     LCTask      // *lc as Step found it, Cores held in lcCores
 	lcV     workload.LC // *lc.WL, Spec.CacheComponents pointing into comps
 	lcCores []uint16    // points into cores
 
+	epoch                           time.Duration
 	lastService, degrade, beNetCeil float64 // as Step found them
 	service                         float64 // m.lastService as Step left it
 
 	bes   []beRecord
 	cores []uint16
 	comps []cache.Component
-	hits  uint64 // epochs answered here, read by tests
+	// Epochs answered by this record and by a sibling's, read by tests.
+	hits, siblingHits uint64
 }
 
 // beRecord is one BE task's part of the key and what Step wrote to it.
 type beRecord struct {
-	task              *BETask
 	t                 BETask      // *task as Step left it, Cores held in cores
 	v                 workload.BE // *task.WL, Spec.CacheComponents pointing into comps
 	cores             []uint16    // points into epochRecord.cores
@@ -69,7 +74,7 @@ func (m *Machine) keepEpoch(lastService float64) {
 	r := m.rec
 	r.cores, r.comps = r.cores[:0], r.comps[:0]
 	ok := true
-	r.lc = m.lc
+	r.hasLC = m.lc != nil
 	if lc := m.lc; lc != nil { // with no LC task, answers reads no LC key
 		r.lcT, r.lcV = *lc, *lc.WL
 		r.lcCores, ok = r.keepCores(lc.Cores)
@@ -78,12 +83,12 @@ func (m *Machine) keepEpoch(lastService float64) {
 	for i, be := range m.bes {
 		o := &r.bes[i]
 		var fits bool
-		o.task, o.t, o.v = be, *be, *be.WL
+		o.t, o.v = *be, *be.WL
 		o.cores, fits = r.keepCores(be.Cores)
 		o.t.Cores, o.v.Spec.CacheComponents = nil, r.keepComps(be.WL.Spec.CacheComponents)
 		ok = ok && fits
 	}
-	r.lastService, r.degrade, r.beNetCeil, r.service = lastService, m.degrade, m.beNetCeilGBs, m.lastService
+	r.epoch, r.lastService, r.degrade, r.beNetCeil, r.service = m.epoch, lastService, m.degrade, m.beNetCeilGBs, m.lastService
 	r.valid = ok
 }
 
@@ -107,20 +112,21 @@ func (r *epochRecord) keepCores(cores []int) ([]uint16, bool) {
 }
 
 // answers reports whether m is about to step the recorded epoch again.
+// It compares values only: Step reads no task's identity.
 func (r *epochRecord) answers(m *Machine) bool {
-	if r == nil || !r.valid || m.lc != r.lc || len(m.bes) != len(r.bes) ||
+	if r == nil || !r.valid || (m.lc != nil) != r.hasLC || len(m.bes) != len(r.bes) || m.epoch != r.epoch ||
 		!sameBits(m.lastService, r.lastService) || !sameBits(m.degrade, r.degrade) ||
 		!sameBits(m.beNetCeilGBs, r.beNetCeil) {
 		return false
 	}
-	if lc, t := m.lc, &r.lcT; lc != nil && (lc.WL != t.WL || !sameBits(lc.Load, t.Load) ||
+	if lc, t := m.lc, &r.lcT; lc != nil && (!sameBits(lc.Load, t.Load) ||
 		lc.Ways != t.Ways || lc.OSShared != t.OSShared ||
 		!sameCores(lc.Cores, r.lcCores) || !sameLC(lc.WL, &r.lcV)) {
 		return false
 	}
 	for i, be := range m.bes {
 		o := &r.bes[i]
-		if be != o.task || be.WL != o.t.WL || be.Placement != o.t.Placement || be.Enabled != o.t.Enabled ||
+		if be.Placement != o.t.Placement || be.Enabled != o.t.Enabled ||
 			be.Ways != o.t.Ways || !sameBits(be.FreqCapGHz, o.t.FreqCapGHz) ||
 			!sameCores(be.Cores, o.cores) || !sameBE(be.WL, &o.v) {
 			return false
@@ -129,10 +135,10 @@ func (r *epochRecord) answers(m *Machine) bool {
 	return true
 }
 
-// replayEpoch is Step answered by the record.
-func (m *Machine) replayEpoch() Telemetry {
-	r, tel := m.rec, &m.tel
-	r.hits++
+// replayEpoch is Step answered by r, a record of m's epoch whose
+// telemetry m.tel holds: r's writes land on m's own tasks, by index.
+func (m *Machine) replayEpoch(r *epochRecord) Telemetry {
+	tel := &m.tel
 	tel.Time = m.clock.Now() + m.epoch
 	tel.BEGoodCPUSec, tel.BELostCPUSec = m.beGoodCPUSec, m.beLostCPUSec
 	for i, be := range m.bes {
@@ -149,6 +155,26 @@ func (m *Machine) replayEpoch() Telemetry {
 	m.clock.Advance(m.epoch)
 	m.pushSample(TailSample{Time: tel.Time, TailLatency: tel.TailLatency})
 	return *tel
+}
+
+// answerFrom is Step answered by o's record, which holds m's epoch: o's
+// telemetry is copied into m's own buffers, the record replayed onto m,
+// and then kept as m's own record, for m's next epoch and its group.
+func (m *Machine) answerFrom(o *Machine) Telemetry {
+	tel, src, lastService := &m.tel, o.rec, m.lastService
+	pw, dram, util := tel.SocketPowerW, tel.PerCoreDRAMGBs, tel.DRAMSocketUtil
+	*tel = o.tel
+	tel.SocketPowerW = append(pw[:0], o.tel.SocketPowerW...)
+	tel.PerCoreDRAMGBs = append(dram[:0], o.tel.PerCoreDRAMGBs...)
+	tel.DRAMSocketUtil = append(util[:0], o.tel.DRAMSocketUtil...)
+	out := m.replayEpoch(src)
+	for i := range m.beginEpoch() {
+		r, s := &m.rec.bes[i], &src.bes[i]
+		r.cpuSec, r.wroteHit, r.accrued = s.cpuSec, s.wroteHit, s.accrued
+	}
+	m.keepEpoch(lastService)
+	m.rec.siblingHits++
+	return out
 }
 
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }

@@ -27,3 +27,11 @@ func (m *Machine) EpochHits() uint64 {
 	}
 	return m.rec.hits
 }
+
+// SiblingHits is the number of epochs another machine's record answered.
+func (m *Machine) SiblingHits() uint64 {
+	if m.rec == nil {
+		return 0
+	}
+	return m.rec.siblingHits
+}

@@ -13,9 +13,9 @@ import (
 // TestSharedRecordsSolveOncePerEpoch pins what the stage memo buys on the
 // baseline arm of a cluster run (BenchmarkMicro/EngineStep/baseline):
 // eight LC-only leaves of one engine, on one load that moves every epoch,
-// make one solve per stage per epoch between them once warm, and their
-// records answer the other leaves. With private records each leaf solves
-// every stage every epoch. The lone arm is one machine on its own, whose
+// make one solve per stage per epoch between them once warm, and the
+// first leaf's epoch record answers the other seven whole. With private
+// records each leaf solves every stage every epoch. The lone arm is one machine on its own, whose
 // memo is a group of one: its two sockets hand the frequency and cache
 // stages equal arguments every epoch, and the second socket is answered
 // from the first one's record.
@@ -26,30 +26,31 @@ func TestSharedRecordsSolveOncePerEpoch(t *testing.T) {
 		eng := engine.New(engine.Config{Nodes: 8, HW: lab.Cfg, LC: lab.LC("websearch"), RootSamples: 1})
 		eng.InstallScenario(scenario.Scenario{Name: "ramp", Duration: time.Hour,
 			Load: scenario.Ramp{From: 0.3, To: 0.7, End: time.Hour}})
-		counts := func() (sum [3]machine.StageCalls) {
+		counts := func() (solved [3]uint64, siblings uint64) {
 			for i := 0; i < eng.Nodes(); i++ {
-				f, c, l := eng.Machine(i).ReuseCounts()
+				m := eng.Machine(i)
+				f, c, l := m.ReuseCounts()
 				for s, calls := range [3]machine.StageCalls{f, c, l} {
-					sum[s].Solved += calls.Solved
-					sum[s].Reused += calls.Reused
+					solved[s] += calls.Solved
 				}
+				siblings += m.SiblingHits()
 			}
-			return sum
+			return solved, siblings
 		}
 		for range 10 {
 			eng.Step()
 		}
-		before := counts()
+		solved0, siblings0 := counts()
 		for range epochs {
 			eng.Step()
 		}
-		after := counts()
+		solved1, siblings1 := counts()
+		if n := siblings1 - siblings0; n < 7*epochs {
+			t.Errorf("%d epochs of 8 leaves: a sibling's record answered %d leaf epochs, want %d", epochs, n, 7*epochs)
+		}
 		for s, stage := range []string{"frequency", "cache", "latency"} {
-			solved := after[s].Solved - before[s].Solved
-			reused := after[s].Reused - before[s].Reused
-			if solved > epochs || reused < 7*epochs {
-				t.Errorf("%s stage, %d epochs of 8 leaves: %d solved, %d reused; want at most one solve per epoch",
-					stage, epochs, solved, reused)
+			if n := solved1[s] - solved0[s]; n > epochs {
+				t.Errorf("%s stage, %d epochs of 8 leaves: %d solved; want at most one solve per epoch", stage, epochs, n)
 			}
 		}
 	})

@@ -50,12 +50,20 @@ const netOverloadCap = 1.0 // seconds
 const rampFreqWindow = 0.4
 
 // Step resolves one epoch and returns its telemetry; an epoch that repeats
-// the last is answered whole by the epoch record. The slices inside the
-// returned Telemetry are the machine's own and are refilled by the next
-// Step; copy them to retain longer.
+// the last, or that another machine of the group has just resolved, is
+// answered whole by that epoch record. The slices inside the returned
+// Telemetry are the machine's own and are refilled by the next Step; copy
+// them to retain longer.
 func (m *Machine) Step() Telemetry {
-	if m.rec.answers(m) {
-		return m.replayEpoch()
+	if r := m.rec; r.answers(m) {
+		r.hits++
+		return m.replayEpoch(r)
+	}
+	slot := m.epochSlot()
+	if slot != nil {
+		if o := *slot; o != nil && o.rec.answers(m) {
+			return m.answerFrom(o)
+		}
 	}
 	outs, lastService := m.beginEpoch(), m.lastService
 	cfg := m.cfg
@@ -584,6 +592,9 @@ func (m *Machine) Step() Telemetry {
 	}
 
 	m.keepEpoch(lastService)
+	if slot != nil {
+		*slot = m
+	}
 	m.clock.Advance(dt)
 	m.pushSample(TailSample{Time: tel.Time, TailLatency: tel.TailLatency})
 	return *tel

@@ -92,18 +92,21 @@ func newStageReuse(cfg hw.Config, coreFreq []float64) stageReuse {
 
 // StageMemo lets a group of machines — one engine's, which all serve one
 // offered load, or one machine's sockets — answer a stage from each other's
-// records. It indexes the records by a fingerprint of their keys, one
-// direct-mapped table per lookup: one probe and one key compare whatever
-// the group's size. Records with equal keys share a slot. A slot only
-// points the way (its record may have moved on to another key since, or
-// hold another key of the slot), so a lookup compares the full key, and a
-// collision costs a solve, never a wrong answer. Members must be stepped
-// one at a time.
+// records, and a whole epoch from each other's epoch records. It indexes
+// the records by a fingerprint of their keys, one direct-mapped table per
+// lookup: one probe and one key compare whatever the group's size. Records
+// with equal keys share a slot. A slot only points the way (its record may
+// have moved on to another key since, or hold another key of the slot), so
+// a lookup compares the full key, and a collision costs a solve, never a
+// wrong answer. Members must be stepped one at a time.
 type StageMemo struct {
 	cfg              *hw.Config // the members'; a pointer keeps a lone memo small
 	shift            uint       // 64 - k: each table is 2^k slots, indexed by a fingerprint's top k bits (k may be 0)
 	freq, cache, ref []*socketReuse
 	lat              []*latEntry
+	// epoch points at the machine holding each epoch record; nil for a
+	// lone machine, whose own record is the group's only one.
+	epoch []*Machine
 }
 
 // NewStageMemo returns a memo for up to machines machines built from *cfg.
@@ -113,8 +116,12 @@ func NewStageMemo(cfg *hw.Config, machines int) *StageMemo {
 	k := uint(bits.Len(uint(min(2, machines)*machines*cfg.Sockets - 1)))
 	n := 1 << k
 	sock := make([]*socketReuse, 3*n)
-	return &StageMemo{cfg: cfg, shift: 64 - k,
+	memo := &StageMemo{cfg: cfg, shift: 64 - k,
 		freq: sock[:n:n], cache: sock[n : 2*n : 2*n], ref: sock[2*n:], lat: make([]*latEntry, n)}
+	if machines > 1 {
+		memo.epoch = make([]*Machine, n)
+	}
+	return memo
 }
 
 // ShareStages makes m a member of memo. Stages are pure in their arguments
@@ -134,6 +141,24 @@ func (m *Machine) stageMemo() *StageMemo {
 		m.reuse.memo = NewStageMemo(&m.cfg, 1)
 	}
 	return m.reuse.memo
+}
+
+// epochSlot returns the slot of m's memo that m's epoch key folds to, or
+// nil if m's group holds no record but its own.
+func (m *Machine) epochSlot() **Machine {
+	memo := m.reuse.memo
+	if memo == nil || memo.epoch == nil {
+		return nil
+	}
+	h := fold(uint64(len(m.bes)), math.Float64bits(m.lastService), math.Float64bits(m.degrade),
+		math.Float64bits(m.beNetCeilGBs))
+	if lc := m.lc; lc != nil {
+		h = fold(h, math.Float64bits(lc.Load), uint64(len(lc.Cores)), uint64(lc.Ways))
+	}
+	for _, be := range m.bes {
+		h = fold(h, uint64(len(be.Cores)), uint64(be.Ways), math.Float64bits(be.FreqCapGHz))
+	}
+	return &memo.epoch[h>>memo.shift]
 }
 
 // fold mixes words into a fingerprint. The multiply carries every bit of

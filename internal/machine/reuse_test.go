@@ -194,6 +194,77 @@ func TestStepReuseMatchesColdSolve(t *testing.T) {
 	}
 }
 
+// TestSiblingAnswerWritesOwnTasks pins what a sibling's answer leaves
+// behind. Two members of one group with equal tasks step in lockstep, the
+// first one first, beside a machine with no group: ten epochs on a moving
+// load, then thirty on a held one. The second member never runs a stage —
+// the first one's record answers every epoch it does not answer itself
+// from the copy it kept — and after every epoch its state is the private
+// machine's bit for bit. Then the first member's telemetry slices, task
+// outputs and core lists are overwritten and it steps another epoch,
+// refilling its record: the second member's state and its record's next
+// answer must not move, because nothing it holds aliases the sibling's.
+func TestSiblingAnswerWritesOwnTasks(t *testing.T) {
+	lcs, bes := calibrated(t)
+	cfg := hw.DefaultConfig()
+	build := func(memo *StageMemo) *Machine {
+		m := New(cfg)
+		if memo != nil {
+			m.ShareStages(memo)
+		}
+		m.SetLC(lcs["websearch"])
+		m.AddBE(bes["brain"], workload.PlaceDedicated)
+		m.Partition(12)
+		return m
+	}
+	memo := NewStageMemo(&cfg, 2)
+	sib, m, ref := build(memo), build(memo), build(nil)
+	const epochs = 40
+	for e := 0; e < epochs; e++ {
+		load := 0.5
+		if e < 10 {
+			load = 0.3 + 0.02*float64(e)
+		}
+		for _, x := range []*Machine{sib, m, ref} {
+			x.SetLoad(load)
+			x.Step()
+		}
+		if got, want := stateJSON(t, m), stateJSON(t, ref); !bytes.Equal(got, want) {
+			t.Fatalf("epoch %d: answered by a sibling\n%s\nstepped alone\n%s", e, got, want)
+		}
+	}
+	own, siblings := m.EpochHits(), m.SiblingHits()
+	f, c, l := m.ReuseCounts()
+	if calls := f.Solved + f.Reused + c.Solved + c.Reused + l.Solved + l.Reused; calls != 0 || own == 0 || siblings < 10 || own+siblings != epochs {
+		t.Fatalf("%d epochs: %d stage calls, %d answered by the own record, %d by the sibling's; want 0 calls, both records answering every epoch",
+			epochs, calls, own, siblings)
+	}
+
+	want := stateJSON(t, m)
+	tel := sib.Last()
+	for _, s := range [][]float64{tel.SocketPowerW, tel.PerCoreDRAMGBs, tel.DRAMSocketUtil} {
+		s[0] = -1
+	}
+	for _, be := range sib.BEs() {
+		be.LastRate, be.LastNorm, be.LastHit, be.CPUSec = -1, -1, -1, -1
+		be.Cores[0] = 0
+	}
+	sib.LC().Cores[0] = cfg.TotalCores() - 1
+	if got := stateJSON(t, m); !bytes.Equal(got, want) {
+		t.Fatalf("overwriting the sibling moved the machine it answered\nbefore %s\nafter  %s", want, got)
+	}
+	sib.SetLoad(0.7)
+	sib.Step()
+	m.Step()
+	ref.Step()
+	if m.EpochHits() != own+1 {
+		t.Fatal("the record copied from the sibling did not answer the repeated epoch")
+	}
+	if got, want := stateJSON(t, m), stateJSON(t, ref); !bytes.Equal(got, want) {
+		t.Fatalf("after the sibling moved on: answered by the kept record\n%s\nstepped alone\n%s", got, want)
+	}
+}
+
 // TestColocateSweepReuseShare pins the property the speed-up rests on:
 // over a colocation sweep (cmd/colocate's six-point grid, four minutes a
 // point, websearch with brain under the Heracles controller) most epochs
@@ -266,7 +337,7 @@ func TestReuseRecordsStaySmall(t *testing.T) {
 	}
 	records := n
 	memo := r.memo
-	n += unsafe.Sizeof(*memo) + uintptr(cap(memo.freq)+cap(memo.cache)+cap(memo.ref)+cap(memo.lat))*unsafe.Sizeof(memo.lat[0])
+	n += unsafe.Sizeof(*memo) + uintptr(cap(memo.freq)+cap(memo.cache)+cap(memo.ref)+cap(memo.lat)+cap(memo.epoch))*unsafe.Sizeof(memo.lat[0])
 	if n > 1536 {
 		t.Fatalf("reuse records and memo hold %d bytes of heap, want at most 1536", n)
 	}

@@ -217,11 +217,26 @@ func stageReuseKeysCoverEveryField(t *testing.T, viaPeer bool) {
 // answer, one input of Step is moved by the smallest step of its kind —
 // every field of LCTask, of BETask but its outputs, of workload.LC and
 // LCSpec, of workload.BE and BESpec and of each cache.Component, found by
-// reflection; an element of a core list edited in place; the task
-// pointers; the machine's service-time feedback, degradation and BE
-// egress ceiling. The step must miss the record and leave the state a
-// machine restored from the same snapshot, which remembers nothing, leaves.
+// reflection; an element of a core list edited in place; the presence of
+// the LC task and the number of BE tasks; the machine's epoch,
+// service-time feedback, degradation and BE egress ceiling. The
+// step must miss the record and leave the state a machine restored from
+// the same snapshot, which remembers nothing, leaves. The key holds values
+// only, so a task or workload replaced by an equal copy may be answered,
+// and must leave that same state.
+//
+// The sibling subtest asks the same of another machine's record found
+// through the group's memo: before every moved step a twin — restored
+// from the machine's snapshot, with its own copies of the workloads, in
+// the machine's group — steps the base epoch and must answer it for the
+// machine, and the machine forgets its own record, so that only the
+// twin's can answer the moved one.
 func TestEpochKeyCoversEveryField(t *testing.T) {
+	epochKeyCoversEveryField(t, false)
+	t.Run("sibling", func(t *testing.T) { epochKeyCoversEveryField(t, true) })
+}
+
+func epochKeyCoversEveryField(t *testing.T, viaSibling bool) {
 	lcs, bes := privateWorkloads(t)
 	cfg := hw.DefaultConfig()
 	m := New(cfg)
@@ -234,19 +249,42 @@ func TestEpochKeyCoversEveryField(t *testing.T) {
 	m.SetBEFreqCap(2.0)
 	m.SetDegrade(1.2)
 	m.SetBENetCeil(0.5)
+	if viaSibling {
+		m.ShareStages(NewStageMemo(&cfg, 2))
+	}
 
-	// The cold machine resolves workloads to the warm one's, whatever
-	// their (perhaps perturbed) names.
-	restore := func() *Machine {
+	// restoreWith restores m's snapshot, resolving workloads, whatever
+	// their (perhaps perturbed) names, to m's own through copy.
+	restoreWith := func(copyLC func(*workload.LC) *workload.LC, copyBE func(*workload.BE) *workload.BE) *Machine {
 		next := 0
-		cold, err := RestoreMachine(m.Snapshot(),
-			func(string) *workload.LC { return m.lc.WL },
-			func(string) *workload.BE { next++; return m.bes[next-1].WL })
+		r, err := RestoreMachine(m.Snapshot(),
+			func(string) *workload.LC { return copyLC(m.lc.WL) },
+			func(string) *workload.BE { next++; return copyBE(m.bes[next-1].WL) })
 		if err != nil {
 			t.Fatalf("restore: %v", err)
 		}
-		return cold
+		return r
 	}
+	// restore is the cold reference: m's very workloads.
+	restore := func() *Machine {
+		return restoreWith(func(wl *workload.LC) *workload.LC { return wl },
+			func(wl *workload.BE) *workload.BE { return wl })
+	}
+	// twin is a member of m's group equal to m in value only.
+	twin := func() *Machine {
+		tw := restoreWith(func(wl *workload.LC) *workload.LC {
+			c := *wl
+			c.Spec.CacheComponents = slices.Clone(c.Spec.CacheComponents)
+			return &c
+		}, func(wl *workload.BE) *workload.BE {
+			c := *wl
+			c.Spec.CacheComponents = slices.Clone(c.Spec.CacheComponents)
+			return &c
+		})
+		tw.ShareStages(m.reuse.memo)
+		return tw
+	}
+	forget := func() { m.rec.valid = false }
 	// settle steps until the record answers twice running, so that the
 	// next epoch, left alone, would be answered too.
 	settle := func(what string) {
@@ -262,26 +300,43 @@ func TestEpochKeyCoversEveryField(t *testing.T) {
 				run = 0
 			}
 		}
+		if !viaSibling {
+			return
+		}
+		// The twin steps the base epoch in full (m's record forgotten, it
+		// finds none) and must answer it for m.
+		forget()
+		twin().Step()
+		h := m.SiblingHits()
+		forget()
+		m.Step()
+		if m.SiblingHits() == h {
+			t.Fatalf("before %s: the twin's record did not answer the epoch it holds", what)
+		}
+		forget()
 	}
-	mustMiss := func(what string, mutate func() (restore func())) {
+	// check moves one input and steps m beside a cold restore of the moved
+	// state; unless mayHit, no record may answer m.
+	check := func(what string, mayHit bool, mutate func() (restore func())) {
 		t.Helper()
 		settle(what)
 		undo := mutate()
 		cold := restore()
-		h := m.EpochHits()
+		h := m.EpochHits() + m.SiblingHits()
 		m.Step()
 		cold.Step()
-		if m.EpochHits() != h {
-			t.Errorf("%s changed, yet the epoch record answered", what)
+		if !mayHit && m.EpochHits()+m.SiblingHits() != h {
+			t.Errorf("%s changed, yet an epoch record answered", what)
 		} else if warm, ref := stateJSON(t, m), stateJSON(t, cold); !bytes.Equal(warm, ref) {
 			t.Errorf("%s changed: the step differs from a cold machine's\nwarm: %s\ncold: %s", what, warm, ref)
 		}
 		undo()
 	}
+	mustMiss := func(what string, mutate func() (restore func())) { check(what, false, mutate) }
+	// field moves a reflected field; a pointer moves to an equal copy.
 	field := func(name string, f reflect.Value) {
-		mustMiss(name, func() func() { return perturb(t, name, f) })
+		check(name, f.Kind() == reflect.Pointer, func() func() { return perturb(t, name, f) })
 	}
-	scalar := func(name string, p *float64) { field(name, reflect.ValueOf(p).Elem()) }
 	// element edits one entry of a list where it lies, behind the same
 	// slice pointer, as callers that move cores or tune a spec do.
 	element := func(name string, list reflect.Value) {
@@ -303,9 +358,10 @@ func TestEpochKeyCoversEveryField(t *testing.T) {
 		}
 	}
 
-	scalar("Machine.lastService", &m.lastService)
-	scalar("Machine.degrade", &m.degrade)
-	scalar("Machine.beNetCeilGBs", &m.beNetCeilGBs)
+	field("Machine.epoch", reflect.ValueOf(&m.epoch).Elem())
+	field("Machine.lastService", reflect.ValueOf(&m.lastService).Elem())
+	field("Machine.degrade", reflect.ValueOf(&m.degrade).Elem())
+	field("Machine.beNetCeilGBs", reflect.ValueOf(&m.beNetCeilGBs).Elem())
 
 	lc := m.lc
 	eachField(lc, field)
@@ -313,7 +369,7 @@ func TestEpochKeyCoversEveryField(t *testing.T) {
 	eachField(lc.WL, field, "Spec")
 	eachField(&lc.WL.Spec, field)
 	element("LCSpec.CacheComponents", reflect.ValueOf(lc.WL.Spec.CacheComponents))
-	mustMiss("the LC task", func() func() {
+	check("the LC task, for an equal copy", true, func() func() {
 		c := *m.lc
 		c.Cores = slices.Clone(c.Cores)
 		m.lc = &c
@@ -326,13 +382,17 @@ func TestEpochKeyCoversEveryField(t *testing.T) {
 		eachField(be.WL, field, "Spec")
 		eachField(&be.WL.Spec, field)
 		element("BESpec.CacheComponents", reflect.ValueOf(be.WL.Spec.CacheComponents))
-		mustMiss(fmt.Sprintf("BE task %d", i), func() func() {
+		check(fmt.Sprintf("BE task %d, for an equal copy", i), true, func() func() {
 			c := *be
 			c.Cores = slices.Clone(c.Cores)
 			m.bes[i] = &c
 			return func() { m.bes[i] = be }
 		})
 	}
+	mustMiss("the LC task's presence", func() func() {
+		m.lc = nil
+		return func() { m.lc = lc }
+	})
 	mustMiss("BE task count", func() func() {
 		all := m.bes
 		m.bes = all[:len(all)-1]
