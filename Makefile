@@ -53,9 +53,10 @@ chaos:
 # Registry churn and leak detection under -race: concurrent
 # create/crash/delete churn against the shared epoch scheduler —
 # goroutines, heap and the scheduler queue must return to baseline —
-# and the one job scheduler dispatching across a sharded registry.
+# the one job scheduler dispatching across a sharded registry, and
+# /metrics scrapes racing create/migrate/delete churn.
 churn:
-	$(GO) test -race -run 'RegistryChurnNoLeaks|EpochScheduler|HundredThousand|ShardedServerRunsEveryJob' ./internal/serve/
+	$(GO) test -race -run 'RegistryChurnNoLeaks|EpochScheduler|HundredThousand|ShardedServerRunsEveryJob|ConcurrentScrapesDuringChurn' ./internal/serve/
 
 # Short fuzz pass over the boundaries that accept bytes from outside the
 # process. The HRCF checkpoint file decoder: truncated, bit-flipped and

@@ -15,6 +15,8 @@ package heracles_test
 import (
 	"bytes"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"slices"
 	"sync"
 	"testing"
@@ -504,6 +506,12 @@ var micros = []micro{
 		migrate(300)
 		return migrate
 	}},
+	// One GET /metrics over a pool of 1 000 instances (half with a BE
+	// task), answered into a ResponseWriter that keeps nothing. In idle
+	// nothing moved since the last scrape; in moving every instance
+	// stepped at least one epoch since, outside the timer.
+	{"Scrape/idle", scrape(false)},
+	{"Scrape/moving", scrape(true)},
 	// A three-point Colocate sweep on the worker pool (workers 0) and on
 	// the sequential reference (workers 1), whose outputs
 	// TestParallelColocateMatchesSequential holds byte-identical.
@@ -653,6 +661,82 @@ func restoreAndClose(tb testing.TB, cp *engine.Checkpoint, sc *scenario.Scenario
 	r.Close()
 }
 
+// scrape builds the Scrape entries' pool and returns one scrape per
+// operation. In idle the instances have finished, so nothing moves. In
+// moving they run, paced at the scheduler's 100 µs floor so that each
+// slice steps one epoch, and wait at their epoch hook while a scrape is
+// timed; between scrapes, outside the timer, every instance steps at
+// least one epoch, so every instance prints new values at every scrape.
+func scrape(moving bool) func(testing.TB) func(int) {
+	return func(tb testing.TB) func(int) {
+		const pool = 1000
+		s := serve.New(serve.Config{Lab: lab(), Shards: 2, MaxInstances: pool})
+		tb.Cleanup(s.Close)
+		var gate sync.RWMutex // write-held while no instance may step
+		if moving {
+			gate.Lock()
+			tb.Cleanup(gate.Unlock) // before Close: Close waits out the slices
+		}
+		insts := make([]*serve.Instance, pool)
+		for i := range insts {
+			spec := serve.InstanceSpec{Load: 0.2 + 0.5*float64(i)/pool, Speed: serve.SpeedMax, MaxEpochs: 3}
+			if moving {
+				spec.Speed, spec.MaxEpochs = 1e6, 0
+				spec.EpochHook = func(*machine.Machine, machine.Telemetry) { gate.RLock(); gate.RUnlock() }
+			}
+			if i%2 == 0 {
+				spec.BEs = []serve.BEAttachment{{Workload: "brain"}}
+			}
+			inst, err := s.CreateInstance(spec)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			insts[i] = inst
+		}
+		last := make([]uint64, pool)
+		advance := func() { // every instance steps at least one epoch
+			gate.Unlock()
+			for k, inst := range insts {
+				for inst.Status().Epoch <= last[k] {
+					time.Sleep(50 * time.Microsecond)
+				}
+			}
+			gate.Lock()
+			for k, inst := range insts {
+				last[k] = inst.Status().Epoch
+			}
+		}
+		for _, inst := range insts {
+			for !moving && inst.Status().State != serve.StateDone {
+				time.Sleep(time.Millisecond)
+			}
+		}
+		h := s.Handler()
+		req := httptest.NewRequest("GET", "/metrics", nil)
+		w := &discardResponse{header: http.Header{}}
+		b, _ := tb.(*testing.B)
+		run := each(func(int) {
+			if moving && b != nil {
+				b.StopTimer()
+				advance()
+				b.StartTimer()
+			} else if moving {
+				advance()
+			}
+			h.ServeHTTP(w, req)
+		})
+		run(2) // the first scrape renders every instance
+		return run
+	}
+}
+
+// discardResponse is a ResponseWriter that keeps nothing.
+type discardResponse struct{ header http.Header }
+
+func (d *discardResponse) Header() http.Header         { return d.header }
+func (d *discardResponse) WriteHeader(int)             {}
+func (d *discardResponse) Write(p []byte) (int, error) { return len(p), nil }
+
 // BenchmarkMicro runs every entry of the table as a sub-benchmark.
 func BenchmarkMicro(b *testing.B) {
 	for _, m := range micros {
@@ -672,6 +756,9 @@ func BenchmarkMicro(b *testing.B) {
 // operation fails. InstanceSchedule may allocate its pool's start-up and
 // nothing per slice. LabSetup is a fresh lab the offline table answers:
 // the lab, its memo entries, the spec lookups and its copy of websearch.
+// Scrape/idle reuses every instance's rows: what it allocates is the
+// instance list, the rows list, the blocks' writer and its family
+// index, the write stage, the shard list and the response headers.
 func TestMicroAllocCeilings(t *testing.T) {
 	if testing.Short() {
 		t.Skip("warms engines, a served pool and 300 instance migrations")
@@ -691,6 +778,7 @@ func TestMicroAllocCeilings(t *testing.T) {
 		{"HistogramObserve", 1, 100, 0},
 		{"InstanceSchedule", 10000, 5, 535},
 		{"LabSetup", 1, 100, 20},
+		{"Scrape/idle", 1, 100, 11},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			i := slices.IndexFunc(micros, func(m micro) bool { return m.name == c.name })

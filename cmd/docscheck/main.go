@@ -11,10 +11,14 @@
 //   - a Prometheus metric family the expositions can emit
 //     (serve.MetricNames, fed.MetricNames) is not documented in
 //     docs/API.md,
-//   - or a Go source comment references a DESIGN.md section anchor
+//   - a Go source comment references a DESIGN.md section anchor
 //     ("DESIGN.md §N") that does not exist as a "## §N" heading — the
 //     architecture pointers in package comments must not rot as
-//     DESIGN.md evolves.
+//     DESIGN.md evolves,
+//   - or DESIGN.md, README.md or docs/API.md names, in backticks, a
+//     `pkg.Name` (or `pkg.Type.Member`) of one of the module's packages,
+//     or a TestX, FuzzX or BenchmarkX function, that the module does not
+//     declare.
 //
 // Usage:
 //
@@ -24,6 +28,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -46,6 +51,7 @@ func main() {
 	problems = append(problems, checkRouteDocs(*root)...)
 	problems = append(problems, checkMetricDocs(*root)...)
 	problems = append(problems, checkDesignAnchors(*root)...)
+	problems = append(problems, checkIdentifiers(*root)...)
 
 	if len(problems) > 0 {
 		for _, p := range problems {
@@ -54,7 +60,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "docscheck: %d problem(s)\n", len(problems))
 		os.Exit(1)
 	}
-	fmt.Println("docscheck: markdown links, package comments, API route/metric docs and DESIGN anchors all OK")
+	fmt.Println("docscheck: markdown links, package comments, API route/metric docs, DESIGN anchors and named identifiers all OK")
 }
 
 // linkRE matches [text](target) markdown links; targets with nested
@@ -268,6 +274,140 @@ func checkRouteDocs(root string) []string {
 		if !strings.Contains(text, r) {
 			problems = append(problems,
 				fmt.Sprintf("docs/API.md: federation router route %q is undocumented", r))
+		}
+	}
+	return problems
+}
+
+// declared is what the module's Go files declare: per package name, its
+// top-level names and, per type, its methods and fields; and every
+// Test, Fuzz and Benchmark function.
+type declared struct {
+	pkgs  map[string]map[string]bool // package name → "Name" and "Type.Member"
+	tests map[string]bool
+}
+
+// declarations parses every Go file under root, test files included (a
+// package's _test.go files declare its test-only seams).
+func declarations(root string) (declared, error) {
+	d := declared{pkgs: map[string]map[string]bool{}, tests: map[string]bool{}}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(root, func(path string, e fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if e.IsDir() {
+			if name := e.Name(); name == ".git" || name == "testdata" || strings.HasPrefix(name, ".") && path != root {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		pkg := strings.TrimSuffix(f.Name.Name, "_test")
+		names := d.pkgs[pkg]
+		if names == nil {
+			names = map[string]bool{}
+			d.pkgs[pkg] = names
+		}
+		for _, decl := range f.Decls {
+			switch decl := decl.(type) {
+			case *ast.FuncDecl:
+				name := decl.Name.Name
+				if decl.Recv == nil {
+					names[name] = true
+					if testFuncRE.MatchString(name) {
+						d.tests[name] = true
+					}
+					continue
+				}
+				recv := decl.Recv.List[0].Type
+				if star, ok := recv.(*ast.StarExpr); ok {
+					recv = star.X
+				}
+				switch r := recv.(type) {
+				case *ast.IndexExpr:
+					recv = r.X
+				case *ast.IndexListExpr:
+					recv = r.X
+				}
+				if id, ok := recv.(*ast.Ident); ok {
+					names[id.Name+"."+name] = true
+				}
+			case *ast.GenDecl:
+				for _, spec := range decl.Specs {
+					switch spec := spec.(type) {
+					case *ast.TypeSpec:
+						names[spec.Name.Name] = true
+						if st, ok := spec.Type.(*ast.StructType); ok {
+							for _, field := range st.Fields.List {
+								for _, fn := range field.Names {
+									names[spec.Name.Name+"."+fn.Name] = true
+								}
+							}
+						}
+					case *ast.ValueSpec:
+						for _, id := range spec.Names {
+							names[id.Name] = true
+						}
+					}
+				}
+			}
+		}
+		return nil
+	})
+	return d, err
+}
+
+var (
+	testFuncRE = regexp.MustCompile(`^(Test|Fuzz|Benchmark)[A-Z0-9_]`)
+	codeSpanRE = regexp.MustCompile("`([^`\n]+)`")
+	// A test name, alone in its span or leading it (a subtest path or
+	// flags may follow).
+	spanTestRE = regexp.MustCompile(`^((?:Test|Fuzz|Benchmark)[A-Z0-9_]\w*)`)
+	// pkg.Name and pkg.Type.Member wherever they stand in a span.
+	qualifiedRE = regexp.MustCompile(`(?:^|[^\w.])([a-z][a-z0-9]*)\.([A-Z]\w*)(?:\.([A-Z]\w*))?`)
+)
+
+// checkIdentifiers requires every backticked reference to a module
+// package's declaration, and every backticked test function, in
+// DESIGN.md, README.md and docs/API.md to name something the module
+// declares: a renamed or deleted identifier must take its mentions
+// with it.
+func checkIdentifiers(root string) []string {
+	d, err := declarations(root)
+	if err != nil {
+		return []string{fmt.Sprintf("parsing the module: %v", err)}
+	}
+	var problems []string
+	for _, doc := range []string{"DESIGN.md", "README.md", filepath.Join("docs", "API.md")} {
+		data, err := os.ReadFile(filepath.Join(root, doc))
+		if err != nil {
+			problems = append(problems, fmt.Sprintf("reading %s: %v", doc, err))
+			continue
+		}
+		for _, span := range codeSpanRE.FindAllStringSubmatch(string(data), -1) {
+			if m := spanTestRE.FindStringSubmatch(span[1]); m != nil && !d.tests[m[1]] {
+				problems = append(problems, fmt.Sprintf("%s: `%s` names no test function in the module", doc, m[1]))
+			}
+			for _, m := range qualifiedRE.FindAllStringSubmatch(span[1], -1) {
+				names, ok := d.pkgs[m[1]]
+				if !ok || m[1] == "main" {
+					continue // not one of the module's packages
+				}
+				ref := m[2]
+				if m[3] != "" {
+					ref += "." + m[3]
+				}
+				if !names[ref] {
+					problems = append(problems, fmt.Sprintf("%s: `%s.%s` is not declared in package %s", doc, m[1], ref, m[1]))
+				}
+			}
 		}
 	}
 	return problems

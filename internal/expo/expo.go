@@ -7,7 +7,7 @@ package expo
 import (
 	"io"
 	"net/http"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -18,9 +18,11 @@ var escapeLabel = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 
 // family is one index entry: the family's name and where its "# HELP"
 // line starts in the buffer. It ends where the next one emitted starts.
+// A gathered family's series then follow from column col of each Rows.
 type family struct {
 	name string
 	off  int
+	col  int // -1: not gathered
 }
 
 // Writer appends an exposition to one buffer and remembers where each
@@ -41,8 +43,13 @@ func NewWriter(capacity int) *Writer {
 // keep stores b — w.buf with more appended — back into the Writer. Until
 // the buffer regrows only its length changes, and storing just that keeps
 // the collector's pointer-write barrier off the per-series path (~15% of
-// a render, since a scrape's garbage keeps the collector running).
+// a render, since a scrape's garbage keeps the collector running). A
+// series belongs to the family before it; with none, writeTo would drop
+// it, so that is a bug in the caller and panics.
 func (w *Writer) keep(b []byte) {
+	if len(w.fams) == 0 {
+		panic("expo: series written before any family")
+	}
 	if cap(b) == cap(w.buf) {
 		w.buf = w.buf[:len(b)]
 		return
@@ -54,27 +61,27 @@ func (w *Writer) keep(b []byte) {
 // appended until the next Family call belongs to it. The format allows
 // one block per name, so a name used twice is a bug in the caller and
 // panics.
-func (w *Writer) Family(name, typ, help string) {
+func (w *Writer) Family(name, typ, help string) { w.Gather(name, typ, help, -1) }
+
+// Gather starts a family whose series the Writer does not hold: Respond
+// follows its header with column col of every Rows it is handed, in
+// order. It sends each Rows whole, so each column must be gathered once.
+func (w *Writer) Gather(name, typ, help string, col int) {
 	for _, f := range w.fams {
 		if f.name == name {
 			panic("expo: metric family " + name + " emitted twice")
 		}
 	}
-	w.fams = append(w.fams, family{name, len(w.buf)})
+	w.fams = append(w.fams, family{name, len(w.buf), col})
 	b := append(append(append(append(w.buf, "# HELP "...), name...), ' '), help...)
 	b = append(append(append(append(b, "\n# TYPE "...), name...), ' '), typ...)
 	w.keep(append(b, '\n'))
 }
 
 // series appends a series name and its label set, given as key, value
-// pairs, and returns the buffer for the caller to append the value to. A
-// series belongs to the family before it; with none, WriteTo would drop
-// it, so that is a bug in the caller and panics.
-func (w *Writer) series(name string, labels []string) []byte {
-	if len(w.fams) == 0 {
-		panic("expo: series " + name + " written before any family")
-	}
-	b, sep := append(w.buf, name...), byte('{')
+// pairs, to b for the caller to append the value to.
+func series(b []byte, name string, labels []string) []byte {
+	b, sep := append(b, name...), byte('{')
 	for i := 0; i+1 < len(labels); i += 2 {
 		b = append(append(append(b, sep), labels[i]...), '=', '"')
 		b = append(append(b, escapeLabel.Replace(labels[i+1])...), '"')
@@ -86,14 +93,28 @@ func (w *Writer) series(name string, labels []string) []byte {
 	return append(b, ' ')
 }
 
+// AppendFloat appends a series line with a float value in shortest
+// round-trip form to b; labels are key, value pairs.
+func AppendFloat(b []byte, name string, v float64, labels ...string) []byte {
+	return append(strconv.AppendFloat(series(b, name, labels), v, 'g', -1, 64), '\n')
+}
+
+// AppendInt appends a series line with an integer value to b.
+func AppendInt(b []byte, name string, v int64, labels ...string) []byte {
+	return append(strconv.AppendInt(series(b, name, labels), v, 10), '\n')
+}
+
+// Lines writes series lines rendered by AppendFloat and AppendInt.
+func (w *Writer) Lines(b []byte) { w.keep(append(w.buf, b...)) }
+
 // Float writes one series with a float value in shortest round-trip form.
 func (w *Writer) Float(name string, v float64, labels ...string) {
-	w.keep(append(strconv.AppendFloat(w.series(name, labels), v, 'g', -1, 64), '\n'))
+	w.keep(AppendFloat(w.buf, name, v, labels...))
 }
 
 // Int writes one series with an integer value.
 func (w *Writer) Int(name string, v int64, labels ...string) {
-	w.keep(append(strconv.AppendInt(w.series(name, labels), v, 10), '\n'))
+	w.keep(AppendInt(w.buf, name, v, labels...))
 }
 
 // ScalarInt writes a whole family of one unlabelled integer series.
@@ -118,39 +139,73 @@ func (w *Writer) Names() []string {
 }
 
 // Bytes returns the exposition in emission order: the Writer's own
-// buffer, capacity included.
+// buffer, capacity included, gathered families as headers only.
 func (w *Writer) Bytes() []byte { return w.buf }
 
-// WriteTo writes the families to out in name order, so scrapes diff
-// cleanly whatever sequence the renderers ran in. It sorts the small
-// family index and writes each family's slice of the buffer in place,
-// stopping at the first failed Write.
-func (w *Writer) WriteTo(out io.Writer) (int64, error) {
-	var n int64
+// Rows is one source's series lines for the families a Writer gathers,
+// rendered ahead of the scrape and kept by the source: column c is
+// Buf[Bounds[c]:Bounds[c+1]]. A Writer only reads it.
+type Rows struct {
+	Buf    []byte
+	Bounds []int
+}
+
+// Col returns column c.
+func (r *Rows) Col(c int) []byte { return r.Buf[r.Bounds[c]:r.Bounds[c+1]] }
+
+// writeTo writes the families to out in name order, so scrapes diff
+// cleanly whatever sequence the renderers ran in, each gathered family
+// followed by its column of rows. Each family's slice of the buffer goes
+// out in place; a column of rows comes in small pieces, so it is batched
+// through a 32 KB stage. It stops at the first failed Write and counts
+// the bytes out took.
+func (w *Writer) writeTo(out io.Writer, rows []*Rows) (n int64, err error) {
 	order := make([]int, len(w.fams))
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool { return w.fams[order[a]].name < w.fams[order[b]].name })
+	slices.SortFunc(order, func(a, b int) int { return strings.Compare(w.fams[a].name, w.fams[b].name) })
+	var stage []byte
+	if len(rows) > 0 {
+		stage = make([]byte, 0, 36<<10) // flushed at 32 KB
+	}
+	write := func(p []byte) {
+		if err == nil && len(p) > 0 {
+			var m int
+			m, err = out.Write(p)
+			n += int64(m)
+		}
+	}
 	for _, i := range order {
 		end := len(w.buf)
 		if i+1 < len(w.fams) {
 			end = w.fams[i+1].off
 		}
-		m, err := out.Write(w.buf[w.fams[i].off:end])
-		n += int64(m)
-		if err != nil {
-			return n, err
+		write(w.buf[w.fams[i].off:end])
+		if c := w.fams[i].col; c >= 0 {
+			for _, r := range rows {
+				if stage = append(stage, r.Col(c)...); len(stage) >= 32<<10 {
+					write(stage)
+					stage = stage[:0]
+				}
+			}
+			write(stage)
+			stage = stage[:0]
 		}
 	}
-	return n, nil
+	return n, err
 }
 
 // Respond answers a scrape: the exposition content type, the body's
-// exact Content-Length, then the families in name order. A failed write
-// means the client has gone; there is no one left to report it to.
-func (w *Writer) Respond(rw http.ResponseWriter) {
+// exact Content-Length, then the families in name order, the gathered
+// ones followed by their columns of rows. A failed write means the
+// client has gone; there is no one left to report it to.
+func (w *Writer) Respond(rw http.ResponseWriter, rows ...*Rows) {
+	size := len(w.buf)
+	for _, r := range rows {
+		size += len(r.Buf)
+	}
 	rw.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	rw.Header().Set("Content-Length", strconv.Itoa(len(w.buf)))
-	_, _ = w.WriteTo(rw)
+	rw.Header().Set("Content-Length", strconv.Itoa(size))
+	_, _ = w.writeTo(rw, rows)
 }

@@ -36,13 +36,13 @@ func sortFamiliesRef(text string) string {
 	return strings.Join(fams, "")
 }
 
-// wire returns what WriteTo puts on the wire.
+// wire returns what writeTo puts on the wire with no gathered rows.
 func wire(t *testing.T, w *Writer) string {
 	t.Helper()
 	var b bytes.Buffer
-	n, err := w.WriteTo(&b)
+	n, err := w.writeTo(&b, nil)
 	if err != nil || n != int64(b.Len()) {
-		t.Fatalf("WriteTo = %d, %v; wrote %d bytes", n, err, b.Len())
+		t.Fatalf("writeTo = %d, %v; wrote %d bytes", n, err, b.Len())
 	}
 	return b.String()
 }
@@ -82,7 +82,7 @@ func TestWriteToOrdersFamiliesLikeTheReference(t *testing.T) {
 		}
 		got := wire(t, w)
 		if ref := sortFamiliesRef(string(w.Bytes())); got != ref {
-			t.Fatalf("emitted as %v: WriteTo differs from the reference sort\ngot:\n%s\nwant:\n%s", order, got, ref)
+			t.Fatalf("emitted as %v: writeTo differs from the reference sort\ngot:\n%s\nwant:\n%s", order, got, ref)
 		}
 		// The series carry their emission index, so compare headers only.
 		if gotOrder, wantOrder := helpLines(got), helpLines(want); gotOrder != wantOrder {
@@ -147,7 +147,7 @@ func mustPanic(t *testing.T, what string, f func()) {
 }
 
 // One family block per name is a format rule, and a series with no
-// family would be dropped by WriteTo: both are bugs in the renderer that
+// family would be dropped by writeTo: both are bugs in the renderer that
 // calls the Writer, so they stop the test that exercises it.
 func TestFormatViolationsPanic(t *testing.T) {
 	mustPanic(t, "a second Family call with the same name", func() {
@@ -179,12 +179,28 @@ func (f *failAfter) Write(p []byte) (int, error) {
 func TestWriteToStopsAtFirstFailedWrite(t *testing.T) {
 	w := emit([]string{"c", "a", "d", "b"})
 	out := &failAfter{n: 2}
-	n, err := w.WriteTo(out)
+	n, err := w.writeTo(out, nil)
 	if !errors.Is(err, errGone) || out.calls != 3 {
-		t.Fatalf("WriteTo = %d, %v after %d writes; want the error on the third write and none after", n, err, out.calls)
+		t.Fatalf("writeTo = %d, %v after %d writes; want the error on the third write and none after", n, err, out.calls)
 	}
 	if want := int64(len(sortFamiliesRef(string(w.Bytes()))) / 2); n != want {
-		t.Fatalf("WriteTo reports %d bytes, want the two families written (%d)", n, want)
+		t.Fatalf("writeTo reports %d bytes, want the two families written (%d)", n, want)
+	}
+
+	// With gathered rows: the header goes out, the staged column fails,
+	// and the count is what out took, not what the stage held.
+	w = NewWriter(0)
+	w.ScalarInt("a", "gauge", "A.", 1)
+	w.Gather("b", "gauge", "B.", 0)
+	w.ScalarInt("c", "gauge", "C.", 3)
+	rows := []*Rows{{Buf: AppendInt(nil, "b", 1), Bounds: []int{0, 4}}, {Buf: AppendInt(nil, "b", 2), Bounds: []int{0, 4}}}
+	out = &failAfter{n: 2}
+	n, err = w.writeTo(out, rows)
+	if !errors.Is(err, errGone) || out.calls != 3 {
+		t.Fatalf("with rows: writeTo = %d, %v after %d writes; want the error on the third write and none after", n, err, out.calls)
+	}
+	if want := int64(strings.Index(string(w.Bytes()), "# HELP c")); n != want {
+		t.Fatalf("with rows: writeTo reports %d bytes, want the a and b headers (%d)", n, want)
 	}
 }
 
@@ -245,16 +261,20 @@ func TestHistogramBucketsAndRender(t *testing.T) {
 	h.Observe(3 * time.Microsecond)  // bucket 2 (le 4µs)
 	h.Observe(-time.Second)          // clamped to 0: bucket 0
 	h.Observe(time.Hour)             // beyond 2^23µs: +Inf
+	// Between bounds an observation belongs to the bucket above: le is
+	// an upper bound, so it must not be truncated to whole microseconds.
+	h.Observe(1500 * time.Nanosecond)               // bucket 1 (le 2µs)
+	h.Observe(2*time.Microsecond + time.Nanosecond) // bucket 2 (le 4µs)
 	w := NewWriter(0)
 	w.Histogram("x_seconds", "test family.", &h)
 	out := string(w.Bytes())
 	for _, want := range []string{
 		"# TYPE x_seconds histogram",
 		`x_seconds_bucket{le="1e-06"} 3`,
-		`x_seconds_bucket{le="2e-06"} 4`,
-		`x_seconds_bucket{le="4e-06"} 5`,
-		`x_seconds_bucket{le="+Inf"} 6`,
-		"x_seconds_count 6",
+		`x_seconds_bucket{le="2e-06"} 5`,
+		`x_seconds_bucket{le="4e-06"} 7`,
+		`x_seconds_bucket{le="+Inf"} 8`,
+		"x_seconds_count 8",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("rendered histogram missing %q:\n%s", want, out)
@@ -293,5 +313,51 @@ func TestHistogramGolden(t *testing.T) {
 	}
 	if !strings.HasPrefix(got, "# HELP empty_seconds ") || !strings.HasSuffix(got, "x_seconds_count 10\n") {
 		t.Fatalf("histogram series left their family:\n%s", got)
+	}
+}
+
+// TestGatheredRowsRespond gathers pre-rendered rows under families of a
+// Writer that also holds families of its own: the response must be what
+// one Writer holding every series would send, with its exact length,
+// whether the pieces fit the stage or not.
+func TestGatheredRowsRespond(t *testing.T) {
+	ref := func(sources, perCol int) string {
+		w := NewWriter(0)
+		w.ScalarInt("m_count", "gauge", "Sources.", int64(sources))
+		for c, name := range []string{"z_rows", "a_rows"} {
+			w.Family(name, "gauge", "Rows of "+name+".")
+			for s := range sources {
+				for j := range perCol {
+					w.Int(name, int64(j), "src", strconv.Itoa(s), "col", strconv.Itoa(c))
+				}
+			}
+		}
+		return sortFamiliesRef(string(w.Bytes()))
+	}
+	for _, tc := range []struct{ sources, perCol int }{{0, 0}, {3, 1}, {5, 0}, {40, 30}, {2, 2000}} {
+		rows := make([]*Rows, tc.sources)
+		for s := range rows {
+			r := &Rows{Bounds: []int{0}}
+			for c, name := range []string{"z_rows", "a_rows"} {
+				for j := range tc.perCol {
+					r.Buf = AppendInt(r.Buf, name, int64(j), "src", strconv.Itoa(s), "col", strconv.Itoa(c))
+				}
+				r.Bounds = append(r.Bounds, len(r.Buf))
+			}
+			rows[s] = r
+		}
+		w := NewWriter(0)
+		w.Gather("z_rows", "gauge", "Rows of z_rows.", 0)
+		w.ScalarInt("m_count", "gauge", "Sources.", int64(tc.sources))
+		w.Gather("a_rows", "gauge", "Rows of a_rows.", 1)
+		rec := httptest.NewRecorder()
+		w.Respond(rec, rows...)
+		want := ref(tc.sources, tc.perCol)
+		if got := rec.Body.String(); got != want {
+			t.Fatalf("%d sources × %d lines: gathered body differs\ngot:\n%.2000s\nwant:\n%.2000s", tc.sources, tc.perCol, got, want)
+		}
+		if got := rec.Header().Get("Content-Length"); got != strconv.Itoa(len(want)) {
+			t.Fatalf("%d sources × %d lines: Content-Length %s for a %d-byte body", tc.sources, tc.perCol, got, len(want))
+		}
 	}
 }

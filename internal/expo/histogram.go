@@ -32,7 +32,7 @@ func (h *Histogram) Observe(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	us := uint64(d / time.Microsecond)
+	us := uint64((d + time.Microsecond - 1) / time.Microsecond) // rounded up: bucket i holds d <= 2^i µs
 	idx := 0
 	if us > 1 {
 		idx = bits.Len64(us - 1) // first i with us <= 2^i
@@ -44,19 +44,32 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.sumNs.Add(int64(d))
 }
 
-// Histogram writes h as one family: cumulative _bucket series, _sum and
-// _count.
-func (w *Writer) Histogram(name, help string, h *Histogram) {
-	w.Family(name, "histogram", help)
-	var cum int64
-	for i := 0; i <= histBuckets; i++ {
-		cum += h.counts[i].Load()
+// bucketSeries holds what follows a histogram's name on each bucket
+// line: the _bucket suffix and its le label, one entry per bucket.
+var bucketSeries = func() (s [histBuckets + 1]string) {
+	for i := range s {
 		le := "+Inf"
 		if i < histBuckets {
 			le = strconv.FormatFloat(math.Ldexp(1e-6, i), 'g', -1, 64)
 		}
-		w.Int(name+"_bucket", cum, "le", le)
+		s[i] = `_bucket{le="` + le + `"} `
 	}
-	w.Float(name+"_sum", float64(h.sumNs.Load())/1e9)
-	w.Int(name+"_count", cum)
+	return s
+}()
+
+// Histogram writes h as one family: cumulative _bucket series, _sum and
+// _count.
+func (w *Writer) Histogram(name, help string, h *Histogram) {
+	w.Family(name, "histogram", help)
+	b := w.buf
+	var cum int64
+	for i := range bucketSeries {
+		cum += h.counts[i].Load()
+		b = append(append(b, name...), bucketSeries[i]...)
+		b = append(strconv.AppendInt(b, cum, 10), '\n')
+	}
+	b = append(append(b, name...), "_sum "...)
+	b = append(strconv.AppendFloat(b, float64(h.sumNs.Load())/1e9, 'g', -1, 64), '\n')
+	b = append(append(b, name...), "_count "...)
+	w.keep(append(strconv.AppendInt(b, cum, 10), '\n'))
 }

@@ -1,11 +1,14 @@
 package serve
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"heracles/internal/core"
@@ -207,6 +210,19 @@ type ActionCount struct {
 	Count  int64  `json:"count"`
 }
 
+// countAction adds one decision to the (loop, action) count, keeping
+// Actions sorted by loop, then action.
+func (s *Status) countAction(loop, action string) {
+	a := ActionCount{Loop: loop, Action: action}
+	k, found := slices.BinarySearchFunc(s.Actions, a, func(x, y ActionCount) int {
+		return cmp.Or(strings.Compare(x.Loop, y.Loop), strings.Compare(x.Action, y.Action))
+	})
+	if !found {
+		s.Actions = slices.Insert(s.Actions, k, a)
+	}
+	s.Actions[k].Count++
+}
+
 // Status is a point-in-time snapshot of one instance, safe to read while
 // the simulation advances.
 type Status struct {
@@ -237,8 +253,6 @@ type Status struct {
 	Restarts       int    `json:"restarts,omitempty"`
 	FaultsInjected int64  `json:"faults_injected,omitempty"`
 }
-
-type actionKey struct{ loop, action string }
 
 // Instance is one live simulated machine with its Heracles controller,
 // advanced by the registry's epoch scheduler (DESIGN.md §13): a
@@ -300,9 +314,11 @@ type Instance struct {
 	nextAt             time.Time // the due time the next slice was scheduled for
 	recentFault        bool      // a fault applied in the last slice tightens cadence
 
-	mu      sync.Mutex
-	status  Status
-	actions map[actionKey]int64
+	// status is the mu-guarded snapshot; the supervisor keeps its health
+	// counters in it, the controller its action counts (sorted).
+	mu     sync.Mutex
+	status Status
+	rows   atomic.Pointer[instanceRows] // the last scrape's rows (metrics.go)
 	// spans is the bounded epoch span-timing ring (mu-guarded): grown
 	// lazily to traceRingCap, then overwritten oldest-first at spanHead.
 	spans    []SpanRecord
@@ -312,18 +328,14 @@ type Instance struct {
 	// of sleep-polling.
 	notec chan struct{}
 
-	// Supervisor health, mu-guarded. pendingRestart marks a scheduled
-	// restart slice; crashed gates Do with ErrCrashed until the restart
-	// rebuilds the engine.
+	// Supervisor state beyond status's health counters, mu-guarded.
+	// pendingRestart marks a scheduled restart slice; crashed gates Do
+	// with ErrCrashed until the restart rebuilds the engine.
 	crashed        bool
 	pendingRestart bool
-	healthState    string
-	crashes        int
-	restarts       int
 	consec         int
 	lastErr        string
 	lastCrashEpoch uint64
-	faultsInjected int64
 }
 
 // engineConfig is the single-node engine configuration every instance
@@ -383,15 +395,13 @@ func newInstance(id string, spec InstanceSpec, lab *experiment.Lab, speed float6
 		epochHook: spec.EpochHook,
 		pool:      pool,
 		donec:     make(chan struct{}),
-		actions:   make(map[actionKey]int64),
 		notec:     make(chan struct{}),
 
-		sup:         sup.withDefaults(),
-		supSeed:     fnvHash(id),
-		trace:       spec.Trace,
-		healthState: HealthHealthy,
-		stretch:     1,
-		batch:       1,
+		sup:     sup.withDefaults(),
+		supSeed: fnvHash(id),
+		trace:   spec.Trace,
+		stretch: 1,
+		batch:   1,
 	}
 	i.entry = pool.newEntry(i)
 
@@ -431,6 +441,7 @@ func newInstance(id string, spec InstanceSpec, lab *experiment.Lab, speed float6
 		Compact:   compact,
 		Speed:     speed,
 		MaxEpochs: maxEpochs,
+		Health:    HealthHealthy,
 	}
 	i.mirrorEngineLocked()
 	if spec.Restore == nil {
@@ -448,7 +459,6 @@ func newInstance(id string, spec InstanceSpec, lab *experiment.Lab, speed float6
 
 	// Seed the supervisor's restart checkpoint before the first slice:
 	// even a crash on the very first epoch has a state to restart from.
-	i.status.Health = i.healthState
 	i.refreshRestartCheckpoint()
 
 	if restoredFrom != "" {
@@ -586,31 +596,10 @@ func (i *Instance) Status() Status {
 		st := *i.status.SLO
 		s.SLO = &st
 	}
-	s.Actions = sortedActions(i.actions)
-	s.Health = i.healthState
-	s.Crashes = i.crashes
-	s.Restarts = i.restarts
-	s.FaultsInjected = i.faultsInjected
+	s.Actions = slices.Clone(i.status.Actions)
 	i.mu.Unlock()
 	s.DroppedEvents = i.hub.Dropped()
 	return s
-}
-
-func sortedActions(m map[actionKey]int64) []ActionCount {
-	if len(m) == 0 {
-		return nil
-	}
-	out := make([]ActionCount, 0, len(m))
-	for k, n := range m {
-		out = append(out, ActionCount{Loop: k.loop, Action: k.action, Count: n})
-	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Loop != out[b].Loop {
-			return out[a].Loop < out[b].Loop
-		}
-		return out[a].Action < out[b].Action
-	})
-	return out
 }
 
 // Stop removes the instance from the epoch heap — cancelling any queued
@@ -645,7 +634,7 @@ func (i *Instance) Do(fn func() error) error {
 		return ErrStopped
 	}
 	i.mu.Lock()
-	blocked := i.crashed || i.healthState == HealthQuarantined
+	blocked := i.crashed || i.status.Health == HealthQuarantined
 	i.mu.Unlock()
 	if blocked {
 		i.stepMu.Unlock()
@@ -798,7 +787,7 @@ func (i *Instance) refreshBEs() {
 // Step.
 func (i *Instance) onControllerEvent(e core.Event) {
 	i.mu.Lock()
-	i.actions[actionKey{e.Loop, e.Action}]++
+	i.status.countAction(e.Loop, e.Action)
 	i.mu.Unlock()
 	if !i.hub.HasSubscribers() {
 		return
@@ -848,7 +837,7 @@ func (i *Instance) runSlice() (time.Time, bool) {
 	i.mu.Lock()
 	restart := i.pendingRestart
 	i.pendingRestart = false
-	quarantined := i.healthState == HealthQuarantined
+	quarantined := i.status.Health == HealthQuarantined
 	crashed := i.crashed
 	i.mu.Unlock()
 
@@ -947,7 +936,7 @@ func (i *Instance) nextStretch() int {
 	tight := i.recentFault || i.epochHook != nil || i.hub.HasSubscribers()
 	if !tight {
 		i.mu.Lock()
-		healthy := i.healthState == HealthHealthy
+		healthy := i.status.Health == HealthHealthy
 		slack := i.status.Last.Slack
 		i.mu.Unlock()
 		tight = !healthy || slack < cadenceSlackFloor
@@ -1035,7 +1024,7 @@ func (i *Instance) step() {
 		st := sloStatus
 		i.status.SLO = &st
 	}
-	i.faultsInjected += int64(er.FaultsApplied)
+	i.status.FaultsInjected += int64(er.FaultsApplied)
 	if done {
 		i.status.State = StateDone
 	}

@@ -2,6 +2,9 @@ package serve
 
 import (
 	"io"
+	"math"
+	"net/http"
+	"slices"
 	"strconv"
 
 	"heracles/internal/expo"
@@ -11,33 +14,276 @@ import (
 // Prometheus exposition: the control plane aggregates the same
 // quantities the Heracles evaluation reports — EMU, tail latency and SLO
 // slack, BE allocations, shared-resource utilisation — plus controller
-// actuation counters, across every live instance, and renders them
-// through internal/expo, which allocates nothing per series.
+// actuation counters, across every live instance. Each instance keeps
+// its rendered rows with the values they print, so a scrape formats only
+// what moved (DESIGN.md §15).
 
-// metricFamily writes one family with a series per status.
-func metricFamily(e *expo.Writer, name, typ, help string, sts []Status, value func(*Status) float64) {
-	e.Family(name, typ, help)
-	for i := range sts {
-		e.Float(name, value(&sts[i]), "instance", sts[i].ID)
-	}
+// instanceFamily is a family with series per instance: value(s, j) is
+// the j-th value an instance with status s prints under it, one series
+// labelled by instance alone or, with label, one per entry of labels.
+// The actions family, without value, prints a series per action count.
+type instanceFamily struct {
+	name, typ, help string
+	value           func(s *Status, j int) float64
+	label           string
+	labels          []string
+	slo             bool // printed only by instances with the SLO engine
 }
 
-// sloFamily writes one per-instance error-budget family, skipping
-// instances without the SLO engine.
-func sloFamily(e *expo.Writer, name, typ, help string, sts []Status, value func(*slo.Status) float64) {
-	e.Family(name, typ, help)
-	for i := range sts {
-		if st := sts[i].SLO; st != nil {
-			e.Float(name, value(st), "instance", sts[i].ID)
+// gauge is a family with one value per instance.
+func gauge(name, typ, help string, value func(*Status) float64) instanceFamily {
+	return instanceFamily{name: name, typ: typ, help: help, value: func(s *Status, _ int) float64 { return value(s) }}
+}
+
+func sloGauge(name, typ, help string, value func(*slo.Status) float64) instanceFamily {
+	return instanceFamily{name: name, typ: typ, help: help, slo: true,
+		value: func(s *Status, _ int) float64 { return value(s.SLO) }}
+}
+
+// values is how many values an instance prints under f.
+func (f *instanceFamily) values(hasSLO bool) int {
+	if f.value == nil || f.slo && !hasSLO {
+		return 0
+	}
+	return max(1, len(f.labels))
+}
+
+// valuesOf appends the values an instance with status s prints under f
+// to dst, by their float bits with every NaN as one.
+func (f *instanceFamily) valuesOf(s *Status, dst []uint64) []uint64 {
+	for j := range f.values(s.SLO != nil) {
+		x := f.value(s, j)
+		if x != x {
+			x = math.NaN()
+		}
+		dst = append(dst, math.Float64bits(x))
+	}
+	return dst
+}
+
+// appendFamily appends the series an instance prints under f — one per
+// value, or one per action count for the actions family — to b: the one
+// row code behind both the kept rows and WriteMetrics.
+func appendFamily(b []byte, f *instanceFamily, id string, vals []uint64, acts []ActionCount) []byte {
+	if f.value == nil {
+		for _, a := range acts {
+			b = expo.AppendInt(b, f.name, a.Count, "instance", id, "loop", a.Loop, "action", a.Action)
 		}
 	}
+	for j, x := range vals {
+		if f.label == "" {
+			b = expo.AppendFloat(b, f.name, math.Float64frombits(x), "instance", id)
+		} else {
+			b = expo.AppendFloat(b, f.name, math.Float64frombits(x), "instance", id, f.label, f.labels[j])
+		}
+	}
+	return b
 }
+
+var healthCodes = map[string]float64{HealthDegraded: 1, HealthQuarantined: 2}
 
 func boolFloat(v bool) float64 {
 	if v {
 		return 1
 	}
 	return 0
+}
+
+// instanceFamilies lists the per-instance families in emission order.
+var instanceFamilies = [...]instanceFamily{
+	gauge("heracles_instance_up", "gauge", "1 while the instance simulation is advancing, 0 once done.",
+		func(s *Status) float64 { return boolFloat(s.State == StateRunning) }),
+	gauge("heracles_instance_epochs_total", "counter", "Simulated epochs resolved.",
+		func(s *Status) float64 { return float64(s.Epoch) }),
+	gauge("heracles_instance_load", "gauge", "Offered LC load as a fraction of peak QPS.",
+		func(s *Status) float64 { return s.Last.Load }),
+	gauge("heracles_instance_slo_seconds", "gauge", "Controller-visible latency target.",
+		func(s *Status) float64 { return s.Last.SLOMs / 1e3 }),
+	gauge("heracles_instance_tail_latency_seconds", "gauge", "LC tail latency at the workload SLO quantile, last epoch.",
+		func(s *Status) float64 { return s.Last.TailMs / 1e3 }),
+	gauge("heracles_instance_p95_latency_seconds", "gauge", "LC 95th-percentile latency, last epoch.",
+		func(s *Status) float64 { return s.Last.P95Ms / 1e3 }),
+	gauge("heracles_instance_slo_slack", "gauge", "(SLO - tail latency) / SLO, last epoch; negative means violating.",
+		func(s *Status) float64 { return s.Last.Slack }),
+	gauge("heracles_instance_emu", "gauge", "Effective machine utilisation (LC + BE throughput, each normalised to running alone).",
+		func(s *Status) float64 { return s.Last.EMU }),
+	gauge("heracles_instance_be_enabled", "gauge", "1 while best-effort execution is enabled.",
+		func(s *Status) float64 { return boolFloat(s.Last.BEEnabled) }),
+	gauge("heracles_instance_be_cores", "gauge", "Cores granted to best-effort tasks.",
+		func(s *Status) float64 { return float64(s.Last.BECores) }),
+	gauge("heracles_instance_be_ways", "gauge", "LLC ways granted to best-effort tasks.",
+		func(s *Status) float64 { return float64(s.Last.BEWays) }),
+	gauge("heracles_instance_dram_util", "gauge", "Achieved DRAM bandwidth over peak, all sockets.",
+		func(s *Status) float64 { return s.Last.DRAMUtil }),
+	gauge("heracles_instance_power_frac_tdp", "gauge", "Total package power over total TDP.",
+		func(s *Status) float64 { return s.Last.PowerFracTDP }),
+	gauge("heracles_instance_link_util", "gauge", "NIC egress utilisation.",
+		func(s *Status) float64 { return s.Last.LinkUtil }),
+	gauge("heracles_events_dropped_total", "counter", "Event-stream messages lost to full subscriber buffers.",
+		func(s *Status) float64 { return float64(s.DroppedEvents) }),
+	gauge("heracles_instance_health", "gauge", "Supervisor health: 0 healthy, 1 degraded (recent crash), 2 quarantined.",
+		func(s *Status) float64 { return healthCodes[s.Health] }),
+	gauge("heracles_instance_restarts_total", "counter", "Automatic restarts from the last checkpoint after a driver crash.",
+		func(s *Status) float64 { return float64(s.Restarts) }),
+	gauge("heracles_faults_injected_total", "counter", "Faults applied to the instance, injected via the API or a scenario schedule.",
+		func(s *Status) float64 { return float64(s.FaultsInjected) }),
+	{name: "heracles_controller_actions_total", typ: "counter", help: "Controller decisions by loop and action."},
+	// Error-budget families (DESIGN.md §15): headers always print, so the
+	// exposition's shape is stable; series only for the SLO engine.
+	sloGauge("heracles_slo_objective", "gauge", "Availability objective the error budget is computed against.",
+		func(st *slo.Status) float64 { return st.Objective }),
+	sloGauge("heracles_slo_violations_total", "counter", "Simulated epochs that violated the latency SLO.",
+		func(st *slo.Status) float64 { return float64(st.Violations) }),
+	sloGauge("heracles_slo_budget_spent", "gauge", "Fraction of the 30-day error budget consumed (1 = exhausted).",
+		func(st *slo.Status) float64 { return st.BudgetSpent }),
+	{name: "heracles_slo_burn_rate", typ: "gauge", slo: true, label: "window", labels: slo.WindowNames[:],
+		help:  "Error-budget burn rate per rolling sim-time window (1 = spending exactly the budget).",
+		value: func(s *Status, j int) float64 { return s.SLO.Burn[j] }},
+	{name: "heracles_slo_alert_firing", typ: "gauge", slo: true, label: "alert", labels: []string{slo.AlertPage, slo.AlertTicket},
+		help:  "1 while the multiwindow burn-rate alert fires (fast-burn page, slow-burn ticket).",
+		value: func(s *Status, j int) float64 { return boolFloat([2]bool{s.SLO.Page, s.SLO.Ticket}[j]) }},
+}
+
+// rowValues is what an instance's rows print besides its id and action
+// counts: whether the SLO engine is attached and its values in table
+// order, so that == on two is "the rows print the same bytes". The id is
+// not in it: the rows live on the Instance, whose id never changes (an
+// id reused after a delete names a new Instance, which has no rows).
+type rowValues struct {
+	hasSLO bool
+	vals   [27]uint64 // as many as instanceFamilies print (the key test checks)
+}
+
+func (v *rowValues) fill(s *Status) {
+	v.hasSLO = s.SLO != nil
+	vals := v.vals[:0]
+	for k := range instanceFamilies {
+		vals = instanceFamilies[k].valuesOf(s, vals)
+	}
+	clear(v.vals[len(vals):])
+}
+
+// instanceRows is an instance's rows as a scrape rendered them, with the
+// values they print. Published rows are never written: a scrape reading
+// other values renders fresh ones, so a slow scraper still sending old
+// rows never races a render.
+type instanceRows struct {
+	vals   rowValues
+	acts   []ActionCount
+	rows   expo.Rows
+	bounds [len(instanceFamilies) + 1]int
+}
+
+// fleetStats aggregates the pool into the fleet families.
+type fleetStats struct {
+	n                           int
+	emuSum, minSlack, maxBudget float64
+	pages                       int
+}
+
+func (f *fleetStats) add(s *Status) {
+	if f.n == 0 || s.Last.Slack < f.minSlack {
+		f.minSlack = s.Last.Slack
+	}
+	f.n++
+	f.emuSum += s.Last.EMU
+	if s.SLO != nil {
+		if s.SLO.BudgetSpent > f.maxBudget {
+			f.maxBudget = s.SLO.BudgetSpent
+		}
+		if s.SLO.Page {
+			f.pages++
+		}
+	}
+}
+
+// scrape is one /metrics response's working set: the fleet aggregates,
+// and scratch for the values read and the lines rendered.
+type scrape struct {
+	fleet fleetStats
+	v     rowValues
+	acts  []ActionCount
+	line  []byte
+}
+
+// exposition returns the instance's rows for what it prints now, holding
+// i.mu only to read the values. Rows whose values and action counts
+// equal them in full are reused; otherwise the instance gets fresh rows.
+func (i *Instance) exposition(sc *scrape) *instanceRows {
+	i.mu.Lock()
+	// The hub counts drops without i.mu; status takes the count when read.
+	i.status.DroppedEvents = i.hub.Dropped()
+	sc.v.fill(&i.status)
+	sc.fleet.add(&i.status)
+	sc.acts = append(sc.acts[:0], i.status.Actions...)
+	i.mu.Unlock()
+	old := i.rows.Load()
+	if old != nil && old.vals == sc.v && slices.Equal(old.acts, sc.acts) {
+		return old
+	}
+	r := sc.render(i.id, old)
+	i.rows.Store(r)
+	return r
+}
+
+// render returns fresh rows printing the values and action counts in sc
+// under id. A family whose values equal those of old (when not nil) is
+// copied from old's rows, the rest formatted through sc's line buffer: a
+// running instance moves about half its families between scrapes, and
+// the copy is what keeps its re-render no dearer than a cold render.
+func (sc *scrape) render(id string, old *instanceRows) *instanceRows {
+	r := &instanceRows{vals: sc.v, acts: slices.Clone(sc.acts)}
+	held := old != nil && old.vals.hasSLO == sc.v.hasSLO
+	sameActs := held && slices.Equal(old.acts, sc.acts)
+	b, at := sc.line[:0], 0
+	for k := range instanceFamilies {
+		f := &instanceFamilies[k]
+		vals := sc.v.vals[at : at+f.values(sc.v.hasSLO)]
+		if held && slices.Equal(old.vals.vals[at:at+len(vals)], vals) && (f.value != nil || sameActs) {
+			b = append(b, old.rows.Col(k)...)
+		} else {
+			b = appendFamily(b, f, id, vals, r.acts)
+		}
+		at += len(vals)
+		r.bounds[k+1] = len(b)
+	}
+	sc.line = b
+	r.rows = expo.Rows{Buf: slices.Clone(b), Bounds: r.bounds[:]}
+	return r
+}
+
+// writeInstanceMetrics writes the instance block: the instance count,
+// the per-instance families — family writes the k-th — and the fleet
+// aggregates.
+func writeInstanceMetrics(e *expo.Writer, fleet *fleetStats, family func(k int, f *instanceFamily)) {
+	e.ScalarInt("heracles_instances", "gauge", "Number of live instances.", int64(fleet.n))
+	for k := range instanceFamilies {
+		family(k, &instanceFamilies[k])
+	}
+	emuMean := 0.0
+	if fleet.n > 0 {
+		emuMean = fleet.emuSum / float64(fleet.n)
+	}
+	e.ScalarFloat("heracles_fleet_emu_mean", "gauge", "Mean EMU across live instances.", emuMean)
+	e.ScalarFloat("heracles_fleet_slo_slack_min", "gauge", "Worst SLO slack across live instances.", fleet.minSlack)
+	e.ScalarFloat("heracles_fleet_slo_budget_spent_max", "gauge", "Worst error-budget spend across live instances.", fleet.maxBudget)
+	e.ScalarInt("heracles_fleet_slo_pages_firing", "gauge", "Instances whose fast-burn page currently fires.", int64(fleet.pages))
+}
+
+// writeStatuses writes the instance block for the given snapshots.
+func writeStatuses(e *expo.Writer, sts []Status) {
+	var fleet fleetStats
+	for j := range sts {
+		fleet.add(&sts[j])
+	}
+	writeInstanceMetrics(e, &fleet, func(_ int, f *instanceFamily) {
+		e.Family(f.name, f.typ, f.help)
+		for j := range sts {
+			var vals [slo.NumWindows]uint64
+			var line [512]byte
+			e.Lines(appendFamily(line[:0], f, sts[j].ID, f.valuesOf(&sts[j], vals[:0]), sts[j].Actions))
+		}
+	})
 }
 
 // metricsBytes bounds a scrape of the pool, so a buffer of that size
@@ -58,141 +304,9 @@ func metricsBytes(sts []Status, shards int) int {
 // instance snapshots, in emission order.
 func WriteMetrics(w io.Writer, sts []Status) {
 	e := expo.NewWriter(metricsBytes(sts, 0))
-	writeInstanceMetrics(e, sts)
+	writeStatuses(e, sts)
 	// The signature carries no error: every caller renders into memory.
 	_, _ = w.Write(e.Bytes())
-}
-
-func writeInstanceMetrics(e *expo.Writer, sts []Status) {
-	e.ScalarInt("heracles_instances", "gauge", "Number of live instances.", int64(len(sts)))
-
-	metricFamily(e, "heracles_instance_up", "gauge",
-		"1 while the instance simulation is advancing, 0 once done.", sts,
-		func(s *Status) float64 { return boolFloat(s.State == StateRunning) })
-	metricFamily(e, "heracles_instance_epochs_total", "counter",
-		"Simulated epochs resolved.", sts,
-		func(s *Status) float64 { return float64(s.Epoch) })
-	metricFamily(e, "heracles_instance_load", "gauge",
-		"Offered LC load as a fraction of peak QPS.", sts,
-		func(s *Status) float64 { return s.Last.Load })
-	metricFamily(e, "heracles_instance_slo_seconds", "gauge",
-		"Controller-visible latency target.", sts,
-		func(s *Status) float64 { return s.Last.SLOMs / 1e3 })
-	metricFamily(e, "heracles_instance_tail_latency_seconds", "gauge",
-		"LC tail latency at the workload SLO quantile, last epoch.", sts,
-		func(s *Status) float64 { return s.Last.TailMs / 1e3 })
-	metricFamily(e, "heracles_instance_p95_latency_seconds", "gauge",
-		"LC 95th-percentile latency, last epoch.", sts,
-		func(s *Status) float64 { return s.Last.P95Ms / 1e3 })
-	metricFamily(e, "heracles_instance_slo_slack", "gauge",
-		"(SLO - tail latency) / SLO, last epoch; negative means violating.", sts,
-		func(s *Status) float64 { return s.Last.Slack })
-	metricFamily(e, "heracles_instance_emu", "gauge",
-		"Effective machine utilisation (LC + BE throughput, each normalised to running alone).", sts,
-		func(s *Status) float64 { return s.Last.EMU })
-	metricFamily(e, "heracles_instance_be_enabled", "gauge",
-		"1 while best-effort execution is enabled.", sts,
-		func(s *Status) float64 { return boolFloat(s.Last.BEEnabled) })
-	metricFamily(e, "heracles_instance_be_cores", "gauge",
-		"Cores granted to best-effort tasks.", sts,
-		func(s *Status) float64 { return float64(s.Last.BECores) })
-	metricFamily(e, "heracles_instance_be_ways", "gauge",
-		"LLC ways granted to best-effort tasks.", sts,
-		func(s *Status) float64 { return float64(s.Last.BEWays) })
-	metricFamily(e, "heracles_instance_dram_util", "gauge",
-		"Achieved DRAM bandwidth over peak, all sockets.", sts,
-		func(s *Status) float64 { return s.Last.DRAMUtil })
-	metricFamily(e, "heracles_instance_power_frac_tdp", "gauge",
-		"Total package power over total TDP.", sts,
-		func(s *Status) float64 { return s.Last.PowerFracTDP })
-	metricFamily(e, "heracles_instance_link_util", "gauge",
-		"NIC egress utilisation.", sts,
-		func(s *Status) float64 { return s.Last.LinkUtil })
-	metricFamily(e, "heracles_events_dropped_total", "counter",
-		"Event-stream messages lost to full subscriber buffers.", sts,
-		func(s *Status) float64 { return float64(s.DroppedEvents) })
-	metricFamily(e, "heracles_instance_health", "gauge",
-		"Supervisor health: 0 healthy, 1 degraded (recent crash), 2 quarantined.", sts,
-		func(s *Status) float64 {
-			switch s.Health {
-			case HealthDegraded:
-				return 1
-			case HealthQuarantined:
-				return 2
-			default:
-				return 0
-			}
-		})
-	metricFamily(e, "heracles_instance_restarts_total", "counter",
-		"Automatic restarts from the last checkpoint after a driver crash.", sts,
-		func(s *Status) float64 { return float64(s.Restarts) })
-	metricFamily(e, "heracles_faults_injected_total", "counter",
-		"Faults applied to the instance, injected via the API or a scenario schedule.", sts,
-		func(s *Status) float64 { return float64(s.FaultsInjected) })
-
-	e.Family("heracles_controller_actions_total", "counter", "Controller decisions by loop and action.")
-	for i := range sts {
-		for _, a := range sts[i].Actions {
-			e.Int("heracles_controller_actions_total", a.Count, "instance", sts[i].ID, "loop", a.Loop, "action", a.Action)
-		}
-	}
-
-	// Error-budget families (DESIGN.md §15). Headers always print so the
-	// exposition shape is stable; series render per instance with the SLO
-	// engine attached.
-	sloFamily(e, "heracles_slo_objective", "gauge",
-		"Availability objective the error budget is computed against.", sts,
-		func(st *slo.Status) float64 { return st.Objective })
-	sloFamily(e, "heracles_slo_violations_total", "counter",
-		"Simulated epochs that violated the latency SLO.", sts,
-		func(st *slo.Status) float64 { return float64(st.Violations) })
-	sloFamily(e, "heracles_slo_budget_spent", "gauge",
-		"Fraction of the 30-day error budget consumed (1 = exhausted).", sts,
-		func(st *slo.Status) float64 { return st.BudgetSpent })
-	e.Family("heracles_slo_burn_rate", "gauge", "Error-budget burn rate per rolling sim-time window (1 = spending exactly the budget).")
-	for i := range sts {
-		if st := sts[i].SLO; st != nil {
-			for wi, name := range slo.WindowNames {
-				e.Float("heracles_slo_burn_rate", st.Burn[wi], "instance", sts[i].ID, "window", name)
-			}
-		}
-	}
-	e.Family("heracles_slo_alert_firing", "gauge", "1 while the multiwindow burn-rate alert fires (fast-burn page, slow-burn ticket).")
-	for i := range sts {
-		if st := sts[i].SLO; st != nil {
-			e.Float("heracles_slo_alert_firing", boolFloat(st.Page), "instance", sts[i].ID, "alert", slo.AlertPage)
-			e.Float("heracles_slo_alert_firing", boolFloat(st.Ticket), "instance", sts[i].ID, "alert", slo.AlertTicket)
-		}
-	}
-
-	// Fleet-level aggregates over all live instances.
-	var emuSum float64
-	minSlack := 0.0
-	maxBudget := 0.0
-	pagesFiring := 0
-	for j := range sts {
-		s := &sts[j]
-		emuSum += s.Last.EMU
-		if j == 0 || s.Last.Slack < minSlack {
-			minSlack = s.Last.Slack
-		}
-		if s.SLO != nil {
-			if s.SLO.BudgetSpent > maxBudget {
-				maxBudget = s.SLO.BudgetSpent
-			}
-			if s.SLO.Page {
-				pagesFiring++
-			}
-		}
-	}
-	emuMean := 0.0
-	if len(sts) > 0 {
-		emuMean = emuSum / float64(len(sts))
-	}
-	e.ScalarFloat("heracles_fleet_emu_mean", "gauge", "Mean EMU across live instances.", emuMean)
-	e.ScalarFloat("heracles_fleet_slo_slack_min", "gauge", "Worst SLO slack across live instances.", minSlack)
-	e.ScalarFloat("heracles_fleet_slo_budget_spent_max", "gauge", "Worst error-budget spend across live instances.", maxBudget)
-	e.ScalarInt("heracles_fleet_slo_pages_firing", "gauge", "Instances whose fast-burn page currently fires.", int64(pagesFiring))
 }
 
 // writeSchedMetrics renders the fleet scheduler's exposition block:
@@ -286,17 +400,37 @@ func writeProcessMetrics(e *expo.Writer) {
 		"Wall time of one completed migration, checkpoint through restored copy.", &migrateHist)
 }
 
-// renderMetrics renders one scrape: every block into one writer sized
-// for the whole body, so that a thousand-instance scrape never regrows
-// and copies its buffer.
-func renderMetrics(sts []Status, sched SchedulerStatus, epoch EpochSchedStatus, shards []ShardStatus, migrations int64) *expo.Writer {
-	e := expo.NewWriter(metricsBytes(sts, len(shards)))
-	writeInstanceMetrics(e, sts)
+// writeServerMetrics writes the blocks that follow the instance block.
+func writeServerMetrics(e *expo.Writer, sched SchedulerStatus, epoch EpochSchedStatus, shards []ShardStatus, migrations int64) {
 	writeSchedMetrics(e, sched)
 	writeEpochSchedMetrics(e, epoch)
 	writeShardMetrics(e, shards, migrations)
 	writeProcessMetrics(e)
+}
+
+// renderMetrics renders a whole scrape from snapshots into one writer
+// sized for the body: what /metrics answers for a pool in that state.
+func renderMetrics(sts []Status, sched SchedulerStatus, epoch EpochSchedStatus, shards []ShardStatus, migrations int64) *expo.Writer {
+	e := expo.NewWriter(metricsBytes(sts, len(shards)))
+	writeStatuses(e, sts)
+	writeServerMetrics(e, sched, epoch, shards, migrations)
 	return e
+}
+
+// handleMetrics answers a scrape: the instances' rows, formatted only
+// where values moved, gathered under the block writer's families.
+func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
+	insts := s.reg.List()
+	var sc scrape
+	rows := make([]*expo.Rows, len(insts))
+	for k, inst := range insts {
+		rows[k] = &inst.exposition(&sc).rows
+	}
+	shards := s.reg.ShardStatuses()
+	e := expo.NewWriter(metricsBytes(nil, len(shards)))
+	writeInstanceMetrics(e, &sc.fleet, func(k int, f *instanceFamily) { e.Gather(f.name, f.typ, f.help, k) })
+	writeServerMetrics(e, s.jobs.Status(), s.reg.pool.status(), shards, s.reg.Migrations())
+	e.Respond(w, rows...)
 }
 
 // MetricNames lists every metric family the exposition can emit, read

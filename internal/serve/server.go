@@ -381,11 +381,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	renderMetrics(s.reg.Statuses(), s.jobs.Status(), s.reg.pool.status(),
-		s.reg.ShardStatuses(), s.reg.Migrations()).Respond(w)
-}
-
 func (s *Server) handleShards(w http.ResponseWriter, _ *http.Request) {
 	WriteJSON(w, http.StatusOK, map[string]any{
 		"shards":     s.reg.ShardStatuses(),

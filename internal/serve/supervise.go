@@ -84,13 +84,13 @@ func (i *Instance) Health() HealthStatus {
 	defer i.mu.Unlock()
 	return HealthStatus{
 		ID:                 i.id,
-		State:              i.healthState,
-		Crashes:            i.crashes,
-		Restarts:           i.restarts,
+		State:              i.status.Health,
+		Crashes:            i.status.Crashes,
+		Restarts:           i.status.Restarts,
 		ConsecutiveCrashes: i.consec,
 		LastError:          i.lastErr,
 		LastCrashEpoch:     i.lastCrashEpoch,
-		FaultsInjected:     i.faultsInjected,
+		FaultsInjected:     i.status.FaultsInjected,
 	}
 }
 
@@ -171,7 +171,7 @@ func (i *Instance) InjectFault(req FaultRequest) error {
 		return i.Do(func() error {
 			i.panicNext = true
 			i.mu.Lock()
-			i.faultsInjected++
+			i.status.FaultsInjected++
 			i.mu.Unlock()
 			return nil
 		})
@@ -197,7 +197,7 @@ func fnvHash(s string) uint64 {
 func (i *Instance) crashErr() error {
 	i.mu.Lock()
 	defer i.mu.Unlock()
-	if i.healthState == HealthQuarantined {
+	if i.status.Health == HealthQuarantined {
 		return ErrQuarantined
 	}
 	return ErrCrashed
@@ -237,17 +237,17 @@ func (i *Instance) bookCrash(v any) *crashInfo {
 	ci := &crashInfo{msg: msg}
 	i.mu.Lock()
 	i.crashed = true
-	i.crashes++
+	i.status.Crashes++
 	i.consec++
 	i.lastErr = msg
 	i.lastCrashEpoch = i.status.Epoch
-	if i.healthState == HealthHealthy {
-		i.healthState = HealthDegraded
+	if i.status.Health == HealthHealthy {
+		i.status.Health = HealthDegraded
 	}
 	i.status.State = StateCrashed
-	consec, crashes := i.consec, i.crashes
+	consec, crashes := i.consec, i.status.Crashes
 	if consec > i.sup.maxConsec {
-		i.healthState = HealthQuarantined
+		i.status.Health = HealthQuarantined
 		i.status.State = StateQuarantined
 		ci.quarantine = fmt.Sprintf("%d consecutive crashes exceed the limit of %d", consec, i.sup.maxConsec)
 	}
@@ -298,7 +298,7 @@ func (i *Instance) finishCrash(ci *crashInfo) {
 // A quarantined instance holds no heap entry — parking is free.
 func (i *Instance) quarantine(reason string) {
 	i.mu.Lock()
-	i.healthState = HealthQuarantined
+	i.status.Health = HealthQuarantined
 	i.status.State = StateQuarantined
 	i.notifyLocked()
 	i.mu.Unlock()
@@ -331,7 +331,7 @@ func (i *Instance) rebuildFromCheckpoint() error {
 
 	i.mu.Lock()
 	i.crashed = false
-	i.restarts++
+	i.status.Restarts++
 	i.mirrorEngineLocked()
 	i.notifyLocked()
 	i.mu.Unlock()
@@ -371,10 +371,10 @@ func (i *Instance) markStable() {
 		return
 	}
 	i.mu.Lock()
-	if i.consec != 0 || i.healthState == HealthDegraded {
+	if i.consec != 0 || i.status.Health == HealthDegraded {
 		i.consec = 0
-		if i.healthState == HealthDegraded {
-			i.healthState = HealthHealthy
+		if i.status.Health == HealthDegraded {
+			i.status.Health = HealthHealthy
 		}
 		i.notifyLocked()
 	}
