@@ -29,6 +29,7 @@ import (
 	"heracles/internal/experiment"
 	"heracles/internal/expo"
 	"heracles/internal/fault"
+	"heracles/internal/fleet"
 	"heracles/internal/hw"
 	"heracles/internal/lat"
 	"heracles/internal/machine"
@@ -37,6 +38,7 @@ import (
 	"heracles/internal/serve"
 	"heracles/internal/sim"
 	"heracles/internal/slo"
+	"heracles/internal/trace"
 	"heracles/internal/workload"
 )
 
@@ -512,6 +514,14 @@ var micros = []micro{
 	// stepped at least one epoch since, outside the timer.
 	{"Scrape/idle", scrape(false)},
 	{"Scrape/moving", scrape(true)},
+	{"Fleet/policies", func(testing.TB) func(int) {
+		// batch-repro's heavy op, cmd/fleet -std 2 -compact 1 -leaves 8
+		// -policy slack-greedy, at a 4-minute horizon on one worker: six
+		// units (two arms of three clusters), of which std/1's two repeat
+		// std/0's and are answered by them.
+		cfg := benchFleet(4 * time.Minute)
+		return each(func(int) { fleet.RunPolicies(cfg, []string{"slack-greedy"}) })
+	}},
 	// A three-point Colocate sweep on the worker pool (workers 0) and on
 	// the sequential reference (workers 1), whose outputs
 	// TestParallelColocateMatchesSequential holds byte-identical.
@@ -728,6 +738,34 @@ func scrape(moving bool) func(testing.TB) func(int) {
 		run(2) // the first scrape renders every instance
 		return run
 	}
+}
+
+// benchFleet is cmd/fleet's policy-mode fleet at seed 42 over horizon
+// d: two clusters of the reference generation on a diurnal load with a
+// flash crowd, one compact cluster on stepped load with a mid-run SLO
+// tightening, eight leaves each and 32 synthetic jobs per generation.
+func benchFleet(d time.Duration) fleet.Config {
+	const seed = 42
+	std := scenario.Scenario{Name: "diurnal+flashcrowd", Duration: d,
+		Load: scenario.Clamp(scenario.Sum(
+			scenario.Diurnal(trace.DiurnalConfig{Duration: d, Step: time.Second, MinLoad: 0.2, MaxLoad: 0.6, Seed: seed}),
+			scenario.FlashCrowd{Start: d * 2 / 3, Rise: d / 12, Hold: d / 20, Fall: d / 15, Amp: 0.3},
+		), 0, 0.88)}
+	compact := scenario.Scenario{Name: "steps+retarget", Duration: d,
+		Load: scenario.Steps{{At: 0, Load: 0.3}, {At: d / 3, Load: 0.45}, {At: d * 3 / 4, Load: 0.35}},
+		Events: []scenario.Event{
+			scenario.SLOScale(d/2, scenario.AllLeaves, 0.6),
+			scenario.LoadScale(d*5/6, 1.1),
+		}}
+	cfg := fleet.Config{Seed: seed, Workers: 1, Clusters: []fleet.ClusterSpec{
+		{Name: "std", Count: 2, HW: hw.DefaultConfig(), Leaves: 8, Warmup: d / 6, Scenario: std},
+		{Name: "compact", Count: 1, HW: hw.CompactConfig(), Leaves: 8,
+			LeafTargetFrac: 0.65, DynamicLeafTargets: true, Warmup: d / 6, Scenario: compact},
+	}}
+	for i := range cfg.Clusters {
+		cfg.Clusters[i].Jobs = sched.SyntheticJobs(32, d, seed+uint64(i), []string{"brain", "streetview"})
+	}
+	return cfg
 }
 
 // discardResponse is a ResponseWriter that keeps nothing.

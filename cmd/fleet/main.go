@@ -14,6 +14,10 @@
 // `fleet -policy slack-greedy` vs `fleet -policy random` is an
 // apples-to-apples placement-quality comparison.
 //
+// -std 0 or -compact 0 leaves that generation out. A negative count,
+// -leaves, -minutes or -jobs, an unknown policy, or no cluster at all
+// prints one line to stderr and exits 2.
+//
 // Usage:
 //
 //	fleet [-minutes 30] [-std 2] [-compact 1] [-leaves 8] [-seed 42]
@@ -23,6 +27,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
+	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -33,16 +40,52 @@ import (
 	"heracles/internal/trace"
 )
 
-func main() {
-	minutes := flag.Float64("minutes", 30, "scenario duration in simulated minutes")
-	stdN := flag.Int("std", 2, "clusters of the reference dual-socket generation")
-	compactN := flag.Int("compact", 1, "clusters of the compact single-socket generation")
-	leaves := flag.Int("leaves", 8, "leaf servers per cluster")
-	seed := flag.Uint64("seed", 42, "random seed (diurnal noise, the synthetic job stream, per-cluster scheduler streams)")
-	workers := flag.Int("workers", 0, "concurrent cluster runs (0 = GOMAXPROCS, 1 = sequential)")
-	policy := flag.String("policy", "", "BE job scheduler placement policy (comma-separate to compare; empty = scripted BE, no scheduler)")
-	jobsN := flag.Int("jobs", 32, "synthetic BE jobs per cluster when -policy is set")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command: it parses args, prints the result table to stdout
+// and returns the exit status. A bad flag value prints one line to
+// stderr and returns 2.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("fleet", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	minutes := fs.Float64("minutes", 30, "scenario duration in simulated minutes")
+	stdN := fs.Int("std", 2, "clusters of the reference dual-socket generation (0 = none)")
+	compactN := fs.Int("compact", 1, "clusters of the compact single-socket generation (0 = none)")
+	leaves := fs.Int("leaves", 8, "leaf servers per cluster")
+	seed := fs.Uint64("seed", 42, "random seed (diurnal noise, the synthetic job stream, per-cluster scheduler streams)")
+	workers := fs.Int("workers", 0, "concurrent cluster runs (0 = GOMAXPROCS, 1 = sequential)")
+	policy := fs.String("policy", "", "BE job scheduler placement policy (comma-separate to compare; empty = scripted BE, no scheduler)")
+	jobsN := fs.Int("jobs", 32, "synthetic BE jobs per cluster when -policy is set")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "fleet: "+format+"\n", a...)
+		return 2
+	}
+	for _, f := range []struct {
+		name  string
+		value float64
+	}{
+		{"minutes", *minutes}, {"std", float64(*stdN)}, {"compact", float64(*compactN)},
+		{"leaves", float64(*leaves)}, {"jobs", float64(*jobsN)},
+	} {
+		if f.value < 0 {
+			return usage("-%s must not be negative", f.name)
+		}
+	}
+	if *stdN == 0 && *compactN == 0 {
+		return usage("-std and -compact are both 0: no cluster to run")
+	}
+	var policies []string
+	if *policy != "" {
+		policies = strings.Split(*policy, ",")
+		for _, p := range policies {
+			if _, err := sched.PolicyByName(p); err != nil {
+				return usage("-policy: %v", err)
+			}
+		}
+	}
 
 	dur := time.Duration(*minutes * float64(time.Minute))
 	warmup := dur / 6
@@ -119,9 +162,9 @@ func main() {
 		},
 	}
 
-	if *policy == "" {
-		fmt.Print(fleet.Run(cfg).String())
-		return
+	if policies == nil {
+		fmt.Fprint(stdout, fleet.Run(dropEmpty(cfg)).String())
+		return 0
 	}
 
 	// Scheduler mode: the BE source is a deterministic synthetic job
@@ -139,7 +182,14 @@ func main() {
 		cfg.Clusters[ci].Scenario.Events = events
 		cfg.Clusters[ci].Jobs = sched.SyntheticJobs(*jobsN, dur, *seed+uint64(ci), []string{"brain", "streetview"})
 	}
-	policies := strings.Split(*policy, ",")
-	res := fleet.RunPolicies(cfg, policies)
-	fmt.Print(res.String())
+	fmt.Fprint(stdout, fleet.RunPolicies(dropEmpty(cfg), policies).String())
+	return 0
+}
+
+// dropEmpty removes the generations asked for zero clusters, after the
+// job streams are drawn, so a generation's jobs do not depend on which
+// others run.
+func dropEmpty(cfg fleet.Config) fleet.Config {
+	cfg.Clusters = slices.DeleteFunc(cfg.Clusters, func(s fleet.ClusterSpec) bool { return s.Count == 0 })
+	return cfg
 }

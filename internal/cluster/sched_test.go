@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -147,4 +148,28 @@ func TestSchedulerUnknownWorkloadPanics(t *testing.T) {
 		}
 	}()
 	RunScenario(cfg, scenario.Scenario{Name: "bad", Duration: time.Minute, Load: scenario.Flat(0.3)})
+}
+
+// TestSeedReachesOnlyRandomPlacement: Config.Seed reaches a cluster run
+// only through its job scheduler's RNG, so a run whose policy does not
+// read it has one summary under any seed (internal/fleet shares such
+// runs among replicas), while the random policy's moves.
+func TestSeedReachesOnlyRandomPlacement(t *testing.T) {
+	horizon := 8 * time.Minute
+	sc := scenario.Scenario{Name: "sched-seed", Duration: horizon, Load: scenario.Flat(0.35)}
+	for _, name := range sched.PolicyNames() {
+		pol, _ := sched.PolicyByName(name)
+		cfg := schedConfig(t, pol, schedJobs(12, horizon))
+		cfg.Seed = 1
+		a := RunScenario(cfg, sc).Summarize()
+		cfg.Seed = 2
+		b := RunScenario(cfg, sc).Summarize()
+		if a.Sched.Dispatches == 0 {
+			t.Fatalf("%s: no job was placed", name)
+		}
+		if equal := reflect.DeepEqual(a, b); equal == pol.ReadsRNG() {
+			t.Errorf("%s (ReadsRNG %v): summaries equal under two seeds = %v:\n%+v\n%+v",
+				name, pol.ReadsRNG(), equal, a, b)
+		}
+	}
 }

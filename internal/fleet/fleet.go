@@ -141,25 +141,88 @@ func longestFirst(cfg Config, instances []instance, stride int) []int {
 	return order
 }
 
-// runArms runs every instance's arms — arm 0 the baseline, arm a the
-// Heracles run under policies[a-1] — and returns their summaries indexed
-// by unit, len(policies)+1 per instance. The runs are independent, so they
-// share one flat fan-out, started longest first; each arm of an instance
-// draws the instance's derived seed, so the arms are paired.
-func runArms(cfg Config, labs map[hw.Config]*experiment.Lab, instances []instance, policies []string) []cluster.Summary {
-	stride := 1 + len(policies)
-	order := longestFirst(cfg, instances, stride)
-	summaries := make([]cluster.Summary, len(order))
-	parallel.ForEach(cfg.Workers, len(order), func(k int) {
-		u := order[k]
-		inst, arm := instances[u/stride], u%stride
-		seed := sim.DeriveRNG(cfg.Seed, uint64(u/stride)).Uint64()
-		policy := ""
-		if arm > 0 {
-			policy = policies[arm-1]
+// unit is one cluster run, as the run reads it: the spec, the arm
+// (baseline, or Heracles under the named job scheduler policy, "" when
+// the spec carries no Jobs) and the instance's derived seed, which every
+// arm of an instance shares so that the arms are paired. The replica
+// index is not in it: replicas differ only by their seed.
+type unit struct {
+	spec     int
+	heracles bool
+	policy   string
+	seed     uint64
+}
+
+// key is the unit with the seed zeroed when the run does not read it.
+// The seed reaches only the job scheduler (cluster.Config.Seed), and only
+// a policy that reads its RNG draws from it, so units with equal keys
+// simulate the same cluster and return equal summaries.
+func (u unit) key() unit {
+	if u.policy == "" || !mustPolicy(u.policy).ReadsRNG() {
+		u.seed = 0
+	}
+	return u
+}
+
+// units lists every instance's arms, len(policies)+1 per instance: unit
+// stride*i is instance i's baseline and unit stride*i+a its Heracles run
+// under policies[a-1] ("" selects the spec's SchedPolicy, by default
+// slack-greedy).
+func units(cfg Config, instances []instance, policies []string) []unit {
+	out := make([]unit, 0, (1+len(policies))*len(instances))
+	for i, inst := range instances {
+		spec := cfg.Clusters[inst.spec]
+		seed := sim.DeriveRNG(cfg.Seed, uint64(i)).Uint64()
+		out = append(out, unit{spec: inst.spec, seed: seed})
+		for _, p := range policies {
+			u := unit{spec: inst.spec, heracles: true, seed: seed}
+			if len(spec.Jobs) > 0 {
+				u.policy = cmp.Or(p, spec.SchedPolicy, "slack-greedy")
+			}
+			out = append(out, u)
 		}
-		summaries[u] = runInstance(cfg, inst, labs[cfg.Clusters[inst.spec].HW], seed, arm > 0, policy)
+	}
+	return out
+}
+
+// simulate runs one unit. It is a variable so that tests can count the
+// runs a fleet makes.
+var simulate = runInstance
+
+// runArms runs every instance's arms (see units) and returns their
+// summaries indexed by unit. One simulation answers every unit with its
+// key: the first such unit in longest-first order runs, on one flat
+// fan-out, and the others copy its summary.
+func runArms(cfg Config, labs map[hw.Config]*experiment.Lab, instances []instance, policies []string) []cluster.Summary {
+	us := units(cfg, instances, policies)
+	owner := make([]int, len(us))
+	var runs []int
+	first := make(map[unit]int)
+	for _, u := range longestFirst(cfg, instances, 1+len(policies)) {
+		k := us[u].key()
+		if _, ok := first[k]; !ok {
+			first[k] = u
+			runs = append(runs, u)
+		}
+		owner[u] = first[k]
+	}
+	summaries := make([]cluster.Summary, len(us))
+	parallel.ForEach(cfg.Workers, len(runs), func(k int) {
+		u := us[runs[k]]
+		spec := cfg.Clusters[u.spec]
+		summaries[runs[k]] = simulate(spec, labs[spec.HW], u.seed, u.heracles, u.policy)
 	})
+	for u, o := range owner {
+		if o == u {
+			continue
+		}
+		s := summaries[o]
+		if s.Sched != nil { // the copy owns its accounting
+			acct := *s.Sched
+			s.Sched = &acct
+		}
+		summaries[u] = s
+	}
 	return summaries
 }
 
@@ -204,16 +267,12 @@ func expand(cfg Config) (map[hw.Config]*experiment.Lab, []instance) {
 	return labs, instances
 }
 
-// runInstance executes one cluster run of an instance. pairSeed is the
-// instance's derived seed, shared by every arm (baseline, each policy) so
-// comparisons are paired; policy overrides the spec's scheduler policy
-// and applies only to Heracles runs of specs that carry Jobs.
-func runInstance(cfg Config, inst instance, lab *experiment.Lab, pairSeed uint64, heracles bool, policy string) cluster.Summary {
-	spec := cfg.Clusters[inst.spec]
-	lcName := spec.LC
-	if lcName == "" {
-		lcName = "websearch"
-	}
+// runInstance executes one cluster run of spec. pairSeed is the
+// instance's derived seed, shared by every arm (baseline, each policy)
+// so comparisons are paired; policy names the job scheduler's placement
+// policy of a Heracles run, "" for none.
+func runInstance(spec ClusterSpec, lab *experiment.Lab, pairSeed uint64, heracles bool, policy string) cluster.Summary {
+	lcName := cmp.Or(spec.LC, "websearch")
 	ccfg := cluster.Config{
 		Leaves:             spec.leaves(),
 		Heracles:           heracles,
@@ -231,17 +290,7 @@ func runInstance(cfg Config, inst instance, lab *experiment.Lab, pairSeed uint64
 		Seed:   pairSeed,
 		Faults: spec.Faults,
 	}
-	if heracles && len(spec.Jobs) > 0 {
-		if policy == "" {
-			policy = spec.SchedPolicy
-		}
-		if policy == "" {
-			policy = "slack-greedy"
-		}
-		pol, err := sched.PolicyByName(policy)
-		if err != nil {
-			panic(fmt.Sprintf("fleet: spec %q: %v", spec.Name, err))
-		}
+	if policy != "" {
 		// Calibrate the job workloads into the catalog so dispatches can
 		// resolve them (jobs may reference workloads no event names).
 		cat := ccfg.Catalog
@@ -257,9 +306,18 @@ func runInstance(cfg Config, inst instance, lab *experiment.Lab, pairSeed uint64
 			}
 		}
 		ccfg.Catalog = cat
-		ccfg.Sched = &sched.Config{Policy: pol, Jobs: spec.Jobs}
+		ccfg.Sched = &sched.Config{Policy: mustPolicy(policy), Jobs: spec.Jobs}
 	}
 	return cluster.RunScenario(ccfg, spec.Scenario).Summarize()
+}
+
+// mustPolicy resolves a policy name the fleet has validated.
+func mustPolicy(name string) sched.Policy {
+	pol, err := sched.PolicyByName(name)
+	if err != nil {
+		panic("fleet: " + err.Error())
+	}
+	return pol
 }
 
 // Run executes every cluster instance of the fleet, baseline and
@@ -272,11 +330,13 @@ func Run(cfg Config) Result {
 		cfg.TCO = tco.Barroso()
 	}
 	labs, instances := expand(cfg)
-
-	// Every instance runs twice: unit 2i is instance i's baseline, unit
+	// Every instance has two arms: unit 2i is instance i's baseline, unit
 	// 2i+1 its Heracles run under the spec's own policy.
-	summaries := runArms(cfg, labs, instances, []string{""})
+	return fleetResult(cfg, instances, runArms(cfg, labs, instances, []string{""}))
+}
 
+// fleetResult assembles Run's result from the summaries of its units.
+func fleetResult(cfg Config, instances []instance, summaries []cluster.Summary) Result {
 	res := Result{TCO: cfg.TCO}
 	base := make([]cluster.Summary, len(instances))
 	hera := make([]cluster.Summary, len(instances))
@@ -323,29 +383,31 @@ type PoliciesResult struct {
 // RunPolicies runs the fleet once per placement policy, paired: every
 // arm of an instance (the shared baseline and one Heracles run per
 // policy) draws the same derived seed, so goodput and SLO-compliance
-// differences are attributable to placement quality alone. All
-// (1 + len(policies)) x instances runs share one flat fan-out. Specs
+// differences are attributable to placement quality alone. The distinct
+// runs among the (1 + len(policies)) x instances units share one flat
+// fan-out. Specs
 // without Jobs contribute no scheduler accounting but still run.
 func RunPolicies(cfg Config, policies []string) PoliciesResult {
 	if len(policies) == 0 {
 		panic("fleet: no policies to compare")
 	}
 	for _, p := range policies {
-		if _, err := sched.PolicyByName(p); err != nil {
-			panic("fleet: " + err.Error())
-		}
+		mustPolicy(p)
 	}
 	if cfg.TCO.Servers == 0 {
 		cfg.TCO = tco.Barroso()
 	}
 	labs, instances := expand(cfg)
+	return policiesResult(cfg, len(instances), policies, runArms(cfg, labs, instances, policies))
+}
 
+// policiesResult assembles RunPolicies' result from the summaries of the
+// n instances' units.
+func policiesResult(cfg Config, n int, policies []string, summaries []cluster.Summary) PoliciesResult {
 	stride := 1 + len(policies)
-	summaries := runArms(cfg, labs, instances, policies)
-
 	pick := func(arm int) []cluster.Summary {
-		out := make([]cluster.Summary, len(instances))
-		for i := range instances {
+		out := make([]cluster.Summary, n)
+		for i := range out {
 			out[i] = summaries[stride*i+arm]
 		}
 		return out

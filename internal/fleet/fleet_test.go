@@ -195,7 +195,8 @@ func TestFleetReplicasAndDefaults(t *testing.T) {
 		t.Fatalf("replica names = %q, %q", res.Clusters[0].Name, res.Clusters[1].Name)
 	}
 	// Replicas draw distinct seeds, and this spec has nothing that draws:
-	// they are the same run twice (DESIGN.md §7).
+	// one run answers both (DESIGN.md §7). TestSharedRunsMatchEveryRun
+	// runs each replica apart and holds them equal.
 	r0, r1 := res.Clusters[0], res.Clusters[1]
 	if !reflect.DeepEqual(r0.Baseline, r1.Baseline) || !reflect.DeepEqual(r0.Heracles, r1.Heracles) {
 		t.Fatalf("replicas of a spec with no seeded input differ:\n%+v\nvs\n%+v", r0, r1)

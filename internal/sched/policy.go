@@ -48,10 +48,15 @@ type NodeView struct {
 // never empty, is sorted by node id, and contains only eligible machines
 // (controller allows BE, demand fits) — eligibility is the scheduler's
 // job, placement quality the policy's. Implementations must be
-// deterministic given (job, nodes, rng).
+// deterministic given (job, nodes, rng), and given (job, nodes) alone
+// when ReadsRNG is false.
 type Policy interface {
 	Name() string
 	Place(job *Job, nodes []NodeView, rng *sim.RNG) int
+	// ReadsRNG reports whether Place draws from rng. A scheduler whose
+	// policy does not places the same under any seed, so a caller may
+	// share one run among seeds (internal/fleet does).
+	ReadsRNG() bool
 }
 
 // SlackGreedy places each job on the eligible node with the most latency
@@ -61,6 +66,9 @@ type SlackGreedy struct{}
 
 // Name implements Policy.
 func (SlackGreedy) Name() string { return "slack-greedy" }
+
+// ReadsRNG implements Policy: the choice is a function of the views.
+func (SlackGreedy) ReadsRNG() bool { return false }
 
 // Place implements Policy.
 func (SlackGreedy) Place(_ *Job, nodes []NodeView, _ *sim.RNG) int {
@@ -82,6 +90,9 @@ type BinPack struct{}
 // Name implements Policy.
 func (BinPack) Name() string { return "bin-pack" }
 
+// ReadsRNG implements Policy: the choice is a function of the views.
+func (BinPack) ReadsRNG() bool { return false }
+
 // Place implements Policy.
 func (BinPack) Place(_ *Job, nodes []NodeView, _ *sim.RNG) int {
 	best := 0
@@ -99,6 +110,9 @@ type Spread struct{}
 
 // Name implements Policy.
 func (Spread) Name() string { return "spread" }
+
+// ReadsRNG implements Policy: the choice is a function of the views.
+func (Spread) ReadsRNG() bool { return false }
 
 // Place implements Policy.
 func (Spread) Place(_ *Job, nodes []NodeView, _ *sim.RNG) int {
@@ -120,6 +134,9 @@ type Random struct{}
 
 // Name implements Policy.
 func (Random) Name() string { return "random" }
+
+// ReadsRNG implements Policy.
+func (Random) ReadsRNG() bool { return true }
 
 // Place implements Policy.
 func (Random) Place(_ *Job, nodes []NodeView, rng *sim.RNG) int {
