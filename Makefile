@@ -53,10 +53,11 @@ chaos:
 # Registry churn and leak detection under -race: concurrent
 # create/crash/delete churn against the shared epoch scheduler —
 # goroutines, heap and the scheduler queue must return to baseline —
-# the one job scheduler dispatching across a sharded registry, and
-# /metrics scrapes racing create/migrate/delete churn.
+# the one job scheduler dispatching across a sharded registry,
+# /metrics scrapes racing create/migrate/delete churn, and a seeded
+# create/migrate/delete sequence held to a model of the registry index.
 churn:
-	$(GO) test -race -run 'RegistryChurnNoLeaks|EpochScheduler|HundredThousand|ShardedServerRunsEveryJob|ConcurrentScrapesDuringChurn' ./internal/serve/
+	$(GO) test -race -run 'RegistryChurnNoLeaks|EpochScheduler|HundredThousand|ShardedServerRunsEveryJob|ConcurrentScrapesDuringChurn|RegistryOrderAndRemove' ./internal/serve/
 
 # Short fuzz pass over the boundaries that accept bytes from outside the
 # process. The HRCF checkpoint file decoder: truncated, bit-flipped and

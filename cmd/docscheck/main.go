@@ -7,7 +7,8 @@
 //     story `go doc` tells), or
 //   - a control-plane route registered in internal/serve or a
 //     federation-router route registered in internal/fed is not
-//     documented in docs/API.md,
+//     documented in docs/API.md, or a "### METHOD /path" section of
+//     docs/API.md documents a route neither registers,
 //   - a Prometheus metric family the expositions can emit
 //     (serve.MetricNames, fed.MetricNames) is not documented in
 //     docs/API.md,
@@ -15,10 +16,13 @@
 //     ("DESIGN.md §N") that does not exist as a "## §N" heading — the
 //     architecture pointers in package comments must not rot as
 //     DESIGN.md evolves,
-//   - or DESIGN.md, README.md or docs/API.md names, in backticks, a
+//   - DESIGN.md, README.md or docs/API.md names, in backticks, a
 //     `pkg.Name` (or `pkg.Type.Member`) of one of the module's packages,
 //     or a TestX, FuzzX or BenchmarkX function, that the module does not
-//     declare.
+//     declare,
+//   - or a Go or markdown file cites a ROADMAP open item by number
+//     ("ROADMAP item N"): items are renumbered as they land, so a
+//     citation names the item's title.
 //
 // Usage:
 //
@@ -52,6 +56,7 @@ func main() {
 	problems = append(problems, checkMetricDocs(*root)...)
 	problems = append(problems, checkDesignAnchors(*root)...)
 	problems = append(problems, checkIdentifiers(*root)...)
+	problems = append(problems, checkRoadmapCitations(*root)...)
 
 	if len(problems) > 0 {
 		for _, p := range problems {
@@ -60,7 +65,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "docscheck: %d problem(s)\n", len(problems))
 		os.Exit(1)
 	}
-	fmt.Println("docscheck: markdown links, package comments, API route/metric docs, DESIGN anchors and named identifiers all OK")
+	fmt.Println("docscheck: markdown links, package comments, API route/metric docs, DESIGN anchors, named identifiers and ROADMAP citations all OK")
 }
 
 // linkRE matches [text](target) markdown links; targets with nested
@@ -254,8 +259,14 @@ func checkMetricDocs(root string) []string {
 	return problems
 }
 
+// routeHeadingRE matches the "### METHOD /path" section headings of
+// docs/API.md.
+var routeHeadingRE = regexp.MustCompile(`(?m)^### ([A-Z]+ /\S*)\s*$`)
+
 // checkRouteDocs requires docs/API.md to name every registered
-// control-plane route as the literal "METHOD /path" string.
+// control-plane route as the literal "METHOD /path" string, and every
+// "### METHOD /path" heading in it to be a route of serve.Routes or
+// fed.Routes: a deleted route must take its section with it.
 func checkRouteDocs(root string) []string {
 	apiPath := filepath.Join(root, "docs", "API.md")
 	data, err := os.ReadFile(apiPath)
@@ -264,6 +275,16 @@ func checkRouteDocs(root string) []string {
 	}
 	text := string(data)
 	var problems []string
+	routes := map[string]bool{}
+	for _, r := range append(serve.Routes(), fed.Routes()...) {
+		routes[r] = true
+	}
+	for _, m := range routeHeadingRE.FindAllStringSubmatch(text, -1) {
+		if !routes[m[1]] {
+			problems = append(problems,
+				fmt.Sprintf("docs/API.md: section %q documents no registered route", m[1]))
+		}
+	}
 	for _, r := range serve.Routes() {
 		if !strings.Contains(text, r) {
 			problems = append(problems,
@@ -409,6 +430,47 @@ func checkIdentifiers(root string) []string {
 				}
 			}
 		}
+	}
+	return problems
+}
+
+// roadmapItemRE matches a numbered ROADMAP item citation, also when a
+// comment wraps between "ROADMAP" and "item".
+var roadmapItemRE = regexp.MustCompile(`ROADMAP(?:[ \t\r\n]|//)*items?[ \t]+\d`)
+
+// checkRoadmapCitations flags "ROADMAP item N" in every Go and markdown
+// file. Exempt: ROADMAP.md itself, CHANGES.md (history: an entry cites
+// the numbering of its day) and cmd/heraclesbench/, which BENCHMARK.json
+// freezes, so its citations cannot be edited.
+func checkRoadmapCitations(root string) []string {
+	var problems []string
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, path)
+		rel = filepath.ToSlash(rel)
+		if d.IsDir() {
+			if d.Name() == ".git" || rel == "cmd/heraclesbench" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if ext := filepath.Ext(path); ext != ".go" && ext != ".md" || rel == "ROADMAP.md" || rel == "CHANGES.md" {
+			return nil
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, loc := range roadmapItemRE.FindAllIndex(data, -1) {
+			line := 1 + strings.Count(string(data[:loc[0]]), "\n")
+			problems = append(problems, fmt.Sprintf("%s:%d: cites a ROADMAP item by number; cite its title", rel, line))
+		}
+		return nil
+	})
+	if err != nil {
+		problems = append(problems, fmt.Sprintf("walking %s: %v", root, err))
 	}
 	return problems
 }

@@ -8,9 +8,8 @@
 // become the spec of one bootstrapped instance, so the daemon starts
 // with a machine already running; -noboot starts with an empty pool
 // instead. One epoch scheduler of -drivers workers steps every instance,
-// and one job scheduler dispatches over all of them; -shards only places
-// instances on consistent-hash shards, which are migration targets with
-// their own lifecycle stream.
+// and one job scheduler dispatches over all of them; -shards only labels
+// each instance with a consistent-hash shard, a migration target.
 //
 // On SIGINT/SIGTERM the daemon drains: every instance driver stops
 // between epochs and all SSE subscribers are closed (clients see a
@@ -33,7 +32,9 @@
 // previous generation rotates to <id>.ckpt.1). On startup the daemon
 // restores every checkpoint found in the directory — each resumes
 // bit-identically from its snapshot epoch — and skips the
-// flag-bootstrapped instance when it restored at least one. A file that
+// flag-bootstrapped instance when it restored at least one. The restored
+// instance named "boot" (the bootstrap's) keeps the -fsroot mirror, the
+// -trace log and the headless per-minute summary. A file that
 // fails its checksum (crash mid-write, disk corruption) is refused and
 // the rotated previous generation restores instead; an unusable file,
 // such as the <id>.json an old daemon wrote, is kept as <file>.failed.
@@ -54,6 +55,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"os"
@@ -86,7 +88,7 @@ func main() {
 	noboot := flag.Bool("noboot", false, "with -addr, start with an empty instance pool instead of bootstrapping one from the flags")
 	schedPolicy := flag.String("sched-policy", "slack-greedy", "fleet job scheduler placement policy (slack-greedy, bin-pack, spread, random)")
 	drivers := flag.Int("drivers", 0, "epoch-scheduler worker pool size: goroutines stepping instance epochs, whatever -shards is (0 = GOMAXPROCS)")
-	shards := flag.Int("shards", 1, "instance placement shards: consistent-hash migration targets, each with its own lifecycle stream; all share one epoch scheduler and one job scheduler")
+	shards := flag.Int("shards", 1, "instance placement shards: consistent-hash labels and migration targets; all share one epoch scheduler and one job scheduler")
 	maxInstances := flag.Int("max-instances", 0, "instance pool cap; creates beyond it fail with 503 (0 = default 64)")
 	ckptDir := flag.String("checkpoint-dir", "", "periodically snapshot every instance into this directory and crash-resume from it on startup")
 	ckptEvery := flag.Duration("checkpoint-every", 30*time.Second, "wall-clock cadence of -checkpoint-dir snapshots")
@@ -137,8 +139,14 @@ func main() {
 
 	maxEpochs := *minutes * 60
 	runDone := make(chan struct{})
-	// The hook runs in the instance's driver goroutine while main reads
-	// the count on interrupt, so it must be atomic.
+	var summary io.Writer
+	if !serving {
+		summary = os.Stdout
+	}
+	watch := bootHook(fs, lab.Cfg, summary)
+	// The fresh bootstrap also counts its epochs to close runDone at the
+	// horizon. The hook runs in the instance's driver goroutine while
+	// main reads the count on interrupt, so it must be atomic.
 	var epochs atomic.Int64
 	spec := serve.InstanceSpec{
 		Name:      "boot",
@@ -147,16 +155,8 @@ func main() {
 		Speed:     instSpeed,
 		MaxEpochs: maxEpochs,
 		EpochHook: func(m *machine.Machine, t machine.Telemetry) {
-			if fs != nil {
-				mirror(fs, m, lab.Cfg, t)
-			}
-			n := epochs.Add(1)
-			if !serving && n%60 == 0 {
-				fmt.Printf("t=%-6v tail=%6.1f%%SLO EMU=%5.1f%% beCores=%-2d beWays=%-2d dram=%4.1f%% power=%4.1f%%TDP\n",
-					m.Clock().Now(), 100*t.TailLatency.Seconds()/m.SLO().Seconds(),
-					100*t.EMU, t.BECores, t.BEWays, 100*t.DRAMUtil, 100*t.PowerFracTDP)
-			}
-			if maxEpochs > 0 && n == int64(maxEpochs) {
+			watch(m, t)
+			if n := epochs.Add(1); maxEpochs > 0 && n == int64(maxEpochs) {
 				close(runDone)
 			}
 		},
@@ -192,7 +192,10 @@ func main() {
 				restoreSpeed = serve.SpeedMax
 			}
 		}
-		restored = restoreCheckpoints(srv, *ckptDir, restoreSpeed, override)
+		// The instance the bootstrap made resumes under the same
+		// watchers, without the epoch count.
+		resumed := serve.InstanceSpec{Name: spec.Name, EpochHook: watch, Trace: spec.Trace}
+		restored = restoreCheckpoints(srv, *ckptDir, restoreSpeed, override, &resumed)
 	}
 
 	if (!serving || !*noboot) && restored == 0 {
@@ -207,8 +210,8 @@ func main() {
 	} else if restored > 0 {
 		log.Printf("heraclesd: resumed %d instance(s) from %s, skipping flag bootstrap", restored, *ckptDir)
 		if !serving && maxEpochs > 0 {
-			// Headless resume: the restored instances have no epoch hook,
-			// so completion is "every instance parked at its max_epochs"
+			// Headless resume: no restored instance's hook counts to the
+			// horizon, so completion is "every instance parked at its max_epochs"
 			// (instances checkpointed at or past their target park on the
 			// first status read).
 			go func() {
@@ -306,6 +309,24 @@ func main() {
 	}
 }
 
+// bootHook builds the flag-bootstrapped instance's epoch hook: it
+// mirrors every epoch into fs (when set) and writes a summary line to
+// summary (when set) on every whole simulated minute of the machine's
+// clock, so an instance resumed from any epoch prints on the same
+// minutes as a fresh one.
+func bootHook(fs *actuate.FSActuator, cfg hw.Config, summary io.Writer) func(*machine.Machine, machine.Telemetry) {
+	return func(m *machine.Machine, t machine.Telemetry) {
+		if fs != nil {
+			mirror(fs, m, cfg, t)
+		}
+		if now := m.Clock().Now(); summary != nil && now%time.Minute == 0 {
+			fmt.Fprintf(summary, "t=%-6v tail=%6.1f%%SLO EMU=%5.1f%% beCores=%-2d beWays=%-2d dram=%4.1f%% power=%4.1f%%TDP\n",
+				now, 100*t.TailLatency.Seconds()/m.SLO().Seconds(),
+				100*t.EMU, t.BECores, t.BEWays, 100*t.DRAMUtil, 100*t.PowerFracTDP)
+		}
+	}
+}
+
 // restoreCheckpoints resumes every instance checkpointed under dir. Each
 // restored instance continues bit-identically from its snapshot epoch
 // under a fresh id. Restored files stay in place until the checkpointer
@@ -316,7 +337,10 @@ func main() {
 // should salvage what it can, not refuse to start. The JSON-enveloped
 // *.json files of daemons before the binary envelope are no longer read:
 // each is refused the same way, so the operator sees it in the log.
-func restoreCheckpoints(srv *serve.Server, dir string, speed float64, maxEpochs int) int {
+// The first checkpoint named as boot is restored with boot's epoch hook
+// and trace: the flag-bootstrapped instance keeps its -fsroot mirror and
+// -trace log across a crash. boot may be nil.
+func restoreCheckpoints(srv *serve.Server, dir string, speed float64, maxEpochs int, boot *serve.InstanceSpec) int {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		log.Printf("heraclesd: scanning %s: %v", dir, err)
@@ -348,10 +372,18 @@ func restoreCheckpoints(srv *serve.Server, dir string, speed float64, maxEpochs 
 			// beside one.
 			cp.NextDueUnixNano, cp.Batch, cp.Stretch = 0, 0, 0
 		}
-		inst, err := srv.CreateInstance(serve.InstanceSpec{Restore: cp, Speed: speed, MaxEpochs: maxEpochs})
+		spec := serve.InstanceSpec{Restore: cp, Speed: speed, MaxEpochs: maxEpochs}
+		isBoot := boot != nil && cp.Name == boot.Name
+		if isBoot {
+			spec.EpochHook, spec.Trace = boot.EpochHook, boot.Trace
+		}
+		inst, err := srv.CreateInstance(spec)
 		if err != nil {
 			fail(err)
 			continue
+		}
+		if isBoot {
+			boot = nil
 		}
 		log.Printf("heraclesd: restored instance %s from %s (epoch %d)",
 			inst.ID(), path, cp.Engine.Epoch)

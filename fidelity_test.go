@@ -1,6 +1,6 @@
-// Paper-fidelity scorecard (ROADMAP item 2): one row per statement of
-// Heracles (ISCA 2015) this repository can check, asserted and rendered
-// into docs/FIDELITY.md.
+// Paper-fidelity scorecard (ROADMAP aim 3, "Correctness and
+// robustness"): one row per statement of Heracles (ISCA 2015) this
+// repository can check, asserted and rendered into docs/FIDELITY.md.
 //
 //	make fidelity                      # assert every row and the committed table
 //	go test -run TestFidelity -update . # regenerate the table after an intended move

@@ -33,7 +33,8 @@ type Config struct {
 
 	// RootSamples is ignored — a cluster always has a root, and its fan-out
 	// latency is an integral, not a sample mean — and stays only because
-	// the frozen cmd/heraclesbench sets it (ROADMAP item 8).
+	// the frozen cmd/heraclesbench sets it (ROADMAP,
+	// "One harness-editing PR retires everything the frozen harness pins").
 	RootSamples int
 	Seed        uint64 // seeds the job scheduler when Sched.Seed is zero
 	// Model is the shared offline DRAM model (all leaves share one model
@@ -60,7 +61,8 @@ type Config struct {
 	AdjustPeriod time.Duration
 	// Workers is ignored — leaves step one at a time, sharing their stage
 	// records (engine.Config.Workers) — and stays only because the frozen
-	// cmd/heraclesbench sets it (ROADMAP item 10).
+	// cmd/heraclesbench sets it (ROADMAP,
+	// "One harness-editing PR retires everything the frozen harness pins").
 	Workers int
 
 	// Sched, when non-nil, attaches a fleet-wide best-effort job

@@ -61,8 +61,8 @@ type Config struct {
 	// (inside a crash outage) is left out of the maximum — it adds 0, not
 	// a timeout — while the leaf-level reduction books the same node as an
 	// SLO violation. The value is not a count, nothing is sampled: this is
-	// `Root bool` under the name the frozen cmd/heraclesbench sets (ROADMAP
-	// item 8).
+	// `Root bool` under the name the frozen cmd/heraclesbench sets (ROADMAP,
+	// "One harness-editing PR retires everything the frozen harness pins").
 	RootSamples int
 	Seed        uint64 // seeds the job scheduler when Sched.Seed is zero
 
@@ -74,8 +74,8 @@ type Config struct {
 
 	// Workers is ignored: nodes step one at a time, in node order, because
 	// an engine's machines share their stage records (machine.StageMemo).
-	// It stays only because the frozen cmd/heraclesbench sets it (ROADMAP
-	// item 10).
+	// It stays only because the frozen cmd/heraclesbench sets it (ROADMAP,
+	// "One harness-editing PR retires everything the frozen harness pins").
 	Workers int
 
 	// Sched, when non-nil (and Heracles), attaches the best-effort job
@@ -386,8 +386,8 @@ func (e *Engine) SLOClusterStatus() slo.Status {
 }
 
 // Close does nothing: an engine holds no goroutines or other resources.
-// It stays only because the frozen cmd/heraclesbench calls it (ROADMAP
-// item 10).
+// It stays only because the frozen cmd/heraclesbench calls it (ROADMAP,
+// "One harness-editing PR retires everything the frozen harness pins").
 func (e *Engine) Close() {}
 
 // Nodes returns the node count.

@@ -39,6 +39,26 @@ func injectRetry(t *testing.T, inst *Instance, req FaultRequest) {
 	}
 }
 
+// awaitJobOn waits, tick by tick, until a job runs on inst or every job
+// has been dispatched at least once. Either way a kill round cannot
+// race the first dispatch: a dispatched job runs (its work never ends)
+// until a kill on its instance evicts it, and an evicted job backs off
+// 30 s, so waiting for one on inst after the first evictions would
+// stall the soak.
+func awaitJobOn(t *testing.T, d *jobDriver, inst *Instance) {
+	t.Helper()
+	awaitTicks(t, d, "a job running on "+inst.ID(), func(int64) bool {
+		dispatched := true
+		for _, j := range d.Jobs() {
+			if j.State == sched.JobRunning.String() && j.Instance == inst.ID() {
+				return true
+			}
+			dispatched = dispatched && j.Attempts > 0
+		}
+		return dispatched
+	})
+}
+
 // TestChaosSoak is the robustness acceptance test: a live control plane
 // absorbs a sustained barrage of injected faults — driver panics,
 // simulated leaf crashes, telemetry blackouts, slow machines — while the
@@ -81,6 +101,9 @@ func TestChaosSoak(t *testing.T) {
 	const rounds = 24
 	for k := 0; k < rounds; k++ {
 		inst := insts[(k/4)%len(insts)]
+		if k%4 == 0 || k%4 == 2 {
+			awaitJobOn(t, s.jobs, inst)
+		}
 		switch k % 4 {
 		case 0:
 			injectRetry(t, inst, FaultRequest{Kind: FaultDriverPanic})

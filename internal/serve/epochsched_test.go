@@ -373,7 +373,7 @@ func TestHundredThousandInstancesOneProcess(t *testing.T) {
 		if !ok {
 			t.Fatalf("reserve %d refused", k)
 		}
-		inst, err := newInstance(id, spec, testLab, 1e-6, supervisorConfig{}, reg.pool)
+		inst, err := newInstance(id, 0, spec, testLab, 1e-6, supervisorConfig{}, reg.pool)
 		if err != nil {
 			t.Fatalf("instance %d: %v", k, err)
 		}
@@ -405,7 +405,7 @@ func TestHundredThousandInstancesOneProcess(t *testing.T) {
 		if !ok {
 			t.Fatalf("reserve fast %d refused", k)
 		}
-		inst, err := newInstance(id, InstanceSpec{MaxEpochs: 30}, testLab, SpeedMax, supervisorConfig{}, reg.pool)
+		inst, err := newInstance(id, 0, InstanceSpec{MaxEpochs: 30}, testLab, SpeedMax, supervisorConfig{}, reg.pool)
 		if err != nil {
 			t.Fatalf("fast instance %d: %v", k, err)
 		}

@@ -228,8 +228,8 @@ func (s *Status) countAction(loop, action string) {
 type Status struct {
 	ID   string `json:"id"`
 	Name string `json:"name,omitempty"`
-	// Shard is the registry shard hosting the instance; fixed for the
-	// instance's lifetime (migration restores into a fresh instance).
+	// Shard is the instance's placement label, fixed at construction
+	// (migration restores into a fresh instance on the target shard).
 	Shard         int           `json:"shard"`
 	LC            string        `json:"lc"`
 	BEs           []string      `json:"bes"`
@@ -283,6 +283,7 @@ type Instance struct {
 
 	pool   *epochScheduler // the registry's epoch scheduler
 	entry  *poolEntry      // this instance's single heap entry (step, restart)
+	shard  int             // placement label, fixed at construction
 	placed uint64          // its rank in the registry's creation order; Registry.mu-guarded
 
 	donec    chan struct{} // closed once Stop completes
@@ -357,13 +358,13 @@ func engineConfig(lab *experiment.Lab, lcName string) engine.Config {
 	}
 }
 
-// newInstance builds an instance and schedules its first slice on pool,
-// the registry's epoch scheduler. The caller has validated the
+// newInstance builds an instance on shard and schedules its first slice
+// on pool, the registry's epoch scheduler. The caller has validated the
 // spec (workload names, placement names, numeric ranges, checkpoint
 // contents) and resolved the lab for the requested hardware generation;
 // speed is the resolved tick rate (SpeedMax for free-running), sup the
 // crash-supervision tunables.
-func newInstance(id string, spec InstanceSpec, lab *experiment.Lab, speed float64, sup supervisorConfig, pool *epochScheduler) (*Instance, error) {
+func newInstance(id string, shard int, spec InstanceSpec, lab *experiment.Lab, speed float64, sup supervisorConfig, pool *epochScheduler) (*Instance, error) {
 	lcName := spec.LC
 	if lcName == "" {
 		lcName = "websearch"
@@ -394,6 +395,7 @@ func newInstance(id string, spec InstanceSpec, lab *experiment.Lab, speed float6
 		maxEpochs: uint64(max(maxEpochs, 0)),
 		epochHook: spec.EpochHook,
 		pool:      pool,
+		shard:     shard,
 		donec:     make(chan struct{}),
 		notec:     make(chan struct{}),
 
@@ -437,6 +439,7 @@ func newInstance(id string, spec InstanceSpec, lab *experiment.Lab, speed float6
 	i.status = Status{
 		ID:        id,
 		Name:      name,
+		Shard:     shard,
 		LC:        lcName,
 		Compact:   compact,
 		Speed:     speed,
@@ -578,14 +581,6 @@ func placementByName(name string) (workload.PlacementKind, error) {
 
 // ID returns the registry-assigned instance id.
 func (i *Instance) ID() string { return i.id }
-
-// setShard stamps the hosting shard into the status snapshot; the
-// registry calls it once, when the instance enters its index.
-func (i *Instance) setShard(idx int) {
-	i.mu.Lock()
-	i.status.Shard = idx
-	i.mu.Unlock()
-}
 
 // Status returns a point-in-time snapshot.
 func (i *Instance) Status() Status {
@@ -789,38 +784,50 @@ func (i *Instance) onControllerEvent(e core.Event) {
 	i.mu.Lock()
 	i.status.countAction(e.Loop, e.Action)
 	i.mu.Unlock()
-	if !i.hub.HasSubscribers() {
-		return
-	}
-	data, err := json.Marshal(ControllerUpdate{
+	publishEvent(i, "controller", i.eng.Epoch(), ControllerUpdate{
 		Instance:  i.id,
 		AtSeconds: e.At.Seconds(),
 		Loop:      e.Loop,
 		Action:    e.Action,
 		Detail:    e.Detail,
 	})
-	if err != nil {
-		return
-	}
-	i.hub.Publish(Message{Event: "controller", ID: i.eng.Epoch(), Data: data})
 }
 
-// publishLifecycle may be called with or without stepMu held (the
-// "deleted" transition comes straight from an HTTP goroutine), so it
-// reads the epoch from the mutex-guarded status snapshot, never from
-// stepMu-guarded driver state.
+// publishLifecycle announces a lifecycle transition.
 func (i *Instance) publishLifecycle(state, detail string) {
+	publishNow(i, "lifecycle", LifecycleUpdate{Instance: i.id, State: state, Detail: detail})
+}
+
+// publishNow publishes v with the status snapshot's epoch as its id. It
+// may be called with or without stepMu held (the "deleted" transition
+// comes straight from an HTTP goroutine, scheduler decisions from the
+// dispatch tick), so it reads the mutex-guarded snapshot, never
+// stepMu-guarded driver state, and takes the lock only when someone
+// listens.
+func publishNow[T any](i *Instance, event string, v T) {
 	if !i.hub.HasSubscribers() {
-		return
-	}
-	data, err := json.Marshal(LifecycleUpdate{Instance: i.id, State: state, Detail: detail})
-	if err != nil {
 		return
 	}
 	i.mu.Lock()
 	ep := i.status.Epoch
 	i.mu.Unlock()
-	i.hub.Publish(Message{Event: "lifecycle", ID: ep, Data: data})
+	publishEvent(i, event, ep, v)
+}
+
+// publishEvent is the one way an event reaches the instance's SSE
+// subscribers: v, JSON-encoded, as event with id ep. With no subscriber
+// it returns before encoding. It is generic rather than a method taking
+// an any, so v is boxed only when someone listens: every controller
+// decision would otherwise cost an allocation.
+func publishEvent[T any](i *Instance, event string, ep uint64, v T) {
+	if !i.hub.HasSubscribers() {
+		return
+	}
+	data, err := json.Marshal(v)
+	if err != nil {
+		return
+	}
+	i.hub.Publish(Message{Event: event, ID: ep, Data: data})
 }
 
 // runSlice is the epoch scheduler's entry point (epochTask): it
@@ -1045,20 +1052,16 @@ func (i *Instance) step() {
 		i.epochHook(i.m, tel)
 		hookNs = int64(time.Since(hs))
 	}
-	if i.hub.HasSubscribers() {
+	if i.hub.HasSubscribers() { // only a published epoch has a publish span
 		ps := time.Now()
-		if data, err := json.Marshal(up); err == nil {
-			i.hub.Publish(Message{Event: "epoch", ID: er.Epoch, Data: data})
-		}
+		publishEvent(i, "epoch", er.Epoch, up)
 		if len(er.SLOTransitions) > 0 {
-			if data, err := json.Marshal(SLOUpdate{
+			publishEvent(i, "slo", er.Epoch, SLOUpdate{
 				Instance:    i.id,
 				Epoch:       er.Epoch,
 				Transitions: er.SLOTransitions,
 				Status:      sloStatus,
-			}); err == nil {
-				i.hub.Publish(Message{Event: "slo", ID: er.Epoch, Data: data})
-			}
+			})
 		}
 		publishNs = int64(time.Since(ps))
 	}
@@ -1183,21 +1186,4 @@ func (i *Instance) taskCPUSec(task *machine.BETask) (float64, error) {
 		return nil
 	})
 	return cpu, err
-}
-
-// publishScheduler emits a scheduler decision on the instance's event
-// stream. Called from the fleet dispatch tick; like the "deleted"
-// lifecycle event, it reads the epoch from the mutex-guarded snapshot.
-func (i *Instance) publishScheduler(up SchedulerUpdate) {
-	if !i.hub.HasSubscribers() {
-		return
-	}
-	data, err := json.Marshal(up)
-	if err != nil {
-		return
-	}
-	i.mu.Lock()
-	ep := i.status.Epoch
-	i.mu.Unlock()
-	i.hub.Publish(Message{Event: "scheduler", ID: ep, Data: data})
 }

@@ -196,7 +196,7 @@ func (d *jobDriver) safeTick() {
 
 // publish announces one decision about job j on inst's event stream.
 func (d *jobDriver) publish(inst *Instance, j sched.Job, action string, cpu float64, detail string) {
-	inst.publishScheduler(SchedulerUpdate{
+	publishNow(inst, "scheduler", SchedulerUpdate{
 		Instance: inst.ID(), Job: j.ID, Name: j.Spec.Name, Workload: j.Spec.Workload,
 		Action: action, Attempt: j.Attempts, CPUSec: cpu, Detail: detail,
 	})

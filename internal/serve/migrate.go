@@ -78,7 +78,7 @@ func (s *Server) migrate(id string, ship func(*Instance, *InstanceCheckpoint) (*
 		res, err = ship(inst, cp)
 	}
 	if err != nil {
-		s.reg.readd(inst, from)
+		s.reg.readd(inst)
 		return nil, err
 	}
 	res.From, res.FromShard, res.Epoch = id, from, cp.Engine.Epoch
@@ -86,7 +86,6 @@ func (s *Server) migrate(id string, ship func(*Instance, *InstanceCheckpoint) (*
 	if res.Peer != "" {
 		detail = fmt.Sprintf("to %s on peer %s", res.To, res.Peer)
 	}
-	s.reg.shards[from].publish("migrate-out", id, detail)
 	inst.publishLifecycle("migrated", detail)
 	inst.Stop()
 	s.reg.migrations.Add(1)
@@ -118,7 +117,7 @@ func (s *Server) MigrateToShard(id string, target int) (*MigrateResult, error) {
 		if spec.Restore, err = DecodeCheckpointFile(wire); err != nil {
 			return nil, fmt.Errorf("decode checkpoint: %w", err)
 		}
-		fresh, err := s.createInstance(spec, target, "from "+id)
+		fresh, err := s.createInstance(spec, target)
 		if err != nil {
 			return nil, err
 		}

@@ -114,11 +114,14 @@ func TestMigrateCrossShardBitIdentical(t *testing.T) {
 		if got := next.Status().Shard; got != target {
 			t.Fatalf("hop %d: restored instance reports shard %d, want %d", hop, got, target)
 		}
-		s.reg.mu.Lock()
-		home := s.reg.homes[res.To]
-		s.reg.mu.Unlock()
-		if home != target {
-			t.Fatalf("hop %d: registry homes restored instance on %d, want %d", hop, home, target)
+		for _, sh := range s.Registry().ShardStatuses() {
+			want := 0
+			if sh.Shard == target {
+				want = 1
+			}
+			if sh.Instances != want {
+				t.Fatalf("hop %d: shard %d counts %d instances, want %d", hop, sh.Shard, sh.Instances, want)
+			}
 		}
 		if _, ok := s.Registry().Get(res.From); ok {
 			t.Fatalf("hop %d: origin instance %s still registered", hop, res.From)

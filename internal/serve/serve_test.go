@@ -2,7 +2,11 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
+	"math/rand/v2"
+	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -58,35 +62,116 @@ func TestHubFanOutAndDrop(t *testing.T) {
 	}
 }
 
+// TestRegistryOrderAndRemove drives a seeded sequence of creates,
+// shard migrations, migrations a peer refuses and deletes on a 3-shard
+// server, and after every step holds the registry's one index to a
+// model of it: List and Statuses in creation order, each instance's
+// shard label, the per-shard counts, Len and Get. A refused migration
+// must put its instance back in its old place; a shard migration
+// appends the restored instance on the target shard, whatever its id
+// hashes to.
 func TestRegistryOrderAndRemove(t *testing.T) {
-	s := testServer(t)
-	var ids []string
-	for i := 0; i < 3; i++ {
-		inst, err := s.CreateInstance(InstanceSpec{Speed: SpeedMax, MaxEpochs: 1})
-		if err != nil {
-			t.Fatalf("create %d: %v", i, err)
+	refuse := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		http.Error(w, "no room", http.StatusServiceUnavailable)
+	}))
+	t.Cleanup(refuse.Close)
+	for seed := uint64(1); seed <= 4; seed++ {
+		s := New(Config{Lab: testLab, Shards: 3})
+		t.Cleanup(s.Close)
+		r := rand.New(rand.NewPCG(seed, 41))
+		var model []placedAt
+		var gone []string
+		for step := 0; step < 40; step++ {
+			op := r.IntN(4)
+			if len(model) < 2 {
+				op = 0
+			}
+			k := r.IntN(max(len(model), 1))
+			var what string
+			switch op {
+			case 0:
+				inst, err := s.CreateInstance(InstanceSpec{Speed: SpeedMax, MaxEpochs: 1})
+				if err != nil {
+					t.Fatalf("seed %d step %d: create: %v", seed, step, err)
+				}
+				model = append(model, placedAt{inst.ID(), s.reg.table.PlaceIndex(inst.ID())})
+				what = "create " + inst.ID()
+			case 1:
+				target := r.IntN(3)
+				res, err := s.MigrateToShard(model[k].id, target)
+				if err != nil {
+					t.Fatalf("seed %d step %d: migrate %s to shard %d: %v", seed, step, model[k].id, target, err)
+				}
+				if res.FromShard != model[k].shard || res.ToShard != target {
+					t.Fatalf("seed %d step %d: migrated shard %d -> %d, want %d -> %d", seed, step, res.FromShard, res.ToShard, model[k].shard, target)
+				}
+				gone = append(gone, model[k].id)
+				model = append(slices.Delete(model, k, k+1), placedAt{res.To, target})
+				what = fmt.Sprintf("migrate %s to shard %d as %s", res.From, target, res.To)
+			case 2:
+				if _, err := s.MigrateToPeer(model[k].id, refuse.URL); err == nil {
+					t.Fatalf("seed %d step %d: migration of %s to a refusing peer succeeded", seed, step, model[k].id)
+				}
+				what = "refused migration of " + model[k].id
+			case 3:
+				inst, shard, ok := s.Registry().Remove(model[k].id)
+				if !ok || shard != model[k].shard {
+					t.Fatalf("seed %d step %d: Remove(%s) = shard %d, %v; want shard %d", seed, step, model[k].id, shard, ok, model[k].shard)
+				}
+				inst.Stop()
+				what = "delete " + model[k].id
+				gone = append(gone, model[k].id)
+				model = slices.Delete(model, k, k+1)
+			}
+			checkRegistry(t, s.Registry(), model, gone, func() string {
+				return fmt.Sprintf("seed %d step %d (%s)", seed, step, what)
+			})
 		}
-		ids = append(ids, inst.ID())
 	}
-	sts := s.Registry().Statuses()
-	if len(sts) != 3 {
-		t.Fatalf("Statuses len = %d, want 3", len(sts))
+}
+
+// placedAt is one live instance of the registry model.
+type placedAt struct {
+	id    string
+	shard int
+}
+
+// checkRegistry compares the registry with its model: the live
+// instances in creation order, and ids that must not resolve.
+func checkRegistry(t *testing.T, reg *Registry, model []placedAt, gone []string, at func() string) {
+	t.Helper()
+	var want, list, statuses []string
+	counts := make([]int, reg.ShardCount())
+	for _, p := range model {
+		want = append(want, fmt.Sprintf("%s@%d", p.id, p.shard))
+		counts[p.shard]++
 	}
-	for i, st := range sts {
-		if st.ID != ids[i] {
-			t.Fatalf("Statuses[%d].ID = %s, want %s (creation order)", i, st.ID, ids[i])
+	for _, inst := range reg.List() {
+		list = append(list, fmt.Sprintf("%s@%d", inst.ID(), inst.Status().Shard))
+	}
+	for _, st := range reg.Statuses() {
+		statuses = append(statuses, fmt.Sprintf("%s@%d", st.ID, st.Shard))
+	}
+	if !slices.Equal(list, want) || !slices.Equal(statuses, want) {
+		t.Fatalf("%s: List reads %v and Statuses %v, want %v", at(), list, statuses, want)
+	}
+	for _, sh := range reg.ShardStatuses() {
+		if sh.Instances != counts[sh.Shard] {
+			t.Fatalf("%s: ShardStatuses %+v, want counts %v", at(), reg.ShardStatuses(), counts)
 		}
 	}
-	inst, _, ok := s.Registry().Remove(ids[1])
-	if !ok {
-		t.Fatal("Remove of live instance failed")
+	if reg.Len() != len(model) {
+		t.Fatalf("%s: Len = %d, want %d", at(), reg.Len(), len(model))
 	}
-	inst.Stop()
-	if got := s.Registry().Len(); got != 2 {
-		t.Fatalf("Len after remove = %d, want 2", got)
+	for _, p := range model {
+		if inst, ok := reg.Get(p.id); !ok || inst.ID() != p.id {
+			t.Fatalf("%s: Get(%s) missed a live instance", at(), p.id)
+		}
 	}
-	if _, ok := s.Registry().Get(ids[1]); ok {
-		t.Fatal("removed instance still resolvable")
+	for _, id := range gone {
+		if _, ok := reg.Get(id); ok {
+			t.Fatalf("%s: Get(%s) still resolves a removed instance", at(), id)
+		}
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 	"sync"
 	"time"
 
@@ -35,9 +34,9 @@ type Config struct {
 	Drivers int
 	// Shards places instances on that many shards behind a
 	// consistent-hash instance→shard map (the daemon's -shards knob): a
-	// shard is a migration target with its own lifecycle SSE hub. Every
-	// shard shares the one epoch scheduler and the one job scheduler.
-	// 0 selects 1 (unsharded).
+	// shard is a label an instance keeps for life and a migration
+	// target. Every shard shares the one epoch scheduler and the one job
+	// scheduler. 0 selects 1 (unsharded).
 	Shards int
 
 	// SchedPolicy names the fleet scheduler's placement policy
@@ -114,13 +113,13 @@ func (s *Server) Registry() *Registry { return s.reg }
 // it on its consistent-hash home shard — the programmatic equivalent of
 // POST /api/v1/instances.
 func (s *Server) CreateInstance(spec InstanceSpec) (*Instance, error) {
-	return s.createInstance(spec, -1, "")
+	return s.createInstance(spec, -1)
 }
 
-// createInstance builds an instance on an explicit shard (the
-// migrate-in path) or, with shardIdx < 0, on the id's consistent-hash
-// home.
-func (s *Server) createInstance(spec InstanceSpec, shardIdx int, detail string) (*Instance, error) {
+// createInstance builds an instance on shard (the migrate-in path) or,
+// with shard < 0, on its reserved id's consistent-hash home. The shard
+// is the instance's for life.
+func (s *Server) createInstance(spec InstanceSpec, shard int) (*Instance, error) {
 	if err := validateSpec(spec); err != nil {
 		return nil, err
 	}
@@ -144,6 +143,9 @@ func (s *Server) createInstance(spec InstanceSpec, shardIdx int, detail string) 
 	if !ok {
 		return nil, errTooMany
 	}
+	if shard < 0 {
+		shard = s.reg.table.PlaceIndex(id)
+	}
 	sup := supervisorConfig{
 		backoff:   s.cfg.restartBackoff,
 		maxConsec: s.cfg.maxCrashRestarts,
@@ -154,16 +156,12 @@ func (s *Server) createInstance(spec InstanceSpec, shardIdx int, detail string) 
 		// the instance restarts from its checkpoint.
 		onCrash: func(in *Instance) { s.jobs.killJobsOn(in, "", "instance crashed") },
 	}
-	inst, err := newInstance(id, spec, s.labFor(compact), speed, sup, s.reg.pool)
+	inst, err := newInstance(id, shard, spec, s.labFor(compact), speed, sup, s.reg.pool)
 	if err != nil {
 		s.reg.Unreserve()
 		return nil, err
 	}
-	if shardIdx < 0 {
-		s.reg.Put(inst)
-	} else {
-		s.reg.PutShard(inst, shardIdx, detail)
-	}
+	s.reg.Put(inst)
 	return inst, nil
 }
 
@@ -283,7 +281,6 @@ var routeTable = []Route[*Server]{
 	{"GET", "/api/v1/instances/{id}/trace", "recent epoch span timings from the instance's trace ring", (*Server).handleTrace},
 	{"GET", "/api/v1/instances/{id}/stream", "SSE stream of epoch telemetry, controller and scheduler events", (*Server).handleStream},
 	{"GET", "/api/v1/shards", "per-shard instance counts and the migration total", (*Server).handleShards},
-	{"GET", "/api/v1/shards/{shard}/stream", "SSE stream of one shard's lifecycle events: creations, deletions, migrations", (*Server).handleShardStream},
 	{"GET", "/api/v1/scheduler", "fleet scheduler status and goodput accounting", (*Server).handleSchedStatus},
 	{"GET", "/api/v1/jobs", "list best-effort jobs", (*Server).handleJobsList},
 	{"POST", "/api/v1/jobs", "submit a best-effort job for fleet-wide dispatch", (*Server).handleJobSubmit},
@@ -420,12 +417,11 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	inst, shardIdx, ok := s.reg.Remove(id)
+	inst, _, ok := s.reg.Remove(id)
 	if !ok {
 		APIError(w, http.StatusNotFound, "no instance %q", id)
 		return
 	}
-	s.reg.shards[shardIdx].publish("deleted", id, "")
 	inst.publishLifecycle("deleted", "")
 	inst.Stop()
 	WriteJSON(w, http.StatusOK, map[string]string{"deleted": id})
@@ -635,22 +631,6 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	if inst, ok := s.instance(w, r); ok {
 		serveSSE(w, r, inst.hub, "stream "+inst.ID())
 	}
-}
-
-// handleShardStream serves one shard's lifecycle SSE feed: instance
-// creations, deletions and migrations in and out of the shard.
-func (s *Server) handleShardStream(w http.ResponseWriter, r *http.Request) {
-	idx, err := strconv.Atoi(r.PathValue("shard"))
-	if err != nil {
-		APIError(w, http.StatusNotFound, "no shard %q", r.PathValue("shard"))
-		return
-	}
-	sh, ok := s.reg.shardAt(idx)
-	if !ok {
-		APIError(w, http.StatusNotFound, "no shard %d (server has %d)", idx, s.reg.ShardCount())
-		return
-	}
-	serveSSE(w, r, sh.hub, fmt.Sprintf("shard %d stream", idx))
 }
 
 // serveSSE streams hub's messages to the client as server-sent events,
