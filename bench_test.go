@@ -14,10 +14,13 @@ package heracles_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -29,6 +32,7 @@ import (
 	"heracles/internal/experiment"
 	"heracles/internal/expo"
 	"heracles/internal/fault"
+	"heracles/internal/fed"
 	"heracles/internal/fleet"
 	"heracles/internal/hw"
 	"heracles/internal/lat"
@@ -514,6 +518,11 @@ var micros = []micro{
 	// stepped at least one epoch since, outside the timer.
 	{"Scrape/idle", scrape(false)},
 	{"Scrape/moving", scrape(true)},
+	// One request through heraclesfed's router to a daemon over loopback,
+	// all three ends in this process: a routed status read and a routed
+	// load write of a parked instance. api-steady's heavy op is this hop.
+	{"FedHop/get", fedHop("GET", "", "")},
+	{"FedHop/put", fedHop("PUT", "/load", `{"load":0.4}`)},
 	{"Fleet/policies", func(testing.TB) func(int) {
 		// batch-repro's heavy op, cmd/fleet -std 2 -compact 1 -leaves 8
 		// -policy slack-greedy, at a 4-minute horizon on one worker: six
@@ -740,6 +749,50 @@ func scrape(moving bool) func(testing.TB) func(int) {
 	}
 }
 
+// fedHop is one client request, method on sub below a federated
+// instance's path with body, sent to a router in front of one daemon.
+// The instance is paced far below one epoch per run, so every reply
+// reads the same state.
+func fedHop(method, sub, body string) func(testing.TB) func(int) {
+	return func(tb testing.TB) func(int) {
+		s := serve.New(serve.Config{Lab: lab()})
+		tb.Cleanup(s.Close)
+		member := httptest.NewServer(s.Handler())
+		tb.Cleanup(member.Close)
+		rt, err := fed.NewRouter(fed.Config{Members: []string{member.URL}})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		front := httptest.NewServer(rt.Handler())
+		tb.Cleanup(front.Close)
+		client := front.Client()
+		send := func(method, path, body string, want int) []byte {
+			req, err := http.NewRequest(method, front.URL+path, strings.NewReader(body))
+			if err != nil {
+				tb.Fatal(err)
+			}
+			resp, err := client.Do(req)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			out, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != want {
+				tb.Fatalf("%s %s = %d (%v): %s", method, path, resp.StatusCode, err, out)
+			}
+			return out
+		}
+		var info fed.InstanceInfo
+		if err := json.Unmarshal(send("POST", "/api/v1/instances", `{"load":0.3,"speed":1e-6}`, http.StatusCreated), &info); err != nil {
+			tb.Fatal(err)
+		}
+		path := "/api/v1/instances/" + info.ID + sub
+		run := each(func(int) { send(method, path, body, http.StatusOK) })
+		run(10) // open both connections and size their buffers
+		return run
+	}
+}
+
 // benchFleet is cmd/fleet's policy-mode fleet at seed 42 over horizon
 // d: two clusters of the reference generation on a diurnal load with a
 // flash crowd, one compact cluster on stepped load with a mid-run SLO
@@ -797,6 +850,7 @@ func BenchmarkMicro(b *testing.B) {
 // Scrape/idle reuses every instance's rows: what it allocates is the
 // instance list, the rows list, the blocks' writer and its family
 // index, the write stage, the shard list and the response headers.
+// FedHop counts every end of the hop, client, router and daemon alike.
 func TestMicroAllocCeilings(t *testing.T) {
 	if testing.Short() {
 		t.Skip("warms engines, a served pool and 300 instance migrations")
@@ -817,6 +871,8 @@ func TestMicroAllocCeilings(t *testing.T) {
 		{"InstanceSchedule", 10000, 5, 535},
 		{"LabSetup", 1, 100, 20},
 		{"Scrape/idle", 1, 100, 11},
+		{"FedHop/get", 1, 100, 166},
+		{"FedHop/put", 1, 100, 196},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			i := slices.IndexFunc(micros, func(m micro) bool { return m.name == c.name })
