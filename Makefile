@@ -56,15 +56,21 @@ chaos:
 # the one job scheduler dispatching across a sharded registry,
 # /metrics scrapes racing create/migrate/delete churn, and a seeded
 # create/migrate/delete sequence held to a model of the registry index.
+# Named instances: racing creates of one name, a name held while its
+# instance migrates, and a name kept across shard and peer moves. The
+# federation router: a restart over the same members keeps every id and
+# mints past them, and nothing it passes through names a member-local id.
 churn:
-	$(GO) test -race -run 'RegistryChurnNoLeaks|EpochScheduler|HundredThousand|ShardedServerRunsEveryJob|ConcurrentScrapesDuringChurn|RegistryOrderAndRemove' ./internal/serve/
+	$(GO) test -race -run 'RegistryChurnNoLeaks|EpochScheduler|HundredThousand|ShardedServerRunsEveryJob|ConcurrentScrapesDuringChurn|RegistryOrderAndRemove|CreatesOfOneName|MigratingNameIsHeld|KeepsItsName|RouterRestartKeepsNamespace|RouterKeepsFederatedNames' ./internal/serve/ ./internal/fed/
 
 # Short fuzz pass over the boundaries that accept bytes from outside the
 # process. The HRCF checkpoint file decoder: truncated, bit-flipped and
 # CRC-mismatched inputs and JSON of any shape must error — never panic —
 # and the rotated-generation fallback must always recover; the committed
 # seed corpus under internal/serve/testdata/fuzz rides along. The create
-# route: any body answers 201 or 4xx and leaves the pool empty. The HRCB
+# route: any body and ?id= answer 201 or 4xx and leave the pool empty; an
+# accepted id is the one asked for, and a second create of it is a 409;
+# i<digits> and path-unsafe ids are a 400. The HRCB
 # decoder under the envelope's CRC (the codec.Coder walk): an error or a
 # checkpoint that re-encodes to a fixed point. The scenario JSON codec:
 # an error or a scenario a one-node engine installs and steps. The job

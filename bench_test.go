@@ -871,8 +871,8 @@ func TestMicroAllocCeilings(t *testing.T) {
 		{"InstanceSchedule", 10000, 5, 535},
 		{"LabSetup", 1, 100, 20},
 		{"Scrape/idle", 1, 100, 11},
-		{"FedHop/get", 1, 100, 166},
-		{"FedHop/put", 1, 100, 196},
+		{"FedHop/get", 1, 100, 164},
+		{"FedHop/put", 1, 100, 193},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			i := slices.IndexFunc(micros, func(m micro) bool { return m.name == c.name })

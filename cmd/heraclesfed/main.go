@@ -3,7 +3,9 @@
 // consistent hashing, reads and actuation proxy through to the hosting
 // daemon, jobs fan out round-robin, and /healthz and /metrics aggregate
 // the whole federation. Migration between members rides the daemons'
-// checkpoint/restore migration primitive.
+// checkpoint/restore migration primitive. Before it serves, the router
+// lists every member and adopts the federated instances they host, so a
+// restarted router keeps its namespace; every member must answer then.
 //
 //	heraclesd -addr :8080 -noboot &
 //	heraclesd -addr :8081 -noboot &
@@ -53,6 +55,9 @@ func main() {
 
 	router, err := fed.NewRouter(fed.Config{Members: urls, Seed: *seed})
 	if err != nil {
+		log.Fatalf("heraclesfed: %v", err)
+	}
+	if err := router.Sync(router.Members()...); err != nil {
 		log.Fatalf("heraclesfed: %v", err)
 	}
 	log.Printf("heraclesfed: routing %d members on %s", len(urls), *addr)

@@ -1,17 +1,20 @@
 // Package fed federates several heraclesd daemons behind one control
-// plane (DESIGN.md §14). The router owns the public instance namespace:
-// creates are placed on a member by rendezvous hashing of the federated
-// id, reads and actuation proxy through to the hosting member, and
-// migration rides the daemons' own checkpoint/restore migration
-// primitive — the router asks the source daemon to peer-migrate, then
-// repoints its mapping at the restored copy. /healthz and /metrics
-// aggregate every member, so a fleet of daemons scrapes like one.
+// plane (DESIGN.md §14). The router mints each federated id, places it
+// on a member by rendezvous hashing and creates the instance there under
+// that id, so it keeps only an id → member map, and every instance route
+// but migrate is one pooled reverse proxy. Sync rebuilds the map from
+// the members' listings when the router starts and when a member joins.
+// Migration rides the daemons' checkpoint/restore primitive, which keeps
+// the name: the router asks the source to peer-migrate, then maps the id
+// to the target. /healthz and /metrics aggregate every member, so a
+// fleet of daemons scrapes like one.
 package fed
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -49,12 +52,6 @@ type Config struct {
 // so a proxied SSE stream lasts as long as its client stays.
 var memberTimeout = 120 * time.Second
 
-// placement records where a federated instance currently lives.
-type placement struct {
-	member  string // member base URL
-	localID string // the member daemon's own instance id
-}
-
 // jobRef records which member scheduler owns a federated job.
 type jobRef struct {
 	member  string
@@ -62,8 +59,8 @@ type jobRef struct {
 }
 
 // InstanceInfo is a member instance as the router reports it: the
-// daemon's own Status with ID rewritten to the federated id, plus the
-// hosting member and the member-local id.
+// daemon's own Status plus the hosting member and the id the member
+// holds it under, which is the federated id.
 type InstanceInfo struct {
 	serve.Status
 	Member   string `json:"member"`
@@ -78,18 +75,20 @@ type FedMigrateRequest struct {
 
 // Router proxies a federated control plane over member daemons.
 type Router struct {
-	mux *http.ServeMux
+	mux   *http.ServeMux
+	proxy *httputil.ReverseProxy // every instance route but migrate
 
 	mu      sync.Mutex
 	seed    uint64
 	table   *chash.Table
 	members []string // sorted member URLs, the hash population
 	seq     int
-	insts   map[string]placement // fed id → placement
+	insts   map[string]string // fed id → hosting member's URL
 	jobSeq  int
 	jobs    map[int]jobRef
 
 	proxied    countingTransport // carries and counts every member request
+	buffers    bufferPool        // the proxy's copy buffers
 	migrations atomic.Int64      // router-driven migrations
 }
 
@@ -117,8 +116,18 @@ func NewRouter(cfg Config) (*Router, error) {
 		seed:    seed,
 		table:   chash.New(seed, members...),
 		members: members,
-		insts:   make(map[string]placement),
+		insts:   make(map[string]string),
 		jobs:    make(map[int]jobRef),
+	}
+	// Every instance route but migrate is this one proxy. It passes every
+	// end-to-end header both ways, keeps both bodies' lengths, and flushes
+	// a reply of unknown length (an SSE stream) as it arrives.
+	rt.proxy = &httputil.ReverseProxy{
+		Rewrite:        rt.rewrite,
+		Transport:      &rt.proxied,
+		BufferPool:     &rt.buffers,
+		ModifyResponse: rt.tagReply,
+		ErrorHandler:   rt.proxyError,
 	}
 	rt.mux = serve.Mount(rt, routeTable)
 	return rt, nil
@@ -145,10 +154,10 @@ var routeTable = []serve.Route[*Router]{
 	{Method: "POST", Pattern: "/api/v1/rebalance", Doc: "migrate every instance whose hash home changed back onto it", Handle: (*Router).handleRebalance},
 	{Method: "GET", Pattern: "/api/v1/instances", Doc: "list federated instances across all members", Handle: (*Router).handleInstancesList},
 	{Method: "POST", Pattern: "/api/v1/instances", Doc: "create an instance, placed on a member by consistent hash", Handle: (*Router).handleInstanceCreate},
-	{Method: "GET", Pattern: "/api/v1/instances/{id}", Doc: "inspect one federated instance", Handle: (*Router).handleInstanceGet},
-	{Method: "DELETE", Pattern: "/api/v1/instances/{id}", Doc: "stop and remove a federated instance", Handle: (*Router).handleInstanceDelete},
+	{Method: "GET", Pattern: "/api/v1/instances/{id}", Doc: "inspect one federated instance", Handle: (*Router).handleInstance},
+	{Method: "DELETE", Pattern: "/api/v1/instances/{id}", Doc: "stop and remove a federated instance", Handle: (*Router).handleInstance},
 	{Method: "POST", Pattern: "/api/v1/instances/{id}/migrate", Doc: "migrate a federated instance onto another member daemon", Handle: (*Router).handleInstanceMigrate},
-	{Method: "ANY", Pattern: "/api/v1/instances/{id}/{rest...}", Doc: "proxy any other instance sub-resource (load, slo, faults, stream, ...) to the hosting member", Handle: (*Router).handleInstanceProxy},
+	{Method: "ANY", Pattern: "/api/v1/instances/{id}/{rest...}", Doc: "proxy any other instance sub-resource (load, slo, faults, stream, ...) to the hosting member", Handle: (*Router).handleInstance},
 	{Method: "POST", Pattern: "/api/v1/jobs", Doc: "submit a best-effort job to a member scheduler round-robin", Handle: (*Router).handleJobSubmit},
 	{Method: "GET", Pattern: "/api/v1/jobs", Doc: "list federated jobs across all members", Handle: (*Router).handleJobsList},
 	{Method: "GET", Pattern: "/api/v1/jobs/{id}", Doc: "inspect one federated job", Handle: (*Router).handleJob},
@@ -156,25 +165,33 @@ var routeTable = []serve.Route[*Router]{
 	{Method: "GET", Pattern: "/api/v1/sched", Doc: "merged fleet-scheduler accounting across members", Handle: (*Router).handleSched},
 }
 
+// The proxied routes whose replies the router reads, by the mux pattern
+// a request carries.
+const (
+	createRoute = "POST /api/v1/instances"
+	getRoute    = "GET /api/v1/instances/{id}"
+	deleteRoute = "DELETE /api/v1/instances/{id}"
+)
+
 // Routes lists "METHOD /pattern" for every registered route; the docs
 // check keeps docs/API.md complete against it.
 func Routes() []string { return serve.RouteNames(routeTable) }
 
 // --- Handler plumbing --------------------------------------------------
 
-// lookup resolves a federated id to its placement.
-func (rt *Router) lookup(fid string) (placement, bool) {
+// lookup resolves a federated id to its hosting member.
+func (rt *Router) lookup(fid string) (string, bool) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	p, ok := rt.insts[fid]
-	return p, ok
+	member, ok := rt.insts[fid]
+	return member, ok
 }
 
-// repoint atomically moves a federated id's mapping.
-func (rt *Router) repoint(fid string, p placement) {
+// repoint maps a federated id to the member now hosting it.
+func (rt *Router) repoint(fid, member string) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	rt.insts[fid] = p
+	rt.insts[fid] = member
 }
 
 // forget drops a federated id's mapping.
@@ -197,6 +214,19 @@ func (c *countingTransport) RoundTrip(req *http.Request) (*http.Response, error)
 	return resp, err
 }
 
+// bufferPool lends the proxy the 32 KiB buffers it copies bodies
+// through, so a proxied request does not allocate one of its own.
+type bufferPool struct{ sync.Pool }
+
+func (p *bufferPool) Get() []byte {
+	if b, ok := p.Pool.Get().(*[]byte); ok {
+		return *b
+	}
+	return make([]byte, 32<<10)
+}
+
+func (p *bufferPool) Put(b []byte) { p.Pool.Put(&b) }
+
 // request sends one member request under ctx; body, when non-nil, is its
 // JSON payload.
 func (rt *Router) request(ctx context.Context, method, url string, body []byte) (*http.Response, error) {
@@ -214,10 +244,10 @@ func (rt *Router) request(ctx context.Context, method, url string, body []byte) 
 	return rt.proxied.RoundTrip(req)
 }
 
-// memberCall makes one member request for a client, under the inbound
+// memberCall makes one job request for a client, under the inbound
 // request's context. A reply with any status but want is relayed
 // verbatim; want's body is decoded, passed to reply — which rewrites the
-// member's ids into the router's — and written back with that status.
+// member's job id into the router's — and written back with that status.
 func memberCall[T any](rt *Router, w http.ResponseWriter, r *http.Request, member, method, path string, body []byte, want int, reply func(*T) any) {
 	resp, err := rt.request(r.Context(), method, member+path, body)
 	if err != nil {
@@ -246,10 +276,9 @@ type polled[T any] struct {
 	ok     bool
 }
 
-// fanOut polls path on every member concurrently, under the router's own
-// deadline, and returns the answers in member order.
-func fanOut[T any](rt *Router, path string) []polled[T] {
-	members := rt.Members()
+// fanOut polls path on each of members concurrently, under the router's
+// own deadline, and returns the answers in member order.
+func fanOut[T any](rt *Router, members []string, path string) []polled[T] {
 	ctx, cancel := context.WithTimeout(context.Background(), memberTimeout)
 	defer cancel()
 	out := make([]polled[T], len(members))
@@ -274,16 +303,9 @@ func fanOut[T any](rt *Router, path string) []polled[T] {
 	return out
 }
 
-// instanceInfo reports a member's instance status under its federated id.
-func instanceInfo(fid, member string, st serve.Status) InstanceInfo {
-	info := InstanceInfo{Status: st, Member: member, MemberID: st.ID}
-	info.ID = fid
-	return info
-}
-
-// relay copies a member reply the router does not rewrite — an
-// unexpected status, or a delete's answer — through to the client: its
-// Content-Type, its Content-Length when known, its status and its body.
+// relay copies a member's job reply the router does not rewrite — an
+// unexpected status — through to the client: its Content-Type, its
+// Content-Length when known, its status and its body.
 func relay(w http.ResponseWriter, resp *http.Response) {
 	if ct := resp.Header.Get("Content-Type"); ct != "" {
 		w.Header().Set("Content-Type", ct)
@@ -299,6 +321,86 @@ func relay(w http.ResponseWriter, resp *http.Response) {
 
 // --- Instance routes ---------------------------------------------------
 
+// rewrite sends a proxied request out as it came in, re-hosted at the
+// member its id maps to; a create also names the instance there. An id
+// forgotten since its handler looked it up leaves the request without a
+// host, which the transport refuses and proxyError answers.
+func (rt *Router) rewrite(pr *httputil.ProxyRequest) {
+	fid := pr.In.PathValue("id")
+	member, _ := rt.lookup(fid)
+	if target, err := url.Parse(member); err == nil {
+		pr.SetURL(target)
+	}
+	if pr.In.Pattern == createRoute {
+		pr.Out.URL.RawQuery = "id=" + fid
+	}
+}
+
+// tagReply keeps the id map in step with a create's or a delete's
+// answer, and adds member and member_id to a member's Status — a
+// create's 201, a read's 200 — by splicing them in after its opening
+// brace, without decoding the member's bytes.
+func (rt *Router) tagReply(resp *http.Response) error {
+	req, code := resp.Request, resp.StatusCode
+	fid := req.PathValue("id")
+	switch {
+	case req.Pattern == deleteRoute && (code == http.StatusOK || code == http.StatusNotFound),
+		req.Pattern == createRoute && code != http.StatusCreated:
+		rt.forget(fid)
+		return nil
+	case req.Pattern == getRoute && (code != http.StatusOK || req.Method == http.MethodHead),
+		req.Pattern != getRoute && req.Pattern != createRoute:
+		return nil
+	}
+	member, ok := rt.lookup(fid)
+	if !ok {
+		return nil
+	}
+	// The fields' closing brace gives way to the body's opening one,
+	// which becomes their separating comma.
+	fields, err := json.Marshal(struct {
+		Member   string `json:"member"`
+		MemberID string `json:"member_id"`
+	}{member, fid})
+	if err != nil {
+		return err
+	}
+	at := len(fields) - 1
+	buf := bytes.NewBuffer(slices.Grow(fields[:at], int(max(resp.ContentLength, 0))+bytes.MinRead))
+	_, err = buf.ReadFrom(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return err
+	}
+	if out := buf.Bytes(); len(out) > at+1 && out[at] == '{' && out[at+1] == '"' {
+		out[at] = ','
+	} else {
+		buf.Next(at) // not an object with fields: the body as it came
+	}
+	resp.Body, resp.ContentLength = io.NopCloser(buf), int64(buf.Len())
+	resp.Header.Set("Content-Length", strconv.Itoa(buf.Len()))
+	return nil
+}
+
+// proxyError answers a proxied request the member did not answer: 404
+// if the id was forgotten meanwhile, else 502, forgetting a failed
+// create's id.
+func (rt *Router) proxyError(w http.ResponseWriter, r *http.Request, err error) {
+	fid := r.PathValue("id")
+	member, ok := rt.lookup(fid)
+	if !ok {
+		serve.APIError(w, http.StatusNotFound, "no instance %q", fid)
+		return
+	}
+	if r.Pattern == createRoute {
+		rt.forget(fid)
+	}
+	serve.APIError(w, http.StatusBadGateway, "member %s: %v", member, err)
+}
+
+// handleInstanceCreate mints the next federated id, maps it to its hash
+// home and proxies the create there. It reads the body first, so one
+// over serve.RestoreBodyLimit is the router's own 413.
 func (rt *Router) handleInstanceCreate(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, serve.RestoreBodyLimit))
 	if err != nil {
@@ -307,31 +409,40 @@ func (rt *Router) handleInstanceCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	rt.mu.Lock()
 	rt.seq++
-	fid := fmt.Sprintf("f%d", rt.seq)
-	member := rt.table.Place(fid)
+	fid := "f" + strconv.Itoa(rt.seq)
+	rt.insts[fid] = rt.table.Place(fid)
 	rt.mu.Unlock()
-	memberCall(rt, w, r, member, "POST", "/api/v1/instances", body, http.StatusCreated, func(st *serve.Status) any {
-		rt.repoint(fid, placement{member: member, localID: st.ID})
-		return instanceInfo(fid, member, *st)
-	})
+	r.Body, r.ContentLength, r.TransferEncoding = io.NopCloser(bytes.NewReader(body)), int64(len(body)), nil
+	r.SetPathValue("id", fid)
+	rt.proxy.ServeHTTP(w, r)
+}
+
+// handleInstance proxies a read, a delete or any sub-resource (load,
+// slo, faults, checkpoint, SSE stream, ...) to the hosting member.
+func (rt *Router) handleInstance(w http.ResponseWriter, r *http.Request) {
+	if _, ok := rt.lookup(r.PathValue("id")); !ok {
+		serve.APIError(w, http.StatusNotFound, "no instance %q", r.PathValue("id"))
+		return
+	}
+	rt.proxy.ServeHTTP(w, r)
+}
+
+// instanceList is a member's answer to GET /api/v1/instances.
+type instanceList struct {
+	Instances []serve.Status `json:"instances"`
 }
 
 func (rt *Router) handleInstancesList(w http.ResponseWriter, _ *http.Request) {
-	got := make(map[placement]serve.Status)
-	for _, l := range fanOut[struct {
-		Instances []serve.Status `json:"instances"`
-	}](rt, "/api/v1/instances") {
-		for _, st := range l.body.Instances {
-			got[placement{l.member, st.ID}] = st
-		}
-	}
+	polls := fanOut[instanceList](rt, rt.Members(), "/api/v1/instances")
 	// A member instance no federated id maps to was created out-of-band
 	// and stays hidden.
+	out := []InstanceInfo{}
 	rt.mu.Lock()
-	out := make([]InstanceInfo, 0, len(rt.insts))
-	for fid, p := range rt.insts {
-		if st, ok := got[p]; ok {
-			out = append(out, instanceInfo(fid, p.member, st))
+	for _, p := range polls {
+		for _, st := range p.body.Instances {
+			if rt.insts[st.ID] == p.member {
+				out = append(out, InstanceInfo{Status: st, Member: p.member, MemberID: st.ID})
+			}
 		}
 	}
 	rt.mu.Unlock()
@@ -339,98 +450,74 @@ func (rt *Router) handleInstancesList(w http.ResponseWriter, _ *http.Request) {
 	serve.WriteJSON(w, http.StatusOK, map[string]any{"instances": out})
 }
 
-func (rt *Router) handleInstanceGet(w http.ResponseWriter, r *http.Request) {
-	fid := r.PathValue("id")
-	p, ok := rt.lookup(fid)
-	if !ok {
-		serve.APIError(w, http.StatusNotFound, "no instance %q", fid)
-		return
-	}
-	memberCall(rt, w, r, p.member, "GET", "/api/v1/instances/"+p.localID, nil, http.StatusOK, func(st *serve.Status) any {
-		return instanceInfo(fid, p.member, *st)
-	})
+// fedSeq parses a federated id, "f" and a canonical positive integer.
+func fedSeq(id string) (int, bool) {
+	n, err := strconv.Atoi(strings.TrimPrefix(id, "f"))
+	return n, err == nil && n > 0 && id == "f"+strconv.Itoa(n)
 }
 
-func (rt *Router) handleInstanceDelete(w http.ResponseWriter, r *http.Request) {
-	fid := r.PathValue("id")
-	p, ok := rt.lookup(fid)
-	if !ok {
-		serve.APIError(w, http.StatusNotFound, "no instance %q", fid)
-		return
+// Sync adopts the federated instances the named members host: each
+// f<digits> id a member lists maps to that member unless the router
+// already maps it, and the next id the router mints is past the largest
+// one seen. A router syncs every member before it serves and a joiner
+// before it joins, so a restart loses no instance and mints no id a
+// member already holds. Jobs are not adopted: a job id resolves only on
+// the router that submitted it. A member that does not list its
+// instances is an error, after the others are adopted.
+func (rt *Router) Sync(members ...string) error {
+	polls := fanOut[instanceList](rt, members, "/api/v1/instances")
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	var errs []error
+	for _, p := range polls {
+		if !p.ok {
+			errs = append(errs, fmt.Errorf("fed: member %s did not list its instances", p.member))
+			continue
+		}
+		for _, st := range p.body.Instances {
+			n, ok := fedSeq(st.ID)
+			if !ok {
+				continue
+			}
+			rt.seq = max(rt.seq, n)
+			if _, mapped := rt.insts[st.ID]; !mapped {
+				rt.insts[st.ID] = p.member
+			}
+		}
 	}
-	resp, err := rt.request(r.Context(), "DELETE", p.member+"/api/v1/instances/"+p.localID, nil)
-	if err != nil {
-		serve.APIError(w, http.StatusBadGateway, "member %s: %v", p.member, err)
-		return
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusNotFound {
-		rt.forget(fid)
-	}
-	relay(w, resp)
-}
-
-// handleInstanceProxy forwards any other instance sub-resource — load,
-// slo, degrade, faults, checkpoint, SSE stream — to the hosting member
-// with the member-local id spliced into the path. httputil.ReverseProxy
-// passes every end-to-end header both ways, keeps both bodies' lengths,
-// and flushes a reply of unknown length (an SSE stream) as it arrives.
-func (rt *Router) handleInstanceProxy(w http.ResponseWriter, r *http.Request) {
-	fid := r.PathValue("id")
-	p, ok := rt.lookup(fid)
-	if !ok {
-		serve.APIError(w, http.StatusNotFound, "no instance %q", fid)
-		return
-	}
-	target, err := url.Parse(p.member + "/api/v1/instances/" + p.localID + "/" + r.PathValue("rest"))
-	if err != nil {
-		serve.APIError(w, http.StatusBadGateway, "member %s: %v", p.member, err)
-		return
-	}
-	target.RawQuery = r.URL.RawQuery
-	proxy := &httputil.ReverseProxy{
-		Rewrite: func(pr *httputil.ProxyRequest) {
-			pr.Out.URL = target
-			pr.Out.Host = ""
-		},
-		Transport: &rt.proxied,
-		ErrorHandler: func(w http.ResponseWriter, _ *http.Request, err error) {
-			serve.APIError(w, http.StatusBadGateway, "member %s: %v", p.member, err)
-		},
-	}
-	proxy.ServeHTTP(w, r)
+	return errors.Join(errs...)
 }
 
 // --- Migration and rebalancing -----------------------------------------
 
 // migrate moves one federated instance to the target member by asking
-// the hosting daemon to peer-migrate, then repoints the mapping at the
-// restored copy.
+// the hosting daemon to peer-migrate it, which keeps its name, then maps
+// the id to the target.
 func (rt *Router) migrate(fid, target string) (*serve.MigrateResult, error) {
-	p, ok := rt.lookup(fid)
+	member, ok := rt.lookup(fid)
 	if !ok {
 		return nil, fmt.Errorf("no instance %q", fid)
 	}
-	if p.member == target {
+	if member == target {
 		return nil, fmt.Errorf("instance %q is already on %s", fid, target)
 	}
 	body, _ := json.Marshal(serve.MigrateRequest{Peer: target})
 	ctx, cancel := context.WithTimeout(context.Background(), memberTimeout)
 	defer cancel()
-	resp, err := rt.request(ctx, "POST", p.member+"/api/v1/instances/"+p.localID+"/migrate", body)
+	resp, err := rt.request(ctx, "POST", member+"/api/v1/instances/"+fid+"/migrate", body)
 	if err != nil {
-		return nil, fmt.Errorf("member %s: %w", p.member, err)
+		return nil, fmt.Errorf("member %s: %w", member, err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return nil, fmt.Errorf("member %s refused the migration: %s: %s", p.member, resp.Status, strings.TrimSpace(string(msg)))
+		return nil, fmt.Errorf("member %s refused the migration: %s: %s", member, resp.Status, strings.TrimSpace(string(msg)))
 	}
 	var res serve.MigrateResult
 	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
-		return nil, fmt.Errorf("member %s: decoding migrate result: %w", p.member, err)
+		return nil, fmt.Errorf("member %s: decoding migrate result: %w", member, err)
 	}
-	rt.repoint(fid, placement{member: target, localID: res.To})
+	rt.repoint(fid, target)
 	rt.migrations.Add(1)
 	return &res, nil
 }
@@ -465,8 +552,8 @@ func (rt *Router) rebalance(w http.ResponseWriter, table *chash.Table, out map[s
 	rt.mu.Lock()
 	type move struct{ fid, want string }
 	var moves []move
-	for fid, p := range rt.insts {
-		if want := table.Place(fid); want != p.member {
+	for fid, member := range rt.insts {
+		if want := table.Place(fid); want != member {
 			moves = append(moves, move{fid, want})
 		}
 	}
@@ -504,8 +591,8 @@ func (rt *Router) handleRebalance(w http.ResponseWriter, _ *http.Request) {
 func (rt *Router) handleMembersList(w http.ResponseWriter, _ *http.Request) {
 	rt.mu.Lock()
 	counts := make(map[string]int)
-	for _, p := range rt.insts {
-		counts[p.member]++
+	for _, member := range rt.insts {
+		counts[member]++
 	}
 	type memberInfo struct {
 		URL       string `json:"url"`
@@ -532,9 +619,10 @@ func memberURL(w http.ResponseWriter, r *http.Request) (string, bool) {
 	return strings.TrimSuffix(strings.TrimSpace(req.URL), "/"), true
 }
 
-// handleMemberJoin adds a member to the hash population and rebalances
-// the minimal set of instances — exactly those whose hash home moved to
-// the joiner — onto it.
+// handleMemberJoin adopts the joiner's federated instances (Sync), adds
+// it to the hash population and rebalances the minimal set of instances
+// — exactly those whose hash home moved, to the joiner or off it — onto
+// their homes. A joiner the router cannot list is not joined.
 func (rt *Router) handleMemberJoin(w http.ResponseWriter, r *http.Request) {
 	url, ok := memberURL(w, r)
 	if !ok {
@@ -542,6 +630,10 @@ func (rt *Router) handleMemberJoin(w http.ResponseWriter, r *http.Request) {
 	}
 	if url == "" {
 		serve.APIError(w, http.StatusBadRequest, "url must be set")
+		return
+	}
+	if err := rt.Sync(url); err != nil {
+		serve.APIError(w, http.StatusBadGateway, "%v", err)
 		return
 	}
 	rt.mu.Lock()
@@ -632,7 +724,7 @@ func (rt *Router) handleJobsList(w http.ResponseWriter, _ *http.Request) {
 	got := make(map[jobRef]serve.JobStatus)
 	for _, l := range fanOut[struct {
 		Jobs []serve.JobStatus `json:"jobs"`
-	}](rt, "/api/v1/jobs") {
+	}](rt, rt.Members(), "/api/v1/jobs") {
 		for _, st := range l.body.Jobs {
 			got[jobRef{l.member, st.ID}] = st
 		}
@@ -696,7 +788,7 @@ func mergeSched(parts []serve.SchedulerStatus) SchedStatus {
 
 func (rt *Router) handleSched(w http.ResponseWriter, _ *http.Request) {
 	var parts []serve.SchedulerStatus
-	for _, p := range fanOut[serve.SchedulerStatus](rt, "/api/v1/scheduler") {
+	for _, p := range fanOut[serve.SchedulerStatus](rt, rt.Members(), "/api/v1/scheduler") {
 		if p.ok {
 			parts = append(parts, p.body)
 		}
@@ -716,7 +808,7 @@ func (rt *Router) snapshot() Snapshot {
 	polls := fanOut[struct {
 		Shards     []serve.ShardStatus `json:"shards"`
 		Migrations int64               `json:"migrations"`
-	}](rt, "/api/v1/shards")
+	}](rt, rt.Members(), "/api/v1/shards")
 	snaps := make([]MemberSnapshot, len(polls))
 	for i, p := range polls {
 		snaps[i] = MemberSnapshot{Member: p.member, Up: p.ok, Shards: p.body.Shards, Migrations: p.body.Migrations}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 
@@ -12,10 +13,14 @@ import (
 )
 
 // FuzzCreateInstanceBody posts arbitrary bytes to POST /api/v1/instances,
-// the one route that accepts a whole checkpoint from outside the process.
-// Whatever arrives, the server answers 201 or a 4xx — never a panic (the
-// handler runs on the fuzzing goroutine, so one would surface here) — and
-// an instance it did create deletes cleanly, leaving the pool empty.
+// the one route that accepts a whole checkpoint from outside the process,
+// under an arbitrary ?id= (none when it is empty). Whatever arrives, the
+// server answers 201 or a 4xx — never a panic (the handler runs on the
+// fuzzing goroutine, so one would surface here). An id of the daemon's
+// own i<digits> form, or one that is not path-safe, is a 400. An accepted
+// id is exactly the one asked for: GET finds the instance under it and a
+// second create of it is a 409. An instance the server did create
+// deletes cleanly, leaving the pool empty.
 func FuzzCreateInstanceBody(f *testing.F) {
 	srv := New(Config{Lab: testLab})
 	defer srv.Close()
@@ -64,23 +69,51 @@ func FuzzCreateInstanceBody(f *testing.F) {
 		return doc
 	}
 
-	f.Add([]byte(`{"lc":"memkeyval","bes":[{"workload":"streetview"}],"load":0.5,"speed":-1,"max_epochs":20}`))
-	f.Add(pacedDoc(4))
-	f.Add(pacedDoc(99))
-	f.Add(valid)
-	f.Add(restoreDoc(long))
-	f.Add(restoreDoc(disordered))
-	f.Add(valid[:len(valid)/2])
-	f.Add([]byte(`{}`))
+	plain := []byte(`{"lc":"memkeyval","bes":[{"workload":"streetview"}],"load":0.5,"speed":-1,"max_epochs":20}`)
+	for _, body := range [][]byte{plain, pacedDoc(4), pacedDoc(99), valid, restoreDoc(long), restoreDoc(disordered), valid[:len(valid)/2], []byte(`{}`)} {
+		f.Add(body, "")
+	}
+	// Names: accepted ones, the daemon's own form, and ones that are not
+	// path-safe or run past 64 bytes.
+	for _, id := range []string{"web-1", "f12", "i", "A.b_c", "i7", "i007", "../x", "a/b", "x y", "-x", ".", "caf\u00e9", strings.Repeat("x", 64), strings.Repeat("x", 65)} {
+		f.Add(plain, id)
+	}
+	f.Add(valid, "moved-1")
 
-	f.Fuzz(func(t *testing.T, body []byte) {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest("POST", "/api/v1/instances", bytes.NewReader(body)))
+	f.Fuzz(func(t *testing.T, body []byte, id string) {
+		target := "/api/v1/instances"
+		if id != "" {
+			target += "?id=" + url.QueryEscape(id)
+		}
+		create := func() *httptest.ResponseRecorder {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest("POST", target, bytes.NewReader(body)))
+			return rec
+		}
+		rec := create()
+		minted := len(id) > 1 && id[0] == 'i' && strings.Trim(id[1:], "0123456789") == ""
+		unsafe := url.PathEscape(id) != id || id == "." || id == ".."
+		if id != "" && (minted || unsafe) && rec.Code != http.StatusBadRequest {
+			t.Fatalf("create under id %q answered %d, want 400: %s", id, rec.Code, rec.Body)
+		}
 		switch {
 		case rec.Code == http.StatusCreated:
 			var st Status
 			if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil || st.ID == "" {
 				t.Fatalf("201 without a status: %v; %s", err, rec.Body)
+			}
+			if id != "" {
+				if st.ID != id {
+					t.Fatalf("asked for id %q, created %q", id, st.ID)
+				}
+				get := httptest.NewRecorder()
+				h.ServeHTTP(get, httptest.NewRequest("GET", "/api/v1/instances/"+id, nil))
+				if get.Code != http.StatusOK {
+					t.Fatalf("GET %s = %d: %s", id, get.Code, get.Body)
+				}
+				if again := create(); again.Code != http.StatusConflict {
+					t.Fatalf("second create of %q answered %d, want 409: %s", id, again.Code, again.Body)
+				}
 			}
 			del := httptest.NewRecorder()
 			h.ServeHTTP(del, httptest.NewRequest("DELETE", "/api/v1/instances/"+st.ID, nil))

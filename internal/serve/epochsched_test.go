@@ -369,9 +369,9 @@ func TestHundredThousandInstancesOneProcess(t *testing.T) {
 	// in the heap, due far in the future.
 	spec := InstanceSpec{}
 	for k := 0; k < n; k++ {
-		id, ok := reg.Reserve(n + 8)
-		if !ok {
-			t.Fatalf("reserve %d refused", k)
+		id, err := reg.Reserve(n+8, "")
+		if err != nil {
+			t.Fatalf("reserve %d: %v", k, err)
 		}
 		inst, err := newInstance(id, 0, spec, testLab, 1e-6, supervisorConfig{}, reg.pool)
 		if err != nil {
@@ -401,9 +401,9 @@ func TestHundredThousandInstancesOneProcess(t *testing.T) {
 	// Active instances dispatch promptly out of the big heap.
 	fast := make([]*Instance, 0, 8)
 	for k := 0; k < 8; k++ {
-		id, ok := reg.Reserve(n + 8)
-		if !ok {
-			t.Fatalf("reserve fast %d refused", k)
+		id, err := reg.Reserve(n+8, "")
+		if err != nil {
+			t.Fatalf("reserve fast %d: %v", k, err)
 		}
 		inst, err := newInstance(id, 0, InstanceSpec{MaxEpochs: 30}, testLab, SpeedMax, supervisorConfig{}, reg.pool)
 		if err != nil {

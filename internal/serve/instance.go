@@ -284,7 +284,7 @@ type Instance struct {
 	pool   *epochScheduler // the registry's epoch scheduler
 	entry  *poolEntry      // this instance's single heap entry (step, restart)
 	shard  int             // placement label, fixed at construction
-	placed uint64          // its rank in the registry's creation order; Registry.mu-guarded
+	placed uint64          // its rank in the registry's creation order, set by Put before it is listed
 
 	donec    chan struct{} // closed once Stop completes
 	stopOnce sync.Once

@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -242,13 +241,6 @@ func (d *jobDriver) killJobsOn(inst *Instance, wl, reason string) int {
 	return killed
 }
 
-// instIndex parses the registry id ("i7") into the scheduler's stable
-// integer node id.
-func instIndex(id string) (int, bool) {
-	n, err := strconv.Atoi(strings.TrimPrefix(id, "i"))
-	return n, err == nil && n > 0
-}
-
 // tick snapshots the live instances, advances the scheduler and
 // applies its actions. Probes and mutations run through instance
 // mailboxes; an instance that stops mid-tick simply drops out of the
@@ -264,10 +256,10 @@ func (d *jobDriver) tick() {
 	nodes := make([]sched.NodeState, 0, len(insts))
 	byID := make(map[int]*Instance, len(insts))
 	for _, in := range insts {
-		id, ok := instIndex(in.ID())
-		if !ok {
-			continue
-		}
+		// The scheduler's node id is the instance's place in creation
+		// order: stable for its life, never reused, and known for a named
+		// instance as for a minted one.
+		id := int(in.placed)
 		ns, state, err := in.schedProbe()
 		if err != nil || state != StateRunning {
 			continue

@@ -30,8 +30,8 @@ type MigrateRequest struct {
 }
 
 // MigrateResult reports a completed migration. To is the restored
-// instance's id — freshly assigned by the target shard or peer; the
-// origin id is gone.
+// instance's id: a named instance keeps its name, and a minted one is
+// freshly minted by the target shard or peer, the origin id gone.
 type MigrateResult struct {
 	From      string `json:"from"`
 	FromShard int    `json:"from_shard"`
@@ -64,10 +64,11 @@ var migrateClient = &http.Client{Timeout: 120 * time.Second}
 // double-run them), checkpoints the instance between epochs and hands the
 // checkpoint to ship, which restores it elsewhere and reports where. On
 // success the origin announces the move and stops; on any failure it is
-// reinstated untouched.
+// reinstated untouched. A named instance's name stays reserved while it
+// is away, so no create can take it from under a migration that fails.
 func (s *Server) migrate(id string, ship func(*Instance, *InstanceCheckpoint) (*MigrateResult, error)) (*MigrateResult, error) {
 	start := time.Now()
-	inst, from, ok := s.reg.Remove(id)
+	inst, from, ok := s.reg.remove(id, !minted(id))
 	if !ok {
 		return nil, errMigrateGone
 	}
@@ -81,6 +82,7 @@ func (s *Server) migrate(id string, ship func(*Instance, *InstanceCheckpoint) (*
 		s.reg.readd(inst)
 		return nil, err
 	}
+	s.reg.Unreserve(id) // a shard move's copy has already taken the name over
 	res.From, res.FromShard, res.Epoch = id, from, cp.Engine.Epoch
 	detail := fmt.Sprintf("to %s on shard %d", res.To, res.ToShard)
 	if res.Peer != "" {
@@ -94,7 +96,8 @@ func (s *Server) migrate(id string, ship func(*Instance, *InstanceCheckpoint) (*
 }
 
 // MigrateToShard moves the instance onto another shard of this server,
-// restoring it into a fresh instance placed on the target shard.
+// restoring it into a fresh instance placed on the target shard, under
+// the same name or, for a minted id, the next minted one.
 // In-process migration carries the instance's epoch hook and trace
 // along, so an embedded daemon's mirroring survives the move. It sets no
 // schedule of its own: the checkpoint carries the origin's place in the
@@ -117,7 +120,12 @@ func (s *Server) MigrateToShard(id string, target int) (*MigrateResult, error) {
 		if spec.Restore, err = DecodeCheckpointFile(wire); err != nil {
 			return nil, fmt.Errorf("decode checkpoint: %w", err)
 		}
-		fresh, err := s.createInstance(spec, target)
+		var fresh *Instance
+		if minted(id) {
+			fresh, err = s.create(spec, "", target)
+		} else {
+			fresh, err = s.createInstance(spec, id, target) // the held name
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -127,9 +135,10 @@ func (s *Server) MigrateToShard(id string, target int) (*MigrateResult, error) {
 
 // MigrateToPeer moves the instance onto another daemon by POSTing the
 // restore spec to the peer's create route. Epoch hooks and traces are
-// in-process callbacks and do not cross the wire. A failure the peer
-// causes — unreachable, create rejected — is a peerError carrying the
-// peer's verdict.
+// in-process callbacks and do not cross the wire. A named instance asks
+// the peer for its name; a minted one takes whatever id the peer mints.
+// A failure the peer causes — unreachable, create rejected, the name
+// taken there — is a peerError carrying the peer's verdict.
 func (s *Server) MigrateToPeer(id, peer string) (*MigrateResult, error) {
 	return s.migrate(id, func(_ *Instance, cp *InstanceCheckpoint) (*MigrateResult, error) {
 		body, err := json.Marshal(InstanceSpec{Restore: cp})
@@ -137,6 +146,9 @@ func (s *Server) MigrateToPeer(id, peer string) (*MigrateResult, error) {
 			return nil, fmt.Errorf("encode checkpoint: %w", err)
 		}
 		url := strings.TrimSuffix(peer, "/") + "/api/v1/instances"
+		if !minted(id) {
+			url += "?id=" + id
+		}
 		resp, err := migrateClient.Post(url, "application/json", bytes.NewReader(body))
 		if err != nil {
 			return nil, &peerError{fmt.Errorf("peer create failed: %w", err)}
@@ -157,11 +169,7 @@ func (s *Server) MigrateToPeer(id, peer string) (*MigrateResult, error) {
 	})
 }
 
-func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
-	inst, ok := s.instance(w, r)
-	if !ok {
-		return
-	}
+func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request, inst *Instance) {
 	var req MigrateRequest
 	if !DecodeBody(w, r, &req, BodyLimit) {
 		return

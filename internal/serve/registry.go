@@ -34,12 +34,12 @@ type ShardStatus struct {
 // control plane with many instances snapshots and stops them
 // concurrently.
 type Registry struct {
-	mu      sync.Mutex
-	seq     int
-	pending int // reserved ids whose instances are still being built
-	insts   map[string]*Instance
-	order   []*Instance // ascending Instance.placed
-	placed  uint64      // the last Instance.placed handed out
+	mu       sync.Mutex
+	seq      int
+	reserved map[string]bool // ids whose instances are still being built, and names migrating out
+	insts    map[string]*Instance
+	order    []*Instance // ascending Instance.placed
+	placed   uint64      // the last Instance.placed handed out
 
 	pool  *epochScheduler
 	table *chash.Table // one member per shard
@@ -59,9 +59,10 @@ func NewRegistry(drivers, nshards int) *Registry {
 		members[i] = fmt.Sprintf("s%d", i)
 	}
 	return &Registry{
-		insts: make(map[string]*Instance),
-		pool:  newEpochScheduler(drivers),
-		table: chash.New(shardSeed, members...),
+		reserved: make(map[string]bool),
+		insts:    make(map[string]*Instance),
+		pool:     newEpochScheduler(drivers),
+		table:    chash.New(shardSeed, members...),
 	}
 }
 
@@ -85,27 +86,35 @@ func (r *Registry) ShardStatuses() []ShardStatus {
 // Migrations returns the number of completed migrations.
 func (r *Registry) Migrations() int64 { return r.migrations.Load() }
 
-// Reserve claims the next instance id ("i1", "i2", ...) against the pool
-// cap (maxN <= 0 means uncapped). Counting live plus in-flight
-// reservations under one lock makes the cap exact even for concurrent
-// creates, while keeping instance construction — which may calibrate
-// workloads — outside the registry lock. A reservation ends with Put or
-// Unreserve.
-func (r *Registry) Reserve(maxN int) (string, bool) {
+// Reserve claims an instance id against the pool cap (maxN <= 0 means
+// uncapped): name, or with name empty the next minted id ("i1", "i2",
+// ...). A name that is live or already reserved is errNameTaken.
+// Deciding both under one lock makes the cap exact and a name unique
+// even for concurrent creates, while keeping instance construction —
+// which may calibrate workloads — outside the registry lock. A
+// reservation ends with Put or Unreserve.
+func (r *Registry) Reserve(maxN int, name string) (string, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if maxN > 0 && len(r.insts)+r.pending >= maxN {
-		return "", false
+	if r.insts[name] != nil || r.reserved[name] {
+		return "", fmt.Errorf("%w: %q", errNameTaken, name)
 	}
-	r.pending++
-	r.seq++
-	return fmt.Sprintf("i%d", r.seq), true
+	if maxN > 0 && len(r.insts)+len(r.reserved) >= maxN {
+		return "", errTooMany
+	}
+	if name == "" {
+		r.seq++
+		name = fmt.Sprintf("i%d", r.seq)
+	}
+	r.reserved[name] = true
+	return name, nil
 }
 
-// Unreserve releases a reservation whose instance failed to build.
-func (r *Registry) Unreserve() {
+// Unreserve releases id's reservation: its instance failed to build, or
+// the name migrated away.
+func (r *Registry) Unreserve(id string) {
 	r.mu.Lock()
-	r.pending--
+	delete(r.reserved, id)
 	r.mu.Unlock()
 }
 
@@ -113,7 +122,7 @@ func (r *Registry) Unreserve() {
 // its reservation.
 func (r *Registry) Put(inst *Instance) {
 	r.mu.Lock()
-	r.pending--
+	delete(r.reserved, inst.ID())
 	r.placed++
 	inst.placed = r.placed
 	r.order = append(r.order, inst)
@@ -122,10 +131,11 @@ func (r *Registry) Put(inst *Instance) {
 }
 
 // readd reinstates a removed instance at its place in creation order,
-// after a failed migration; no reservation is consumed and the cap may
-// transiently overshoot by the one returning instance.
+// after a failed migration, ending the hold on its name if it had one;
+// the cap may transiently overshoot by the one returning instance.
 func (r *Registry) readd(inst *Instance) {
 	r.mu.Lock()
+	delete(r.reserved, inst.ID())
 	r.order = slices.Insert(r.order, r.slot(inst.placed), inst)
 	r.insts[inst.ID()] = inst
 	r.mu.Unlock()
@@ -150,7 +160,12 @@ func (r *Registry) Get(id string) (*Instance, bool) {
 // Remove detaches the instance from the registry and returns it with
 // its shard; the caller stops it (or re-adds it if a migration falls
 // through). Returns false if the id is unknown.
-func (r *Registry) Remove(id string) (*Instance, int, bool) {
+func (r *Registry) Remove(id string) (*Instance, int, bool) { return r.remove(id, false) }
+
+// remove is Remove; with hold, id stays reserved while the instance is
+// away, so no create can claim the name before Put, readd or Unreserve
+// settles where it lives.
+func (r *Registry) remove(id string, hold bool) (*Instance, int, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	inst, ok := r.insts[id]
@@ -160,6 +175,9 @@ func (r *Registry) Remove(id string) (*Instance, int, bool) {
 	delete(r.insts, id)
 	j := r.slot(inst.placed)
 	r.order = slices.Delete(r.order, j, j+1)
+	if hold {
+		r.reserved[id] = true
+	}
 	return inst, inst.shard, true
 }
 

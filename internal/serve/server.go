@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strings"
 	"sync"
 	"time"
 
@@ -110,16 +111,34 @@ func (s *Server) Handler() http.Handler { return s.mux }
 func (s *Server) Registry() *Registry { return s.reg }
 
 // CreateInstance validates the spec, builds the instance and registers
-// it on its consistent-hash home shard — the programmatic equivalent of
-// POST /api/v1/instances.
+// it under the next minted id on its consistent-hash home shard — the
+// programmatic equivalent of POST /api/v1/instances.
 func (s *Server) CreateInstance(spec InstanceSpec) (*Instance, error) {
-	return s.createInstance(spec, -1)
+	return s.create(spec, "", -1)
 }
 
-// createInstance builds an instance on shard (the migrate-in path) or,
-// with shard < 0, on its reserved id's consistent-hash home. The shard
-// is the instance's for life.
-func (s *Server) createInstance(spec InstanceSpec, shard int) (*Instance, error) {
+// create reserves name — or, when name is empty, mints an id — and
+// builds the instance under it on shard or, with shard < 0, on the id's
+// consistent-hash home.
+func (s *Server) create(spec InstanceSpec, name string, shard int) (*Instance, error) {
+	id, err := s.reg.Reserve(s.cfg.MaxInstances, name)
+	if err != nil {
+		return nil, err
+	}
+	if shard < 0 {
+		shard = s.reg.table.PlaceIndex(id)
+	}
+	inst, err := s.createInstance(spec, id, shard)
+	if err != nil {
+		s.reg.Unreserve(id)
+	}
+	return inst, err
+}
+
+// createInstance builds the instance under id, which the caller has
+// reserved, on shard, and registers it. The shard is the instance's for
+// life. A failure leaves the reservation to the caller.
+func (s *Server) createInstance(spec InstanceSpec, id string, shard int) (*Instance, error) {
 	if err := validateSpec(spec); err != nil {
 		return nil, err
 	}
@@ -139,13 +158,6 @@ func (s *Server) createInstance(spec InstanceSpec, shard int) (*Instance, error)
 	if speed < 0 && spec.Restore != nil && spec.Restore.paced() {
 		return nil, fmt.Errorf("restore: checkpoint carries a tick schedule (next_due_unix_ns) but speed %v free-runs: restore it paced, or drop next_due_unix_ns, batch and stretch", speed)
 	}
-	id, ok := s.reg.Reserve(s.cfg.MaxInstances)
-	if !ok {
-		return nil, errTooMany
-	}
-	if shard < 0 {
-		shard = s.reg.table.PlaceIndex(id)
-	}
 	sup := supervisorConfig{
 		backoff:   s.cfg.restartBackoff,
 		maxConsec: s.cfg.maxCrashRestarts,
@@ -158,7 +170,6 @@ func (s *Server) createInstance(spec InstanceSpec, shard int) (*Instance, error)
 	}
 	inst, err := newInstance(id, shard, spec, s.labFor(compact), speed, sup, s.reg.pool)
 	if err != nil {
-		s.reg.Unreserve()
 		return nil, err
 	}
 	s.reg.Put(inst)
@@ -184,7 +195,31 @@ func (s *Server) labFor(compact bool) *experiment.Lab {
 	return s.compactLab
 }
 
-var errTooMany = errors.New("serve: instance cap reached")
+var (
+	errTooMany   = errors.New("serve: instance cap reached")
+	errNameTaken = errors.New("serve: instance id already taken")
+)
+
+// validName reports whether id may name an instance: 1-64 bytes of
+// A-Z a-z 0-9 _ . -, starting with a letter or digit — path-safe — and
+// not of the form the daemon mints.
+func validName(id string) bool {
+	if id == "" || len(id) > 64 || minted(id) {
+		return false
+	}
+	for i, c := range []byte(id) {
+		alnum := 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9'
+		if !alnum && (i == 0 || c != '_' && c != '.' && c != '-') {
+			return false
+		}
+	}
+	return true
+}
+
+// minted reports whether id has the form the daemon mints, i<digits>.
+func minted(id string) bool {
+	return len(id) > 1 && id[0] == 'i' && strings.Trim(id[1:], "0123456789") == ""
+}
 
 // validateSpec rejects a create request with unknown workload names or
 // out-of-range numbers before any simulation state is built.
@@ -265,21 +300,21 @@ var routeTable = []Route[*Server]{
 	{"GET", "/metrics", "Prometheus exposition across all instances", (*Server).handleMetrics},
 	{"GET", "/api/v1/instances", "list instance statuses", (*Server).handleList},
 	{"POST", "/api/v1/instances", "create an instance from an InstanceSpec", (*Server).handleCreate},
-	{"GET", "/api/v1/instances/{id}", "inspect one instance", (*Server).handleGet},
+	{"GET", "/api/v1/instances/{id}", "inspect one instance", onInstance((*Server).handleGet)},
 	{"DELETE", "/api/v1/instances/{id}", "stop and remove an instance", (*Server).handleDelete},
-	{"PUT", "/api/v1/instances/{id}/load", "change the offered LC load target", (*Server).handleSetLoad},
-	{"PUT", "/api/v1/instances/{id}/slo", "change the controller-visible SLO scale", (*Server).handleSetSLO},
-	{"PUT", "/api/v1/instances/{id}/degrade", "inject or clear LC service degradation", (*Server).handleDegrade},
-	{"POST", "/api/v1/instances/{id}/bes", "attach a best-effort task", (*Server).handleAttachBE},
-	{"DELETE", "/api/v1/instances/{id}/bes/{workload}", "detach best-effort tasks by workload name", (*Server).handleDetachBE},
-	{"POST", "/api/v1/instances/{id}/scenario", "drive the instance by a declarative scenario", (*Server).handleScenario},
-	{"POST", "/api/v1/instances/{id}/checkpoint", "snapshot the instance's full simulation state for restore or migration", (*Server).handleCheckpoint},
-	{"POST", "/api/v1/instances/{id}/migrate", "checkpoint, ship and restore the instance onto another shard or a peer daemon mid-run", (*Server).handleMigrate},
-	{"GET", "/api/v1/instances/{id}/health", "supervisor health: crash and restart counters, circuit-breaker state", (*Server).handleInstanceHealth},
-	{"POST", "/api/v1/instances/{id}/faults", "inject a fault: leaf-crash, telemetry-blackout, slow-machine, actuation-fail, be-kill or driver-panic", (*Server).handleFaultInject},
-	{"GET", "/api/v1/instances/{id}/slo", "error-budget status: objective, budget spent, burn rates per window, firing alerts", (*Server).handleSLO},
-	{"GET", "/api/v1/instances/{id}/trace", "recent epoch span timings from the instance's trace ring", (*Server).handleTrace},
-	{"GET", "/api/v1/instances/{id}/stream", "SSE stream of epoch telemetry, controller and scheduler events", (*Server).handleStream},
+	{"PUT", "/api/v1/instances/{id}/load", "change the offered LC load target", onInstance((*Server).handleSetLoad)},
+	{"PUT", "/api/v1/instances/{id}/slo", "change the controller-visible SLO scale", onInstance((*Server).handleSetSLO)},
+	{"PUT", "/api/v1/instances/{id}/degrade", "inject or clear LC service degradation", onInstance((*Server).handleDegrade)},
+	{"POST", "/api/v1/instances/{id}/bes", "attach a best-effort task", onInstance((*Server).handleAttachBE)},
+	{"DELETE", "/api/v1/instances/{id}/bes/{workload}", "detach best-effort tasks by workload name", onInstance((*Server).handleDetachBE)},
+	{"POST", "/api/v1/instances/{id}/scenario", "drive the instance by a declarative scenario", onInstance((*Server).handleScenario)},
+	{"POST", "/api/v1/instances/{id}/checkpoint", "snapshot the instance's full simulation state for restore or migration", onInstance((*Server).handleCheckpoint)},
+	{"POST", "/api/v1/instances/{id}/migrate", "checkpoint, ship and restore the instance onto another shard or a peer daemon mid-run", onInstance((*Server).handleMigrate)},
+	{"GET", "/api/v1/instances/{id}/health", "supervisor health: crash and restart counters, circuit-breaker state", onInstance((*Server).handleInstanceHealth)},
+	{"POST", "/api/v1/instances/{id}/faults", "inject a fault: leaf-crash, telemetry-blackout, slow-machine, actuation-fail, be-kill or driver-panic", onInstance((*Server).handleFaultInject)},
+	{"GET", "/api/v1/instances/{id}/slo", "error-budget status: objective, budget spent, burn rates per window, firing alerts", onInstance((*Server).handleSLO)},
+	{"GET", "/api/v1/instances/{id}/trace", "recent epoch span timings from the instance's trace ring", onInstance((*Server).handleTrace)},
+	{"GET", "/api/v1/instances/{id}/stream", "SSE stream of epoch telemetry, controller and scheduler events", onInstance((*Server).handleStream)},
 	{"GET", "/api/v1/shards", "per-shard instance counts and the migration total", (*Server).handleShards},
 	{"GET", "/api/v1/scheduler", "fleet scheduler status and goodput accounting", (*Server).handleSchedStatus},
 	{"GET", "/api/v1/jobs", "list best-effort jobs", (*Server).handleJobsList},
@@ -339,14 +374,17 @@ func BodyError(w http.ResponseWriter, err error) {
 	APIError(w, http.StatusBadRequest, "bad request body: %v", err)
 }
 
-// instance resolves {id} or writes a 404.
-func (s *Server) instance(w http.ResponseWriter, r *http.Request) (*Instance, bool) {
-	id := r.PathValue("id")
-	inst, ok := s.reg.Get(id)
-	if !ok {
-		APIError(w, http.StatusNotFound, "no instance %q", id)
+// onInstance mounts a handler of one instance: it resolves {id} first,
+// answering an unknown one 404.
+func onInstance(h func(*Server, http.ResponseWriter, *http.Request, *Instance)) func(*Server, http.ResponseWriter, *http.Request) {
+	return func(s *Server, w http.ResponseWriter, r *http.Request) {
+		id := r.PathValue("id")
+		if inst, ok := s.reg.Get(id); ok {
+			h(s, w, r, inst)
+		} else {
+			APIError(w, http.StatusNotFound, "no instance %q", id)
+		}
 	}
-	return inst, ok
 }
 
 // doErr maps an instance mutation error onto an HTTP response.
@@ -391,15 +429,26 @@ func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
+	name := ""
+	if q := r.URL.Query(); q.Has("id") {
+		name = q.Get("id")
+		if !validName(name) {
+			APIError(w, http.StatusBadRequest, "id %q: want 1-64 of A-Z a-z 0-9 _ . - starting with a letter or digit, and not the daemon's own i<n> form", name)
+			return
+		}
+	}
 	var spec InstanceSpec
 	if !DecodeBody(w, r, &spec, RestoreBodyLimit) {
 		return
 	}
-	inst, err := s.CreateInstance(spec)
+	inst, err := s.create(spec, name, -1)
 	if err != nil {
 		code := http.StatusBadRequest
-		if errors.Is(err, errTooMany) {
+		switch {
+		case errors.Is(err, errTooMany):
 			code = http.StatusServiceUnavailable
+		case errors.Is(err, errNameTaken):
+			code = http.StatusConflict
 		}
 		APIError(w, code, "%v", err)
 		return
@@ -407,11 +456,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusCreated, inst.Status())
 }
 
-func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
-	inst, ok := s.instance(w, r)
-	if !ok {
-		return
-	}
+func (s *Server) handleGet(w http.ResponseWriter, _ *http.Request, inst *Instance) {
 	WriteJSON(w, http.StatusOK, inst.Status())
 }
 
@@ -427,11 +472,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, map[string]string{"deleted": id})
 }
 
-func (s *Server) handleSetLoad(w http.ResponseWriter, r *http.Request) {
-	inst, ok := s.instance(w, r)
-	if !ok {
-		return
-	}
+func (s *Server) handleSetLoad(w http.ResponseWriter, r *http.Request, inst *Instance) {
 	var body struct {
 		Load float64 `json:"load"`
 	}
@@ -448,11 +489,7 @@ func (s *Server) handleSetLoad(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, map[string]float64{"load": body.Load})
 }
 
-func (s *Server) handleSetSLO(w http.ResponseWriter, r *http.Request) {
-	inst, ok := s.instance(w, r)
-	if !ok {
-		return
-	}
+func (s *Server) handleSetSLO(w http.ResponseWriter, r *http.Request, inst *Instance) {
 	var body struct {
 		Scale float64 `json:"scale"`
 	}
@@ -473,11 +510,7 @@ func (s *Server) handleSetSLO(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *Server) handleDegrade(w http.ResponseWriter, r *http.Request) {
-	inst, ok := s.instance(w, r)
-	if !ok {
-		return
-	}
+func (s *Server) handleDegrade(w http.ResponseWriter, r *http.Request, inst *Instance) {
 	var body struct {
 		Factor float64 `json:"factor"`
 	}
@@ -494,11 +527,7 @@ func (s *Server) handleDegrade(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, map[string]float64{"factor": body.Factor})
 }
 
-func (s *Server) handleAttachBE(w http.ResponseWriter, r *http.Request) {
-	inst, ok := s.instance(w, r)
-	if !ok {
-		return
-	}
+func (s *Server) handleAttachBE(w http.ResponseWriter, r *http.Request, inst *Instance) {
 	var att BEAttachment
 	if !DecodeBody(w, r, &att, BodyLimit) {
 		return
@@ -513,11 +542,7 @@ func (s *Server) handleAttachBE(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusCreated, inst.Status())
 }
 
-func (s *Server) handleDetachBE(w http.ResponseWriter, r *http.Request) {
-	inst, ok := s.instance(w, r)
-	if !ok {
-		return
-	}
+func (s *Server) handleDetachBE(w http.ResponseWriter, r *http.Request, inst *Instance) {
 	name := r.PathValue("workload")
 	n, err := inst.DetachBE(name)
 	if !doErr(w, err) {
@@ -530,11 +555,7 @@ func (s *Server) handleDetachBE(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, map[string]any{"removed": n, "workload": name})
 }
 
-func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) {
-	inst, ok := s.instance(w, r)
-	if !ok {
-		return
-	}
+func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request, inst *Instance) {
 	var spec ScenarioSpec
 	if !DecodeBody(w, r, &spec, BodyLimit) {
 		return
@@ -554,11 +575,7 @@ func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
-	inst, ok := s.instance(w, r)
-	if !ok {
-		return
-	}
+func (s *Server) handleCheckpoint(w http.ResponseWriter, _ *http.Request, inst *Instance) {
 	cp, err := inst.Checkpoint()
 	if !doErr(w, err) {
 		return
@@ -566,11 +583,7 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, cp)
 }
 
-func (s *Server) handleSLO(w http.ResponseWriter, r *http.Request) {
-	inst, ok := s.instance(w, r)
-	if !ok {
-		return
-	}
+func (s *Server) handleSLO(w http.ResponseWriter, _ *http.Request, inst *Instance) {
 	st, enabled, err := inst.SLOStatus()
 	if !doErr(w, err) {
 		return
@@ -582,27 +595,15 @@ func (s *Server) handleSLO(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, st)
 }
 
-func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	inst, ok := s.instance(w, r)
-	if !ok {
-		return
-	}
+func (s *Server) handleTrace(w http.ResponseWriter, _ *http.Request, inst *Instance) {
 	WriteJSON(w, http.StatusOK, map[string]any{"spans": inst.TraceSpans()})
 }
 
-func (s *Server) handleInstanceHealth(w http.ResponseWriter, r *http.Request) {
-	inst, ok := s.instance(w, r)
-	if !ok {
-		return
-	}
+func (s *Server) handleInstanceHealth(w http.ResponseWriter, _ *http.Request, inst *Instance) {
 	WriteJSON(w, http.StatusOK, inst.Health())
 }
 
-func (s *Server) handleFaultInject(w http.ResponseWriter, r *http.Request) {
-	inst, ok := s.instance(w, r)
-	if !ok {
-		return
-	}
+func (s *Server) handleFaultInject(w http.ResponseWriter, r *http.Request, inst *Instance) {
 	var req FaultRequest
 	if !DecodeBody(w, r, &req, BodyLimit) {
 		return
@@ -627,10 +628,8 @@ func (s *Server) handleFaultInject(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusAccepted, map[string]any{"kind": req.Kind, "jobs_killed": killed})
 }
 
-func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	if inst, ok := s.instance(w, r); ok {
-		serveSSE(w, r, inst.hub, "stream "+inst.ID())
-	}
+func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, inst *Instance) {
+	serveSSE(w, r, inst.hub, "stream "+inst.ID())
 }
 
 // serveSSE streams hub's messages to the client as server-sent events,

@@ -40,13 +40,15 @@ var keptForTests = map[string]string{
 }
 
 // stdMethods are the method names the standard library calls through its
-// own interfaces (sort, heap, fmt, errors, json, http, io): a reached
-// type's method of that name runs without the module ever selecting it.
+// own interfaces (sort, heap, fmt, errors, json, http, io, and
+// httputil.BufferPool): a reached type's method of that name runs
+// without the module ever selecting it.
 var stdMethods = map[string]bool{
 	"Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true,
 	"String": true, "Error": true, "Unwrap": true,
 	"MarshalJSON": true, "UnmarshalJSON": true,
 	"ServeHTTP": true, "Write": true,
+	"Get": true, "Put": true,
 }
 
 // TestEveryDeclarationIsReached type-checks the module's non-test source
