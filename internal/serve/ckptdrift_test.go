@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"os"
 	"reflect"
 	"testing"
 )
@@ -145,5 +147,47 @@ func TestEnvelopesCarryEveryInstanceCheckpointField(t *testing.T) {
 		if d := firstDiff(reflect.ValueOf(&cp), reflect.ValueOf(got), "InstanceCheckpoint"); d != "" {
 			t.Errorf("the %s dropped or altered a field: %s", name, d)
 		}
+	}
+}
+
+// TestEnvelopeMatchesCommittedBytes is the serve twin of engine's
+// checkpoint_full.hrcb pin: the checkpoint
+// TestEnvelopesCarryEveryInstanceCheckpointField fills must encode to
+// testdata/instance_full.hrcf byte for byte, and that file must decode
+// back to it. A field inserted, reordered or re-typed in the envelope
+// changes the bytes even where the round trip still closes. -update
+// rewrites the file; that belongs only beside a
+// BinaryCheckpointFileVersion bump.
+func TestEnvelopeMatchesCommittedBytes(t *testing.T) {
+	var cp InstanceCheckpoint
+	var n int64
+	fillDistinct(t, reflect.ValueOf(&cp).Elem(), "InstanceCheckpoint", &n, map[reflect.Type]int{})
+	got, err := EncodeCheckpointFileBinary(&cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const golden = "testdata/instance_full.hrcf"
+	if *updateGolden {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		i := 0
+		for i < len(got) && i < len(want) && got[i] == want[i] {
+			i++
+		}
+		t.Fatalf("the envelope wrote %d bytes, %s holds %d; first difference at offset %d", len(got), golden, len(want), i)
+	}
+	fromFile, err := DecodeCheckpointFile(want)
+	if err != nil {
+		t.Fatalf("decode %s: %v", golden, err)
+	}
+	if d := firstDiff(reflect.ValueOf(&cp), reflect.ValueOf(fromFile), "InstanceCheckpoint"); d != "" {
+		t.Errorf("%s decodes to a different checkpoint: %s", golden, d)
 	}
 }
