@@ -28,12 +28,20 @@ docs-check:
 	$(GO) run ./cmd/docscheck
 
 # Size ledger: non-test and test Go lines per package (wc -l, comments
-# and blanks included). A PR that claims a deletion quotes it.
+# and blanks included). A PR that claims a deletion quotes it. With
+# REV=<rev> (any git revision), two more columns give each package's
+# non-test and test line deltas against that revision.
+# bench-pair's REV default (HEAD) is not a loc request: only a REV given
+# on the command line or in the environment is.
+locrev = $(if $(filter file,$(origin REV)),,$(REV))
 loc:
-	@git ls-files '*.go' | xargs wc -l | awk '$$2 != "total" { d = $$2; if (!sub("/[^/]*$$", "", d)) d = "."; \
-		if ($$2 ~ /_test\.go$$/) t[d] += $$1; else n[d] += $$1; seen[d] = 1 } \
-		END { for (d in seen) { printf "%-28s %8d %8d\n", d, n[d], t[d]; N += n[d]; T += t[d] } \
-		printf "%-28s %8d %8d\n", "total", N, T }' | sort | (printf '%-28s %8s %8s\n' package non-test test; cat)
+	@{ git ls-files '*.go' | xargs wc -l | awk '$$2 != "total" { print "now", $$1, $$2 }'; \
+		[ -z '$(locrev)' ] || git grep -c '' '$(locrev)' -- '*.go' | awk -F: '{ print "rev", $$NF, $$(NF-1) }'; } | \
+		awk -v rev='$(locrev)' '{ d = $$3; if (!sub("/[^/]*$$", "", d)) d = "."; k = $$3 ~ /_test\.go$$/ ? "t" : "n"; \
+			c[$$1 k, d] += $$2; c[$$1 k, "total"] += $$2; seen[d] = 1 } \
+		END { seen["total"] = 1; for (d in seen) { printf "%-28s %8d %8d", d, c["nown", d], c["nowt", d]; \
+			if (rev != "") printf " %+9d %+9d", c["nown", d] - c["revn", d], c["nowt", d] - c["revt", d]; printf "\n" } }' | \
+		sort | (printf '%-28s %8s %8s' package non-test test; [ -z '$(locrev)' ] || printf ' %9s %9s' delta-nt delta-t; printf '\n'; cat)
 
 # Race-detector pass over the short suite: the parallel sweeps, the
 # cluster/fleet fan-outs and the worker pools all run under -race.

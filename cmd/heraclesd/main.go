@@ -38,8 +38,9 @@
 // fails its checksum (crash mid-write, disk corruption) is refused and
 // the rotated previous generation restores instead; an unusable file,
 // such as the <id>.json an old daemon wrote, is kept as <file>.failed.
-// Restored instances get fresh ids; the superseded files are removed
-// once their replacements are written.
+// Each restored instance keeps its id, the file's stem, so the file it
+// came from is the one the checkpointer rewrites; a stem that is not an
+// instance id is set aside as <file>.failed.
 //
 // Usage:
 //
@@ -61,6 +62,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -329,9 +331,10 @@ func bootHook(fs *actuate.FSActuator, cfg hw.Config, summary io.Writer) func(*ma
 
 // restoreCheckpoints resumes every instance checkpointed under dir. Each
 // restored instance continues bit-identically from its snapshot epoch
-// under a fresh id. Restored files stay in place until the checkpointer
-// has written their replacements — deleting them here would open a
-// data-loss window in which a second crash finds an empty directory.
+// under the id it was stored as (<id>.ckpt): a federated instance stays
+// where the router placed it, and a minted i<n> moves the daemon's mint
+// counter past n. Restored files stay in place, and the checkpointer
+// rotates them to <id>.ckpt.1 as it writes their replacements.
 // Unreadable or unrestorable files are set aside as *.failed (preserved
 // for inspection, out of the restore scan) with a log line — recovery
 // should salvage what it can, not refuse to start. The JSON-enveloped
@@ -366,18 +369,12 @@ func restoreCheckpoints(srv *serve.Server, dir string, speed float64, maxEpochs 
 		if src != path {
 			log.Printf("heraclesd: %s failed verification, falling back to previous generation %s", path, src)
 		}
-		if speed < 0 {
-			// Fast-forwarding a paced daemon's snapshot: the free-running
-			// override means no tick schedule, which create would refuse
-			// beside one.
-			cp.NextDueUnixNano, cp.Batch, cp.Stretch = 0, 0, 0
-		}
 		spec := serve.InstanceSpec{Restore: cp, Speed: speed, MaxEpochs: maxEpochs}
 		isBoot := boot != nil && cp.Name == boot.Name
 		if isBoot {
 			spec.EpochHook, spec.Trace = boot.EpochHook, boot.Trace
 		}
-		inst, err := srv.CreateInstance(spec)
+		inst, err := srv.ResumeInstance(strings.TrimSuffix(e.Name(), filepath.Ext(e.Name())), spec)
 		if err != nil {
 			fail(err)
 			continue

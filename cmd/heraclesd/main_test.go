@@ -80,16 +80,75 @@ func TestRestoreCheckpointsDirectory(t *testing.T) {
 		t.Errorf("%s still in the restore scan: %v", old, err)
 	}
 
-	// The first checkpointer pass writes the restored instances' files and
-	// sweeps the superseded ones; the set-aside file is not among them.
+	// The restored instances keep the files' ids, so the first
+	// checkpointer pass writes their files over the ones they came from,
+	// rotating those to .1; the set-aside file is not among them.
 	startCheckpointer(fresh, dir, time.Hour)()
-	for path, want := range map[string]bool{good: false, rotated: false, rotated + ".1": false, old + ".failed": true} {
+	for path, want := range map[string]bool{good: true, good + ".1": true, rotated: true, rotated + ".1": true, old + ".failed": true} {
 		if _, err := os.Stat(path); (err == nil) != want {
 			t.Errorf("after the sweep, %s exists = %t, want %t", path, err == nil, want)
 		}
 	}
 	if ckpts, _ := filepath.Glob(filepath.Join(dir, "*.ckpt")); len(ckpts) != 2 {
 		t.Errorf("after the sweep the directory holds %v, want the two restored instances' files", ckpts)
+	}
+}
+
+// TestRestoreKeepsCheckpointIDs: a checkpoint directory resumes each
+// instance under its file's stem — a federated f7 stays f7, where the
+// router looks for it, and a minted i2 stays i2 — and the next minted id
+// is past every restored one. A stem that is no instance id is set aside.
+// The directory is resumed free-running, so f7, checkpointed while paced,
+// resumes with its tick schedule dropped.
+func TestRestoreKeepsCheckpointIDs(t *testing.T) {
+	srv := serve.New(serve.Config{Lab: experiment.DefaultLab()})
+	defer srv.Close()
+	dir := t.TempDir()
+	for _, f := range []struct {
+		stem  string
+		speed float64
+	}{{"f7", 1}, {"i2", serve.SpeedMax}, {"-x", serve.SpeedMax}} {
+		inst, err := srv.CreateInstance(serve.InstanceSpec{Speed: f.speed, MaxEpochs: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cp, err := inst.Checkpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		file, err := serve.EncodeCheckpointFileBinary(cp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := engine.WriteFile(filepath.Join(dir, f.stem+".ckpt"), file); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var logs bytes.Buffer
+	log.SetOutput(&logs)
+	defer log.SetOutput(os.Stderr)
+	fresh := serve.New(serve.Config{Lab: experiment.DefaultLab()})
+	defer fresh.Close()
+	if n := restoreCheckpoints(fresh, dir, serve.SpeedMax, 5, nil); n != 2 {
+		t.Fatalf("restored %d instances, want 2; log:\n%s", n, &logs)
+	}
+	for _, id := range []string{"f7", "i2"} {
+		inst, ok := fresh.Registry().Get(id)
+		if !ok {
+			t.Fatalf("no instance %s after the restore; log:\n%s", id, &logs)
+		}
+		awaitDone(t, inst)
+	}
+	next, err := fresh.CreateInstance(serve.InstanceSpec{Speed: serve.SpeedMax, MaxEpochs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next.ID() != "i3" {
+		t.Errorf("the first create after restoring i2 minted %s, want i3", next.ID())
+	}
+	if _, err := os.Stat(filepath.Join(dir, "-x.ckpt.failed")); err != nil {
+		t.Errorf("the file whose stem is no instance id was not set aside: %v; log:\n%s", err, &logs)
 	}
 }
 

@@ -383,6 +383,21 @@ func (c *Coder) Bytes(v *[]byte) {
 	}
 }
 
+// Nest carries a uint32-prefixed nested encoding: encoding writes *v, or
+// when fn is non-nil what fn appends (Writer.Nest, no intermediate
+// buffer); decoding sets *v to a view into the input (no copy; nil when
+// the read fails) for the caller to parse, and never calls fn.
+func (c *Coder) Nest(v *[]byte, fn func([]byte) []byte) {
+	switch {
+	case c.r != nil:
+		*v = c.r.Bytes32()
+	case fn != nil:
+		c.w.Nest(fn)
+	default:
+		c.w.Bytes32(*v)
+	}
+}
+
 // Floats carries a uint32-prefixed float64 slice, nil when empty.
 func (c *Coder) Floats(v *[]float64) {
 	if c.r != nil {

@@ -8,15 +8,15 @@ package debughttp
 
 import (
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
 	"runtime"
 	rtmetrics "runtime/metrics"
-	"sort"
 	"strings"
 	"time"
+
+	"heracles/internal/expo"
 )
 
 // Handler serves the debug surface: the standard pprof index and
@@ -30,43 +30,43 @@ func Handler() http.Handler {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		WriteRuntimeMetrics(w)
+		runtimeFamilies().Respond(w)
 	})
 	return mux
 }
 
-// WriteRuntimeMetrics renders the Go runtime's scalar metrics as
-// Prometheus gauges: every runtime/metrics counter and gauge (histogram
-// kinds are skipped — the sampled profiles under /debug/pprof/ cover
-// those distributions), plus the live goroutine count.
-func WriteRuntimeMetrics(w io.Writer) {
-	descs := rtmetrics.All()
-	samples := make([]rtmetrics.Sample, 0, len(descs))
-	for _, d := range descs {
+// runtimeFamilies renders the Go runtime's scalar metrics as Prometheus
+// families: every runtime/metrics counter and gauge, its description as
+// HELP, TYPE counter for a cumulative one (histogram kinds are skipped —
+// the sampled profiles under /debug/pprof/ cover those distributions),
+// plus the live goroutine count.
+func runtimeFamilies() *expo.Writer {
+	var descs []rtmetrics.Description
+	for _, d := range rtmetrics.All() {
 		if d.Kind == rtmetrics.KindUint64 || d.Kind == rtmetrics.KindFloat64 {
-			samples = append(samples, rtmetrics.Sample{Name: d.Name})
+			descs = append(descs, d)
 		}
+	}
+	samples := make([]rtmetrics.Sample, len(descs))
+	for i, d := range descs {
+		samples[i].Name = d.Name
 	}
 	rtmetrics.Read(samples)
-	lines := make([]string, 0, len(samples)+1)
-	for _, s := range samples {
-		var v string
-		switch s.Value.Kind() {
-		case rtmetrics.KindUint64:
-			v = fmt.Sprintf("%d", s.Value.Uint64())
-		case rtmetrics.KindFloat64:
-			v = fmt.Sprintf("%g", s.Value.Float64())
-		default:
-			continue
+	w := expo.NewWriter(32 << 10)
+	for i, s := range samples {
+		typ, name := "gauge", promName(s.Name)
+		if descs[i].Cumulative {
+			typ = "counter"
 		}
-		lines = append(lines, fmt.Sprintf("%s %s\n", promName(s.Name), v))
+		w.Family(name, typ, descs[i].Description)
+		if s.Value.Kind() == rtmetrics.KindUint64 {
+			w.Int(name, int64(s.Value.Uint64()))
+		} else {
+			w.Float(name, s.Value.Float64())
+		}
 	}
-	lines = append(lines, fmt.Sprintf("go_goroutines %d\n", runtime.NumGoroutine()))
-	sort.Strings(lines)
-	for _, l := range lines {
-		io.WriteString(w, l)
-	}
+	w.ScalarInt("go_goroutines", "gauge", "Number of goroutines that currently exist.", int64(runtime.NumGoroutine()))
+	return w
 }
 
 // promName flattens a runtime/metrics name ("/gc/heap/allocs:bytes")

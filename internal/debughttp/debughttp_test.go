@@ -32,19 +32,34 @@ func TestStartServesPprofAndRuntimeMetrics(t *testing.T) {
 		t.Errorf("pprof index missing profile list:\n%.300s", body)
 	}
 	body := get("/metrics")
-	for _, want := range []string{"go_goroutines ", "go_gc_heap_allocs_bytes "} {
+	for _, want := range []string{
+		"\ngo_goroutines ", "\ngo_gc_heap_allocs_bytes ",
+		"\n# TYPE go_goroutines gauge\n", "\n# TYPE go_gc_heap_allocs_bytes counter\n",
+		"\n# HELP go_gc_heap_allocs_bytes Cumulative sum of memory allocated to the heap",
+	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("runtime metrics missing %q", want)
 		}
 	}
-	// Sorted, Prometheus-legal names only.
-	var prev string
+	// Families in name order, each a HELP and a TYPE line and then series
+	// of its own Prometheus-legal name only.
+	var prev, family string
 	for _, line := range strings.Split(strings.TrimSpace(body), "\n") {
-		if line < prev {
-			t.Fatalf("metrics out of order: %q after %q", line, prev)
+		if help, ok := strings.CutPrefix(line, "# HELP "); ok {
+			family = strings.Fields(help)[0]
+			if family < prev {
+				t.Fatalf("metrics out of order: %q after %q", family, prev)
+			}
+			prev = family
+			continue
 		}
-		prev = line
+		if strings.HasPrefix(line, "# TYPE "+family+" ") {
+			continue
+		}
 		name := strings.Fields(line)[0]
+		if name != family {
+			t.Fatalf("series %q outside its family (in %q)", line, family)
+		}
 		for _, r := range name {
 			if !(r >= 'a' && r <= 'z' || r >= '0' && r <= '9' || r == '_') {
 				t.Fatalf("illegal metric name %q", name)

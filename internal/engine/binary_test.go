@@ -205,3 +205,45 @@ func FuzzDecodeCheckpointBinary(f *testing.F) {
 		}
 	})
 }
+
+// TestReadFileFallsBackToPreviousGeneration: a stored engine checkpoint
+// whose primary generation does not decode resumes from the generation
+// WriteFile rotated to "<path>.1", as heraclesd's envelopes do; with both
+// generations unusable the error names both, and with neither present it
+// is the primary's not-exist error.
+func TestReadFileFallsBackToPreviousGeneration(t *testing.T) {
+	good, err := os.ReadFile("testdata/checkpoint_full.hrcb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := engine.DecodeCheckpointBinary(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := t.TempDir() + "/cluster.ckpt"
+	for _, gen := range [][]byte{good, good[:len(good)-1]} {
+		if err := engine.WriteFile(path, gen); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cp, err := engine.ReadFile(path)
+	if err != nil {
+		t.Fatalf("corrupt primary with a good previous generation: %v", err)
+	}
+	if !bytes.Equal(cp.EncodeBinary(), want.EncodeBinary()) {
+		t.Fatal("the fallback decoded a different checkpoint than the previous generation holds")
+	}
+	if _, used, _ := engine.ReadFallback(path, engine.DecodeCheckpointBinary); used != path+".1" {
+		t.Fatalf("read %q, want the previous generation %q", used, path+".1")
+	}
+
+	if err := engine.WriteFile(path, good[:len(good)-2]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := engine.ReadFile(path); err == nil || !strings.Contains(err.Error(), "fallback") {
+		t.Fatalf("both generations corrupt: err %v, want one naming the fallback", err)
+	}
+	if _, err := engine.ReadFile(path + ".missing"); !os.IsNotExist(err) {
+		t.Fatalf("no generation at all: err %v, want not-exist", err)
+	}
+}

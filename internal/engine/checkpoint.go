@@ -2,6 +2,7 @@ package engine
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -372,13 +373,19 @@ func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 }
 
 // WriteFile atomically replaces path with data, the one way every stored
-// checkpoint reaches the disk: data goes to a temp file first and is
-// renamed into place, so a crash mid-write never clobbers the live file,
-// and the previous generation is rotated to "<path>.1" so one bad write
-// still leaves a checkpoint to fall back to.
+// checkpoint reaches the disk: data goes to a temp file first, synced to
+// stable storage before it is renamed into place, so a crash mid-write
+// never clobbers the live file, and the previous generation is rotated
+// to "<path>.1" so one bad write still leaves a checkpoint to fall back
+// to (ReadFallback).
 func WriteFile(path string, data []byte) error {
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err == nil {
+		_, err = f.Write(data)
+		err = errors.Join(err, f.Sync(), f.Close())
+	}
+	if err != nil {
 		os.Remove(tmp)
 		return err
 	}
@@ -388,11 +395,35 @@ func WriteFile(path string, data []byte) error {
 	return os.Rename(tmp, path)
 }
 
-// ReadFile loads a checkpoint stored as WriteFile(path, cp.EncodeBinary()).
-func ReadFile(path string) (*Checkpoint, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
+// ReadFallback decodes the file WriteFile stored at path or, when it is
+// missing or does not decode, the previous generation "<path>.1", and
+// returns the path it decoded. When neither is usable the error is the
+// primary's, with the fallback's folded in unless it is simply missing.
+// Both stored formats are read through it: ReadFile's bare HRCB and
+// internal/serve's HRCF envelope.
+func ReadFallback[T any](path string, decode func([]byte) (T, error)) (T, string, error) {
+	var err error
+	for _, p := range []string{path, path + ".1"} {
+		data, rerr := os.ReadFile(p)
+		if rerr == nil {
+			var v T
+			if v, rerr = decode(data); rerr == nil {
+				return v, p, nil
+			}
+		}
+		if err == nil {
+			err = rerr
+		} else if !os.IsNotExist(rerr) {
+			err = fmt.Errorf("%v (fallback %s: %v)", err, p, rerr)
+		}
 	}
-	return DecodeCheckpointBinary(data)
+	var zero T
+	return zero, "", err
+}
+
+// ReadFile loads a checkpoint stored as WriteFile(path, cp.EncodeBinary()),
+// from the previous generation when the primary is missing or corrupt.
+func ReadFile(path string) (*Checkpoint, error) {
+	cp, _, err := ReadFallback(path, DecodeCheckpointBinary)
+	return cp, err
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
-	"os"
 
 	"heracles/internal/codec"
 	"heracles/internal/engine"
@@ -22,14 +21,8 @@ import (
 // read: a file without the magic, any JSON included, is refused by name.
 //
 // Layout: 4-byte magic "HRCF", uint16 envelope version, uint32 CRC32-C
-// over everything after the header, then the payload:
-//
-//	i64 checkpoint version, string name, string lc, bool compact,
-//	f64 speed, i64 max epochs,
-//	i64 next due (unix ns), i64 batch, i64 stretch   (envelope version 2 on),
-//	presence byte + uint32-prefixed ScenarioSpec JSON,
-//	uint32-prefixed fleet task indexes,
-//	presence byte + uint32-prefixed engine binary checkpoint (HRCB).
+// over everything after the header, then what walkEnvelope visits, in
+// the order it visits it.
 //
 // The scenario spec stays JSON inside the binary envelope deliberately:
 // it is a small, schema-bearing operator artifact (the same bytes the
@@ -60,10 +53,12 @@ func EncodeCheckpointFileBinary(cp *InstanceCheckpoint) ([]byte, error) {
 // enveloped file form, appending to buf (pass scratch from a previous
 // encode to amortise allocation).
 func AppendCheckpointFileBinary(buf []byte, cp *InstanceCheckpoint) ([]byte, error) {
-	var scJSON []byte
+	// Marshalled before anything is appended: a failure leaves buf as it
+	// was, which the restart checkpoint's in-place refresh relies on.
+	var spec []byte
 	if cp.Scenario != nil {
 		var err error
-		if scJSON, err = json.Marshal(cp.Scenario); err != nil {
+		if spec, err = json.Marshal(cp.Scenario); err != nil {
 			return nil, fmt.Errorf("encode checkpoint scenario spec: %w", err)
 		}
 	}
@@ -72,25 +67,8 @@ func AppendCheckpointFileBinary(buf []byte, cp *InstanceCheckpoint) ([]byte, err
 	w := codec.NewWriter(append(buf, binaryFileMagic[:]...))
 	w.U16(BinaryCheckpointFileVersion)
 	crcOff := w.Reserve32()
-
-	w.Int(cp.Version)
-	w.String(cp.Name)
-	w.String(cp.LC)
-	w.Bool(cp.Compact)
-	w.F64(cp.Speed)
-	w.Int(cp.MaxEpochs)
-	w.I64(cp.NextDueUnixNano)
-	w.Int(cp.Batch)
-	w.Int(cp.Stretch)
-	w.Bool(cp.Scenario != nil)
-	if cp.Scenario != nil {
-		w.Bytes32(scJSON)
-	}
-	w.Ints(cp.FleetTasks)
-	w.Bool(cp.Engine != nil)
-	if cp.Engine != nil {
-		w.Nest(cp.Engine.AppendBinary)
-	}
+	c := codec.Encoder(w)
+	walkEnvelope(&c, cp, BinaryCheckpointFileVersion, &spec)
 
 	out := w.Bytes()
 	w.Patch32(crcOff, crc32.Checksum(out[start+binaryFileHeaderLen:], crcTable))
@@ -117,37 +95,24 @@ func DecodeCheckpointFile(data []byte) (*InstanceCheckpoint, error) {
 		return nil, fmt.Errorf("checkpoint file checksum mismatch: header crc32c:%08x, payload crc32c:%08x — file is corrupt", sum, got)
 	}
 
-	cp := &InstanceCheckpoint{
-		Version:   r.Int(),
-		Name:      r.String(),
-		LC:        r.String(),
-		Compact:   r.Bool(),
-		Speed:     r.F64(),
-		MaxEpochs: r.Int(),
-	}
-	if version >= 2 {
-		cp.NextDueUnixNano, cp.Batch, cp.Stretch = r.I64(), r.Int(), r.Int()
-	}
-	if r.Bool() {
-		spec := &ScenarioSpec{}
-		if raw := r.Bytes32(); r.Err() == nil {
-			if err := json.Unmarshal(raw, spec); err != nil {
-				return nil, fmt.Errorf("checkpoint scenario spec corrupt: %v", err)
-			}
+	cp := &InstanceCheckpoint{}
+	var spec []byte
+	c := codec.Decoder(r)
+	eng := walkEnvelope(&c, cp, version, &spec)
+	if spec != nil {
+		cp.Scenario = &ScenarioSpec{}
+		if err := json.Unmarshal(spec, cp.Scenario); err != nil {
+			return nil, fmt.Errorf("checkpoint scenario spec corrupt: %v", err)
 		}
-		cp.Scenario = spec
 	}
-	cp.FleetTasks = r.Ints()
-	if r.Bool() {
-		raw := r.Bytes32()
-		if r.Err() != nil {
-			return nil, fmt.Errorf("checkpoint payload corrupt: %v", r.Err())
-		}
-		eng, err := engine.DecodeCheckpointBinary(raw)
-		if err != nil {
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("checkpoint payload corrupt: %v", err)
+	}
+	if eng != nil {
+		var err error
+		if cp.Engine, err = engine.DecodeCheckpointBinary(eng); err != nil {
 			return nil, fmt.Errorf("checkpoint engine state corrupt: %v", err)
 		}
-		cp.Engine = eng
 	}
 	if err := r.Expect(); err != nil {
 		return nil, fmt.Errorf("checkpoint payload corrupt: %v", err)
@@ -155,32 +120,44 @@ func DecodeCheckpointFile(data []byte) (*InstanceCheckpoint, error) {
 	return cp, nil
 }
 
-// ReadCheckpointFallback reads path, and when it is missing or fails
-// verification falls back to the rotated previous generation
-// "<path>.1". It returns the path actually restored; when both
-// generations are unusable the primary's error is returned (the
-// fallback's is folded into it).
+// walkEnvelope is the envelope payload of version v, listed once:
+// AppendCheckpointFileBinary runs it over a Writer at
+// BinaryCheckpointFileVersion, DecodeCheckpointFile over a Reader at the
+// version the file names. It only frames the two nested encodings, each
+// behind a presence byte and a uint32 length: spec is the scenario
+// spec's JSON (marshalled before an encode, a view into the input after
+// a decode, nil when there is none), and the engine's HRCB bytes are
+// appended by engine.Checkpoint.AppendBinary on encode and returned as a
+// view on decode, for the caller to parse.
+func walkEnvelope(c *codec.Coder, cp *InstanceCheckpoint, v uint16, spec *[]byte) (eng []byte) {
+	c.Int(&cp.Version)
+	c.String(&cp.Name)
+	c.String(&cp.LC)
+	c.Bool(&cp.Compact)
+	c.F64(&cp.Speed)
+	c.Int(&cp.MaxEpochs)
+	if v >= 2 {
+		c.I64(&cp.NextDueUnixNano)
+		c.Int(&cp.Batch)
+		c.Int(&cp.Stretch)
+	}
+	has := *spec != nil
+	if c.Bool(&has); has {
+		c.Nest(spec, nil)
+	}
+	c.Ints(&cp.FleetTasks)
+	has = cp.Engine != nil
+	if c.Bool(&has); has {
+		c.Nest(&eng, cp.Engine.AppendBinary)
+	}
+	return eng
+}
+
+// ReadCheckpointFallback reads the checkpoint file at path, or the
+// previous generation when it is missing or corrupt (engine.ReadFallback),
+// and returns the path it restored.
 func ReadCheckpointFallback(path string) (*InstanceCheckpoint, string, error) {
-	read := func(p string) (*InstanceCheckpoint, error) {
-		data, err := os.ReadFile(p)
-		if err != nil {
-			return nil, err
-		}
-		return DecodeCheckpointFile(data)
-	}
-	cp, err := read(path)
-	if err == nil {
-		return cp, path, nil
-	}
-	prev := path + ".1"
-	cp2, err2 := read(prev)
-	if err2 == nil {
-		return cp2, prev, nil
-	}
-	if os.IsNotExist(err2) {
-		return nil, "", err
-	}
-	return nil, "", fmt.Errorf("%v (fallback %s: %v)", err, prev, err2)
+	return engine.ReadFallback(path, DecodeCheckpointFile)
 }
 
 // EncodeCheckpointFile serialises a checkpoint into the indented JSON

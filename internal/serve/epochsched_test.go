@@ -163,7 +163,7 @@ func TestCadenceStretchAndTighten(t *testing.T) {
 	}
 	stretchOf := func() int {
 		var st int
-		if err := inst.Do(func() error { st = inst.stretch; return nil }); err != nil {
+		if err := inst.Do(func() error { st = inst.cad.stretch; return nil }); err != nil {
 			t.Fatalf("Do: %v", err)
 		}
 		return st

@@ -9,39 +9,6 @@ import (
 	"time"
 )
 
-// TestResumeAtClamp is the hand-over's one piece of arithmetic, against a
-// clock that does not move: the origin's due instant, held inside
-// [now, now + batch×interval].
-func TestResumeAtClamp(t *testing.T) {
-	now := time.Now()
-	const tick = 50 * time.Millisecond
-	for _, tc := range []struct {
-		name     string
-		due      time.Duration // origin's due instant, relative to now
-		batch    int
-		interval time.Duration
-		want     time.Duration
-	}{
-		{"held for an hour", -time.Hour, 1, tick, 0},
-		{"due right now", 0, 1, tick, 0},
-		{"inside the slice", 30 * time.Millisecond, 1, tick, 30 * time.Millisecond},
-		{"exactly batch×interval out", 4 * tick, 4, tick, 4 * tick},
-		{"a nanosecond beyond", 4*tick + 1, 4, tick, 4 * tick},
-		{"peer clock an hour ahead", time.Hour, 8, tick, 8 * tick},
-		// A batch of 4 taken at speed 1 and restored at speed 50: the slice
-		// spans 80 ms on the new clock however far out the origin had it.
-		{"speed override shortens the interval", 3 * time.Second, 4, 20 * time.Millisecond, 80 * time.Millisecond},
-	} {
-		got := resumeAt(now, now.Add(tc.due).UnixNano(), tc.batch, tc.interval)
-		if d := got.Sub(now); d != tc.want {
-			t.Errorf("%s: first slice %v after now, want %v", tc.name, d, tc.want)
-		}
-		if got == got.Round(0) {
-			t.Errorf("%s: %v has no monotonic reading", tc.name, got)
-		}
-	}
-}
-
 // keepsPace moves a 20-epochs-per-second instance four times per tick
 // interval for twenty intervals — move returns the copy that now holds the
 // state — and wants the state to have kept ticking throughout. A restore

@@ -42,23 +42,6 @@ const (
 // pacing.
 const SpeedMax = -1
 
-// Cadence policy of the epoch scheduler (DESIGN.md §13).
-const (
-	// stretchMax caps how far a healthy, unobserved instance stretches
-	// its wakeup: up to stretchMax epochs run in one catch-up batch per
-	// slice, so the epoch rate — and therefore telemetry — is unchanged
-	// while wakeups get 8x cheaper.
-	stretchMax = 8
-	// freeRunBatch is how many epochs a free-running (SpeedMax) instance
-	// steps per slice before requeueing, so free-runners round-robin the
-	// worker pool instead of monopolising one driver.
-	freeRunBatch = 64
-	// cadenceSlackFloor: an instance whose SLO slack drops below this
-	// snaps back to every-epoch ticks — a controller close to violating
-	// must not be watched lazily.
-	cadenceSlackFloor = 0.1
-)
-
 // BEAttachment names one best-effort task to run on an instance.
 type BEAttachment struct {
 	Workload string `json:"workload"`
@@ -160,8 +143,8 @@ type ControllerUpdate struct {
 }
 
 // LifecycleUpdate marks an instance state transition on the event stream:
-// "scenario" (installed), "scenario-done", "restored" (created from a
-// checkpoint, or restarted from one after a crash), "done" (MaxEpochs
+// "scenario" (installed), "scenario-done", "restored" (restarted from
+// a checkpoint after a crash), "done" (MaxEpochs
 // reached), "crashed" (driver panic), "quarantined" (circuit breaker
 // opened) or "deleted".
 type LifecycleUpdate struct {
@@ -277,7 +260,6 @@ type Instance struct {
 	hub *Hub
 
 	speed     float64
-	interval  time.Duration // wall time per epoch; 0 = free-run
 	maxEpochs uint64
 	epochHook func(*machine.Machine, machine.Telemetry)
 
@@ -310,10 +292,8 @@ type Instance struct {
 	// reused across refreshes.
 	lastCP             []byte
 	epochsSinceRestart int
-	stretch            int       // current cadence stretch factor (1..stretchMax)
-	batch              int       // epochs the next slice will step
-	nextAt             time.Time // the due time the next slice was scheduled for
-	recentFault        bool      // a fault applied in the last slice tightens cadence
+	cad                cadence // the tick schedule
+	recentFault        bool    // a fault applied in the last slice tightens cadence
 
 	// status is the mu-guarded snapshot; the supervisor keeps its health
 	// counters in it, the controller its action counts (sorted).
@@ -372,7 +352,6 @@ func newInstance(id string, shard int, spec InstanceSpec, lab *experiment.Lab, s
 	maxEpochs := spec.MaxEpochs
 	name := spec.Name
 	compact := spec.Compact
-	var restoredFrom string
 	if cp := spec.Restore; cp != nil {
 		lcName = cp.LC
 		compact = cp.Compact
@@ -382,7 +361,6 @@ func newInstance(id string, shard int, spec InstanceSpec, lab *experiment.Lab, s
 		if maxEpochs == 0 {
 			maxEpochs = cp.MaxEpochs
 		}
-		restoredFrom = fmt.Sprintf("epoch %d", cp.Engine.Epoch)
 	}
 	i := &Instance{
 		id:        id,
@@ -402,8 +380,6 @@ func newInstance(id string, shard int, spec InstanceSpec, lab *experiment.Lab, s
 		sup:     sup.withDefaults(),
 		supSeed: fnvHash(id),
 		trace:   spec.Trace,
-		stretch: 1,
-		batch:   1,
 	}
 	i.entry = pool.newEntry(i)
 
@@ -429,12 +405,7 @@ func newInstance(id string, shard int, spec InstanceSpec, lab *experiment.Lab, s
 		i.bind(engine.New(cfg))
 	}
 
-	if speed > 0 {
-		i.interval = time.Duration(float64(i.m.Epoch()) / speed)
-		if i.interval < 100*time.Microsecond {
-			i.interval = 100 * time.Microsecond
-		}
-	}
+	i.cad = newCadence(speed, i.m.Epoch())
 
 	i.status = Status{
 		ID:        id,
@@ -464,27 +435,12 @@ func newInstance(id string, shard int, spec InstanceSpec, lab *experiment.Lab, s
 	// even a crash on the very first epoch has a state to restart from.
 	i.refreshRestartCheckpoint()
 
-	if restoredFrom != "" {
-		i.publishLifecycle("restored", restoredFrom)
-	}
-	// Schedule the first slice. A paced instance restored from a checkpoint
-	// that carries a tick schedule — shard migration, REST restore, peer
-	// migration and fed rebalance all arrive here — continues it: the
-	// origin's batch and stretch, due when the origin's slice was (resumeAt
-	// clamps a stale or skewed instant). Any other paced instance ticks
-	// after one interval (the old per-goroutine ticker's first-fire
-	// semantics); free-runners are due immediately. A restored-as-done
-	// instance parks without ever entering the heap.
+	// Schedule the first slice. Shard migration, REST restore, peer
+	// migration and fed rebalance all arrive here, and a paced instance
+	// continues the tick schedule its checkpoint carries (cadence.start).
+	// A restored-as-done instance parks without ever entering the heap.
 	if !i.doneRunning {
-		i.nextAt = time.Now()
-		switch cp := spec.Restore; {
-		case i.interval > 0 && cp != nil && cp.paced():
-			i.batch, i.stretch = cp.Batch, cp.Stretch
-			i.nextAt = resumeAt(i.nextAt, cp.NextDueUnixNano, cp.Batch, i.interval)
-		case i.interval > 0:
-			i.nextAt = i.nextAt.Add(i.interval)
-		}
-		pool.schedule(i.entry, i.nextAt)
+		pool.schedule(i.entry, i.cad.start(time.Now(), spec.Restore))
 	}
 	return i, nil
 }
@@ -498,10 +454,7 @@ func newInstance(id string, shard int, spec InstanceSpec, lab *experiment.Lab, s
 // construction or in the restart slice under stepMu; the caller follows
 // with mirrorEngineLocked.
 func (i *Instance) adopt(cp *InstanceCheckpoint) error {
-	var (
-		sc   *scenario.Scenario
-		spec *ScenarioSpec
-	)
+	var sc *scenario.Scenario
 	if cp.Scenario != nil {
 		built, err := cp.Scenario.Build()
 		if err != nil {
@@ -509,8 +462,6 @@ func (i *Instance) adopt(cp *InstanceCheckpoint) error {
 		}
 		i.warmScenarioWorkloads(built)
 		sc = &built
-		own := *cp.Scenario
-		spec = &own
 	}
 	rs := time.Now()
 	eng, err := engine.Restore(engineConfig(i.lab, i.lcName), cp.Engine, sc)
@@ -519,7 +470,7 @@ func (i *Instance) adopt(cp *InstanceCheckpoint) error {
 	}
 	restoreHist.Observe(time.Since(rs))
 	pruneFleetTasks(eng, cp)
-	i.scenarioSpec = spec
+	i.scenarioSpec = cp.Scenario.clone()
 	i.bind(eng)
 	return nil
 }
@@ -755,12 +706,7 @@ func (i *Instance) warmScenarioWorkloads(sc scenario.Scenario) {
 // instance is scheduled).
 func (i *Instance) installScenario(sc scenario.Scenario, spec *ScenarioSpec) {
 	i.eng.InstallScenario(sc)
-	if spec != nil {
-		spec2 := *spec
-		i.scenarioSpec = &spec2
-	} else {
-		i.scenarioSpec = nil
-	}
+	i.scenarioSpec = spec.clone()
 	i.mu.Lock()
 	i.status.Scenario = sc.Name
 	i.notifyLocked()
@@ -835,11 +781,21 @@ func publishEvent[T any](i *Instance, event string, ep uint64, v T) {
 // pending crash restart — under the mailbox lock, then reports when the
 // next slice is due. Returning ok=false parks the instance (stopped,
 // done, crashed or quarantined): no heap entry, no timer, no goroutine.
+// A crash in the slice is finished after the lock is released.
 func (i *Instance) runSlice() (time.Time, bool) {
+	next, ok, crash := i.stepSlice()
+	if crash != nil {
+		i.finishCrash(crash)
+	}
+	return next, ok
+}
+
+// stepSlice is runSlice under stepMu.
+func (i *Instance) stepSlice() (next time.Time, ok bool, crash *crashInfo) {
 	i.stepMu.Lock()
+	defer i.stepMu.Unlock()
 	if i.stopped {
-		i.stepMu.Unlock()
-		return time.Time{}, false
+		return
 	}
 	i.mu.Lock()
 	restart := i.pendingRestart
@@ -850,43 +806,26 @@ func (i *Instance) runSlice() (time.Time, bool) {
 
 	switch {
 	case quarantined:
-		i.stepMu.Unlock()
-		return time.Time{}, false
+		return
 	case restart:
 		if err := i.rebuildFromCheckpoint(); err != nil {
 			i.quarantine(fmt.Sprintf("restart failed: %v", err))
-			i.stepMu.Unlock()
-			return time.Time{}, false
+			return
 		}
-		// Resume ticking from the restored epoch on a fresh cadence; the
-		// first post-restore epoch lands one interval out, exactly like a
-		// fresh instance's first tick.
-		i.stretch, i.batch = 1, 1
-		if i.doneRunning {
-			i.stepMu.Unlock()
-			return time.Time{}, false
-		}
-		next := time.Now()
-		if i.interval > 0 {
-			next = next.Add(i.interval)
-		}
-		i.nextAt = next
-		i.stepMu.Unlock()
-		return next, true
-	case crashed:
-		// A stale step slice racing its own crash booking: the restart
-		// slice owns the entry now.
-		i.stepMu.Unlock()
-		return time.Time{}, false
-	case i.doneRunning:
-		i.stepMu.Unlock()
-		return time.Time{}, false
+		// Resume ticking from the restored epoch on a fresh cadence, as a
+		// fresh instance does: the restart checkpoint's schedule went
+		// stale with the crash. A restored-as-done instance parks.
+		return i.cad.start(time.Now(), nil), !i.doneRunning, nil
+	case crashed, i.doneRunning:
+		// crashed: a stale step slice racing its own crash booking; the
+		// restart slice owns the entry now.
+		return
 	}
 
-	batch := i.batch
+	batch := i.cad.slice()
 	i.recentFault = false
 	stepped := 0
-	crash := i.guard(func() {
+	crash = i.guard(func() {
 		for k := 0; k < batch && !i.doneRunning; k++ {
 			i.step()
 			stepped++
@@ -895,71 +834,25 @@ func (i *Instance) runSlice() (time.Time, bool) {
 	if stepped > 0 {
 		i.pool.epochs.Add(int64(stepped))
 	}
-	if crash != nil {
-		i.stepMu.Unlock()
-		i.finishCrash(crash)
-		return time.Time{}, false
+	if crash != nil || i.doneRunning {
+		return time.Time{}, false, crash
 	}
-	if i.doneRunning {
-		i.stepMu.Unlock()
-		return time.Time{}, false
-	}
-	next := i.planNext()
-	i.stepMu.Unlock()
-	return next, true
+	return i.cad.next(time.Now(), i.tight()), true, nil
 }
 
-// planNext picks the next due time and batch size; stepMu is held.
-// Free-runners requeue immediately with a fixed batch so they
-// round-robin the pool. Paced instances stretch their wakeup when
-// healthy and unobserved: a stretched slice steps `stretch` epochs in
-// one catch-up batch, so the epoch rate stays exactly 1/interval and
-// telemetry is bit-identical to an every-epoch ticker — only the wakeup
-// frequency drops.
-func (i *Instance) planNext() time.Time {
-	if i.interval <= 0 {
-		i.batch = freeRunBatch
-		return time.Now()
+// tight reports whether anything wants the instance watched every epoch —
+// a subscriber on the stream, an epoch hook, a controller out of its
+// steady state, thin SLO slack, a recent fault or crash — so its cadence
+// does not stretch; stepMu is held.
+func (i *Instance) tight() bool {
+	if i.recentFault || i.epochHook != nil || i.hub.HasSubscribers() {
+		return true
 	}
-	st := i.nextStretch()
-	i.batch = st
-	next := i.nextAt.Add(time.Duration(st) * i.interval)
-	if now := time.Now(); next.Before(now) {
-		// Lagging (the pool is overloaded): drop the deficit rather than
-		// accumulate catch-up debt, like a stalled time.Ticker dropping
-		// ticks.
-		next = now
-	}
-	i.nextAt = next
-	return next
-}
-
-// nextStretch updates the staleness-weighted cadence; stepMu is held.
-// Anything that wants tight observation — a subscriber on the stream, an
-// epoch hook, a controller out of its steady state, thin SLO slack, a
-// recent fault or crash — snaps the stretch back to every-epoch ticks;
-// otherwise it doubles per clean slice up to stretchMax.
-func (i *Instance) nextStretch() int {
-	tight := i.recentFault || i.epochHook != nil || i.hub.HasSubscribers()
-	if !tight {
-		i.mu.Lock()
-		healthy := i.status.Health == HealthHealthy
-		slack := i.status.Last.Slack
-		i.mu.Unlock()
-		tight = !healthy || slack < cadenceSlackFloor
-	}
-	if !tight && i.ctl.TelemetryState() != core.StaleOK {
-		tight = true
-	}
-	if tight {
-		i.stretch = 1
-	} else if i.stretch < stretchMax {
-		i.stretch *= 2
-		if i.stretch > stretchMax {
-			i.stretch = stretchMax
-		}
-	}
-	return i.stretch
+	i.mu.Lock()
+	healthy := i.status.Health == HealthHealthy
+	slack := i.status.Last.Slack
+	i.mu.Unlock()
+	return !healthy || slack < cadenceSlackFloor || i.ctl.TelemetryState() != core.StaleOK
 }
 
 // epochUpdate renders one epoch's telemetry as the wire summary.
@@ -1013,10 +906,7 @@ func (i *Instance) step() {
 	if er.EventsApplied > 0 || er.FaultsApplied > 0 {
 		i.refreshBEs()
 	}
-
-	if er.FaultsApplied > 0 {
-		i.recentFault = true
-	}
+	i.recentFault = i.recentFault || er.FaultsApplied > 0
 
 	up := i.epochUpdate(tel, er.Epoch)
 	done := i.maxEpochs > 0 && er.Epoch >= i.maxEpochs

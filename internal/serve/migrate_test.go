@@ -236,16 +236,10 @@ func TestMigrateKeepsPacingClock(t *testing.T) {
 	}
 }
 
-// cadence is an instance's place in its tick schedule.
-type cadence struct {
-	nextAt         time.Time
-	batch, stretch int
-}
-
 func readCadence(in *Instance) cadence {
 	in.stepMu.Lock()
 	defer in.stepMu.Unlock()
-	return cadence{nextAt: in.nextAt, batch: in.batch, stretch: in.stretch}
+	return in.cad
 }
 
 // TestMigrateHandsOverCadence pins the hand-over itself, without a clock:
@@ -264,7 +258,7 @@ func TestMigrateHandsOverCadence(t *testing.T) {
 	// instant must survive to the nanosecond.
 	want := cadence{nextAt: time.Now().Add(3 * time.Second), batch: 4, stretch: 8}
 	inst.stepMu.Lock()
-	inst.nextAt, inst.batch, inst.stretch = want.nextAt, want.batch, want.stretch
+	inst.cad.nextAt, inst.cad.batch, inst.cad.stretch = want.nextAt, want.batch, want.stretch
 	inst.stepMu.Unlock()
 	continues := func(how string, in *Instance) {
 		t.Helper()

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -88,7 +89,8 @@ func (r *Registry) Migrations() int64 { return r.migrations.Load() }
 
 // Reserve claims an instance id against the pool cap (maxN <= 0 means
 // uncapped): name, or with name empty the next minted id ("i1", "i2",
-// ...). A name that is live or already reserved is errNameTaken.
+// ...). A name that is live or already reserved is errNameTaken. A name
+// of the minted form (a resumed i<n>) moves the mint counter past n.
 // Deciding both under one lock makes the cap exact and a name unique
 // even for concurrent creates, while keeping instance construction —
 // which may calibrate workloads — outside the registry lock. A
@@ -105,6 +107,8 @@ func (r *Registry) Reserve(maxN int, name string) (string, error) {
 	if name == "" {
 		r.seq++
 		name = fmt.Sprintf("i%d", r.seq)
+	} else if n, err := strconv.Atoi(name[1:]); err == nil && minted(name) {
+		r.seq = max(r.seq, n)
 	}
 	r.reserved[name] = true
 	return name, nil

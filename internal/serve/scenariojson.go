@@ -19,6 +19,16 @@ type ScenarioSpec struct {
 	Events    []EventSpec `json:"events,omitempty"`
 }
 
+// clone returns a copy of s an instance or a checkpoint can own (the
+// shape and events are never written in place), nil for nil.
+func (s *ScenarioSpec) clone() *ScenarioSpec {
+	if s == nil {
+		return nil
+	}
+	c := *s
+	return &c
+}
+
 // ShapeSpec is the JSON encoding of one load shape. Kind selects the
 // shape; the other fields parameterise it:
 //

@@ -117,6 +117,21 @@ func (s *Server) CreateInstance(spec InstanceSpec) (*Instance, error) {
 	return s.create(spec, "", -1)
 }
 
+// ResumeInstance restores a stored checkpoint under the id it was stored
+// as — a name, or a minted i<n>, which moves the mint counter past n — so
+// a daemon resuming its checkpoint directory keeps every id. A
+// free-running speed drops the checkpoint's tick schedule instead of
+// refusing it: it fast-forwards a paced daemon's snapshot.
+func (s *Server) ResumeInstance(id string, spec InstanceSpec) (*Instance, error) {
+	if !validName(id) && !minted(id) {
+		return nil, fmt.Errorf("%q is not an instance id", id)
+	}
+	if spec.Restore != nil && spec.Speed < 0 {
+		spec.Restore = spec.Restore.unpaced()
+	}
+	return s.create(spec, id, -1)
+}
+
 // create reserves name — or, when name is empty, mints an id — and
 // builds the instance under it on shard or, with shard < 0, on the id's
 // consistent-hash home.
@@ -155,8 +170,10 @@ func (s *Server) createInstance(spec InstanceSpec, id string, shard int) (*Insta
 	if speed == 0 {
 		speed = s.cfg.DefaultSpeed
 	}
-	if speed < 0 && spec.Restore != nil && spec.Restore.paced() {
-		return nil, fmt.Errorf("restore: checkpoint carries a tick schedule (next_due_unix_ns) but speed %v free-runs: restore it paced, or drop next_due_unix_ns, batch and stretch", speed)
+	if spec.Restore != nil {
+		if err := checkSchedule(spec.Restore, speed); err != nil {
+			return nil, fmt.Errorf("restore: %w", err)
+		}
 	}
 	sup := supervisorConfig{
 		backoff:   s.cfg.restartBackoff,
