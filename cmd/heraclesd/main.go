@@ -62,6 +62,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"syscall"
@@ -216,21 +217,12 @@ func main() {
 			// horizon, so completion is "every instance parked at its max_epochs"
 			// (instances checkpointed at or past their target park on the
 			// first status read).
+			running := func(st serve.Status) bool { return st.State != serve.StateDone }
 			go func() {
-				for {
-					done := true
-					for _, st := range srv.Registry().Statuses() {
-						if st.State != serve.StateDone {
-							done = false
-							break
-						}
-					}
-					if done {
-						close(runDone)
-						return
-					}
+				for slices.ContainsFunc(srv.Registry().Statuses(), running) {
 					time.Sleep(20 * time.Millisecond)
 				}
+				close(runDone)
 			}()
 		}
 	}
@@ -243,18 +235,21 @@ func main() {
 	interrupt := make(chan os.Signal, 1)
 	signal.Notify(interrupt, os.Interrupt, syscall.SIGTERM)
 
-	// drain stops every instance driver between epochs and closes all SSE
+	// stop stops every instance driver between epochs and closes all SSE
 	// subscribers — no simulation is abandoned mid-epoch and no stream is
 	// dropped without its terminal "stream closed" comment. It is also
 	// what lets http.Server.Shutdown below finish: open event-stream
 	// connections only end once their hubs close.
-	drain := func(sig os.Signal) {
-		log.Printf("heraclesd: %v, draining %d instance(s) after %d epochs",
-			sig, srv.Registry().Len(), epochs.Load())
+	stop := func() {
 		if ckptStop != nil {
 			ckptStop() // final snapshot pass while the drivers still run
 		}
 		srv.Close()
+	}
+	drain := func(sig os.Signal) {
+		log.Printf("heraclesd: %v, draining %d instance(s) after %d epochs",
+			sig, srv.Registry().Len(), epochs.Load())
+		stop()
 	}
 
 	exitCode := 0
@@ -276,10 +271,7 @@ func main() {
 		select {
 		case err := <-errc:
 			log.Printf("heraclesd: %v", err)
-			if ckptStop != nil {
-				ckptStop()
-			}
-			srv.Close()
+			stop()
 			exitCode = 1
 		case sig := <-interrupt:
 			drain(sig)
@@ -292,10 +284,7 @@ func main() {
 		if maxEpochs > 0 {
 			select {
 			case <-runDone:
-				if ckptStop != nil {
-					ckptStop()
-				}
-				srv.Close()
+				stop()
 			case sig := <-interrupt:
 				drain(sig)
 			}
@@ -470,9 +459,6 @@ func mirror(fs *actuate.FSActuator, m *machine.Machine, cfg hw.Config, t machine
 	check(fs.SetCPUSet("be", beCores))
 
 	lcWays := cfg.LLCWays - t.BEWays
-	if t.BEWays == 0 {
-		lcWays = cfg.LLCWays
-	}
 	lcMask, err := isolation.NewWayMask(cfg.LLCWays-lcWays, lcWays)
 	check(err)
 	check(fs.SetSchemata("lc", []isolation.WayMask{lcMask, lcMask}))
