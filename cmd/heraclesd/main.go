@@ -459,6 +459,9 @@ func mirror(fs *actuate.FSActuator, m *machine.Machine, cfg hw.Config, t machine
 	check(fs.SetCPUSet("be", beCores))
 
 	lcWays := cfg.LLCWays - t.BEWays
+	if t.BEWays == 0 {
+		lcWays = cfg.LLCWays
+	}
 	lcMask, err := isolation.NewWayMask(cfg.LLCWays-lcWays, lcWays)
 	check(err)
 	check(fs.SetSchemata("lc", []isolation.WayMask{lcMask, lcMask}))

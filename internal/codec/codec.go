@@ -109,16 +109,6 @@ func (w *Writer) Patch32(off int, v uint32) {
 	binary.LittleEndian.PutUint32(w.buf[off:], v)
 }
 
-// Nest appends a nested encoding with a uint32 length prefix. fn must
-// append its encoding to the buffer it is given and return the extended
-// buffer — the signature of an AppendBinary-style encoder — so nesting
-// costs no intermediate allocation.
-func (w *Writer) Nest(fn func([]byte) []byte) {
-	off := w.Reserve32()
-	w.buf = fn(w.buf)
-	binary.LittleEndian.PutUint32(w.buf[off:], uint32(len(w.buf)-off-4))
-}
-
 // Reader consumes a little-endian byte stream produced by Writer. The
 // first malformed read latches Err and every subsequent read returns a
 // zero value, so decoders can run straight-line and check the error
@@ -383,16 +373,20 @@ func (c *Coder) Bytes(v *[]byte) {
 	}
 }
 
-// Nest carries a uint32-prefixed nested encoding: encoding writes *v, or
-// when fn is non-nil what fn appends (Writer.Nest, no intermediate
-// buffer); decoding sets *v to a view into the input (no copy; nil when
-// the read fails) for the caller to parse, and never calls fn.
+// Nest carries a uint32-prefixed nested encoding. Encoding writes *v or,
+// when fn is non-nil, what fn appends to the buffer it is given — the
+// signature of an AppendBinary-style encoder, so nesting costs no
+// intermediate buffer. Decoding sets *v to a view into the input (no
+// copy; nil when the read fails) for the caller to parse, and never
+// calls fn.
 func (c *Coder) Nest(v *[]byte, fn func([]byte) []byte) {
 	switch {
 	case c.r != nil:
 		*v = c.r.Bytes32()
 	case fn != nil:
-		c.w.Nest(fn)
+		off := c.w.Reserve32()
+		c.w.buf = fn(c.w.buf)
+		c.w.Patch32(off, uint32(len(c.w.buf)-off-4))
 	default:
 		c.w.Bytes32(*v)
 	}

@@ -77,8 +77,10 @@ func (c *cadence) next(now time.Time, tight bool) time.Time {
 		c.batch, c.nextAt = freeRunBatch, now
 		return now
 	}
-	if c.stretch = min(2*c.stretch, stretchMax); tight {
+	if tight {
 		c.stretch = 1
+	} else {
+		c.stretch = min(2*c.stretch, stretchMax)
 	}
 	c.batch = c.stretch
 	c.nextAt = c.nextAt.Add(time.Duration(c.stretch) * c.interval)
@@ -111,12 +113,12 @@ func (cp *InstanceCheckpoint) unpaced() *InstanceCheckpoint {
 	return &out
 }
 
-// checkSchedule refuses a tick schedule no origin could have written,
-// and one beside a free-running speed. A stale or skewed due instant is
-// not an error: start clamps it.
+// checkSchedule refuses a restore's tick schedule (cp may be nil) when no
+// origin could have written it, or beside a free-running speed. A stale
+// or skewed due instant is not an error: start clamps it.
 func checkSchedule(cp *InstanceCheckpoint, speed float64) error {
 	switch {
-	case !cp.paced():
+	case cp == nil || !cp.paced():
 		return nil
 	case cp.NextDueUnixNano <= 0:
 		return fmt.Errorf("checkpoint next_due_unix_ns %d is not a positive instant beside batch %d, stretch %d", cp.NextDueUnixNano, cp.Batch, cp.Stretch)

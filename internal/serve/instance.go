@@ -906,7 +906,10 @@ func (i *Instance) step() {
 	if er.EventsApplied > 0 || er.FaultsApplied > 0 {
 		i.refreshBEs()
 	}
-	i.recentFault = i.recentFault || er.FaultsApplied > 0
+
+	if er.FaultsApplied > 0 {
+		i.recentFault = true
+	}
 
 	up := i.epochUpdate(tel, er.Epoch)
 	done := i.maxEpochs > 0 && er.Epoch >= i.maxEpochs

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -157,23 +158,15 @@ func (s *Server) createInstance(spec InstanceSpec, id string, shard int) (*Insta
 	if err := validateSpec(spec); err != nil {
 		return nil, err
 	}
-	speed := spec.Speed
-	compact := spec.Compact
-	if spec.Restore != nil {
+	speed, compact := spec.Speed, spec.Compact
+	if cp := spec.Restore; cp != nil {
 		// The checkpoint knows its own hardware generation and tick
 		// rate; validateSpec has already rejected conflicting fields.
-		compact = spec.Restore.Compact
-		if speed == 0 {
-			speed = spec.Restore.Speed
-		}
+		speed, compact = cmp.Or(speed, cp.Speed), cp.Compact
 	}
-	if speed == 0 {
-		speed = s.cfg.DefaultSpeed
-	}
-	if spec.Restore != nil {
-		if err := checkSchedule(spec.Restore, speed); err != nil {
-			return nil, fmt.Errorf("restore: %w", err)
-		}
+	speed = cmp.Or(speed, s.cfg.DefaultSpeed)
+	if err := checkSchedule(spec.Restore, speed); err != nil {
+		return nil, fmt.Errorf("restore: %w", err)
 	}
 	sup := supervisorConfig{
 		backoff:   s.cfg.restartBackoff,
