@@ -141,11 +141,13 @@ bench-e2e:
 # Paired micro-benchmarks on this host: the working tree against REV, N
 # ABBA-ordered pairs of BenchmarkMicro/<BENCH> (go test's per-level -bench
 # regex below BenchmarkMicro), medians, quartiles, ratio and wins k/N.
-# make bench-pair REV=HEAD~1 BENCH='^(CacheSolver|EngineStep)$' N=10
+# CPUS is -test.cpu's comma list; unless it is 1, rows name their count.
+# make bench-pair REV=HEAD~1 BENCH='^(CacheSolver|EngineStep)$' N=10 CPUS=1,2
 REV ?= HEAD
 BENCH ?= .
 N ?= 10
+CPUS ?= 1
 bench-pair:
-	bash scripts/bench-pair.sh $(REV) '$(value BENCH)' $(N)
+	CPUS='$(CPUS)' bash scripts/bench-pair.sh $(REV) '$(value BENCH)' $(N)
 
 ci: build vet fmt-check docs-check test test-race chaos churn fuzz-smoke fidelity bench-smoke

@@ -841,8 +841,9 @@ func BenchmarkMicro(b *testing.B) {
 }
 
 // TestMicroAllocCeilings holds the allocation counts no package test pins
-// at their BENCH_23.json values (SchedTick at zero since the scheduler
-// stopped logging its decisions), measured as the benchmark reports them:
+// at their BENCH_23.json values or below (SchedTick at zero since the
+// scheduler stopped logging its decisions, InstanceMigrate at the 135 it
+// measures, not BENCH_23's 144), measured as the benchmark reports them:
 // per call, averaged over runs, truncated. One allocation more per
 // operation fails. InstanceSchedule may allocate its pool's start-up and
 // nothing per slice. LabSetup is a fresh lab the offline table answers:
@@ -863,12 +864,12 @@ func TestMicroAllocCeilings(t *testing.T) {
 	}{
 		{"SnapshotRestore/binary", 1, 100, 528},
 		{"SnapshotRestore/json", 1, 100, 742},
-		{"InstanceMigrate", 1, 100, 144},
+		{"InstanceMigrate", 1, 100, 135},
 		{"FaultInjectTick", 1, 100, 1},
 		{"SchedTick", 1, 100, 0},
 		{"SLOWindowUpdate", 1, 100, 0},
 		{"HistogramObserve", 1, 100, 0},
-		{"InstanceSchedule", 10000, 5, 535},
+		{"InstanceSchedule", 10000, 5, 530},
 		{"LabSetup", 1, 100, 20},
 		{"Scrape/idle", 1, 100, 11},
 		{"FedHop/get", 1, 100, 164},

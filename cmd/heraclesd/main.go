@@ -323,7 +323,9 @@ func bootHook(fs *actuate.FSActuator, cfg hw.Config, summary io.Writer) func(*ma
 // under the id it was stored as (<id>.ckpt): a federated instance stays
 // where the router placed it, and a minted i<n> moves the daemon's mint
 // counter past n. Restored files stay in place, and the checkpointer
-// rotates them to <id>.ckpt.1 as it writes their replacements.
+// rotates them to <id>.ckpt.1 as it writes their replacements; a corrupt
+// primary resumed from <id>.ckpt.1 is set aside as <id>.ckpt.failed
+// (engine.ReadFallback), so that write keeps the good generation.
 // Unreadable or unrestorable files are set aside as *.failed (preserved
 // for inspection, out of the restore scan) with a log line — recovery
 // should salvage what it can, not refuse to start. The JSON-enveloped

@@ -21,8 +21,9 @@ import (
 // directory holding one good file, one whose primary generation is
 // corrupt, and one JSON-enveloped file of the kind daemons stored before
 // the binary envelope: the first two restore (the second from its
-// rotated generation), the JSON file is logged, set aside as *.failed,
-// and survives the checkpointer's sweep.
+// rotated generation, its corrupt primary set aside as *.failed so the
+// sweep's write keeps that generation), the JSON file is logged, set
+// aside as *.failed, and survives the checkpointer's sweep.
 func TestRestoreCheckpointsDirectory(t *testing.T) {
 	srv := serve.New(serve.Config{Lab: experiment.DefaultLab()})
 	defer srv.Close()
@@ -84,7 +85,7 @@ func TestRestoreCheckpointsDirectory(t *testing.T) {
 	// checkpointer pass writes their files over the ones they came from,
 	// rotating those to .1; the set-aside file is not among them.
 	startCheckpointer(fresh, dir, time.Hour)()
-	for path, want := range map[string]bool{good: true, good + ".1": true, rotated: true, rotated + ".1": true, old + ".failed": true} {
+	for path, want := range map[string]bool{good: true, good + ".1": true, rotated: true, rotated + ".1": true, rotated + ".failed": true, old + ".failed": true} {
 		if _, err := os.Stat(path); (err == nil) != want {
 			t.Errorf("after the sweep, %s exists = %t, want %t", path, err == nil, want)
 		}

@@ -237,7 +237,7 @@ func TestReadFileFallsBackToPreviousGeneration(t *testing.T) {
 		t.Fatalf("read %q, want the previous generation %q", used, path+".1")
 	}
 
-	if err := engine.WriteFile(path, good[:len(good)-2]); err != nil {
+	if err := os.WriteFile(path+".1", good[:len(good)-2], 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := engine.ReadFile(path); err == nil || !strings.Contains(err.Error(), "fallback") {
@@ -245,5 +245,35 @@ func TestReadFileFallsBackToPreviousGeneration(t *testing.T) {
 	}
 	if _, err := engine.ReadFile(path + ".missing"); !os.IsNotExist(err) {
 		t.Fatalf("no generation at all: err %v, want not-exist", err)
+	}
+}
+
+// TestFallbackResumeKeepsGoodGeneration: a resume that fell back to
+// "<path>.1" sets the corrupt primary aside as "<path>.failed", so the
+// next write (a daemon's first checkpointer pass, or cmd/cluster -resume
+// x -checkpoint x) does not rotate the corrupt bytes over the good
+// generation.
+func TestFallbackResumeKeepsGoodGeneration(t *testing.T) {
+	good, err := os.ReadFile("testdata/checkpoint_full.hrcb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := good[:len(good)-1]
+	path := t.TempDir() + "/cluster.ckpt"
+	for _, gen := range [][]byte{good, bad} {
+		if err := engine.WriteFile(path, gen); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, used, err := engine.ReadFallback(path, engine.DecodeCheckpointBinary); err != nil || used != path+".1" {
+		t.Fatalf("resume read %q (%v), want the previous generation %q", used, err, path+".1")
+	}
+	if err := engine.WriteFile(path, good); err != nil {
+		t.Fatal(err)
+	}
+	for p, want := range map[string][]byte{path + ".1": good, path + ".failed": bad} {
+		if got, err := os.ReadFile(p); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%s holds %d bytes (%v), want the %d-byte generation", p, len(got), err, len(want))
+		}
 	}
 }

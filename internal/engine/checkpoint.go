@@ -397,7 +397,10 @@ func WriteFile(path string, data []byte) error {
 
 // ReadFallback decodes the file WriteFile stored at path or, when it is
 // missing or does not decode, the previous generation "<path>.1", and
-// returns the path it decoded. When neither is usable the error is the
+// returns the path it decoded. A primary that is there but unusable is
+// set aside as "<path>.failed" once "<path>.1" decodes, so the next
+// WriteFile has nothing to rotate over the good generation. When neither
+// is usable (or the primary cannot be set aside) the error is the
 // primary's, with the fallback's folded in unless it is simply missing.
 // Both stored formats are read through it: ReadFile's bare HRCB and
 // internal/serve's HRCF envelope.
@@ -407,7 +410,12 @@ func ReadFallback[T any](path string, decode func([]byte) (T, error)) (T, string
 		data, rerr := os.ReadFile(p)
 		if rerr == nil {
 			var v T
-			if v, rerr = decode(data); rerr == nil {
+			if v, rerr = decode(data); rerr == nil && p != path {
+				if rerr = os.Rename(path, path+".failed"); os.IsNotExist(rerr) {
+					rerr = nil
+				}
+			}
+			if rerr == nil {
 				return v, p, nil
 			}
 		}

@@ -16,7 +16,7 @@ import (
 // (or none), which is what lets a single registry hold 100k+ live
 // instances.
 
-// epochTask is one unit of work the epoch scheduler dispatches:
+// epochTask is one unit of work the epoch scheduler runs:
 // an instance's next batch of epochs, its pending crash restart, or the
 // fleet dispatcher's tick. runSlice executes the due work and returns
 // the next wall-clock due time; ok=false parks the task — a parked task
@@ -28,12 +28,12 @@ type epochTask interface {
 
 // poolEntry is one task's position in the epoch heap. An entry is
 // single-owner and lives as long as its task; it is out of the heap
-// (index -1) while dispatched to a worker or parked.
+// (index -1) while a worker runs its slice or while it is parked.
 type poolEntry struct {
 	task  epochTask
 	due   time.Time
 	seq   uint64 // FIFO tie-break for equal due times (free-runner round-robin)
-	index int    // heap position; -1 while dispatched or parked
+	index int    // heap position; -1 while running or parked
 	// cancelled is terminal: set by remove when the owner stops, it makes
 	// any concurrent or future schedule a no-op, so an in-flight slice
 	// cannot resurrect a deleted instance's entry.
@@ -71,24 +71,23 @@ func (h *entryHeap) Pop() any {
 	return e
 }
 
-// epochScheduler is the shared driver pool: a dispatcher goroutine pops
-// due entries off the heap and hands them to `drivers` workers, each of
-// which runs one slice and requeues the entry at the time the task asks
-// for. The registry owns exactly one.
+// epochScheduler is the shared driver pool: `drivers` workers, each of
+// which takes the heap's head itself once it is due, runs one slice and
+// requeues the entry at the time the task asks for. Idle workers wait on
+// one condition; one alarm, armed for the head, wakes one of them. The
+// registry owns exactly one.
 type epochScheduler struct {
 	drivers int
 
-	mu  sync.Mutex
-	h   entryHeap
-	seq uint64
+	mu      sync.Mutex
+	h       entryHeap
+	seq     uint64
+	ready   sync.Cond   // idle workers wait here; signalled one at a time
+	alarm   *time.Timer // signals one waiter when the head falls due
+	stopped bool
+	wg      sync.WaitGroup
 
-	wake  chan struct{} // kicks the dispatcher when the earliest due changes
-	work  chan *poolEntry
-	stopc chan struct{}
-	once  sync.Once
-	wg    sync.WaitGroup
-
-	slices atomic.Int64 // slices dispatched to workers
+	slices atomic.Int64 // slices run by workers
 	epochs atomic.Int64 // simulated epochs advanced by workers
 }
 
@@ -98,14 +97,15 @@ func newEpochScheduler(drivers int) *epochScheduler {
 	if drivers <= 0 {
 		drivers = runtime.GOMAXPROCS(0)
 	}
-	s := &epochScheduler{
-		drivers: drivers,
-		wake:    make(chan struct{}, 1),
-		work:    make(chan *poolEntry),
-		stopc:   make(chan struct{}),
-	}
-	s.wg.Add(1 + drivers)
-	go s.dispatch()
+	s := &epochScheduler{drivers: drivers}
+	s.ready.L = &s.mu
+	s.alarm = time.AfterFunc(time.Hour, func() {
+		s.mu.Lock()
+		s.ready.Signal()
+		s.mu.Unlock()
+	})
+	s.alarm.Stop()
+	s.wg.Add(drivers)
 	for k := 0; k < drivers; k++ {
 		go s.worker()
 	}
@@ -118,30 +118,32 @@ func (s *epochScheduler) newEntry(task epochTask) *poolEntry {
 }
 
 // schedule (re)queues e at due: a queued entry moves, a parked one is
-// pushed, a cancelled one is ignored.
+// pushed, a cancelled one is ignored. An entry that becomes the head
+// wakes one idle worker, which takes it or re-arms the alarm for it.
 func (s *epochScheduler) schedule(e *poolEntry, due time.Time) {
 	s.mu.Lock()
-	if e.cancelled {
-		s.mu.Unlock()
-		return
-	}
-	e.due = due
-	if e.index >= 0 {
-		heap.Fix(&s.h, e.index)
-	} else {
-		e.seq = s.seq
-		s.seq++
-		heap.Push(&s.h, e)
+	if s.requeue(e, due); e.index == 0 {
+		s.ready.Signal()
 	}
 	s.mu.Unlock()
-	select {
-	case s.wake <- struct{}{}:
+}
+
+// requeue is schedule without the wake-up; s.mu is held.
+func (s *epochScheduler) requeue(e *poolEntry, due time.Time) {
+	switch {
+	case e.cancelled:
+	case e.index >= 0:
+		e.due = due
+		heap.Fix(&s.h, e.index)
 	default:
+		e.due, e.seq = due, s.seq
+		s.seq++
+		heap.Push(&s.h, e)
 	}
 }
 
 // remove cancels e permanently: it leaves the heap if queued, and an
-// in-flight dispatch of it becomes a no-op. Removal is final (the owner
+// in-flight slice of it cannot requeue it. Removal is final (the owner
 // is stopping), which is what drains mid-backoff restart entries when an
 // instance is deleted during its backoff window.
 func (s *epochScheduler) remove(e *poolEntry) {
@@ -153,97 +155,62 @@ func (s *epochScheduler) remove(e *poolEntry) {
 	s.mu.Unlock()
 }
 
-// dispatch owns the single timer armed for the earliest due entry; a
-// schedule call that changes the front of the heap kicks it awake early.
-func (s *epochScheduler) dispatch() {
-	defer s.wg.Done()
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	defer timer.Stop()
-	for {
-		s.mu.Lock()
-		var e *poolEntry
-		wait := time.Duration(-1)
+// take pops the head once it is due, waiting on s.ready until then; s.mu
+// is held. A waiter that finds the head in the future arms the alarm for
+// it. A worker that pops while entries remain signals the next waiter,
+// which takes the new head or re-arms the alarm for it, so one wake-up
+// never rouses the whole pool. take returns nil once the pool stops.
+func (s *epochScheduler) take() *poolEntry {
+	for !s.stopped {
 		if len(s.h) > 0 {
-			if d := time.Until(s.h[0].due); d <= 0 {
-				e = heap.Pop(&s.h).(*poolEntry)
-			} else {
-				wait = d
-			}
-		}
-		s.mu.Unlock()
-
-		if e != nil {
-			select {
-			case s.work <- e:
-			case <-s.stopc:
-				return
-			}
-			continue
-		}
-		if wait < 0 { // empty heap: sleep until something is scheduled
-			select {
-			case <-s.wake:
-			case <-s.stopc:
-				return
-			}
-			continue
-		}
-		timer.Reset(wait)
-		select {
-		case <-timer.C:
-		case <-s.wake:
-			if !timer.Stop() {
-				select {
-				case <-timer.C:
-				default:
+			d := time.Until(s.h[0].due)
+			if d <= 0 {
+				e := heap.Pop(&s.h).(*poolEntry)
+				if len(s.h) > 0 {
+					s.ready.Signal()
 				}
+				return e
 			}
-		case <-s.stopc:
-			return
+			s.alarm.Reset(d)
 		}
+		s.ready.Wait()
 	}
+	return nil
 }
 
-// worker runs dispatched slices and requeues live tasks at the due time
-// they return.
+// worker runs due slices and requeues live tasks at the due time they
+// return.
 func (s *epochScheduler) worker() {
 	defer s.wg.Done()
-	for {
-		select {
-		case <-s.stopc:
-			return
-		case e := <-s.work:
-			s.mu.Lock()
-			dead := e.cancelled
-			s.mu.Unlock()
-			if dead {
-				continue
-			}
-			sliceStart := time.Now()
-			next, ok := e.task.runSlice()
-			epochSliceHist.Observe(time.Since(sliceStart))
-			s.slices.Add(1)
-			if ok {
-				s.schedule(e, next)
-			}
-			// A saturating task (a free-runner requeueing at `now`) turns
-			// the dispatcher→worker channel handoff into a ping-pong that
-			// rides the runtime's runnext fast path and can starve every
-			// other runnable goroutine on a single-P box. One yield per
-			// slice bounds that unfairness at no measurable cost.
-			runtime.Gosched()
+	s.mu.Lock()
+	for e := s.take(); e != nil; e = s.take() {
+		s.mu.Unlock()
+		sliceStart := time.Now()
+		next, ok := e.task.runSlice()
+		epochSliceHist.Observe(time.Since(sliceStart))
+		s.slices.Add(1)
+		// A saturating task (a free-runner requeueing at `now`) would
+		// keep this worker running without ever blocking, starving every
+		// other runnable goroutine on a single-P box. One yield per slice
+		// bounds that unfairness at no measurable cost.
+		runtime.Gosched()
+		s.mu.Lock()
+		if ok {
+			s.requeue(e, next)
 		}
 	}
+	s.mu.Unlock()
 }
 
-// stop shuts the pool down and waits for the dispatcher and every worker
-// to exit; an in-flight slice completes first. Safe to call more than
-// once.
+// stop shuts the pool down and waits for every worker to exit; an
+// in-flight slice completes first, and no slice runs once stop returns.
+// Entries stay queued. Safe to call more than once.
 func (s *epochScheduler) stop() {
-	s.once.Do(func() { close(s.stopc) })
+	s.mu.Lock()
+	s.stopped = true
+	s.alarm.Stop()
+	s.ready.Broadcast()
+	s.mu.Unlock()
 	s.wg.Wait()
 }
 
@@ -275,7 +242,7 @@ type EpochSchedStatus struct {
 	Drivers int `json:"drivers"`
 	// QueueDepth is the number of entries queued in the epoch heap.
 	QueueDepth int `json:"queue_depth"`
-	// Slices counts dispatches to workers; Epochs counts simulated
+	// Slices counts slices the workers ran; Epochs counts simulated
 	// epochs those slices advanced.
 	Slices int64 `json:"slices"`
 	Epochs int64 `json:"epochs"`
@@ -310,9 +277,9 @@ func (t *benchTask) runSlice() (time.Time, bool) {
 
 // ScheduleBench exists for cmd/heraclesbench's serve.schedule_slice_us
 // rung and the root micro-benchmark table's InstanceSchedule entry: it
-// measures the pure per-slice scheduling overhead — one heap push,
-// one dispatcher pop, one worker dispatch and one requeue — with no
-// engine work attached. It drives `tasks` no-op tasks through a fresh
+// measures the pure per-slice scheduling overhead — one requeue and one
+// pop, both by the worker that runs the slice — with no engine work
+// attached. It drives `tasks` no-op tasks through a fresh
 // pool of `drivers` workers until `slices` total slices have run.
 func ScheduleBench(drivers, tasks, slices int) {
 	s := newEpochScheduler(drivers)

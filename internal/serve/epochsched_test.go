@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -150,6 +151,106 @@ func TestEpochSchedulerStatus(t *testing.T) {
 	if st = pool.status(); st.LagSeconds < 2.9 {
 		t.Fatalf("overdue head reports lag %v, want >= ~3s", st.LagSeconds)
 	}
+}
+
+// TestEpochSchedulerWaitsForDue: on an idle pool an entry due in the
+// future runs no earlier than its due time, and promptly after it — the
+// alarm armed for the head wakes a waiting worker.
+func TestEpochSchedulerWaitsForDue(t *testing.T) {
+	pool := newEpochScheduler(2)
+	defer pool.stop()
+	ran := make(chan time.Time, 1)
+	due := time.Now().Add(50 * time.Millisecond)
+	pool.schedule(pool.newEntry(taskFunc(func() (time.Time, bool) {
+		ran <- time.Now()
+		return time.Time{}, false
+	})), due)
+	select {
+	case at := <-ran:
+		if at.Before(due) {
+			t.Fatalf("entry ran %v before its due time", due.Sub(at))
+		}
+		if late := at.Sub(due); late > 5*time.Second {
+			t.Fatalf("entry ran %v after its due time", late)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("future-due entry never ran")
+	}
+}
+
+// TestEpochSchedulerDueNowOvertakesArmedHead: while both drivers wait on
+// a head an hour out, an entry scheduled due now becomes the head, wakes
+// one of them and runs promptly.
+func TestEpochSchedulerDueNowOvertakesArmedHead(t *testing.T) {
+	pool := newEpochScheduler(2)
+	defer pool.stop()
+	pool.schedule(pool.newEntry(taskFunc(func() (time.Time, bool) {
+		t.Error("hour-out entry ran")
+		return time.Time{}, false
+	})), time.Now().Add(time.Hour))
+	time.Sleep(20 * time.Millisecond) // let both drivers reach the wait
+	ran := make(chan struct{})
+	pool.schedule(pool.newEntry(taskFunc(func() (time.Time, bool) {
+		close(ran)
+		return time.Time{}, false
+	})), time.Now())
+	select {
+	case <-ran:
+	case <-time.After(5 * time.Second):
+		t.Fatal("due-now entry did not run while the drivers waited on an hour-out head")
+	}
+}
+
+// TestEpochSchedulerRunsInDueOrder: entries scheduled out of order with
+// distinct future due times run in due order, the alarm re-armed for
+// each new head in turn.
+func TestEpochSchedulerRunsInDueOrder(t *testing.T) {
+	pool := newEpochScheduler(1)
+	defer pool.stop()
+	ran := make(chan int, 3)
+	now := time.Now()
+	for _, k := range []int{2, 0, 1} {
+		pool.schedule(pool.newEntry(taskFunc(func() (time.Time, bool) {
+			ran <- k
+			return time.Time{}, false
+		})), now.Add(time.Duration(k+1)*20*time.Millisecond))
+	}
+	for want := 0; want < 3; want++ {
+		select {
+		case got := <-ran:
+			if got != want {
+				t.Fatalf("due order: got entry %d, want %d", got, want)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("entry %d never ran", want)
+		}
+	}
+}
+
+// TestEpochSchedulerStopWhileArmed: stop returns while the workers wait
+// on an armed alarm, and the alarm firing afterwards runs no slice.
+func TestEpochSchedulerStopWhileArmed(t *testing.T) {
+	pool := newEpochScheduler(2)
+	var stopped atomic.Bool
+	pool.schedule(pool.newEntry(taskFunc(func() (time.Time, bool) {
+		if stopped.Load() {
+			t.Error("a slice ran after stop returned")
+		}
+		return time.Time{}, false
+	})), time.Now().Add(100*time.Millisecond))
+	time.Sleep(20 * time.Millisecond) // let the drivers arm the alarm and wait
+	done := make(chan struct{})
+	go func() {
+		pool.stop()
+		stopped.Store(true)
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("stop did not return while the workers waited on the alarm")
+	}
+	time.Sleep(200 * time.Millisecond) // past the entry's due time
 }
 
 // TestCadenceStretchAndTighten: an unobserved healthy paced instance

@@ -310,9 +310,9 @@ type Instance struct {
 	notec chan struct{}
 
 	// Supervisor state beyond status's health counters, mu-guarded.
-	// pendingRestart marks a scheduled restart slice; crashed gates Do
-	// with ErrCrashed until the restart rebuilds the engine.
-	crashed        bool
+	// pendingRestart marks a scheduled restart slice. The crash gate is
+	// status.State: crashed or quarantined until the restart rebuilds
+	// the engine.
 	pendingRestart bool
 	consec         int
 	lastErr        string
@@ -580,11 +580,11 @@ func (i *Instance) Do(fn func() error) error {
 		return ErrStopped
 	}
 	i.mu.Lock()
-	blocked := i.crashed || i.status.Health == HealthQuarantined
+	state := i.status.State
 	i.mu.Unlock()
-	if blocked {
+	if gate, ok := crashGate[state]; ok {
 		i.stepMu.Unlock()
-		return i.crashErr()
+		return gate
 	}
 	var err error
 	crash := i.guard(func() { err = fn() })
@@ -800,12 +800,11 @@ func (i *Instance) stepSlice() (next time.Time, ok bool, crash *crashInfo) {
 	i.mu.Lock()
 	restart := i.pendingRestart
 	i.pendingRestart = false
-	quarantined := i.status.Health == HealthQuarantined
-	crashed := i.crashed
+	state := i.status.State
 	i.mu.Unlock()
 
 	switch {
-	case quarantined:
+	case state == StateQuarantined:
 		return
 	case restart:
 		if err := i.rebuildFromCheckpoint(); err != nil {
@@ -816,7 +815,7 @@ func (i *Instance) stepSlice() (next time.Time, ok bool, crash *crashInfo) {
 		// fresh instance does: the restart checkpoint's schedule went
 		// stale with the crash. A restored-as-done instance parks.
 		return i.cad.start(time.Now(), nil), !i.doneRunning, nil
-	case crashed, i.doneRunning:
+	case state == StateCrashed, i.doneRunning:
 		// crashed: a stale step slice racing its own crash booking; the
 		// restart slice owns the entry now.
 		return

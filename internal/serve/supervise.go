@@ -192,16 +192,9 @@ func fnvHash(s string) uint64 {
 	return h
 }
 
-// crashErr is the error Do returns while the instance is not serving:
-// quarantine wins over the transient crashed state.
-func (i *Instance) crashErr() error {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	if i.status.Health == HealthQuarantined {
-		return ErrQuarantined
-	}
-	return ErrCrashed
-}
+// crashGate maps the states in which Do refuses to run to the error it
+// returns: the transient crashed state and the quarantine that ends it.
+var crashGate = map[string]error{StateCrashed: ErrCrashed, StateQuarantined: ErrQuarantined}
 
 // crashInfo carries one booked crash from the panic site (stepMu held)
 // to finishCrash (stepMu released). The split matters: publishing and
@@ -236,7 +229,6 @@ func (i *Instance) bookCrash(v any) *crashInfo {
 	msg := fmt.Sprint(v)
 	ci := &crashInfo{msg: msg}
 	i.mu.Lock()
-	i.crashed = true
 	i.status.Crashes++
 	i.consec++
 	i.lastErr = msg
@@ -330,7 +322,6 @@ func (i *Instance) rebuildFromCheckpoint() error {
 	i.panicNext = false
 
 	i.mu.Lock()
-	i.crashed = false
 	i.status.Restarts++
 	i.mirrorEngineLocked()
 	i.notifyLocked()

@@ -2,8 +2,8 @@
 # Paired micro-benchmark comparison of the working tree against a base
 # revision, on the same host. Run from the root of a checkout:
 #
-#   bash scripts/bench-pair.sh <base-rev> <bench-regex> [pairs]
-#   make bench-pair REV=<base-rev> BENCH=<bench-regex> N=10
+#   [CPUS=1,2] bash scripts/bench-pair.sh <base-rev> <bench-regex> [pairs]
+#   make bench-pair REV=<base-rev> BENCH=<bench-regex> N=10 [CPUS=1,2]
 #
 # It exports <base-rev> with git archive into a temporary directory, builds
 # the root package's test binary (go test -c) in both trees, and runs
@@ -15,13 +15,17 @@
 #
 # For every entry it prints each side's median and quartiles of ns/op, the
 # ratio of the medians (change/base; below 1 is faster) and wins k/N: the
-# pairs in which the change was faster. Both binaries run at -test.cpu 1
-# and -test.benchtime 1s.
+# pairs in which the change was faster. Both binaries run at
+# -test.benchtime 1s and -test.cpu $CPUS, a comma list of GOMAXPROCS
+# values (default 1). Unless CPUS is 1, every entry is measured once per
+# count and each row names its count as go test does, e.g.
+# InstanceSchedule-2 (and InstanceSchedule-1 for one CPU).
 set -euo pipefail
 
 base=${1:?usage: bench-pair.sh <base-rev> <bench-regex> [pairs]}
 bench=${2:?usage: bench-pair.sh <base-rev> <bench-regex> [pairs]}
 pairs=${3:-10}
+cpus=${CPUS:-1}
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
@@ -34,9 +38,12 @@ go test -c -o "$tmp/change.test" .
 # tree, one "side pair name ns/op" line per entry.
 run() {
 	(cd "$2" && "$tmp/$1.test" -test.run '^$' -test.bench "BenchmarkMicro/$bench" \
-		-test.benchmem -test.cpu 1 -test.benchtime 1s -test.timeout 20m) |
-		awk -v side="$1" -v pair="$3" '$1 ~ /^BenchmarkMicro\// && $4 == "ns/op" {
-			name = substr($1, 16); sub(/-[0-9]+$/, "", name); print side, pair, name, $3 }'
+		-test.benchmem -test.cpu "$cpus" -test.benchtime 1s -test.timeout 20m) |
+		awk -v side="$1" -v pair="$3" -v cpus="$cpus" '$1 ~ /^BenchmarkMicro\// && $4 == "ns/op" {
+			name = substr($1, 16)
+			if (cpus == "1") sub(/-[0-9]+$/, "", name)
+			else if (name !~ /-[0-9]+$/) name = name "-1"
+			print side, pair, name, $3 }'
 }
 
 for ((i = 0; i < pairs; i++)); do
