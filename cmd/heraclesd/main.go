@@ -346,15 +346,18 @@ func restoreCheckpoints(srv *serve.Server, dir string, speed float64, maxEpochs 
 			continue
 		}
 		path := filepath.Join(dir, e.Name())
-		fail := func(err error) {
-			log.Printf("heraclesd: restoring %s: %v (kept as %s.failed)", path, err, path)
-			if err := os.Rename(path, path+".failed"); err != nil {
+		// fail sets aside the file that could not be used: the primary
+		// when nothing decoded, else the generation the checkpoint came
+		// from (after a fallback the primary is already path.failed).
+		fail := func(src string, err error) {
+			log.Printf("heraclesd: restoring %s: %v (kept as %s.failed)", path, err, src)
+			if err := os.Rename(src, src+".failed"); err != nil {
 				log.Printf("heraclesd: %v", err)
 			}
 		}
 		cp, src, err := serve.ReadCheckpointFallback(path)
 		if err != nil {
-			fail(err)
+			fail(path, err)
 			continue
 		}
 		if src != path {
@@ -367,7 +370,7 @@ func restoreCheckpoints(srv *serve.Server, dir string, speed float64, maxEpochs 
 		}
 		inst, err := srv.ResumeInstance(strings.TrimSuffix(e.Name(), filepath.Ext(e.Name())), spec)
 		if err != nil {
-			fail(err)
+			fail(src, err)
 			continue
 		}
 		if isBoot {

@@ -168,7 +168,10 @@ var (
 	// previous generation to <path>.1; pass EngineCheckpoint.EncodeBinary
 	// to store a checkpoint.
 	WriteCheckpoint = engine.WriteFile
-	// ReadCheckpoint loads a checkpoint stored with WriteCheckpoint.
+	// ReadCheckpoint loads a checkpoint stored with WriteCheckpoint, from
+	// the previous generation when the file is missing or corrupt; a
+	// corrupt file is then renamed "<path>.failed" (best effort), so the
+	// next WriteCheckpoint keeps the generation it resumed from.
 	ReadCheckpoint = engine.ReadFile
 )
 

@@ -209,8 +209,9 @@ func FuzzDecodeCheckpointBinary(f *testing.F) {
 // TestReadFileFallsBackToPreviousGeneration: a stored engine checkpoint
 // whose primary generation does not decode resumes from the generation
 // WriteFile rotated to "<path>.1", as heraclesd's envelopes do; with both
-// generations unusable the error names both, and with neither present it
-// is the primary's not-exist error.
+// generations unusable the error names both and neither file moves, a
+// missing primary resumes from "<path>.1" with nothing set aside, and
+// with neither present the error is the primary's not-exist error.
 func TestReadFileFallsBackToPreviousGeneration(t *testing.T) {
 	good, err := os.ReadFile("testdata/checkpoint_full.hrcb")
 	if err != nil {
@@ -237,11 +238,34 @@ func TestReadFileFallsBackToPreviousGeneration(t *testing.T) {
 		t.Fatalf("read %q, want the previous generation %q", used, path+".1")
 	}
 
+	// The fallback set the corrupt primary aside; put another corrupt one
+	// beside a corrupt ".1". Nothing decodes, so nothing moves.
+	primary, failed := good[:len(good)-3], good[:len(good)-1]
+	if err := os.WriteFile(path, primary, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	if err := os.WriteFile(path+".1", good[:len(good)-2], 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := engine.ReadFile(path); err == nil || !strings.Contains(err.Error(), "fallback") {
 		t.Fatalf("both generations corrupt: err %v, want one naming the fallback", err)
+	}
+	for p, want := range map[string][]byte{path: primary, path + ".failed": failed} {
+		if got, err := os.ReadFile(p); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("both generations corrupt: %s holds %d bytes (%v), want the %d it held", p, len(got), err, len(want))
+		}
+	}
+
+	// A missing primary is no corrupt one: ".1" loads, nothing is set aside.
+	lone := t.TempDir() + "/lone.ckpt"
+	if err := os.WriteFile(lone+".1", good, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, used, err := engine.ReadFallback(lone, engine.DecodeCheckpointBinary); err != nil || used != lone+".1" {
+		t.Fatalf("missing primary: read %q (%v), want %q", used, err, lone+".1")
+	}
+	if _, err := os.Stat(lone + ".failed"); !os.IsNotExist(err) {
+		t.Errorf("missing primary: %s.failed exists (%v), want nothing set aside", lone, err)
 	}
 	if _, err := engine.ReadFile(path + ".missing"); !os.IsNotExist(err) {
 		t.Fatalf("no generation at all: err %v, want not-exist", err)

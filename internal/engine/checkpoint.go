@@ -397,27 +397,27 @@ func WriteFile(path string, data []byte) error {
 
 // ReadFallback decodes the file WriteFile stored at path or, when it is
 // missing or does not decode, the previous generation "<path>.1", and
-// returns the path it decoded. A primary that is there but unusable is
-// set aside as "<path>.failed" once "<path>.1" decodes, so the next
-// WriteFile has nothing to rotate over the good generation. When neither
-// is usable (or the primary cannot be set aside) the error is the
-// primary's, with the fallback's folded in unless it is simply missing.
-// Both stored formats are read through it: ReadFile's bare HRCB and
-// internal/serve's HRCF envelope.
+// returns the path it decoded. A primary that was read but did not
+// decode is set aside as "<path>.failed" once "<path>.1" decodes, so the
+// next WriteFile has nothing to rotate over the good generation; that
+// rename is best effort (a read-only directory still loads). When
+// neither is usable the error is the primary's, with the fallback's
+// folded in unless it is simply missing. Both stored formats are read
+// through it: ReadFile's bare HRCB and internal/serve's HRCF envelope.
 func ReadFallback[T any](path string, decode func([]byte) (T, error)) (T, string, error) {
 	var err error
+	corrupt := false
 	for _, p := range []string{path, path + ".1"} {
 		data, rerr := os.ReadFile(p)
 		if rerr == nil {
 			var v T
-			if v, rerr = decode(data); rerr == nil && p != path {
-				if rerr = os.Rename(path, path+".failed"); os.IsNotExist(rerr) {
-					rerr = nil
+			if v, rerr = decode(data); rerr == nil {
+				if corrupt {
+					os.Rename(path, path+".failed")
 				}
-			}
-			if rerr == nil {
 				return v, p, nil
 			}
+			corrupt = p == path
 		}
 		if err == nil {
 			err = rerr
@@ -430,7 +430,8 @@ func ReadFallback[T any](path string, decode func([]byte) (T, error)) (T, string
 }
 
 // ReadFile loads a checkpoint stored as WriteFile(path, cp.EncodeBinary()),
-// from the previous generation when the primary is missing or corrupt.
+// from the previous generation when the primary is missing or corrupt;
+// a corrupt primary is then set aside as "<path>.failed" (ReadFallback).
 func ReadFile(path string) (*Checkpoint, error) {
 	cp, _, err := ReadFallback(path, DecodeCheckpointBinary)
 	return cp, err

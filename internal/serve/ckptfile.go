@@ -154,8 +154,8 @@ func walkEnvelope(c *codec.Coder, cp *InstanceCheckpoint, v uint16, spec *[]byte
 }
 
 // ReadCheckpointFallback reads the checkpoint file at path, or the
-// previous generation when it is missing or corrupt (engine.ReadFallback),
-// and returns the path it restored.
+// previous generation when it is missing or corrupt, and returns the path
+// it restored; engine.ReadFallback sets a corrupt primary aside.
 func ReadCheckpointFallback(path string) (*InstanceCheckpoint, string, error) {
 	return engine.ReadFallback(path, DecodeCheckpointFile)
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -74,12 +75,26 @@ func TestCheckpointFileRotationAndFallback(t *testing.T) {
 		t.Fatalf("fallback after corruption = %+v from %q (%v), want gen 1 from rotated file", cp, src, err)
 	}
 
-	// Both generations corrupt: a clear error naming both.
+	// The fallback set the corrupt primary aside as .failed. Both
+	// generations corrupt: a clear error naming both, and neither the
+	// primary nor the set-aside file moves.
+	failed, err := os.ReadFile(path + ".failed")
+	if err != nil || !bytes.Equal(failed, data) {
+		t.Fatalf("set-aside primary holds %d bytes (%v), want the %d corrupt ones", len(failed), err, len(data))
+	}
+	if err := os.WriteFile(path, []byte("{a corrupt primary"), 0o644); err != nil {
+		t.Fatalf("corrupting primary: %v", err)
+	}
 	if err := os.WriteFile(path+".1", []byte("{half a json"), 0o644); err != nil {
 		t.Fatalf("corrupting rotated: %v", err)
 	}
 	if _, _, err := ReadCheckpointFallback(path); err == nil || !strings.Contains(err.Error(), "fallback") {
 		t.Fatalf("fallback with both corrupt = %v, want combined error", err)
+	}
+	for p, want := range map[string][]byte{path: []byte("{a corrupt primary"), path + ".failed": failed} {
+		if got, err := os.ReadFile(p); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("both corrupt: %s holds %d bytes (%v), want the %d it held", p, len(got), err, len(want))
+		}
 	}
 
 	// Missing primary with no rotated file: plain not-exist error.

@@ -179,7 +179,8 @@ func (s *epochScheduler) take() *poolEntry {
 }
 
 // worker runs due slices and requeues live tasks at the due time they
-// return.
+// return, unless someone scheduled the entry while its slice ran (a
+// crashing Do's restart, at its backoff): that due time stands.
 func (s *epochScheduler) worker() {
 	defer s.wg.Done()
 	s.mu.Lock()
@@ -195,7 +196,7 @@ func (s *epochScheduler) worker() {
 		// bounds that unfairness at no measurable cost.
 		runtime.Gosched()
 		s.mu.Lock()
-		if ok {
+		if ok && e.index < 0 {
 			s.requeue(e, next)
 		}
 	}

@@ -253,6 +253,59 @@ func TestEpochSchedulerStopWhileArmed(t *testing.T) {
 	time.Sleep(200 * time.Millisecond) // past the entry's due time
 }
 
+// TestEpochSchedulerDoCrashKeepsRestartBackoff: a Do that crashes after
+// a slice released the mailbox lock, with finishCrash queueing the
+// restart before the worker requeues the slice, still restarts only
+// after the backoff; the worker does not pull the restart back to the
+// slice's own due time.
+func TestEpochSchedulerDoCrashKeepsRestartBackoff(t *testing.T) {
+	s := New(Config{Lab: testLab, restartBackoff: time.Hour})
+	t.Cleanup(s.Close)
+	inst, err := s.CreateInstance(InstanceSpec{Speed: SpeedMax})
+	if err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	pool, e := inst.pool, inst.entry
+	crashed := make(chan struct{})
+	var once sync.Once
+	wrap := taskFunc(func() (time.Time, bool) {
+		next, ok := inst.runSlice()
+		once.Do(func() {
+			if err := inst.Do(func() error { panic("crash between slices") }); err == nil {
+				t.Error("a panicking Do returned no error")
+			}
+			// finishCrash runs on its own goroutine; wait for its restart.
+			for queued := false; !queued; time.Sleep(time.Millisecond) {
+				pool.mu.Lock()
+				queued = e.index >= 0
+				pool.mu.Unlock()
+			}
+			close(crashed)
+		})
+		return next, ok
+	})
+	// Swap the task in while the entry is queued, so its next pop runs it.
+	for swapped := false; !swapped; runtime.Gosched() {
+		pool.mu.Lock()
+		if swapped = e.index >= 0; swapped {
+			e.task = wrap
+		}
+		pool.mu.Unlock()
+	}
+	select {
+	case <-crashed:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the wrapped slice never ran")
+	}
+	time.Sleep(100 * time.Millisecond) // the slice's answer was due at once
+	pool.mu.Lock()
+	wait := time.Until(e.due)
+	pool.mu.Unlock()
+	if h := inst.Health(); h.Restarts != 0 || wait < 30*time.Minute {
+		t.Fatalf("after a Do crash with a 1h backoff: %d restarts, restart due in %v", h.Restarts, wait)
+	}
+}
+
 // TestCadenceStretchAndTighten: an unobserved healthy paced instance
 // stretches its tick (batching epochs); attaching a stream subscriber
 // snaps it back to every-epoch cadence.
