@@ -62,14 +62,17 @@ chaos:
 # create/crash/delete churn against the shared epoch scheduler —
 # goroutines, heap and the scheduler queue must return to baseline —
 # the one job scheduler dispatching across a sharded registry,
-# /metrics scrapes racing create/migrate/delete churn, and a seeded
-# create/migrate/delete sequence held to a model of the registry index.
+# /metrics scrapes racing create/migrate/delete churn, scrapes held to a
+# cold render while the status writers and block membership move (the
+# scrape's block cache is state the server's scrapes share), and a
+# seeded create/migrate/delete sequence held to a model of the registry
+# index.
 # Named instances: racing creates of one name, a name held while its
 # instance migrates, and a name kept across shard and peer moves. The
 # federation router: a restart over the same members keeps every id and
 # mints past them, and nothing it passes through names a member-local id.
 churn:
-	$(GO) test -race -run 'RegistryChurnNoLeaks|EpochScheduler|HundredThousand|ShardedServerRunsEveryJob|ConcurrentScrapesDuringChurn|RegistryOrderAndRemove|CreatesOfOneName|MigratingNameIsHeld|KeepsItsName|RouterRestartKeepsNamespace|RouterKeepsFederatedNames' ./internal/serve/ ./internal/fed/
+	$(GO) test -race -run 'RegistryChurnNoLeaks|EpochScheduler|HundredThousand|ShardedServerRunsEveryJob|ConcurrentScrapesDuringChurn|ScrapeMatchesColdRender|RerenderLeavesOldRowsIntact|RegistryOrderAndRemove|CreatesOfOneName|MigratingNameIsHeld|KeepsItsName|RouterRestartKeepsNamespace|RouterKeepsFederatedNames' ./internal/serve/ ./internal/fed/
 
 # Short fuzz pass over the boundaries that accept bytes from outside the
 # process. The HRCF checkpoint file decoder: truncated, bit-flipped and

@@ -325,15 +325,17 @@ func bootHook(fs *actuate.FSActuator, cfg hw.Config, summary io.Writer) func(*ma
 // counter past n. Restored files stay in place, and the checkpointer
 // rotates them to <id>.ckpt.1 as it writes their replacements; a corrupt
 // primary resumed from <id>.ckpt.1 is set aside as <id>.ckpt.failed
-// (engine.ReadFallback), so that write keeps the good generation.
-// Unreadable or unrestorable files are set aside as *.failed (preserved
-// for inspection, out of the restore scan) with a log line — recovery
-// should salvage what it can, not refuse to start. The JSON-enveloped
-// *.json files of daemons before the binary envelope are no longer read:
-// each is refused the same way, so the operator sees it in the log.
-// The first checkpoint named as boot is restored with boot's epoch hook
-// and trace: the flag-bootstrapped instance keeps its -fsroot mirror and
-// -trace log across a crash. boot may be nil.
+// (engine.ReadFallback), so that write keeps the good generation. An
+// <id>.ckpt.1 with no <id>.ckpt (a crash between WriteFile's renames)
+// resumes from that generation. Unreadable or unrestorable files are set
+// aside as *.failed (preserved for inspection, out of the restore scan)
+// with a log line — recovery should salvage what it can, not refuse to
+// start. The JSON-enveloped *.json files of daemons before the binary
+// envelope are no longer read: each is refused the same way, so the
+// operator sees it in the log. The first checkpoint named as boot is
+// restored with boot's epoch hook and trace: the flag-bootstrapped
+// instance keeps its -fsroot mirror and -trace log across a crash. boot
+// may be nil.
 func restoreCheckpoints(srv *serve.Server, dir string, speed float64, maxEpochs int, boot *serve.InstanceSpec) int {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -342,10 +344,15 @@ func restoreCheckpoints(srv *serve.Server, dir string, speed float64, maxEpochs 
 	}
 	restored := 0
 	for _, e := range entries {
-		if ext := filepath.Ext(e.Name()); ext != ".ckpt" && ext != ".json" {
+		name, orphan := e.Name(), false
+		primary := func(d os.DirEntry) bool { return d.Name()+".1" == name } // as listed, before any set-aside
+		if stem, ok := strings.CutSuffix(name, ".ckpt.1"); ok && !slices.ContainsFunc(entries, primary) {
+			name, orphan = stem+".ckpt", true
+			log.Printf("heraclesd: %s is missing, falling back to previous generation %s.1", filepath.Join(dir, name), filepath.Join(dir, name))
+		} else if ext := filepath.Ext(name); ext != ".ckpt" && ext != ".json" {
 			continue
 		}
-		path := filepath.Join(dir, e.Name())
+		path := filepath.Join(dir, name)
 		// fail sets aside the file that could not be used: the primary
 		// when nothing decoded, else the generation the checkpoint came
 		// from (after a fallback the primary is already path.failed).
@@ -357,10 +364,13 @@ func restoreCheckpoints(srv *serve.Server, dir string, speed float64, maxEpochs 
 		}
 		cp, src, err := serve.ReadCheckpointFallback(path)
 		if err != nil {
+			if orphan {
+				path += ".1"
+			}
 			fail(path, err)
 			continue
 		}
-		if src != path {
+		if src != path && !orphan {
 			log.Printf("heraclesd: %s failed verification, falling back to previous generation %s", path, src)
 		}
 		spec := serve.InstanceSpec{Restore: cp, Speed: speed, MaxEpochs: maxEpochs}
@@ -368,7 +378,7 @@ func restoreCheckpoints(srv *serve.Server, dir string, speed float64, maxEpochs 
 		if isBoot {
 			spec.EpochHook, spec.Trace = boot.EpochHook, boot.Trace
 		}
-		inst, err := srv.ResumeInstance(strings.TrimSuffix(e.Name(), filepath.Ext(e.Name())), spec)
+		inst, err := srv.ResumeInstance(strings.TrimSuffix(name, filepath.Ext(name)), spec)
 		if err != nil {
 			fail(src, err)
 			continue
@@ -410,12 +420,12 @@ func startCheckpointer(srv *serve.Server, dir string, every time.Duration) func(
 		}
 		// Drop files for instances that no longer exist so a restart does
 		// not resurrect deleted machines; their rotated previous
-		// generations go with them.
-		if paths, err := filepath.Glob(filepath.Join(dir, "*"+ext)); err == nil {
+		// generations and half-written replacements go with them.
+		for _, suffix := range []string{"", ".1", ".tmp"} {
+			paths, _ := filepath.Glob(filepath.Join(dir, "*"+ext+suffix))
 			for _, p := range paths {
-				if !live[filepath.Base(p)] {
+				if !live[strings.TrimSuffix(filepath.Base(p), suffix)] {
 					os.Remove(p)
-					os.Remove(p + ".1")
 				}
 			}
 		}

@@ -229,3 +229,71 @@ func awaitDone(t *testing.T, inst *serve.Instance) {
 		}
 	}
 }
+
+// TestRestoreResumesBetweenRenames: a daemon that died between
+// engine.WriteFile's two renames leaves a stem with its previous
+// generation as <id>.ckpt.1 and the replacement as <id>.ckpt.tmp, but no
+// <id>.ckpt. The scan resumes the instance from the previous generation,
+// and the checkpointer's first pass writes it a primary again. A stem
+// with only a .tmp never finished a write: nothing resumes from it, and
+// the pass sweeps it.
+func TestRestoreResumesBetweenRenames(t *testing.T) {
+	srv := serve.New(serve.Config{Lab: experiment.DefaultLab()})
+	defer srv.Close()
+	inst, err := srv.CreateInstance(serve.InstanceSpec{Speed: serve.SpeedMax, MaxEpochs: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	awaitDone(t, inst)
+	cp, err := inst.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	file, err := serve.EncodeCheckpointFileBinary(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	path := filepath.Join(dir, "a.ckpt")
+	if err := engine.WriteFile(path, file); err != nil {
+		t.Fatal(err)
+	}
+	// The first rename done, the second not: the primary is .1 and the
+	// replacement waits as .tmp.
+	if err := os.Rename(path, path+".1"); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"a.ckpt.tmp", "z.ckpt.tmp"} {
+		if err := os.WriteFile(filepath.Join(dir, name), file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var logs bytes.Buffer
+	log.SetOutput(&logs)
+	defer log.SetOutput(os.Stderr)
+	fresh := serve.New(serve.Config{Lab: experiment.DefaultLab()})
+	defer fresh.Close()
+	if n := restoreCheckpoints(fresh, dir, 0, 0, nil); n != 1 {
+		t.Fatalf("restored %d instances, want 1; log:\n%s", n, &logs)
+	}
+	if _, ok := fresh.Registry().Get("a"); !ok {
+		t.Fatalf("no instance a after the restore; log:\n%s", &logs)
+	}
+	for _, want := range []string{
+		path + " is missing, falling back to previous generation " + path + ".1",
+		"restored instance a from " + path + " (epoch 3)",
+	} {
+		if !strings.Contains(logs.String(), want) {
+			t.Errorf("log lacks %q:\n%s", want, &logs)
+		}
+	}
+
+	startCheckpointer(fresh, dir, time.Hour)()
+	for name, want := range map[string]bool{"a.ckpt": true, "a.ckpt.1": true, "a.ckpt.tmp": false, "z.ckpt.tmp": false} {
+		if _, err := os.Stat(filepath.Join(dir, name)); (err == nil) != want {
+			t.Errorf("after the sweep, %s exists = %t, want %t", name, err == nil, want)
+		}
+	}
+}

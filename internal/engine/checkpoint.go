@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"sort"
 	"time"
 
@@ -377,7 +378,8 @@ func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 // stable storage before it is renamed into place, so a crash mid-write
 // never clobbers the live file, and the previous generation is rotated
 // to "<path>.1" so one bad write still leaves a checkpoint to fall back
-// to (ReadFallback).
+// to (ReadFallback). The directory is synced after the renames, so they
+// outlast a crash too.
 func WriteFile(path string, data []byte) error {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
@@ -392,7 +394,12 @@ func WriteFile(path string, data []byte) error {
 	if err := os.Rename(path, path+".1"); err != nil && !os.IsNotExist(err) {
 		return err
 	}
-	return os.Rename(tmp, path)
+	err = os.Rename(tmp, path)
+	d, derr := os.Open(filepath.Dir(path))
+	if derr != nil {
+		return errors.Join(err, derr)
+	}
+	return errors.Join(err, d.Sync(), d.Close())
 }
 
 // ReadFallback decodes the file WriteFile stored at path or, when it is

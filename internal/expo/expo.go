@@ -156,8 +156,9 @@ func (r *Rows) Col(c int) []byte { return r.Buf[r.Bounds[c]:r.Bounds[c+1]] }
 // writeTo writes the families to out in name order, so scrapes diff
 // cleanly whatever sequence the renderers ran in, each gathered family
 // followed by its column of rows. Each family's slice of the buffer goes
-// out in place; a column of rows comes in small pieces, so it is batched
-// through a 32 KB stage. It stops at the first failed Write and counts
+// out in place; a column of rows comes in pieces, batched through a
+// 32 KB stage that never regrows: a piece that would overfill it goes
+// out in place after it. It stops at the first failed Write and counts
 // the bytes out took.
 func (w *Writer) writeTo(out io.Writer, rows []*Rows) (n int64, err error) {
 	order := make([]int, len(w.fams))
@@ -184,7 +185,11 @@ func (w *Writer) writeTo(out io.Writer, rows []*Rows) (n int64, err error) {
 		write(w.buf[w.fams[i].off:end])
 		if c := w.fams[i].col; c >= 0 {
 			for _, r := range rows {
-				if stage = append(stage, r.Col(c)...); len(stage) >= 32<<10 {
+				if p := r.Col(c); len(stage)+len(p) > cap(stage) {
+					write(stage)
+					write(p)
+					stage = stage[:0]
+				} else if stage = append(stage, p...); len(stage) >= 32<<10 {
 					write(stage)
 					stage = stage[:0]
 				}

@@ -319,7 +319,9 @@ func TestHistogramGolden(t *testing.T) {
 // TestGatheredRowsRespond gathers pre-rendered rows under families of a
 // Writer that also holds families of its own: the response must be what
 // one Writer holding every series would send, with its exact length,
-// whether the pieces fit the stage or not.
+// whether the pieces fit the stage or not. Pieces that overfill the stage
+// go out beside it: writeTo allocates as much whatever the pieces' sizes,
+// so the stage never regrows.
 func TestGatheredRowsRespond(t *testing.T) {
 	ref := func(sources, perCol int) string {
 		w := NewWriter(0)
@@ -334,7 +336,8 @@ func TestGatheredRowsRespond(t *testing.T) {
 		}
 		return sortFamiliesRef(string(w.Bytes()))
 	}
-	for _, tc := range []struct{ sources, perCol int }{{0, 0}, {3, 1}, {5, 0}, {40, 30}, {2, 2000}} {
+	allocs := -1.0
+	for _, tc := range []struct{ sources, perCol int }{{3, 1}, {0, 0}, {5, 0}, {40, 30}, {12, 300}, {2, 2000}} {
 		rows := make([]*Rows, tc.sources)
 		for s := range rows {
 			r := &Rows{Bounds: []int{0}}
@@ -358,6 +361,11 @@ func TestGatheredRowsRespond(t *testing.T) {
 		}
 		if got := rec.Header().Get("Content-Length"); got != strconv.Itoa(len(want)) {
 			t.Fatalf("%d sources × %d lines: Content-Length %s for a %d-byte body", tc.sources, tc.perCol, got, len(want))
+		}
+		if got := testing.AllocsPerRun(5, func() { w.writeTo(io.Discard, rows) }); allocs < 0 {
+			allocs = got
+		} else if tc.sources > 0 && got != allocs {
+			t.Fatalf("%d sources × %d lines: writeTo allocates %v times, %v for 3 small sources", tc.sources, tc.perCol, got, allocs)
 		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"heracles/internal/core"
@@ -299,14 +298,15 @@ type Instance struct {
 	// counters in it, the controller its action counts (sorted).
 	mu     sync.Mutex
 	status Status
-	rows   atomic.Pointer[instanceRows] // the last scrape's rows (metrics.go)
+	gen    uint64        // counts status writes: each writer ends with notifyLocked
+	rows   *instanceRows // the last scrape's (metrics.go), under the server's scrape lock
 	// spans is the bounded epoch span-timing ring (mu-guarded): grown
 	// lazily to traceRingCap, then overwritten oldest-first at spanHead.
 	spans    []SpanRecord
 	spanHead int
-	// notec is the observable-change notification: closed and replaced
-	// whenever status or health changes, so tests wait on events instead
-	// of sleep-polling.
+	// notec is the observable-change notification: made when a waiter
+	// asks, closed at the next change of status or health, so tests wait
+	// on events instead of sleep-polling.
 	notec chan struct{}
 
 	// Supervisor state beyond status's health counters, mu-guarded.
@@ -375,7 +375,6 @@ func newInstance(id string, shard int, spec InstanceSpec, lab *experiment.Lab, s
 		pool:      pool,
 		shard:     shard,
 		donec:     make(chan struct{}),
-		notec:     make(chan struct{}),
 
 		sup:     sup.withDefaults(),
 		supSeed: fnvHash(id),
@@ -494,6 +493,7 @@ func (i *Instance) bind(eng *engine.Engine) {
 // before the first epoch after a restore resolves. i.mu is held, or the
 // instance is not published yet.
 func (i *Instance) mirrorEngineLocked() {
+	i.notifyLocked()
 	i.status.State = StateRunning
 	if i.doneRunning {
 		i.status.State = StateDone
@@ -608,13 +608,20 @@ func (i *Instance) Do(fn func() error) error {
 func (i *Instance) changed() <-chan struct{} {
 	i.mu.Lock()
 	defer i.mu.Unlock()
+	if i.notec == nil {
+		i.notec = make(chan struct{})
+	}
 	return i.notec
 }
 
-// notifyLocked wakes changed waiters; i.mu is held.
+// notifyLocked follows every write to status: it moves the generation a
+// scrape compares (metrics.go) and wakes changed waiters. i.mu is held.
 func (i *Instance) notifyLocked() {
-	close(i.notec)
-	i.notec = make(chan struct{})
+	i.gen++
+	if i.notec != nil {
+		close(i.notec)
+		i.notec = nil
+	}
 }
 
 // SetLoad changes the offered LC load target mid-flight.
@@ -729,6 +736,7 @@ func (i *Instance) refreshBEs() {
 func (i *Instance) onControllerEvent(e core.Event) {
 	i.mu.Lock()
 	i.status.countAction(e.Loop, e.Action)
+	i.notifyLocked()
 	i.mu.Unlock()
 	publishEvent(i, "controller", i.eng.Epoch(), ControllerUpdate{
 		Instance:  i.id,
@@ -899,6 +907,7 @@ func (i *Instance) step() {
 		i.scenarioSpec = nil
 		i.mu.Lock()
 		i.status.Scenario = ""
+		i.notifyLocked()
 		i.mu.Unlock()
 		i.publishLifecycle("scenario-done", er.ScenarioDone)
 	}
@@ -920,8 +929,10 @@ func (i *Instance) step() {
 	i.status.Epoch = er.Epoch
 	i.status.Last = up
 	if i.eng.SLOEnabled() {
-		st := sloStatus
-		i.status.SLO = &st
+		if i.status.SLO == nil {
+			i.status.SLO = new(slo.Status)
+		}
+		*i.status.SLO = sloStatus // in place: every reader copies it under i.mu
 	}
 	i.status.FaultsInjected += int64(er.FaultsApplied)
 	if done {

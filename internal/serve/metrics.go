@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"slices"
 	"strconv"
+	"sync"
 
 	"heracles/internal/expo"
 	"heracles/internal/slo"
@@ -163,15 +164,34 @@ func (v *rowValues) fill(s *Status) {
 	clear(v.vals[len(vals):])
 }
 
-// instanceRows is an instance's rows as a scrape rendered them, with the
-// values they print. Published rows are never written: a scrape reading
-// other values renders fresh ones, so a slow scraper still sending old
-// rows never races a render.
+// same returns which families print the same lines under u as under v,
+// one bit each: actions' when acts held, none if the SLO engine came or went.
+func (v *rowValues) same(u *rowValues, acts bool) uint32 {
+	same, at := uint32(0), 0
+	for k := range instanceFamilies {
+		f := &instanceFamilies[k]
+		n := f.values(v.hasSLO)
+		if v.hasSLO == u.hasSLO && slices.Equal(v.vals[at:at+n], u.vals[at:at+n]) && (f.value != nil || acts) {
+			same |= 1 << k
+		}
+		at += n
+	}
+	return same
+}
+
+const allFamilies = 1<<len(instanceFamilies) - 1 // every family's bit
+
+// instanceRows is what an instance's lines print, read at status
+// generation gen and drop count dropped, its share of the fleet aggregates
+// and where the lines are: member at of block blk. Under the scrape lock.
 type instanceRows struct {
-	vals   rowValues
-	acts   []ActionCount
-	rows   expo.Rows
-	bounds [len(instanceFamilies) + 1]int
+	gen     uint64
+	dropped int64
+	vals    rowValues
+	acts    []ActionCount
+	fleet   fleetStats
+	blk     *block
+	at      int
 }
 
 // fleetStats aggregates the pool into the fleet families.
@@ -197,59 +217,127 @@ func (f *fleetStats) add(s *Status) {
 	}
 }
 
-// scrape is one /metrics response's working set: the fleet aggregates,
-// and scratch for the values read and the lines rendered.
-type scrape struct {
-	fleet fleetStats
-	v     rowValues
-	acts  []ActionCount
-	line  []byte
-}
-
-// exposition returns the instance's rows for what it prints now, holding
-// i.mu only to read the values. Rows whose values and action counts
-// equal them in full are reused; otherwise the instance gets fresh rows.
-func (i *Instance) exposition(sc *scrape) *instanceRows {
-	i.mu.Lock()
-	// The hub counts drops without i.mu; status takes the count when read.
-	i.status.DroppedEvents = i.hub.Dropped()
-	sc.v.fill(&i.status)
-	sc.fleet.add(&i.status)
-	sc.acts = append(sc.acts[:0], i.status.Actions...)
-	i.mu.Unlock()
-	old := i.rows.Load()
-	if old != nil && old.vals == sc.v && slices.Equal(old.acts, sc.acts) {
-		return old
+// merge adds the instances g aggregates, as add would have one by one.
+func (f *fleetStats) merge(g *fleetStats) {
+	if f.n == 0 || g.minSlack < f.minSlack {
+		f.minSlack = g.minSlack
 	}
-	r := sc.render(i.id, old)
-	i.rows.Store(r)
-	return r
+	f.n, f.emuSum, f.pages = f.n+g.n, f.emuSum+g.emuSum, f.pages+g.pages
+	f.maxBudget = max(f.maxBudget, g.maxBudget) // neither is NaN: add skips one
 }
 
-// render returns fresh rows printing the values and action counts in sc
-// under id. A family whose values equal those of old (when not nil) is
-// copied from old's rows, the rest formatted through sc's line buffer: a
-// running instance moves about half its families between scrapes, and
-// the copy is what keeps its re-render no dearer than a cold render.
-func (sc *scrape) render(id string, old *instanceRows) *instanceRows {
-	r := &instanceRows{vals: sc.v, acts: slices.Clone(sc.acts)}
-	held := old != nil && old.vals.hasSLO == sc.v.hasSLO
-	sameActs := held && slices.Equal(old.acts, sc.acts)
-	b, at := sc.line[:0], 0
+// exposition brings the instance's rows up to what it prints now and
+// returns which families print as its kept lines do (none if it has no
+// lines). While the generation and the drop count hold, that is one
+// comparison; otherwise a full compare. The caller holds c's lock.
+func (i *Instance) exposition(c *scrapeCache) uint32 {
+	if i.rows == nil {
+		i.rows = &instanceRows{}
+	}
+	r := i.rows
+	i.mu.Lock()
+	// The hub counts drops without i.mu, so they have no generation.
+	dropped := i.hub.Dropped()
+	if r.blk != nil && r.gen == i.gen && r.dropped == dropped {
+		i.mu.Unlock()
+		return allFamilies
+	}
+	old, sameActs := r.vals, slices.Equal(r.acts, i.status.Actions)
+	c.st = i.status
+	c.st.DroppedEvents = dropped
+	r.vals.fill(&c.st)
+	r.acts = append(r.acts[:0], i.status.Actions...)
+	r.gen, r.dropped, r.fleet = i.gen, dropped, fleetStats{}
+	r.fleet.add(&c.st)
+	i.mu.Unlock()
+	if r.blk == nil {
+		return 0
+	}
+	return old.same(&r.vals, sameActs)
+}
+
+const blockSize = 32 // instances, consecutive in list order, per block
+
+// block is its n members' lines family-major: column k of rows is each
+// member's family k in turn, member m's at Buf[cuts[k*n+m]:cuts[k*n+m+1]].
+// It is never written once built, so a slow scraper never races a rebuild.
+type block struct {
+	rows    expo.Rows
+	bounds  [len(instanceFamilies) + 1]int
+	members []*Instance
+	cuts    [len(instanceFamilies)*blockSize + 1]int32
+}
+
+func (b *block) line(m, k int) []byte {
+	return b.rows.Buf[b.cuts[k*len(b.members)+m]:b.cuts[k*len(b.members)+m+1]]
+}
+
+// scrapeCache is what the server's scrapes share, under mu: the blocks
+// of the last scrape in list order, and scratch.
+type scrapeCache struct {
+	mu     sync.Mutex
+	blocks []*block
+	st     Status
+	same   [blockSize]uint32
+	line   []byte
+}
+
+// gather returns the blocks of insts' lines, the last scrape's unless a
+// member moved or was replaced, and adds every instance to fleet.
+func (c *scrapeCache) gather(insts []*Instance, fleet *fleetStats) []*expo.Rows {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make([]*expo.Rows, 0, (len(insts)+blockSize-1)/blockSize)
+	for b := 0; b*blockSize < len(insts); b++ {
+		members := insts[b*blockSize : min((b+1)*blockSize, len(insts))]
+		moved := false
+		for m, inst := range members {
+			c.same[m] = inst.exposition(c)
+			moved = moved || c.same[m] != allFamilies
+			fleet.merge(&inst.rows.fleet)
+		}
+		if b == len(c.blocks) {
+			c.blocks = append(c.blocks, nil)
+		}
+		if blk := c.blocks[b]; blk == nil || moved || !slices.Equal(blk.members, members) {
+			c.blocks[b] = c.build(members)
+		}
+		out = append(out, &c.blocks[b].rows)
+	}
+	clear(c.blocks[len(out):])
+	c.blocks = c.blocks[:len(out)]
+	return out
+}
+
+// build returns a block of members' lines, member m's family k copied
+// where bit k of c.same[m] is set, else formatted; their rows point at it.
+func (c *scrapeCache) build(members []*Instance) *block {
+	blk, n := &block{members: slices.Clone(members)}, len(members)
+	var at [blockSize]int
+	b := c.line[:0]
 	for k := range instanceFamilies {
 		f := &instanceFamilies[k]
-		vals := sc.v.vals[at : at+f.values(sc.v.hasSLO)]
-		if held && slices.Equal(old.vals.vals[at:at+len(vals)], vals) && (f.value != nil || sameActs) {
-			b = append(b, old.rows.Col(k)...)
-		} else {
-			b = appendFamily(b, f, id, vals, r.acts)
+		blk.bounds[k] = len(b)
+		for m, inst := range members {
+			blk.cuts[k*n+m] = int32(len(b))
+			r := inst.rows
+			vals := r.vals.vals[at[m] : at[m]+f.values(r.vals.hasSLO)]
+			at[m] += len(vals)
+			if c.same[m]&(1<<k) != 0 {
+				b = append(b, r.blk.line(r.at, k)...)
+			} else {
+				b = appendFamily(b, f, inst.id, vals, r.acts)
+			}
 		}
-		at += len(vals)
-		r.bounds[k+1] = len(b)
 	}
-	sc.line = b
-	r.rows = expo.Rows{Buf: slices.Clone(b), Bounds: r.bounds[:]}
-	return r
+	blk.bounds[len(instanceFamilies)] = len(b)
+	blk.cuts[len(instanceFamilies)*n] = int32(len(b))
+	c.line = b
+	blk.rows = expo.Rows{Buf: slices.Clone(b), Bounds: blk.bounds[:]}
+	for m, inst := range members {
+		inst.rows.blk, inst.rows.at = blk, m
+	}
+	return blk
 }
 
 // writeInstanceMetrics writes the instance block: the instance count,
@@ -417,20 +505,16 @@ func renderMetrics(sts []Status, sched SchedulerStatus, epoch EpochSchedStatus, 
 	return e
 }
 
-// handleMetrics answers a scrape: the instances' rows, formatted only
-// where values moved, gathered under the block writer's families.
+// handleMetrics answers a scrape: the instances' blocks, built again
+// only where a member moved, gathered under the block writer's families.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	insts := s.reg.List()
-	var sc scrape
-	rows := make([]*expo.Rows, len(insts))
-	for k, inst := range insts {
-		rows[k] = &inst.exposition(&sc).rows
-	}
+	var fleet fleetStats
+	blocks := s.scrape.gather(s.reg.List(), &fleet)
 	shards := s.reg.ShardStatuses()
 	e := expo.NewWriter(metricsBytes(nil, len(shards)))
-	writeInstanceMetrics(e, &sc.fleet, func(k int, f *instanceFamily) { e.Gather(f.name, f.typ, f.help, k) })
+	writeInstanceMetrics(e, &fleet, func(k int, f *instanceFamily) { e.Gather(f.name, f.typ, f.help, k) })
 	writeServerMetrics(e, s.jobs.Status(), s.reg.pool.status(), shards, s.reg.Migrations())
-	e.Respond(w, rows...)
+	e.Respond(w, blocks...)
 }
 
 // MetricNames lists every metric family the exposition can emit, read

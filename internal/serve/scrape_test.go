@@ -16,23 +16,32 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"heracles/internal/core"
 	"heracles/internal/expo"
 	"heracles/internal/slo"
 )
 
-// rowsOf renders s's rows — copying from old, when it is not nil, the
-// families whose values held — and splits them by family.
+// rowsOf gathers an instance in status s as a block of one — copying
+// from old's lines, when old is not nil, the families whose values held —
+// and returns its rows and its lines by family.
 func rowsOf(s *Status, old *instanceRows) (*instanceRows, [][]byte) {
-	sc := scrape{acts: s.Actions}
-	sc.v.fill(s)
-	r := sc.render(s.ID, old)
+	inst := &Instance{id: s.ID, hub: NewHub(), status: cloneStatus(*s), gen: 1}
+	inst.hub.dropped.Add(s.DroppedEvents)
+	if old != nil {
+		r := *old
+		r.acts = slices.Clone(r.acts) // exposition refills its rows' acts in place
+		r.gen = 0
+		inst.rows = &r
+	}
+	var c scrapeCache
+	c.gather([]*Instance{inst}, &fleetStats{})
 	out := make([][]byte, len(instanceFamilies))
 	for k := range out {
-		out[k] = r.rows.Col(k)
+		out[k] = inst.rows.blk.line(0, k)
 	}
-	return r, out
+	return inst.rows, out
 }
 
 // cloneStatus copies s deeply enough that moving a field of the copy
@@ -183,9 +192,9 @@ func TestRowsKeyCoversEveryPrintedField(t *testing.T) {
 					t.Fatalf("status %d, %s moved: rows reused %v, but a cold render prints them %s",
 						b, lf.name, reused, map[bool]string{true: "again", false: "differently"}[same])
 				}
-				if warm, _ := rowsOf(&moved, old); !bytes.Equal(warm.rows.Buf, cold.rows.Buf) {
+				if _, warm := rowsOf(&moved, old); !slices.EqualFunc(warm, coldRows, bytes.Equal) {
 					t.Fatalf("status %d, %s moved: rows rendered from the old ones\n%s\ndiffer from a cold render\n%s",
-						b, lf.name, warm.rows.Buf, cold.rows.Buf)
+						b, lf.name, bytes.Join(warm, nil), bytes.Join(coldRows, nil))
 				}
 				if !reused && b == 0 { // the one golden status with every pointer set
 					printed[lf.name] = true
@@ -233,16 +242,28 @@ func coldScrape(s *Server) string {
 }
 
 // TestScrapeMatchesColdRenderUnderMutations drives a seeded random
-// sequence of the changes an instance's printed values go through —
-// load and SLO moves as a stepped epoch publishes them, a controller
-// action appearing or counting up, the SLO engine attached, detached or
-// moving, health and restarts, dropped events, done and running, delete,
-// create, and a create under the id just deleted — and scrapes between
-// them: every body must equal a cold render of the pool.
+// sequence of the changes an instance's printed values go through, and
+// scrapes between them: every body must equal a cold render of the
+// pool. Some changes are written into the status directly, each ending
+// with the status writers' generation bump — load and SLO moves as a
+// stepped epoch publishes them, the SLO engine attached, detached or
+// moving, health and restarts, done and running — and dropped events,
+// which the hub counts without one. The rest run the status writers
+// themselves on instances paced too slowly to step on their own: a
+// controller action, a stepped slice, an armed driver panic, the crash
+// and the restart it brings, quarantine, the stability window closing,
+// best-effort tasks attached and detached, and a scenario installed
+// and run to its end. Instances are deleted from and created into the
+// middle of a block, some under the id just deleted.
 func TestScrapeMatchesColdRenderUnderMutations(t *testing.T) {
-	s := New(Config{Lab: testLab, Shards: 2, MaxInstances: 64})
+	s := New(Config{Lab: testLab, Shards: 2, MaxInstances: 64, restartBackoff: time.Hour})
 	defer s.Close()
-	finishedPool(t, s, 8)
+	finishedPool(t, s, blockSize+3)
+	for range 4 { // due once a simulated year has passed: only the test steps them
+		if _, err := s.CreateInstance(InstanceSpec{Load: 0.4, Speed: 1e-8}); err != nil {
+			t.Fatal(err)
+		}
+	}
 	h := s.Handler()
 	r := rand.New(rand.NewPCG(7, 39))
 	create := func() {
@@ -271,104 +292,159 @@ func TestScrapeMatchesColdRenderUnderMutations(t *testing.T) {
 			return
 		}
 	}
+	scenario, err := (&ScenarioSpec{Name: "short", DurationS: 3, Load: &ShapeSpec{Kind: "flat", Value: 0.5}}).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
 	loops, actions := []string{"core", "top", "net"}, []string{"grow", "shrink", "disable"}
 	var lastDeleted string
-	for step := range 400 {
+	for step := range 500 {
 		insts := s.reg.List()
-		inst := insts[r.IntN(len(insts))]
-		st := &inst.status
-		switch op := r.IntN(10); op {
-		case 0, 1, 2, 4, 5, 6:
-			inst.mu.Lock()
-			switch op {
-			case 0: // a stepped epoch moves the load and what follows it
-				st.Last.Load = float64(r.IntN(8)) / 8
-				st.Last.TailMs, st.Last.Slack = r.Float64()*20, r.Float64()-0.5
-				st.Epoch++
-			case 1: // the SLO target
-				st.Last.SLOMs = float64(10 + r.IntN(3))
-			case 2: // the SLO engine attached, detached or moving
-				switch {
-				case st.SLO == nil:
-					st.SLO = &slo.Status{Objective: 0.999}
-				case r.IntN(3) == 0:
-					st.SLO = nil
-				default:
-					moved := *st.SLO
-					moved.Violations++
-					moved.Burn[r.IntN(slo.NumWindows)] = r.Float64() * 20
-					moved.Page = r.IntN(2) == 0
-					st.SLO = &moved
-				}
-			case 4: // health and restarts
-				st.Health = []string{HealthHealthy, HealthDegraded, HealthQuarantined}[r.IntN(3)]
-				st.Restarts += r.IntN(2)
-			case 5: // done and running
-				st.State = []string{StateRunning, StateDone}[r.IntN(2)]
-			case 6:
-				st.FaultsInjected++
-			}
-			inst.mu.Unlock()
-		case 3: // a controller action appears or counts up
-			inst.onControllerEvent(core.Event{Loop: loops[r.IntN(3)], Action: actions[r.IntN(3)]})
-		case 7: // dropped events: the hub counts them outside i.mu
-			inst.hub.dropped.Add(int64(1 + r.IntN(3)))
-		case 8: // delete
-			if len(insts) > 2 {
-				if _, _, ok := s.reg.Remove(inst.ID()); ok {
-					inst.Stop()
-					lastDeleted = inst.ID()
-				}
-			}
-		case 9: // create, half the time under the id last deleted
-			if lastDeleted != "" && r.IntN(2) == 0 {
-				n, _ := strconv.Atoi(strings.TrimPrefix(lastDeleted, "i"))
-				s.reg.mu.Lock()
-				seq := s.reg.seq
-				s.reg.seq = n - 1
-				s.reg.mu.Unlock()
-				create()
-				s.reg.mu.Lock()
-				s.reg.seq = seq
-				s.reg.mu.Unlock()
-				lastDeleted = ""
+		var paced, finished []*Instance
+		for _, i := range insts {
+			if i.speed > 0 {
+				paced = append(paced, i)
 			} else {
-				create()
+				finished = append(finished, i)
+			}
+		}
+		if op := r.IntN(17); op >= 10 {
+			// The status writers, on an instance that steps only here.
+			inst := paced[r.IntN(len(paced))]
+			switch op {
+			case 10, 11, 12: // a slice: epochs stepped, or the restart a crash scheduled
+				inst.runSlice()
+			case 13: // an armed driver panic, which the next slice books as a crash
+				inst.InjectFault(FaultRequest{Kind: FaultDriverPanic})
+			case 14: // quarantine, now and then; the stability window, which clears a crash
+				if r.IntN(8) == 0 {
+					inst.quarantine("test")
+				} else {
+					inst.stepMu.Lock()
+					inst.epochsSinceRestart = inst.sup.stable
+					inst.markStable()
+					inst.stepMu.Unlock()
+				}
+			case 15: // a best-effort task attached or detached
+				if r.IntN(2) == 0 {
+					inst.AttachBE(BEAttachment{Workload: "brain"})
+				} else {
+					inst.DetachBE("brain")
+				}
+			case 16: // a scenario installed; slices run it to its end
+				inst.InstallScenario(scenario, nil)
+			}
+		} else {
+			inst := finished[r.IntN(len(finished))]
+			st := &inst.status
+			switch op {
+			case 0, 1, 2, 4, 5, 6:
+				inst.mu.Lock()
+				switch op {
+				case 0: // a stepped epoch moves the load and what follows it
+					st.Last.Load = float64(r.IntN(8)) / 8
+					st.Last.TailMs, st.Last.Slack = r.Float64()*20, r.Float64()-0.5
+					st.Epoch++
+				case 1: // the SLO target
+					st.Last.SLOMs = float64(10 + r.IntN(3))
+				case 2: // the SLO engine attached, detached or moving
+					switch {
+					case st.SLO == nil:
+						st.SLO = &slo.Status{Objective: 0.999}
+					case r.IntN(3) == 0:
+						st.SLO = nil
+					default:
+						moved := *st.SLO
+						moved.Violations++
+						moved.Burn[r.IntN(slo.NumWindows)] = r.Float64() * 20
+						moved.Page = r.IntN(2) == 0
+						st.SLO = &moved
+					}
+				case 4: // health and restarts
+					st.Health = []string{HealthHealthy, HealthDegraded, HealthQuarantined}[r.IntN(3)]
+					st.Restarts += r.IntN(2)
+				case 5: // done and running
+					st.State = []string{StateRunning, StateDone}[r.IntN(2)]
+				case 6:
+					st.FaultsInjected++
+				}
+				inst.notifyLocked()
+				inst.mu.Unlock()
+			case 3: // a controller action appears or counts up
+				inst.onControllerEvent(core.Event{Loop: loops[r.IntN(3)], Action: actions[r.IntN(3)]})
+			case 7: // dropped events: the hub counts them outside i.mu
+				inst.hub.dropped.Add(int64(1 + r.IntN(3)))
+			case 8: // delete
+				if len(finished) > 2 {
+					if _, _, ok := s.reg.Remove(inst.ID()); ok {
+						inst.Stop()
+						lastDeleted = inst.ID()
+					}
+				}
+			case 9: // create, half the time under the id last deleted
+				if lastDeleted != "" && r.IntN(2) == 0 {
+					n, _ := strconv.Atoi(strings.TrimPrefix(lastDeleted, "i"))
+					s.reg.mu.Lock()
+					seq := s.reg.seq
+					s.reg.seq = n - 1
+					s.reg.mu.Unlock()
+					create()
+					s.reg.mu.Lock()
+					s.reg.seq = seq
+					s.reg.mu.Unlock()
+					lastDeleted = ""
+				} else {
+					create()
+				}
 			}
 		}
 		if r.IntN(2) == 0 {
 			check(step)
 		}
 	}
-	check(400)
+	check(500)
 }
 
-// TestRerenderLeavesOldRowsIntact holds the copy-on-write rule: rows a
-// scrape took are never written again, however the instance moves, so a
-// slow scraper still sending them sends what it took.
+// TestRerenderLeavesOldRowsIntact holds the copy-on-write rule: blocks
+// a scrape took are never written again, however their members move, so
+// a slow scraper still sending them sends what it took. A scrape builds
+// again only the block whose member moved, and one that finds nothing
+// moved sends the blocks it sent before.
 func TestRerenderLeavesOldRowsIntact(t *testing.T) {
 	s := New(Config{Lab: testLab})
 	defer s.Close()
-	finishedPool(t, s, 1)
-	inst := s.reg.List()[0]
-	var sc scrape
-	first := inst.exposition(&sc)
-	kept, keptActs := bytes.Clone(first.rows.Buf), slices.Clone(first.acts)
-	if again := inst.exposition(&sc); again != first {
-		t.Fatal("an unchanged instance rendered its rows again")
+	finishedPool(t, s, blockSize+2)
+	gather := func() []*expo.Rows {
+		var fleet fleetStats
+		return s.scrape.gather(s.reg.List(), &fleet)
 	}
+	first := gather()
+	if len(first) != 2 {
+		t.Fatalf("%d instances gathered into %d blocks, want 2", blockSize+2, len(first))
+	}
+	kept := [][]byte{bytes.Clone(first[0].Buf), bytes.Clone(first[1].Buf)}
+	if again := gather(); !slices.Equal(again, first) {
+		t.Fatal("a scrape of an unmoved pool built its blocks again")
+	}
+	inst := s.reg.List()[1]
 	for _, move := range []func(){
 		func() { inst.onControllerEvent(core.Event{Loop: "top", Action: "enable-be"}) },
 		func() { inst.onControllerEvent(core.Event{Loop: "top", Action: "enable-be"}) },
-		func() { inst.mu.Lock(); inst.status.Last.Load += 0.125; inst.mu.Unlock() },
+		func() { inst.mu.Lock(); inst.status.Last.Load += 0.125; inst.notifyLocked(); inst.mu.Unlock() },
 	} {
+		prev := gather()
 		move()
-		prev := inst.rows.Load()
-		if next := inst.exposition(&sc); next == prev || bytes.Equal(next.rows.Buf, prev.rows.Buf) {
-			t.Fatal("a moved instance kept its rows")
+		next := gather()
+		if next[0] == prev[0] || bytes.Equal(next[0].Buf, prev[0].Buf) {
+			t.Fatal("the block of a moved instance was sent again")
 		}
-		if !bytes.Equal(first.rows.Buf, kept) || !slices.Equal(first.acts, keptActs) {
-			t.Fatalf("re-rendering wrote into the rows an earlier scrape took:\n%s", first.rows.Buf)
+		if next[1] != prev[1] {
+			t.Fatal("a block none of whose members moved was built again")
+		}
+		for b := range first {
+			if !bytes.Equal(first[b].Buf, kept[b]) {
+				t.Fatalf("building again wrote into block %d an earlier scrape took:\n%s", b, first[b].Buf)
+			}
 		}
 	}
 }

@@ -65,6 +65,8 @@ type Server struct {
 	jobs *jobDriver
 	mux  *http.ServeMux
 
+	scrape scrapeCache // /metrics blocks (metrics.go)
+
 	compactOnce sync.Once
 	compactLab  *experiment.Lab
 }

@@ -172,6 +172,7 @@ func (i *Instance) InjectFault(req FaultRequest) error {
 			i.panicNext = true
 			i.mu.Lock()
 			i.status.FaultsInjected++
+			i.notifyLocked()
 			i.mu.Unlock()
 			return nil
 		})
