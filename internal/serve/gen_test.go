@@ -107,7 +107,7 @@ func TestSteppedEpochAllocatesNothing(t *testing.T) {
 	}
 	inst.stepMu.Lock()
 	defer inst.stepMu.Unlock()
-	for range traceRingCap { // the span ring grows to its cap
+	for range traceRingCap { // the span ring is made at the first epoch and fills
 		inst.step()
 	}
 	if got := testing.AllocsPerRun(100, inst.step); got != 0 {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -180,9 +181,20 @@ type SpanRecord struct {
 }
 
 // traceRingCap bounds the span ring: the newest records win. 128 epochs
-// of history costs at most ~8KB, and the ring only grows as epochs are
-// actually stepped, so parked instances pay nothing.
+// of history costs 4KB, allocated at the first stepped epoch, so parked
+// instances pay nothing.
 const traceRingCap = 128
+
+// spanSlot is a SpanRecord as the ring keeps it, in 32 bytes: the phases
+// in nanoseconds saturating at math.MaxUint32 (~4.29 s), and no
+// sim_seconds, which TraceSpans derives from the epoch.
+type spanSlot struct {
+	epoch                                       uint64
+	events, sched, nodes, reduce, hook, publish uint32
+}
+
+// spanNs narrows a phase duration to a slot field, saturating.
+func spanNs(ns int64) uint32 { return uint32(min(max(ns, 0), math.MaxUint32)) }
 
 // ActionCount aggregates the controller decisions of one (loop, action)
 // pair.
@@ -300,10 +312,15 @@ type Instance struct {
 	status Status
 	gen    uint64        // counts status writes: each writer ends with notifyLocked
 	rows   *instanceRows // the last scrape's (metrics.go), under the server's scrape lock
-	// spans is the bounded epoch span-timing ring (mu-guarded): grown
-	// lazily to traceRingCap, then overwritten oldest-first at spanHead.
-	spans    []SpanRecord
-	spanHead int
+	// spans is the bounded epoch span-timing ring (mu-guarded): made at
+	// traceRingCap by the first record, filled, then overwritten
+	// oldest-first at spanHead. The machine clock moves by one epoch
+	// length per engine epoch, so an epoch's simulated time is spanBase +
+	// epoch × spanEpoch, both set by mirrorEngineLocked.
+	spans     []spanSlot
+	spanHead  int
+	spanBase  time.Duration
+	spanEpoch time.Duration
 	// notec is the observable-change notification: made when a waiter
 	// asks, closed at the next change of status or health, so tests wait
 	// on events instead of sleep-polling.
@@ -490,14 +507,17 @@ func (i *Instance) bind(eng *engine.Engine) {
 
 // mirrorEngineLocked copies into Status what it shows of a newly bound
 // engine; Last comes from the engine's telemetry, so status is meaningful
-// before the first epoch after a restore resolves. i.mu is held, or the
-// instance is not published yet.
+// before the first epoch after a restore resolves. It also sets the line
+// the span ring's simulated times lie on, which a crash restart's
+// checkpoint shares. i.mu is held, or the instance is not published yet.
 func (i *Instance) mirrorEngineLocked() {
 	i.notifyLocked()
 	i.status.State = StateRunning
 	if i.doneRunning {
 		i.status.State = StateDone
 	}
+	i.spanEpoch = i.m.Epoch()
+	i.spanBase = i.m.Clock().Now() - time.Duration(i.eng.Epoch())*i.spanEpoch
 	i.status.Epoch = i.eng.Epoch()
 	i.status.Scenario = i.eng.ScenarioName()
 	i.status.Last = i.epochUpdate(i.m.Last(), i.eng.Epoch())
@@ -969,15 +989,14 @@ func (i *Instance) step() {
 		publishNs = int64(time.Since(ps))
 	}
 
-	i.recordSpan(SpanRecord{
-		Epoch:      er.Epoch,
-		SimSeconds: up.SimSeconds,
-		EventsNs:   er.Spans.EventsNs,
-		SchedNs:    er.Spans.SchedNs,
-		NodesNs:    er.Spans.NodesNs,
-		ReduceNs:   er.Spans.ReduceNs,
-		HookNs:     hookNs,
-		PublishNs:  publishNs,
+	i.recordSpan(spanSlot{
+		epoch:   er.Epoch,
+		events:  spanNs(er.Spans.EventsNs),
+		sched:   spanNs(er.Spans.SchedNs),
+		nodes:   spanNs(er.Spans.NodesNs),
+		reduce:  spanNs(er.Spans.ReduceNs),
+		hook:    spanNs(hookNs),
+		publish: spanNs(publishNs),
 	})
 
 	if done {
@@ -987,12 +1006,15 @@ func (i *Instance) step() {
 }
 
 // recordSpan appends one epoch's phase timings to the bounded ring.
-func (i *Instance) recordSpan(rec SpanRecord) {
+func (i *Instance) recordSpan(s spanSlot) {
 	i.mu.Lock()
+	if i.spans == nil {
+		i.spans = make([]spanSlot, 0, traceRingCap)
+	}
 	if len(i.spans) < traceRingCap {
-		i.spans = append(i.spans, rec)
+		i.spans = append(i.spans, s)
 	} else {
-		i.spans[i.spanHead] = rec
+		i.spans[i.spanHead] = s
 		i.spanHead = (i.spanHead + 1) % traceRingCap
 	}
 	i.mu.Unlock()
@@ -1002,9 +1024,20 @@ func (i *Instance) recordSpan(rec SpanRecord) {
 func (i *Instance) TraceSpans() []SpanRecord {
 	i.mu.Lock()
 	defer i.mu.Unlock()
-	out := make([]SpanRecord, 0, len(i.spans))
-	out = append(out, i.spans[i.spanHead:]...)
-	out = append(out, i.spans[:i.spanHead]...)
+	out := make([]SpanRecord, len(i.spans))
+	for k := range out {
+		s := &i.spans[(i.spanHead+k)%len(i.spans)]
+		out[k] = SpanRecord{
+			Epoch:      s.epoch,
+			SimSeconds: (i.spanBase + time.Duration(s.epoch)*i.spanEpoch).Seconds(),
+			EventsNs:   int64(s.events),
+			SchedNs:    int64(s.sched),
+			NodesNs:    int64(s.nodes),
+			ReduceNs:   int64(s.reduce),
+			HookNs:     int64(s.hook),
+			PublishNs:  int64(s.publish),
+		}
+	}
 	return out
 }
 

@@ -138,9 +138,10 @@ func newJobDriver(reg *Registry, policy sched.Policy, seed uint64, interval time
 // now is the scheduler clock: wall time since the driver started.
 func (d *jobDriver) now() time.Duration { return time.Since(d.start) }
 
-// stop cancels the dispatch entry and joins any in-flight tick: once
-// stopped is set under mu, the tick that may still hold mu has finished
-// and no further one can start (the cancelled entry never redispatches).
+// stop cancels the dispatch entry and joins any in-flight tick's
+// scheduler work: once stopped is set under mu, the tick that may still
+// hold mu has finished, a tick still probing applies nothing, and no
+// further one can start (the cancelled entry never redispatches).
 func (d *jobDriver) stop() {
 	d.stopOnce.Do(func() {
 		d.reg.pool.remove(d.entry)
@@ -244,14 +245,10 @@ func (d *jobDriver) killJobsOn(inst *Instance, wl, reason string) int {
 // tick snapshots the live instances, advances the scheduler and
 // applies its actions. Probes and mutations run through instance
 // mailboxes; an instance that stops mid-tick simply drops out of the
-// snapshot and its jobs are evicted on the spot.
+// snapshot and its jobs are evicted on the spot. The probes run before
+// d.mu is taken: a mailbox held for a whole slice must not hold up the
+// job API and every /metrics scrape, which read the scheduler under it.
 func (d *jobDriver) tick() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.stopped {
-		return
-	}
-
 	insts := d.reg.List()
 	nodes := make([]sched.NodeState, 0, len(insts))
 	byID := make(map[int]*Instance, len(insts))
@@ -269,6 +266,11 @@ func (d *jobDriver) tick() {
 		byID[id] = in
 	}
 
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.stopped {
+		return
+	}
 	actions := d.s.Tick(d.now(), nodes, func(j *sched.Job) float64 {
 		ref := d.tasks[j.ID]
 		if ref == nil {

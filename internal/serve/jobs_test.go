@@ -8,8 +8,11 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"heracles/internal/machine"
 )
 
 // waitForJobState re-reads the job route after each dispatch tick until
@@ -229,6 +232,64 @@ func TestSchedulerSkipsDisabledInstances(t *testing.T) {
 	}
 	if job.State != "pending" || job.Attempts != 0 {
 		t.Fatalf("job dispatched onto a BE-disabled machine: %+v", job)
+	}
+}
+
+// TestJobAPIAnswersWhileATickWaitsOnAMailbox: the dispatch tick probes
+// every instance through its mailbox, and /metrics and GET
+// /api/v1/scheduler read the job scheduler. An epoch hook held shut keeps
+// one instance's mailbox while ticks come due; both routes must answer
+// all the same, with no tick finishing meanwhile.
+func TestJobAPIAnswersWhileATickWaitsOnAMailbox(t *testing.T) {
+	// Two workers: one waits in the hook, the other takes the tick.
+	s := New(Config{Lab: testLab, Drivers: 2, schedInterval: 5 * time.Millisecond})
+	defer s.Close()
+	var hold atomic.Bool
+	entered, release := make(chan struct{}), make(chan struct{})
+	defer close(release) // before Close, which waits out the slice
+	hook := func(*machine.Machine, machine.Telemetry) {
+		if hold.CompareAndSwap(true, false) {
+			close(entered)
+			<-release
+		}
+	}
+	if _, err := s.CreateInstance(InstanceSpec{Load: 0.4, Speed: 1000, EpochHook: hook}); err != nil {
+		t.Fatal(err)
+	}
+	start, _ := s.jobs.tickWait()
+	awaitTicks(t, s.jobs, "2 dispatch ticks", func(n int64) bool { return n >= start+2 })
+
+	before, _ := s.jobs.tickWait()
+	hold.Store(true)
+	select {
+	case <-entered:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the instance never reached its epoch hook")
+	}
+	time.Sleep(100 * time.Millisecond) // 20 intervals: a tick waits on the held mailbox
+
+	done := make(chan []int, 1)
+	go func() {
+		var codes []int
+		for _, path := range []string{"/metrics", "/api/v1/scheduler"} {
+			w := httptest.NewRecorder()
+			s.Handler().ServeHTTP(w, httptest.NewRequest("GET", path, nil))
+			codes = append(codes, w.Code)
+		}
+		done <- codes
+	}()
+	select {
+	case codes := <-done:
+		if codes[0] != 200 || codes[1] != 200 {
+			t.Fatalf("/metrics answered %d, /api/v1/scheduler %d; want 200 and 200", codes[0], codes[1])
+		}
+		// Twenty intervals passed with at most the tick that was under
+		// way when the hook closed, so one is waiting on the mailbox.
+		if n, _ := s.jobs.tickWait(); n > before+2 {
+			t.Fatalf("%d ticks finished while the mailbox was held: the test held no tick", n-before)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("/metrics and /api/v1/scheduler still waiting after 10 s: they wait on a tick that waits on a held mailbox")
 	}
 }
 
