@@ -34,13 +34,14 @@
 // bit-identically from its snapshot epoch — and skips the
 // flag-bootstrapped instance when it restored at least one. The restored
 // instance named "boot" (the bootstrap's) keeps the -fsroot mirror, the
-// -trace log and the headless per-minute summary. A file that
-// fails its checksum (crash mid-write, disk corruption) is refused and
-// the rotated previous generation restores instead; an unusable file,
-// such as the <id>.json an old daemon wrote, is kept as <file>.failed.
-// Each restored instance keeps its id, the file's stem, so the file it
-// came from is the one the checkpointer rewrites; a stem that is not an
-// instance id is set aside as <file>.failed.
+// -trace log and the headless per-minute summary. The scan goes by stem:
+// each <id> with an <id>.ckpt or an <id>.ckpt.1 is read once, from the
+// primary or, when that is missing or fails its checksum (crash
+// mid-write, disk corruption), from the rotated previous generation. An
+// unusable file, one of a format this build does not write included, is
+// kept as <file>.failed. Each restored instance keeps its id, the stem,
+// so the file it came from is the one the checkpointer rewrites; a stem
+// that is not an instance id is set aside as <file>.failed.
 //
 // Usage:
 //
@@ -322,40 +323,41 @@ func bootHook(fs *actuate.FSActuator, cfg hw.Config, summary io.Writer) func(*ma
 // restored instance continues bit-identically from its snapshot epoch
 // under the id it was stored as (<id>.ckpt): a federated instance stays
 // where the router placed it, and a minted i<n> moves the daemon's mint
-// counter past n. Restored files stay in place, and the checkpointer
-// rotates them to <id>.ckpt.1 as it writes their replacements; a corrupt
-// primary resumed from <id>.ckpt.1 is set aside as <id>.ckpt.failed
-// (engine.ReadFallback), so that write keeps the good generation. An
-// <id>.ckpt.1 with no <id>.ckpt (a crash between WriteFile's renames)
-// resumes from that generation. Unreadable or unrestorable files are set
-// aside as *.failed (preserved for inspection, out of the restore scan)
-// with a log line — recovery should salvage what it can, not refuse to
-// start. The JSON-enveloped *.json files of daemons before the binary
-// envelope are no longer read: each is refused the same way, so the
-// operator sees it in the log. The first checkpoint named as boot is
-// restored with boot's epoch hook and trace: the flag-bootstrapped
-// instance keeps its -fsroot mirror and -trace log across a crash. boot
-// may be nil.
+// counter past n. The scan visits each stem once, whether the listing
+// holds its <id>.ckpt, its <id>.ckpt.1 or both, and reads it through
+// serve.ReadCheckpointFallback: engine.ReadFallback is where a missing
+// primary (a crash between WriteFile's renames) or a corrupt one resumes
+// from <id>.ckpt.1, a corrupt primary being set aside as <id>.ckpt.failed
+// so the checkpointer's next write keeps the good generation. Restored
+// files stay in place, and the checkpointer rotates them as it writes
+// their replacements. Unreadable or unrestorable files are set aside as
+// *.failed (preserved for inspection, out of the restore scan) with a log
+// line — recovery should salvage what it can, not refuse to start. The
+// first checkpoint named as boot is restored with boot's epoch hook and
+// trace: the flag-bootstrapped instance keeps its -fsroot mirror and
+// -trace log across a crash. boot may be nil.
 func restoreCheckpoints(srv *serve.Server, dir string, speed float64, maxEpochs int, boot *serve.InstanceSpec) int {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		log.Printf("heraclesd: scanning %s: %v", dir, err)
 		return 0
 	}
+	listed := make(map[string]bool, len(entries))
+	for _, e := range entries {
+		listed[e.Name()] = true
+	}
 	restored := 0
 	for _, e := range entries {
-		name, orphan := e.Name(), false
-		primary := func(d os.DirEntry) bool { return d.Name()+".1" == name } // as listed, before any set-aside
-		if stem, ok := strings.CutSuffix(name, ".ckpt.1"); ok && !slices.ContainsFunc(entries, primary) {
-			name, orphan = stem+".ckpt", true
-			log.Printf("heraclesd: %s is missing, falling back to previous generation %s.1", filepath.Join(dir, name), filepath.Join(dir, name))
-		} else if ext := filepath.Ext(name); ext != ".ckpt" && ext != ".json" {
-			continue
+		id, ok := strings.CutSuffix(e.Name(), ".ckpt")
+		if !ok {
+			if id, ok = strings.CutSuffix(e.Name(), ".ckpt.1"); !ok || listed[id+".ckpt"] {
+				continue // not a checkpoint, or visited as its primary
+			}
 		}
-		path := filepath.Join(dir, name)
-		// fail sets aside the file that could not be used: the primary
-		// when nothing decoded, else the generation the checkpoint came
-		// from (after a fallback the primary is already path.failed).
+		path, primary := filepath.Join(dir, id+".ckpt"), listed[id+".ckpt"]
+		// fail sets aside the file that could not be used: the generation
+		// the checkpoint came from, or, when nothing decoded, the newest
+		// one listed (after a fallback the primary is already path.failed).
 		fail := func(src string, err error) {
 			log.Printf("heraclesd: restoring %s: %v (kept as %s.failed)", path, err, src)
 			if err := os.Rename(src, src+".failed"); err != nil {
@@ -363,22 +365,24 @@ func restoreCheckpoints(srv *serve.Server, dir string, speed float64, maxEpochs 
 			}
 		}
 		cp, src, err := serve.ReadCheckpointFallback(path)
-		if err != nil {
-			if orphan {
-				path += ".1"
-			}
+		switch {
+		case err != nil && primary:
 			fail(path, err)
 			continue
-		}
-		if src != path && !orphan {
+		case err != nil:
+			fail(path+".1", err)
+			continue
+		case src != path && primary:
 			log.Printf("heraclesd: %s failed verification, falling back to previous generation %s", path, src)
+		case src != path:
+			log.Printf("heraclesd: %s is missing, falling back to previous generation %s", path, src)
 		}
 		spec := serve.InstanceSpec{Restore: cp, Speed: speed, MaxEpochs: maxEpochs}
 		isBoot := boot != nil && cp.Name == boot.Name
 		if isBoot {
 			spec.EpochHook, spec.Trace = boot.EpochHook, boot.Trace
 		}
-		inst, err := srv.ResumeInstance(strings.TrimSuffix(name, filepath.Ext(name)), spec)
+		inst, err := srv.ResumeInstance(id, spec)
 		if err != nil {
 			fail(src, err)
 			continue
@@ -404,9 +408,13 @@ func startCheckpointer(srv *serve.Server, dir string, every time.Duration) func(
 	pass := func() {
 		live := make(map[string]bool)
 		for _, inst := range srv.Registry().List() {
+			// Live before its write is tried: an instance whose write
+			// fails, or that refuses a checkpoint while crashed or
+			// quarantined, keeps the generations it already has.
+			live[inst.ID()+ext] = true
 			cp, err := inst.Checkpoint()
 			if err != nil {
-				continue // instance stopped mid-pass
+				continue // crashed, quarantined, or stopped mid-pass
 			}
 			data, err := serve.EncodeCheckpointFileBinary(cp)
 			if err == nil {
@@ -414,13 +422,11 @@ func startCheckpointer(srv *serve.Server, dir string, every time.Duration) func(
 			}
 			if err != nil {
 				log.Printf("heraclesd: checkpoint %s: %v", inst.ID(), err)
-				continue
 			}
-			live[inst.ID()+ext] = true
 		}
-		// Drop files for instances that no longer exist so a restart does
-		// not resurrect deleted machines; their rotated previous
-		// generations and half-written replacements go with them.
+		// Drop files for instances that are no longer registered so a
+		// restart does not resurrect deleted machines; their rotated
+		// previous generations and half-written replacements go with them.
 		for _, suffix := range []string{"", ".1", ".tmp"} {
 			paths, _ := filepath.Glob(filepath.Join(dir, "*"+ext+suffix))
 			for _, p := range paths {

@@ -19,11 +19,11 @@ import (
 
 // TestRestoreCheckpointsDirectory drives the crash-resume scan over a
 // directory holding one good file, one whose primary generation is
-// corrupt, and one JSON-enveloped file of the kind daemons stored before
-// the binary envelope: the first two restore (the second from its
-// rotated generation, its corrupt primary set aside as *.failed so the
-// sweep's write keeps that generation), the JSON file is logged, set
-// aside as *.failed, and survives the checkpointer's sweep.
+// corrupt, and one holding the JSON envelope daemons stored before the
+// binary one: the first two restore (the second from its rotated
+// generation, its corrupt primary set aside as *.failed so the sweep's
+// write keeps that generation), the JSON file is logged, set aside as
+// *.failed, and survives the checkpointer's sweep.
 func TestRestoreCheckpointsDirectory(t *testing.T) {
 	srv := serve.New(serve.Config{Lab: experiment.DefaultLab()})
 	defer srv.Close()
@@ -50,7 +50,7 @@ func TestRestoreCheckpointsDirectory(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	good, rotated, old := filepath.Join(dir, "a.ckpt"), filepath.Join(dir, "b.ckpt"), filepath.Join(dir, "c.json")
+	good, rotated, old := filepath.Join(dir, "a.ckpt"), filepath.Join(dir, "b.ckpt"), filepath.Join(dir, "c.ckpt")
 	for _, w := range []struct {
 		path string
 		data []byte
@@ -295,5 +295,64 @@ func TestRestoreResumesBetweenRenames(t *testing.T) {
 		if _, err := os.Stat(filepath.Join(dir, name)); (err == nil) != want {
 			t.Errorf("after the sweep, %s exists = %t, want %t", name, err == nil, want)
 		}
+	}
+}
+
+// TestCheckpointerKeepsRegisteredInstancesFiles: the checkpointer's
+// sweep removes only the files of instances that are no longer
+// registered. An instance whose write fails (its <id>.ckpt.tmp is a
+// directory that cannot be replaced) and one that refuses a checkpoint
+// while it waits out a crash's restart backoff both keep the two
+// generations they have on disk; a stem with no instance is swept.
+func TestCheckpointerKeepsRegisteredInstancesFiles(t *testing.T) {
+	srv := serve.New(serve.Config{Lab: experiment.DefaultLab()})
+	defer srv.Close()
+	stuck, err := srv.CreateInstance(serve.InstanceSpec{Speed: serve.SpeedMax, MaxEpochs: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	crashed, err := srv.CreateInstance(serve.InstanceSpec{Speed: serve.SpeedMax})
+	if err != nil {
+		t.Fatal(err)
+	}
+	awaitDone(t, stuck)
+	dir := t.TempDir()
+	var logs bytes.Buffer
+	log.SetOutput(&logs)
+	defer log.SetOutput(os.Stderr)
+	startCheckpointer(srv, dir, time.Hour)() // two passes: <id>.ckpt and <id>.ckpt.1
+	gone := filepath.Join(dir, "gone.ckpt")
+	for _, path := range []string{gone, gone + ".1"} {
+		if err := os.WriteFile(path, nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	if err := os.MkdirAll(filepath.Join(dir, stuck.ID()+".ckpt.tmp", "x"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := crashed.InjectFault(serve.FaultRequest{Kind: serve.FaultDriverPanic}); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(30 * time.Second); crashed.Status().State != serve.StateCrashed; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the armed driver panic never crashed the instance")
+		}
+	}
+	startCheckpointer(srv, dir, time.Hour)()
+	if st := crashed.Status(); st.State != serve.StateCrashed {
+		t.Logf("instance %s restarted before the passes ended (state %s): the refused checkpoint may not have been exercised", crashed.ID(), st.State)
+	}
+	for path, want := range map[string]bool{
+		stuck.ID() + ".ckpt": true, stuck.ID() + ".ckpt.1": true,
+		crashed.ID() + ".ckpt": true, crashed.ID() + ".ckpt.1": true,
+		"gone.ckpt": false, "gone.ckpt.1": false,
+	} {
+		if _, err := os.Stat(filepath.Join(dir, path)); (err == nil) != want {
+			t.Errorf("after the sweep, %s exists = %t, want %t; log:\n%s", path, err == nil, want, &logs)
+		}
+	}
+	if !strings.Contains(logs.String(), "checkpoint "+stuck.ID()+": ") {
+		t.Errorf("the failed write was not logged:\n%s", &logs)
 	}
 }

@@ -47,16 +47,10 @@ var binaryMagic = [4]byte{'H', 'R', 'C', 'B'}
 // BinaryVersion is the binary layout version; bump it on any
 // incompatible layout change (and document the change in DESIGN.md §16).
 // It is independent of CheckpointVersion, which versions the logical
-// state schema. Version 1 carried a 600-entry ring of full telemetry
-// records per machine and is refused; version 2 carries the last record
-// plus the (time, tail) poll window, and the scheduler's placement log,
-// which DecodeCheckpointBinary still reads and discards; version 3 drops
-// the log.
+// state schema. It is the only layout read: version 1 (a 600-entry ring
+// of full telemetry records per machine) and version 2 (the scheduler's
+// placement log) are refused by number.
 const BinaryVersion = 3
-
-// binaryVersionLog is the oldest layout still read: the last one that
-// carried the scheduler's placement log.
-const binaryVersionLog = 2
 
 // EncodeBinary serialises the checkpoint to a fresh buffer.
 func (cp *Checkpoint) EncodeBinary() []byte { return cp.AppendBinary(nil) }
@@ -68,12 +62,12 @@ func (cp *Checkpoint) AppendBinary(buf []byte) []byte {
 	w := codec.NewWriter(append(buf, binaryMagic[:]...))
 	w.U16(BinaryVersion)
 	c := codec.Encoder(w)
-	walkCheckpoint(&c, cp, BinaryVersion)
+	walkCheckpoint(&c, cp)
 	return w.Bytes()
 }
 
-// DecodeCheckpointBinary parses a binary checkpoint of this layout version
-// or of version 2. Malformed input of any kind — a missing magic (JSON
+// DecodeCheckpointBinary parses a binary checkpoint of layout
+// BinaryVersion. Malformed input of any kind — a missing magic (JSON
 // included), truncation, oversized length claims, version skew, trailing
 // garbage — returns an error, never a panic.
 func DecodeCheckpointBinary(data []byte) (*Checkpoint, error) {
@@ -82,21 +76,21 @@ func DecodeCheckpointBinary(data []byte) (*Checkpoint, error) {
 	}
 	r := codec.NewReader(data[4:])
 	v := r.U16()
-	if v != BinaryVersion && v != binaryVersionLog {
-		return nil, fmt.Errorf("engine: binary checkpoint layout version %d, this build reads versions %d and %d", v, binaryVersionLog, BinaryVersion)
+	if v != BinaryVersion {
+		return nil, fmt.Errorf("engine: binary checkpoint layout version %d, this build reads version %d", v, BinaryVersion)
 	}
 	cp := &Checkpoint{}
 	c := codec.Decoder(r)
-	walkCheckpoint(&c, cp, v)
+	walkCheckpoint(&c, cp)
 	if err := r.Expect(); err != nil {
 		return nil, fmt.Errorf("engine: decoding binary checkpoint: %w", err)
 	}
 	return cp, nil
 }
 
-// walkCheckpoint walks the graph in layout version v: BinaryVersion when
-// encoding, whichever version the input names when decoding.
-func walkCheckpoint(c *codec.Coder, cp *Checkpoint, v uint16) {
+// walkCheckpoint is the layout's top level: the checkpoint's own fields,
+// then each section of the graph behind its presence byte or count.
+func walkCheckpoint(c *codec.Coder, cp *Checkpoint) {
 	c.Int(&cp.Version)
 	c.U64(&cp.Epoch)
 	c.Duration(&cp.Now)
@@ -123,7 +117,7 @@ func walkCheckpoint(c *codec.Coder, cp *Checkpoint, v uint16) {
 	}
 
 	if codec.Ptr(c, &cp.Sched) {
-		walkSched(c, cp.Sched, v)
+		walkSched(c, cp.Sched)
 	}
 	for i := range codec.Slice(c, &cp.SchedBindings, 24) {
 		b := &cp.SchedBindings[i]
@@ -267,7 +261,7 @@ func walkController(c *codec.Coder, st *core.ControllerState) {
 	c.Duration(&st.NextNet)
 }
 
-func walkSched(c *codec.Coder, st *sched.State, v uint16) {
+func walkSched(c *codec.Coder, st *sched.State) {
 	c.String(&st.Policy)
 	c.Duration(&st.Backoff)
 	c.Duration(&st.EvictGrace)
@@ -311,28 +305,6 @@ func walkSched(c *codec.Coder, st *sched.State, v uint16) {
 	c.Int(&a.QueueDepth)
 	c.Int(&a.Running)
 	c.Int(&a.MaxQueueDepth)
-
-	if v == binaryVersionLog {
-		skipPlacementLog(c)
-	}
-}
-
-// skipPlacementLog reads and drops the placement log layout 2 carried at
-// the end of the scheduler section: a counted run of (at, kind, job,
-// node, detail) entries, four int64s and a string each.
-func skipPlacementLog(c *codec.Coder) {
-	var (
-		entries []struct{}
-		n       int
-		detail  string
-	)
-	for range codec.Slice(c, &entries, 36) {
-		c.Int(&n) // at
-		c.Int(&n) // kind
-		c.Int(&n) // job
-		c.Int(&n) // node
-		c.String(&detail)
-	}
 }
 
 // walkDisabledSince carries the graph's one map as (node, since) pairs

@@ -159,15 +159,10 @@ func TestBinaryEncodeBufferReuse(t *testing.T) {
 // it accepts is a fixed point of the codec — its encoding decodes, and
 // decodes to a value that encodes to the same bytes (compared as bytes,
 // so a NaN the fuzzer plants in a float field still equals itself). The
-// structural seeds cut and corrupt the layout-2 golden, so the read path
-// that drops the placement log is fuzzed too; the layout-3 golden rides
-// along whole.
+// structural seeds cut and corrupt the golden, beside it whole and
+// relabelled as the retired layout 2, which is refused by number.
 func FuzzDecodeCheckpointBinary(f *testing.F) {
-	golden, err := os.ReadFile("testdata/checkpoint_full_v2.hrcb")
-	if err != nil {
-		f.Fatal(err)
-	}
-	current, err := os.ReadFile("testdata/checkpoint_full.hrcb")
+	golden, err := os.ReadFile("testdata/checkpoint_full.hrcb")
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -185,7 +180,9 @@ func FuzzDecodeCheckpointBinary(f *testing.F) {
 	count := presence + 1 + 4 + int(binary.LittleEndian.Uint32(golden[presence+1:])) + 3*8
 	binary.LittleEndian.PutUint32(bomb[count:], 0x7fffffff)
 	f.Add(bomb)
-	f.Add(current)
+	retired := bytes.Clone(golden)
+	retired[4] = 2
+	f.Add(retired)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cp, err := engine.DecodeCheckpointBinary(data)

@@ -2,7 +2,6 @@ package engine_test
 
 import (
 	"bytes"
-	"encoding/binary"
 	"flag"
 	"fmt"
 	"os"
@@ -123,9 +122,7 @@ func TestCodecsCarryEveryCheckpointField(t *testing.T) {
 		t.Fatalf("filler did not reach the telemetry fields: %+v", cp.Machines[0])
 	}
 
-	// The golden is rewritten (-update) only beside a BinaryVersion bump;
-	// its layout-2 predecessor, written by the append* functions the walk
-	// replaced, is TestLayoutTwoCheckpointsStillDecode's.
+	// The golden is rewritten (-update) only beside a BinaryVersion bump.
 	const golden = "testdata/checkpoint_full.hrcb"
 	if *updateGolden {
 		if err := os.WriteFile(golden, cp.EncodeBinary(), 0o644); err != nil {
@@ -165,46 +162,11 @@ func TestCodecsCarryEveryCheckpointField(t *testing.T) {
 	}
 }
 
-// TestLayoutTwoCheckpointsStillDecode pins the read half of the layout 3
-// bump: testdata/checkpoint_full_v2.hrcb, the layout-2 golden (every
-// field of the graph filled, the scheduler's placement log included),
-// decodes with no trailing bytes, the log dropped, and re-encodes to a
-// layout-3 document that decodes to the same value.
-func TestLayoutTwoCheckpointsStillDecode(t *testing.T) {
-	v2, err := os.ReadFile("testdata/checkpoint_full_v2.hrcb")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := binary.LittleEndian.Uint16(v2[4:]); v != 2 {
-		t.Fatalf("fixture carries layout %d, want 2", v)
-	}
-	cp, err := engine.DecodeCheckpointBinary(v2)
-	if err != nil {
-		t.Fatalf("layout-2 checkpoint no longer decodes: %v", err)
-	}
-	if cp.Sched == nil || len(cp.Sched.Jobs) != 2 || len(cp.SchedBindings) != 2 || cp.Budget == nil {
-		t.Fatalf("layout-2 checkpoint decodes without its scheduler section or what follows it: %+v", cp)
-	}
-	v3 := cp.EncodeBinary()
-	if v := binary.LittleEndian.Uint16(v3[4:]); v != engine.BinaryVersion {
-		t.Fatalf("re-encode carries layout %d, want %d", v, engine.BinaryVersion)
-	}
-	if len(v3) >= len(v2) {
-		t.Fatalf("re-encode is %d bytes, the layout-2 file %d: the placement log was not dropped", len(v3), len(v2))
-	}
-	again, err := engine.DecodeCheckpointBinary(v3)
-	if err != nil {
-		t.Fatalf("layout-3 re-encode: %v", err)
-	}
-	if d := firstDiff(reflect.ValueOf(cp), reflect.ValueOf(again), "Checkpoint"); d != "" {
-		t.Fatalf("layout-3 re-encode changed the value: %s", d)
-	}
-}
-
-// TestVersionOneCheckpointsRefused pins the version bump: state written
-// before the telemetry ring shrank (binary layout 1, JSON schema 1) is
-// refused with an error naming the version it carries and the ones this
-// build reads — never half-read.
+// TestVersionOneCheckpointsRefused pins the version bumps: state written
+// before the telemetry ring shrank (binary layout 1, JSON schema 1), and
+// state written while the scheduler kept its placement log (binary
+// layout 2), is refused with an error naming the version it carries and
+// the one this build reads — never half-read.
 func TestVersionOneCheckpointsRefused(t *testing.T) {
 	cfg := clusterConfig(testJobs(4))
 	sc := testScenario(200 * time.Second)
@@ -218,10 +180,13 @@ func TestVersionOneCheckpointsRefused(t *testing.T) {
 		return err != nil && strings.Contains(err.Error(), "version 1") && strings.Contains(err.Error(), read)
 	}
 
-	data := cp.EncodeBinary()
-	data[4], data[5] = 1, 0 // the u16 layout version after the magic
-	if _, err := engine.DecodeCheckpointBinary(data); !names(err, "versions 2 and 3") {
-		t.Fatalf("version-1 HRCB payload: err = %v, want a refusal naming version 1 and versions 2 and 3", err)
+	for _, v := range []byte{1, 2} {
+		data := cp.EncodeBinary()
+		data[4], data[5] = v, 0 // the u16 layout version after the magic
+		_, err := engine.DecodeCheckpointBinary(data)
+		if want := fmt.Sprintf("layout version %d, this build reads version 3", v); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("version-%d HRCB payload: err = %v, want a refusal naming %q", v, err, want)
+		}
 	}
 
 	var doc bytes.Buffer

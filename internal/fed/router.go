@@ -149,16 +149,16 @@ var routeTable = []serve.Route[*Router]{
 	{Method: "GET", Pattern: "/healthz", Doc: "aggregate liveness across member daemons", Handle: (*Router).handleHealthz},
 	{Method: "GET", Pattern: "/metrics", Doc: "aggregated heracles_fed_* exposition across members", Handle: (*Router).handleMetrics},
 	{Method: "GET", Pattern: "/api/v1/members", Doc: "list member daemons and the placement table", Handle: (*Router).handleMembersList},
-	{Method: "POST", Pattern: "/api/v1/members", Doc: "join a member daemon to the federation", Handle: (*Router).handleMemberJoin},
-	{Method: "DELETE", Pattern: "/api/v1/members", Doc: "remove a member daemon, migrating its instances away first", Handle: (*Router).handleMemberLeave},
+	{Method: "POST", Pattern: "/api/v1/members", BodyCap: serve.BodyLimit, Doc: "join a member daemon to the federation", Handle: (*Router).handleMemberJoin},
+	{Method: "DELETE", Pattern: "/api/v1/members", BodyCap: serve.BodyLimit, Doc: "remove a member daemon, migrating its instances away first", Handle: (*Router).handleMemberLeave},
 	{Method: "POST", Pattern: "/api/v1/rebalance", Doc: "migrate every instance whose hash home changed back onto it", Handle: (*Router).handleRebalance},
 	{Method: "GET", Pattern: "/api/v1/instances", Doc: "list federated instances across all members", Handle: (*Router).handleInstancesList},
-	{Method: "POST", Pattern: "/api/v1/instances", Doc: "create an instance, placed on a member by consistent hash", Handle: (*Router).handleInstanceCreate},
+	{Method: "POST", Pattern: "/api/v1/instances", BodyCap: serve.RestoreBodyLimit, Doc: "create an instance, placed on a member by consistent hash", Handle: (*Router).handleInstanceCreate},
 	{Method: "GET", Pattern: "/api/v1/instances/{id}", Doc: "inspect one federated instance", Handle: (*Router).handleInstance},
 	{Method: "DELETE", Pattern: "/api/v1/instances/{id}", Doc: "stop and remove a federated instance", Handle: (*Router).handleInstance},
-	{Method: "POST", Pattern: "/api/v1/instances/{id}/migrate", Doc: "migrate a federated instance onto another member daemon", Handle: (*Router).handleInstanceMigrate},
+	{Method: "POST", Pattern: "/api/v1/instances/{id}/migrate", BodyCap: serve.BodyLimit, Doc: "migrate a federated instance onto another member daemon", Handle: (*Router).handleInstanceMigrate},
 	{Method: "ANY", Pattern: "/api/v1/instances/{id}/{rest...}", Doc: "proxy any other instance sub-resource (load, slo, faults, stream, ...) to the hosting member", Handle: (*Router).handleInstance},
-	{Method: "POST", Pattern: "/api/v1/jobs", Doc: "submit a best-effort job to a member scheduler round-robin", Handle: (*Router).handleJobSubmit},
+	{Method: "POST", Pattern: "/api/v1/jobs", BodyCap: serve.BodyLimit, Doc: "submit a best-effort job to a member scheduler round-robin", Handle: (*Router).handleJobSubmit},
 	{Method: "GET", Pattern: "/api/v1/jobs", Doc: "list federated jobs across all members", Handle: (*Router).handleJobsList},
 	{Method: "GET", Pattern: "/api/v1/jobs/{id}", Doc: "inspect one federated job", Handle: (*Router).handleJob},
 	{Method: "DELETE", Pattern: "/api/v1/jobs/{id}", Doc: "cancel a federated job", Handle: (*Router).handleJob},
@@ -400,9 +400,9 @@ func (rt *Router) proxyError(w http.ResponseWriter, r *http.Request, err error) 
 
 // handleInstanceCreate mints the next federated id, maps it to its hash
 // home and proxies the create there. It reads the body first, so one
-// over serve.RestoreBodyLimit is the router's own 413.
+// over its row's cap (serve.RestoreBodyLimit) is the router's own 413.
 func (rt *Router) handleInstanceCreate(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, serve.RestoreBodyLimit))
+	body, err := io.ReadAll(r.Body)
 	if err != nil {
 		serve.BodyError(w, err)
 		return
@@ -524,7 +524,7 @@ func (rt *Router) migrate(fid, target string) (*serve.MigrateResult, error) {
 
 func (rt *Router) handleInstanceMigrate(w http.ResponseWriter, r *http.Request) {
 	var req FedMigrateRequest
-	if !serve.DecodeBody(w, r, &req, serve.BodyLimit) {
+	if !serve.DecodeBody(w, r, &req) {
 		return
 	}
 	target := strings.TrimSuffix(strings.TrimSpace(req.Member), "/")
@@ -613,7 +613,7 @@ func memberURL(w http.ResponseWriter, r *http.Request) (string, bool) {
 	var req struct {
 		URL string `json:"url"`
 	}
-	if !serve.DecodeBody(w, r, &req, serve.BodyLimit) {
+	if !serve.DecodeBody(w, r, &req) {
 		return "", false
 	}
 	return strings.TrimSuffix(strings.TrimSpace(req.URL), "/"), true
@@ -679,7 +679,7 @@ func (rt *Router) handleMemberLeave(w http.ResponseWriter, r *http.Request) {
 // --- Jobs --------------------------------------------------------------
 
 func (rt *Router) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, serve.BodyLimit))
+	body, err := io.ReadAll(r.Body)
 	if err != nil {
 		serve.BodyError(w, err)
 		return

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"net/http/httptest"
 	"os"
-	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -171,47 +170,46 @@ func withSchedule(cp *InstanceCheckpoint, batch int) *InstanceCheckpoint {
 }
 
 // TestCommittedSeedsDecodeOrRefuseByVersion reads the fuzz corpus as
-// files written by earlier builds: the version-2 seeds must still decode,
-// validate and restore (a layout change without a version bump breaks
-// it) whichever envelope version wraps them, as must the layout-3 seed
-// beside them, and every JSON seed must be refused by the decoder, before
-// anything looks at its version.
+// files written by earlier builds: the current-version seeds must still
+// decode, validate and restore (a layout change without a version bump
+// breaks it), the seeds of retired versions must be refused with an
+// error naming the version they carry and the one this build reads, and
+// every JSON seed must be refused by the decoder, before anything looks
+// at its version.
 func TestCommittedSeedsDecodeOrRefuseByVersion(t *testing.T) {
-	cp, err := DecodeCheckpointFile(corpusSeed(t, "binary-valid-v2"))
+	cp, err := DecodeCheckpointFile(corpusSeed(t, "binary-valid-v3"))
 	if err != nil {
-		t.Fatalf("version-2 seed no longer decodes: %v", err)
+		t.Fatalf("current-version seed no longer decodes: %v", err)
 	}
 	srv := New(Config{Lab: testLab})
 	defer srv.Close()
 	inst, err := srv.CreateInstance(InstanceSpec{Restore: cp})
 	if err != nil {
-		t.Fatalf("version-2 seed no longer restores: %v", err)
+		t.Fatalf("current-version seed no longer restores: %v", err)
 	}
 	if st := inst.Status(); st.Epoch != 3 || st.State != StateDone {
 		t.Fatalf("restored seed at epoch %d in state %s, want the 3-epoch finished run it was taken from", st.Epoch, st.State)
 	}
-	// The same run written under engine layout 3 (HRCB v3): the two seeds
-	// decode to one state.
-	v3, err := DecodeCheckpointFile(corpusSeed(t, "binary-valid-v3"))
-	if err != nil {
-		t.Fatalf("layout-3 seed no longer decodes: %v", err)
-	}
-	if !reflect.DeepEqual(v3.Engine, cp.Engine) {
-		t.Fatal("the layout-3 seed's engine state differs from the layout-2 seed's")
-	}
-	if inst, err = srv.CreateInstance(InstanceSpec{Restore: v3}); err != nil {
-		t.Fatalf("layout-3 seed no longer restores: %v", err)
-	}
-	if st := inst.Status(); st.Epoch != 3 || st.State != StateDone {
-		t.Fatalf("restored layout-3 seed at epoch %d in state %s, want the 3-epoch finished run", st.Epoch, st.State)
+
+	// The retired seeds these were re-encoded from: envelope 1 (no tick
+	// schedule) and engine layout 2 (the scheduler's placement log).
+	for name, want := range map[string]string{
+		"binary-refused-hrcf1":       "envelope version 1, this build reads version 2",
+		"binary-refused-hrcf1-long":  "envelope version 1, this build reads version 2",
+		"binary-refused-hrcb2-paced": "layout version 2, this build reads version 3",
+	} {
+		if old, err := DecodeCheckpointFile(corpusSeed(t, name)); err == nil || old != nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("retired seed %s: checkpoint %v, err = %v, want a refusal naming %q", name, old, err, want)
+		}
 	}
 
 	// A 700-epoch websearch+brain instance checkpointed by the last build
-	// whose machines kept 600 poll samples regardless of their reader. It
-	// is still a checkpoint of that state: the instance resumes at epoch
-	// 700 holding the 15 newest samples, and its next 300 epochs end where
-	// they end when the older 585 were never in the file.
-	long, err := DecodeCheckpointFile(corpusSeed(t, "binary-valid-v2-long"))
+	// whose machines kept 600 poll samples regardless of their reader,
+	// re-encoded at the current versions. It is still a checkpoint of that
+	// state: the instance resumes at epoch 700 holding the 15 newest
+	// samples, and its next 300 epochs end where they end when the older
+	// 585 were never in the file.
+	long, err := DecodeCheckpointFile(corpusSeed(t, "binary-valid-long"))
 	if err != nil {
 		t.Fatalf("600-sample seed no longer decodes: %v", err)
 	}
@@ -239,8 +237,9 @@ func TestCommittedSeedsDecodeOrRefuseByVersion(t *testing.T) {
 		t.Fatalf("restored run ended at epoch %d holding %d samples, want 1000 and 15", final.Epoch, len(final.Machines[0].Window))
 	}
 
-	// The first envelope-version-2 file: the same shape of instance, paced,
-	// with a tick schedule no later build may misplace.
+	// The first envelope-version-2 file, re-encoded at engine layout 3: the
+	// same shape of instance, paced, with a tick schedule no later build
+	// may misplace.
 	paced, err := DecodeCheckpointFile(corpusSeed(t, "binary-valid-hrcf2-paced"))
 	if err != nil {
 		t.Fatalf("envelope version 2 seed no longer decodes: %v", err)

@@ -31,9 +31,9 @@ import (
 // binaryFileMagic opens every checkpoint file.
 var binaryFileMagic = [4]byte{'H', 'R', 'C', 'F'}
 
-// BinaryCheckpointFileVersion is the binary envelope format version this
-// build writes. Version 2 added the tick schedule; version 1 files still
-// read, as checkpoints without one.
+// BinaryCheckpointFileVersion is the binary envelope format version, the
+// only one this build writes or reads. Version 2 added the tick schedule;
+// version 1 files are refused by number.
 const BinaryCheckpointFileVersion = 2
 
 // binaryFileHeaderLen: magic + u16 version + u32 CRC.
@@ -68,7 +68,7 @@ func AppendCheckpointFileBinary(buf []byte, cp *InstanceCheckpoint) ([]byte, err
 	w.U16(BinaryCheckpointFileVersion)
 	crcOff := w.Reserve32()
 	c := codec.Encoder(w)
-	walkEnvelope(&c, cp, BinaryCheckpointFileVersion, &spec)
+	walkEnvelope(&c, cp, &spec)
 
 	out := w.Bytes()
 	w.Patch32(crcOff, crc32.Checksum(out[start+binaryFileHeaderLen:], crcTable))
@@ -87,8 +87,8 @@ func DecodeCheckpointFile(data []byte) (*InstanceCheckpoint, error) {
 	}
 	r := codec.NewReader(data[4:])
 	version := r.U16()
-	if version < 1 || version > BinaryCheckpointFileVersion {
-		return nil, fmt.Errorf("checkpoint file envelope version %d, this build reads versions 1 to %d", version, BinaryCheckpointFileVersion)
+	if version != BinaryCheckpointFileVersion {
+		return nil, fmt.Errorf("checkpoint file envelope version %d, this build reads version %d", version, BinaryCheckpointFileVersion)
 	}
 	sum := r.U32()
 	if got := crc32.Checksum(data[binaryFileHeaderLen:], crcTable); got != sum {
@@ -98,7 +98,7 @@ func DecodeCheckpointFile(data []byte) (*InstanceCheckpoint, error) {
 	cp := &InstanceCheckpoint{}
 	var spec []byte
 	c := codec.Decoder(r)
-	eng := walkEnvelope(&c, cp, version, &spec)
+	eng := walkEnvelope(&c, cp, &spec)
 	if spec != nil {
 		cp.Scenario = &ScenarioSpec{}
 		if err := json.Unmarshal(spec, cp.Scenario); err != nil {
@@ -120,27 +120,24 @@ func DecodeCheckpointFile(data []byte) (*InstanceCheckpoint, error) {
 	return cp, nil
 }
 
-// walkEnvelope is the envelope payload of version v, listed once:
-// AppendCheckpointFileBinary runs it over a Writer at
-// BinaryCheckpointFileVersion, DecodeCheckpointFile over a Reader at the
-// version the file names. It only frames the two nested encodings, each
-// behind a presence byte and a uint32 length: spec is the scenario
-// spec's JSON (marshalled before an encode, a view into the input after
-// a decode, nil when there is none), and the engine's HRCB bytes are
-// appended by engine.Checkpoint.AppendBinary on encode and returned as a
-// view on decode, for the caller to parse.
-func walkEnvelope(c *codec.Coder, cp *InstanceCheckpoint, v uint16, spec *[]byte) (eng []byte) {
+// walkEnvelope is the envelope payload, listed once:
+// AppendCheckpointFileBinary runs it over a Writer, DecodeCheckpointFile
+// over a Reader. It only frames the two nested encodings, each behind a
+// presence byte and a uint32 length: spec is the scenario spec's JSON
+// (marshalled before an encode, a view into the input after a decode,
+// nil when there is none), and the engine's HRCB bytes are appended by
+// engine.Checkpoint.AppendBinary on encode and returned as a view on
+// decode, for the caller to parse.
+func walkEnvelope(c *codec.Coder, cp *InstanceCheckpoint, spec *[]byte) (eng []byte) {
 	c.Int(&cp.Version)
 	c.String(&cp.Name)
 	c.String(&cp.LC)
 	c.Bool(&cp.Compact)
 	c.F64(&cp.Speed)
 	c.Int(&cp.MaxEpochs)
-	if v >= 2 {
-		c.I64(&cp.NextDueUnixNano)
-		c.Int(&cp.Batch)
-		c.Int(&cp.Stretch)
-	}
+	c.I64(&cp.NextDueUnixNano)
+	c.Int(&cp.Batch)
+	c.Int(&cp.Stretch)
 	has := *spec != nil
 	if c.Bool(&has); has {
 		c.Nest(spec, nil)

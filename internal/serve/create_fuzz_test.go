@@ -52,7 +52,7 @@ func FuzzCreateInstanceBody(f *testing.F) {
 	}
 	valid := restoreDoc(cp)
 
-	long, err := DecodeCheckpointFile(corpusSeed(f, "binary-valid-v2-long"))
+	long, err := DecodeCheckpointFile(corpusSeed(f, "binary-valid-long"))
 	if err != nil {
 		f.Fatalf("600-sample seed: %v", err)
 	}

@@ -445,7 +445,7 @@ func (s *Server) handleJobsList(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	var sub JobSubmission
-	if !DecodeBody(w, r, &sub, BodyLimit) {
+	if !DecodeBody(w, r, &sub) {
 		return
 	}
 	if err := checkBEName(sub.Workload); err != nil {

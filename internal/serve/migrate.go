@@ -171,7 +171,7 @@ func (s *Server) MigrateToPeer(id, peer string) (*MigrateResult, error) {
 
 func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request, inst *Instance) {
 	var req MigrateRequest
-	if !DecodeBody(w, r, &req, BodyLimit) {
+	if !DecodeBody(w, r, &req) {
 		return
 	}
 	if (req.Shard == nil) == (req.Peer == "") {

@@ -245,8 +245,9 @@ func readCadence(in *Instance) cadence {
 // TestMigrateHandsOverCadence pins the hand-over itself, without a clock:
 // the checkpoint carries the origin's due time, batch and stretch, and a
 // restore through the create API continues them exactly as a shard
-// migration does. A document without the fields, and an HRCF version 1
-// file from a build that never wrote them, start a fresh schedule.
+// migration does. A document without the fields, and a checkpoint file
+// whose fields are zero (one re-encoded from a build that never wrote
+// them), start a fresh schedule.
 func TestMigrateHandsOverCadence(t *testing.T) {
 	s := New(Config{Lab: testLab, Shards: 2})
 	t.Cleanup(s.Close)
@@ -309,11 +310,11 @@ func TestMigrateHandsOverCadence(t *testing.T) {
 	bare := *cp
 	bare.NextDueUnixNano, bare.Batch, bare.Stretch = 0, 0, 0
 	fresh("document without pacing", InstanceSpec{Restore: &bare})
-	v1, err := DecodeCheckpointFile(corpusSeed(t, "binary-valid-v2-long"))
+	unpaced, err := DecodeCheckpointFile(corpusSeed(t, "binary-valid-long"))
 	if err != nil {
-		t.Fatalf("HRCF version 1 seed: %v", err)
+		t.Fatalf("unpaced seed: %v", err)
 	}
-	fresh("HRCF version 1 file", InstanceSpec{Restore: v1, Speed: 1, MaxEpochs: 1000})
+	fresh("checkpoint file without pacing", InstanceSpec{Restore: unpaced, Speed: 1, MaxEpochs: 1000})
 
 	res, err := s.MigrateToShard(inst.ID(), 1-inst.Status().Shard)
 	if err != nil {

@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 
 	"heracles/internal/chash"
-	"heracles/internal/parallel"
 )
 
 // shardSeed seeds the registry's consistent-hash placement table. It is
@@ -199,27 +198,28 @@ func (r *Registry) List() []*Instance {
 	return slices.Clone(r.order)
 }
 
-// Statuses snapshots every instance concurrently, in creation order.
+// Statuses snapshots every instance, in creation order. Each snapshot is
+// a copy under the instance's own mutex, too cheap to be worth a fan-out.
 func (r *Registry) Statuses() []Status {
 	insts := r.List()
 	out := make([]Status, len(insts))
-	parallel.ForEach(0, len(insts), func(i int) {
-		out[i] = insts[i].Status()
-	})
+	for i, inst := range insts {
+		out[i] = inst.Status()
+	}
 	return out
 }
 
-// Close stops every instance concurrently, empties the registry and
-// shuts the epoch scheduler down. The scheduler stops last: Stop needs
-// live workers to finish any in-flight slices it must wait out.
+// Close stops every instance, empties the registry and shuts the epoch
+// scheduler down. The scheduler stops last: Stop needs live workers to
+// finish any in-flight slices it must wait out.
 func (r *Registry) Close() {
 	r.mu.Lock()
 	insts := r.order
 	clear(r.insts)
 	r.order = nil
 	r.mu.Unlock()
-	parallel.ForEach(0, len(insts), func(i int) {
-		insts[i].Stop()
-	})
+	for _, inst := range insts {
+		inst.Stop()
+	}
 	r.pool.stop()
 }

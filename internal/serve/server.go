@@ -277,12 +277,17 @@ func validateSpec(spec InstanceSpec) error {
 type Route[T any] struct {
 	Method  string // "ANY" matches every method
 	Pattern string
+	// BodyCap is the most request body the handler may read, in bytes
+	// (BodyLimit or RestoreBodyLimit); past it a read fails with
+	// *http.MaxBytesError. 0 leaves the body uncapped, for a route that
+	// reads none or only forwards it to a server that caps it.
+	BodyCap int64
 	Doc     string
 	Handle  func(T, http.ResponseWriter, *http.Request)
 }
 
 // Mount builds a mux serving every route, with recv as the receiver of
-// each handler.
+// each handler and each route's body cap applied before it runs.
 func Mount[T any](recv T, routes []Route[T]) *http.ServeMux {
 	mux := http.NewServeMux()
 	for _, rt := range routes {
@@ -290,7 +295,12 @@ func Mount[T any](recv T, routes []Route[T]) *http.ServeMux {
 		if rt.Method != "ANY" {
 			pattern = rt.Method + " " + pattern
 		}
-		mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) { rt.Handle(recv, w, r) })
+		mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
+			if rt.BodyCap > 0 {
+				r.Body = http.MaxBytesReader(w, r.Body, rt.BodyCap)
+			}
+			rt.Handle(recv, w, r)
+		})
 	}
 	return mux
 }
@@ -308,31 +318,31 @@ func RouteNames[T any](routes []Route[T]) []string {
 // routeTable is the single source of truth for the HTTP surface: the mux
 // is built from it and Routes exposes it for documentation enforcement.
 var routeTable = []Route[*Server]{
-	{"GET", "/healthz", "liveness probe: status and instance count", (*Server).handleHealthz},
-	{"GET", "/metrics", "Prometheus exposition across all instances", (*Server).handleMetrics},
-	{"GET", "/api/v1/instances", "list instance statuses", (*Server).handleList},
-	{"POST", "/api/v1/instances", "create an instance from an InstanceSpec", (*Server).handleCreate},
-	{"GET", "/api/v1/instances/{id}", "inspect one instance", onInstance((*Server).handleGet)},
-	{"DELETE", "/api/v1/instances/{id}", "stop and remove an instance", (*Server).handleDelete},
-	{"PUT", "/api/v1/instances/{id}/load", "change the offered LC load target", onInstance((*Server).handleSetLoad)},
-	{"PUT", "/api/v1/instances/{id}/slo", "change the controller-visible SLO scale", onInstance((*Server).handleSetSLO)},
-	{"PUT", "/api/v1/instances/{id}/degrade", "inject or clear LC service degradation", onInstance((*Server).handleDegrade)},
-	{"POST", "/api/v1/instances/{id}/bes", "attach a best-effort task", onInstance((*Server).handleAttachBE)},
-	{"DELETE", "/api/v1/instances/{id}/bes/{workload}", "detach best-effort tasks by workload name", onInstance((*Server).handleDetachBE)},
-	{"POST", "/api/v1/instances/{id}/scenario", "drive the instance by a declarative scenario", onInstance((*Server).handleScenario)},
-	{"POST", "/api/v1/instances/{id}/checkpoint", "snapshot the instance's full simulation state for restore or migration", onInstance((*Server).handleCheckpoint)},
-	{"POST", "/api/v1/instances/{id}/migrate", "checkpoint, ship and restore the instance onto another shard or a peer daemon mid-run", onInstance((*Server).handleMigrate)},
-	{"GET", "/api/v1/instances/{id}/health", "supervisor health: crash and restart counters, circuit-breaker state", onInstance((*Server).handleInstanceHealth)},
-	{"POST", "/api/v1/instances/{id}/faults", "inject a fault: leaf-crash, telemetry-blackout, slow-machine, actuation-fail, be-kill or driver-panic", onInstance((*Server).handleFaultInject)},
-	{"GET", "/api/v1/instances/{id}/slo", "error-budget status: objective, budget spent, burn rates per window, firing alerts", onInstance((*Server).handleSLO)},
-	{"GET", "/api/v1/instances/{id}/trace", "recent epoch span timings from the instance's trace ring", onInstance((*Server).handleTrace)},
-	{"GET", "/api/v1/instances/{id}/stream", "SSE stream of epoch telemetry, controller and scheduler events", onInstance((*Server).handleStream)},
-	{"GET", "/api/v1/shards", "per-shard instance counts and the migration total", (*Server).handleShards},
-	{"GET", "/api/v1/scheduler", "fleet scheduler status and goodput accounting", (*Server).handleSchedStatus},
-	{"GET", "/api/v1/jobs", "list best-effort jobs", (*Server).handleJobsList},
-	{"POST", "/api/v1/jobs", "submit a best-effort job for fleet-wide dispatch", (*Server).handleJobSubmit},
-	{"GET", "/api/v1/jobs/{id}", "inspect one job", (*Server).handleJobGet},
-	{"DELETE", "/api/v1/jobs/{id}", "cancel a job, evicting it if running", (*Server).handleJobCancel},
+	{"GET", "/healthz", 0, "liveness probe: status and instance count", (*Server).handleHealthz},
+	{"GET", "/metrics", 0, "Prometheus exposition across all instances", (*Server).handleMetrics},
+	{"GET", "/api/v1/instances", 0, "list instance statuses", (*Server).handleList},
+	{"POST", "/api/v1/instances", RestoreBodyLimit, "create an instance from an InstanceSpec", (*Server).handleCreate},
+	{"GET", "/api/v1/instances/{id}", 0, "inspect one instance", onInstance((*Server).handleGet)},
+	{"DELETE", "/api/v1/instances/{id}", 0, "stop and remove an instance", (*Server).handleDelete},
+	{"PUT", "/api/v1/instances/{id}/load", BodyLimit, "change the offered LC load target", onInstance((*Server).handleSetLoad)},
+	{"PUT", "/api/v1/instances/{id}/slo", BodyLimit, "change the controller-visible SLO scale", onInstance((*Server).handleSetSLO)},
+	{"PUT", "/api/v1/instances/{id}/degrade", BodyLimit, "inject or clear LC service degradation", onInstance((*Server).handleDegrade)},
+	{"POST", "/api/v1/instances/{id}/bes", BodyLimit, "attach a best-effort task", onInstance((*Server).handleAttachBE)},
+	{"DELETE", "/api/v1/instances/{id}/bes/{workload}", 0, "detach best-effort tasks by workload name", onInstance((*Server).handleDetachBE)},
+	{"POST", "/api/v1/instances/{id}/scenario", BodyLimit, "drive the instance by a declarative scenario", onInstance((*Server).handleScenario)},
+	{"POST", "/api/v1/instances/{id}/checkpoint", 0, "snapshot the instance's full simulation state for restore or migration", onInstance((*Server).handleCheckpoint)},
+	{"POST", "/api/v1/instances/{id}/migrate", BodyLimit, "checkpoint, ship and restore the instance onto another shard or a peer daemon mid-run", onInstance((*Server).handleMigrate)},
+	{"GET", "/api/v1/instances/{id}/health", 0, "supervisor health: crash and restart counters, circuit-breaker state", onInstance((*Server).handleInstanceHealth)},
+	{"POST", "/api/v1/instances/{id}/faults", BodyLimit, "inject a fault: leaf-crash, telemetry-blackout, slow-machine, actuation-fail, be-kill or driver-panic", onInstance((*Server).handleFaultInject)},
+	{"GET", "/api/v1/instances/{id}/slo", 0, "error-budget status: objective, budget spent, burn rates per window, firing alerts", onInstance((*Server).handleSLO)},
+	{"GET", "/api/v1/instances/{id}/trace", 0, "recent epoch span timings from the instance's trace ring", onInstance((*Server).handleTrace)},
+	{"GET", "/api/v1/instances/{id}/stream", 0, "SSE stream of epoch telemetry, controller and scheduler events", onInstance((*Server).handleStream)},
+	{"GET", "/api/v1/shards", 0, "per-shard instance counts and the migration total", (*Server).handleShards},
+	{"GET", "/api/v1/scheduler", 0, "fleet scheduler status and goodput accounting", (*Server).handleSchedStatus},
+	{"GET", "/api/v1/jobs", 0, "list best-effort jobs", (*Server).handleJobsList},
+	{"POST", "/api/v1/jobs", BodyLimit, "submit a best-effort job for fleet-wide dispatch", (*Server).handleJobSubmit},
+	{"GET", "/api/v1/jobs/{id}", 0, "inspect one job", (*Server).handleJobGet},
+	{"DELETE", "/api/v1/jobs/{id}", 0, "cancel a job, evicting it if running", (*Server).handleJobCancel},
 }
 
 // Routes lists every registered endpoint as "METHOD PATTERN" strings, in
@@ -353,21 +363,21 @@ func APIError(w http.ResponseWriter, code int, format string, args ...any) {
 	WriteJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// Body caps on mutating routes, the federation router's included: a
-// misbehaving client must not stream an unbounded request into memory.
-// BodyLimit (1 MiB) caps every body but an instance create's, which may
-// carry a full InstanceSpec.Restore checkpoint and gets RestoreBodyLimit
-// (64 MiB).
+// Body caps on mutating routes, the federation router's included, named
+// in each route's table row (Route.BodyCap): a misbehaving client must
+// not stream an unbounded request into memory. BodyLimit (1 MiB) caps
+// every body but an instance create's, which may carry a full
+// InstanceSpec.Restore checkpoint and gets RestoreBodyLimit (64 MiB).
 const (
 	BodyLimit        = 1 << 20
 	RestoreBodyLimit = 64 << 20
 )
 
-// DecodeBody strictly decodes a JSON request body of at most limit bytes
-// into v; unknown fields are an error. A failure is answered (BodyError)
-// and reported false.
-func DecodeBody(w http.ResponseWriter, r *http.Request, v any, limit int64) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+// DecodeBody strictly decodes a JSON request body, capped by its route's
+// BodyCap, into v; unknown fields are an error. A failure is answered
+// (BodyError) and reported false.
+func DecodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		BodyError(w, err)
@@ -450,7 +460,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	var spec InstanceSpec
-	if !DecodeBody(w, r, &spec, RestoreBodyLimit) {
+	if !DecodeBody(w, r, &spec) {
 		return
 	}
 	inst, err := s.create(spec, name, -1)
@@ -488,7 +498,7 @@ func (s *Server) handleSetLoad(w http.ResponseWriter, r *http.Request, inst *Ins
 	var body struct {
 		Load float64 `json:"load"`
 	}
-	if !DecodeBody(w, r, &body, BodyLimit) {
+	if !DecodeBody(w, r, &body) {
 		return
 	}
 	if body.Load < 0 || body.Load > 1 {
@@ -505,7 +515,7 @@ func (s *Server) handleSetSLO(w http.ResponseWriter, r *http.Request, inst *Inst
 	var body struct {
 		Scale float64 `json:"scale"`
 	}
-	if !DecodeBody(w, r, &body, BodyLimit) {
+	if !DecodeBody(w, r, &body) {
 		return
 	}
 	if body.Scale <= 0 {
@@ -526,7 +536,7 @@ func (s *Server) handleDegrade(w http.ResponseWriter, r *http.Request, inst *Ins
 	var body struct {
 		Factor float64 `json:"factor"`
 	}
-	if !DecodeBody(w, r, &body, BodyLimit) {
+	if !DecodeBody(w, r, &body) {
 		return
 	}
 	if body.Factor < 0 {
@@ -541,7 +551,7 @@ func (s *Server) handleDegrade(w http.ResponseWriter, r *http.Request, inst *Ins
 
 func (s *Server) handleAttachBE(w http.ResponseWriter, r *http.Request, inst *Instance) {
 	var att BEAttachment
-	if !DecodeBody(w, r, &att, BodyLimit) {
+	if !DecodeBody(w, r, &att) {
 		return
 	}
 	if err := checkBEName(att.Workload); err != nil {
@@ -569,7 +579,7 @@ func (s *Server) handleDetachBE(w http.ResponseWriter, r *http.Request, inst *In
 
 func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request, inst *Instance) {
 	var spec ScenarioSpec
-	if !DecodeBody(w, r, &spec, BodyLimit) {
+	if !DecodeBody(w, r, &spec) {
 		return
 	}
 	sc, err := spec.Build()
@@ -617,7 +627,7 @@ func (s *Server) handleInstanceHealth(w http.ResponseWriter, _ *http.Request, in
 
 func (s *Server) handleFaultInject(w http.ResponseWriter, r *http.Request, inst *Instance) {
 	var req FaultRequest
-	if !DecodeBody(w, r, &req, BodyLimit) {
+	if !DecodeBody(w, r, &req) {
 		return
 	}
 	if err := req.check(); err != nil {
