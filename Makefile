@@ -72,9 +72,15 @@ chaos:
 # federation router: a restart over the same members keeps every id and
 # mints past them, and nothing it passes through names a member-local id.
 # /metrics and the job API answer while a dispatch tick waits on an
-# instance mailbox held by a slice.
+# instance mailbox held by a slice. The router's member transport: a
+# connection the member closed (idle timeout, restart) is redialed, not
+# answered 502; a dropped SSE stream closes its member connection and
+# leaves no goroutine; a burst pools at most two per member; an https
+# member goes through http.DefaultTransport; a reply with no body pools
+# its connection. Every daemon route is proxied, answered by the router
+# or listed as refused.
 churn:
-	$(GO) test -race -run 'RegistryChurnNoLeaks|EpochScheduler|HundredThousand|ShardedServerRunsEveryJob|ConcurrentScrapesDuringChurn|ScrapeMatchesColdRender|RerenderLeavesOldRowsIntact|RegistryOrderAndRemove|CreatesOfOneName|MigratingNameIsHeld|KeepsItsName|RouterRestartKeepsNamespace|RouterKeepsFederatedNames|TickWaitsOnAMailbox' ./internal/serve/ ./internal/fed/
+	$(GO) test -race -run 'RegistryChurnNoLeaks|EpochScheduler|HundredThousand|ShardedServerRunsEveryJob|ConcurrentScrapesDuringChurn|ScrapeMatchesColdRender|RerenderLeavesOldRowsIntact|RegistryOrderAndRemove|CreatesOfOneName|MigratingNameIsHeld|KeepsItsName|RouterRestartKeepsNamespace|RouterKeepsFederatedNames|TickWaitsOnAMailbox|MemberTransport|RouterCoversDaemonRoutes' ./internal/serve/ ./internal/fed/
 
 # Short fuzz pass over the boundaries that accept bytes from outside the
 # process. The HRCF checkpoint file decoder: truncated, bit-flipped and

@@ -872,8 +872,8 @@ func TestMicroAllocCeilings(t *testing.T) {
 		{"InstanceSchedule", 10000, 5, 530},
 		{"LabSetup", 1, 100, 20},
 		{"Scrape/idle", 1, 100, 11},
-		{"FedHop/get", 1, 100, 164},
-		{"FedHop/put", 1, 100, 193},
+		{"FedHop/get", 1, 100, 144},
+		{"FedHop/put", 1, 100, 171},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			i := slices.IndexFunc(micros, func(m micro) bool { return m.name == c.name })

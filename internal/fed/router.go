@@ -81,7 +81,8 @@ type Router struct {
 	mu      sync.Mutex
 	seed    uint64
 	table   *chash.Table
-	members []string // sorted member URLs, the hash population
+	members []string            // sorted member URLs, the hash population
+	targets map[string]*url.URL // each member URL met, parsed once (nil if it does not parse); kept after it leaves
 	seq     int
 	insts   map[string]string // fed id → hosting member's URL
 	jobSeq  int
@@ -104,18 +105,21 @@ func NewRouter(cfg Config) (*Router, error) {
 		seed = DefaultSeed
 	}
 	members := make([]string, 0, len(cfg.Members))
+	targets := make(map[string]*url.URL, len(cfg.Members))
 	for _, m := range cfg.Members {
 		m = strings.TrimSuffix(strings.TrimSpace(m), "/")
 		if m == "" {
 			return nil, fmt.Errorf("fed: empty member URL")
 		}
 		members = append(members, m)
+		targets[m], _ = url.Parse(m)
 	}
 	slices.Sort(members)
 	rt := &Router{
 		seed:    seed,
 		table:   chash.New(seed, members...),
 		members: members,
+		targets: targets,
 		insts:   make(map[string]string),
 		jobs:    make(map[int]jobRef),
 	}
@@ -202,14 +206,18 @@ func (rt *Router) forget(fid string) {
 }
 
 // countingTransport is the round-tripper every member request the router
-// makes goes through, proxied or its own: it counts each request and
-// times it into proxyHist.
-type countingTransport struct{ atomic.Int64 }
+// makes goes through, proxied or its own: it counts each request, sends
+// it through the router's member transport and times it into proxyHist
+// until the member's reply headers are read.
+type countingTransport struct {
+	atomic.Int64
+	members memberTransport
+}
 
 func (c *countingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	c.Add(1)
 	start := time.Now()
-	resp, err := http.DefaultTransport.RoundTrip(req)
+	resp, err := c.members.RoundTrip(req)
 	proxyHist.Observe(time.Since(start))
 	return resp, err
 }
@@ -327,8 +335,10 @@ func relay(w http.ResponseWriter, resp *http.Response) {
 // host, which the transport refuses and proxyError answers.
 func (rt *Router) rewrite(pr *httputil.ProxyRequest) {
 	fid := pr.In.PathValue("id")
-	member, _ := rt.lookup(fid)
-	if target, err := url.Parse(member); err == nil {
+	rt.mu.Lock()
+	target := rt.targets[rt.insts[fid]]
+	rt.mu.Unlock()
+	if target != nil {
 		pr.SetURL(target)
 	}
 	if pr.In.Pattern == createRoute {
@@ -473,6 +483,9 @@ func (rt *Router) Sync(members ...string) error {
 		if !p.ok {
 			errs = append(errs, fmt.Errorf("fed: member %s did not list its instances", p.member))
 			continue
+		}
+		if rt.targets[p.member] == nil {
+			rt.targets[p.member], _ = url.Parse(p.member) // a joiner
 		}
 		for _, st := range p.body.Instances {
 			n, ok := fedSeq(st.ID)
