@@ -873,7 +873,7 @@ func TestMicroAllocCeilings(t *testing.T) {
 		{"LabSetup", 1, 100, 20},
 		{"Scrape/idle", 1, 100, 11},
 		{"FedHop/get", 1, 100, 144},
-		{"FedHop/put", 1, 100, 171},
+		{"FedHop/put", 1, 100, 167},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			i := slices.IndexFunc(micros, func(m micro) bool { return m.name == c.name })

@@ -2,6 +2,7 @@ package fed
 
 import (
 	"bufio"
+	"bytes"
 	"cmp"
 	"context"
 	"errors"
@@ -27,6 +28,10 @@ type memberTransport struct {
 }
 
 const maxIdlePerMember, idleTimeout = http.DefaultMaxIdleConnsPerHost, 90 * time.Second
+
+// maxInlineBody bounds the request body inline reads ahead: a
+// sub-resource's JSON, not a checkpoint restored through create.
+const maxInlineBody = 4 << 10
 
 func (t *memberTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	dt, ok := http.DefaultTransport.(*http.Transport)
@@ -55,13 +60,24 @@ func (t *memberTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 		// request that reuses a connection allocates no c.
 		nc := &memberConn{Conn: conn, t: t, addr: addr, br: bufio.NewReader(conn), bw: bufio.NewWriter(conn)}
 		nc.abort, nc.peek = func() { nc.Close() }, nc.peekFD
+		nc.inlineBody = io.NopCloser(&nc.bodyRd)
 		if sc, ok := conn.(syscall.Conn); ok {
 			nc.raw, _ = sc.SyscallConn()
 		}
 		c = nc
 	}
 	stop := context.AfterFunc(ctx, c.abort) // ends any read or write blocked on c
-	werr := req.Write(c.bw)
+	out := req
+	if n := req.ContentLength; n > 0 && n <= maxInlineBody && req.Body != nil {
+		var err error
+		if out, err = c.inline(req); err != nil {
+			stop()
+			c.Close()
+			return nil, err
+		}
+	}
+	werr := out.Write(c.bw)
+	c.out = http.Request{} // holds nothing of req while c is idle
 	if werr == nil {
 		werr = c.bw.Flush()
 	}
@@ -94,6 +110,20 @@ func (t *memberTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	return resp, nil
 }
 
+// inline reads req's body into c and returns a copy of req whose body
+// reads it from memory. Request.Write flushes the head apart from a body
+// it cannot see in memory; an inline body goes out in the head's write,
+// so the member wakes for one segment, not two.
+func (c *memberConn) inline(req *http.Request) (*http.Request, error) {
+	c.body = slices.Grow(c.body[:0], int(req.ContentLength))[:req.ContentLength]
+	_, err := io.ReadFull(req.Body, c.body)
+	req.Body.Close()
+	c.bodyRd.Reset(c.body)
+	c.out = *req
+	c.out.Body = c.inlineBody
+	return &c.out, err
+}
+
 // get takes the most recently used pooled connection to addr that is
 // alive, closing each one it finds idle past idleTimeout or dead.
 func (t *memberTransport) get(addr string) *memberConn {
@@ -124,6 +154,11 @@ type memberConn struct {
 	peek      func(fd uintptr) bool // peekFD, which sets live
 	live      bool
 	peeked    [1]byte
+
+	body       []byte        // inline's copy of a request body
+	bodyRd     bytes.Reader  // reads body
+	inlineBody io.ReadCloser // bodyRd, unclosable
+	out        http.Request  // inline's copy of the request
 }
 
 // alive reports whether a pooled connection can carry a request: its

@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -13,6 +15,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"heracles/internal/serve"
@@ -293,5 +296,38 @@ func TestMemberTransportDropsConnIdlePastTimeout(t *testing.T) {
 	await(t, "the member seeing the stale connection closed", func() bool { return counts.closed.Load() == 1 })
 	if n := counts.opened.Load(); n != 2 {
 		t.Fatalf("the member saw %d connections, want 2", n)
+	}
+}
+
+// TestMemberTransportFailsBodyThatBreaks: a small request body is read
+// before anything is written, so one that fails part-way fails the
+// request with its error and the member sees no request.
+func TestMemberTransportFailsBodyThatBreaks(t *testing.T) {
+	var loads atomic.Int64
+	count := func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if path.Base(r.URL.Path) == "load" {
+				loads.Add(1)
+			}
+			h.ServeHTTP(w, r)
+		})
+	}
+	member, _, rt, fts, fid := countedMember(t, count, nil)
+	broke := errors.New("the body broke")
+	req, err := http.NewRequest("PUT", member.URL+"/api/v1/instances/"+fid+"/load",
+		io.MultiReader(strings.NewReader(`{"lo`), iotest.ErrReader(broke)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.ContentLength = int64(len(`{"load":0.4}`))
+	if resp, err := rt.proxied.RoundTrip(req); !errors.Is(err, broke) {
+		if err == nil {
+			resp.Body.Close()
+		}
+		t.Fatalf("a body that broke part-way ended the request with %v, want its error", err)
+	}
+	doReq(t, "PUT", fts.URL+"/api/v1/instances/"+fid+"/load", map[string]float64{"load": 0.4}, 200)
+	if n := loads.Load(); n != 1 {
+		t.Fatalf("the member saw %d load requests, want only the whole one", n)
 	}
 }
