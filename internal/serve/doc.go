@@ -31,6 +31,14 @@
 // is also why the scheduler may batch a stretched instance's epochs
 // without changing its telemetry.
 //
+// With Config.CheckpointDir the pool outlives a crash: Server.Start
+// resumes every <id>.ckpt found there under its stem, bit-identical from
+// its epoch, falling back to <id>.ckpt.1 and setting aside as *.failed a
+// file it cannot use or whose stem is no id; a checkpointer on the same
+// scheduler rewrites each instance's file every CheckpointEvery
+// (checksummed, write-then-rename, the previous generation kept as .1)
+// and sweeps deleted instances' files; Close takes a final pass.
+//
 // cmd/heraclesd is the thin daemon over this package; the route table in
 // server.go is the single source of truth for the HTTP surface and is
 // cross-checked against docs/API.md by cmd/docscheck.

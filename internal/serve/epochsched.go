@@ -10,18 +10,18 @@ import (
 
 // The epoch scheduler (DESIGN.md §13), one per registry: one min-heap of
 // due times and one bounded worker pool drive every instance, their
-// crash restarts and the fleet dispatch loop.
+// crash restarts, the fleet dispatch loop and the checkpoint pass.
 // Nothing in the control plane owns a per-instance goroutine or timer —
 // an idle, parked or backing-off instance costs exactly one heap entry
 // (or none), which is what lets a single registry hold 100k+ live
 // instances.
 
-// epochTask is one unit of work the epoch scheduler runs:
-// an instance's next batch of epochs, its pending crash restart, or the
-// fleet dispatcher's tick. runSlice executes the due work and returns
-// the next wall-clock due time; ok=false parks the task — a parked task
-// holds no timer, no goroutine and no heap entry until something
-// schedules its entry again.
+// epochTask is one unit of work the epoch scheduler runs: an
+// instance's next batch of epochs, its pending crash restart, the fleet
+// dispatcher's tick, or one file of the checkpoint pass. runSlice
+// executes the due work and returns the next wall-clock due time;
+// ok=false parks the task — a parked task holds no timer, no goroutine
+// and no heap entry until something schedules its entry again.
 type epochTask interface {
 	runSlice() (next time.Time, ok bool)
 }

@@ -47,6 +47,13 @@ type Config struct {
 	// the live instance pool.
 	SchedPolicy string
 
+	// CheckpointDir, when set, makes the pool crash-recoverable (the
+	// daemon's -checkpoint-dir): Start resumes every checkpoint stored
+	// there, and every CheckpointEvery (which must then be positive) a
+	// pass snapshots each instance into it, the last on Close.
+	CheckpointDir   string
+	CheckpointEvery time.Duration
+
 	// Tunables only this package's tests set; zero selects the default.
 	schedInterval    time.Duration // job dispatch cadence (1s)
 	schedSeed        uint64        // job scheduler's choice streams
@@ -63,6 +70,7 @@ type Server struct {
 	lab  *experiment.Lab
 	reg  *Registry
 	jobs *jobDriver
+	ckpt *checkpointer // nil without a CheckpointDir
 	mux  *http.ServeMux
 
 	scrape scrapeCache // /metrics blocks (metrics.go)
@@ -103,6 +111,13 @@ func New(cfg Config) *Server {
 		reg:  reg,
 		jobs: newJobDriver(reg, policy, cfg.schedSeed, cfg.schedInterval),
 	}
+	if cfg.CheckpointDir != "" {
+		if cfg.CheckpointEvery <= 0 {
+			panic(fmt.Sprintf("serve: checkpoint cadence %v is not positive", cfg.CheckpointEvery))
+		}
+		s.ckpt = &checkpointer{reg: reg, dir: cfg.CheckpointDir, every: cfg.CheckpointEvery, stopped: true}
+		s.ckpt.entry = reg.pool.newEntry(s.ckpt)
+	}
 	s.mux = Mount(s, routeTable)
 	return s
 }
@@ -118,21 +133,6 @@ func (s *Server) Registry() *Registry { return s.reg }
 // programmatic equivalent of POST /api/v1/instances.
 func (s *Server) CreateInstance(spec InstanceSpec) (*Instance, error) {
 	return s.create(spec, "", -1)
-}
-
-// ResumeInstance restores a stored checkpoint under the id it was stored
-// as — a name, or a minted i<n>, which moves the mint counter past n — so
-// a daemon resuming its checkpoint directory keeps every id. A
-// free-running speed drops the checkpoint's tick schedule instead of
-// refusing it: it fast-forwards a paced daemon's snapshot.
-func (s *Server) ResumeInstance(id string, spec InstanceSpec) (*Instance, error) {
-	if !validName(id) && !minted(id) {
-		return nil, fmt.Errorf("%q is not an instance id", id)
-	}
-	if spec.Restore != nil && spec.Speed < 0 {
-		spec.Restore = spec.Restore.unpaced()
-	}
-	return s.create(spec, id, -1)
 }
 
 // create reserves name — or, when name is empty, mints an id — and
@@ -188,11 +188,15 @@ func (s *Server) createInstance(spec InstanceSpec, id string, shard int) (*Insta
 	return inst, nil
 }
 
-// Close stops the job dispatch loop, then every instance. The order
+// Close runs the checkpointer's final pass while the instances still
+// run, then stops the job dispatch loop, then every instance. The order
 // matters: the job driver holds task references into live instances, so
 // it must quiesce before the pool tears down. Safe to call more than
 // once.
 func (s *Server) Close() {
+	if s.ckpt != nil {
+		s.ckpt.stop()
+	}
 	s.jobs.stop()
 	s.reg.Close()
 }
