@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-race chaos churn fuzz-smoke fidelity bench bench-smoke bench-e2e bench-pair fmt-check docs-check loc slo ci
+.PHONY: all build vet test test-race chaos churn fuzz-smoke fidelity bench bench-smoke bench-e2e bench-pair fmt-check docs-check loc loc-check slo ci
 
 all: build
 
@@ -42,6 +42,12 @@ loc:
 		END { seen["total"] = 1; for (d in seen) { printf "%-28s %8d %8d", d, c["nown", d], c["nowt", d]; \
 			if (rev != "") printf " %+9d %+9d", c["nown", d] - c["revn", d], c["nowt", d] - c["revt", d]; printf "\n" } }' | \
 		sort | (printf '%-28s %8s %8s' package non-test test; [ -z '$(locrev)' ] || printf ' %9s %9s' delta-nt delta-t; printf '\n'; cat)
+
+# Line budget: each package's non-test lines at or below its ceiling in
+# scripts/loc-budget.txt; the check names every package above it.
+# UPDATE=1 lowers the ceilings to the current counts, never raising one.
+loc-check:
+	UPDATE='$(UPDATE)' bash scripts/loc-check.sh
 
 # Race-detector pass over the short suite: the parallel sweeps, the
 # cluster/fleet fan-outs and the worker pools all run under -race.
@@ -161,4 +167,4 @@ CPUS ?= 1
 bench-pair:
 	CPUS='$(CPUS)' bash scripts/bench-pair.sh $(REV) '$(value BENCH)' $(N)
 
-ci: build vet fmt-check docs-check test test-race chaos churn fuzz-smoke fidelity bench-smoke
+ci: build vet fmt-check docs-check loc-check test test-race chaos churn fuzz-smoke fidelity bench-smoke
