@@ -485,6 +485,10 @@ var micros = []micro{
 		// fresh pool.
 		return func(n int) { serve.ScheduleBench(4, 256, n) }
 	}},
+	// One epoch of a free-running instance, refresh of the restart point
+	// on its cadence included, at age 300 and at age 30 000 (instanceStep).
+	{"InstanceStep/young", instanceStep(300)},
+	{"InstanceStep/aged", instanceStep(30_000)},
 	{"InstanceMigrate", func(tb testing.TB) func(int) {
 		// A shard migration round trip (detach, snapshot, binary wire
 		// format, restore on the other shard, stop the origin) of an
@@ -578,6 +582,69 @@ func each(step func(i int)) func(n int) {
 		for range n {
 			step(next)
 			next++
+		}
+	}
+}
+
+// instanceStep times one epoch of a free-running instance (websearch at
+// load 0.5 beside brain) stepped by the epoch scheduler, with the restart
+// point refreshed every 30 epochs. So that every timed epoch runs near
+// age, the instance is restored from its checkpoint at age for each
+// window of min(age, 3 000) epochs, outside the timer. An epoch hook
+// counts the window's epochs: it holds the first, so the timer starts
+// with the instance waiting, and it costs each epoch a call.
+func instanceStep(age int) func(testing.TB) func(int) {
+	return func(tb testing.TB) func(int) {
+		s := serve.New(serve.Config{Lab: lab()})
+		tb.Cleanup(s.Close)
+		inst, err := s.CreateInstance(serve.InstanceSpec{Load: 0.5, BEs: []serve.BEAttachment{{Workload: "brain"}},
+			Speed: serve.SpeedMax, MaxEpochs: age})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		<-s.AllDone()
+		cp, err := inst.Checkpoint()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		s.Registry().Remove(inst.ID())
+		inst.Stop()
+		b, _ := tb.(*testing.B)
+		timer := func(on bool) {
+			switch {
+			case b == nil:
+			case on:
+				b.StartTimer()
+			default:
+				b.StopTimer()
+			}
+		}
+		return func(n int) {
+			for n > 0 {
+				w := min(n, age, 3000)
+				n -= w
+				timer(false)
+				left, start, done := w+1, make(chan struct{}), make(chan struct{})
+				hook := func(*machine.Machine, machine.Telemetry) {
+					if left == w+1 {
+						<-start
+					}
+					if left--; left == 0 {
+						close(done)
+					}
+				}
+				win, err := s.CreateInstance(serve.InstanceSpec{Restore: cp, Speed: serve.SpeedMax, MaxEpochs: age + w + 1, EpochHook: hook})
+				if err != nil {
+					tb.Fatal(err)
+				}
+				timer(true)
+				close(start)
+				<-done
+				timer(false)
+				s.Registry().Remove(win.ID())
+				win.Stop()
+			}
+			timer(true)
 		}
 	}
 }
