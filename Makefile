@@ -84,9 +84,12 @@ chaos:
 # leaves no goroutine; a burst pools at most two per member; an https
 # member goes through http.DefaultTransport; a reply with no body pools
 # its connection. Every daemon route is proxied, answered by the router
-# or listed as refused.
+# or listed as refused. The restart point as the instance's one
+# encoding: what a shard move ships equals a fresh encode after each way
+# the engine changes, a pruned copy does not ship its pruned task, a
+# copy's adopted wire bytes restart it, and the disk pass writes them.
 churn:
-	$(GO) test -race -run 'RegistryChurnNoLeaks|EpochScheduler|HundredThousand|ShardedServerRunsEveryJob|ConcurrentScrapesDuringChurn|ScrapeMatchesColdRender|RerenderLeavesOldRowsIntact|RegistryOrderAndRemove|CreatesOfOneName|MigratingNameIsHeld|KeepsItsName|RouterRestartKeepsNamespace|RouterKeepsFederatedNames|TickWaitsOnAMailbox|MemberTransport|RouterCoversDaemonRoutes' ./internal/serve/ ./internal/fed/
+	$(GO) test -race -run 'RegistryChurnNoLeaks|EpochScheduler|HundredThousand|ShardedServerRunsEveryJob|ConcurrentScrapesDuringChurn|ScrapeMatchesColdRender|RerenderLeavesOldRowsIntact|RegistryOrderAndRemove|CreatesOfOneName|MigratingNameIsHeld|KeepsItsName|RouterRestartKeepsNamespace|RouterKeepsFederatedNames|TickWaitsOnAMailbox|MemberTransport|RouterCoversDaemonRoutes|ShippedEncoding|SecondMoveCarriesNoPrunedTask|CopyCrashRestarts|CheckpointerWritesTheSharedEncoding' ./internal/serve/ ./internal/fed/
 
 # Short fuzz pass over the boundaries that accept bytes from outside the
 # process. The HRCF checkpoint file decoder: truncated, bit-flipped and

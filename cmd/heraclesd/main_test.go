@@ -38,7 +38,7 @@ func TestRestoredBootKeepsMirror(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		file, err := serve.EncodeCheckpointFileBinary(cp)
+		file, err := serve.AppendCheckpointFileBinary(nil, cp)
 		if err != nil {
 			t.Fatal(err)
 		}

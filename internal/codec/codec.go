@@ -374,11 +374,10 @@ func (c *Coder) Bytes(v *[]byte) {
 }
 
 // Nest carries a uint32-prefixed nested encoding. Encoding writes *v or,
-// when fn is non-nil, what fn appends to the buffer it is given — the
-// signature of an AppendBinary-style encoder, so nesting costs no
-// intermediate buffer. Decoding sets *v to a view into the input (no
-// copy; nil when the read fails) for the caller to parse, and never
-// calls fn.
+// when fn is non-nil, what fn appends to the buffer it is given (an
+// AppendBinary-style encoder: no intermediate buffer), leaving *v a view
+// of it. Decoding sets *v to a view into the input (no copy; nil when
+// the read fails) for the caller to parse, and never calls fn.
 func (c *Coder) Nest(v *[]byte, fn func([]byte) []byte) {
 	switch {
 	case c.r != nil:
@@ -387,6 +386,7 @@ func (c *Coder) Nest(v *[]byte, fn func([]byte) []byte) {
 		off := c.w.Reserve32()
 		c.w.buf = fn(c.w.buf)
 		c.w.Patch32(off, uint32(len(c.w.buf)-off-4))
+		*v = c.w.buf[off+4:]
 	default:
 		c.w.Bytes32(*v)
 	}

@@ -67,11 +67,17 @@ func (i *Instance) Checkpoint() (*InstanceCheckpoint, error) {
 	return cp, err
 }
 
-// buildCheckpoint assembles the checkpoint; stepMu must be held (the
-// supervisor also calls it directly, on its restart-checkpoint cadence).
+// buildCheckpoint assembles the checkpoint; stepMu must be held.
 func (i *Instance) buildCheckpoint() *InstanceCheckpoint {
 	start := time.Now()
 	defer func() { checkpointHist.Observe(time.Since(start)) }()
+	cp := i.envelope()
+	cp.Engine = i.eng.Snapshot()
+	return cp
+}
+
+// envelope is the checkpoint but its engine state; stepMu must be held.
+func (i *Instance) envelope() *InstanceCheckpoint {
 	cp := &InstanceCheckpoint{
 		Version:   engine.CheckpointVersion,
 		Name:      i.name,
@@ -80,7 +86,6 @@ func (i *Instance) buildCheckpoint() *InstanceCheckpoint {
 		Speed:     i.speed,
 		MaxEpochs: int(i.maxEpochs),
 		Scenario:  i.scenarioSpec.clone(),
-		Engine:    i.eng.Snapshot(),
 	}
 	for idx, be := range i.m.BEs() {
 		if i.eng.OwnedBE(be) {
@@ -93,15 +98,34 @@ func (i *Instance) buildCheckpoint() *InstanceCheckpoint {
 	return cp
 }
 
-// refreshRestartCheckpoint re-snapshots the instance into the
-// supervisor's retained restart checkpoint, encoding straight into the
-// previous generation's buffer so the steady-state refresh reuses one
-// allocation. On an encode failure the previous good checkpoint is kept
-// — a stale restart point beats none. stepMu must be held.
+// encode appends the instance's HRCF bytes to buf (nil: one sized from
+// the restart point) and returns them with their engine payload's
+// length: the one path of a shard move, the disk pass and the refresh
+// (DESIGN.md §12). A current restart point lends its engine payload to a
+// fresh envelope; else the engine is snapshotted. stepMu must be held.
+func (i *Instance) encode(buf []byte) ([]byte, int, error) {
+	if buf == nil {
+		buf = make([]byte, 0, len(i.lastCP)+len(i.lastCP)/8)
+	}
+	if !i.cpCurrent() {
+		return appendEnvelope(buf, i.buildCheckpoint(), nil)
+	}
+	return appendEnvelope(buf, i.envelope(), i.lastCP[len(i.lastCP)-i.lastEng:])
+}
+
+// cpCurrent: no epoch stepped and no Do ran since lastCP was made.
+func (i *Instance) cpCurrent() bool { return len(i.lastCP) > 0 && i.cpGen == i.stateGen }
+
+// refreshRestartCheckpoint re-encodes a stale restart point into its own
+// buffer, so the steady-state refresh reuses one allocation. On an
+// encode failure the previous good checkpoint is kept — a stale restart
+// point beats none. stepMu must be held.
 func (i *Instance) refreshRestartCheckpoint() {
-	data, err := AppendCheckpointFileBinary(i.lastCP[:0], i.buildCheckpoint())
-	if err == nil {
-		i.lastCP = data
+	if i.cpCurrent() {
+		return
+	}
+	if data, eng, err := i.encode(i.lastCP[:0]); err == nil {
+		i.lastCP, i.lastEng, i.cpGen = data, eng, i.stateGen
 	}
 }
 
@@ -122,7 +146,7 @@ func validateCheckpoint(cp *InstanceCheckpoint) error {
 	if len(cp.Engine.Machines) != 1 {
 		return fmt.Errorf("instance checkpoint carries %d machines, want 1", len(cp.Engine.Machines))
 	}
-	if _, ok := workload.LCByName(cp.LC); !ok {
+	if !workload.HasLC(cp.LC) {
 		return fmt.Errorf("unknown LC workload %q", cp.LC)
 	}
 	m := cp.Engine.Machines[0]

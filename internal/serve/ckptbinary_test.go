@@ -70,11 +70,11 @@ func TestBinaryCheckpointFileRoundTrip(t *testing.T) {
 }
 
 func checkFileRoundTrip(t *testing.T, cp *InstanceCheckpoint) {
-	bin, err := EncodeCheckpointFileBinary(cp)
+	bin, err := AppendCheckpointFileBinary(nil, cp)
 	if err != nil {
 		t.Fatalf("encode binary: %v", err)
 	}
-	if again, _ := EncodeCheckpointFileBinary(cp); !bytes.Equal(bin, again) {
+	if again, _ := AppendCheckpointFileBinary(nil, cp); !bytes.Equal(bin, again) {
 		t.Fatal("binary envelope encoding is not deterministic")
 	}
 	fromBin, err := DecodeCheckpointFile(bin)
@@ -107,7 +107,7 @@ func checkFileRoundTrip(t *testing.T, cp *InstanceCheckpoint) {
 func TestBinaryCheckpointFileRejectsCorruption(t *testing.T) {
 	cp := testCkpt(7)
 	cp.Engine = &engine.Checkpoint{Version: engine.CheckpointVersion, Epoch: 3}
-	data, err := EncodeCheckpointFileBinary(cp)
+	data, err := AppendCheckpointFileBinary(nil, cp)
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
@@ -283,7 +283,7 @@ func TestInstanceCheckpointSizeBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	file, err := EncodeCheckpointFileBinary(cp)
+	file, err := AppendCheckpointFileBinary(nil, cp)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,19 +43,18 @@ func (s *Server) Start(boot InstanceSpec, bootstrap bool, horizon int) (int, *In
 
 // AllDone returns a channel closed once every instance registered now is
 // done (parked at its max_epochs) or stopped: the end of a headless run.
-// It waits on each instance's changed channel; nothing polls.
+// It waits on each instance's parked channel, which closes once: nothing
+// polls, and no epoch of a running instance wakes it.
 func (s *Server) AllDone() <-chan struct{} {
 	c := make(chan struct{})
 	insts := s.reg.List()
 	go func() {
 		defer close(c)
 		for _, inst := range insts {
-			for ch := inst.changed(); inst.Status().State != StateDone; ch = inst.changed() {
-				select {
-				case <-ch:
-				case <-inst.donec:
-					return
-				}
+			select {
+			case <-inst.parked:
+			case <-inst.donec:
+				return
 			}
 		}
 	}()
@@ -152,6 +151,7 @@ type checkpointer struct {
 	mu      sync.Mutex
 	stopped bool
 	todo    []*Instance // the rest of the pass in progress
+	buf     []byte      // the last write's encoding, reused by the next
 }
 
 // stop cancels the entry and, if Start armed the checkpointer, runs one
@@ -201,13 +201,15 @@ func (c *checkpointer) step() bool {
 // write stores one instance's checkpoint. A crashed, quarantined or
 // stopped instance refuses one and keeps the generations it has.
 func (c *checkpointer) write(inst *Instance) {
-	cp, err := inst.Checkpoint()
-	if err != nil {
+	var err error
+	if inst.Do(func() error {
+		c.buf, _, err = inst.encode(c.buf[:0])
+		return nil
+	}) != nil {
 		return
 	}
-	data, err := EncodeCheckpointFileBinary(cp)
 	if err == nil {
-		err = engine.WriteFile(filepath.Join(c.dir, inst.ID()+".ckpt"), data)
+		err = engine.WriteFile(filepath.Join(c.dir, inst.ID()+".ckpt"), c.buf)
 	}
 	if err != nil {
 		log.Printf("heraclesd: checkpoint %s: %v", inst.ID(), err)

@@ -38,7 +38,7 @@ func TestRestoreCheckpointsDirectory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	file, err := EncodeCheckpointFileBinary(cp)
+	file, err := AppendCheckpointFileBinary(nil, cp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestRestoreKeepsCheckpointIDs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		file, err := EncodeCheckpointFileBinary(cp)
+		file, err := AppendCheckpointFileBinary(nil, cp)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,7 +180,7 @@ func TestRestoreResumesBetweenRenames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	file, err := EncodeCheckpointFileBinary(cp)
+	file, err := AppendCheckpointFileBinary(nil, cp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +369,7 @@ func TestStartKeepsRestoredFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	file, err := EncodeCheckpointFileBinary(cp)
+	file, err := AppendCheckpointFileBinary(nil, cp)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -127,7 +127,7 @@ func TestEnvelopesCarryEveryInstanceCheckpointField(t *testing.T) {
 		t.Fatalf("filler did not reach the schedule, fleet tasks, scenario spec or engine state: %+v", cp)
 	}
 
-	file, err := EncodeCheckpointFileBinary(&cp)
+	file, err := AppendCheckpointFileBinary(nil, &cp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestEnvelopeMatchesCommittedBytes(t *testing.T) {
 	var cp InstanceCheckpoint
 	var n int64
 	fillDistinct(t, reflect.ValueOf(&cp).Elem(), "InstanceCheckpoint", &n, map[reflect.Type]int{})
-	got, err := EncodeCheckpointFileBinary(&cp)
+	got, err := AppendCheckpointFileBinary(nil, &cp)
 	if err != nil {
 		t.Fatal(err)
 	}

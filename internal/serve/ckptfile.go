@@ -43,23 +43,26 @@ const binaryFileHeaderLen = 4 + 2 + 4
 // and storage protocols for exactly this job.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// EncodeCheckpointFileBinary serialises a checkpoint into its binary
-// enveloped file form.
-func EncodeCheckpointFileBinary(cp *InstanceCheckpoint) ([]byte, error) {
-	return AppendCheckpointFileBinary(nil, cp)
-}
-
 // AppendCheckpointFileBinary serialises a checkpoint into its binary
 // enveloped file form, appending to buf (pass scratch from a previous
 // encode to amortise allocation).
 func AppendCheckpointFileBinary(buf []byte, cp *InstanceCheckpoint) ([]byte, error) {
+	out, _, err := appendEnvelope(buf, cp, nil)
+	return out, err
+}
+
+// appendEnvelope is AppendCheckpointFileBinary that, when cp.Engine is
+// nil, frames eng, the engine's HRCB bytes encoded before. It also
+// returns the length of the engine payload, which walkEnvelope writes
+// last: the output's tail.
+func appendEnvelope(buf []byte, cp *InstanceCheckpoint, eng []byte) ([]byte, int, error) {
 	// Marshalled before anything is appended: a failure leaves buf as it
 	// was, which the restart checkpoint's in-place refresh relies on.
 	var spec []byte
 	if cp.Scenario != nil {
 		var err error
 		if spec, err = json.Marshal(cp.Scenario); err != nil {
-			return nil, fmt.Errorf("encode checkpoint scenario spec: %w", err)
+			return nil, 0, fmt.Errorf("encode checkpoint scenario spec: %w", err)
 		}
 	}
 
@@ -68,11 +71,11 @@ func AppendCheckpointFileBinary(buf []byte, cp *InstanceCheckpoint) ([]byte, err
 	w.U16(BinaryCheckpointFileVersion)
 	crcOff := w.Reserve32()
 	c := codec.Encoder(w)
-	walkEnvelope(&c, cp, &spec)
+	walkEnvelope(&c, cp, &spec, &eng)
 
 	out := w.Bytes()
 	w.Patch32(crcOff, crc32.Checksum(out[start+binaryFileHeaderLen:], crcTable))
-	return out, nil
+	return out, len(eng), nil
 }
 
 // DecodeCheckpointFile parses a checkpoint file, verifying magic, version
@@ -96,9 +99,9 @@ func DecodeCheckpointFile(data []byte) (*InstanceCheckpoint, error) {
 	}
 
 	cp := &InstanceCheckpoint{}
-	var spec []byte
+	var spec, eng []byte
 	c := codec.Decoder(r)
-	eng := walkEnvelope(&c, cp, &spec)
+	walkEnvelope(&c, cp, &spec, &eng)
 	if spec != nil {
 		cp.Scenario = &ScenarioSpec{}
 		if err := json.Unmarshal(spec, cp.Scenario); err != nil {
@@ -120,15 +123,17 @@ func DecodeCheckpointFile(data []byte) (*InstanceCheckpoint, error) {
 	return cp, nil
 }
 
-// walkEnvelope is the envelope payload, listed once:
-// AppendCheckpointFileBinary runs it over a Writer, DecodeCheckpointFile
-// over a Reader. It only frames the two nested encodings, each behind a
-// presence byte and a uint32 length: spec is the scenario spec's JSON
-// (marshalled before an encode, a view into the input after a decode,
-// nil when there is none), and the engine's HRCB bytes are appended by
-// engine.Checkpoint.AppendBinary on encode and returned as a view on
-// decode, for the caller to parse.
-func walkEnvelope(c *codec.Coder, cp *InstanceCheckpoint, spec *[]byte) (eng []byte) {
+// walkEnvelope is the envelope payload, listed once: appendEnvelope
+// runs it over a Writer, DecodeCheckpointFile over a Reader. It only
+// frames the two nested encodings, each behind a presence byte and a
+// uint32 length: spec is the scenario spec's JSON (marshalled before an
+// encode, a view into the input after a decode, nil when there is none),
+// and eng the engine's HRCB bytes, appended by
+// engine.Checkpoint.AppendBinary on an encode of cp.Engine or copied
+// from *eng when cp.Engine is nil, and left as a view of the output or
+// input, for the caller to parse. The engine comes last, so its payload
+// is the envelope's tail.
+func walkEnvelope(c *codec.Coder, cp *InstanceCheckpoint, spec, eng *[]byte) {
 	c.Int(&cp.Version)
 	c.String(&cp.Name)
 	c.String(&cp.LC)
@@ -143,11 +148,14 @@ func walkEnvelope(c *codec.Coder, cp *InstanceCheckpoint, spec *[]byte) (eng []b
 		c.Nest(spec, nil)
 	}
 	c.Ints(&cp.FleetTasks)
-	has = cp.Engine != nil
+	has = cp.Engine != nil || *eng != nil
 	if c.Bool(&has); has {
-		c.Nest(&eng, cp.Engine.AppendBinary)
+		var fn func([]byte) []byte
+		if cp.Engine != nil {
+			fn = cp.Engine.AppendBinary
+		}
+		c.Nest(eng, fn)
 	}
-	return eng
 }
 
 // ReadCheckpointFallback reads the checkpoint file at path, or the

@@ -52,7 +52,7 @@ func FuzzDecodeCheckpointFile(f *testing.F) {
 	// mutations, beside its failure surface: truncations, payload bit
 	// flips (CRC mismatch), envelope version skew, oversized length
 	// claims deep in the nested engine encoding.
-	validBin, err := EncodeCheckpointFileBinary(cp)
+	validBin, err := AppendCheckpointFileBinary(nil, cp)
 	if err != nil {
 		f.Fatalf("encode binary: %v", err)
 	}
@@ -60,7 +60,7 @@ func FuzzDecodeCheckpointFile(f *testing.F) {
 	// Envelope version 2 with its tick schedule filled in.
 	paced := withSchedule(cp, 4)
 	paced.Speed, paced.MaxEpochs = 50, 0
-	pacedBin, err := EncodeCheckpointFileBinary(paced)
+	pacedBin, err := AppendCheckpointFileBinary(nil, paced)
 	if err != nil {
 		f.Fatalf("encode binary: %v", err)
 	}

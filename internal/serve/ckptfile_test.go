@@ -18,7 +18,7 @@ func testCkpt(epoch int) *InstanceCheckpoint {
 // writeCkpt stores cp the way heraclesd's checkpointer does.
 func writeCkpt(t *testing.T, path string, cp *InstanceCheckpoint) {
 	t.Helper()
-	data, err := EncodeCheckpointFileBinary(cp)
+	data, err := AppendCheckpointFileBinary(nil, cp)
 	if err != nil {
 		t.Fatal(err)
 	}

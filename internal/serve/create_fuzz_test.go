@@ -153,7 +153,7 @@ func TestCreateRefusesDisorderedWindow(t *testing.T) {
 		t.Fatalf("400 body %s does not name the offending sample", body)
 	}
 
-	file, err := EncodeCheckpointFileBinary(cp)
+	file, err := AppendCheckpointFileBinary(nil, cp)
 	if err != nil {
 		t.Fatal(err)
 	}

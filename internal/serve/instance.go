@@ -99,6 +99,11 @@ type InstanceSpec struct {
 	// Trace, when set, receives every controller decision synchronously
 	// (in addition to the SSE hub). Not part of the JSON API.
 	Trace func(core.Event) `json:"-"`
+
+	// wire is the HRCF encoding a shard migration decoded Restore from,
+	// its last wireEng bytes the engine payload: the restart point.
+	wire    []byte
+	wireEng int
 }
 
 // EpochUpdate is the per-epoch telemetry summary published on the event
@@ -280,7 +285,9 @@ type Instance struct {
 	placed uint64          // its rank in the registry's creation order, set by Put before it is listed
 
 	donec    chan struct{} // closed once Stop completes
+	parked   chan struct{} // closed once the status first reads done
 	stopOnce sync.Once
+	parkOnce sync.Once
 
 	// Supervision wiring, fixed at construction.
 	sup     supervisorConfig
@@ -300,8 +307,12 @@ type Instance struct {
 	// lastCP is the supervisor's restart checkpoint in binary-envelope
 	// form: flat bytes instead of a retained object graph, so parked
 	// instances anchor one buffer each in the heap, and the buffer is
-	// reused across refreshes.
+	// reused across refreshes; its last lastEng bytes are the engine
+	// payload. stateGen counts stepped epochs and Do calls, cpGen its
+	// value when lastCP was made.
 	lastCP             []byte
+	lastEng            int
+	stateGen, cpGen    uint64
 	epochsSinceRestart int
 	cad                cadence // the tick schedule
 	recentFault        bool    // a fault applied in the last slice tightens cadence
@@ -392,6 +403,7 @@ func newInstance(id string, shard int, spec InstanceSpec, lab *experiment.Lab, s
 		pool:      pool,
 		shard:     shard,
 		donec:     make(chan struct{}),
+		parked:    make(chan struct{}),
 
 		sup:     sup.withDefaults(),
 		supSeed: fnvHash(id),
@@ -449,6 +461,8 @@ func newInstance(id string, shard int, spec InstanceSpec, lab *experiment.Lab, s
 
 	// Seed the supervisor's restart checkpoint before the first slice:
 	// even a crash on the very first epoch has a state to restart from.
+	// A migration's copy adopts the wire bytes while they are current.
+	i.lastCP, i.lastEng = spec.wire, spec.wireEng
 	i.refreshRestartCheckpoint()
 
 	// Schedule the first slice. Shard migration, REST restore, peer
@@ -485,6 +499,9 @@ func (i *Instance) adopt(cp *InstanceCheckpoint) error {
 		return fmt.Errorf("restore: %w", err)
 	}
 	restoreHist.Observe(time.Since(rs))
+	if len(cp.FleetTasks) > 0 {
+		i.stateGen++ // pruned: the engine no longer matches cp's bytes
+	}
 	pruneFleetTasks(eng, cp)
 	i.scenarioSpec = cp.Scenario.clone()
 	i.bind(eng)
@@ -515,6 +532,7 @@ func (i *Instance) mirrorEngineLocked() {
 	i.status.State = StateRunning
 	if i.doneRunning {
 		i.status.State = StateDone
+		i.parkOnce.Do(func() { close(i.parked) })
 	}
 	i.spanEpoch = i.m.Epoch()
 	i.spanBase = i.m.Clock().Now() - time.Duration(i.eng.Epoch())*i.spanEpoch
@@ -608,6 +626,7 @@ func (i *Instance) Do(fn func() error) error {
 	}
 	var err error
 	crash := i.guard(func() { err = fn() })
+	i.stateGen++ // after fn, so a call that encodes finds the restart point as it was
 	i.stepMu.Unlock()
 	if crash != nil {
 		// Completed asynchronously: the fleet dispatch tick calls Do while
@@ -619,19 +638,6 @@ func (i *Instance) Do(fn func() error) error {
 		return fmt.Errorf("serve: instance %s driver panicked: %v", i.id, crash.msg)
 	}
 	return err
-}
-
-// changed returns a channel closed at the next observable state change
-// (epoch resolved, health or lifecycle transition). Waiters re-check
-// their predicate, then wait again — the event-driven replacement for
-// sleep-polling in tests.
-func (i *Instance) changed() <-chan struct{} {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	if i.notec == nil {
-		i.notec = make(chan struct{})
-	}
-	return i.notec
 }
 
 // notifyLocked follows every write to status: it moves the generation a
@@ -916,6 +922,7 @@ func (i *Instance) epochUpdate(tel machine.Telemetry, epoch uint64) EpochUpdate 
 // in exactly the order the batch layers use — then publishes the status
 // snapshot and the event stream. stepMu is held.
 func (i *Instance) step() {
+	i.stateGen++
 	if i.panicNext {
 		i.panicNext = false
 		panic(fmt.Sprintf("injected driver panic on %s", i.id))
@@ -957,6 +964,7 @@ func (i *Instance) step() {
 	i.status.FaultsInjected += int64(er.FaultsApplied)
 	if done {
 		i.status.State = StateDone
+		i.parkOnce.Do(func() { close(i.parked) })
 	}
 	i.notifyLocked()
 	i.mu.Unlock()

@@ -171,14 +171,6 @@ func (d *jobDriver) noteTick() {
 	d.mu.Unlock()
 }
 
-// tickWait returns the completed-tick count and a channel that closes
-// when the next tick completes.
-func (d *jobDriver) tickWait() (int64, <-chan struct{}) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.ticks, d.ticknote
-}
-
 // safeTick isolates the dispatch loop from a panicking tick: the panic
 // is recorded and the next interval's tick runs anyway. tick's deferred
 // unlock releases d.mu on the way out, so the job API stays live.

@@ -61,29 +61,26 @@ var migrateClient = &http.Client{Timeout: 120 * time.Second}
 // migrate is the one migration path. It removes id from the registry,
 // evicts its fleet jobs back into this server's job queue
 // (checkpoints prune fleet-owned tasks, so keeping the jobs running would
-// double-run them), checkpoints the instance between epochs and hands the
-// checkpoint to ship, which restores it elsewhere and reports where. On
-// success the origin announces the move and stops; on any failure it is
-// reinstated untouched. A named instance's name stays reserved while it
-// is away, so no create can take it from under a migration that fails.
-func (s *Server) migrate(id string, ship func(*Instance, *InstanceCheckpoint) (*MigrateResult, error)) (*MigrateResult, error) {
+// double-run them) and hands the instance to ship, which checkpoints it
+// between epochs, restores it elsewhere and reports where and at which
+// epoch. On success the origin announces the move and stops; on any
+// failure it is reinstated untouched. A named instance's name stays
+// reserved while it is away, so no create can take it from under a
+// migration that fails.
+func (s *Server) migrate(id string, ship func(*Instance) (*MigrateResult, error)) (*MigrateResult, error) {
 	start := time.Now()
 	inst, from, ok := s.reg.remove(id, !minted(id))
 	if !ok {
 		return nil, errMigrateGone
 	}
 	s.jobs.killJobsOn(inst, "", "instance migrating")
-	cp, err := inst.Checkpoint()
-	var res *MigrateResult
-	if err == nil {
-		res, err = ship(inst, cp)
-	}
+	res, err := ship(inst)
 	if err != nil {
 		s.reg.readd(inst)
 		return nil, err
 	}
 	s.reg.Unreserve(id) // a shard move's copy has already taken the name over
-	res.From, res.FromShard, res.Epoch = id, from, cp.Engine.Epoch
+	res.From, res.FromShard = id, from
 	detail := fmt.Sprintf("to %s on shard %d", res.To, res.ToShard)
 	if res.Peer != "" {
 		detail = fmt.Sprintf("to %s on peer %s", res.To, res.Peer)
@@ -107,17 +104,21 @@ func (s *Server) MigrateToShard(id string, target int) (*MigrateResult, error) {
 	if target < 0 || target >= s.reg.ShardCount() {
 		return nil, fmt.Errorf("no shard %d (server has %d)", target, s.reg.ShardCount())
 	}
-	return s.migrate(id, func(inst *Instance, cp *InstanceCheckpoint) (*MigrateResult, error) {
+	return s.migrate(id, func(inst *Instance) (*MigrateResult, error) {
 		// Cross-shard moves travel through the binary wire format — what
 		// restores is the serialized artifact, exactly as in a
 		// cross-process migration, so the in-process fast path can never
-		// drift from the on-disk one.
-		wire, err := EncodeCheckpointFileBinary(cp)
-		if err != nil {
-			return nil, fmt.Errorf("encode checkpoint: %w", err)
-		}
+		// drift from the on-disk one. The origin ships its one encoding
+		// and the copy keeps the bytes as its restart point.
 		spec := InstanceSpec{EpochHook: inst.epochHook, Trace: inst.trace}
-		if spec.Restore, err = DecodeCheckpointFile(wire); err != nil {
+		err := inst.Do(func() (err error) {
+			spec.wire, spec.wireEng, err = inst.encode(nil)
+			return err
+		})
+		if err != nil {
+			return nil, err
+		}
+		if spec.Restore, err = DecodeCheckpointFile(spec.wire); err != nil {
 			return nil, fmt.Errorf("decode checkpoint: %w", err)
 		}
 		var fresh *Instance
@@ -129,7 +130,7 @@ func (s *Server) MigrateToShard(id string, target int) (*MigrateResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &MigrateResult{To: fresh.ID(), ToShard: target}, nil
+		return &MigrateResult{To: fresh.ID(), ToShard: target, Epoch: spec.Restore.Engine.Epoch}, nil
 	})
 }
 
@@ -140,7 +141,11 @@ func (s *Server) MigrateToShard(id string, target int) (*MigrateResult, error) {
 // A failure the peer causes — unreachable, create rejected, the name
 // taken there — is a peerError carrying the peer's verdict.
 func (s *Server) MigrateToPeer(id, peer string) (*MigrateResult, error) {
-	return s.migrate(id, func(_ *Instance, cp *InstanceCheckpoint) (*MigrateResult, error) {
+	return s.migrate(id, func(inst *Instance) (*MigrateResult, error) {
+		cp, err := inst.Checkpoint()
+		if err != nil {
+			return nil, err
+		}
 		body, err := json.Marshal(InstanceSpec{Restore: cp})
 		if err != nil {
 			return nil, fmt.Errorf("encode checkpoint: %w", err)
@@ -165,7 +170,7 @@ func (s *Server) MigrateToPeer(id, peer string) (*MigrateResult, error) {
 			// race their side effects), even though the new id is unknown.
 			st.ID = "unknown"
 		}
-		return &MigrateResult{To: st.ID, ToShard: st.Shard, Peer: peer}, nil
+		return &MigrateResult{To: st.ID, ToShard: st.Shard, Peer: peer, Epoch: cp.Engine.Epoch}, nil
 	})
 }
 

@@ -223,7 +223,7 @@ func (sp *ScenarioSpec) Build() (scenario.Scenario, error) {
 // checkBEName verifies a best-effort workload name resolves in the
 // catalogue.
 func checkBEName(name string) error {
-	if _, ok := workload.BEByName(name); !ok {
+	if !workload.HasBE(name) {
 		return fmt.Errorf("unknown BE workload %q", name)
 	}
 	return nil

@@ -249,7 +249,7 @@ func validateSpec(spec InstanceSpec) error {
 		}
 	}
 	if spec.LC != "" {
-		if _, ok := workload.LCByName(spec.LC); !ok {
+		if !workload.HasLC(spec.LC) {
 			return fmt.Errorf("unknown LC workload %q", spec.LC)
 		}
 	}

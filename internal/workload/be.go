@@ -1,6 +1,10 @@
 package workload
 
-import "heracles/internal/cache"
+import (
+	"slices"
+
+	"heracles/internal/cache"
+)
 
 // PlacementKind describes how a BE task or antagonist is placed relative
 // to the LC workload during an experiment.
@@ -236,34 +240,53 @@ func Filler() BESpec {
 	}
 }
 
+var (
+	production  = []func() BESpec{StreamLLC, StreamDRAM, CPUPower, Iperf, Brain, Streetview}
+	antagonists = []func() BESpec{LLCSmall, LLCMedium, LLCBig, StreamDRAM, Spinloop, CPUPower, Iperf}
+	// beNamed holds the constructor of every name BEByName resolves: the
+	// evaluation workloads, the antagonists and the filler.
+	beNamed = byName(slices.Concat(production, antagonists, []func() BESpec{Filler}), func(s BESpec) string { return s.Name })
+)
+
 // BESpecs returns the production BE workloads used in the evaluation
 // (§5.1), excluding the synthetic antagonists.
-func BESpecs() []BESpec {
-	return []BESpec{StreamLLC(), StreamDRAM(), CPUPower(), Iperf(), Brain(), Streetview()}
-}
+func BESpecs() []BESpec { return build(production) }
 
 // Antagonists returns the §3.2 characterisation microbenchmarks in the
 // order of Figure 1's rows (brain is appended by the harness with
 // OS-shared placement).
-func Antagonists() []BESpec {
-	return []BESpec{LLCSmall(), LLCMedium(), LLCBig(), StreamDRAM(), Spinloop(), CPUPower(), Iperf()}
-}
+func Antagonists() []BESpec { return build(antagonists) }
 
 // BEByName returns the BE spec with the given name among the evaluation
-// workloads, the antagonists and the filler, or false.
+// workloads, the antagonists and the filler, or false. It builds only
+// the spec it returns, a copy the caller owns.
 func BEByName(name string) (BESpec, bool) {
-	for _, s := range BESpecs() {
-		if s.Name == name {
-			return s, true
-		}
-	}
-	for _, s := range Antagonists() {
-		if s.Name == name {
-			return s, true
-		}
-	}
-	if f := Filler(); f.Name == name {
-		return f, true
+	if f, ok := beNamed[name]; ok {
+		return f(), true
 	}
 	return BESpec{}, false
+}
+
+// HasBE reports whether BEByName resolves name, building nothing.
+func HasBE(name string) bool { return beNamed[name] != nil }
+
+// build makes one spec per constructor.
+func build[T any](ctors []func() T) []T {
+	out := make([]T, len(ctors))
+	for i, f := range ctors {
+		out[i] = f()
+	}
+	return out
+}
+
+// byName indexes constructors by the name of the spec each builds; the
+// first of a name wins.
+func byName[T any](ctors []func() T, name func(T) string) map[string]func() T {
+	m := make(map[string]func() T, len(ctors))
+	for _, f := range ctors {
+		if n := name(f()); m[n] == nil {
+			m[n] = f
+		}
+	}
+	return m
 }

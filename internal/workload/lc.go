@@ -153,18 +153,23 @@ func Memkeyval() LCSpec {
 	}
 }
 
+var (
+	lcCtors = []func() LCSpec{Websearch, MLCluster, Memkeyval}
+	lcNamed = byName(lcCtors, func(s LCSpec) string { return s.Name })
+)
+
 // LCSpecs returns the three latency-critical workload models in the order
 // the paper presents them.
-func LCSpecs() []LCSpec {
-	return []LCSpec{Websearch(), MLCluster(), Memkeyval()}
-}
+func LCSpecs() []LCSpec { return build(lcCtors) }
 
-// LCByName returns the LC spec with the given name, or false.
+// LCByName returns the LC spec with the given name, or false. It builds
+// only the spec it returns, a copy the caller owns.
 func LCByName(name string) (LCSpec, bool) {
-	for _, s := range LCSpecs() {
-		if s.Name == name {
-			return s, true
-		}
+	if f, ok := lcNamed[name]; ok {
+		return f(), true
 	}
 	return LCSpec{}, false
 }
+
+// HasLC reports whether LCByName resolves name, building nothing.
+func HasLC(name string) bool { return lcNamed[name] != nil }

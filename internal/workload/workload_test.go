@@ -2,6 +2,7 @@ package workload
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 )
@@ -204,5 +205,59 @@ func TestBaseService(t *testing.T) {
 	s := LCSpec{CPUTime: 3 * time.Millisecond, MemTime: time.Millisecond}
 	if s.BaseService() != 4*time.Millisecond {
 		t.Fatalf("base service %v", s.BaseService())
+	}
+}
+
+// TestNameChecksBuildNothing: the existence checks every restore runs
+// allocate nothing, and a lookup builds only the spec it returns (brain
+// and websearch each own one slice of cache components).
+func TestNameChecksBuildNothing(t *testing.T) {
+	for _, name := range []string{"brain", "filler", "LLC (big)", "websearch", "nope"} {
+		if got := testing.AllocsPerRun(100, func() { HasBE(name) }); got != 0 {
+			t.Errorf("HasBE(%q) allocates %v times, want 0", name, got)
+		}
+		if got := testing.AllocsPerRun(100, func() { HasLC(name) }); got != 0 {
+			t.Errorf("HasLC(%q) allocates %v times, want 0", name, got)
+		}
+	}
+	if got := testing.AllocsPerRun(100, func() { BEByName("brain") }); got > 1 {
+		t.Errorf(`BEByName("brain") allocates %v times, want at most 1`, got)
+	}
+	if got := testing.AllocsPerRun(100, func() { LCByName("websearch") }); got > 1 {
+		t.Errorf(`LCByName("websearch") allocates %v times, want at most 1`, got)
+	}
+}
+
+// TestByNameReturnsIndependentCopies: every catalogue entry resolves by
+// name to an equal spec, and editing a returned spec, its cache
+// components included, changes no later lookup.
+func TestByNameReturnsIndependentCopies(t *testing.T) {
+	for _, want := range slices.Concat(BESpecs(), Antagonists(), []BESpec{Filler()}) {
+		got, ok := BEByName(want.Name)
+		if !ok || !HasBE(want.Name) || !reflect.DeepEqual(got, want) {
+			t.Fatalf("BEByName(%q) = %+v, %v; want %+v", want.Name, got, ok, want)
+		}
+		got.Activity = -1
+		for i := range got.CacheComponents {
+			got.CacheComponents[i].FootprintMB = -1
+		}
+		if again, _ := BEByName(want.Name); !reflect.DeepEqual(again, want) {
+			t.Fatalf("BEByName(%q) changed after an edit of an earlier result", want.Name)
+		}
+	}
+	for _, want := range LCSpecs() {
+		got, ok := LCByName(want.Name)
+		if !ok || !HasLC(want.Name) || !reflect.DeepEqual(got, want) {
+			t.Fatalf("LCByName(%q) = %+v, %v; want %+v", want.Name, got, ok, want)
+		}
+		for i := range got.CacheComponents {
+			got.CacheComponents[i].FootprintMB = -1
+		}
+		if again, _ := LCByName(want.Name); !reflect.DeepEqual(again, want) {
+			t.Fatalf("LCByName(%q) changed after an edit of an earlier result", want.Name)
+		}
+	}
+	if HasBE("websearch") || HasLC("brain") {
+		t.Fatal("a name resolved in the other catalogue")
 	}
 }
