@@ -34,6 +34,10 @@ var keptForTests = map[string]string{
 
 	"heracles/internal/experiment.Fig3Surface.ConvexViolations": "FIDELITY row 7 (Fig. 3 convexity)",
 	"heracles/internal/experiment.Fig1Table.Row":                "FIDELITY row 6 (Fig. 7 network cliff)",
+
+	"heracles/internal/workload.BESpecs":     "the production BE catalogue tests range over; name lookups use the constructor index",
+	"heracles/internal/workload.Antagonists": "the Figure 1 antagonist rows tests range over; name lookups use the constructor index",
+	"heracles/internal/workload.LCSpecs":     "the LC catalogue tests range over (offline calibration keys); name lookups use the constructor index",
 }
 
 // stdMethods are the method names the standard library calls through its
