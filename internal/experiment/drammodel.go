@@ -84,10 +84,11 @@ func bracketI(xs []int, x int) (int, int, float64) {
 // somewhat outdated one.
 func (l *Lab) DRAMModel(lcName string) *DRAMTable {
 	return l.dramModels.get(lcName, func() *DRAMTable {
-		if c := offlineFor(l.Cfg, lcSpec(lcName)); c != nil {
+		wl := l.LC(lcName)
+		if c := offlineFor(l.Cfg, wl.Spec); c != nil {
 			return c.dram
 		}
-		return l.profileDRAM(l.LC(lcName))
+		return l.profileDRAM(wl)
 	})
 }
 

@@ -32,16 +32,44 @@ func TestLabCachesCalibration(t *testing.T) {
 	if lab.BE("brain") != lab.BE("brain") {
 		t.Fatal("BE calibration not cached")
 	}
+	// A warm lookup is a memo hit and nothing else: it builds no spec.
+	if n := testing.AllocsPerRun(100, func() { lab.LC("websearch") }); n != 0 {
+		t.Fatalf("a warm LC lookup allocates %v objects, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { lab.BE("brain") }); n != 0 {
+		t.Fatalf("a warm BE lookup allocates %v objects, want 0", n)
+	}
 }
 
+// TestLabUnknownWorkloadPanics: an unknown name panics before it leaves
+// a memo entry, and the lab answers valid names afterwards.
 func TestLabUnknownWorkloadPanics(t *testing.T) {
 	lab := sharedLab(t)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic for unknown workload")
-		}
-	}()
-	lab.LC("nope")
+	for kind, lookup := range map[string]func(string){
+		"LC": func(name string) { lab.LC(name) },
+		"BE": func(name string) { lab.BE(name) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("no panic for unknown %s workload", kind)
+				}
+			}()
+			lookup("nope")
+		}()
+	}
+	lab.lcs.mu.Lock()
+	_, lc := lab.lcs.m["nope"]
+	lab.lcs.mu.Unlock()
+	lab.bes.mu.Lock()
+	_, be := lab.bes.m["nope"]
+	lab.bes.mu.Unlock()
+	if lc || be {
+		t.Fatalf("an unknown name left a memo entry (LC %v, BE %v)", lc, be)
+	}
+	if lab.LC("websearch").Spec.Name != "websearch" || lab.BE("brain").Spec.Name != "brain" {
+		t.Fatal("a lookup after the panic answers the wrong workload")
+	}
 }
 
 func TestMinCoresForSLOMonotoneInLoad(t *testing.T) {

@@ -83,8 +83,11 @@ func (l *Lab) workers() int {
 // gets its own copy. It panics on unknown names (experiment configuration
 // is programmer error, not runtime input).
 func (l *Lab) LC(name string) *workload.LC {
-	spec := lcSpec(name)
+	if !workload.HasLC(name) {
+		panic("experiment: unknown LC workload " + name)
+	}
 	return l.lcs.get(name, func() *workload.LC {
+		spec, _ := workload.LCByName(name)
 		if c := offlineFor(l.Cfg, spec); c != nil {
 			wl := c.lc
 			wl.Spec = spec
@@ -92,14 +95,6 @@ func (l *Lab) LC(name string) *workload.LC {
 		}
 		return machine.CalibrateLC(l.Cfg, spec)
 	})
-}
-
-func lcSpec(name string) workload.LCSpec {
-	spec, ok := workload.LCByName(name)
-	if !ok {
-		panic("experiment: unknown LC workload " + name)
-	}
-	return spec
 }
 
 // offlineCalibration is one entry of the generated table in
@@ -128,11 +123,11 @@ func offlineFor(cfg hw.Config, spec workload.LCSpec) *offlineCalibration {
 // BE returns the calibrated best-effort workload with the given name,
 // calibrating it on first use.
 func (l *Lab) BE(name string) *workload.BE {
-	spec, ok := workload.BEByName(name)
-	if !ok {
+	if !workload.HasBE(name) {
 		panic("experiment: unknown BE workload " + name)
 	}
 	return l.bes.get(name, func() *workload.BE {
+		spec, _ := workload.BEByName(name)
 		return machine.CalibrateBE(l.Cfg, spec)
 	})
 }

@@ -132,8 +132,9 @@ func (i *Instance) refreshRestartCheckpoint() {
 // validateCheckpoint rejects a restore request whose checkpoint is
 // structurally unusable before any simulation state is built: version
 // mismatches, missing engine state, unknown workload names (which would
-// otherwise panic inside the calibration catalogue), or a scenario
-// recorded in the engine without its JSON spec alongside. The tick
+// otherwise panic inside the calibration catalogue), a job scheduler
+// inside the engine (an instance's jobs belong to the server's), or a
+// scenario recorded in the engine without its JSON spec alongside. The tick
 // schedule is checked once the restore's speed is resolved
 // (checkSchedule).
 func validateCheckpoint(cp *InstanceCheckpoint) error {
@@ -167,11 +168,10 @@ func validateCheckpoint(cp *InstanceCheckpoint) error {
 		}
 	}
 	if cp.Engine.Sched != nil {
-		for _, j := range cp.Engine.Sched.Jobs {
-			if err := checkBEName(j.Spec.Workload); err != nil {
-				return err
-			}
-		}
+		return fmt.Errorf("checkpoint engine carries sched: a live engine runs no job scheduler of its own")
+	}
+	if len(cp.Engine.SchedBindings) > 0 {
+		return fmt.Errorf("checkpoint engine carries sched_bindings: a live engine runs no job scheduler of its own")
 	}
 	if cp.Engine.Scenario != nil && cp.Scenario == nil {
 		return fmt.Errorf("checkpoint has an active scenario (%q) but no scenario spec to rebuild it", cp.Engine.Scenario.Name)

@@ -9,7 +9,9 @@ import (
 	"strings"
 	"testing"
 
+	"heracles/internal/engine"
 	"heracles/internal/machine"
+	"heracles/internal/sched"
 )
 
 // FuzzCreateInstanceBody posts arbitrary bytes to POST /api/v1/instances,
@@ -163,6 +165,41 @@ func TestCreateRefusesDisorderedWindow(t *testing.T) {
 	}
 	if _, err := s.CreateInstance(InstanceSpec{Restore: decoded}); err == nil || !strings.Contains(err.Error(), "window[9]") {
 		t.Fatalf("restore from the decoded file: %v, want an error naming window[9]", err)
+	}
+	if n := s.Registry().Len(); n != 1 {
+		t.Fatalf("pool holds %d instances, want only the original", n)
+	}
+}
+
+// TestCreateRefusesEngineScheduler: a live engine runs no job scheduler
+// of its own (an instance's jobs are the server's), so a restore whose
+// engine carries one, or bindings for one, is a 400 naming the field and
+// creates nothing.
+func TestCreateRefusesEngineScheduler(t *testing.T) {
+	s := testServer(t)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	inst, err := s.CreateInstance(InstanceSpec{Load: 0.4, Speed: SpeedMax, MaxEpochs: 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	awaitInstance(t, inst, "run complete", func() bool { return inst.Status().State == StateDone })
+	for _, tc := range []struct {
+		field string
+		set   func(*engine.Checkpoint)
+	}{
+		{"sched", func(e *engine.Checkpoint) { e.Sched = &sched.State{Policy: sched.SlackGreedy{}.Name()} }},
+		{"sched_bindings", func(e *engine.Checkpoint) { e.SchedBindings = []engine.SchedBinding{{Job: 1}} }},
+	} {
+		cp, err := inst.Checkpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.set(cp.Engine)
+		body := doReq(t, ts.Client(), "POST", ts.URL+"/api/v1/instances", jsonBody(t, InstanceSpec{Restore: cp}), 400)
+		if !strings.Contains(string(body), "carries "+tc.field+":") {
+			t.Fatalf("400 body %s does not name %s", body, tc.field)
+		}
 	}
 	if n := s.Registry().Len(); n != 1 {
 		t.Fatalf("pool holds %d instances, want only the original", n)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"slices"
 	"strings"
@@ -244,7 +245,7 @@ type Status struct {
 
 	// SLO is the instance's error-budget snapshot: burn rates per
 	// window, budget spent and the alert latches (DESIGN.md §15).
-	SLO *slo.Status `json:"slo,omitempty"`
+	SLO slo.Status `json:"slo"`
 
 	// Supervisor health summary (see HealthStatus for the full view).
 	Health         string `json:"health"`
@@ -390,6 +391,10 @@ func newInstance(id string, shard int, spec InstanceSpec, lab *experiment.Lab, s
 			maxEpochs = cp.MaxEpochs
 		}
 	}
+	// The supervisor's RNG seed is the id's FNV-1a hash: restart jitter
+	// is deterministic per instance but uncorrelated across the fleet.
+	seed := fnv.New64a()
+	seed.Write([]byte(id))
 	i := &Instance{
 		id:        id,
 		name:      name,
@@ -406,7 +411,7 @@ func newInstance(id string, shard int, spec InstanceSpec, lab *experiment.Lab, s
 		parked:    make(chan struct{}),
 
 		sup:     sup.withDefaults(),
-		supSeed: fnvHash(id),
+		supSeed: seed.Sum64(),
 		trace:   spec.Trace,
 	}
 	i.entry = pool.newEntry(i)
@@ -540,10 +545,7 @@ func (i *Instance) mirrorEngineLocked() {
 	i.status.Scenario = i.eng.ScenarioName()
 	i.status.Last = i.epochUpdate(i.m.Last(), i.eng.Epoch())
 	i.status.BEs = beNames(i.m)
-	if i.eng.SLOEnabled() {
-		st := i.eng.SLONodeStatus(0)
-		i.status.SLO = &st
-	}
+	i.status.SLO = i.eng.SLONodeStatus(0)
 }
 
 // beNames lists the machine's BE task workload names.
@@ -576,10 +578,6 @@ func (i *Instance) Status() Status {
 	i.mu.Lock()
 	s := i.status
 	s.BEs = append([]string(nil), i.status.BEs...)
-	if i.status.SLO != nil {
-		st := *i.status.SLO
-		s.SLO = &st
-	}
 	s.Actions = slices.Clone(i.status.Actions)
 	i.mu.Unlock()
 	s.DroppedEvents = i.hub.Dropped()
@@ -948,19 +946,11 @@ func (i *Instance) step() {
 
 	up := i.epochUpdate(tel, er.Epoch)
 	done := i.maxEpochs > 0 && er.Epoch >= i.maxEpochs
-	var sloStatus slo.Status
-	if i.eng.SLOEnabled() {
-		sloStatus = i.eng.SLONodeStatus(0)
-	}
+	sloStatus := i.eng.SLONodeStatus(0)
 	i.mu.Lock()
 	i.status.Epoch = er.Epoch
 	i.status.Last = up
-	if i.eng.SLOEnabled() {
-		if i.status.SLO == nil {
-			i.status.SLO = new(slo.Status)
-		}
-		*i.status.SLO = sloStatus // in place: every reader copies it under i.mu
-	}
+	i.status.SLO = sloStatus
 	i.status.FaultsInjected += int64(er.FaultsApplied)
 	if done {
 		i.status.State = StateDone
@@ -1047,23 +1037,6 @@ func (i *Instance) TraceSpans() []SpanRecord {
 		}
 	}
 	return out
-}
-
-// SLOStatus reads the error-budget tracker between epochs. The bool is
-// false if the instance's engine runs without budget tracking (never the
-// case for instances this package builds, but restored foreign state is
-// validated, not trusted).
-func (i *Instance) SLOStatus() (slo.Status, bool, error) {
-	var st slo.Status
-	enabled := false
-	err := i.Do(func() error {
-		if i.eng.SLOEnabled() {
-			st = i.eng.SLONodeStatus(0)
-			enabled = true
-		}
-		return nil
-	})
-	return st, enabled, err
 }
 
 // --- Fleet-scheduler hooks --------------------------------------------

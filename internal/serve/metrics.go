@@ -28,7 +28,6 @@ type instanceFamily struct {
 	value           func(s *Status, j int) float64
 	label           string
 	labels          []string
-	slo             bool // printed only by instances with the SLO engine
 }
 
 // gauge is a family with one value per instance.
@@ -36,14 +35,9 @@ func gauge(name, typ, help string, value func(*Status) float64) instanceFamily {
 	return instanceFamily{name: name, typ: typ, help: help, value: func(s *Status, _ int) float64 { return value(s) }}
 }
 
-func sloGauge(name, typ, help string, value func(*slo.Status) float64) instanceFamily {
-	return instanceFamily{name: name, typ: typ, help: help, slo: true,
-		value: func(s *Status, _ int) float64 { return value(s.SLO) }}
-}
-
 // values is how many values an instance prints under f.
-func (f *instanceFamily) values(hasSLO bool) int {
-	if f.value == nil || f.slo && !hasSLO {
+func (f *instanceFamily) values() int {
+	if f.value == nil {
 		return 0
 	}
 	return max(1, len(f.labels))
@@ -52,7 +46,7 @@ func (f *instanceFamily) values(hasSLO bool) int {
 // valuesOf appends the values an instance with status s prints under f
 // to dst, by their float bits with every NaN as one.
 func (f *instanceFamily) valuesOf(s *Status, dst []uint64) []uint64 {
-	for j := range f.values(s.SLO != nil) {
+	for j := range f.values() {
 		x := f.value(s, j)
 		if x != x {
 			x = math.NaN()
@@ -129,52 +123,54 @@ var instanceFamilies = [...]instanceFamily{
 	gauge("heracles_faults_injected_total", "counter", "Faults applied to the instance, injected via the API or a scenario schedule.",
 		func(s *Status) float64 { return float64(s.FaultsInjected) }),
 	{name: "heracles_controller_actions_total", typ: "counter", help: "Controller decisions by loop and action."},
-	// Error-budget families (DESIGN.md §15): headers always print, so the
-	// exposition's shape is stable; series only for the SLO engine.
-	sloGauge("heracles_slo_objective", "gauge", "Availability objective the error budget is computed against.",
-		func(st *slo.Status) float64 { return st.Objective }),
-	sloGauge("heracles_slo_violations_total", "counter", "Simulated epochs that violated the latency SLO.",
-		func(st *slo.Status) float64 { return float64(st.Violations) }),
-	sloGauge("heracles_slo_budget_spent", "gauge", "Fraction of the 30-day error budget consumed (1 = exhausted).",
-		func(st *slo.Status) float64 { return st.BudgetSpent }),
-	{name: "heracles_slo_burn_rate", typ: "gauge", slo: true, label: "window", labels: slo.WindowNames[:],
+	// Error-budget families (DESIGN.md §15).
+	gauge("heracles_slo_objective", "gauge", "Availability objective the error budget is computed against.",
+		func(s *Status) float64 { return s.SLO.Objective }),
+	gauge("heracles_slo_violations_total", "counter", "Simulated epochs that violated the latency SLO.",
+		func(s *Status) float64 { return float64(s.SLO.Violations) }),
+	gauge("heracles_slo_budget_spent", "gauge", "Fraction of the 30-day error budget consumed (1 = exhausted).",
+		func(s *Status) float64 { return s.SLO.BudgetSpent }),
+	{name: "heracles_slo_burn_rate", typ: "gauge", label: "window", labels: slo.WindowNames[:],
 		help:  "Error-budget burn rate per rolling sim-time window (1 = spending exactly the budget).",
 		value: func(s *Status, j int) float64 { return s.SLO.Burn[j] }},
-	{name: "heracles_slo_alert_firing", typ: "gauge", slo: true, label: "alert", labels: []string{slo.AlertPage, slo.AlertTicket},
+	{name: "heracles_slo_alert_firing", typ: "gauge", label: "alert", labels: []string{slo.AlertPage, slo.AlertTicket},
 		help:  "1 while the multiwindow burn-rate alert fires (fast-burn page, slow-burn ticket).",
 		value: func(s *Status, j int) float64 { return boolFloat([2]bool{s.SLO.Page, s.SLO.Ticket}[j]) }},
 }
 
 // rowValues is what an instance's rows print besides its id and action
-// counts: whether the SLO engine is attached and its values in table
-// order, so that == on two is "the rows print the same bytes". The id is
-// not in it: the rows live on the Instance, whose id never changes (an
-// id reused after a delete names a new Instance, which has no rows).
-type rowValues struct {
-	hasSLO bool
-	vals   [27]uint64 // as many as instanceFamilies print (the key test checks)
-}
+// counts: its values in table order, as many as instanceFamilies print
+// (the key test checks), so that == on two is "the rows print the same
+// bytes". The id is not in it: the rows live on the Instance, whose id
+// never changes (an id reused after a delete names a new Instance, which
+// has no rows).
+type rowValues [27]uint64
+
+// familyAt[k] is where family k's values start in a rowValues: every
+// instance prints the same values, so the rows have one layout.
+var familyAt = func() (at [len(instanceFamilies) + 1]int) {
+	for k := range instanceFamilies {
+		at[k+1] = at[k] + instanceFamilies[k].values()
+	}
+	return at
+}()
 
 func (v *rowValues) fill(s *Status) {
-	v.hasSLO = s.SLO != nil
-	vals := v.vals[:0]
+	vals := v[:0]
 	for k := range instanceFamilies {
 		vals = instanceFamilies[k].valuesOf(s, vals)
 	}
-	clear(v.vals[len(vals):])
 }
 
 // same returns which families print the same lines under u as under v,
-// one bit each: actions' when acts held, none if the SLO engine came or went.
+// one bit each: actions' when acts held.
 func (v *rowValues) same(u *rowValues, acts bool) uint32 {
-	same, at := uint32(0), 0
+	same := uint32(0)
 	for k := range instanceFamilies {
-		f := &instanceFamilies[k]
-		n := f.values(v.hasSLO)
-		if v.hasSLO == u.hasSLO && slices.Equal(v.vals[at:at+n], u.vals[at:at+n]) && (f.value != nil || acts) {
+		at, end := familyAt[k], familyAt[k+1]
+		if slices.Equal(v[at:end], u[at:end]) && (instanceFamilies[k].value != nil || acts) {
 			same |= 1 << k
 		}
-		at += n
 	}
 	return same
 }
@@ -207,13 +203,11 @@ func (f *fleetStats) add(s *Status) {
 	}
 	f.n++
 	f.emuSum += s.Last.EMU
-	if s.SLO != nil {
-		if s.SLO.BudgetSpent > f.maxBudget {
-			f.maxBudget = s.SLO.BudgetSpent
-		}
-		if s.SLO.Page {
-			f.pages++
-		}
+	if s.SLO.BudgetSpent > f.maxBudget {
+		f.maxBudget = s.SLO.BudgetSpent
+	}
+	if s.SLO.Page {
+		f.pages++
 	}
 }
 
@@ -313,7 +307,6 @@ func (c *scrapeCache) gather(insts []*Instance, fleet *fleetStats) []*expo.Rows 
 // where bit k of c.same[m] is set, else formatted; their rows point at it.
 func (c *scrapeCache) build(members []*Instance) *block {
 	blk, n := &block{members: slices.Clone(members)}, len(members)
-	var at [blockSize]int
 	b := c.line[:0]
 	for k := range instanceFamilies {
 		f := &instanceFamilies[k]
@@ -321,12 +314,10 @@ func (c *scrapeCache) build(members []*Instance) *block {
 		for m, inst := range members {
 			blk.cuts[k*n+m] = int32(len(b))
 			r := inst.rows
-			vals := r.vals.vals[at[m] : at[m]+f.values(r.vals.hasSLO)]
-			at[m] += len(vals)
 			if c.same[m]&(1<<k) != 0 {
 				b = append(b, r.blk.line(r.at, k)...)
 			} else {
-				b = appendFamily(b, f, inst.id, vals, r.acts)
+				b = appendFamily(b, f, inst.id, r.vals[familyAt[k]:familyAt[k+1]], r.acts)
 			}
 		}
 	}

@@ -61,9 +61,9 @@ func sortFamiliesRef(text string) string {
 }
 
 // goldenStatuses is a fixed pool that reaches every branch of the
-// exposition writer: label values needing each escape, an instance
-// without the SLO engine, every health and alert state, and floats that
-// format as integers, exponents and non-finite values.
+// exposition writer: label values needing each escape, a zero error
+// budget, every health and alert state, and floats that format as
+// integers, exponents and non-finite values.
 func goldenStatuses() []Status {
 	return []Status{
 		{
@@ -73,7 +73,7 @@ func goldenStatuses() []Status {
 				BEEnabled: true, BECores: 12, BEWays: 4, DRAMUtil: 0.31, PowerFracTDP: 0.77, LinkUtil: 1e-7,
 			},
 			Actions: []ActionCount{{Loop: "core", Action: "grow-cores", Count: 41}, {Loop: "top", Action: "enable-be", Count: 2}},
-			SLO: &slo.Status{
+			SLO: slo.Status{
 				Objective: 0.999, Epochs: 90210, Violations: 17, BudgetSpent: 0.006558641975308642,
 				Burn: [slo.NumWindows]float64{14.4, 1, 0.25, 1e-3}, Page: true,
 			},
@@ -88,7 +88,7 @@ func goldenStatuses() []Status {
 		{
 			ID: "i3", State: StateCrashed,
 			Last:   EpochUpdate{Slack: 0.75, EMU: 0.5},
-			SLO:    &slo.Status{Objective: 0.99, BudgetSpent: 1.5, Ticket: true},
+			SLO:    slo.Status{Objective: 0.99, BudgetSpent: 1.5, Ticket: true},
 			Health: HealthDegraded, Restarts: 1,
 		},
 	}

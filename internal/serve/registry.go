@@ -29,10 +29,9 @@ type ShardStatus struct {
 // listing reads. A shard is a label each instance carries from
 // construction (Instance.shard): the registry keeps only the
 // consistent-hash id→shard table that picks a new instance's home. It
-// owns the one epoch scheduler that drives every instance. Snapshot and
-// shutdown work fans out over the shared parallel worker primitive so a
-// control plane with many instances snapshots and stops them
-// concurrently.
+// owns the one epoch scheduler that drives every instance. Statuses and
+// Close walk the instances in place, one at a time: a snapshot is a copy
+// and a stop a heap removal, neither worth a fan-out.
 type Registry struct {
 	mu       sync.Mutex
 	seq      int

@@ -49,10 +49,6 @@ func rowsOf(s *Status, old *instanceRows) (*instanceRows, [][]byte) {
 func cloneStatus(s Status) Status {
 	s.BEs = slices.Clone(s.BEs)
 	s.Actions = slices.Clone(s.Actions)
-	if s.SLO != nil {
-		st := *s.SLO
-		s.SLO = &st
-	}
 	return s
 }
 
@@ -146,14 +142,10 @@ func moves(was reflect.Value) []any {
 // the Instance, whose id never changes, and
 // TestScrapeMatchesColdRenderUnderMutations reuses an id after a delete.
 func TestRowsKeyCoversEveryPrintedField(t *testing.T) {
-	// rowValues.vals must hold every value the table prints: fill's
-	// appends past it would land in a copy the compare never sees.
-	n := 0
-	for k := range instanceFamilies {
-		n += instanceFamilies[k].values(true)
-	}
-	if n != len(rowValues{}.vals) {
-		t.Fatalf("instanceFamilies print %d values; rowValues holds %d", n, len(rowValues{}.vals))
+	// rowValues must hold every value the table prints: fill's appends
+	// past it would land in a copy the compare never sees.
+	if n := familyAt[len(instanceFamilies)]; n != len(rowValues{}) {
+		t.Fatalf("instanceFamilies print %d values; rowValues holds %d", n, len(rowValues{}))
 	}
 	printed := map[string]bool{}
 	for b, base := range goldenStatuses() {
@@ -196,7 +188,7 @@ func TestRowsKeyCoversEveryPrintedField(t *testing.T) {
 					t.Fatalf("status %d, %s moved: rows rendered from the old ones\n%s\ndiffer from a cold render\n%s",
 						b, lf.name, bytes.Join(warm, nil), bytes.Join(coldRows, nil))
 				}
-				if !reused && b == 0 { // the one golden status with every pointer set
+				if !reused && b == 0 { // the one golden status with every printed field set
 					printed[lf.name] = true
 				}
 			}
@@ -205,7 +197,7 @@ func TestRowsKeyCoversEveryPrintedField(t *testing.T) {
 	want := []string{"Actions", "Actions.Action", "Actions.Count", "Actions.Loop", "DroppedEvents", "Epoch",
 		"FaultsInjected", "Health", "Last.BECores", "Last.BEEnabled", "Last.BEWays", "Last.DRAMUtil",
 		"Last.EMU", "Last.LinkUtil", "Last.Load", "Last.P95Ms", "Last.PowerFracTDP", "Last.SLOMs", "Last.Slack",
-		"Last.TailMs", "Restarts", "SLO", "SLO.BudgetSpent", "SLO.Burn", "SLO.Objective",
+		"Last.TailMs", "Restarts", "SLO.BudgetSpent", "SLO.Burn", "SLO.Objective",
 		"SLO.Page", "SLO.Ticket", "SLO.Violations", "State"}
 	got := make([]string, 0, len(printed))
 	for name := range printed {
@@ -246,8 +238,8 @@ func coldScrape(s *Server) string {
 // scrapes between them: every body must equal a cold render of the
 // pool. Some changes are written into the status directly, each ending
 // with the status writers' generation bump — load and SLO moves as a
-// stepped epoch publishes them, the SLO engine attached, detached or
-// moving, health and restarts, done and running — and dropped events,
+// stepped epoch publishes them, the error budget moving, health and
+// restarts, done and running — and dropped events,
 // which the hub counts without one. The rest run the status writers
 // themselves on instances paced too slowly to step on their own: a
 // controller action, a stepped slice, an armed driver panic, the crash
@@ -347,19 +339,10 @@ func TestScrapeMatchesColdRenderUnderMutations(t *testing.T) {
 					st.Epoch++
 				case 1: // the SLO target
 					st.Last.SLOMs = float64(10 + r.IntN(3))
-				case 2: // the SLO engine attached, detached or moving
-					switch {
-					case st.SLO == nil:
-						st.SLO = &slo.Status{Objective: 0.999}
-					case r.IntN(3) == 0:
-						st.SLO = nil
-					default:
-						moved := *st.SLO
-						moved.Violations++
-						moved.Burn[r.IntN(slo.NumWindows)] = r.Float64() * 20
-						moved.Page = r.IntN(2) == 0
-						st.SLO = &moved
-					}
+				case 2: // the error budget moving
+					st.SLO.Violations++
+					st.SLO.Burn[r.IntN(slo.NumWindows)] = r.Float64() * 20
+					st.SLO.Page = r.IntN(2) == 0
 				case 4: // health and restarts
 					st.Health = []string{HealthHealthy, HealthDegraded, HealthQuarantined}[r.IntN(3)]
 					st.Restarts += r.IntN(2)

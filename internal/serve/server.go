@@ -609,16 +609,11 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, _ *http.Request, inst *
 	WriteJSON(w, http.StatusOK, cp)
 }
 
+// handleSLO answers the status's error-budget snapshot under the crash gate, without the mailbox.
 func (s *Server) handleSLO(w http.ResponseWriter, _ *http.Request, inst *Instance) {
-	st, enabled, err := inst.SLOStatus()
-	if !doErr(w, err) {
-		return
+	if st := inst.Status(); doErr(w, crashGate[st.State]) {
+		WriteJSON(w, http.StatusOK, st.SLO)
 	}
-	if !enabled {
-		APIError(w, http.StatusNotFound, "instance %q runs without the error-budget engine", inst.ID())
-		return
-	}
-	WriteJSON(w, http.StatusOK, st)
 }
 
 func (s *Server) handleTrace(w http.ResponseWriter, _ *http.Request, inst *Instance) {

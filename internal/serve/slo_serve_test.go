@@ -3,10 +3,12 @@ package serve
 import (
 	"encoding/json"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"heracles/internal/engine"
 	"heracles/internal/slo"
 )
 
@@ -53,7 +55,7 @@ func TestE2ESLOBudgetTraceAndStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	id := created.ID
-	if created.SLO == nil || created.SLO.Objective != slo.DefaultObjective {
+	if created.SLO.Objective != slo.DefaultObjective {
 		t.Fatalf("created status carries no SLO snapshot: %+v", created.SLO)
 	}
 
@@ -167,4 +169,105 @@ func TestE2ESLOBudgetTraceAndStream(t *testing.T) {
 	}
 
 	doReq(t, client, "DELETE", ts.URL+"/api/v1/instances/"+id, nil, 200)
+}
+
+// TestEveryInstanceCarriesItsErrorBudget holds the invariant Status.SLO,
+// the metric rows and GET /slo rely on: however an instance comes to
+// exist — a create, a REST restore of a checkpoint without slo_budget, a
+// shard move, a peer move, a crash restart or a directory resume — it
+// runs the error-budget tracker, so its status reports the default
+// objective and /slo answers 200 with it. /slo keeps the crash gate's
+// codes: 503 while crashed, 409 once quarantined.
+func TestEveryInstanceCarriesItsErrorBudget(t *testing.T) {
+	s := New(Config{Lab: testLab, Shards: 2, restartBackoff: time.Millisecond})
+	t.Cleanup(s.Close)
+	peer := New(Config{Lab: testLab, restartBackoff: time.Hour})
+	t.Cleanup(peer.Close)
+	ts, pts := httptest.NewServer(s.Handler()), httptest.NewServer(peer.Handler())
+	t.Cleanup(ts.Close)
+	t.Cleanup(pts.Close)
+	sloURL := func(srv *httptest.Server, inst *Instance) string {
+		return srv.URL + "/api/v1/instances/" + inst.ID() + "/slo"
+	}
+	check := func(how string, srv *httptest.Server, inst *Instance) {
+		t.Helper()
+		if got := inst.Status().SLO.Objective; got != slo.DefaultObjective {
+			t.Fatalf("%s: status objective %v, want %v", how, got, slo.DefaultObjective)
+		}
+		var st slo.Status
+		if err := json.Unmarshal(doReq(t, srv.Client(), "GET", sloURL(srv, inst), nil, 200), &st); err != nil {
+			t.Fatal(err)
+		}
+		if st.Objective != slo.DefaultObjective {
+			t.Fatalf("%s: /slo objective %v, want %v", how, st.Objective, slo.DefaultObjective)
+		}
+	}
+
+	created, err := s.CreateInstance(InstanceSpec{Load: 0.4, Speed: SpeedMax, MaxEpochs: 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	awaitInstance(t, created, "run complete", func() bool { return created.Status().State == StateDone })
+	check("create", ts, created)
+
+	cp, err := created.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp.Engine.Budget = nil
+	var st Status
+	if err := json.Unmarshal(doReq(t, ts.Client(), "POST", ts.URL+"/api/v1/instances", jsonBody(t, InstanceSpec{Restore: cp}), 201), &st); err != nil {
+		t.Fatal(err)
+	}
+	restored, _ := s.Registry().Get(st.ID)
+	check("REST restore without slo_budget", ts, restored)
+
+	res, err := s.MigrateToShard(restored.ID(), 1-restored.Status().Shard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	moved, _ := s.Registry().Get(res.To)
+	check("shard move", ts, moved)
+
+	if res, err = s.MigrateToPeer(moved.ID(), pts.URL); err != nil {
+		t.Fatal(err)
+	}
+	hosted, _ := peer.Registry().Get(res.To)
+	check("peer move", pts, hosted)
+
+	running, err := s.CreateInstance(InstanceSpec{Speed: SpeedMax})
+	if err != nil {
+		t.Fatal(err)
+	}
+	injectRetry(t, running, FaultRequest{Kind: FaultDriverPanic})
+	awaitInstance(t, running, "restart", func() bool { return running.Health().Restarts == 1 })
+	check("crash restart", ts, running)
+
+	dir := t.TempDir()
+	file, err := AppendCheckpointFileBinary(nil, cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := engine.WriteFile(filepath.Join(dir, "r1.ckpt"), file); err != nil {
+		t.Fatal(err)
+	}
+	fresh := New(Config{Lab: testLab, CheckpointDir: dir, CheckpointEvery: time.Hour})
+	t.Cleanup(fresh.Close)
+	fts := httptest.NewServer(fresh.Handler())
+	t.Cleanup(fts.Close)
+	if n, _ := fresh.resume(InstanceSpec{}, 0); n != 1 {
+		t.Fatalf("directory resume restored %d instances, want 1", n)
+	}
+	resumed, _ := fresh.Registry().Get("r1")
+	check("directory resume without slo_budget", fts, resumed)
+
+	gated, err := peer.CreateInstance(InstanceSpec{Speed: SpeedMax})
+	if err != nil {
+		t.Fatal(err)
+	}
+	injectRetry(t, gated, FaultRequest{Kind: FaultDriverPanic})
+	awaitInstance(t, gated, "crash", func() bool { return gated.Status().State == StateCrashed })
+	doReq(t, pts.Client(), "GET", sloURL(pts, gated), nil, 503)
+	gated.quarantine("test")
+	doReq(t, pts.Client(), "GET", sloURL(pts, gated), nil, 409)
 }

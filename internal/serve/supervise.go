@@ -181,18 +181,6 @@ func (i *Instance) InjectFault(req FaultRequest) error {
 	return i.Do(func() error { return i.eng.InjectFault(f) })
 }
 
-// fnvHash derives the instance's supervisor RNG seed from its id
-// (FNV-1a), so restart jitter is deterministic per instance but
-// uncorrelated across the fleet.
-func fnvHash(s string) uint64 {
-	h := uint64(1469598103934665603)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
 // crashGate maps the states in which Do refuses to run to the error it
 // returns: the transient crashed state and the quarantine that ends it.
 var crashGate = map[string]error{StateCrashed: ErrCrashed, StateQuarantined: ErrQuarantined}
