@@ -36,7 +36,7 @@ import (
 // Strings and slices carry a uint32 length, optional sections a presence
 // byte. codec.Slice's last argument is the fewest bytes one element can
 // occupy: the count guard divides the remaining input by it before
-// anything is allocated. A failed read latches in the Reader and every
+// anything is allocated. A failed read latches in the Coder and every
 // later field reads as zero, so no walk checks for errors. Integrity
 // (CRC-32C) is the enclosing envelope's job (internal/serve).
 
@@ -59,11 +59,11 @@ func (cp *Checkpoint) EncodeBinary() []byte { return cp.AppendBinary(nil) }
 // from a previous encode to amortise allocation) and returning the
 // extended buffer.
 func (cp *Checkpoint) AppendBinary(buf []byte) []byte {
-	w := codec.NewWriter(append(buf, binaryMagic[:]...))
-	w.U16(BinaryVersion)
-	c := codec.Encoder(w)
+	c := codec.Encoder(append(buf, binaryMagic[:]...))
+	v := uint16(BinaryVersion)
+	c.U16(&v)
 	walkCheckpoint(&c, cp)
-	return w.Bytes()
+	return c.Buf()
 }
 
 // DecodeCheckpointBinary parses a binary checkpoint of layout
@@ -74,15 +74,14 @@ func DecodeCheckpointBinary(data []byte) (*Checkpoint, error) {
 	if !bytes.HasPrefix(data, binaryMagic[:]) {
 		return nil, fmt.Errorf("engine: not a binary checkpoint (missing %q magic)", binaryMagic)
 	}
-	r := codec.NewReader(data[4:])
-	v := r.U16()
-	if v != BinaryVersion {
+	c := codec.Decoder(data[4:])
+	var v uint16
+	if c.U16(&v); v != BinaryVersion {
 		return nil, fmt.Errorf("engine: binary checkpoint layout version %d, this build reads version %d", v, BinaryVersion)
 	}
 	cp := &Checkpoint{}
-	c := codec.Decoder(r)
 	walkCheckpoint(&c, cp)
-	if err := r.Expect(); err != nil {
+	if err := c.Expect(); err != nil {
 		return nil, fmt.Errorf("engine: decoding binary checkpoint: %w", err)
 	}
 	return cp, nil

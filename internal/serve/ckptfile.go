@@ -67,14 +67,14 @@ func appendEnvelope(buf []byte, cp *InstanceCheckpoint, eng []byte) ([]byte, int
 	}
 
 	start := len(buf)
-	w := codec.NewWriter(append(buf, binaryFileMagic[:]...))
-	w.U16(BinaryCheckpointFileVersion)
-	crcOff := w.Reserve32()
-	c := codec.Encoder(w)
+	c := codec.Encoder(append(buf, binaryFileMagic[:]...))
+	version := uint16(BinaryCheckpointFileVersion)
+	c.U16(&version)
+	crcOff := c.Reserve32()
 	walkEnvelope(&c, cp, &spec, &eng)
 
-	out := w.Bytes()
-	w.Patch32(crcOff, crc32.Checksum(out[start+binaryFileHeaderLen:], crcTable))
+	out := c.Buf()
+	c.Patch32(crcOff, crc32.Checksum(out[start+binaryFileHeaderLen:], crcTable))
 	return out, len(eng), nil
 }
 
@@ -88,19 +88,19 @@ func DecodeCheckpointFile(data []byte) (*InstanceCheckpoint, error) {
 	if len(data) < binaryFileHeaderLen {
 		return nil, fmt.Errorf("checkpoint file truncated: %d bytes, envelope header is %d", len(data), binaryFileHeaderLen)
 	}
-	r := codec.NewReader(data[4:])
-	version := r.U16()
-	if version != BinaryCheckpointFileVersion {
+	c := codec.Decoder(data[4:])
+	var version uint16
+	if c.U16(&version); version != BinaryCheckpointFileVersion {
 		return nil, fmt.Errorf("checkpoint file envelope version %d, this build reads version %d", version, BinaryCheckpointFileVersion)
 	}
-	sum := r.U32()
+	var sum uint32
+	c.U32(&sum)
 	if got := crc32.Checksum(data[binaryFileHeaderLen:], crcTable); got != sum {
 		return nil, fmt.Errorf("checkpoint file checksum mismatch: header crc32c:%08x, payload crc32c:%08x — file is corrupt", sum, got)
 	}
 
 	cp := &InstanceCheckpoint{}
 	var spec, eng []byte
-	c := codec.Decoder(r)
 	walkEnvelope(&c, cp, &spec, &eng)
 	if spec != nil {
 		cp.Scenario = &ScenarioSpec{}
@@ -108,7 +108,7 @@ func DecodeCheckpointFile(data []byte) (*InstanceCheckpoint, error) {
 			return nil, fmt.Errorf("checkpoint scenario spec corrupt: %v", err)
 		}
 	}
-	if err := r.Err(); err != nil {
+	if err := c.Err(); err != nil {
 		return nil, fmt.Errorf("checkpoint payload corrupt: %v", err)
 	}
 	if eng != nil {
@@ -117,16 +117,15 @@ func DecodeCheckpointFile(data []byte) (*InstanceCheckpoint, error) {
 			return nil, fmt.Errorf("checkpoint engine state corrupt: %v", err)
 		}
 	}
-	if err := r.Expect(); err != nil {
+	if err := c.Expect(); err != nil {
 		return nil, fmt.Errorf("checkpoint payload corrupt: %v", err)
 	}
 	return cp, nil
 }
 
 // walkEnvelope is the envelope payload, listed once: appendEnvelope
-// runs it over a Writer, DecodeCheckpointFile over a Reader. It only
-// frames the two nested encodings, each behind a presence byte and a
-// uint32 length: spec is the scenario spec's JSON (marshalled before an
+// runs it encoding, DecodeCheckpointFile decoding. It only frames the
+// two nested encodings, each behind a presence byte and a uint32 length: spec is the scenario spec's JSON (marshalled before an
 // encode, a view into the input after a decode, nil when there is none),
 // and eng the engine's HRCB bytes, appended by
 // engine.Checkpoint.AppendBinary on an encode of cp.Engine or copied
