@@ -99,8 +99,9 @@ churn:
 # route: any body and ?id= answer 201 or 4xx and leave the pool empty; an
 # accepted id is the one asked for, and a second create of it is a 409;
 # i<digits> and path-unsafe ids are a 400. The HRCB
-# decoder under the envelope's CRC (the codec.Coder walk): an error or a
-# checkpoint that re-encodes to a fixed point. The scenario JSON codec:
+# decoder's codec.Coder walk, each input's own CRC resealed so that the
+# mutation reaches it: an error or a checkpoint that re-encodes to a
+# fixed point. The scenario JSON codec:
 # an error or a scenario a one-node engine installs and steps. The job
 # submit route: any body answers 201 or 4xx, and an accepted job
 # cancels, leaving the queue empty. The mutation routes (PUT load, slo,

@@ -20,6 +20,7 @@ package codec
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"time"
 )
@@ -164,15 +165,6 @@ func (c *Coder) U16(v *uint16) {
 	}
 }
 
-// U32 carries a little-endian uint32.
-func (c *Coder) U32(v *uint32) {
-	if c.decode {
-		*v = c.u32()
-	} else {
-		c.buf = binary.LittleEndian.AppendUint32(c.buf, *v)
-	}
-}
-
 // U64 carries a little-endian uint64.
 func (c *Coder) U64(v *uint64) {
 	if c.decode {
@@ -232,18 +224,39 @@ func (c *Coder) Bytes(v *[]byte) {
 	}
 }
 
-// Reserve32 appends a zero uint32 placeholder and returns its offset for
-// a later Patch32 — the idiom for prefixes (lengths, checksums) whose
-// value is only known after the bytes they describe have been written.
-func (c *Coder) Reserve32() int {
+// crcTable is the Castagnoli polynomial, the CRC-32C used by filesystems
+// and storage protocols for exactly this job.
+var crcTable = crc32.MakeTable(crc32.Castagnoli)
+
+// reserve32 appends a zero uint32 placeholder and returns its offset, for
+// a prefix whose value is only known after the bytes it describes.
+func (c *Coder) reserve32() int {
 	off := len(c.buf)
 	c.buf = append(c.buf, 0, 0, 0, 0)
 	return off
 }
 
-// Patch32 overwrites a placeholder written by Reserve32.
-func (c *Coder) Patch32(off int, v uint32) {
-	binary.LittleEndian.PutUint32(c.buf[off:], v)
+// Checksum carries a CRC-32C over everything after it. Encoding reserves
+// its four bytes and returns their offset for Seal. Decoding reads it
+// and checks it against the rest of the input at once, latching an
+// error on a mismatch, so a corrupt payload is refused before a walk
+// reads any of it.
+func (c *Coder) Checksum() int {
+	if !c.decode {
+		return c.reserve32()
+	}
+	if sum := c.u32(); c.err == nil {
+		if got := crc32.Checksum(c.buf[c.off:], crcTable); got != sum {
+			c.failf("checksum mismatch: header crc32c:%08x, payload crc32c:%08x", sum, got)
+		}
+	}
+	return 0
+}
+
+// Seal ends an encode: it fills the checksum Checksum reserved at off
+// with the CRC-32C of every byte appended after it.
+func (c *Coder) Seal(off int) {
+	binary.LittleEndian.PutUint32(c.buf[off:], crc32.Checksum(c.buf[off+4:], crcTable))
 }
 
 // Nest carries a uint32-prefixed nested encoding. Encoding writes *v or,
@@ -256,9 +269,9 @@ func (c *Coder) Nest(v *[]byte, fn func([]byte) []byte) {
 	case c.decode:
 		*v = c.take(c.count(1))
 	case fn != nil:
-		off := c.Reserve32()
+		off := c.reserve32()
 		c.buf = fn(c.buf)
-		c.Patch32(off, uint32(len(c.buf)-off-4))
+		binary.LittleEndian.PutUint32(c.buf[off:], uint32(len(c.buf)-off-4))
 		*v = c.buf[off+4:]
 	default:
 		c.appendBytes(*v)

@@ -28,7 +28,6 @@ func (w wire) str(s string) wire { return append(w.u32(uint32(len(s))), s...) }
 type coderSample struct {
 	B    bool
 	H    uint16
-	W    uint32
 	U    uint64
 	I    int64
 	N    int
@@ -52,7 +51,6 @@ type kid struct{ A, B int }
 func walkSample(c *Coder, s *coderSample) {
 	c.Bool(&s.B)
 	c.U16(&s.H)
-	c.U32(&s.W)
 	c.U64(&s.U)
 	c.I64(&s.I)
 	c.Int(&s.N)
@@ -80,7 +78,7 @@ func walkSample(c *Coder, s *coderSample) {
 
 func sample() coderSample {
 	return coderSample{
-		B: true, H: 0xbeef, W: 0xdeadbeef, U: 1 << 63, I: -42, N: -7, D: 90 * time.Second, F: math.Pi,
+		B: true, H: 0xbeef, U: 1 << 63, I: -42, N: -7, D: 90 * time.Second, F: math.Pi,
 		S: "hello", Raw: []byte{1, 2, 3}, Nest: []byte("inner"), Fs: []float64{1.5, math.Inf(-1)}, Ns: []int{-1, 1 << 40},
 		Mode: 3, Kids: []kid{{1, 2}, {3, 4}}, Opt: &kid{5, 6},
 	}
@@ -88,7 +86,7 @@ func sample() coderSample {
 
 // sampleWire is sample's encoding, written field by field.
 func sampleWire() []byte {
-	w := wire(nil).u8(1).u16(0xbeef).u32(0xdeadbeef).u64(1 << 63).i64(-42).i64(-7).
+	w := wire(nil).u8(1).u16(0xbeef).u64(1 << 63).i64(-42).i64(-7).
 		i64(int64(90 * time.Second)).f64(math.Pi).str("hello").str("\x01\x02\x03").str("inner").
 		u32(2).f64(1.5).f64(math.Inf(-1)).u32(2).i64(-1).i64(1 << 40).i64(3).u32(2)
 	for _, n := range []int64{1, 2, 3, 4} {

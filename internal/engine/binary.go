@@ -24,11 +24,11 @@ import (
 // view of the same value; a restored engine continues bit-identically
 // whichever carried the state.
 //
-// Layout: a 4-byte magic ("HRCB"), a uint16 format version, then what
-// walkCheckpoint visits, in the order it visits it. The walk* functions
-// are the layout: each shows a codec.Coder its type's fields once, and
-// AppendBinary and DecodeCheckpointBinary run the same list in opposite
-// directions. A field added to a struct of the graph is added to that
+// Layout: a 4-byte magic ("HRCB"), a uint16 format version, a uint32
+// CRC-32C over everything after it, then what walkCheckpoint visits, in
+// the order it visits it. The walk* functions are the layout: each shows
+// a codec.Coder its type's fields once, and AppendBinary and
+// DecodeCheckpointBinary run the same list in opposite directions. A field added to a struct of the graph is added to that
 // struct's walk, in one place, with a BinaryVersion bump; until then
 // TestCodecsCarryEveryCheckpointField fails twice — the new field comes
 // back zero, and testdata/checkpoint_full.hrcb no longer matches.
@@ -37,8 +37,9 @@ import (
 // byte. codec.Slice's last argument is the fewest bytes one element can
 // occupy: the count guard divides the remaining input by it before
 // anything is allocated. A failed read latches in the Coder and every
-// later field reads as zero, so no walk checks for errors. Integrity
-// (CRC-32C) is the enclosing envelope's job (internal/serve).
+// later field reads as zero, so no walk checks for errors. The checksum
+// is checked before the walk reads anything, so a bare file whose bits
+// flipped on disk is refused and ReadFile falls back to "<path>.1".
 
 // binaryMagic opens every binary checkpoint; input without it, a JSON
 // document included, is refused by name.
@@ -48,9 +49,9 @@ var binaryMagic = [4]byte{'H', 'R', 'C', 'B'}
 // incompatible layout change (and document the change in DESIGN.md §16).
 // It is independent of CheckpointVersion, which versions the logical
 // state schema. It is the only layout read: version 1 (a 600-entry ring
-// of full telemetry records per machine) and version 2 (the scheduler's
-// placement log) are refused by number.
-const BinaryVersion = 3
+// of full telemetry records per machine), version 2 (the scheduler's
+// placement log) and version 3 (no checksum) are refused by number.
+const BinaryVersion = 4
 
 // EncodeBinary serialises the checkpoint to a fresh buffer.
 func (cp *Checkpoint) EncodeBinary() []byte { return cp.AppendBinary(nil) }
@@ -62,7 +63,9 @@ func (cp *Checkpoint) AppendBinary(buf []byte) []byte {
 	c := codec.Encoder(append(buf, binaryMagic[:]...))
 	v := uint16(BinaryVersion)
 	c.U16(&v)
+	sum := c.Checksum()
 	walkCheckpoint(&c, cp)
+	c.Seal(sum)
 	return c.Buf()
 }
 
@@ -79,6 +82,7 @@ func DecodeCheckpointBinary(data []byte) (*Checkpoint, error) {
 	if c.U16(&v); v != BinaryVersion {
 		return nil, fmt.Errorf("engine: binary checkpoint layout version %d, this build reads version %d", v, BinaryVersion)
 	}
+	c.Checksum()
 	cp := &Checkpoint{}
 	walkCheckpoint(&c, cp)
 	if err := c.Expect(); err != nil {

@@ -3,6 +3,8 @@ package engine_test
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/crc32"
+	"math"
 	"os"
 	"strings"
 	"testing"
@@ -98,6 +100,16 @@ func TestBinaryCheckpointRejectsMalformed(t *testing.T) {
 		t.Fatal("layout version skew accepted")
 	}
 
+	// A flipped bit anywhere after the header is refused by the checksum,
+	// before the walk reads it.
+	for _, off := range []int{10, len(data) / 2, len(data) - 1} {
+		flip := bytes.Clone(data)
+		flip[off] ^= 0x10
+		if _, err := engine.DecodeCheckpointBinary(flip); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+			t.Fatalf("bit flipped at %d: %v, want a checksum mismatch", off, err)
+		}
+	}
+
 	// Truncation at every prefix length must error, not panic. Step by a
 	// prime so the loop stays cheap while still hitting unaligned cuts.
 	for cut := 0; cut < len(data); cut += 7 {
@@ -106,9 +118,9 @@ func TestBinaryCheckpointRejectsMalformed(t *testing.T) {
 		}
 	}
 
-	// Trailing garbage is corruption.
-	if _, err := engine.DecodeCheckpointBinary(append(append([]byte(nil), data...), 0)); err == nil {
-		t.Fatal("trailing byte accepted")
+	// Trailing garbage is corruption, under a matching checksum too.
+	if _, err := engine.DecodeCheckpointBinary(reseal(append(bytes.Clone(data), 0))); err == nil || !strings.Contains(err.Error(), "trailing") {
+		t.Fatalf("trailing byte: %v, want a refusal naming it", err)
 	}
 
 	// An oversized length claim must be rejected before it sizes an
@@ -116,8 +128,9 @@ func TestBinaryCheckpointRejectsMalformed(t *testing.T) {
 	// header fields.
 	bomb := append([]byte(nil), data...)
 	// Walk to the machine-count u32 the same way the decoder does:
-	// 4 magic + 2 version + 7×8 fixed fields, then the scenario section.
-	off := 4 + 2 + 7*8
+	// 4 magic + 2 version + 4 CRC + 7×8 fixed fields, then the scenario
+	// section.
+	off := 4 + 2 + 4 + 7*8
 	if bomb[off] == 1 { // scenario present: u32 name len + name + 3×8
 		nameLen := int(uint32(bomb[off+1]) | uint32(bomb[off+2])<<8 | uint32(bomb[off+3])<<16 | uint32(bomb[off+4])<<24)
 		off += 1 + 4 + nameLen + 3*8
@@ -125,9 +138,19 @@ func TestBinaryCheckpointRejectsMalformed(t *testing.T) {
 		off++
 	}
 	bomb[off], bomb[off+1], bomb[off+2], bomb[off+3] = 0xff, 0xff, 0xff, 0x7f
-	if _, err := engine.DecodeCheckpointBinary(bomb); err == nil {
-		t.Fatal("oversized machine count accepted")
+	if _, err := engine.DecodeCheckpointBinary(reseal(bomb)); err == nil || !strings.Contains(err.Error(), "exceeds remaining") {
+		t.Fatalf("oversized machine count: %v, want the count guard's refusal", err)
 	}
+}
+
+// reseal returns a copy of an HRCB encoding whose checksum matches its
+// payload again, so a deliberate corruption reaches the walk.
+func reseal(data []byte) []byte {
+	out := bytes.Clone(data)
+	if len(out) >= 10 {
+		binary.LittleEndian.PutUint32(out[6:], crc32.Checksum(out[10:], crc32.MakeTable(crc32.Castagnoli)))
+	}
+	return out
 }
 
 // TestBinaryEncodeBufferReuse pins the zero-steady-state-allocation
@@ -152,27 +175,30 @@ func TestBinaryEncodeBufferReuse(t *testing.T) {
 	}
 }
 
-// FuzzDecodeCheckpointBinary hammers the HRCB decoder directly, below the
-// envelope whose CRC shields it in FuzzDecodeCheckpointFile (the batch
-// tools' files, engine.ReadFile, have no envelope at all): any input
-// comes back as an error or a checkpoint, never a panic, and a checkpoint
-// it accepts is a fixed point of the codec — its encoding decodes, and
-// decodes to a value that encodes to the same bytes (compared as bytes,
-// so a NaN the fuzzer plants in a float field still equals itself). The
-// structural seeds cut and corrupt the golden, beside it whole and
-// relabelled as the retired layout 2, which is refused by number.
+// FuzzDecodeCheckpointBinary hammers the HRCB walk directly: every input
+// is resealed (its checksum recomputed) before it is decoded, so a
+// mutation reaches the walk instead of stopping at the CRC, which
+// TestBinaryCheckpointRejectsMalformed holds to refusing unsealed ones.
+// Any input comes back as an error or a checkpoint, never a panic, and a
+// checkpoint it accepts is a fixed point of the codec — its encoding
+// decodes, and decodes to a value that encodes to the same bytes
+// (compared as bytes, so a NaN the fuzzer plants in a float field still
+// equals itself). The structural seeds cut and corrupt the golden, beside
+// it whole and relabelled as the retired layouts 2 and 3, which are
+// refused by number.
 func FuzzDecodeCheckpointBinary(f *testing.F) {
 	golden, err := os.ReadFile("testdata/checkpoint_full.hrcb")
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(golden)
-	for _, cut := range []int{0, 3, 5, 61, 63, len(golden) / 2, len(golden) - 1} {
+	for _, cut := range []int{0, 3, 5, 9, 65, 67, len(golden) / 2, len(golden) - 1} {
 		f.Add(golden[:cut])
 	}
-	// The scenario's presence byte follows magic, version and the seven
-	// fixed fields; its string's length gives the machine count's offset.
-	const presence = 4 + 2 + 7*8
+	// The scenario's presence byte follows magic, version, checksum and
+	// the seven fixed fields; its string's length gives the machine
+	// count's offset.
+	const presence = 4 + 2 + 4 + 7*8
 	badPresence := bytes.Clone(golden)
 	badPresence[presence] = 2
 	f.Add(badPresence)
@@ -180,12 +206,14 @@ func FuzzDecodeCheckpointBinary(f *testing.F) {
 	count := presence + 1 + 4 + int(binary.LittleEndian.Uint32(golden[presence+1:])) + 3*8
 	binary.LittleEndian.PutUint32(bomb[count:], 0x7fffffff)
 	f.Add(bomb)
-	retired := bytes.Clone(golden)
-	retired[4] = 2
-	f.Add(retired)
+	for _, v := range []byte{2, 3} {
+		retired := bytes.Clone(golden)
+		retired[4] = v
+		f.Add(retired)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		cp, err := engine.DecodeCheckpointBinary(data)
+		cp, err := engine.DecodeCheckpointBinary(reseal(data))
 		if err != nil {
 			if cp != nil {
 				t.Fatalf("decode returned both a checkpoint and error %v", err)
@@ -266,6 +294,33 @@ func TestReadFileFallsBackToPreviousGeneration(t *testing.T) {
 	}
 	if _, err := engine.ReadFile(path + ".missing"); !os.IsNotExist(err) {
 		t.Fatalf("no generation at all: err %v, want not-exist", err)
+	}
+}
+
+// TestReadFileRefusesAFlippedBit: a bare HRCB file carries its own
+// checksum, so one bit flipped on disk in a field that decodes either
+// way (RootEWMA, 0.25 read back as 0.125) makes ReadFile resume from the
+// previous generation instead of returning the wrong value.
+func TestReadFileRefusesAFlippedBit(t *testing.T) {
+	good := (&engine.Checkpoint{Version: engine.CheckpointVersion, RootEWMA: 0.25}).EncodeBinary()
+	path := t.TempDir() + "/cluster.ckpt"
+	for range 2 {
+		if err := engine.WriteFile(path, good); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bad := bytes.Clone(good)
+	off := bytes.Index(bad, binary.LittleEndian.AppendUint64(nil, math.Float64bits(0.25)))
+	bad[off+6] ^= 0x10 // an exponent bit: 0x3fd0… becomes 0x3fc0…
+	if err := os.WriteFile(path, bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cp, used, err := engine.ReadFallback(path, engine.DecodeCheckpointBinary)
+	if err != nil || used != path+".1" {
+		t.Fatalf("read %q (%v), want the previous generation %q", used, err, path+".1")
+	}
+	if cp.RootEWMA != 0.25 {
+		t.Fatalf("RootEWMA %v, want 0.25", cp.RootEWMA)
 	}
 }
 

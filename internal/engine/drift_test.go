@@ -163,10 +163,11 @@ func TestCodecsCarryEveryCheckpointField(t *testing.T) {
 }
 
 // TestVersionOneCheckpointsRefused pins the version bumps: state written
-// before the telemetry ring shrank (binary layout 1, JSON schema 1), and
+// before the telemetry ring shrank (binary layout 1, JSON schema 1),
 // state written while the scheduler kept its placement log (binary
-// layout 2), is refused with an error naming the version it carries and
-// the one this build reads — never half-read.
+// layout 2), and state written without a checksum (binary layout 3), is
+// refused with an error naming the version it carries and the one this
+// build reads — never half-read.
 func TestVersionOneCheckpointsRefused(t *testing.T) {
 	cfg := clusterConfig(testJobs(4))
 	sc := testScenario(200 * time.Second)
@@ -180,11 +181,11 @@ func TestVersionOneCheckpointsRefused(t *testing.T) {
 		return err != nil && strings.Contains(err.Error(), "version 1") && strings.Contains(err.Error(), read)
 	}
 
-	for _, v := range []byte{1, 2} {
+	for _, v := range []byte{1, 2, 3} {
 		data := cp.EncodeBinary()
 		data[4], data[5] = v, 0 // the u16 layout version after the magic
 		_, err := engine.DecodeCheckpointBinary(data)
-		if want := fmt.Sprintf("layout version %d, this build reads version 3", v); err == nil || !strings.Contains(err.Error(), want) {
+		if want := fmt.Sprintf("layout version %d, this build reads version 4", v); err == nil || !strings.Contains(err.Error(), want) {
 			t.Fatalf("version-%d HRCB payload: err = %v, want a refusal naming %q", v, err, want)
 		}
 	}

@@ -192,11 +192,13 @@ func TestCommittedSeedsDecodeOrRefuseByVersion(t *testing.T) {
 	}
 
 	// The retired seeds these were re-encoded from: envelope 1 (no tick
-	// schedule) and engine layout 2 (the scheduler's placement log).
+	// schedule), engine layout 2 (the scheduler's placement log) and
+	// engine layout 3 (no checksum).
 	for name, want := range map[string]string{
 		"binary-refused-hrcf1":       "envelope version 1, this build reads version 2",
 		"binary-refused-hrcf1-long":  "envelope version 1, this build reads version 2",
-		"binary-refused-hrcb2-paced": "layout version 2, this build reads version 3",
+		"binary-refused-hrcb2-paced": "layout version 2, this build reads version 4",
+		"binary-refused-hrcb3":       "layout version 3, this build reads version 4",
 	} {
 		if old, err := DecodeCheckpointFile(corpusSeed(t, name)); err == nil || old != nil || !strings.Contains(err.Error(), want) {
 			t.Fatalf("retired seed %s: checkpoint %v, err = %v, want a refusal naming %q", name, old, err, want)
@@ -237,7 +239,7 @@ func TestCommittedSeedsDecodeOrRefuseByVersion(t *testing.T) {
 		t.Fatalf("restored run ended at epoch %d holding %d samples, want 1000 and 15", final.Epoch, len(final.Machines[0].Window))
 	}
 
-	// The first envelope-version-2 file, re-encoded at engine layout 3: the
+	// The first envelope-version-2 file, re-encoded at engine layout 4: the
 	// same shape of instance, paced, with a tick schedule no later build
 	// may misplace.
 	paced, err := DecodeCheckpointFile(corpusSeed(t, "binary-valid-hrcf2-paced"))

@@ -39,10 +39,6 @@ const BinaryCheckpointFileVersion = 2
 // binaryFileHeaderLen: magic + u16 version + u32 CRC.
 const binaryFileHeaderLen = 4 + 2 + 4
 
-// crcTable is the Castagnoli polynomial, the CRC32-C used by filesystems
-// and storage protocols for exactly this job.
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
 // AppendCheckpointFileBinary serialises a checkpoint into its binary
 // enveloped file form, appending to buf (pass scratch from a previous
 // encode to amortise allocation).
@@ -66,16 +62,13 @@ func appendEnvelope(buf []byte, cp *InstanceCheckpoint, eng []byte) ([]byte, int
 		}
 	}
 
-	start := len(buf)
 	c := codec.Encoder(append(buf, binaryFileMagic[:]...))
 	version := uint16(BinaryCheckpointFileVersion)
 	c.U16(&version)
-	crcOff := c.Reserve32()
+	sum := c.Checksum()
 	walkEnvelope(&c, cp, &spec, &eng)
-
-	out := c.Buf()
-	c.Patch32(crcOff, crc32.Checksum(out[start+binaryFileHeaderLen:], crcTable))
-	return out, len(eng), nil
+	c.Seal(sum)
+	return c.Buf(), len(eng), nil
 }
 
 // DecodeCheckpointFile parses a checkpoint file, verifying magic, version
@@ -93,10 +86,8 @@ func DecodeCheckpointFile(data []byte) (*InstanceCheckpoint, error) {
 	if c.U16(&version); version != BinaryCheckpointFileVersion {
 		return nil, fmt.Errorf("checkpoint file envelope version %d, this build reads version %d", version, BinaryCheckpointFileVersion)
 	}
-	var sum uint32
-	c.U32(&sum)
-	if got := crc32.Checksum(data[binaryFileHeaderLen:], crcTable); got != sum {
-		return nil, fmt.Errorf("checkpoint file checksum mismatch: header crc32c:%08x, payload crc32c:%08x — file is corrupt", sum, got)
+	if c.Checksum(); c.Err() != nil {
+		return nil, fmt.Errorf("checkpoint file corrupt: %v", c.Err())
 	}
 
 	cp := &InstanceCheckpoint{}
@@ -179,5 +170,5 @@ func EncodeCheckpointFile(cp *InstanceCheckpoint) ([]byte, error) {
 		Version  int             `json:"envelope_version"`
 		Checksum string          `json:"checksum"`
 		Payload  json.RawMessage `json:"payload"`
-	}{1, fmt.Sprintf("crc32c:%08x", crc32.Checksum(payload, crcTable)), payload}, "", " ")
+	}{1, fmt.Sprintf("crc32c:%08x", crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli))), payload}, "", " ")
 }
