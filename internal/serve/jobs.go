@@ -110,7 +110,7 @@ type jobDriver struct {
 	lastTickPanic string
 	stopped       bool
 	ticks         int64         // completed dispatch ticks
-	ticknote      chan struct{} // closed and replaced after every tick
+	ticknote      chan struct{} // made by a tick waiter, closed by the next tick
 
 	stopOnce sync.Once
 }
@@ -127,8 +127,7 @@ func newJobDriver(reg *Registry, policy sched.Policy, seed uint64, interval time
 			// 15s grace) are sized for simulated seconds, which the served
 			// instances also tick in real time by default.
 		}),
-		tasks:    make(map[int]*taskRef),
-		ticknote: make(chan struct{}),
+		tasks: make(map[int]*taskRef),
 	}
 	d.entry = reg.pool.newEntry(d)
 	reg.pool.schedule(d.entry, time.Now().Add(d.interval))
@@ -161,13 +160,15 @@ func (d *jobDriver) runSlice() (time.Time, bool) {
 	return time.Now().Add(d.interval), true
 }
 
-// noteTick wakes tickWait waiters; tests use it to await dispatch ticks
-// without sleeping.
+// noteTick counts the tick and wakes tickWait waiters, if any; tests use
+// it to await dispatch ticks without sleeping.
 func (d *jobDriver) noteTick() {
 	d.mu.Lock()
 	d.ticks++
-	close(d.ticknote)
-	d.ticknote = make(chan struct{})
+	if d.ticknote != nil {
+		close(d.ticknote)
+		d.ticknote = nil
+	}
 	d.mu.Unlock()
 }
 

@@ -20,5 +20,8 @@ func (i *Instance) changed() <-chan struct{} {
 func (d *jobDriver) tickWait() (int64, <-chan struct{}) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	if d.ticknote == nil {
+		d.ticknote = make(chan struct{})
+	}
 	return d.ticks, d.ticknote
 }
