@@ -1,20 +1,19 @@
 // Package codec implements the hand-rolled little-endian binary
 // primitives behind the engine's binary checkpoint format (DESIGN.md
-// §16). It exists so the checkpoint hot paths — periodic snapshots,
-// in-process shard migration, supervisor restart — pay fixed-width
-// copies instead of reflection-driven JSON, while staying dependency-
-// free and byte-deterministic: the same state always encodes to the
-// same bytes.
+// §16), so the checkpoint hot paths — periodic snapshots, in-process
+// shard migration, supervisor restart — pay fixed-width copies instead
+// of reflection-driven JSON, dependency-free and byte-deterministic: the
+// same state always encodes to the same bytes.
 //
 // Its one type, Coder, runs in one direction. Every method takes a
 // pointer to a field: an Encoder appends the field to a caller-owned
 // buffer (reuse it across encodes to amortise allocation), a Decoder
 // fills it from the input. So a layout is listed once, as a walk over
 // the fields, and run both ways. Decoding latches the first error and
-// checks every bound, so truncated, oversized or otherwise malformed
-// input always surfaces as an error, never a panic or an attempt to
-// allocate unbounded memory. Encoding only reads the value it walks, so
-// one value may be encoded from several goroutines at once.
+// checks every bound, so malformed input always surfaces as an error,
+// never a panic or an attempt to allocate unbounded memory. Encoding
+// only reads the value it walks, so one value may be encoded from
+// several goroutines at once.
 package codec
 
 import (
@@ -41,8 +40,7 @@ type Coder struct {
 }
 
 // Encoder returns a Coder that appends every field it is shown to buf
-// (pass scratch from a previous encode, truncated, to reuse its
-// capacity).
+// (pass scratch from an earlier encode, truncated, to reuse it).
 func Encoder(buf []byte) Coder { return Coder{buf: buf} }
 
 // Decoder returns a Coder that fills every field it is shown from data.
@@ -103,54 +101,36 @@ func (c *Coder) u64() uint64 {
 	return 0
 }
 
-// bool reads one byte, refusing values other than 0 and 1 (a strict
-// decode catches corruption early instead of laundering it into false).
-func (c *Coder) bool() bool {
-	b := c.take(1)
-	if b == nil {
-		return false
-	}
-	if b[0] > 1 {
-		c.failf("bool byte %d", b[0])
-		return false
-	}
-	return b[0] == 1
-}
-
 // count reads a uint32 element count and validates it against the bytes
 // actually remaining: each element occupies at least elemSize bytes, so
 // any count claiming more data than exists is corruption — refused
 // here, before a decoder sizes an allocation from it.
 func (c *Coder) count(elemSize int) int {
 	n := int(c.u32())
-	if c.err != nil {
-		return 0
-	}
-	if elemSize < 1 {
-		elemSize = 1
-	}
-	if rem := len(c.buf) - c.off; n > rem/elemSize {
+	if rem := len(c.buf) - c.off; c.err == nil && n > rem/max(elemSize, 1) {
 		c.failf("count %d exceeds remaining %d bytes at %d bytes/element", n, rem, elemSize)
+	}
+	if c.err != nil {
 		return 0
 	}
 	return n
 }
 
-// appendBytes writes a uint32 length prefix followed by the raw bytes.
-func (c *Coder) appendBytes(b []byte) {
-	c.buf = binary.LittleEndian.AppendUint32(c.buf, uint32(len(b)))
-	c.buf = append(c.buf, b...)
-}
-
-// Bool carries a bool as one strict byte (1/0).
+// Bool carries a bool as one byte, 1 or 0. Decoding refuses any other
+// byte: a strict decode catches corruption early instead of laundering
+// it into false.
 func (c *Coder) Bool(v *bool) {
 	switch {
-	case c.decode:
-		*v = c.bool()
-	case *v:
+	case !c.decode && *v:
 		c.buf = append(c.buf, 1)
-	default:
+	case !c.decode:
 		c.buf = append(c.buf, 0)
+	default:
+		b := c.take(1)
+		*v = len(b) == 1 && b[0] == 1
+		if len(b) == 1 && b[0] > 1 {
+			c.failf("bool byte %d", b[0])
+		}
 	}
 }
 
@@ -186,7 +166,7 @@ func (c *Coder) I64(v *int64) {
 // Int carries an int as an int64.
 func (c *Coder) Int(v *int) {
 	if c.decode {
-		*v = int(int64(c.u64()))
+		*v = int(c.u64())
 	} else {
 		c.buf = binary.LittleEndian.AppendUint64(c.buf, uint64(*v))
 	}
@@ -194,6 +174,14 @@ func (c *Coder) Int(v *int) {
 
 // Duration carries a time.Duration as its int64 nanosecond count.
 func (c *Coder) Duration(v *time.Duration) { c.I64((*int64)(v)) }
+
+// Enum carries an int-kinded enumeration as an int64.
+func Enum[T ~int](c *Coder, v *T) {
+	n := int(*v)
+	if c.Int(&n); c.decode {
+		*v = T(n)
+	}
+}
 
 // F64 carries a float64 as its IEEE-754 bit pattern.
 func (c *Coder) F64(v *float64) {
@@ -220,21 +208,14 @@ func (c *Coder) Bytes(v *[]byte) {
 	if c.decode {
 		*v = append([]byte(nil), c.take(c.count(1))...)
 	} else {
-		c.appendBytes(*v)
+		c.buf = binary.LittleEndian.AppendUint32(c.buf, uint32(len(*v)))
+		c.buf = append(c.buf, *v...)
 	}
 }
 
 // crcTable is the Castagnoli polynomial, the CRC-32C used by filesystems
 // and storage protocols for exactly this job.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-// reserve32 appends a zero uint32 placeholder and returns its offset, for
-// a prefix whose value is only known after the bytes it describes.
-func (c *Coder) reserve32() int {
-	off := len(c.buf)
-	c.buf = append(c.buf, 0, 0, 0, 0)
-	return off
-}
 
 // Checksum carries a CRC-32C over everything after it. Encoding reserves
 // its four bytes and returns their offset for Seal. Decoding reads it
@@ -243,12 +224,12 @@ func (c *Coder) reserve32() int {
 // reads any of it.
 func (c *Coder) Checksum() int {
 	if !c.decode {
-		return c.reserve32()
+		c.buf = append(c.buf, 0, 0, 0, 0)
+		return len(c.buf) - 4
 	}
-	if sum := c.u32(); c.err == nil {
-		if got := crc32.Checksum(c.buf[c.off:], crcTable); got != sum {
-			c.failf("checksum mismatch: header crc32c:%08x, payload crc32c:%08x", sum, got)
-		}
+	sum := c.u32()
+	if got := crc32.Checksum(c.buf[c.off:], crcTable); c.err == nil && got != sum {
+		c.failf("checksum mismatch: header crc32c:%08x, payload crc32c:%08x", sum, got)
 	}
 	return 0
 }
@@ -269,12 +250,13 @@ func (c *Coder) Nest(v *[]byte, fn func([]byte) []byte) {
 	case c.decode:
 		*v = c.take(c.count(1))
 	case fn != nil:
-		off := c.reserve32()
-		c.buf = fn(c.buf)
+		off := len(c.buf)
+		c.buf = fn(append(c.buf, 0, 0, 0, 0))
 		binary.LittleEndian.PutUint32(c.buf[off:], uint32(len(c.buf)-off-4))
 		*v = c.buf[off+4:]
 	default:
-		c.appendBytes(*v)
+		c.buf = binary.LittleEndian.AppendUint32(c.buf, uint32(len(*v)))
+		c.buf = append(c.buf, *v...)
 	}
 }
 
@@ -311,18 +293,9 @@ func (c *Coder) Ints(v *[]int) {
 	if n := c.count(8); n > 0 {
 		b, out := c.take(8*n), make([]int, n)
 		for i := range out {
-			out[i] = int(int64(binary.LittleEndian.Uint64(b[8*i:])))
+			out[i] = int(binary.LittleEndian.Uint64(b[8*i:]))
 		}
 		*v = out
-	}
-}
-
-// Enum carries an int-kinded enumeration as an int64.
-func Enum[T ~int](c *Coder, v *T) {
-	if c.decode {
-		*v = T(int64(c.u64()))
-	} else {
-		c.buf = binary.LittleEndian.AppendUint64(c.buf, uint64(*v))
 	}
 }
 
@@ -345,14 +318,12 @@ func Slice[T any](c *Coder, s *[]T, elemSize int) []T {
 // Ptr carries the presence byte of an optional section and reports
 // whether the caller should walk it; decoding allocates *p first.
 func Ptr[T any](c *Coder, p **T) bool {
-	switch {
-	case !c.decode:
-		present := *p != nil
-		c.Bool(&present)
-	case c.bool():
-		*p = new(T)
-	default:
+	present := *p != nil
+	if c.Bool(&present); c.decode {
 		*p = nil
+		if present {
+			*p = new(T)
+		}
 	}
-	return *p != nil
+	return present
 }

@@ -2,6 +2,7 @@ package codec
 
 import (
 	"encoding/binary"
+	"hash/crc32"
 	"math"
 	"reflect"
 	"strings"
@@ -279,6 +280,35 @@ func TestCoderRefusesMalformed(t *testing.T) {
 	walkSample(&c, &s)
 	if !reflect.DeepEqual(s, coderSample{}) {
 		t.Fatalf("walk over a failed Decoder filled %+v", s)
+	}
+}
+
+// TestChecksumSealsThePayload: Seal fills the reserved four bytes with
+// the CRC-32C of what follows, and a decode refuses the payload once any
+// bit of it flips, before the walk reads a field.
+func TestChecksumSealsThePayload(t *testing.T) {
+	in := sample()
+	enc := Encoder(nil)
+	sum := enc.Checksum()
+	walkSample(&enc, &in)
+	enc.Seal(sum)
+	data := enc.Buf()
+	if want := crc32.Checksum(sampleWire(), crc32.MakeTable(crc32.Castagnoli)); binary.LittleEndian.Uint32(data) != want {
+		t.Fatalf("sealed crc32c:%08x, want %08x", binary.LittleEndian.Uint32(data), want)
+	}
+	for _, flip := range []int{0, 4, len(data) - 1} {
+		bad := append([]byte(nil), data...)
+		bad[flip] ^= 1
+		c := Decoder(bad)
+		if c.Checksum(); c.Err() == nil || !strings.Contains(c.Err().Error(), "checksum mismatch") {
+			t.Fatalf("bit flip at %d: %v", flip, c.Err())
+		}
+	}
+	var out coderSample
+	dec := Decoder(data)
+	dec.Checksum()
+	if walkSample(&dec, &out); dec.Expect() != nil || !reflect.DeepEqual(in, out) {
+		t.Fatalf("sealed round trip: %v", dec.Expect())
 	}
 }
 

@@ -16,41 +16,40 @@ import (
 	"heracles/internal/slo"
 )
 
-// The binary checkpoint codec (DESIGN.md §16): a versioned, length-
-// prefixed little-endian encoding of Checkpoint over internal/codec, and
-// the only format a checkpoint is stored in: heraclesd nests it in its
-// files, shard migration ships it, and the batch tools write it bare
-// (WriteFile, ReadFile). JSON (checkpoint.go's struct tags) is the REST
-// view of the same value; a restored engine continues bit-identically
-// whichever carried the state.
+// The binary checkpoint codec (DESIGN.md §16): a versioned, checksummed,
+// length-prefixed little-endian encoding of Checkpoint over
+// internal/codec, and the only format a checkpoint is stored in:
+// heraclesd nests it in its files, shard migration ships it, and the
+// batch tools write it bare (WriteFile, ReadFile). JSON (checkpoint.go's
+// struct tags) is the REST view of the same value; a restored engine
+// continues bit-identically whichever carried the state.
 //
 // Layout: a 4-byte magic ("HRCB"), a uint16 format version, a uint32
-// CRC-32C over everything after it, then what walkCheckpoint visits, in
-// the order it visits it. The walk* functions are the layout: each shows
-// a codec.Coder its type's fields once, and AppendBinary and
-// DecodeCheckpointBinary run the same list in opposite directions. A field added to a struct of the graph is added to that
-// struct's walk, in one place, with a BinaryVersion bump; until then
-// TestCodecsCarryEveryCheckpointField fails twice — the new field comes
-// back zero, and testdata/checkpoint_full.hrcb no longer matches.
+// CRC-32C over the rest (checked before the walk reads it), then what
+// walkCheckpoint visits, in order. Each walk* function shows a
+// codec.Coder its type's fields once, and AppendBinary and
+// DecodeCheckpointBinary run the same list in opposite directions. A
+// field added to a struct of the graph is added to its walk, with a
+// BinaryVersion bump; until then TestCodecsCarryEveryCheckpointField
+// fails twice — the new field comes back zero, and
+// testdata/checkpoint_full.hrcb no longer matches.
 //
 // Strings and slices carry a uint32 length, optional sections a presence
 // byte. codec.Slice's last argument is the fewest bytes one element can
 // occupy: the count guard divides the remaining input by it before
 // anything is allocated. A failed read latches in the Coder and every
-// later field reads as zero, so no walk checks for errors. The checksum
-// is checked before the walk reads anything, so a bare file whose bits
-// flipped on disk is refused and ReadFile falls back to "<path>.1".
+// later field reads as zero, so no walk checks for errors.
 
 // binaryMagic opens every binary checkpoint; input without it, a JSON
 // document included, is refused by name.
 var binaryMagic = [4]byte{'H', 'R', 'C', 'B'}
 
-// BinaryVersion is the binary layout version; bump it on any
-// incompatible layout change (and document the change in DESIGN.md §16).
-// It is independent of CheckpointVersion, which versions the logical
-// state schema. It is the only layout read: version 1 (a 600-entry ring
-// of full telemetry records per machine), version 2 (the scheduler's
-// placement log) and version 3 (no checksum) are refused by number.
+// BinaryVersion is the binary layout version, bumped on any incompatible
+// layout change (documented in DESIGN.md §16) and independent of
+// CheckpointVersion, the logical state schema's. It is the only layout
+// read: versions 1 (a 600-entry ring of full telemetry records per
+// machine), 2 (the scheduler's placement log) and 3 (no checksum) are
+// refused by number.
 const BinaryVersion = 4
 
 // EncodeBinary serialises the checkpoint to a fresh buffer.
@@ -71,8 +70,8 @@ func (cp *Checkpoint) AppendBinary(buf []byte) []byte {
 
 // DecodeCheckpointBinary parses a binary checkpoint of layout
 // BinaryVersion. Malformed input of any kind — a missing magic (JSON
-// included), truncation, oversized length claims, version skew, trailing
-// garbage — returns an error, never a panic.
+// included), version skew, a checksum mismatch, truncation, oversized
+// length claims, trailing garbage — returns an error, never a panic.
 func DecodeCheckpointBinary(data []byte) (*Checkpoint, error) {
 	if !bytes.HasPrefix(data, binaryMagic[:]) {
 		return nil, fmt.Errorf("engine: not a binary checkpoint (missing %q magic)", binaryMagic)
@@ -103,11 +102,10 @@ func walkCheckpoint(c *codec.Coder, cp *Checkpoint) {
 	c.F64(&cp.RootEWMA)
 
 	if codec.Ptr(c, &cp.Scenario) {
-		sc := cp.Scenario
-		c.String(&sc.Name)
-		c.Duration(&sc.T0)
-		c.Int(&sc.Delivered)
-		c.F64(&sc.LoadScale)
+		c.String(&cp.Scenario.Name)
+		c.Duration(&cp.Scenario.T0)
+		c.Int(&cp.Scenario.Delivered)
+		c.F64(&cp.Scenario.LoadScale)
 	}
 
 	for i := range codec.Slice(c, &cp.Machines, 32) {
@@ -123,10 +121,9 @@ func walkCheckpoint(c *codec.Coder, cp *Checkpoint) {
 		walkSched(c, cp.Sched)
 	}
 	for i := range codec.Slice(c, &cp.SchedBindings, 24) {
-		b := &cp.SchedBindings[i]
-		c.Int(&b.Job)
-		c.Int(&b.Node)
-		c.Int(&b.Task)
+		c.Int(&cp.SchedBindings[i].Job)
+		c.Int(&cp.SchedBindings[i].Node)
+		c.Int(&cp.SchedBindings[i].Task)
 	}
 
 	if codec.Ptr(c, &cp.Faults) {
